@@ -1,10 +1,9 @@
-// Live network: the join protocol running for real — first on the
-// goroutine-per-node runtime (scheduler-driven concurrency), then over
-// actual TCP sockets on localhost, and finally over TCP with an
-// injected 10% write-drop rate plus periodic connection kills to show
-// the reliable-delivery layer (retry + backoff + redial) earning the
-// paper's reliable-network assumption. The same core.Machine state
-// machine drives all three; no simulation involved.
+// Live network: the join protocol running for real — over actual TCP
+// sockets on localhost, then over TCP with an injected 10% write-drop
+// rate plus periodic connection kills to show the reliable-delivery
+// layer (retry + backoff + redial) earning the paper's reliable-network
+// assumption. The same composed node the simulator drives runs both; no
+// simulation involved.
 package main
 
 import (
@@ -13,23 +12,16 @@ import (
 	"log/slog"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"hypercube/internal/core"
 	"hypercube/internal/id"
-	"hypercube/internal/overlay"
-	"hypercube/internal/transport"
 	"hypercube/internal/transport/tcptransport"
 )
 
 func main() {
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	p := id.Params{B: 16, D: 4}
-	if err := runGoroutines(p); err != nil {
-		log.Error("goroutine runtime failed", "err", err)
-		os.Exit(1)
-	}
 	if err := runTCP(p); err != nil {
 		log.Error("TCP runtime failed", "err", err)
 		os.Exit(1)
@@ -38,47 +30,6 @@ func main() {
 		log.Error("lossy TCP runtime failed", "err", err)
 		os.Exit(1)
 	}
-}
-
-// runGoroutines joins 64 nodes concurrently, one goroutine per node.
-func runGoroutines(p id.Params) error {
-	fmt.Println("== goroutine runtime: 64 nodes, all joining at once ==")
-	rt := transport.NewRuntime(p, core.Options{})
-	defer rt.Close()
-
-	rng := rand.New(rand.NewSource(5))
-	refs := overlay.RandomRefs(p, 64, rng, nil)
-	if err := rt.AddSeed(refs[0]); err != nil {
-		return err
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, len(refs))
-	for _, ref := range refs[1:] {
-		ref := ref
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- rt.Join(ref, refs[0])
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := rt.AwaitQuiescence(ctx); err != nil {
-		return err
-	}
-	if v := rt.CheckConsistency(); len(v) != 0 {
-		return fmt.Errorf("inconsistent: %v", v[0])
-	}
-	fmt.Printf("63 concurrent joins quiesced in %v; network consistent\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
 }
 
 // runTCP joins 12 nodes over real localhost TCP connections.

@@ -8,16 +8,21 @@ import (
 	"hypercube/internal/guard"
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
+	"hypercube/internal/obs"
 	"hypercube/internal/table"
+	"hypercube/internal/trace"
 )
 
-// The fuzz decoder turns a byte string into a sequence of envelopes: one
-// byte picks the sender, one the recipient, one the message type, and the
-// following bytes index pools of valid AND hostile field values (index 0
-// of every pool is a valid choice, so the seed corpus below encodes one
-// well-formed envelope per message type). Everything is delivered to one
-// machine; whatever arrives, the machine must not panic and its table
-// must stay well-formed.
+// The fuzz decoder turns a byte string into one header byte (odd = the
+// machine runs with a tracer and a sink, so Deliver's traced path is
+// the one fuzzed) and a sequence of envelopes: one byte picks the
+// sender, one the recipient, one the message type, the following bytes
+// index pools of valid AND hostile field values, and a last byte picks
+// the envelope's trace context (index 0 of every pool is a valid
+// choice, so the seed corpus below encodes one well-formed envelope per
+// message type). Everything is delivered to one machine; whatever
+// arrives, the machine must not panic and its table must stay
+// well-formed.
 
 type byteReader struct {
 	data []byte
@@ -49,6 +54,7 @@ type fuzzPools struct {
 	results []msg.Result
 	fills   []table.BitVector
 	founds  []table.Neighbor
+	traces  []trace.Context
 }
 
 func newFuzzPools(p id.Params, self table.Ref) *fuzzPools {
@@ -89,6 +95,16 @@ func newFuzzPools(p id.Params, self table.Ref) *fuzzPools {
 			{ID: id.MustParse(p, "0000"), Addr: "sim://f", State: table.StateS},
 			{ID: id.MustParse(p, "1230"), Addr: "sim://g", State: table.State(9)},
 			{ID: wide, State: table.StateS},
+		},
+		// Unsampled, two live contexts (the second lets a later envelope
+		// belong to another operation than the one in flight), and the two
+		// half-set contexts no honest sender produces.
+		traces: []trace.Context{
+			{},
+			{Trace: trace.TraceID{1}, Span: trace.SpanID{1}},
+			{Trace: trace.TraceID{15: 2}, Span: trace.SpanID{7: 2}},
+			{Trace: trace.TraceID{3}},
+			{Span: trace.SpanID{4}},
 		},
 	}
 }
@@ -179,20 +195,30 @@ func (fp *fuzzPools) decodeEnv(r *byteReader) msg.Envelope {
 	default:
 		pm = hostileMsg{}
 	}
-	return msg.Envelope{From: from, To: to, Msg: pm}
+	return msg.Envelope{From: from, To: to, Msg: pm, Trace: pick(r, fp.traces)}
 }
 
 func FuzzMachineDeliver(f *testing.F) {
-	// One well-formed envelope per message type: sender refs[0], recipient
-	// self, type t, then zero bytes picking the valid (index-0) variant of
-	// every field.
+	// One well-formed envelope per message type: header h, sender
+	// refs[0], recipient self, type t, then zero bytes picking the valid
+	// (index-0) variant of every field — untraced on an untraced machine
+	// (h=0), and again carrying a live context into a traced one (h=1;
+	// no message consumes more than four field bytes, so for the shorter
+	// ones the context lands on a following envelope).
 	for t := 0; t < 22; t++ {
-		f.Add([]byte{0, 0, byte(t), 0, 0, 0, 0, 0, 0, 0})
+		f.Add([]byte{0, 0, 0, byte(t), 0, 0, 0, 0, 0, 0, 0})
+		f.Add([]byte{1, 0, 0, byte(t), 0, 0, 0, 0, 1, 1, 1, 1, 1})
 	}
 	// A couple of hostile openers: misaddressed, null sender, unknown type.
-	f.Add([]byte{0, 7, 0, 0})
-	f.Add([]byte{4, 0, 2})
-	f.Add([]byte{0, 0, 21})
+	f.Add([]byte{0, 0, 7, 0, 0})
+	f.Add([]byte{0, 4, 0, 2})
+	f.Add([]byte{0, 0, 0, 21})
+	// Traced machine: a JoinWait under one context then a JoinNoti under
+	// another (two operations interleaved), and half-set contexts.
+	f.Add([]byte{1, 0, 0, 2, 1, 1, 0, 4, 0, 0, 0, 2})
+	f.Add([]byte{1, 0, 0, 2, 3, 0, 0, 6, 4})
+	// A live context into an untraced machine: it must be dropped.
+	f.Add([]byte{0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := id.Params{B: 4, D: 4}
 		self := table.Ref{ID: id.MustParse(p, "3210"), Addr: "sim://self"}
@@ -210,8 +236,21 @@ func FuzzMachineDeliver(f *testing.F) {
 			data = data[:4096] // bound per-input work; 4 KiB is ~500 envelopes
 		}
 		r := &byteReader{data: data}
+		traced := r.next()%2 == 1
+		if traced {
+			m.SetTracer(trace.NewTracer(trace.NewDeterministicGen(1), 1))
+			m.SetSink(obs.NewRing(8))
+		}
 		for !r.done() {
-			m.Deliver(fp.decodeEnv(r))
+			env := fp.decodeEnv(r)
+			for _, out := range m.Deliver(env) {
+				// A reply continues its cause's operation or none: never
+				// a context the tracerless machine should have dropped,
+				// never one minted from an unsampled envelope.
+				if out.Trace.Sampled() && (!traced || out.Trace.Trace != env.Trace.Trace) {
+					t.Fatalf("reply %v to %v carries context %+v (machine traced=%v)", out.Msg.Type(), env.Msg.Type(), out.Trace, traced)
+				}
+			}
 			now += 50 * time.Millisecond
 		}
 		// Whatever arrived, the table must still be well-formed: every

@@ -4,9 +4,9 @@
 //
 // A Machine holds one node's protocol state. It is a pure, non-blocking
 // state machine: Deliver consumes one message and returns the messages to
-// transmit. The discrete-event simulator (internal/sim + internal/overlay),
-// the goroutine runtime (internal/transport), and the TCP transport
-// (internal/transport/tcptransport) all drive the same Machine, so the
+// transmit. The discrete-event simulator (internal/sim + internal/overlay)
+// and the TCP transport (internal/transport/tcptransport) drive the same
+// Machine, composed with its optional parts by internal/node, so the
 // protocol logic exists exactly once.
 //
 // Per the paper's design, only joining nodes keep extra join state (the
@@ -349,9 +349,6 @@ func (m *Machine) SetPeerSampler(f func(int) []table.Ref) { m.sampled = f }
 // SetClock too — without one, round-trips are measured at Tick
 // granularity.
 func (m *Machine) SetRTT(est *rtt.Estimator) { m.est = est }
-
-// RTT returns the attached estimator, nil without one.
-func (m *Machine) RTT() *rtt.Estimator { return m.est }
 
 // PeerQuarantined reports whether the guard scorer currently quarantines
 // x. False when no scorer is configured.

@@ -1,0 +1,302 @@
+// Package node composes one overlay node: the join-protocol machine
+// (internal/core) plus the optional per-node parts stacked on it — the
+// failure detector, the shared RTT estimator, the anti-entropy engine
+// and the peer sampler — wired to each other once, here.
+//
+// A Node does no I/O and takes no lock. A driver hands it inbound
+// envelopes (Deliver) and the passage of time (Tick) and transmits
+// whatever comes back; overlay drives it from the discrete-event clock,
+// tcptransport from sockets and one ticker under one mutex. Every part
+// reads the time last handed in, so a Node needs no clock of its own.
+package node
+
+import (
+	"time"
+
+	"hypercube/internal/antientropy"
+	"hypercube/internal/core"
+	"hypercube/internal/guard"
+	"hypercube/internal/id"
+	"hypercube/internal/liveness"
+	"hypercube/internal/msg"
+	"hypercube/internal/obs"
+	"hypercube/internal/rtt"
+	"hypercube/internal/sampling"
+	"hypercube/internal/table"
+	"hypercube/internal/trace"
+)
+
+// Config selects the optional parts; nil leaves a part out, and the
+// zero Config is the bare protocol machine.
+type Config struct {
+	// Liveness attaches a failure detector. It owns Ping/Pong, treats
+	// all other inbound traffic as proof of life, and its declarations
+	// reach the machine inside the same Tick.
+	Liveness *liveness.Config
+	// AntiEntropy attaches the periodic table audit and digest exchange.
+	AntiEntropy *antientropy.Config
+	// Sampling attaches the gossip peer sampler; the machine's gateway
+	// fallback and the anti-entropy partner choice then draw from it.
+	Sampling *sampling.Config
+	// RTT attaches one per-peer estimator shared by the detector (probe
+	// deadlines) and the machine (resend timers); anti-entropy and the
+	// sampler avoid the peers it flags degraded.
+	RTT *rtt.Config
+	// Sink receives every part's protocol events; the driver wraps it
+	// with obs.Clocked so events carry its clock.
+	Sink obs.Sink
+	// Tracer is the node's span-context source, nil when causal tracing
+	// is off.
+	Tracer *trace.Tracer
+}
+
+// TickEvery returns how often a real-time driver must call Tick for the
+// configured parts and the machine's exchange timeouts t: the smallest
+// period any of them runs at (each part gates itself on its own, so
+// ticking faster than a part needs is harmless). Zero means nothing is
+// clock-driven and Tick need never be called.
+func (c Config) TickEvery(t core.Timeouts) time.Duration {
+	var every time.Duration
+	if t.Enabled() {
+		every = t.RetryAfter
+	}
+	part := func(interval, def time.Duration) {
+		if interval <= 0 {
+			interval = def
+		}
+		if every == 0 || interval < every {
+			every = interval
+		}
+	}
+	if c.Liveness != nil {
+		part(c.Liveness.ProbeInterval, 250*time.Millisecond)
+	}
+	if c.AntiEntropy != nil {
+		part(c.AntiEntropy.Interval, 2*time.Second)
+	}
+	if c.Sampling != nil {
+		part(c.Sampling.Interval, time.Second)
+	}
+	return every
+}
+
+// Node is one composed overlay node. Not safe for concurrent use: drive
+// it from one goroutine or under one lock, like the machine it wraps.
+type Node struct {
+	m *core.Machine
+	// tbl is m.Table(), which never changes after construction; kept
+	// here so a table read (one per hop of a simulated lookup, over
+	// thousands of tables) costs one pointer chase, not two.
+	tbl     *table.Table
+	prober  *liveness.Prober
+	est     *rtt.Estimator
+	engine  *antientropy.Engine
+	sampler *sampling.Engine
+
+	sink     obs.Sink
+	selfName string
+
+	// now is the time last passed to Deliver, Tick or Advance; it is the
+	// clock the machine and the prober read.
+	now time.Duration
+	// targets and out are reused between Ticks.
+	targets []table.Ref
+	out     []msg.Envelope
+}
+
+// New wraps m with the parts cfg selects and cross-wires them.
+func New(m *core.Machine, cfg Config) *Node {
+	n := &Node{m: m, tbl: m.Table()}
+	if !obs.IsNop(cfg.Sink) {
+		n.sink = cfg.Sink
+		n.selfName = m.Self().ID.String()
+	}
+	clock := func() time.Duration { return n.now }
+	m.SetSink(cfg.Sink)
+	m.SetClock(clock)
+	m.SetTracer(cfg.Tracer)
+	if cfg.RTT != nil {
+		n.est = rtt.New(*cfg.RTT)
+		m.SetRTT(n.est)
+	}
+	if cfg.Liveness != nil {
+		n.prober = liveness.NewProber(*cfg.Liveness, m.Self())
+		n.prober.SetSink(cfg.Sink)
+		n.prober.SetTracer(cfg.Tracer)
+		n.prober.SetClock(clock)
+		if n.est != nil {
+			n.prober.SetRTT(n.est)
+		}
+	}
+	if cfg.AntiEntropy != nil {
+		n.engine = antientropy.New(*cfg.AntiEntropy, m)
+		n.engine.SetSink(cfg.Sink)
+		n.engine.SetTracer(cfg.Tracer)
+		if est := n.est; est != nil {
+			n.engine.SetHealth(func(x id.ID) bool { return !est.Degraded(x) })
+		}
+	}
+	if cfg.Sampling != nil {
+		n.sampler = sampling.New(*cfg.Sampling, m.Self())
+		// Quarantined and degraded peers are inadmissible; live table
+		// neighbors re-prime an emptied view.
+		est := n.est
+		n.sampler.SetValidator(func(r table.Ref) bool {
+			return !m.PeerQuarantined(r.ID) && (est == nil || !est.Degraded(r.ID))
+		})
+		n.sampler.SetBootstrap(m.SyncPeers)
+		n.sampler.SetSink(cfg.Sink)
+		n.sampler.SetTracer(cfg.Tracer)
+		m.SetPeerSampler(n.sampler.Sample)
+		if n.engine != nil {
+			n.engine.SetPeerSampler(n.sampler.Sample)
+		}
+	}
+	return n
+}
+
+// Machine returns the protocol machine. Advance the node before calling
+// an entry point that sends (StartJoin, StartLeave, StartRejoin).
+func (n *Node) Machine() *core.Machine { return n.m }
+
+// Table returns the machine's neighbor table.
+func (n *Node) Table() *table.Table { return n.tbl }
+
+// Prober returns the failure detector, nil without Config.Liveness.
+func (n *Node) Prober() *liveness.Prober { return n.prober }
+
+// Sampler returns the peer sampler, nil without Config.Sampling.
+func (n *Node) Sampler() *sampling.Engine { return n.sampler }
+
+// RTT returns the shared estimator, nil without Config.RTT.
+func (n *Node) RTT() *rtt.Estimator { return n.est }
+
+// Advance moves the node's clock to now without running any timer.
+// Deliver and Tick do it themselves; a driver calls it before invoking
+// a machine entry point directly, so the exchange that call opens is
+// stamped with its real send time.
+func (n *Node) Advance(now time.Duration) { n.now = now }
+
+// Deliver hands the node one inbound envelope at time now and returns
+// the envelopes to transmit in response. Ping and Pong belong to the
+// failure detector; any other message is proof of its sender's
+// liveness. Sampling messages belong to the sampler, which has no input
+// validation of its own, so they pass guard.Check first. Everything
+// else, and everything whose owner is not attached, goes to the
+// machine.
+func (n *Node) Deliver(env msg.Envelope, now time.Duration) []msg.Envelope {
+	n.now = now
+	var t msg.Type
+	if env.Msg != nil {
+		t = env.Msg.Type()
+	}
+	if n.prober != nil {
+		if t == msg.TPing || t == msg.TPong {
+			return n.prober.HandleMessage(env)
+		}
+		n.prober.Observe(env.From.ID)
+	}
+	if n.sampler != nil {
+		switch t {
+		case msg.TSamplePush, msg.TSamplePullReq, msg.TSamplePullRly:
+			if err := guard.Check(n.m.Params(), n.m.Self().ID, env); err != nil {
+				n.reject(env, err)
+				return nil
+			}
+			return n.sampler.Deliver(env)
+		}
+	}
+	return n.m.Deliver(env)
+}
+
+// reject reports a sampling message that failed validation.
+func (n *Node) reject(env msg.Envelope, err error) {
+	if n.sink != nil {
+		n.sink.Emit(obs.Event{Node: n.selfName, Kind: obs.KindGuardReject, Peer: env.From.ID.String(), Msg: env.Msg.Type().String(), Detail: err.Error()})
+	}
+}
+
+// Tick advances every clock-driven part to now and returns the
+// envelopes to transmit, in the order the parts ran: failure detector
+// (probes), the machine's reaction to each peer the detector declared
+// failed and then to each it dropped as unreachable, the machine's own
+// timers, anti-entropy, sampler. The returned slice is reused by the
+// next Tick.
+func (n *Node) Tick(now time.Duration) []msg.Envelope {
+	n.now = now
+	if n.prober == nil && n.engine == nil && n.sampler == nil {
+		return n.m.Tick(now)
+	}
+	out := n.out[:0]
+	if n.prober != nil {
+		n.prober.SetTargets(n.probeTargets())
+		probes, declared, unreachable := n.prober.Tick(now)
+		out = append(out, probes...)
+		for _, gone := range declared {
+			out = append(out, n.m.DeclareFailed(gone)...)
+		}
+		for _, gone := range unreachable {
+			out = append(out, n.m.DropUnreachable(gone)...)
+		}
+	}
+	out = append(out, n.m.Tick(now)...)
+	if n.engine != nil {
+		out = append(out, n.engine.Tick(now)...)
+	}
+	if n.sampler != nil {
+		out = append(out, n.sampler.Tick(now)...)
+	}
+	n.out = out
+	return out
+}
+
+// probeTargets collects the monitoring set: every table entry plus
+// every reverse neighbor.
+func (n *Node) probeTargets() []table.Ref {
+	self := n.m.Self().ID
+	targets := n.targets[:0]
+	n.m.Table().ForEach(func(_, _ int, nb table.Neighbor) {
+		if nb.ID != self {
+			targets = append(targets, nb.Ref())
+		}
+	})
+	n.targets = append(targets, n.m.ReverseNeighbors()...)
+	return n.targets
+}
+
+// Stats is a read-only view of every part's counters; parts that are
+// not attached read zero.
+type Stats struct {
+	Guard       core.GuardStats
+	Liveness    liveness.Stats
+	AntiEntropy antientropy.Stats
+	Sampling    sampling.Stats
+	RTT         rtt.Stats
+}
+
+// Stats snapshots the node's counters.
+func (n *Node) Stats() Stats {
+	s := Stats{Guard: n.m.GuardStats()}
+	if n.prober != nil {
+		s.Liveness = n.prober.Stats()
+	}
+	if n.engine != nil {
+		s.AntiEntropy = n.engine.Stats()
+	}
+	if n.sampler != nil {
+		s.Sampling = n.sampler.Stats()
+	}
+	if n.est != nil {
+		s.RTT = n.est.Stats()
+	}
+	return s
+}
+
+// Add accumulates other into s, for fleet totals.
+func (s *Stats) Add(other Stats) {
+	s.Guard.Add(other.Guard)
+	s.Liveness.Add(other.Liveness)
+	s.AntiEntropy.Add(other.AntiEntropy)
+	s.Sampling.Add(other.Sampling)
+	s.RTT.Add(other.RTT)
+}

@@ -3,7 +3,6 @@ package overlay
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"hypercube/internal/core"
@@ -16,12 +15,13 @@ import (
 // unregister nodes that completed their departure. A node no longer in
 // system when the time arrives (it crashed or already left) is skipped.
 func (n *Network) ScheduleLeave(x id.ID, at time.Duration) error {
-	m, ok := n.machines[x]
+	nd, ok := n.nodes[x]
 	if !ok {
 		return fmt.Errorf("overlay: leave of unknown node %v", x)
 	}
 	n.engine.ScheduleAt(at, func() {
-		out, err := m.StartLeave()
+		nd.Advance(n.engine.Now())
+		out, err := nd.Machine().StartLeave()
 		if err != nil {
 			return
 		}
@@ -34,16 +34,13 @@ func (n *Network) ScheduleLeave(x id.ID, at time.Duration) error {
 // returns their IDs. Late in-flight messages to them are dropped.
 func (n *Network) FinalizeLeaves() []id.ID {
 	var gone []id.ID
-	for x, m := range n.machines {
-		if m.Status() == core.StatusLeft {
+	for x, nd := range n.nodes {
+		if nd.Machine().Status() == core.StatusLeft {
 			gone = append(gone, x)
 		}
 	}
 	for _, x := range gone {
-		delete(n.machines, x)
-		delete(n.probers, x)
-		delete(n.engines, x)
-		delete(n.samplers, x)
+		delete(n.nodes, x)
 		n.removed[x] = true
 	}
 	return gone
@@ -53,13 +50,10 @@ func (n *Network) FinalizeLeaves() []id.ID {
 // future messages are dropped. Use RecoverFailure afterwards to repair
 // the survivors' tables.
 func (n *Network) InjectFailure(x id.ID) error {
-	if _, ok := n.machines[x]; !ok {
+	if _, ok := n.nodes[x]; !ok {
 		return fmt.Errorf("overlay: failure of unknown node %v", x)
 	}
-	delete(n.machines, x)
-	delete(n.probers, x)
-	delete(n.engines, x)
-	delete(n.samplers, x)
+	delete(n.nodes, x)
 	n.removed[x] = true
 	return nil
 }
@@ -110,14 +104,10 @@ func (n *Network) RecoverFailures(dead []id.ID, rng *rand.Rand, maxRounds int) R
 	// reverse-neighbor sets, and a stale reverse entry would make a later
 	// graceful leave wait forever for an acknowledgment that never comes.
 	// Deterministic iteration: simulation runs must replay identically.
-	ids := make([]id.ID, 0, len(n.machines))
-	for x := range n.machines {
-		ids = append(ids, x)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	ids := n.sortedIDs()
 	var orphans []*core.Machine
 	for _, x := range ids {
-		m := n.machines[x]
+		m := n.machineNow(x)
 		held := 0
 		orphan := false
 		for _, d := range dead {
@@ -160,7 +150,7 @@ func (n *Network) RecoverFailures(dead []id.ID, rng *rand.Rand, maxRounds int) R
 		if helper.IsZero() {
 			continue
 		}
-		out, err := m.StartRejoin(helper)
+		out, err := n.machineNow(m.Self().ID).StartRejoin(helper)
 		if err != nil {
 			continue // e.g. knocked out of in_system by a concurrent repair
 		}
@@ -181,7 +171,7 @@ func (n *Network) RecoverFailures(dead []id.ID, rng *rand.Rand, maxRounds int) R
 	const zeroProgressLimit = 3
 	settleAll := func() (progress int) {
 		for _, x := range ids {
-			filled, emptied := n.machines[x].SettleRepairs()
+			filled, emptied := n.machineNow(x).SettleRepairs()
 			st.RoutedRepairs += filled
 			st.Emptied += emptied
 			progress += filled + emptied
@@ -191,7 +181,7 @@ func (n *Network) RecoverFailures(dead []id.ID, rng *rand.Rand, maxRounds int) R
 	pendingAll := func() int {
 		total := 0
 		for _, x := range ids {
-			total += len(n.machines[x].RepairsPending())
+			total += len(n.nodes[x].Machine().RepairsPending())
 		}
 		return total
 	}
@@ -207,7 +197,7 @@ func (n *Network) RecoverFailures(dead []id.ID, rng *rand.Rand, maxRounds int) R
 		}
 		if zeroProgress >= zeroProgressLimit {
 			for _, x := range ids {
-				m := n.machines[x]
+				m := n.machineNow(x)
 				for _, e := range m.RepairsPending() {
 					m.AbandonRepair(e[0], e[1])
 					st.Emptied++
@@ -219,7 +209,7 @@ func (n *Network) RecoverFailures(dead []id.ID, rng *rand.Rand, maxRounds int) R
 		}
 		st.Rounds++
 		for _, x := range ids {
-			n.transmit(n.machines[x].KickRepairs(n.engine.Now(), true))
+			n.transmit(n.machineNow(x).KickRepairs(n.engine.Now(), true))
 		}
 		n.Run()
 	}

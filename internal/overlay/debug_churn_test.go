@@ -42,7 +42,8 @@ func TestChurnDebugSeed3(t *testing.T) {
 			net.Run()
 			g := net.FinalizeLeaves()
 			t.Logf("phase %d leavers %v finalized %d", phase, names, len(g))
-			for x, m := range net.machines {
+			for x, nd := range net.nodes {
+				m := nd.Machine()
 				if m.Status() == core.StatusLeaving {
 					var pend []string
 					for _, p := range m.LeaveAcksPending() {

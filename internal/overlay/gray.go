@@ -154,20 +154,12 @@ func AsymmetricLatency(base LatencyFunc, fraction, factor float64, seed int64) L
 
 // RTT returns node x's estimator, if Config.RTT attached one.
 func (n *Network) RTT(x id.ID) (*rtt.Estimator, bool) {
-	e, ok := n.ests[x]
-	return e, ok
+	nd, ok := n.nodes[x]
+	if !ok || nd.RTT() == nil {
+		return nil, false
+	}
+	return nd.RTT(), true
 }
 
 // RTTStats aggregates estimator counters over all live nodes.
-func (n *Network) RTTStats() rtt.Stats {
-	var total rtt.Stats
-	for _, e := range n.ests {
-		s := e.Stats()
-		total.Tracked += s.Tracked
-		total.Degraded += s.Degraded
-		total.Samples += s.Samples
-		total.Marked += s.Marked
-		total.Cleared += s.Cleared
-	}
-	return total
-}
+func (n *Network) RTTStats() rtt.Stats { return n.stats().RTT }

@@ -36,16 +36,12 @@ type OptimizeStats struct {
 // desired suffix and replacements are only sought among live members.
 func (n *Network) OptimizeTables(rounds int) OptimizeStats {
 	var st OptimizeStats
-	ids := make([]id.ID, 0, len(n.machines))
-	for x := range n.machines {
-		ids = append(ids, x)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	ids := n.sortedIDs()
 
 	for round := 0; round < rounds; round++ {
 		st.Rounds++
 		for _, x := range ids {
-			m := n.machines[x]
+			m := n.nodes[x].Machine()
 			self := m.Self()
 			tbl := m.Table()
 
@@ -61,8 +57,8 @@ func (n *Network) OptimizeTables(rounds int) OptimizeStats {
 			}
 			collect(tbl)
 			tbl.ForEach(func(_, _ int, nb table.Neighbor) {
-				if peer, ok := n.machines[nb.ID]; ok && nb.ID != x {
-					collect(peer.Table())
+				if peer, ok := n.nodes[nb.ID]; ok && nb.ID != x {
+					collect(peer.Machine().Table())
 				}
 			})
 			candidates := make([]table.Neighbor, 0, len(pool))
@@ -85,7 +81,7 @@ func (n *Network) OptimizeTables(rounds int) OptimizeStats {
 						if cand.ID == cur.ID || !cand.ID.HasSuffix(want) {
 							continue
 						}
-						if _, live := n.machines[cand.ID]; !live {
+						if _, live := n.nodes[cand.ID]; !live {
 							continue
 						}
 						if l := n.cfg.Latency(self, cand.Ref()); l < bestLat {
@@ -95,8 +91,8 @@ func (n *Network) OptimizeTables(rounds int) OptimizeStats {
 					if best.ID != cur.ID {
 						tbl.Set(level, digit, best)
 						st.Improved++
-						if peer, ok := n.machines[best.ID]; ok {
-							peer.AddReverseNeighbor(self)
+						if peer, ok := n.nodes[best.ID]; ok {
+							peer.Machine().AddReverseNeighbor(self)
 						}
 					}
 				}

@@ -1,7 +1,7 @@
-// Package overlay is the simulation harness: it wires protocol machines
-// (internal/core) to the discrete-event engine (internal/sim) through a
-// pluggable latency model, builds initial consistent networks, schedules
-// join waves, and verifies the results.
+// Package overlay is the simulation harness: it drives composed nodes
+// (internal/node) from the discrete-event engine (internal/sim) through
+// a pluggable latency model and fault models, builds initial consistent
+// networks, schedules join waves, and verifies the results.
 //
 // This is the layer that reproduces the paper's simulation methodology:
 // an initial consistent network of n nodes, m nodes joining concurrently
@@ -22,6 +22,7 @@ import (
 	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
 	"hypercube/internal/netcheck"
+	"hypercube/internal/node"
 	"hypercube/internal/obs"
 	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
@@ -204,9 +205,12 @@ type JoinRecord struct {
 
 // Network is a simulated overlay network.
 type Network struct {
-	cfg      Config
-	engine   *sim.Engine
-	machines map[id.ID]*core.Machine
+	cfg    Config
+	engine *sim.Engine
+	// nodes holds every live member: its machine plus the optional parts
+	// Config attaches, which every member gets alike (see internal/node).
+	nodes map[id.ID]*node.Node
+	parts node.Config
 	// joinersInFlight tracks joining machines not yet in system.
 	joinersInFlight map[id.ID]time.Duration // start time
 	joins           []JoinRecord
@@ -218,20 +222,12 @@ type Network struct {
 	lossRng     *rand.Rand
 	retransmits uint64
 	lost        uint64
-	// probers holds each node's failure detector (Config.Liveness).
-	probers map[id.ID]*liveness.Prober
-	// engines holds each node's anti-entropy engine (Config.AntiEntropy).
-	engines map[id.ID]*antientropy.Engine
-	// samplers holds each node's peer-sampling engine (Config.Sampling).
-	samplers map[id.ID]*sampling.Engine
 	// partition maps nodes to their partition group; messages between
 	// different groups drop in flight (Partition/Heal fault injection).
 	partition        map[id.ID]int
 	partitionDropped uint64
-	// ests holds each node's RTT estimator (Config.RTT); slow maps
-	// gray-marked nodes to their mark time (Config.SlowNodes), and
+	// slow maps gray-marked nodes to their mark time (Config.SlowNodes);
 	// slowDelayed counts transmissions the model delayed.
-	ests        map[id.ID]*rtt.Estimator
 	slow        map[id.ID]time.Duration
 	slowDelayed uint64
 	// byz marks byzantine members (Config.Byzantine); byzHistory is the
@@ -268,13 +264,9 @@ func New(cfg Config) *Network {
 	n := &Network{
 		cfg:             cfg,
 		engine:          sim.NewEngine(),
-		machines:        make(map[id.ID]*core.Machine),
+		nodes:           make(map[id.ID]*node.Node),
 		joinersInFlight: make(map[id.ID]time.Duration),
 		removed:         make(map[id.ID]bool),
-		probers:         make(map[id.ID]*liveness.Prober),
-		engines:         make(map[id.ID]*antientropy.Engine),
-		samplers:        make(map[id.ID]*sampling.Engine),
-		ests:            make(map[id.ID]*rtt.Estimator),
 		paused:          make(map[id.ID]time.Duration),
 	}
 	if cfg.SlowNodes != nil {
@@ -288,6 +280,13 @@ func New(cfg Config) *Network {
 		n.byzRng = rand.New(rand.NewSource(cfg.Byzantine.Seed))
 	}
 	n.sink = obs.Clocked(cfg.Sink, n.engine.Now)
+	n.parts = node.Config{
+		Liveness:    cfg.Liveness,
+		AntiEntropy: cfg.AntiEntropy,
+		Sampling:    cfg.Sampling,
+		RTT:         cfg.RTT,
+		Sink:        n.sink,
+	}
 	return n
 }
 
@@ -309,7 +308,7 @@ func (n *Network) Engine() *sim.Engine { return n.engine }
 func (n *Network) Params() id.Params { return n.cfg.Params }
 
 // Size returns the number of nodes (machines) in the network.
-func (n *Network) Size() int { return len(n.machines) }
+func (n *Network) Size() int { return len(n.nodes) }
 
 // AddSeed installs the first node of a network (§6.1).
 func (n *Network) AddSeed(ref table.Ref) *core.Machine {
@@ -318,68 +317,21 @@ func (n *Network) AddSeed(ref table.Ref) *core.Machine {
 	return m
 }
 
-func (n *Network) addMachine(m *core.Machine) {
-	if _, dup := n.machines[m.Self().ID]; dup {
-		panic(fmt.Sprintf("overlay: duplicate node %v", m.Self().ID))
+// addMachine composes m into a node (Config's optional parts, the
+// virtual-clock sink, a deterministic per-node tracer) and registers it.
+func (n *Network) addMachine(m *core.Machine) *node.Node {
+	x := m.Self().ID
+	if _, dup := n.nodes[x]; dup {
+		panic(fmt.Sprintf("overlay: duplicate node %v", x))
 	}
-	n.machines[m.Self().ID] = m
-	m.SetSink(n.sink)
-	// Quarantine cooldowns age on the virtual clock.
-	m.SetClock(n.engine.Now)
-	var tr *trace.Tracer
+	parts := n.parts
 	if n.cfg.TraceSample > 0 {
-		tr = trace.NewTracer(trace.NewDeterministicGen(traceGenSeed(n.cfg.TraceSeed, m.Self().ID)), n.cfg.TraceSample)
-		m.SetTracer(tr)
+		parts.Tracer = trace.NewTracer(trace.NewDeterministicGen(traceGenSeed(n.cfg.TraceSeed, x)), n.cfg.TraceSample)
 	}
-	var est *rtt.Estimator
-	if n.cfg.RTT != nil {
-		// One estimator per node, shared by prober and machine so probe
-		// and exchange samples pool into the same per-peer estimates.
-		est = rtt.New(*n.cfg.RTT)
-		n.ests[m.Self().ID] = est
-		m.SetRTT(est)
-	}
-	if n.cfg.Liveness != nil {
-		p := liveness.NewProber(*n.cfg.Liveness, m.Self())
-		p.SetSink(n.sink)
-		p.SetTracer(tr)
-		if est != nil {
-			p.SetRTT(est)
-			p.SetClock(n.engine.Now)
-		}
-		n.probers[m.Self().ID] = p
-	}
-	if n.cfg.AntiEntropy != nil {
-		e := antientropy.New(*n.cfg.AntiEntropy, m)
-		e.SetSink(n.sink)
-		e.SetTracer(tr)
-		if est != nil {
-			e.SetHealth(func(x id.ID) bool { return !est.Degraded(x) })
-		}
-		n.engines[m.Self().ID] = e
-	}
-	if n.cfg.Sampling != nil {
-		s := sampling.New(*n.cfg.Sampling, m.Self())
-		// Quarantined peers are inadmissible; live table neighbors re-prime
-		// an emptied view; the machine (and its anti-entropy engine) draw
-		// restart gateways and sync peers from the min-wise samplers.
-		// With an estimator, degraded peers are inadmissible too — a gray
-		// node should fall out of sampled views while it crawls.
-		s.SetValidator(func(r table.Ref) bool {
-			if m.PeerQuarantined(r.ID) {
-				return false
-			}
-			return est == nil || !est.Degraded(r.ID)
-		})
-		s.SetBootstrap(m.SyncPeers)
-		s.SetSink(n.sink)
-		s.SetTracer(tr)
-		m.SetPeerSampler(s.Sample)
-		if e := n.engines[m.Self().ID]; e != nil {
-			e.SetPeerSampler(s.Sample)
-		}
-		n.samplers[m.Self().ID] = s
-	}
+	nd := node.New(m, parts)
+	nd.Advance(n.engine.Now())
+	n.nodes[x] = nd
+	return nd
 }
 
 // BuildDirect installs a consistent network over the given members using
@@ -417,14 +369,14 @@ func (n *Network) BuildDirect(members []table.Ref, rng *rand.Rand) {
 	// Register reverse neighbors with global knowledge: these tables never
 	// exchanged RvNghNotiMsg, but the leave protocol requires every node
 	// to know its holders.
-	for holder, m := range n.machines {
-		holderRef := m.Self()
-		m.Table().ForEach(func(_, _ int, nb table.Neighbor) {
+	for holder, nd := range n.nodes {
+		holderRef := nd.Machine().Self()
+		nd.Machine().Table().ForEach(func(_, _ int, nb table.Neighbor) {
 			if nb.ID == holder {
 				return
 			}
-			if stored, ok := n.machines[nb.ID]; ok {
-				stored.AddReverseNeighbor(holderRef)
+			if stored, ok := n.nodes[nb.ID]; ok {
+				stored.Machine().AddReverseNeighbor(holderRef)
 			}
 		})
 	}
@@ -458,9 +410,10 @@ func (n *Network) BuildByJoins(members []table.Ref, rng *rand.Rand) error {
 func (n *Network) ScheduleJoin(ref table.Ref, g0 table.Ref, at time.Duration, fallbacks ...table.Ref) *core.Machine {
 	m := core.NewJoiner(n.cfg.Params, ref, n.cfg.Opts)
 	m.AddGateways(fallbacks...)
-	n.addMachine(m)
+	nd := n.addMachine(m)
 	n.engine.ScheduleAt(at, func() {
 		n.joinersInFlight[ref.ID] = n.engine.Now()
+		nd.Advance(n.engine.Now())
 		out, err := m.StartJoin(g0)
 		if err != nil {
 			panic(fmt.Sprintf("overlay: scheduled join of %v: %v", ref.ID, err))
@@ -613,7 +566,7 @@ func (n *Network) lossyDirection(from, to id.ID) bool {
 }
 
 func (n *Network) deliver(env msg.Envelope) {
-	m, ok := n.machines[env.To.ID]
+	nd, ok := n.nodes[env.To.ID]
 	if !ok {
 		if n.removed[env.To.ID] {
 			n.dropped++ // late message to a departed node
@@ -629,28 +582,9 @@ func (n *Network) deliver(env msg.Envelope) {
 		return
 	}
 	n.delivered++
-	if p := n.probers[env.To.ID]; p != nil {
-		t := env.Msg.Type()
-		if t == msg.TPing || t == msg.TPong {
-			// The detector owns the probe protocol; the machine never
-			// sees probes when a prober is attached.
-			n.transmit(p.HandleMessage(env))
-			return
-		}
-		// Any other traffic from a peer is evidence of its liveness.
-		p.Observe(env.From.ID)
-	}
-	if s := n.samplers[env.To.ID]; s != nil {
-		// The sampling engine owns its message types, like the prober owns
-		// probes; the machine never sees them.
-		switch env.Msg.Type() {
-		case msg.TSamplePush, msg.TSamplePullReq, msg.TSamplePullRly:
-			n.transmit(s.Deliver(env))
-			return
-		}
-	}
-	out := m.Deliver(env)
-	if started, joining := n.joinersInFlight[env.To.ID]; joining && m.IsSNode() {
+	out := nd.Deliver(env, n.engine.Now())
+	if started, joining := n.joinersInFlight[env.To.ID]; joining && nd.Machine().IsSNode() {
+		m := nd.Machine()
 		c := m.Counters()
 		n.joins = append(n.joins, JoinRecord{
 			Ref:          m.Self(),
@@ -700,8 +634,8 @@ func (n *Network) scheduleTick() {
 	if n.tickPending {
 		return
 	}
-	if n.cfg.Liveness == nil && n.cfg.AntiEntropy == nil && n.cfg.Sampling == nil && !n.cfg.Opts.Timeouts.Enabled() {
-		return
+	if n.parts.TickEvery(n.cfg.Opts.Timeouts) == 0 {
+		return // nothing is clock-driven
 	}
 	n.tickPending = true
 	n.engine.Schedule(n.tickInterval(), func() {
@@ -713,84 +647,54 @@ func (n *Network) scheduleTick() {
 	})
 }
 
-// tick runs one clock-pump round over all machines in sorted order
+// tick runs one clock-pump round over all nodes in sorted order
 // (determinism: declarations and repairs must replay identically).
 func (n *Network) tick() {
 	now := n.engine.Now()
-	ids := make([]id.ID, 0, len(n.machines))
-	for x := range n.machines {
-		ids = append(ids, x)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	for _, x := range ids {
+	for _, x := range n.sortedIDs() {
 		if n.pausedNow(x, now) {
 			// Clock-pause fault: the node's local timers stall; it will
 			// catch up on the first pump round after its resume.
 			continue
 		}
-		m := n.machines[x]
-		if p := n.probers[x]; p != nil {
-			p.SetTargets(probeTargets(m))
-			out, declared, unreachable := p.Tick(now)
-			n.transmit(out)
-			for _, ref := range declared {
-				n.transmit(m.DeclareFailed(ref))
-			}
-			for _, ref := range unreachable {
-				n.transmit(m.DropUnreachable(ref))
-			}
-		}
-		n.transmit(m.Tick(now))
-		if e := n.engines[x]; e != nil {
-			n.transmit(e.Tick(now))
-		}
-		if s := n.samplers[x]; s != nil {
-			n.transmit(s.Tick(now))
-		}
+		n.transmit(n.nodes[x].Tick(now))
 	}
 }
 
-// probeTargets collects a machine's monitoring set: every table entry
-// plus every reverse neighbor.
-func probeTargets(m *core.Machine) []table.Ref {
-	var out []table.Ref
-	m.Table().ForEach(func(_, _ int, nb table.Neighbor) {
-		if nb.ID != m.Self().ID {
-			out = append(out, nb.Ref())
-		}
-	})
-	return append(out, m.ReverseNeighbors()...)
+// sortedIDs returns the live members' IDs in ascending order.
+func (n *Network) sortedIDs() []id.ID {
+	ids := make([]id.ID, 0, len(n.nodes))
+	for x := range n.nodes {
+		ids = append(ids, x)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	return ids
 }
 
-// LivenessStats aggregates detector counters over all live nodes.
-func (n *Network) LivenessStats() liveness.Stats {
-	var total liveness.Stats
-	for _, p := range n.probers {
-		s := p.Stats()
-		total.ProbesSent += s.ProbesSent
-		total.IndirectSent += s.IndirectSent
-		total.PongsReceived += s.PongsReceived
-		total.Suspects += s.Suspects
-		total.Recovered += s.Recovered
-		total.Declared += s.Declared
-		total.PartitionsEntered += s.PartitionsEntered
-		total.PartitionsExited += s.PartitionsExited
-		total.DeclarationsHeld += s.DeclarationsHeld
-		total.Unreachable += s.Unreachable
-		total.AdaptiveDeadlines += s.AdaptiveDeadlines
-		total.LatePongs += s.LatePongs
-		total.DegradedMarked += s.DegradedMarked
-		total.DegradedCleared += s.DegradedCleared
+// machineNow is Machine for a node known to be live.
+func (n *Network) machineNow(x id.ID) *core.Machine {
+	m, _ := n.Machine(x)
+	return m
+}
+
+// stats sums every part's counters over all live nodes.
+func (n *Network) stats() node.Stats {
+	var total node.Stats
+	for _, nd := range n.nodes {
+		total.Add(nd.Stats())
 	}
 	return total
 }
+
+// LivenessStats aggregates detector counters over all live nodes.
+func (n *Network) LivenessStats() liveness.Stats { return n.stats().Liveness }
 
 // PartitionedCount returns how many probers are currently in
 // partitioned mode.
 func (n *Network) PartitionedCount() int {
 	c := 0
-	for _, p := range n.probers {
-		if p.Partitioned() {
+	for _, nd := range n.nodes {
+		if p := nd.Prober(); p != nil && p.Partitioned() {
 			c++
 		}
 	}
@@ -799,64 +703,30 @@ func (n *Network) PartitionedCount() int {
 
 // GuardStats aggregates the machines' hostile-input counters over all
 // live nodes: rejections, quarantine activity, budget deferrals.
-func (n *Network) GuardStats() core.GuardStats {
-	var total core.GuardStats
-	for _, m := range n.machines {
-		g := m.GuardStats()
-		total.Rejected += g.Rejected
-		total.UnknownDropped += g.UnknownDropped
-		total.IngressDropped += g.IngressDropped
-		total.BusyDeferred += g.BusyDeferred
-		total.Scorer.Charges += g.Scorer.Charges
-		total.Scorer.Quarantines += g.Scorer.Quarantines
-		total.Scorer.Releases += g.Scorer.Releases
-		total.Scorer.Evictions += g.Scorer.Evictions
-		total.Scorer.Quarantined += g.Scorer.Quarantined
-	}
-	return total
-}
+func (n *Network) GuardStats() core.GuardStats { return n.stats().Guard }
 
 // AntiEntropyStats aggregates anti-entropy counters over all live nodes.
-func (n *Network) AntiEntropyStats() antientropy.Stats {
-	var total antientropy.Stats
-	for _, e := range n.engines {
-		s := e.Stats()
-		total.Rounds += s.Rounds
-		total.Pulled += s.Pulled
-		total.Purged += s.Purged
-		total.Deprioritized += s.Deprioritized
-	}
-	return total
-}
+func (n *Network) AntiEntropyStats() antientropy.Stats { return n.stats().AntiEntropy }
 
 // SamplingStats aggregates peer-sampling counters over all live nodes.
-func (n *Network) SamplingStats() sampling.Stats {
-	var total sampling.Stats
-	for _, s := range n.samplers {
-		st := s.Stats()
-		total.Rounds += st.Rounds
-		total.PushesSent += st.PushesSent
-		total.PushesReceived += st.PushesReceived
-		total.PullsSent += st.PullsSent
-		total.PullsAnswered += st.PullsAnswered
-		total.FloodsDetected += st.FloodsDetected
-		total.Ejected += st.Ejected
-		total.ViewSize += st.ViewSize
-		total.SamplerFill += st.SamplerFill
-	}
-	return total
-}
+func (n *Network) SamplingStats() sampling.Stats { return n.stats().Sampling }
 
 // Sampler returns node x's peer-sampling engine, if sampling is enabled.
 func (n *Network) Sampler(x id.ID) (*sampling.Engine, bool) {
-	s, ok := n.samplers[x]
-	return s, ok
+	nd, ok := n.nodes[x]
+	if !ok || nd.Sampler() == nil {
+		return nil, false
+	}
+	return nd.Sampler(), true
 }
 
 // Prober returns node x's failure detector, if liveness is enabled.
 func (n *Network) Prober(x id.ID) (*liveness.Prober, bool) {
-	p, ok := n.probers[x]
-	return p, ok
+	nd, ok := n.nodes[x]
+	if !ok || nd.Prober() == nil {
+		return nil, false
+	}
+	return nd.Prober(), true
 }
 
 // AddEstablished installs an in_system machine wrapping a pre-built
@@ -909,36 +779,43 @@ func (n *Network) JoinsSince(t time.Duration) []JoinRecord {
 // PendingJoins returns how many scheduled joins have not completed.
 func (n *Network) PendingJoins() int { return len(n.joinersInFlight) }
 
-// Machine returns the machine for node x.
+// Machine returns the machine for node x with the node's clock brought
+// up to the engine's, so an entry point called on it directly
+// (StartLeave, StartRejoin, repairs) stamps what it sends with the
+// current virtual time.
 func (n *Network) Machine(x id.ID) (*core.Machine, bool) {
-	m, ok := n.machines[x]
-	return m, ok
+	nd, ok := n.nodes[x]
+	if !ok {
+		return nil, false
+	}
+	nd.Advance(n.engine.Now())
+	return nd.Machine(), true
 }
 
 // TableOf implements core.TableResolver.
 func (n *Network) TableOf(x id.ID) (*table.Table, bool) {
-	m, ok := n.machines[x]
+	nd, ok := n.nodes[x]
 	if !ok {
 		return nil, false
 	}
-	return m.Table(), true
+	return nd.Table(), true
 }
 
 // Tables returns all nodes' tables keyed by ID (live references, not
 // copies; do not mutate).
 func (n *Network) Tables() map[id.ID]*table.Table {
-	out := make(map[id.ID]*table.Table, len(n.machines))
-	for x, m := range n.machines {
-		out[x] = m.Table()
+	out := make(map[id.ID]*table.Table, len(n.nodes))
+	for x, nd := range n.nodes {
+		out[x] = nd.Machine().Table()
 	}
 	return out
 }
 
 // Members returns all node refs sorted by ID.
 func (n *Network) Members() []table.Ref {
-	out := make([]table.Ref, 0, len(n.machines))
-	for _, m := range n.machines {
-		out = append(out, m.Self())
+	out := make([]table.Ref, 0, len(n.nodes))
+	for _, nd := range n.nodes {
+		out = append(out, nd.Machine().Self())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out
@@ -952,8 +829,8 @@ func (n *Network) CheckConsistency() []netcheck.Violation {
 // AggregateTraffic sums message counters over all nodes.
 func (n *Network) AggregateTraffic() msg.Counters {
 	var total msg.Counters
-	for _, m := range n.machines {
-		total.Add(m.Counters())
+	for _, nd := range n.nodes {
+		total.Add(nd.Machine().Counters())
 	}
 	return total
 }

@@ -26,7 +26,7 @@ import (
 // Messages the node already emitted stay in flight. Pausing an
 // already-paused node extends the pause if the new deadline is later.
 func (n *Network) PauseNode(x id.ID, d time.Duration) error {
-	if _, ok := n.machines[x]; !ok {
+	if _, ok := n.nodes[x]; !ok {
 		return fmt.Errorf("overlay: pause of unknown node %v", x)
 	}
 	if d <= 0 {

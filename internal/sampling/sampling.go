@@ -91,6 +91,20 @@ type Stats struct {
 	SamplerFill int
 }
 
+// Add accumulates other into s, for fleet totals (the occupancy fields
+// sum too: total view slots and sampler cells in use).
+func (s *Stats) Add(other Stats) {
+	s.Rounds += other.Rounds
+	s.PushesSent += other.PushesSent
+	s.PushesReceived += other.PushesReceived
+	s.PullsSent += other.PullsSent
+	s.PullsAnswered += other.PullsAnswered
+	s.FloodsDetected += other.FloodsDetected
+	s.Ejected += other.Ejected
+	s.ViewSize += other.ViewSize
+	s.SamplerFill += other.SamplerFill
+}
+
 // sampler is one min-wise independent sampler: a fixed random hash seed
 // and the reference with the minimum hash observed so far.
 type sampler struct {

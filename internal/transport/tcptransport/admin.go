@@ -175,10 +175,10 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if stats, suspects, ok := n.LivenessStats(); ok {
-		n.probeMu.Lock()
-		targets := n.prober.TargetCount()
-		partitioned := n.prober.Partitioned()
-		n.probeMu.Unlock()
+		n.mu.Lock()
+		targets := n.node.Prober().TargetCount()
+		partitioned := n.node.Prober().Partitioned()
+		n.mu.Unlock()
 		resp.Liveness = &livenessStatus{
 			Targets:           targets,
 			ProbesSent:        stats.ProbesSent,

@@ -98,15 +98,15 @@ type Config struct {
 	// Faults optionally injects transport failures (tests and
 	// experiments). Nil disables injection.
 	Faults *Faults
-	// Liveness enables the failure detector: a background goroutine
-	// probes table and reverse neighbors, declares unresponsive peers
-	// failed, and drives Machine.Tick for join timeouts and repair.
-	// Nil disables it.
+	// Liveness enables the failure detector: the node probes table and
+	// reverse neighbors and declares unresponsive peers failed. Nil
+	// disables it. (Machine.Tick — join timeouts, repair — runs whenever
+	// any clock-driven part or core.Timeouts is configured.)
 	Liveness *liveness.Config
-	// AntiEntropy enables periodic anti-entropy rounds: a background
-	// ticker audits the table and runs push-pull digest exchanges with
-	// rotating neighbors, repairing divergence (e.g. after a partition
-	// heals). Nil disables it.
+	// AntiEntropy enables periodic anti-entropy rounds: the node audits
+	// its table and runs push-pull digest exchanges with rotating
+	// neighbors, repairing divergence (e.g. after a partition heals).
+	// Nil disables it.
 	AntiEntropy *antientropy.Config
 	// RTT enables adaptive per-peer timeouts: one shared Jacobson/Karels
 	// estimator is fed by liveness probe round trips and protocol
@@ -116,8 +116,8 @@ type Config struct {
 	// validator). Nil keeps the fixed timeouts.
 	RTT *rtt.Config
 	// Sampling enables the byzantine-resistant gossip peer-sampling
-	// layer: a background ticker runs Brahms-style push-pull rounds, and
-	// the machine's gateway selection plus the anti-entropy engine's peer
+	// layer: the node runs Brahms-style push-pull rounds, and the
+	// machine's gateway selection plus the anti-entropy engine's peer
 	// choice gain the sampled-peer fallback. Nil disables it.
 	Sampling *sampling.Config
 	// Sink, when non-nil, receives every protocol event the node emits,
@@ -774,14 +774,14 @@ func (n *Node) KillConnections() int {
 
 func (n *Node) countRetried(t msg.Type) {
 	n.mu.Lock()
-	n.machine.Counters().CountRetried(t)
+	n.node.Machine().Counters().CountRetried(t)
 	n.mu.Unlock()
 	n.emitTransport(obs.KindRetry, t.String())
 }
 
 func (n *Node) countDropped(t msg.Type) {
 	n.mu.Lock()
-	n.machine.Counters().CountDropped(t)
+	n.node.Machine().Counters().CountDropped(t)
 	n.mu.Unlock()
 	n.emitTransport(obs.KindDrop, t.String())
 }

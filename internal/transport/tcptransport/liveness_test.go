@@ -61,6 +61,19 @@ func TestTCPCrashDetectionAndRepair(t *testing.T) {
 		t.Fatal("/status has no liveness section despite WithLiveness")
 	}
 
+	// A peer that never once answered is dropped as unreachable, not
+	// declared. One full round-robin cycle over the seed's three targets
+	// guarantees the seed has seen the victim alive before it dies.
+	pongs := func() int {
+		stats, _, _ := seed.LivenessStats()
+		return stats.PongsReceived
+	}
+	for base, deadline := pongs(), time.Now().Add(10*time.Second); pongs() < base+3; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("seed never completed a probe cycle")
+		}
+	}
+
 	victim := nodes[2]
 	victimID := victim.Ref().ID
 	if err := victim.Close(); err != nil {

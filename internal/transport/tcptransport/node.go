@@ -1,3 +1,15 @@
+// Package tcptransport is the deployment runtime: it drives one composed
+// node (internal/node — the same value the simulator drives) from real
+// TCP sockets. Inbound, a listener's read loops decode length-prefixed
+// frames of binary-coded envelopes (internal/wire; gob frames are still
+// recognised), rate-limit and budget them per connection, and deliver
+// each envelope to the node under the node's one lock. Outbound, a
+// reliable-delivery layer (delivery.go) keeps a bounded queue and a
+// writer goroutine per peer, with retry, backoff, redial, frame
+// coalescing and dead-letter accounting. One ticker goroutine supplies
+// the passage of time. Around that sit fault injection for tests
+// (Faults), the per-node metrics registry and trace ring (obs.go), and
+// the HTTP admin surface cmd/hypercubed serves (admin.go).
 package tcptransport
 
 import (
@@ -11,10 +23,10 @@ import (
 
 	"hypercube/internal/antientropy"
 	"hypercube/internal/core"
-	"hypercube/internal/guard"
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
+	"hypercube/internal/node"
 	"hypercube/internal/obs"
 	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
@@ -31,23 +43,13 @@ type Node struct {
 	params id.Params
 	cfg    Config
 
-	mu      sync.Mutex // guards machine, engine, and sampler
-	machine *core.Machine
-	engine  *antientropy.Engine // nil unless Config.AntiEntropy is set
-	sampler *sampling.Engine    // nil unless Config.Sampling is set
-
-	// probeMu guards prober. It is never held together with mu: the
-	// liveness tick snapshots machine state under mu first, releases it,
-	// then updates the prober — so probe traffic cannot deadlock against
-	// protocol delivery.
-	probeMu sync.Mutex
-	prober  *liveness.Prober
-	start   time.Time
-
-	// est is the shared per-peer RTT estimator (nil unless Config.RTT is
-	// set). It has its own internal lock, so the prober (under probeMu)
-	// and the machine (under mu) feed it without coordination.
-	est *rtt.Estimator
+	// mu is the node's one protocol lock: it guards node — the machine
+	// and every part composed onto it (see internal/node). Whatever a
+	// call under mu returns is handed to the delivery layer after
+	// unlocking, so mu is never held across a send.
+	mu    sync.Mutex
+	node  *node.Node
+	start time.Time
 
 	// Observability (see obs.go): the always-on per-node hub and
 	// registry, the clocked sink protocol components emit through, and
@@ -82,20 +84,16 @@ type Node struct {
 // StartSeed launches the first node of a network (§6.1) listening on
 // listenAddr ("127.0.0.1:0" picks a free port).
 func StartSeed(p id.Params, opts core.Options, nodeID id.ID, listenAddr string, options ...Option) (*Node, error) {
-	return start(p, listenAddr, func(ref table.Ref) *core.Machine {
-		return core.NewSeed(p, ref, opts)
-	}, nodeID, options)
+	return start(p, opts, core.NewSeed, nodeID, listenAddr, options)
 }
 
 // StartJoiner launches a node that is not yet part of any network; call
 // Join to integrate it.
 func StartJoiner(p id.Params, opts core.Options, nodeID id.ID, listenAddr string, options ...Option) (*Node, error) {
-	return start(p, listenAddr, func(ref table.Ref) *core.Machine {
-		return core.NewJoiner(p, ref, opts)
-	}, nodeID, options)
+	return start(p, opts, core.NewJoiner, nodeID, listenAddr, options)
 }
 
-func start(p id.Params, listenAddr string, mk func(table.Ref) *core.Machine, nodeID id.ID, options []Option) (*Node, error) {
+func start(p id.Params, opts core.Options, mk func(id.Params, table.Ref, core.Options) *core.Machine, nodeID id.ID, listenAddr string, options []Option) (*Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("tcptransport: %w", err)
 	}
@@ -114,74 +112,27 @@ func start(p id.Params, listenAddr string, mk func(table.Ref) *core.Machine, nod
 		peers:    make(map[string]*peerQueue),
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
+		start:    time.Now(),
 	}
-	ref := table.Ref{ID: nodeID, Addr: ln.Addr().String()}
-	n.machine = mk(ref)
-	n.start = time.Now()
-	n.setupObs()
-	n.machine.SetSink(n.sink)
-	// Quarantine cooldowns age on wall time, not just liveness ticks.
-	n.machine.SetClock(func() time.Duration { return time.Since(n.start) })
-	// One tracer per node: crypto/rand IDs (real deployments need
-	// collision-free IDs across independently started processes, unlike
-	// the simulator's deterministic streams). Components tolerate a nil
-	// tracer, so the wiring below is unconditional.
-	var tr *trace.Tracer
+	machine := mk(p, table.Ref{ID: nodeID, Addr: ln.Addr().String()}, opts)
+	n.setupObs(machine.Self().ID)
+	parts := node.Config{
+		Liveness:    n.cfg.Liveness,
+		AntiEntropy: n.cfg.AntiEntropy,
+		Sampling:    n.cfg.Sampling,
+		RTT:         n.cfg.RTT,
+		Sink:        n.sink,
+	}
 	if n.cfg.TraceSample > 0 {
-		tr = trace.NewTracer(trace.NewRandomGen(), n.cfg.TraceSample)
+		// crypto/rand span IDs: real deployments need them collision-free
+		// across independently started processes, unlike the simulator's
+		// deterministic streams.
+		parts.Tracer = trace.NewTracer(trace.NewRandomGen(), n.cfg.TraceSample)
 	}
-	n.machine.SetTracer(tr)
-	if n.cfg.RTT != nil {
-		// One estimator per node, shared by the prober (probe RTTs) and
-		// the machine (request/reply round trips); both consumers below
-		// read it for deadlines and degraded flags.
-		n.est = rtt.New(*n.cfg.RTT)
-		n.machine.SetRTT(n.est)
-	}
-	if n.cfg.Liveness != nil {
-		n.prober = liveness.NewProber(*n.cfg.Liveness, ref)
-		n.prober.SetSink(n.sink)
-		n.prober.SetTracer(tr)
-		if n.est != nil {
-			n.prober.SetRTT(n.est)
-			n.prober.SetClock(func() time.Duration { return time.Since(n.start) })
-		}
+	n.node = node.New(machine, parts)
+	if every := parts.TickEvery(opts.Timeouts); every > 0 {
 		n.wg.Add(1)
-		go n.livenessLoop()
-	}
-	if n.cfg.AntiEntropy != nil {
-		n.engine = antientropy.New(*n.cfg.AntiEntropy, n.machine)
-		n.engine.SetSink(n.sink)
-		n.engine.SetTracer(tr)
-		if est := n.est; est != nil {
-			n.engine.SetHealth(func(x id.ID) bool { return !est.Degraded(x) })
-		}
-		n.wg.Add(1)
-		go n.antiEntropyLoop()
-	}
-	if n.cfg.Sampling != nil {
-		n.sampler = sampling.New(*n.cfg.Sampling, ref)
-		// Quarantined peers are inadmissible, and so are degraded ones
-		// when the estimator runs; live table neighbors re-prime an
-		// emptied view; gateway selection and anti-entropy peer choice
-		// draw from the min-wise samplers. All hooks run under n.mu — the
-		// sampler is only ever driven while the machine lock is held.
-		est := n.est
-		n.sampler.SetValidator(func(r table.Ref) bool {
-			if n.machine.PeerQuarantined(r.ID) {
-				return false
-			}
-			return est == nil || !est.Degraded(r.ID)
-		})
-		n.sampler.SetBootstrap(n.machine.SyncPeers)
-		n.sampler.SetSink(n.sink)
-		n.sampler.SetTracer(tr)
-		n.machine.SetPeerSampler(n.sampler.Sample)
-		if n.engine != nil {
-			n.engine.SetPeerSampler(n.sampler.Sample)
-		}
-		n.wg.Add(1)
-		go n.samplingLoop()
+		go n.tickLoop(every)
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -189,21 +140,21 @@ func start(p id.Params, listenAddr string, mk func(table.Ref) *core.Machine, nod
 }
 
 // Ref returns the node's identity: its ID plus actual listen address.
-func (n *Node) Ref() table.Ref { return n.machine.Self() }
+func (n *Node) Ref() table.Ref { return n.node.Machine().Self() }
 
 // Status returns the node's protocol status.
 func (n *Node) Status() core.Status {
 	n.statusPolls.Add(1)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.machine.Status()
+	return n.node.Machine().Status()
 }
 
 // Snapshot returns an immutable copy of the node's table.
 func (n *Node) Snapshot() table.Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.machine.Snapshot()
+	return n.node.Machine().Snapshot()
 }
 
 // Counters returns a copy of the node's message counters, including the
@@ -211,15 +162,18 @@ func (n *Node) Snapshot() table.Snapshot {
 func (n *Node) Counters() msg.Counters {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return *n.machine.Counters()
+	return *n.node.Machine().Counters()
 }
 
 // GuardStats returns the machine's hostile-input counters (rejections,
 // quarantines, budget deferrals).
-func (n *Node) GuardStats() core.GuardStats {
+func (n *Node) GuardStats() core.GuardStats { return n.stats().Guard }
+
+// stats snapshots every part's counters under the protocol lock.
+func (n *Node) stats() node.Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.machine.GuardStats()
+	return n.node.Stats()
 }
 
 // TransportGuardStats are the inbound connection-hardening counters.
@@ -249,7 +203,8 @@ func (n *Node) TransportGuardStats() TransportGuardStats {
 // asynchronously and surface through Counters and AwaitStatus.
 func (n *Node) Join(bootstrap table.Ref) error {
 	n.mu.Lock()
-	out, err := n.machine.StartJoin(bootstrap)
+	n.node.Advance(n.Uptime())
+	out, err := n.node.Machine().StartJoin(bootstrap)
 	n.mu.Unlock()
 	if err != nil {
 		return err
@@ -261,7 +216,8 @@ func (n *Node) Join(bootstrap table.Ref) error {
 // before shutting the node down so holders can repair their tables.
 func (n *Node) Leave() error {
 	n.mu.Lock()
-	out, err := n.machine.StartLeave()
+	n.node.Advance(n.Uptime())
+	out, err := n.node.Machine().StartLeave()
 	n.mu.Unlock()
 	if err != nil {
 		return err
@@ -287,132 +243,40 @@ func (n *Node) AwaitStatus(ctx context.Context, want core.Status) error {
 	}
 }
 
-// livenessLoop drives the failure detector and the machine's timeout
-// clock off real time. Each tick snapshots the machine's neighbor set,
-// advances the prober (probe sends, suspicion, declarations), feeds any
-// declared failures back into the machine, and runs Machine.Tick for
-// join-protocol retransmissions and repair scheduling.
-func (n *Node) livenessLoop() {
+// tickLoop is the node's one timer goroutine. Every period (the
+// smallest any configured part runs at; each part gates itself on its
+// own interval) it advances the composed node under the protocol lock
+// and hands the resulting traffic to the delivery layer outside it.
+func (n *Node) tickLoop(every time.Duration) {
 	defer n.wg.Done()
-	interval := n.cfg.Liveness.ProbeInterval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(every)
 	defer tick.Stop()
+	syncRounds := n.tobs.events.With(string(obs.KindSyncRound))
 	for {
 		select {
 		case <-n.done:
 			return
 		case <-tick.C:
-			n.livenessTick()
 		}
-	}
-}
-
-func (n *Node) livenessTick() {
-	now := time.Since(n.start)
-
-	n.mu.Lock()
-	var targets []table.Ref
-	self := n.machine.Self().ID
-	n.machine.Table().ForEach(func(_, _ int, nb table.Neighbor) {
-		if nb.ID != self {
-			targets = append(targets, nb.Ref())
-		}
-	})
-	targets = append(targets, n.machine.ReverseNeighbors()...)
-	n.mu.Unlock()
-
-	n.probeMu.Lock()
-	n.prober.SetTargets(targets)
-	probes, declared, unreachable := n.prober.Tick(now)
-	n.probeMu.Unlock()
-	_ = n.sendAll(probes)
-
-	for _, gone := range declared {
+		before := syncRounds.Value()
 		n.mu.Lock()
-		out := n.machine.DeclareFailed(gone)
+		began := time.Now()
+		out := n.node.Tick(n.Uptime())
+		held := time.Since(began)
 		n.mu.Unlock()
-		_ = n.sendAll(out)
-	}
-	for _, gone := range unreachable {
-		n.mu.Lock()
-		out := n.machine.DropUnreachable(gone)
-		n.mu.Unlock()
-		_ = n.sendAll(out)
-	}
-
-	n.mu.Lock()
-	out := n.machine.Tick(now)
-	n.mu.Unlock()
-	_ = n.sendAll(out)
-}
-
-// antiEntropyLoop drives periodic anti-entropy rounds off real time.
-// The engine mutates the machine (audits purge entries, sync replies
-// merge tables), so each tick runs under the machine lock; the
-// resulting traffic is handed to the delivery layer outside it.
-func (n *Node) antiEntropyLoop() {
-	defer n.wg.Done()
-	interval := n.cfg.AntiEntropy.Interval
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-tick.C:
-			now := time.Since(n.start)
-			n.mu.Lock()
-			out := n.engine.Tick(now)
-			n.mu.Unlock()
-			// Round duration is the real time one engine tick held the
-			// machine lock — the metric operators watch for audit cost.
-			n.tobs.syncDur.Observe((time.Since(n.start) - now).Seconds())
-			_ = n.sendAll(out)
+		if syncRounds.Value() != before {
+			// The tick ran an anti-entropy round: its lock-hold time is
+			// the audit cost operators watch.
+			n.tobs.syncDur.Observe(held.Seconds())
 		}
-	}
-}
-
-// samplingLoop drives periodic gossip peer-sampling rounds off real
-// time. The engine's hooks call into the machine (quarantine checks,
-// bootstrap peers), so each tick runs under the machine lock; the
-// resulting gossip is handed to the delivery layer outside it.
-func (n *Node) samplingLoop() {
-	defer n.wg.Done()
-	interval := n.cfg.Sampling.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-tick.C:
-			now := time.Since(n.start)
-			n.mu.Lock()
-			out := n.sampler.Tick(now)
-			n.mu.Unlock()
-			_ = n.sendAll(out)
-		}
+		_ = n.sendAll(out)
 	}
 }
 
 // SamplingStats returns the peer-sampling engine's counters; ok is
 // false when sampling is disabled.
 func (n *Node) SamplingStats() (stats sampling.Stats, ok bool) {
-	if n.sampler == nil {
-		return sampling.Stats{}, false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sampler.Stats(), true
+	return n.stats().Sampling, n.cfg.Sampling != nil
 }
 
 // SampledPeers returns up to k references from the sampling layer's
@@ -420,59 +284,47 @@ func (n *Node) SamplingStats() (stats sampling.Stats, ok bool) {
 // right thing to persist alongside the table so a restart can rejoin
 // even when every table neighbor is gone. Nil when sampling is off.
 func (n *Node) SampledPeers(k int) []table.Ref {
-	if n.sampler == nil {
-		return nil
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.sampler.Sample(k)
+	if s := n.node.Sampler(); s != nil {
+		return s.Sample(k)
+	}
+	return nil
 }
 
 // SeedSamplingPeers primes the sampling layer with initial contacts —
 // e.g. the bootstrap ref before a join, or peers restored from a
 // persisted snapshot before a rejoin. A no-op when sampling is off.
 func (n *Node) SeedSamplingPeers(refs ...table.Ref) {
-	if n.sampler == nil {
-		return
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.sampler.SeedPeers(refs...)
+	if s := n.node.Sampler(); s != nil {
+		s.SeedPeers(refs...)
+	}
 }
 
 // RTTStats returns the shared estimator's counters; ok is false when
 // adaptive timeouts are disabled.
 func (n *Node) RTTStats() (stats rtt.Stats, ok bool) {
-	if n.est == nil {
-		return rtt.Stats{}, false
-	}
-	return n.est.Stats(), true
+	return n.stats().RTT, n.cfg.RTT != nil
 }
-
-// RTT returns the node's shared estimator, or nil when adaptive
-// timeouts are disabled. The estimator is internally synchronized.
-func (n *Node) RTT() *rtt.Estimator { return n.est }
 
 // AntiEntropyStats returns the anti-entropy engine's counters; ok is
 // false when anti-entropy is disabled.
 func (n *Node) AntiEntropyStats() (stats antientropy.Stats, ok bool) {
-	if n.engine == nil {
-		return antientropy.Stats{}, false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.engine.Stats(), true
+	return n.stats().AntiEntropy, n.cfg.AntiEntropy != nil
 }
 
 // LivenessStats returns the failure detector's counters plus the current
 // suspect count; ok is false when liveness is disabled.
 func (n *Node) LivenessStats() (stats liveness.Stats, suspects int, ok bool) {
-	if n.prober == nil {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p := n.node.Prober()
+	if p == nil {
 		return liveness.Stats{}, 0, false
 	}
-	n.probeMu.Lock()
-	defer n.probeMu.Unlock()
-	return n.prober.Stats(), n.prober.SuspectCount(), true
+	return p.Stats(), p.SuspectCount(), true
 }
 
 func (n *Node) acceptLoop() {
@@ -570,12 +422,7 @@ func (n *Node) readLoop(conn net.Conn) {
 				return
 			}
 			var env msg.Envelope
-			w, derr := decodeFrame(payload)
-			if derr == nil {
-				env, derr = decodeEnvelope(n.params, w)
-			}
-			err = derr
-			if err == nil {
+			if env, err = DecodeGobPayload(n.params, payload); err == nil {
 				n.handleEnvelope(env)
 			}
 		}
@@ -597,48 +444,14 @@ func (n *Node) readLoop(conn net.Conn) {
 	}
 }
 
-// handleEnvelope routes one decoded inbound envelope: probe traffic to
-// the liveness prober, everything else through the protocol machine.
+// handleEnvelope delivers one decoded inbound envelope to the composed
+// node under the protocol lock. Outbound trouble belongs to the delivery
+// layer (retries, then dead-letter counters); an unrelated peer's
+// failure must not tear down this inbound connection.
 func (n *Node) handleEnvelope(env msg.Envelope) {
-	if n.prober != nil {
-		t := env.Msg.Type()
-		if t == msg.TPing || t == msg.TPong {
-			n.probeMu.Lock()
-			out := n.prober.HandleMessage(env)
-			n.probeMu.Unlock()
-			_ = n.sendAll(out)
-			return
-		}
-		// Any protocol traffic from a peer is proof of life.
-		n.probeMu.Lock()
-		n.prober.Observe(env.From.ID)
-		n.probeMu.Unlock()
-	}
-	if n.sampler != nil {
-		switch env.Msg.Type() {
-		case msg.TSamplePush, msg.TSamplePullReq, msg.TSamplePullRly:
-			// The sampling engine owns its message types, like the prober
-			// owns probes; the machine never sees them. The engine bypasses
-			// the machine's guard path, so canonical-form validation runs
-			// here (the binary codec already enforces it; the gob fallback
-			// and any future codec get the same gate).
-			if err := guard.Check(n.params, n.Ref().ID, env); err != nil {
-				n.emitTransport(obs.KindGuardReject, env.Msg.Type().String())
-				return
-			}
-			n.mu.Lock()
-			out := n.sampler.Deliver(env)
-			n.mu.Unlock()
-			_ = n.sendAll(out)
-			return
-		}
-	}
 	n.mu.Lock()
-	out := n.machine.Deliver(env)
+	out := n.node.Deliver(env, n.Uptime())
 	n.mu.Unlock()
-	// Outbound trouble belongs to the delivery layer (retries, then
-	// dead-letter counters); an unrelated peer's failure must not tear
-	// down this inbound connection.
 	_ = n.sendAll(out)
 }
 

@@ -213,7 +213,10 @@ func TestTCPConcurrentJoins(t *testing.T) {
 	}
 	defer seed.Close()
 
-	const joiners = 12
+	// All joiners start from separate goroutines through one bootstrap:
+	// scheduler- and socket-driven interleaving, the harshest version of
+	// "concurrent joins" (Theorems 1–3 under real concurrency).
+	const joiners = 48
 	nodes := make([]*Node, 0, joiners)
 	for i := 0; i < joiners; i++ {
 		n, err := StartJoiner(p163, core.Options{}, draw(), "127.0.0.1:0")
@@ -256,6 +259,12 @@ func TestTCPConcurrentJoins(t *testing.T) {
 	}
 	if v := netcheck.CheckConsistency(p163, tables); len(v) != 0 {
 		t.Fatalf("TCP network inconsistent: %v (of %d)", v[0], len(v))
+	}
+	for _, n := range nodes {
+		c := n.Counters()
+		if got := c.SentOf(msg.TCpRst) + c.SentOf(msg.TJoinWait); got > p163.D+1 {
+			t.Errorf("node %v sent %d CpRst+JoinWait > d+1 (Theorem 3)", n.Ref().ID, got)
+		}
 	}
 }
 
@@ -389,5 +398,45 @@ func TestStartErrors(t *testing.T) {
 	}
 	if _, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "abc"), "256.0.0.1:bad"); err == nil {
 		t.Error("invalid listen address accepted")
+	}
+}
+
+// A node with join timeouts but no failure detector must still run
+// Machine.Tick: the tick loop starts for any clock-driven part, as the
+// simulator's pump does. The joiner's first CpRst is dead-lettered, so
+// only the machine's own resend can complete the join.
+func TestTCPJoinTimeoutResendsWithoutLiveness(t *testing.T) {
+	opts := core.Options{Timeouts: core.Timeouts{RetryAfter: 50 * time.Millisecond}}
+	seed, err := StartSeed(p163, opts, id.MustParse(p163, "a00"), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	faults := NewFaults(1)
+	faults.DropRate = 1
+	joiner, err := StartJoiner(p163, opts, id.MustParse(p163, "b01"), "127.0.0.1:0", WithFaults(faults), WithMaxAttempts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	if err := joiner.Join(seed.Ref()); err != nil {
+		t.Fatal(err)
+	}
+	deadLettered := func() bool {
+		c := joiner.Counters()
+		return c.DroppedOf(msg.TCpRst) > 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); !deadLettered(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first CpRst was never dead-lettered")
+		}
+	}
+	faults.mu.Lock()
+	faults.DropRate = 0
+	faults.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := joiner.AwaitStatus(ctx, core.StatusInSystem); err != nil {
+		t.Fatalf("join never recovered from the lost CpRst: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"hypercube/internal/id"
 	"hypercube/internal/obs"
 )
 
@@ -16,9 +17,10 @@ import (
 // transition for /status, and forwards to the optional user sink and
 // trace ring.
 //
-// Emitters call it from different goroutines under different locks
-// (n.mu, probeMu, writer goroutines), so its own mutex must stay a
-// leaf: Emit takes it briefly and calls nothing that locks elsewhere.
+// Emitters call it from different goroutines, some under the protocol
+// lock n.mu and some (writer goroutines) under none, so its own mutex
+// must stay a leaf: Emit takes it briefly and calls nothing that locks
+// elsewhere.
 // Registry instruments are atomic and need no lock at all.
 type nodeObs struct {
 	reg     *obs.Registry
@@ -176,9 +178,9 @@ func (n *Node) Uptime() time.Duration { return time.Since(n.start) }
 // gauges, the optional trace ring, and the clocked sink every protocol
 // component emits through. Called once from start, before any
 // goroutine runs.
-func (n *Node) setupObs() {
+func (n *Node) setupObs(self id.ID) {
 	n.tobs = newNodeObs()
-	n.selfName = n.machine.Self().ID.String()
+	n.selfName = self.String()
 	if n.cfg.TraceRing > 0 {
 		n.ring = obs.NewRing(n.cfg.TraceRing)
 	}

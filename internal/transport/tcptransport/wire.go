@@ -1,8 +1,6 @@
-// Package tcptransport runs protocol nodes over real TCP sockets with a
-// gob-encoded wire format: each node listens on an address, dials peers
-// on demand, and drives the same core.Machine as the simulator and the
-// in-process runtime. It exists to demonstrate (and test) that the
-// protocol implementation is transport-agnostic end to end.
+// The legacy gob codec's wire structs and their conversion to and from
+// msg.Envelope (CodecGob; the default codec is internal/wire).
+
 package tcptransport
 
 import (
