@@ -100,8 +100,9 @@ experiments:
 
 # fuzz-smoke gives each hostile-input fuzz target a short budget
 # (override with FUZZTIME=5m for a real hunt): ID/suffix parsing, the
-# wire decoder behind the TCP transport, and the protocol machine's
-# Deliver path. Any crasher fails the build.
+# wire decoder behind the TCP transport, the protocol machine's Deliver
+# path, and snapshot validation against its suffix-building oracle. Any
+# crasher fails the build.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse$$ -fuzztime $(FUZZTIME) ./internal/id
 	$(GO) test -run '^$$' -fuzz FuzzParseSuffix -fuzztime $(FUZZTIME) ./internal/id
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/transport/tcptransport
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzMachineDeliver -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzValidateMatchesOracle -fuzztime $(FUZZTIME) ./internal/table
 
 # trace-smoke proves the tracing pipeline end to end: a 16-node overlay
 # wave writes a JSONL trace and tracestat must parse it cleanly (exit 0).

@@ -120,7 +120,6 @@ func (m *Machine) onLeaveRly(from table.Ref) {
 	delete(m.leaveAcks, from.ID)
 	if len(m.leaveAcks) == 0 {
 		m.setStatus(StatusLeft)
-		m.trace("%v status -> left", m.self.ID)
 	}
 }
 

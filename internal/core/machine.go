@@ -16,7 +16,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hypercube/internal/guard"
@@ -232,10 +232,6 @@ type Machine struct {
 	tracer  *trace.Tracer
 	cur     trace.Context
 	joinCtx trace.Context
-
-	// Trace, when non-nil, receives a line per protocol step; for tests
-	// and debugging only.
-	Trace func(format string, args ...any)
 }
 
 // SetSink installs the protocol-event sink; nil or obs.Nop turns tracing
@@ -426,12 +422,6 @@ func (m *Machine) JoinStateSize() int {
 	return len(m.qr) + len(m.qn) + len(m.qj) + len(m.qsn) + len(m.qsr)
 }
 
-func (m *Machine) trace(format string, args ...any) {
-	if m.Trace != nil {
-		m.Trace(format, args...)
-	}
-}
-
 // send queues an envelope and counts it. Under an active span context
 // the envelope gets its own child span (one hop, one span): the
 // send-side event carries the new span with the active span as parent,
@@ -446,7 +436,6 @@ func (m *Machine) send(to table.Ref, pm msg.Message) {
 		env.Trace = m.tracer.Child(m.cur)
 	}
 	m.out = append(m.out, env)
-	m.trace("%v -> %v: %v", m.self.ID, to.ID, pm.Type())
 	if m.sink != nil {
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindSend, Peer: to.ID.String(), Msg: pm.Type().String()}.Stamped(env.Trace, m.cur.Span))
 	}
@@ -606,7 +595,6 @@ func (m *Machine) reject(env msg.Envelope, err error, now time.Duration) {
 	if m.sink != nil {
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGuardReject, Peer: peer, Msg: t.String(), Detail: err.Error()})
 	}
-	m.trace("%v rejected %v from %v: %v", m.self.ID, t, peer, err)
 	if m.scorer != nil && !env.From.IsZero() && env.From.ID != m.self.ID {
 		if m.scorer.Charge(env.From.ID, 1, now) {
 			if m.sink != nil {
@@ -624,7 +612,6 @@ func (m *Machine) busy(what string, from table.Ref) {
 	if m.sink != nil {
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindBusy, Peer: from.ID.String(), Detail: what})
 	}
-	m.trace("%v shed %s request from %v (budget)", m.self.ID, what, from.ID)
 }
 
 // addReverse records a reverse neighbor, holding the set to its budget.
@@ -709,7 +696,6 @@ func (m *Machine) finishCopying(target table.Ref) {
 		m.tbl.Set(i, m.self.ID.Digit(i), table.Neighbor{ID: m.self.ID, Addr: m.self.Addr, State: table.StateT})
 	}
 	m.setStatus(StatusWaiting)
-	m.trace("%v status -> waiting, JoinWait to %v", m.self.ID, target.ID)
 	m.qn[target.ID] = struct{}{}
 	m.qr[target.ID] = struct{}{}
 	m.send(target, msg.JoinWait{})
@@ -745,7 +731,6 @@ func (m *Machine) onJoinWaitRly(from table.Ref, pm msg.JoinWaitRly) {
 		if m.status == StatusWaiting {
 			m.setStatus(StatusNotifying)
 			m.notiLevel = k
-			m.trace("%v status -> notifying at level %d (stored by %v)", m.self.ID, k, from.ID)
 		}
 		m.addReverse(from)
 	} else {
@@ -883,7 +868,6 @@ func (m *Machine) maybeSwitch() {
 		return
 	}
 	m.setStatus(StatusInSystem)
-	m.trace("%v status -> in_system", m.self.ID)
 	for i := 0; i < m.params.D; i++ {
 		m.tbl.SetState(i, m.self.ID.Digit(i), m.self.ID, table.StateS)
 	}
@@ -916,7 +900,7 @@ func sortedRefs(m map[id.ID]table.Ref) []table.Ref {
 	for _, r := range m {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
+	slices.SortFunc(out, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
 	return out
 }
 

@@ -102,7 +102,6 @@ func (m *Machine) AuditTable() (purged int, out []msg.Envelope) {
 		gone := m.tbl.Get(e[0], e[1]).ID
 		purged++
 		m.auditPurged++
-		m.trace("%v audit purges %v from (%d,%d)", m.self.ID, gone, e[0], e[1])
 		if !m.repairFromTables(e[0], e[1], gone, table.Snapshot{}) {
 			if m.inRepair == nil {
 				m.inRepair = make(map[[2]int]bool)

@@ -252,7 +252,6 @@ func (m *Machine) tickExchanges(now time.Duration) {
 			continue // resolved by an earlier give-up this tick, or not due
 		}
 		if ex.attempts >= m.opts.Timeouts.maxAttempts() {
-			m.trace("%v gives up on %v (%v after %d attempts)", m.self.ID, k.peer, ex.env.Msg.Type(), ex.attempts)
 			if m.sink != nil {
 				m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGiveUp, Peer: k.peer.String(), Msg: ex.env.Msg.Type().String(), N: ex.attempts})
 			}
@@ -265,7 +264,6 @@ func (m *Machine) tickExchanges(now time.Duration) {
 		// exchange and reset the attempt count.
 		m.counters.CountSent(ex.env.Msg)
 		m.out = append(m.out, ex.env)
-		m.trace("%v resends %v to %v (attempt %d)", m.self.ID, ex.env.Msg.Type(), k.peer, ex.attempts)
 		if m.sink != nil {
 			m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindResend, Peer: k.peer.String(), Msg: ex.env.Msg.Type().String(), N: ex.attempts}.Stamped(ex.env.Trace, trace.SpanID{}))
 		}
@@ -296,7 +294,6 @@ func (m *Machine) giveUp(k xchgKey) {
 		delete(m.leaveAcks, k.peer)
 		if m.status == StatusLeaving && len(m.leaveAcks) == 0 {
 			m.setStatus(StatusLeft)
-			m.trace("%v status -> left (unacknowledged departure)", m.self.ID)
 		}
 	}
 }
@@ -331,7 +328,6 @@ func (m *Machine) restartJoin(avoid id.ID) {
 			return
 		}
 	}
-	m.trace("%v restarts join via %v (restart %d)", m.self.ID, g.ID, m.restarts)
 	m.startRejoin(g)
 }
 
@@ -469,7 +465,6 @@ func (m *Machine) DropUnreachable(gone table.Ref) []msg.Envelope {
 		return nil
 	}
 	m.out = m.out[:0]
-	m.trace("%v drops unreachable %v", m.self.ID, gone.ID)
 	m.DropFailed(gone.ID)
 	return m.take()
 }
@@ -491,7 +486,6 @@ func (m *Machine) noteFailed(gone table.Ref) {
 	if m.status == StatusLeft {
 		return
 	}
-	m.trace("%v declares %v failed", m.self.ID, gone.ID)
 	if m.sink != nil {
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindFailureNoted, Peer: gone.ID.String()})
 	}

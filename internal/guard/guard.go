@@ -113,7 +113,7 @@ func Check(p id.Params, self id.ID, env msg.Envelope) error {
 		// Suffix invariant: the sender claims to have stored us at
 		// (Level,Digit) of its table, so we must carry that entry's
 		// desired suffix — Digit · from[Level-1..0].
-		if !self.HasSuffix(from.Suffix(m.Level).Extend(m.Digit)) {
+		if !table.Qualifies(from, m.Level, m.Digit, self) {
 			return fmt.Errorf("RvNghNoti entry (%d,%d) does not qualify the receiver", m.Level, m.Digit)
 		}
 	case msg.RvNghNotiRly:

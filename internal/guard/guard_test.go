@@ -80,6 +80,52 @@ func TestCheckValidMessages(t *testing.T) {
 	}
 }
 
+// TestCheckHonestMessagesDoNotAllocate guards the per-message cost of
+// admission: the largest honest message — a CpRly carrying a table with
+// every entry filled — must pass without a single allocation.
+func TestCheckHonestMessagesDoNotAllocate(t *testing.T) {
+	self, from := ref(t, "0321"), ref(t, "1201")
+	tbl := table.New(tp, from.ID)
+	for level := 0; level < tp.D; level++ {
+		for digit := 0; digit < tp.B; digit++ {
+			// The occupant is the owner with digit substituted at level: it
+			// shares the owner's lower digits, which is all the entry asks.
+			occ := from.ID.WithDigit(level, digit)
+			tbl.Set(level, digit, table.Neighbor{ID: occ, Addr: "sim://" + occ.String(), State: table.StateS})
+		}
+	}
+	env := msg.Envelope{From: from, To: self, Msg: msg.CpRly{Table: tbl.Snapshot()}}
+	var err error
+	if got := testing.AllocsPerRun(100, func() { err = Check(tp, self.ID, env) }); got != 0 || err != nil {
+		t.Errorf("Check on an honest full CpRly: %v allocations, err %v; want 0, nil", got, err)
+	}
+	// And the most frequent one: 0321 and 1201 share one digit, so 1201
+	// stores 0321 at level 1, digit 2.
+	env.Msg = msg.RvNghNoti{Level: 1, Digit: 2, State: table.StateS}
+	if got := testing.AllocsPerRun(100, func() { err = Check(tp, self.ID, env) }); got != 0 || err != nil {
+		t.Errorf("Check on an honest RvNghNoti: %v allocations, err %v; want 0, nil", got, err)
+	}
+}
+
+// TestRvNghNotiSuffixCheckMatchesDefinition compares Check's verdict on
+// every coordinate pair with the invariant as §2.1 states it: the
+// receiver carries the suffix Digit · from[Level-1..0].
+func TestRvNghNotiSuffixCheckMatchesDefinition(t *testing.T) {
+	self := ref(t, "0321")
+	for _, fromID := range []string{"1201", "3321", "0121", "2320", "1321"} {
+		from := ref(t, fromID)
+		for level := 0; level < tp.D; level++ {
+			for digit := 0; digit < tp.B; digit++ {
+				env := msg.Envelope{From: from, To: self, Msg: msg.RvNghNoti{Level: level, Digit: digit, State: table.StateT}}
+				want := self.ID.HasSuffix(from.ID.Suffix(level).Extend(digit))
+				if err := Check(tp, self.ID, env); (err == nil) != want {
+					t.Errorf("RvNghNoti (%d,%d) from %s: Check = %v, receiver qualifies = %v", level, digit, fromID, err, want)
+				}
+			}
+		}
+	}
+}
+
 // ascending returns two valid refs in ascending ID order.
 func ascending(t *testing.T) []table.Ref {
 	t.Helper()

@@ -92,6 +92,18 @@ func (x ID) String() string {
 	return sb.String()
 }
 
+// AppendString appends String's rendering of x to dst and returns the
+// extended slice; with room in dst it does not allocate.
+func (x ID) AppendString(dst []byte) []byte {
+	if x.IsNull() {
+		return append(dst, "<null>"...)
+	}
+	for i := len(x.digits) - 1; i >= 0; i-- {
+		dst = append(dst, digitChars[x.digits[i]])
+	}
+	return dst
+}
+
 // CommonSuffixLen returns |csuf(x, y)|: the number of rightmost digits
 // shared by x and y. Both IDs must come from the same space for the result
 // to be meaningful; the shorter length bounds the answer.
@@ -171,6 +183,18 @@ func (x ID) Less(y ID) bool {
 		}
 	}
 	return len(x.digits) < len(y.digits)
+}
+
+// Compare is the three-way form of Less, for slices.SortFunc: negative
+// when x orders before y, positive when after, zero when equal.
+func (x ID) Compare(y ID) int {
+	switch {
+	case x.Less(y):
+		return -1
+	case y.Less(x):
+		return 1
+	}
+	return 0
 }
 
 // Suffix is a sequence of rightmost digits (possibly empty). Like ID it is

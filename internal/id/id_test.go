@@ -1,6 +1,7 @@
 package id
 
 import (
+	"cmp"
 	"math/rand"
 	"strings"
 	"testing"
@@ -71,6 +72,9 @@ func TestParseRoundTrip(t *testing.T) {
 		}
 		if got := x.String(); got != tt.s {
 			t.Errorf("Parse(%q).String() = %q", tt.s, got)
+		}
+		if got := string(x.AppendString([]byte("id="))); got != "id="+tt.s {
+			t.Errorf("Parse(%q).AppendString = %q", tt.s, got)
 		}
 	}
 }
@@ -156,6 +160,9 @@ func TestNullID(t *testing.T) {
 	}
 	if Null.String() != "<null>" {
 		t.Errorf("Null.String() = %q", Null.String())
+	}
+	if got := string(Null.AppendString(nil)); got != "<null>" {
+		t.Errorf("Null.AppendString = %q", got)
 	}
 	x := MustParse(p45, "21233")
 	if x.IsNull() {
@@ -353,6 +360,9 @@ func TestLessIsTotalOrder(t *testing.T) {
 				t.Errorf("%s should be Less than %s", ids[i], ids[j])
 			case i >= j && a.Less(b):
 				t.Errorf("%s should not be Less than %s", ids[i], ids[j])
+			}
+			if got, want := a.Compare(b), cmp.Compare(i, j); got != want {
+				t.Errorf("Compare(%s, %s) = %d, want %d", ids[i], ids[j], got, want)
 			}
 		}
 	}

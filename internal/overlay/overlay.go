@@ -11,9 +11,9 @@ package overlay
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"hypercube/internal/antientropy"
@@ -49,17 +49,39 @@ func HashedUniformLatency(min, max time.Duration, seed int64) LatencyFunc {
 	}
 	span := int64(max - min)
 	return func(from, to table.Ref) time.Duration {
-		a, b := from.ID.String(), to.ID.String()
-		if b < a {
-			a, b = b, a
-		}
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%s|%s", seed, a, b)
 		if span == 0 {
 			return min
 		}
-		return min + time.Duration(int64(h.Sum64()%uint64(span)))
+		sum, _ := pairHash(seed, from.ID, to.ID)
+		return min + time.Duration(int64(sum%uint64(span)))
 	}
+}
+
+// pairHash hashes the unordered pair {from,to} with seed: FNV-1a-64 over
+// "<seed>|<low>|<high>", the two IDs in printed form with the
+// lexicographically lower first. fromLow reports whether from was that
+// lower one. The key is built in stack buffers (IDs of up to 48 digits),
+// so the per-message latency and loss lookups do not allocate.
+func pairHash(seed int64, from, to id.ID) (sum uint64, fromLow bool) {
+	var fromBuf, toBuf [48]byte
+	var keyBuf [128]byte
+	lo, hi := from.AppendString(fromBuf[:0]), to.AppendString(toBuf[:0])
+	fromLow = string(lo) <= string(hi)
+	if !fromLow {
+		lo, hi = hi, lo
+	}
+	key := strconv.AppendInt(keyBuf[:0], seed, 10)
+	key = append(key, '|')
+	key = append(key, lo...)
+	key = append(key, '|')
+	key = append(key, hi...)
+	const offset64, prime64 = 14695981039346656037, 1099511628211 // FNV-1a, 64 bit
+	sum = offset64
+	for _, c := range key {
+		sum ^= uint64(c)
+		sum *= prime64
+	}
+	return sum, fromLow
 }
 
 // TopologyLatency maps node IDs to attached hosts of a transit-stub
@@ -215,6 +237,11 @@ type Network struct {
 	joinersInFlight map[id.ID]time.Duration // start time
 	joins           []JoinRecord
 	delivered       uint64
+	// inFlight is the slab of transmissions between post and arrive, and
+	// freeSlots its free list: an arrival event carries only a slot index,
+	// so a transmission costs no closure (see arrivals).
+	inFlight  []transmission
+	freeSlots []int
 	// removed marks nodes that left or failed; messages to them drop.
 	removed map[id.ID]bool
 	dropped uint64
@@ -466,27 +493,54 @@ func (n *Network) post(env msg.Envelope, attempt int) {
 			n.slowDelayed++
 		}
 	}
-	n.engine.Schedule(delay, func() {
-		// Partition cut: checked at delivery time so a Heal() scheduled
-		// mid-flight takes effect immediately. The drop is final — no
-		// retransmission reaches across a partition; the senders'
-		// exchange timeouts and the failure detector see the silence.
-		if n.partitionCut(env.From.ID, env.To.ID) {
-			n.partitionDropped++
+	slot := len(n.inFlight)
+	if k := len(n.freeSlots); k > 0 {
+		slot, n.freeSlots = n.freeSlots[k-1], n.freeSlots[:k-1]
+	} else {
+		n.inFlight = append(n.inFlight, transmission{})
+	}
+	n.inFlight[slot] = transmission{env: env, attempt: attempt}
+	n.engine.ScheduleHandler(delay, (*arrivals)(n), slot)
+}
+
+// transmission is one attempt to carry env, parked in Network.inFlight
+// while its arrival event is queued.
+type transmission struct {
+	env     msg.Envelope
+	attempt int
+}
+
+// arrivals is the Network as the sim.Handler of its in-flight
+// transmissions; the separate type keeps Handle out of Network's API.
+type arrivals Network
+
+func (a *arrivals) Handle(slot int) { (*Network)(a).arrive(slot) }
+
+// arrive ends the transmission parked in slot: the message is cut by a
+// partition, lost (and retransmitted or dead-lettered), or delivered.
+func (n *Network) arrive(slot int) {
+	env, attempt := n.inFlight[slot].env, n.inFlight[slot].attempt
+	n.inFlight[slot] = transmission{} // let the message be collected
+	n.freeSlots = append(n.freeSlots, slot)
+	// Partition cut: checked at delivery time so a Heal() scheduled
+	// mid-flight takes effect immediately. The drop is final — no
+	// retransmission reaches across a partition; the senders'
+	// exchange timeouts and the failure detector see the silence.
+	if n.partitionCut(env.From.ID, env.To.ID) {
+		n.partitionDropped++
+		return
+	}
+	if l := n.cfg.Loss; l != nil && n.lossDrop(env) {
+		t := env.Msg.Type()
+		if t == msg.TPing || t == msg.TPong || attempt >= l.maxAttempts() {
+			n.lost++
 			return
 		}
-		if l := n.cfg.Loss; l != nil && n.lossDrop(env) {
-			t := env.Msg.Type()
-			if t == msg.TPing || t == msg.TPong || attempt >= l.maxAttempts() {
-				n.lost++
-				return
-			}
-			n.retransmits++
-			n.post(env, attempt+1)
-			return
-		}
-		n.deliver(env)
-	})
+		n.retransmits++
+		n.post(env, attempt+1)
+		return
+	}
+	n.deliver(env)
 }
 
 // Partition splits the network into disconnected groups: every message
@@ -550,19 +604,9 @@ func (n *Network) lossDrop(env msg.Envelope) bool {
 // lossyDirection reports whether from->to is the lossy direction of the
 // unordered pair {from,to}, chosen deterministically from the seed.
 func (n *Network) lossyDirection(from, to id.ID) bool {
-	a, b := from.String(), to.String()
-	flip := false
-	if b < a {
-		a, b = b, a
-		flip = true
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s", n.cfg.Loss.Seed, a, b)
-	lowToHigh := h.Sum64()&1 == 0
-	if flip {
-		return !lowToHigh
-	}
-	return lowToHigh
+	sum, fromLow := pairHash(n.cfg.Loss.Seed, from, to)
+	lowToHigh := sum&1 == 0
+	return lowToHigh == fromLow
 }
 
 func (n *Network) deliver(env msg.Envelope) {
@@ -667,7 +711,7 @@ func (n *Network) sortedIDs() []id.ID {
 	for x := range n.nodes {
 		ids = append(ids, x)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	slices.SortFunc(ids, id.ID.Compare)
 	return ids
 }
 
@@ -817,7 +861,7 @@ func (n *Network) Members() []table.Ref {
 	for _, nd := range n.nodes {
 		out = append(out, nd.Machine().Self())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
+	slices.SortFunc(out, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
 	return out
 }
 

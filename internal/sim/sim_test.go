@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -201,6 +202,99 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical traces (suspicious)")
+	}
+}
+
+// TestHeapMatchesStableSort drives the queue with 10^4 random schedules
+// interleaved with steps and a RunUntil, from both entry points, and
+// requires the firing order of a model: pending events stably sorted by
+// timestamp, i.e. FIFO among equal timestamps.
+func TestHeapMatchesStableSort(t *testing.T) {
+	type pending struct {
+		at time.Duration
+		id int
+	}
+	rng := rand.New(rand.NewSource(7))
+	e := NewEngine()
+	var model []pending // in scheduling order
+	var fired []int
+	rec := recorder{fired: &fired}
+	popModel := func() pending {
+		sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
+		head := model[0]
+		model = model[1:]
+		return head
+	}
+	check := func(want pending) {
+		t.Helper()
+		if got := fired[len(fired)-1]; got != want.id || e.Now() != want.at {
+			t.Fatalf("fired event %d at %v, model says %d at %v", got, e.Now(), want.id, want.at)
+		}
+	}
+	for id := 0; id < 10_000; id++ {
+		// Few distinct delays, so equal timestamps are common.
+		delay := time.Duration(rng.Intn(50)) * time.Millisecond
+		model = append(model, pending{at: e.Now() + delay, id: id})
+		if id%2 == 0 {
+			e.Schedule(delay, func() { fired = append(fired, id) })
+		} else {
+			e.ScheduleHandler(delay, rec, id)
+		}
+		for rng.Intn(3) == 0 && len(model) > 0 {
+			if !e.Step() {
+				t.Fatalf("Step found nothing with %d events in the model", len(model))
+			}
+			check(popModel())
+		}
+	}
+
+	deadline := e.Now() + 20*time.Millisecond
+	before := len(fired)
+	n := e.RunUntil(deadline)
+	for i := 0; i < int(n); i++ {
+		want := popModel()
+		if want.at > deadline || fired[before+i] != want.id {
+			t.Fatalf("RunUntil fired %d, model says %d at %v (deadline %v)", fired[before+i], want.id, want.at, deadline)
+		}
+	}
+	if e.Now() != deadline || e.Pending() != len(model) {
+		t.Fatalf("after RunUntil: now %v pending %d, want %v and %d", e.Now(), e.Pending(), deadline, len(model))
+	}
+	for _, ev := range model {
+		if ev.at <= deadline {
+			t.Fatalf("RunUntil left event %d at %v queued, deadline %v", ev.id, ev.at, deadline)
+		}
+	}
+
+	for len(model) > 0 {
+		if !e.Step() {
+			t.Fatalf("queue ran dry with %d events in the model", len(model))
+		}
+		check(popModel())
+	}
+	if e.Step() {
+		t.Error("engine had events the model did not")
+	}
+}
+
+// recorder is a Handler that appends the arg it is fired with.
+type recorder struct{ fired *[]int }
+
+func (r recorder) Handle(arg int) { *r.fired = append(*r.fired, arg) }
+
+// TestScheduleStepDoesNotAllocate guards the steady state of the queue: a
+// pre-built callback scheduled and fired with the queue at capacity.
+func TestScheduleStepDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(time.Duration(i)*time.Millisecond, fn)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		e.Schedule(5*time.Millisecond, fn)
+		e.Step()
+	}); got != 0 {
+		t.Errorf("Schedule+Step allocates %v times per run, want 0", got)
 	}
 }
 

@@ -157,7 +157,17 @@ func (t *Table) DesiredSuffix(level, digit int) id.Suffix {
 // Qualifies reports whether node x may legally occupy the (level,digit)-
 // entry, i.e. x has the entry's desired suffix.
 func (t *Table) Qualifies(level, digit int, x id.ID) bool {
-	return x.HasSuffix(t.DesiredSuffix(level, digit))
+	t.index(level, digit) // panics out of range, like DesiredSuffix
+	return Qualifies(t.owner, level, digit, x)
+}
+
+// Qualifies reports whether x carries digit · owner[level-1..0], the
+// desired suffix of the (level,digit)-entry of owner's table (§2.1). It
+// compares digits in place — x shares owner's low level digits and holds
+// digit at level — so the per-entry checks on the message path
+// (Snapshot.Validate, the guard) never build the suffix.
+func Qualifies(owner id.ID, level, digit int, x id.ID) bool {
+	return level < x.Len() && x.CommonSuffixLen(owner) >= level && x.Digit(level) == digit
 }
 
 // FilledCount returns the number of non-empty entries.
@@ -306,7 +316,7 @@ func (s Snapshot) Validate() error {
 		case n.ID.Len() != s.params.D:
 			bad = fmt.Errorf("table: entry (%d,%d) occupant %v has %d digits, want %d",
 				level, digit, n.ID, n.ID.Len(), s.params.D)
-		case !n.ID.HasSuffix(s.owner.Suffix(level).Extend(digit)):
+		case !Qualifies(s.owner, level, digit, n.ID):
 			bad = fmt.Errorf("table: entry (%d,%d) occupant %v lacks suffix %v",
 				level, digit, n.ID, s.owner.Suffix(level).Extend(digit))
 		}
