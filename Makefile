@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race loc bench bench-all bench-wire bench-join bench-liveness vet fmt lint cover experiments trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
+.PHONY: all build test race loc bench bench-smoke bench-all bench-wire bench-join bench-liveness vet fmt lint cover experiments trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
 
-all: build lint test fuzz-smoke nemesis-smoke
+all: build lint test fuzz-smoke nemesis-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,16 @@ bench: bench-wire bench-join bench-liveness
 
 bench-all:
 	$(GO) test -bench . -benchmem ./...
+
+# bench-smoke vets the repository benchmark (./bench, BENCHMARK.json) and
+# runs its two simulated workloads for two seconds each. It gates on the
+# harness's own correctness checks — Theorems 1-3 on the paper-scale join
+# wave, consistency and zero false declarations on crash repair — through
+# the exit code; the numbers of so short a run mean nothing.
+bench-smoke:
+	$(GO) vet ./bench
+	$(GO) run ./bench --workload sim_maintain_crash --seconds 2
+	$(GO) run ./bench --workload sim_join_paper --seconds 2
 
 # bench-wire pins the wire-codec suite (binary vs gob encode/decode plus
 # frame coalescing) and records ns/op, B/op, allocs/op, and bytes-on-wire

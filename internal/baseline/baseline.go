@@ -23,6 +23,7 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"hypercube/internal/id"
@@ -261,13 +262,15 @@ func (net *network) deliverAnnounce(uRef table.Ref, x table.Ref, omega id.Suffix
 
 	// Forward to every distinct table neighbor inside the notification
 	// set (suffix omega), excluding x, self, and the announcing parent.
-	targets := make(map[id.ID]table.Ref)
+	// Kept in table order: the order the announcements are scheduled in
+	// decides who writes a contended slot first, so it must repeat.
+	var targets []table.Ref
 	u.tbl.ForEach(func(_, _ int, n table.Neighbor) {
 		if n.ID == u.ref.ID || n.ID == x.ID || (hasParent && n.ID == parent.ID) {
 			return
 		}
-		if n.ID.HasSuffix(omega) {
-			targets[n.ID] = n.Ref()
+		if n.ID.HasSuffix(omega) && !slices.Contains(targets, n.Ref()) {
+			targets = append(targets, n.Ref())
 		}
 	})
 	if len(targets) == 0 {

@@ -107,3 +107,23 @@ func TestLatencyDefaulting(t *testing.T) {
 			res.TotalMessages, res2.TotalMessages)
 	}
 }
+
+// TestRunWaveRepeats runs one contended wave twice: which announcement
+// reaches a contended slot first decides the message counts, so they
+// repeat only if nothing in the wave iterates a map to schedule events.
+func TestRunWaveRepeats(t *testing.T) {
+	cfg := Config{Params: id.Params{B: 4, D: 4}, N: 40, M: 60, Seed: 11}
+	first, err := RunWave(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		again, err := RunWave(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *again != *first {
+			t.Fatalf("run %d differs:\n first %+v\n again %+v", i+2, first, again)
+		}
+	}
+}

@@ -97,6 +97,7 @@ func (m *Machine) LeaveAcksPending() []id.ID {
 // leaving its own departure waiting for acks from long-gone nodes.
 func (m *Machine) onLeave(from table.Ref, pm msg.Leave) {
 	delete(m.reverse, from.ID)
+	m.reverseGen++
 	if m.departed == nil {
 		m.departed = make(map[id.ID]struct{})
 	}
@@ -268,6 +269,7 @@ func (m *Machine) onRepairCpRly(from table.Ref, donor table.Snapshot) {
 // forced rounds by KickRepairs (the RecoverFailures batch path).
 func (m *Machine) DropFailed(gone id.ID) (unrepaired [][2]int) {
 	delete(m.reverse, gone)
+	m.reverseGen++
 	delete(m.gateways, gone)
 	var held [][2]int
 	m.tbl.ForEach(func(level, digit int, n table.Neighbor) {

@@ -151,6 +151,12 @@ type Machine struct {
 	// tables (the paper's R sets, keyed by node instead of entry: the
 	// only consumer, InSysNoti fan-out, needs the node set).
 	reverse map[id.ID]table.Ref
+	// reverseGen counts changes to reverse: a member added, re-addressed
+	// or removed. syncCands caches the sorted table ∪ reverse union that
+	// SyncPeers filters, built at syncCandsAt = {table version + 1, reverseGen}.
+	reverseGen  uint64
+	syncCands   []table.Ref
+	syncCandsAt [2]uint64
 
 	notiLevel int
 	qr        map[id.ID]struct{} // nodes we await JoinWait/JoinNoti replies from
@@ -414,6 +420,10 @@ func (m *Machine) ReverseNeighbors() []table.Ref {
 	return out
 }
 
+// ReverseGen moves whenever the reverse-neighbor set changes, as
+// table.Table.Version does for the table.
+func (m *Machine) ReverseGen() uint64 { return m.reverseGen }
+
 // JoinStateSize returns how many units of join-protocol bookkeeping the
 // node currently holds (|Qr|+|Qn|+|Qj|+|Qsn|+|Qsr|). For S-nodes of the
 // original network this stays 0 except for deferred-join Qj entries held
@@ -618,11 +628,16 @@ func (m *Machine) busy(what string, from table.Ref) {
 // Beyond MaxReverse the registration is shed: the peer still stores us in
 // its table; we only lose one InSysNoti/leave-ack fan-out edge to it.
 func (m *Machine) addReverse(r table.Ref) {
-	if _, ok := m.reverse[r.ID]; !ok && len(m.reverse) >= m.budgets.MaxReverse {
+	old, ok := m.reverse[r.ID]
+	if ok && old == r {
+		return
+	}
+	if !ok && len(m.reverse) >= m.budgets.MaxReverse {
 		m.busy("reverse neighbors", r)
 		return
 	}
 	m.reverse[r.ID] = r
+	m.reverseGen++
 }
 
 func (m *Machine) take() []msg.Envelope {

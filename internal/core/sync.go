@@ -21,7 +21,8 @@
 package core
 
 import (
-	"hypercube/internal/id"
+	"slices"
+
 	"hypercube/internal/msg"
 	"hypercube/internal/table"
 	"hypercube/internal/trace"
@@ -56,19 +57,37 @@ func (m *Machine) StartSyncTraced(peer table.Ref, ctx trace.Context) []msg.Envel
 // holder's RvNghNoti, and syncing back with that holder is the fastest
 // route to everything else the far side knows.
 func (m *Machine) SyncPeers() []table.Ref {
-	cands := make(map[id.ID]table.Ref)
-	m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
-		if n.ID == m.self.ID || m.knownBad(n.ID) {
-			return
+	if at := [2]uint64{m.tbl.Version() + 1, m.reverseGen}; m.syncCandsAt != at {
+		m.syncCandsAt = at
+		m.syncCands = m.syncCands[:0]
+		m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
+			if n.ID != m.self.ID {
+				m.syncCands = append(m.syncCands, n.Ref())
+			}
+		})
+		for _, r := range m.reverse {
+			if r.ID != m.self.ID {
+				m.syncCands = append(m.syncCands, r)
+			}
 		}
-		cands[n.ID] = n.Ref()
-	})
-	for _, r := range m.reverse {
-		if r.ID != m.self.ID && !m.knownBad(r.ID) {
-			cands[r.ID] = r
+		// One ref per node, the last wins: table entries in table order,
+		// then the reverse set's.
+		slices.SortStableFunc(m.syncCands, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
+		uniq := m.syncCands[:0]
+		for i, r := range m.syncCands {
+			if i+1 == len(m.syncCands) || m.syncCands[i+1].ID != r.ID {
+				uniq = append(uniq, r)
+			}
+		}
+		m.syncCands = uniq
+	}
+	out := make([]table.Ref, 0, len(m.syncCands))
+	for _, r := range m.syncCands {
+		if !m.knownBad(r.ID) {
+			out = append(out, r)
 		}
 	}
-	return sortedRefs(cands)
+	return out
 }
 
 // SyncPulled returns how many table entries were installed from peers'

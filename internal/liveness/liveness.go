@@ -59,7 +59,9 @@
 package liveness
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 	"time"
 
 	"hypercube/internal/id"
@@ -180,6 +182,8 @@ type Stats struct {
 	LatePongs         int
 	DegradedMarked    int
 	DegradedCleared   int
+	// Retargets counts rebuilds of the monitored set (SetTargets calls).
+	Retargets int
 }
 
 // Add accumulates other into s, for fleet totals.
@@ -198,6 +202,7 @@ func (s *Stats) Add(other Stats) {
 	s.LatePongs += other.LatePongs
 	s.DegradedMarked += other.DegradedMarked
 	s.DegradedCleared += other.DegradedCleared
+	s.Retargets += other.Retargets
 }
 
 type targetState uint8
@@ -215,6 +220,24 @@ type target struct {
 	rounds   int     // completed confirmation rounds while suspect
 	pending  int     // outstanding probes (any kind) for this target
 	answered bool    // ever seen alive from here (pong or observed traffic)
+	// seqs lists this target's probes still in flight; those of a target
+	// no longer monitored stay in flight as strays.
+	seqs []uint64
+}
+
+// distressed reports whether t is suspect or partway there (at least one
+// missed probe). The partition signal is computed over distressed targets
+// rather than confirmed suspects because suspicion spreads across one
+// round-robin cycle: with many targets, the first suspects of a cut
+// cohort would finish their confirm rounds and be declared before enough
+// of the cohort turned fully suspect to cross the threshold. Misses are
+// reset the moment a target answers anything (markAlive), so the broader
+// signal still collapses promptly once contact resumes.
+func (t *target) distressed() bool { return t.state == stateSuspect || t.missed > 0 }
+
+type expiry struct {
+	seq uint64
+	pr  probe
 }
 
 // probe is one in-flight probe: which target it checks, when it was
@@ -223,6 +246,7 @@ type target struct {
 // never sampled).
 type probe struct {
 	target   id.ID
+	owner    *target // the target the probe was sent for, monitored or gone
 	sentAt   time.Duration
 	deadline time.Duration
 	indirect bool
@@ -250,6 +274,15 @@ type Prober struct {
 	seq      uint64
 	inflight map[uint64]probe
 	helperAt int // rotates indirect-probe helper choice
+	// earliest is a lower bound on the in-flight deadlines: Tick looks for
+	// expiries only once it has passed. strays counts in-flight probes of
+	// gone targets, distressed the distressed targets, targetGen the
+	// targets the prober dropped itself (declared or unreachable).
+	earliest   time.Duration
+	strays     int
+	distressed int
+	targetGen  uint64
+	expired    []expiry // Tick's scratch
 
 	// Adaptive-timeout state (nil/unused without SetRTT). recent holds
 	// expired probes for a grace window so a late pong can still feed
@@ -322,6 +355,7 @@ func NewProber(cfg Config, self table.Ref) *Prober {
 		targets:  make(map[id.ID]*target),
 		tombs:    make(map[id.ID]bool),
 		inflight: make(map[uint64]probe),
+		earliest: math.MaxInt64,
 	}
 }
 
@@ -347,23 +381,46 @@ func (p *Prober) TargetCount() int { return len(p.targets) }
 // once).
 func (p *Prober) Partitioned() bool { return p.partitioned }
 
-// distressedCount returns how many targets are suspect or partway there
-// (at least one missed probe). The partition signal is computed over
-// distressed targets rather than confirmed suspects because suspicion
-// spreads across one round-robin cycle: with many targets, the first
-// suspects of a cut cohort would finish their confirm rounds and be
-// declared before enough of the cohort turned fully suspect to cross
-// the threshold. Misses are reset the moment a target answers anything
-// (markAlive), so the broader signal still collapses promptly once
-// contact resumes.
-func (p *Prober) distressedCount() int {
-	n := 0
-	for _, t := range p.targets {
-		if t.state == stateSuspect || t.missed > 0 {
-			n++
+// TargetGen moves whenever the prober drops a target itself, so that the
+// set last handed to SetTargets is no longer what is monitored.
+func (p *Prober) TargetGen() uint64 { return p.targetGen }
+
+// forget stops monitoring t; its probes still in flight become strays.
+func (p *Prober) forget(t *target) {
+	delete(p.targets, t.ref.ID)
+	if t.distressed() {
+		p.distressed--
+	}
+	p.strays += len(t.seqs)
+}
+
+// drop removes one probe from the in-flight set.
+func (p *Prober) drop(seq uint64, pr probe) {
+	delete(p.inflight, seq)
+	t := pr.owner
+	if i := slices.Index(t.seqs, seq); i >= 0 {
+		t.seqs = slices.Delete(t.seqs, i, i+1)
+	}
+	if p.strays > 0 && p.targets[pr.target] != t {
+		p.strays--
+	}
+}
+
+// orphan removes every in-flight probe for t's ID, so their expiry is
+// ignored: t's own, and the strays of a gone target t has replaced.
+func (p *Prober) orphan(t *target) {
+	for _, seq := range t.seqs {
+		delete(p.inflight, seq)
+	}
+	t.seqs = t.seqs[:0]
+	if p.strays == 0 {
+		return
+	}
+	for seq, pr := range p.inflight {
+		if pr.target == t.ref.ID {
+			p.drop(seq, pr)
 		}
 	}
-	return n
 }
 
 // updatePartitionMode re-evaluates the partitioned flag against the
@@ -375,14 +432,14 @@ func (p *Prober) updatePartitionMode(now time.Duration) {
 	n := len(p.targets)
 	frac := 0.0
 	if n > 0 {
-		frac = float64(p.distressedCount()) / float64(n)
+		frac = float64(p.distressed) / float64(n)
 	}
 	if !p.partitioned {
 		if n >= p.cfg.PartitionMinTargets && frac >= p.cfg.PartitionThreshold {
 			p.partitioned = true
 			p.stats.PartitionsEntered++
 			if p.sink != nil {
-				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindPartitionEnter, N: p.distressedCount()})
+				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindPartitionEnter, N: p.distressed})
 			}
 		}
 		return
@@ -394,7 +451,7 @@ func (p *Prober) updatePartitionMode(now time.Duration) {
 		p.partitioned = false
 		p.stats.PartitionsExited++
 		if p.sink != nil {
-			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindPartitionExit, N: p.distressedCount()})
+			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindPartitionExit, N: p.distressed})
 		}
 		// Evidence gathered while partitioned is tainted: a confirm probe
 		// cut by the split says nothing about its target. Every held
@@ -412,11 +469,7 @@ func (p *Prober) updatePartitionMode(now time.Duration) {
 			}
 			t.rounds = 0
 			t.pending = 0
-			for seq, pr := range p.inflight {
-				if pr.target == t.ref.ID {
-					delete(p.inflight, seq)
-				}
-			}
+			p.orphan(t)
 			p.confirmRound(t, now)
 		}
 	}
@@ -427,6 +480,7 @@ func (p *Prober) updatePartitionMode(now time.Duration) {
 // retained targets survives; vanished targets are forgotten; tombstoned
 // (declared) targets are never re-adopted.
 func (p *Prober) SetTargets(refs []table.Ref) {
+	p.stats.Retargets++
 	seen := make(map[id.ID]bool, len(refs))
 	changed := false
 	for _, r := range refs {
@@ -441,9 +495,9 @@ func (p *Prober) SetTargets(refs []table.Ref) {
 		p.targets[r.ID] = &target{ref: r, state: stateAlive}
 		changed = true
 	}
-	for x := range p.targets {
+	for x, t := range p.targets {
 		if !seen[x] {
-			delete(p.targets, x)
+			p.forget(t)
 			changed = true
 		}
 	}
@@ -457,7 +511,7 @@ func (p *Prober) rebuildCycle() {
 	for x := range p.targets {
 		p.cycle = append(p.cycle, x)
 	}
-	sort.Slice(p.cycle, func(i, j int) bool { return p.cycle[i].Less(p.cycle[j]) })
+	slices.SortFunc(p.cycle, id.ID.Compare)
 	if p.cycleAt >= len(p.cycle) {
 		p.cycleAt = 0
 	}
@@ -479,18 +533,16 @@ func (p *Prober) markAlive(t *target) {
 			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindRecovered, Peer: t.ref.ID.String()})
 		}
 	}
+	if t.distressed() {
+		p.distressed--
+	}
 	t.answered = true
 	t.state = stateAlive
 	t.missed = 0
 	t.susp = 0
 	t.rounds = 0
 	t.pending = 0
-	// Orphan the in-flight probes so their expiry is ignored.
-	for seq, pr := range p.inflight {
-		if pr.target == t.ref.ID {
-			delete(p.inflight, seq)
-		}
-	}
+	p.orphan(t)
 }
 
 // HandleMessage consumes a Ping or Pong addressed to this node and
@@ -546,7 +598,7 @@ func (p *Prober) HandleMessage(env msg.Envelope) []msg.Envelope {
 			}
 			break
 		}
-		delete(p.inflight, pm.Seq)
+		p.drop(pm.Seq, pr)
 		p.stats.PongsReceived++
 		p.sampleRTT(pr)
 		if p.sink != nil {
@@ -585,7 +637,8 @@ func RespondPing(self, from table.Ref, pm msg.Ping) []msg.Envelope {
 // the probes to transmit, the targets newly declared failed, and the
 // targets dropped as unreachable (never once seen alive from here). The
 // caller feeds declarations to core.Machine.DeclareFailed, unreachable
-// drops to core.Machine.DropUnreachable, and transmits all outputs.
+// drops to core.Machine.DropUnreachable, and transmits all outputs. out
+// is the prober's own buffer, valid until its next Tick or HandleMessage.
 func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreachable []table.Ref) {
 	p.out = p.out[:0]
 
@@ -598,27 +651,29 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 	// exit mid-sweep orphans held suspects' old probes and launches fresh
 	// rounds, and the orphaned expiries must not be charged against those
 	// fresh rounds.
-	type expiry struct {
-		seq uint64
-		pr  probe
-	}
-	expired := make([]expiry, 0, 4)
-	for seq, pr := range p.inflight {
-		if pr.deadline <= now {
-			expired = append(expired, expiry{seq, pr})
+	expired := p.expired[:0]
+	if p.earliest <= now {
+		p.earliest = math.MaxInt64
+		for seq, pr := range p.inflight {
+			if pr.deadline <= now {
+				expired = append(expired, expiry{seq, pr})
+			} else if pr.deadline < p.earliest {
+				p.earliest = pr.deadline
+			}
 		}
+		slices.SortFunc(expired, func(a, b expiry) int {
+			if c := a.pr.target.Compare(b.pr.target); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
 	}
-	sort.Slice(expired, func(i, j int) bool {
-		if expired[i].pr.target != expired[j].pr.target {
-			return expired[i].pr.target.Less(expired[j].pr.target)
-		}
-		return expired[i].seq < expired[j].seq
-	})
+	p.expired = expired
 	for _, e := range expired {
 		if _, ok := p.inflight[e.seq]; !ok {
 			continue // orphaned mid-sweep by a partition-mode exit
 		}
-		delete(p.inflight, e.seq)
+		p.drop(e.seq, e.pr)
 		p.remember(e.seq, e.pr)
 		t, ok := p.targets[e.pr.target]
 		if !ok {
@@ -630,6 +685,9 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 		}
 		switch t.state {
 		case stateAlive:
+			if t.missed == 0 {
+				p.distressed++
+			}
 			t.missed++
 			t.susp += p.missCharge(t)
 			if t.susp >= float64(p.cfg.SuspectAfter) {
@@ -674,7 +732,8 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 					// or our own side of a partition, may be the problem —
 					// so it is forgotten locally (no tombstone, no gossip)
 					// and welcome back the moment it answers.
-					delete(p.targets, t.ref.ID)
+					p.forget(t)
+					p.targetGen++
 					if p.est != nil {
 						p.est.Forget(t.ref.ID)
 					}
@@ -686,7 +745,8 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 					p.rebuildCycle()
 					continue
 				}
-				delete(p.targets, t.ref.ID)
+				p.forget(t)
+				p.targetGen++
 				if p.est != nil {
 					p.est.Forget(t.ref.ID)
 				}
@@ -739,10 +799,7 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 		}
 	}
 
-	out = make([]msg.Envelope, len(p.out))
-	copy(out, p.out)
-	p.out = p.out[:0]
-	return out, declared, unreachable
+	return p.out, declared, unreachable
 }
 
 // nextAlive advances the round-robin cursor to the next alive target.
@@ -918,12 +975,18 @@ func (p *Prober) sendProbe(t *target, via table.Ref, now time.Duration) {
 	if p.tracer != nil {
 		ctx = p.tracer.Root()
 	}
+	deadline := now + p.probeBudget(t, via)
 	p.inflight[p.seq] = probe{
 		target:   t.ref.ID,
+		owner:    t,
 		sentAt:   now,
-		deadline: now + p.probeBudget(t, via),
+		deadline: deadline,
 		indirect: !via.IsZero(),
 		ctx:      ctx,
+	}
+	t.seqs = append(t.seqs, p.seq)
+	if deadline < p.earliest {
+		p.earliest = deadline
 	}
 	t.pending++
 	if p.sink != nil {

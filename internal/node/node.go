@@ -102,6 +102,10 @@ type Node struct {
 	// targets and out are reused between Ticks.
 	targets []table.Ref
 	out     []msg.Envelope
+	// monitored is what the prober's targets were last built from: table
+	// version + 1, the machine's reverse-set generation, the prober's own
+	// target generation. Tick rebuilds them only when one has moved.
+	monitored [3]uint64
 }
 
 // New wraps m with the parts cfg selects and cross-wires them.
@@ -229,7 +233,10 @@ func (n *Node) Tick(now time.Duration) []msg.Envelope {
 	}
 	out := n.out[:0]
 	if n.prober != nil {
-		n.prober.SetTargets(n.probeTargets())
+		if at := [3]uint64{n.tbl.Version() + 1, n.m.ReverseGen(), n.prober.TargetGen()}; at != n.monitored {
+			n.monitored = at
+			n.prober.SetTargets(n.probeTargets())
+		}
 		probes, declared, unreachable := n.prober.Tick(now)
 		out = append(out, probes...)
 		for _, gone := range declared {
@@ -255,7 +262,7 @@ func (n *Node) Tick(now time.Duration) []msg.Envelope {
 func (n *Node) probeTargets() []table.Ref {
 	self := n.m.Self().ID
 	targets := n.targets[:0]
-	n.m.Table().ForEach(func(_, _ int, nb table.Neighbor) {
+	n.tbl.ForEach(func(_, _ int, nb table.Neighbor) {
 		if nb.ID != self {
 			targets = append(targets, nb.Ref())
 		}

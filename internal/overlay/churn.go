@@ -43,6 +43,7 @@ func (n *Network) FinalizeLeaves() []id.ID {
 		delete(n.nodes, x)
 		n.removed[x] = true
 	}
+	n.sorted = nil
 	return gone
 }
 
@@ -55,6 +56,7 @@ func (n *Network) InjectFailure(x id.ID) error {
 	}
 	delete(n.nodes, x)
 	n.removed[x] = true
+	n.sorted = nil
 	return nil
 }
 

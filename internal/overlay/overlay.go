@@ -232,7 +232,9 @@ type Network struct {
 	// nodes holds every live member: its machine plus the optional parts
 	// Config attaches, which every member gets alike (see internal/node).
 	nodes map[id.ID]*node.Node
-	parts node.Config
+	// sorted caches sortedIDs; nil after any change of membership.
+	sorted []id.ID
+	parts  node.Config
 	// joinersInFlight tracks joining machines not yet in system.
 	joinersInFlight map[id.ID]time.Duration // start time
 	joins           []JoinRecord
@@ -358,6 +360,7 @@ func (n *Network) addMachine(m *core.Machine) *node.Node {
 	nd := node.New(m, parts)
 	nd.Advance(n.engine.Now())
 	n.nodes[x] = nd
+	n.sorted = nil
 	return nd
 }
 
@@ -707,12 +710,14 @@ func (n *Network) tick() {
 
 // sortedIDs returns the live members' IDs in ascending order.
 func (n *Network) sortedIDs() []id.ID {
-	ids := make([]id.ID, 0, len(n.nodes))
-	for x := range n.nodes {
-		ids = append(ids, x)
+	if n.sorted == nil {
+		n.sorted = make([]id.ID, 0, len(n.nodes))
+		for x := range n.nodes {
+			n.sorted = append(n.sorted, x)
+		}
+		slices.SortFunc(n.sorted, id.ID.Compare)
 	}
-	slices.SortFunc(ids, id.ID.Compare)
-	return ids
+	return n.sorted
 }
 
 // machineNow is Machine for a node known to be live.

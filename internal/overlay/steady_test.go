@@ -1,0 +1,127 @@
+package overlay
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"hypercube/internal/antientropy"
+	"hypercube/internal/core"
+	"hypercube/internal/guard"
+	"hypercube/internal/id"
+	"hypercube/internal/liveness"
+	"hypercube/internal/msg"
+	"hypercube/internal/obs"
+	"hypercube/internal/sampling"
+)
+
+type countingSink struct{ events int }
+
+func (s *countingSink) Emit(obs.Event) { s.events++ }
+
+// steadyNetwork is the stack cmd/hypercubed ships by default (guard,
+// 2 s exchange timeout, failure detector, anti-entropy and peer sampling
+// all on their zero configs, an event sink attached) over 128 converged
+// nodes of the paper's ID space, warmed up for 10 virtual seconds.
+func steadyNetwork(t *testing.T) *Network {
+	t.Helper()
+	p := id.Params{B: 16, D: 40}
+	rng := rand.New(rand.NewSource(1))
+	net := New(Config{
+		Params:      p,
+		Opts:        core.Options{Guard: &guard.Policy{}, Timeouts: core.Timeouts{RetryAfter: 2 * time.Second}},
+		Latency:     HashedUniformLatency(5*time.Millisecond, 120*time.Millisecond, 1),
+		Liveness:    &liveness.Config{},
+		AntiEntropy: &antientropy.Config{},
+		Sampling:    &sampling.Config{Seed: 1},
+		Sink:        &countingSink{},
+	})
+	net.BuildDirect(RandomRefs(p, 128, rng, nil), rng)
+	net.RunFor(10 * time.Second)
+	if v := net.CheckConsistency(); len(v) > 0 {
+		t.Fatalf("%d violations after the warm-up", len(v))
+	}
+	return net
+}
+
+// TestSteadyTickAllocBudget bounds what a fault-free network costs to
+// keep: allocations per node per 50 ms pump tick — everything the tick
+// sends and everything delivering it causes included — and the rule
+// that a tick in which nothing changed rebuilds no monitoring set.
+// Measured: 1.9 per node-tick, all of it messages and their events
+// (boxed pings and pongs, sync digests, pull replies, rendered IDs);
+// 10.9 when every tick also walked the table, copied the reverse set
+// and re-diffed the prober's targets. The budget is ~1.5x the former.
+func TestSteadyTickAllocBudget(t *testing.T) {
+	const virtual, budget = 10 * time.Second, 3.0
+	net := steadyNetwork(t)
+	rebuilds := net.LivenessStats().Retargets
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net.RunFor(virtual)
+	runtime.ReadMemStats(&after)
+
+	nodeTicks := float64(net.Size()) * float64(virtual/net.tickInterval())
+	perTick := float64(after.Mallocs-before.Mallocs) / nodeTicks
+	t.Logf("%.2f allocations per node-tick", perTick)
+	if perTick > budget {
+		t.Errorf("%.2f allocations per node-tick, budget %.1f", perTick, budget)
+	}
+	if got := net.LivenessStats().Retargets - rebuilds; got != 0 {
+		t.Errorf("%d monitoring sets rebuilt in %v without a fault, want 0", got, virtual)
+	}
+}
+
+// TestSteadyTrafficMatchesCadences audits the fault-free message volume
+// by type against what the configured cadences say it should be
+// (ROADMAP 3c; DESIGN.md "Steady-state traffic" has the table): one
+// probe per ProbeInterval and its answer, one digest exchange per
+// anti-entropy Interval, and per sampling Interval α·l pushes, β·l pull
+// requests and their replies. Nothing else may be sent at all.
+func TestSteadyTrafficMatchesCadences(t *testing.T) {
+	const (
+		virtual       = 20 * time.Second
+		probeInterval = 250 * time.Millisecond // liveness.Config default
+		syncInterval  = 2 * time.Second        // antientropy.Config default
+		roundInterval = time.Second            // sampling.Config default
+		pushes, pulls = 7, 7                   // round(0.45 * 16): α·l and β·l at the default view size
+	)
+	net := steadyNetwork(t)
+	traffic0, live0, samp0 := net.AggregateTraffic(), net.LivenessStats(), net.SamplingStats()
+	net.RunFor(virtual)
+	traffic, live, samp := net.AggregateTraffic(), net.LivenessStats(), net.SamplingStats()
+
+	nodeSeconds := float64(net.Size()) * virtual.Seconds()
+	per := func(d time.Duration) float64 { return 1 / d.Seconds() }
+	sentBy := func(ty msg.Type) int { return traffic.SentOf(ty) - traffic0.SentOf(ty) }
+	rows := []struct {
+		name string
+		sent int
+		want float64 // per node-second
+	}{
+		{"Ping", live.ProbesSent + live.IndirectSent - live0.ProbesSent - live0.IndirectSent, per(probeInterval)},
+		{"Pong", live.PongsReceived - live0.PongsReceived, per(probeInterval)},
+		{"SyncReq", sentBy(msg.TSyncReq), per(syncInterval)},
+		{"SyncRly", sentBy(msg.TSyncRly), per(syncInterval)},
+		{"SamplePush", samp.PushesSent - samp0.PushesSent, pushes * per(roundInterval)},
+		{"SamplePullReq", samp.PullsSent - samp0.PullsSent, pulls * per(roundInterval)},
+		{"SamplePullRly", samp.PullsAnswered - samp0.PullsAnswered, pulls * per(roundInterval)},
+	}
+	for _, r := range rows {
+		got := float64(r.sent) / nodeSeconds
+		t.Logf("%-14s %6.3f per node-second, cadence says %6.3f", r.name, got, r.want)
+		// A window of 20 s cuts each node's stagger phase somewhere, which
+		// is worth up to one round in twenty.
+		if math.Abs(got-r.want) > 0.05*r.want {
+			t.Errorf("%s: %.3f per node-second, cadence says %.3f", r.name, got, r.want)
+		}
+	}
+	for ty := msg.TCpRst; ty <= msg.TSamplePullRly; ty++ {
+		if ty != msg.TSyncReq && ty != msg.TSyncRly && sentBy(ty) != 0 {
+			t.Errorf("%d %v sent by the machines of a converged, fault-free network", sentBy(ty), ty)
+		}
+	}
+}

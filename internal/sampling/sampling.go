@@ -25,7 +25,7 @@
 package sampling
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"hypercube/internal/id"
@@ -105,44 +105,48 @@ func (s *Stats) Add(other Stats) {
 	s.SamplerFill += other.SamplerFill
 }
 
-// sampler is one min-wise independent sampler: a fixed random hash seed
-// and the reference with the minimum hash observed so far.
+// sampler is one min-wise independent sampler: a fixed random hash
+// function and the reference with the minimum hash observed so far.
 type sampler struct {
-	seed uint64
-	min  uint64
-	cur  table.Ref
-}
-
-func (s *sampler) observe(r table.Ref) {
-	h := hashID(s.seed, r.ID)
-	if s.cur.IsZero() || h < s.min {
-		s.min, s.cur = h, r
-	}
+	state uint64 // seedState of the sampler's seed: hashID's per-slot half
+	min   uint64
+	cur   table.Ref
 }
 
 func (s *sampler) reset() {
 	s.min, s.cur = 0, table.Ref{}
 }
 
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
 // hashID is FNV-1a over the sampler seed and the ID's raw digits — a
 // cheap stand-in for the min-wise independent hash family; the seed is
 // drawn per sampler at engine birth and unknown to remote peers.
 func hashID(seed uint64, x id.ID) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
+	var buf [64]byte
+	return hashDigits(seedState(seed), x.AppendRawDigits(buf[:0]))
+}
+
+// seedState runs hashID's first half, over the eight bytes of seed.
+func seedState(seed uint64) uint64 {
 	h := uint64(offset64)
 	for i := 0; i < 8; i++ {
 		h ^= seed >> (8 * i) & 0xff
 		h *= prime64
 	}
-	var buf [64]byte
-	for _, b := range x.AppendRawDigits(buf[:0]) {
-		h ^= uint64(b)
-		h *= prime64
-	}
 	return h
+}
+
+// hashDigits runs hashID's second half, from state over an ID's digits.
+func hashDigits(state uint64, raw []byte) uint64 {
+	for _, b := range raw {
+		state ^= uint64(b)
+		state *= prime64
+	}
+	return state
 }
 
 // rng is a small deterministic PRNG (splitmix64). The engine cannot use
@@ -173,7 +177,14 @@ type Engine struct {
 	self table.Ref
 	rnd  rng
 
-	view     []table.Ref
+	view []table.Ref
+	// sorted is View's answer until the view changes; in-flight pull
+	// replies share it, so it is replaced, never rewritten. The rest is
+	// scratch reused between rounds: the next view's buffer, the shuffle
+	// pool, pickRandom's draw and Tick's result.
+	sorted, spare, pool, picked []table.Ref
+	out                         []msg.Envelope
+
 	pushBuf  map[id.ID]table.Ref
 	pullBuf  map[id.ID]table.Ref
 	pullFrom map[id.ID]bool
@@ -210,7 +221,7 @@ func New(cfg Config, self table.Ref) *Engine {
 		first:    true,
 	}
 	for i := range e.samplers {
-		e.samplers[i].seed = e.rnd.next()
+		e.samplers[i].state = seedState(e.rnd.next())
 	}
 	return e
 }
@@ -262,13 +273,20 @@ func (e *Engine) SeedPeers(refs ...table.Ref) {
 		e.observe(r)
 		if len(e.view) < e.cfg.ViewSize && !refsContain(e.view, r.ID) {
 			e.view = append(e.view, r)
+			e.sorted = nil
 		}
 	}
 }
 
+// observe offers r to every sampler, reading its digits once.
 func (e *Engine) observe(r table.Ref) {
+	var buf [64]byte
+	raw := r.ID.AppendRawDigits(buf[:0])
 	for i := range e.samplers {
-		e.samplers[i].observe(r)
+		s := &e.samplers[i]
+		if h := hashDigits(s.state, raw); s.cur.IsZero() || h < s.min {
+			s.min, s.cur = h, r
+		}
 	}
 }
 
@@ -328,8 +346,9 @@ func (e *Engine) Deliver(env msg.Envelope) []msg.Envelope {
 }
 
 // Tick runs at most one push-pull round when the round period elapsed,
-// returning the envelopes to transmit. The first round is staggered per
-// node so a synchronized start does not thundering-herd the network.
+// returning the envelopes to transmit, in a buffer the next round
+// reuses. The first round is staggered per node so a synchronized start
+// does not thundering-herd the network.
 func (e *Engine) Tick(now time.Duration) []msg.Envelope {
 	if e.first {
 		e.first = false
@@ -360,12 +379,13 @@ func (e *Engine) round() []msg.Envelope {
 			e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSampleFlood, N: len(e.pushBuf)})
 		}
 	} else if len(e.pushBuf) > 0 && len(e.pullBuf) > 0 {
-		fresh := make([]table.Ref, 0, e.cfg.ViewSize)
-		fresh = e.appendRandom(fresh, mapRefs(e.pushBuf), alpha)
-		fresh = e.appendRandom(fresh, mapRefs(e.pullBuf), beta)
+		fresh := e.spare[:0]
+		fresh = e.appendRandom(fresh, e.mapRefs(e.pushBuf), alpha)
+		fresh = e.appendRandom(fresh, e.mapRefs(e.pullBuf), beta)
 		fresh = e.appendRandom(fresh, e.history(), gamma)
+		e.spare = fresh
 		if len(fresh) > 0 {
-			e.view = fresh
+			e.view, e.spare, e.sorted = fresh, e.view, nil
 		}
 	}
 	clear(e.pushBuf)
@@ -388,7 +408,7 @@ func (e *Engine) round() []msg.Envelope {
 	if e.tracer != nil {
 		ctx = e.tracer.Root()
 	}
-	var out []msg.Envelope
+	out := e.out[:0]
 	for _, to := range e.pickRandom(e.view, alpha) {
 		out = append(out, e.traced(msg.Envelope{From: e.self, To: to, Msg: msg.SamplePush{}}, ctx))
 		e.stats.PushesSent++
@@ -401,6 +421,7 @@ func (e *Engine) round() []msg.Envelope {
 	if e.sink != nil {
 		e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSampleRound, N: len(e.view)}.Stamped(ctx, trace.SpanID{}))
 	}
+	e.out = out
 	return out
 }
 
@@ -429,6 +450,7 @@ func (e *Engine) sweep() {
 			kept = append(kept, r)
 		} else {
 			e.stats.Ejected++
+			e.sorted = nil
 		}
 	}
 	e.view = kept
@@ -447,6 +469,7 @@ func (e *Engine) Invalidate(x id.ID) {
 	for _, r := range e.view {
 		if r.ID == x {
 			e.stats.Ejected++
+			e.sorted = nil
 			continue
 		}
 		kept = append(kept, r)
@@ -464,12 +487,15 @@ func (e *Engine) Invalidate(x id.ID) {
 }
 
 // View returns the current view, ascending by ID (the canonical wire
-// order of SamplePullRly).
+// order of SamplePullRly). Calls between view changes return the same
+// slice; callers must not modify it.
 func (e *Engine) View() []table.Ref {
-	out := make([]table.Ref, len(e.view))
-	copy(out, e.view)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out
+	if e.sorted == nil {
+		e.sorted = make([]table.Ref, len(e.view))
+		copy(e.sorted, e.view)
+		slices.SortFunc(e.sorted, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
+	}
+	return e.sorted
 }
 
 // Sample returns up to k distinct references from the min-wise samplers
@@ -521,11 +547,11 @@ func (e *Engine) appendRandom(dst, pool []table.Ref, n int) []table.Ref {
 	return dst
 }
 
-// pickRandom returns up to n distinct random entries of view.
+// pickRandom returns up to n distinct random entries of view (e.picked).
 func (e *Engine) pickRandom(view []table.Ref, n int) []table.Ref {
-	pool := make([]table.Ref, len(view))
-	copy(pool, view)
-	var out []table.Ref
+	pool := append(e.pool[:0], view...)
+	e.pool = pool
+	out := e.picked[:0]
 	for n > 0 && len(pool) > 0 {
 		i := e.rnd.intn(len(pool))
 		out = append(out, pool[i])
@@ -533,28 +559,31 @@ func (e *Engine) pickRandom(view []table.Ref, n int) []table.Ref {
 		pool = pool[:len(pool)-1]
 		n--
 	}
+	e.picked = out
 	return out
 }
 
-// history returns the sampler contents as a shuffle pool.
+// history returns the sampler contents as a shuffle pool (e.pool).
 func (e *Engine) history() []table.Ref {
-	var out []table.Ref
+	out := e.pool[:0]
 	for i := range e.samplers {
 		if cur := e.samplers[i].cur; !cur.IsZero() {
 			out = append(out, cur)
 		}
 	}
+	e.pool = out
 	return out
 }
 
-// mapRefs flattens a buffer map in deterministic (sorted) order so the
-// subsequent random draws replay identically under a fixed seed.
-func mapRefs(m map[id.ID]table.Ref) []table.Ref {
-	out := make([]table.Ref, 0, len(m))
+// mapRefs flattens a buffer map into e.pool in deterministic (sorted)
+// order so the random draws replay identically under a fixed seed.
+func (e *Engine) mapRefs(m map[id.ID]table.Ref) []table.Ref {
+	out := e.pool[:0]
 	for _, r := range m {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
+	slices.SortFunc(out, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
+	e.pool = out
 	return out
 }
 

@@ -212,3 +212,71 @@ func TestByzantinePushFloodConvergence(t *testing.T) {
 		t.Error("soak is not deterministic under fixed seeds")
 	}
 }
+
+// hashIDOracle is hashID as it stood before the seed's half of the hash
+// was computed once per sampler: the whole FNV-1a run, seed bytes then
+// digits, for every (sampler, ID) pair.
+func hashIDOracle(seed uint64, x id.ID) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < 8; i++ {
+		h ^= seed >> (8 * i) & 0xff
+		h *= prime64
+	}
+	var buf [64]byte
+	for _, b := range x.AppendRawDigits(buf[:0]) {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return h
+}
+
+// TestSplitHashMatchesOracle checks the split hash against the oracle
+// over random seeds and IDs, including IDs longer than the 64-byte
+// stack buffer.
+func TestSplitHashMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, p := range []id.Params{{B: 2, D: 1}, {B: 16, D: 8}, {B: 16, D: 40}, {B: 36, D: 64}, {B: 16, D: 65}, {B: 36, D: 200}} {
+		for i := 0; i < 200; i++ {
+			seed, x := rng.Uint64(), id.Random(p, rng)
+			want := hashIDOracle(seed, x)
+			if got := hashDigits(seedState(seed), x.AppendRawDigits(nil)); got != want {
+				t.Fatalf("b=%d d=%d seed %#x id %v: split hash %#x, oracle %#x", p.B, p.D, seed, x, got, want)
+			}
+			if got := hashID(seed, x); got != want {
+				t.Fatalf("b=%d d=%d seed %#x id %v: hashID %#x, oracle %#x", p.B, p.D, seed, x, got, want)
+			}
+		}
+	}
+}
+
+// TestSamplersKeepOracleMinimum replays the engine's seed draws and
+// checks that, after a stream of observations, every sampler holds the
+// first reference with the minimum oracle hash under its own seed.
+func TestSamplersKeepOracleMinimum(t *testing.T) {
+	p := id.Params{B: 16, D: 70}
+	r := rand.New(rand.NewSource(3))
+	self := table.Ref{ID: id.Random(p, r), Addr: "sim://self"}
+	e := New(Config{Seed: 99}, self)
+	draws := rng{state: uint64(99) ^ hashIDOracle(0x5a11, self.ID)}
+	var refs []table.Ref
+	for i := 0; i < 300; i++ {
+		refs = append(refs, table.Ref{ID: id.Random(p, r), Addr: fmt.Sprint("sim://", i)})
+	}
+	e.SeedPeers(refs...)
+	for i := range e.samplers {
+		seed := draws.next()
+		want := refs[0]
+		for _, r := range refs[1:] {
+			if hashIDOracle(seed, r.ID) < hashIDOracle(seed, want.ID) {
+				want = r
+			}
+		}
+		if got := e.samplers[i].cur; got != want {
+			t.Errorf("sampler %d holds %v, oracle minimum is %v", i, got.ID, want.ID)
+		}
+	}
+}

@@ -263,8 +263,8 @@ func (t *Table) String() string {
 type Snapshot struct {
 	params  id.Params
 	owner   id.ID
-	lo, hi  int // inclusive level range; hi < lo means empty
-	entries []Neighbor
+	lo, hi  int        // inclusive level range; hi < lo means empty
+	entries []Neighbor // (hi-lo+1)*b cells, or none when all are empty
 }
 
 // NewSnapshot assembles a snapshot from explicit parts — the inverse of a
@@ -341,7 +341,7 @@ func (s Snapshot) IsZero() bool { return s.owner.IsNull() }
 // Get returns the (level,digit)-entry, or the zero Neighbor if the entry
 // is empty or outside the captured level range.
 func (s Snapshot) Get(level, digit int) Neighbor {
-	if level < s.lo || level > s.hi || digit < 0 || digit >= s.params.B {
+	if level < s.lo || level > s.hi || digit < 0 || digit >= s.params.B || len(s.entries) == 0 {
 		return Neighbor{}
 	}
 	return s.entries[(level-s.lo)*s.params.B+digit]
@@ -372,7 +372,7 @@ func (s Snapshot) FilledCount() int {
 // the cost accounting of §5.2. Each filled entry costs the ID digits plus
 // a 6-byte address and a state byte; empty entries cost one presence bit.
 func (s Snapshot) WireSize() int {
-	bits := len(s.entries)
+	bits := (s.hi - s.lo + 1) * s.params.B
 	filled := s.FilledCount()
 	return (bits+7)/8 + filled*(s.params.D+6+1)
 }
@@ -404,7 +404,7 @@ func (s Snapshot) Filtered(mask BitVector, keepFrom int) Snapshot {
 // converged tables it is empty, and after a partition heals it shrinks to
 // nothing as the anti-entropy rounds progress.
 func (s Snapshot) MissingIn(peer id.ID, fill BitVector) Snapshot {
-	out := make([]Neighbor, len(s.entries))
+	var out []Neighbor // allocated at the first missing occupant
 	for i, e := range s.entries {
 		if e.IsZero() || e.ID == peer {
 			continue
@@ -414,6 +414,9 @@ func (s Snapshot) MissingIn(peer id.ID, fill BitVector) Snapshot {
 			continue // e is peer itself under a different address
 		}
 		if !fill.Get(k*s.params.B + e.ID.Digit(k)) {
+			if out == nil {
+				out = make([]Neighbor, len(s.entries))
+			}
 			out[i] = e
 		}
 	}
