@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race loc bench bench-smoke bench-all bench-wire bench-join bench-liveness vet fmt lint cover experiments trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
+.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
 
 all: build lint test fuzz-smoke nemesis-smoke bench-smoke
 
@@ -26,13 +26,16 @@ race:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
-# bench runs the three pinned suites (wire codec, join waves, failure
-# detection). Each regenerates its BENCH_*.json snapshot — stamped with
-# the git commit, UTC date, and go version — and appends the same run to
-# BENCH_history.jsonl, the one-line-per-run log that lets a regression
-# be bisected across commits. `bench-all` is the old sweep of every
-# benchmark in the module, without recording.
-bench: bench-wire bench-join bench-liveness
+# bench runs the repository benchmark (./bench, BENCHMARK.json) at its
+# own run length, one workload after another; each prints its metrics as
+# one JSON line. `bench-all` sweeps every `go test` benchmark in the
+# module — the paper-evaluation harness in bench_test.go and the few
+# micro-benchmarks ./bench has no probe for — without recording.
+bench:
+	$(GO) run ./bench --workload sim_join_paper
+	$(GO) run ./bench --workload sim_maintain_crash
+	$(GO) run ./bench --workload sim_lookup
+	$(GO) run ./bench --workload tcp_join_fleet
 
 bench-all:
 	$(GO) test -bench . -benchmem ./...
@@ -46,36 +49,6 @@ bench-smoke:
 	$(GO) vet ./bench
 	$(GO) run ./bench --workload sim_maintain_crash --seconds 2
 	$(GO) run ./bench --workload sim_join_paper --seconds 2
-
-# bench-wire pins the wire-codec suite (binary vs gob encode/decode plus
-# frame coalescing) and records ns/op, B/op, allocs/op, and bytes-on-wire
-# into BENCH_wire.json for regression comparison across PRs.
-bench-wire:
-	$(GO) test -run '^$$' -bench 'BenchmarkWire|BenchmarkFrame' -benchmem \
-		./internal/transport/tcptransport | tee /tmp/bench_wire.txt
-	$(GO) run ./cmd/benchjson -suite wire -history BENCH_history.jsonl \
-		< /tmp/bench_wire.txt > BENCH_wire.json
-
-# bench-join pins the concurrent join-wave suite (paper-scale and
-# flash-crowd-scale waves, plus the tracing-overhead guardrail with its
-# sampling-off/sampling-on causal-tracing variants) and records ns/op
-# plus mean JoinNotiMsg per join into BENCH_join.json for regression
-# comparison across PRs.
-bench-join:
-	$(GO) test -run '^$$' -bench 'BenchmarkJoinWave' -benchmem . | tee /tmp/bench_join.txt
-	$(GO) run ./cmd/benchjson -suite join -history BENCH_history.jsonl \
-		< /tmp/bench_join.txt > BENCH_join.json
-
-# bench-liveness pins the failure-detection suite: virtual
-# crash-to-declaration latency (the custom detect-ms metric) for the
-# fixed and adaptive probers, plus the per-tick CPU cost of the
-# estimator-backed probe path, recorded into BENCH_liveness.json for
-# regression comparison across PRs.
-bench-liveness:
-	$(GO) test -run '^$$' -bench 'BenchmarkDetection|BenchmarkProbeTick' -benchmem \
-		./internal/liveness | tee /tmp/bench_liveness.txt
-	$(GO) run ./cmd/benchjson -suite liveness -history BENCH_history.jsonl \
-		< /tmp/bench_liveness.txt > BENCH_liveness.json
 
 vet:
 	$(GO) vet ./...
@@ -116,8 +89,6 @@ experiments:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse$$ -fuzztime $(FUZZTIME) ./internal/id
 	$(GO) test -run '^$$' -fuzz FuzzParseSuffix -fuzztime $(FUZZTIME) ./internal/id
-	$(GO) test -run '^$$' -fuzz FuzzDecodeWire -fuzztime $(FUZZTIME) ./internal/transport/tcptransport
-	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/transport/tcptransport
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzMachineDeliver -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzValidateMatchesOracle -fuzztime $(FUZZTIME) ./internal/table

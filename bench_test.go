@@ -21,7 +21,6 @@ package hypercube
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -30,7 +29,6 @@ import (
 	"hypercube/internal/baseline"
 	"hypercube/internal/core"
 	"hypercube/internal/id"
-	"hypercube/internal/obs"
 	"hypercube/internal/overlay"
 	"hypercube/internal/table"
 	"hypercube/internal/topology"
@@ -554,79 +552,4 @@ func BenchmarkWorkload(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkJoinWave pins the cost of concurrent join waves at two
-// scales — the paper's 128/96 wave and a flash-crowd-sized wave of 256
-// joiners into a 256-node network — reporting the mean JoinNotiMsg per
-// join alongside runtime cost. The Makefile's bench-join target records
-// the numbers into BENCH_join.json for regression comparison across PRs.
-func BenchmarkJoinWave(b *testing.B) {
-	scales := []struct {
-		name string
-		n, m int
-	}{
-		{"n128_m96", 128, 96},
-		{"n256_m256", 256, 256},
-	}
-	for _, sc := range scales {
-		b.Run(sc.name, func(b *testing.B) {
-			var joinNoti float64
-			for i := 0; i < b.N; i++ {
-				res, err := overlay.RunWave(overlay.WaveConfig{
-					Params: id.Params{B: 16, D: 4}, N: sc.n, M: sc.m, Seed: int64(i) + 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllSNodes || !res.Consistent() {
-					b.Fatal("wave did not complete consistently")
-				}
-				joinNoti += res.MeanJoinNoti()
-			}
-			b.ReportMetric(joinNoti/float64(b.N), "joinnoti/join")
-		})
-	}
-}
-
-// BenchmarkJoinWaveTraced is the observability-overhead guardrail: the
-// same 128-node/96-join wave with no sink (the nil fast path every
-// emit site takes by default), with the explicit Nop sink (normalized
-// to nil by SetSink), and with a real JSONL sink writing to io.Discard
-// (full event construction + marshalling). The untraced and nop
-// variants must stay within noise of each other; jsonl-discard bounds
-// the worst-case cost of turning tracing on. The sampled variants add
-// causal tracing on top of the JSONL sink: sampled-0 installs tracers
-// whose head-sampling rejects every root (the sampling-off hot path —
-// one threshold check per operation root, zero span allocation; must
-// stay within noise of jsonl-discard), while sampled-1 traces every
-// operation and bounds the full span-propagation + v2-trailer cost.
-func BenchmarkJoinWaveTraced(b *testing.B) {
-	run := func(b *testing.B, sink obs.Sink, sample float64) {
-		for i := 0; i < b.N; i++ {
-			res, err := overlay.RunWave(overlay.WaveConfig{
-				Params: id.Params{B: 16, D: 4}, N: 128, M: 96, Seed: 11, Sink: sink,
-				TraceSample: sample, TraceSeed: 11,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.AllSNodes {
-				b.Fatal("wave did not complete")
-			}
-		}
-	}
-	b.Run("untraced", func(b *testing.B) { run(b, nil, 0) })
-	b.Run("nop", func(b *testing.B) { run(b, obs.Nop, 0) })
-	b.Run("jsonl-discard", func(b *testing.B) {
-		run(b, obs.NewJSONL(io.Discard), 0)
-	})
-	// 1e-12*2^32 truncates to a zero sampling threshold: tracers exist
-	// on every node but never sample, exercising the guardrail path.
-	b.Run("sampled-0", func(b *testing.B) {
-		run(b, obs.NewJSONL(io.Discard), 1e-12)
-	})
-	b.Run("sampled-1", func(b *testing.B) {
-		run(b, obs.NewJSONL(io.Discard), 1)
-	})
 }

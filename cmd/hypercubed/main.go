@@ -89,7 +89,6 @@ func run() error {
 		queue    = flag.Int("queue-limit", 0, "per-peer outbound queue bound")
 
 		// Hostile-input hardening knobs (0 keeps the transport default).
-		codecName  = flag.String("codec", "binary", "outbound frame codec: binary or gob (inbound auto-detects; gob is a one-release fallback)")
 		flushDelay = flag.Duration("flush-delay", 0, "how long a peer's writer lingers to coalesce envelopes into one frame (0 = flush immediately)")
 
 		maxFrame     = flag.Int("max-frame", 0, "largest accepted inbound wire frame in bytes")
@@ -168,18 +167,7 @@ func run() error {
 		sinks = append(sinks, obs.NewSlogSink(log))
 	}
 
-	var codec tcptransport.Codec
-	switch *codecName {
-	case "binary":
-		codec = tcptransport.CodecBinary
-	case "gob":
-		codec = tcptransport.CodecGob
-	default:
-		return fmt.Errorf("-codec: unknown codec %q (want binary or gob)", *codecName)
-	}
-
 	options := []tcptransport.Option{tcptransport.WithConfig(tcptransport.Config{
-		Codec:             codec,
 		FlushDelay:        *flushDelay,
 		MaxAttempts:       *attempts,
 		BaseBackoff:       *backoff,

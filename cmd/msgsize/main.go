@@ -16,7 +16,6 @@ import (
 	"hypercube/internal/msg"
 	"hypercube/internal/overlay"
 	"hypercube/internal/table"
-	"hypercube/internal/transport/tcptransport"
 	"hypercube/internal/wire"
 )
 
@@ -27,7 +26,7 @@ func main() {
 		n        = flag.Int("n", 500, "initial network size")
 		m        = flag.Int("m", 200, "concurrent joiners")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		wireMode = flag.Bool("wire", false, "compare per-kind encoded bytes: gob vs binary codec vs the WireSize estimate")
+		wireMode = flag.Bool("wire", false, "print per-kind encoded bytes on the wire next to the WireSize estimate")
 	)
 	flag.Parse()
 	p := id.Params{B: *b, D: *d}
@@ -86,7 +85,7 @@ func main() {
 }
 
 // wireReport encodes one representative envelope per message kind with
-// both transport codecs and prints the encoded sizes next to the
+// the transport's codec and prints the encoded size next to the
 // WireSize estimate the simulator's traffic accounting uses.
 func wireReport(p id.Params) error {
 	from, to, snap, fill, err := wireSamples(p)
@@ -118,25 +117,17 @@ func wireReport(p id.Params) error {
 		msg.SyncPush{Table: snap},
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "kind\tgob bytes\tbinary bytes\tbinary/gob\testimate (WireSize)")
-	totalGob, totalBin := 0, 0
+	fmt.Fprintln(w, "kind\tbinary bytes\testimate (WireSize)")
+	total := 0
 	for _, m := range messages {
-		env := msg.Envelope{From: from, To: refB, Msg: m}
-		gobPayload, err := tcptransport.EncodeGobPayload(env)
+		payload, err := wire.EncodePayload(p, msg.Envelope{From: from, To: refB, Msg: m})
 		if err != nil {
-			return fmt.Errorf("%v: gob: %w", m.Type(), err)
+			return fmt.Errorf("%v: %w", m.Type(), err)
 		}
-		binPayload, err := wire.EncodePayload(p, env)
-		if err != nil {
-			return fmt.Errorf("%v: binary: %w", m.Type(), err)
-		}
-		totalGob += len(gobPayload)
-		totalBin += len(binPayload)
-		fmt.Fprintf(w, "%v\t%d\t%d\t%.2f\t%d\n",
-			m.Type(), len(gobPayload), len(binPayload),
-			float64(len(binPayload))/float64(len(gobPayload)), m.WireSize())
+		total += len(payload)
+		fmt.Fprintf(w, "%v\t%d\t%d\n", m.Type(), len(payload), m.WireSize())
 	}
-	fmt.Fprintf(w, "total\t%d\t%d\t%.2f\t\n", totalGob, totalBin, float64(totalBin)/float64(totalGob))
+	fmt.Fprintf(w, "total\t%d\t\n", total)
 	return w.Flush()
 }
 

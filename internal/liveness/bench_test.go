@@ -2,9 +2,9 @@ package liveness
 
 // Detection benchmarks for the gray-failure arc: they pin the virtual
 // crash-to-declaration latency of the fixed and adaptive probers on a
-// learned-fast link (the custom detect-ms metric, recorded into
-// BENCH_liveness.json by `make bench-liveness`) and the per-tick CPU
-// cost of the estimator-backed probe path.
+// learned-fast link (the custom detect-ms metric) and the per-tick CPU
+// cost of the estimator-backed probe path. Run with
+// `go test -run '^$' -bench . ./internal/liveness`.
 
 import (
 	"fmt"

@@ -1,0 +1,175 @@
+package trace_test
+
+import (
+	"testing"
+
+	"hypercube/internal/id"
+	"hypercube/internal/msg"
+	"hypercube/internal/table"
+	"hypercube/internal/trace"
+	"hypercube/internal/wire"
+)
+
+var (
+	someTrace = trace.TraceID{0: 0x01, 15: 0xfe}
+	someSpan  = trace.SpanID{0: 0x02, 7: 0xfd}
+)
+
+// A context is live when its trace ID is non-zero, and a live context
+// must name a span. The wire trailer is where that rule is enforced
+// against peers, so the two must agree: the decoder accepts a traced
+// trailer exactly when the context it carries is sampled with a span.
+func TestContextValidityMatchesWireTrailer(t *testing.T) {
+	p := id.Params{B: 16, D: 3}
+	env := msg.Envelope{
+		From:  table.Ref{ID: id.MustParse(p, "a11"), Addr: "a:1"},
+		To:    table.Ref{ID: id.MustParse(p, "b20"), Addr: "b:2"},
+		Msg:   msg.JoinWait{},
+		Trace: trace.Context{Trace: someTrace, Span: someSpan},
+	}
+	good, err := wire.EncodePayload(p, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.NewDeterministicGen(7)
+	tracer := trace.NewTracer(gen, 1)
+	root := tracer.Root()
+	cases := []struct {
+		name    string
+		ctx     trace.Context
+		sampled bool
+	}{
+		{"zero", trace.Context{}, false},
+		{"span without trace", trace.Context{Span: someSpan}, false},
+		{"trace without span", trace.Context{Trace: someTrace}, true},
+		{"trace and span", trace.Context{Trace: someTrace, Span: someSpan}, true},
+		{"tracer root", root, true},
+		{"tracer child", tracer.Child(root), true},
+	}
+	for _, tc := range cases {
+		if got := tc.ctx.Sampled(); got != tc.sampled {
+			t.Errorf("%s: Sampled() = %v, want %v", tc.name, got, tc.sampled)
+		}
+		// Overwrite the traced trailer (flags byte 1, trace ID, span ID —
+		// the payload's last bytes) with this context.
+		payload := append([]byte(nil), good...)
+		trailer := payload[len(payload)-len(tc.ctx.Trace)-len(tc.ctx.Span):]
+		copy(trailer, tc.ctx.Trace[:])
+		copy(trailer[len(tc.ctx.Trace):], tc.ctx.Span[:])
+		back, err := wire.DecodeOne(p, payload)
+		valid := tc.ctx.Sampled() && !tc.ctx.Span.IsZero()
+		if (err == nil) != valid {
+			t.Errorf("%s: wire decode error %v, but context valid = %v", tc.name, err, valid)
+		}
+		if err == nil && back.Trace != tc.ctx {
+			t.Errorf("%s: context changed on the wire: %+v", tc.name, back.Trace)
+		}
+	}
+}
+
+func TestIDStringParseRoundTrip(t *testing.T) {
+	gen := trace.NewDeterministicGen(3)
+	for _, x := range []trace.TraceID{{}, someTrace, gen.TraceID(), trace.NewRandomGen().TraceID()} {
+		s := x.String()
+		if len(s) != 32 {
+			t.Errorf("trace ID renders as %q, want 32 hex digits", s)
+		}
+		if back, err := trace.ParseTraceID(s); err != nil || back != x {
+			t.Errorf("ParseTraceID(%q) = %v, %v", s, back, err)
+		}
+	}
+	for _, x := range []trace.SpanID{{}, someSpan, gen.SpanID(), trace.NewRandomGen().SpanID()} {
+		s := x.String()
+		if len(s) != 16 {
+			t.Errorf("span ID renders as %q, want 16 hex digits", s)
+		}
+		if back, err := trace.ParseSpanID(s); err != nil || back != x {
+			t.Errorf("ParseSpanID(%q) = %v, %v", s, back, err)
+		}
+	}
+	for _, bad := range []string{"", "0", someSpan.String(), someTrace.String() + "00", "g" + someTrace.String()[1:]} {
+		if _, err := trace.ParseTraceID(bad); err == nil {
+			t.Errorf("ParseTraceID(%q) accepted", bad)
+		}
+	}
+	for _, bad := range []string{"", "0", someTrace.String(), someSpan.String() + "00", "g" + someSpan.String()[1:]} {
+		if _, err := trace.ParseSpanID(bad); err == nil {
+			t.Errorf("ParseSpanID(%q) accepted", bad)
+		}
+	}
+}
+
+// Head sampling over a seeded ID stream: never at 0, always at 1, and at
+// 0.25 within ±0.02 of the rate over 4000 roots (the stream is
+// deterministic, so the bound cannot flake; binomial σ is 0.007). Rates
+// outside [0,1] clamp, and a nil tracer samples nothing.
+func TestHeadSamplingRates(t *testing.T) {
+	const roots = 4000
+	cases := []struct {
+		rate     float64
+		min, max int
+	}{
+		{0, 0, 0},
+		{-1, 0, 0},
+		{1, roots, roots},
+		{2, roots, roots},
+		{0.25, roots * 23 / 100, roots * 27 / 100},
+	}
+	for _, tc := range cases {
+		tracer := trace.NewTracer(trace.NewDeterministicGen(11), tc.rate)
+		sampled := 0
+		for i := 0; i < roots; i++ {
+			c := tracer.Root()
+			if !c.Sampled() {
+				if c != (trace.Context{}) {
+					t.Fatalf("rate %v: unsampled root is not the zero context: %+v", tc.rate, c)
+				}
+				continue
+			}
+			if c.Span.IsZero() {
+				t.Fatalf("rate %v: sampled root has no span", tc.rate)
+			}
+			sampled++
+		}
+		if sampled < tc.min || sampled > tc.max {
+			t.Errorf("rate %v: %d of %d roots sampled, want %d..%d", tc.rate, sampled, roots, tc.min, tc.max)
+		}
+	}
+	var off *trace.Tracer
+	if c := off.Root(); c != (trace.Context{}) {
+		t.Errorf("nil tracer sampled a root: %+v", c)
+	}
+}
+
+func TestChildKeepsTraceChangesSpan(t *testing.T) {
+	tracer := trace.NewTracer(trace.NewDeterministicGen(5), 1)
+	root := tracer.Root()
+	seen := map[trace.SpanID]bool{root.Span: true}
+	parent := root
+	for i := 0; i < 1000; i++ {
+		child := tracer.Child(parent)
+		if child.Trace != root.Trace {
+			t.Fatalf("hop %d left the trace: %v, want %v", i, child.Trace, root.Trace)
+		}
+		if child.Span.IsZero() || seen[child.Span] {
+			t.Fatalf("hop %d reused or zeroed its span: %v", i, child.Span)
+		}
+		seen[child.Span] = true
+		parent = child
+	}
+	if c := tracer.Child(trace.Context{}); c != (trace.Context{}) {
+		t.Errorf("child of the zero context is live: %+v", c)
+	}
+	var off *trace.Tracer
+	if c := off.Child(root); c != (trace.Context{}) {
+		t.Errorf("nil tracer minted a span: %+v", c)
+	}
+	// Same seed, same IDs: what keeps simulator traces reproducible.
+	again := trace.NewTracer(trace.NewDeterministicGen(5), 1).Root()
+	if again != root {
+		t.Errorf("deterministic gen diverged: %+v vs %+v", again, root)
+	}
+	if other := trace.NewTracer(trace.NewDeterministicGen(6), 1).Root(); other == root {
+		t.Error("different seeds produced the same root")
+	}
+}

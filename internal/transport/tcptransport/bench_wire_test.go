@@ -1,7 +1,6 @@
 package tcptransport
 
 import (
-	"fmt"
 	"testing"
 
 	"hypercube/internal/id"
@@ -10,12 +9,9 @@ import (
 	"hypercube/internal/wire"
 )
 
-// The wire benchmarks compare the binary codec against the legacy gob
-// codec on the two envelope shapes that dominate protocol traffic: a
-// small scalar-only message (the steady-state case: probes, notifies,
-// acks) and a big table-carrying message (join and anti-entropy bursts).
-// `make bench-wire` pins this suite and records ns/op, B/op, allocs/op,
-// and bytes-on-wire into BENCH_wire.json.
+// Two transport-level costs the repository benchmark's wire.* probes do
+// not report: decoding the steady-state small message, and assembling a
+// coalesced frame. Run with `go test -bench . ./internal/transport/tcptransport`.
 
 var benchParams = id.Params{B: 16, D: 8}
 
@@ -30,74 +26,8 @@ func benchSmallEnvelope() msg.Envelope {
 	return msg.Envelope{From: from, To: to, Msg: msg.RvNghNoti{Level: 3, Digit: 11, State: table.StateS}}
 }
 
-// benchBigEnvelope carries a 20-entry table plus a full fill vector —
-// the join/anti-entropy burst shape.
-func benchBigEnvelope() msg.Envelope {
-	from, to := benchRefs()
-	tbl := table.New(benchParams, from.ID)
-	for i := 0; i < 20; i++ {
-		level := i % benchParams.D
-		digit := (i*7 + 1) % benchParams.B
-		raw := make([]byte, benchParams.D)
-		for j := range raw {
-			raw[j] = byte((i + j*3) % benchParams.B)
-		}
-		// Wire order: raw[level] must be the entry's digit and the suffix
-		// below level must match the owner for Set to accept it.
-		for j := 0; j < level; j++ {
-			raw[j] = byte(from.ID.Digit(j))
-		}
-		raw[level] = byte(digit)
-		nid, err := id.FromRawDigits(benchParams, raw)
-		if err != nil {
-			panic(err)
-		}
-		if nid == from.ID {
-			continue
-		}
-		tbl.Set(level, digit, table.Neighbor{ID: nid, Addr: fmt.Sprintf("10.0.0.%d:47010", i), State: table.StateT})
-	}
-	return msg.Envelope{From: from, To: to, Msg: msg.SyncRly{Table: tbl.Snapshot(), Fill: tbl.FillVector()}}
-}
-
-func benchmarkBinaryEncode(b *testing.B, env msg.Envelope) {
-	b.Helper()
-	buf := make([]byte, 0, 4096)
-	var size int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = buf[:0]
-		buf = wire.AppendHeader(buf, wire.Version)
-		var err error
-		buf, err = wire.AppendEnvelope(buf, benchParams, env, wire.Version)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wire.SetCount(buf, 1)
-		size = len(buf)
-	}
-	b.ReportMetric(float64(size), "wirebytes")
-}
-
-func benchmarkGobEncode(b *testing.B, env msg.Envelope) {
-	b.Helper()
-	var size int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload, err := EncodeGobPayload(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		size = len(payload)
-	}
-	b.ReportMetric(float64(size), "wirebytes")
-}
-
-func benchmarkBinaryDecode(b *testing.B, env msg.Envelope) {
-	b.Helper()
-	payload, err := wire.EncodePayload(benchParams, env)
+func BenchmarkWireDecodeBinarySmall(b *testing.B) {
+	payload, err := wire.EncodePayload(benchParams, benchSmallEnvelope())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,31 +40,6 @@ func benchmarkBinaryDecode(b *testing.B, env msg.Envelope) {
 	}
 	b.ReportMetric(float64(len(payload)), "wirebytes")
 }
-
-func benchmarkGobDecode(b *testing.B, env msg.Envelope) {
-	b.Helper()
-	payload, err := EncodeGobPayload(env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeGobPayload(benchParams, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(payload)), "wirebytes")
-}
-
-func BenchmarkWireEncodeBinarySmall(b *testing.B) { benchmarkBinaryEncode(b, benchSmallEnvelope()) }
-func BenchmarkWireEncodeBinaryBig(b *testing.B)   { benchmarkBinaryEncode(b, benchBigEnvelope()) }
-func BenchmarkWireEncodeGobSmall(b *testing.B)    { benchmarkGobEncode(b, benchSmallEnvelope()) }
-func BenchmarkWireEncodeGobBig(b *testing.B)      { benchmarkGobEncode(b, benchBigEnvelope()) }
-func BenchmarkWireDecodeBinarySmall(b *testing.B) { benchmarkBinaryDecode(b, benchSmallEnvelope()) }
-func BenchmarkWireDecodeBinaryBig(b *testing.B)   { benchmarkBinaryDecode(b, benchBigEnvelope()) }
-func BenchmarkWireDecodeGobSmall(b *testing.B)    { benchmarkGobDecode(b, benchSmallEnvelope()) }
-func BenchmarkWireDecodeGobBig(b *testing.B)      { benchmarkGobDecode(b, benchBigEnvelope()) }
 
 // BenchmarkFrameCoalesce packs 32 small envelopes into one frame the way
 // deliverBatch does — header reservation, append, count patch, header

@@ -16,28 +16,6 @@ import (
 	"hypercube/internal/wire"
 )
 
-// Codec selects the outbound frame payload encoding. Inbound frames are
-// always auto-detected from the frame header, so nodes running different
-// codecs interoperate in both directions.
-type Codec uint8
-
-const (
-	// CodecBinary is the hand-rolled zero-alloc binary codec
-	// (internal/wire): versioned, canonical, multi-envelope frames. The
-	// default.
-	CodecBinary Codec = iota
-	// CodecGob is the legacy reflection-based gob codec, one envelope
-	// per frame. Kept for one release as a fallback (-codec gob).
-	CodecGob
-)
-
-func (c Codec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
-
 // Config tunes the reliable-delivery layer. The zero value is usable:
 // every field falls back to the default documented on it.
 //
@@ -86,14 +64,11 @@ type Config struct {
 	// InboundBurst is the token-bucket depth for InboundRate.
 	// Default 4000.
 	InboundBurst int
-	// Codec selects the outbound payload encoding. Default CodecBinary;
-	// inbound frames are auto-detected regardless.
-	Codec Codec
 	// FlushDelay is how long a peer's writer lingers after its first
 	// pending envelope to coalesce more envelopes into the same frame
-	// (binary codec only; each frame stays within MaxFrameBytes and
-	// wire.MaxBatch). 0 — the default — still drains whatever is already
-	// queued into one frame, it just never waits for more.
+	// (each frame stays within MaxFrameBytes and wire.MaxBatch). 0 — the
+	// default — still drains whatever is already queued into one frame,
+	// it just never waits for more.
 	FlushDelay time.Duration
 	// Faults optionally injects transport failures (tests and
 	// experiments). Nil disables injection.
@@ -210,11 +185,6 @@ func WithQueueLimit(n int) Option {
 // WithPollInterval sets AwaitStatus's polling period.
 func WithPollInterval(d time.Duration) Option {
 	return func(c *Config) { c.PollInterval = d }
-}
-
-// WithCodec selects the outbound payload encoding.
-func WithCodec(codec Codec) Option {
-	return func(c *Config) { c.Codec = codec }
 }
 
 // WithFlushDelay sets how long a peer's writer lingers to coalesce more
@@ -524,7 +494,7 @@ func (pq *peerQueue) install(conn net.Conn) bool {
 // writeLoop drains one peer's queue for the life of the node. Each
 // round grabs every envelope already pending (up to wire.MaxBatch),
 // optionally lingers FlushDelay to let more arrive, and hands the batch
-// to the codec-specific delivery path.
+// to deliverBatch.
 func (n *Node) writeLoop(pq *peerQueue) {
 	defer n.wg.Done()
 	batch := make([]msg.Envelope, 0, wire.MaxBatch)
@@ -534,7 +504,7 @@ func (n *Node) writeLoop(pq *peerQueue) {
 		if !ok {
 			return
 		}
-		if d := n.cfg.FlushDelay; d > 0 && n.cfg.Codec == CodecBinary && len(batch) < wire.MaxBatch {
+		if d := n.cfg.FlushDelay; d > 0 && len(batch) < wire.MaxBatch {
 			// Linger to coalesce: envelopes arriving within the window
 			// ride in the same frame instead of paying per-frame framing
 			// and syscall costs. Shutdown mid-linger just delivers what
@@ -547,23 +517,15 @@ func (n *Node) writeLoop(pq *peerQueue) {
 }
 
 // framePool recycles outbound frame buffers across flushes so the
-// steady-state binary encode path allocates nothing.
+// steady-state encode path allocates nothing.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
 
-// deliverBatch writes one batch of envelopes to the peer. Under the
-// binary codec, envelopes are coalesced greedily into multi-envelope
-// frames: a frame is flushed when appending the next envelope would push
-// its payload past MaxFrameBytes (so every coalesced frame respects the
-// receiver's limit by construction) or when it reaches wire.MaxBatch
-// records. Under the gob codec each envelope travels in its own frame,
-// exactly as before.
+// deliverBatch writes one batch of envelopes to the peer, coalesced
+// greedily into multi-envelope frames: a frame is flushed when appending
+// the next envelope would push its payload past MaxFrameBytes (so every
+// coalesced frame respects the receiver's limit by construction) or when
+// it reaches wire.MaxBatch records.
 func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
-	if n.cfg.Codec == CodecGob {
-		for _, env := range batch {
-			n.deliver(pq, env)
-		}
-		return
-	}
 	bufp := framePool.Get().(*[]byte)
 	frame := (*bufp)[:0]
 	kinds := make([]msg.Type, 0, len(batch))
@@ -602,7 +564,7 @@ func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
 			// Doesn't fit alongside the others: flush what we have and
 			// re-append into a fresh frame. A lone envelope bigger than
 			// MaxFrameBytes still ships in its own frame (the receiver's
-			// limit, not ours, judges it — same as the gob path).
+			// limit, not ours, judges it).
 			frame = next[:mark]
 			flush()
 			frame = append(frame, make([]byte, frameHeaderLen)...)
@@ -621,24 +583,6 @@ func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
 	flush()
 	*bufp = frame[:0]
 	framePool.Put(bufp)
-}
-
-// deliver writes one envelope in its own gob frame (the legacy codec
-// path).
-func (n *Node) deliver(pq *peerQueue, env msg.Envelope) {
-	w, err := encodeEnvelope(env)
-	if err != nil {
-		// Unencodable message: retrying cannot help.
-		n.countDropped(env.Msg.Type())
-		return
-	}
-	frame, err := encodeFrame(w)
-	if err != nil {
-		n.countDropped(env.Msg.Type())
-		return
-	}
-	kind := [1]msg.Type{env.Msg.Type()}
-	n.sendFrame(pq, frame, kind[:])
 }
 
 // sendFrame makes up to MaxAttempts tries at writing one pre-encoded

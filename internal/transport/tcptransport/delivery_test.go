@@ -49,11 +49,11 @@ func newEnvelopeSink(t *testing.T) *envelopeSink {
 				defer s.live.Add(-1)
 				defer conn.Close()
 				for {
-					payload, isBinary, err := readFrame(conn, 1<<20, 0)
+					payload, _, err := readFrame(conn, 1<<20, 0)
 					if err != nil {
 						return
 					}
-					cnt, err := countFrameEnvelopes(payload, isBinary)
+					cnt, err := countFrameEnvelopes(payload)
 					if err != nil {
 						return
 					}
@@ -72,21 +72,14 @@ func newEnvelopeSink(t *testing.T) *envelopeSink {
 func (s *envelopeSink) addr() string { return s.ln.Addr().String() }
 
 // countFrameEnvelopes counts the protocol envelopes one frame payload
-// carries, whichever codec the sender used (binary frames coalesce
-// several envelopes; gob frames always carry one).
-func countFrameEnvelopes(payload []byte, isBinary bool) (int, error) {
-	if isBinary {
-		cnt := 0
-		err := wire.DecodePayload(p163, payload, func(msg.Envelope) error {
-			cnt++
-			return nil
-		})
-		return cnt, err
-	}
-	if _, err := decodeFrame(payload); err != nil {
-		return 0, err
-	}
-	return 1, nil
+// carries.
+func countFrameEnvelopes(payload []byte) (int, error) {
+	cnt := 0
+	err := wire.DecodePayload(p163, payload, func(msg.Envelope) error {
+		cnt++
+		return nil
+	})
+	return cnt, err
 }
 
 func awaitInt64(t *testing.T, what string, get func() int64, want int64) {
@@ -196,14 +189,7 @@ func TestReadLoopSurvivesOutboundFailure(t *testing.T) {
 	// From-ref advertises an address nobody listens on, so the seed's
 	// CpRly reply cannot be delivered.
 	ghost := table.Ref{ID: id.MustParse(p163, "e44"), Addr: "127.0.0.1:1"}
-	rst, err := encodeEnvelope(msg.Envelope{From: ghost, To: seed.Ref(), Msg: msg.CpRst{Level: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := encodeFrame(rst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := binaryFrame(t, msg.Envelope{From: ghost, To: seed.Ref(), Msg: msg.CpRst{Level: 0}})
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +386,11 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 			go func() {
 				defer c.Close()
 				for {
-					payload, isBinary, err := readFrame(c, 1<<20, 0)
+					payload, _, err := readFrame(c, 1<<20, 0)
 					if err != nil {
 						return
 					}
-					cnt, err := countFrameEnvelopes(payload, isBinary)
+					cnt, err := countFrameEnvelopes(payload)
 					if err != nil {
 						return
 					}

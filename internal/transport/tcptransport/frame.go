@@ -1,21 +1,15 @@
 package tcptransport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"time"
-
-	"hypercube/internal/id"
-	"hypercube/internal/msg"
 )
 
-// Connections carry length-prefixed frames — a 4-byte big-endian header
-// followed by one payload — instead of a single long-lived gob stream.
+// Connections carry length-prefixed frames: a 4-byte big-endian header
+// followed by one payload (internal/wire: up to wire.MaxBatch envelopes).
 // Framing is what makes the inbound path defensible: the reader knows a
 // frame's size before decoding it (so an oversized frame is rejected for
 // the cost of 4 bytes), one undecodable payload no longer poisons the
@@ -24,19 +18,18 @@ import (
 // connection), and read deadlines bound how long a peer may stall
 // mid-frame.
 //
-// The header's top bit discriminates the payload codec: set means a
-// binary multi-envelope payload (internal/wire), clear means one
-// gob-encoded wireEnvelope (the legacy codec, kept for one release as a
-// fallback). The low 31 bits are the payload length, which caps any
-// payload at maxFramePayload — large enough for every frame the
-// coalescer can build (MaxFrameBytes tops out well below it) and small
-// enough that the length prefix can never be silently truncated.
+// The header's top bit is set on every frame this node writes; the low
+// 31 bits are the payload length, which caps any payload at
+// maxFramePayload — large enough for every frame the coalescer can build
+// (MaxFrameBytes tops out well below it) and small enough that the
+// length prefix can never be silently truncated. A frame that arrives
+// with the bit clear is not in this format (DESIGN.md, "Wire format"):
+// the reader consumes it to its boundary and counts it as undecodable.
 
 // frameHeaderLen is the size of the length prefix.
 const frameHeaderLen = 4
 
-// flagBinary marks a frame whose payload is a binary wire payload rather
-// than a gob-encoded wireEnvelope.
+// flagBinary marks a frame whose payload is an internal/wire payload.
 const flagBinary = uint32(1) << 31
 
 // maxFramePayload is the largest payload length the 31-bit length field
@@ -51,24 +44,9 @@ var errFrameTooBig = errors.New("tcptransport: frame exceeds size limit")
 // length field; encoding fails instead of truncating the prefix.
 var errPayloadTooBig = errors.New("tcptransport: frame payload exceeds 31-bit length field")
 
-// encodeFrame renders env as one gob wire frame, ready to write.
-func encodeFrame(env wireEnvelope) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, frameHeaderLen))
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return nil, fmt.Errorf("tcptransport: encode frame: %w", err)
-	}
-	b := buf.Bytes()
-	if len(b)-frameHeaderLen > maxFramePayload {
-		return nil, errPayloadTooBig
-	}
-	binary.BigEndian.PutUint32(b[:frameHeaderLen], uint32(len(b)-frameHeaderLen))
-	return b, nil
-}
-
-// finishBinaryFrame stamps the binary-codec header onto a frame whose
-// first frameHeaderLen bytes were reserved by the caller and whose
-// remainder is the payload.
+// finishBinaryFrame stamps the header onto a frame whose first
+// frameHeaderLen bytes were reserved by the caller and whose remainder
+// is the payload.
 func finishBinaryFrame(frame []byte) error {
 	if len(frame)-frameHeaderLen > maxFramePayload {
 		return errPayloadTooBig
@@ -92,7 +70,8 @@ func writeFrame(conn net.Conn, frame []byte, timeout time.Duration) error {
 
 // readFrame reads one frame payload, enforcing the size limit and an
 // idle deadline covering the whole frame (0 disables the deadline).
-// isBinary reports which codec the sender used (the header's top bit).
+// isBinary reports the header's top bit; a payload read with it clear is
+// not decodable.
 // Oversized frames return errFrameTooBig without reading the payload.
 func readFrame(conn net.Conn, maxBytes int, idle time.Duration) (payload []byte, isBinary bool, err error) {
 	if idle > 0 {
@@ -115,39 +94,4 @@ func readFrame(conn net.Conn, maxBytes int, idle time.Duration) (payload []byte,
 		return nil, isBinary, err
 	}
 	return payload, isBinary, nil
-}
-
-// decodeFrame parses one gob frame payload back into a wireEnvelope.
-func decodeFrame(payload []byte) (wireEnvelope, error) {
-	var w wireEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
-		return wireEnvelope{}, fmt.Errorf("tcptransport: decode frame: %w", err)
-	}
-	return w, nil
-}
-
-// EncodeGobPayload renders env as one gob frame payload (no length
-// header). Exported for size measurements (cmd/msgsize) and differential
-// codec tests; the transport itself uses the framed writers above.
-func EncodeGobPayload(env msg.Envelope) ([]byte, error) {
-	w, err := encodeEnvelope(env)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("tcptransport: encode frame: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeGobPayload parses one gob frame payload into a protocol
-// envelope, applying the same codec-boundary validation the inbound
-// path uses. Exported for differential codec tests.
-func DecodeGobPayload(p id.Params, payload []byte) (msg.Envelope, error) {
-	w, err := decodeFrame(payload)
-	if err != nil {
-		return msg.Envelope{}, err
-	}
-	return decodeEnvelope(p, w)
 }

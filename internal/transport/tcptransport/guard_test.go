@@ -1,7 +1,9 @@
 package tcptransport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net"
@@ -15,6 +17,7 @@ import (
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
 	"hypercube/internal/table"
+	"hypercube/internal/wire"
 )
 
 // dialNode opens a raw TCP connection to a node's listener, bypassing
@@ -29,35 +32,47 @@ func dialNode(t *testing.T, n *Node) net.Conn {
 	return conn
 }
 
-// validFrame encodes a well-formed CpRst addressed to the node from a
-// fictitious peer.
-func validFrame(t *testing.T, n *Node, from string) []byte {
+// binaryFrame frames envs the way deliverBatch does: header reservation,
+// one wire payload, header stamp.
+func binaryFrame(t *testing.T, envs ...msg.Envelope) []byte {
 	t.Helper()
-	env := msg.Envelope{
-		From: table.Ref{ID: id.MustParse(p163, from), Addr: "127.0.0.1:1"},
-		To:   n.Ref(),
-		Msg:  msg.CpRst{Level: 0},
-	}
-	w, err := encodeEnvelope(env)
+	payload, err := wire.EncodePayload(p163, envs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := encodeFrame(w)
-	if err != nil {
+	return framePayload(t, payload)
+}
+
+// framePayload puts the production frame header in front of payload.
+func framePayload(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	frame := append(make([]byte, frameHeaderLen), payload...)
+	if err := finishBinaryFrame(frame); err != nil {
 		t.Fatal(err)
 	}
 	return frame
 }
 
-// junkFrame is a correctly length-prefixed frame whose payload is not a
-// gob-encoded wireEnvelope.
-func junkFrame(size int) []byte {
-	frame := make([]byte, frameHeaderLen+size)
-	binary.BigEndian.PutUint32(frame, uint32(size))
-	for i := frameHeaderLen; i < len(frame); i++ {
-		frame[i] = 0xff
+// cpRstFrom is a well-formed CpRst addressed to the node from a
+// fictitious peer.
+func cpRstFrom(n *Node, from string) msg.Envelope {
+	return msg.Envelope{
+		From: table.Ref{ID: id.MustParse(p163, from), Addr: "127.0.0.1:1"},
+		To:   n.Ref(),
+		Msg:  msg.CpRst{Level: 0},
 	}
-	return frame
+}
+
+// junkFrame is a correctly length-prefixed, correctly flagged frame
+// whose payload wire.DecodePayload rejects.
+func junkFrame(t *testing.T, size int) []byte {
+	return framePayload(t, bytes.Repeat([]byte{0xff}, size))
+}
+
+// receivedCpRst reads the node's count of delivered CpRst messages.
+func receivedCpRst(n *Node) int64 {
+	c := n.Counters()
+	return int64(c.ReceivedOf(msg.TCpRst))
 }
 
 // awaitClosed asserts the remote end tears the connection down.
@@ -108,24 +123,21 @@ func TestDecodeErrorBudgetDisconnects(t *testing.T) {
 	conn := dialNode(t, n)
 	// Two junk frames: within budget, connection must survive.
 	for i := 0; i < 2; i++ {
-		if _, err := conn.Write(junkFrame(16)); err != nil {
+		if _, err := conn.Write(junkFrame(t, 16)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A valid frame after garbage still delivers — proof the stream
 	// resynchronizes at frame boundaries.
-	if _, err := conn.Write(validFrame(t, n, "b20")); err != nil {
+	if _, err := conn.Write(binaryFrame(t, cpRstFrom(n, "b20"))); err != nil {
 		t.Fatal(err)
 	}
-	awaitInt64(t, "CpRst received", func() int64 {
-		c := n.Counters()
-		return int64(c.ReceivedOf(msg.TCpRst))
-	}, 1)
+	awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 1)
 	if got := n.TransportGuardStats().Disconnects; got != 0 {
 		t.Fatalf("disconnects = %d before budget exhausted, want 0", got)
 	}
 	// Third junk frame exhausts the budget.
-	if _, err := conn.Write(junkFrame(16)); err != nil {
+	if _, err := conn.Write(junkFrame(t, 16)); err != nil {
 		t.Fatal(err)
 	}
 	awaitClosed(t, conn)
@@ -135,9 +147,38 @@ func TestDecodeErrorBudgetDisconnects(t *testing.T) {
 
 // A peer pushing envelopes faster than the inbound rate limit is
 // stalled (backpressured through TCP), and the stalls are counted.
+// Tokens are charged per envelope, so five envelopes coalesced into one
+// frame are throttled exactly like five frames.
 func TestInboundRateLimitThrottles(t *testing.T) {
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a12"), "127.0.0.1:0",
-		WithInboundRate(20, 2),
+	for name, coalesced := range map[string]bool{"frame per envelope": false, "one coalesced frame": true} {
+		t.Run(name, func(t *testing.T) {
+			n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a12"), "127.0.0.1:0",
+				WithInboundRate(20, 2),
+				WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond),
+				WithDialTimeout(50*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+
+			env := cpRstFrom(n, "b21")
+			burst := binaryFrame(t, env, env, env, env, env)
+			if !coalesced {
+				burst = bytes.Repeat(binaryFrame(t, env), 5)
+			}
+			if _, err := dialNode(t, n).Write(burst); err != nil {
+				t.Fatal(err)
+			}
+			awaitInt64(t, "throttled inbound", func() int64 { return n.TransportGuardStats().ThrottledInbound }, 1)
+			awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 5)
+		})
+	}
+}
+
+// A malformed record rejects the rest of its frame, but the records
+// before it were already handled and the frame costs one decode error.
+func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a14"), "127.0.0.1:0",
 		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond),
 		WithDialTimeout(50*time.Millisecond))
 	if err != nil {
@@ -145,17 +186,121 @@ func TestInboundRateLimitThrottles(t *testing.T) {
 	}
 	defer n.Close()
 
-	conn := dialNode(t, n)
-	for i := 0; i < 5; i++ {
-		if _, err := conn.Write(validFrame(t, n, "b21")); err != nil {
-			t.Fatal(err)
-		}
+	env := cpRstFrom(n, "b22")
+	payload, err := wire.EncodePayload(p163, env, env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	awaitInt64(t, "throttled inbound", func() int64 { return n.TransportGuardStats().ThrottledInbound }, 1)
-	awaitInt64(t, "CpRst received", func() int64 {
-		c := n.Counters()
-		return int64(c.ReceivedOf(msg.TCpRst))
-	}, 5)
+	payload = append(payload, 3, 0xfa, 0, 0) // third record: 3-byte body of unknown kind 250
+	wire.SetCount(payload, 3)
+	conn := dialNode(t, n)
+	if _, err := conn.Write(framePayload(t, payload)); err != nil {
+		t.Fatal(err)
+	}
+	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 1)
+	if got := receivedCpRst(n); got != 2 {
+		t.Fatalf("%d CpRst delivered from the records before the corrupt one, want 2", got)
+	}
+	// The connection reads on: one more valid frame, no further charge.
+	if _, err := conn.Write(binaryFrame(t, env)); err != nil {
+		t.Fatal(err)
+	}
+	awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 3)
+	if got := n.TransportGuardStats().DecodeErrors; got != 1 {
+		t.Fatalf("decode errors = %d, want exactly 1", got)
+	}
+}
+
+// A frame whose header lacks the top bit is not a wire payload, whatever
+// it carries: it is consumed to its boundary, charged to the decode-error
+// budget, and never delivered.
+func TestTopBitClearFrameIsDecodeError(t *testing.T) {
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a15"), "127.0.0.1:0",
+		WithDecodeErrorBudget(2),
+		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond),
+		WithDialTimeout(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	// Even a payload that would decode must not be handled.
+	valid := binaryFrame(t, cpRstFrom(n, "b23"))
+	clear := append([]byte(nil), valid...)
+	clear[0] &^= 0x80
+
+	conn := dialNode(t, n)
+	if _, err := conn.Write(clear); err != nil {
+		t.Fatal(err)
+	}
+	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 1)
+	if got := receivedCpRst(n); got != 0 {
+		t.Fatalf("top-bit-clear frame delivered %d CpRst, want 0", got)
+	}
+	// Within budget the connection survives and resynchronizes at the
+	// frame boundary.
+	if _, err := conn.Write(valid); err != nil {
+		t.Fatal(err)
+	}
+	awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 1)
+	if got := n.TransportGuardStats().Disconnects; got != 0 {
+		t.Fatalf("disconnects = %d before budget exhausted, want 0", got)
+	}
+	if _, err := conn.Write(clear); err != nil {
+		t.Fatal(err)
+	}
+	awaitClosed(t, conn)
+	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 2)
+	awaitInt64(t, "guard disconnects", func() int64 { return n.TransportGuardStats().Disconnects }, 1)
+	if got := receivedCpRst(n); got != 1 {
+		t.Fatalf("CpRst received = %d, want 1", got)
+	}
+}
+
+// The frame header is part of the deployed format: a length with the top
+// bit set, then the wire payload. The literal was captured from the
+// release that still had a second codec, so nodes of that release on its
+// default settings interoperate byte for byte; a node's own socket
+// output must match the same construction.
+func TestFrameHeaderGolden(t *testing.T) {
+	const golden = "80000028010125010100020b0b3132372e302e302e313a310101010a0e3132372e302e302e313a3730303102"
+	env := msg.Envelope{
+		From: table.Ref{ID: id.MustParse(p163, "b20"), Addr: "127.0.0.1:1"},
+		To:   table.Ref{ID: id.MustParse(p163, "a11"), Addr: "127.0.0.1:7001"},
+		Msg:  msg.CpRst{Level: 2},
+	}
+	if got := hex.EncodeToString(binaryFrame(t, env)); got != golden {
+		t.Fatalf("framed CpRst changed\n got %s\nwant %s", got, golden)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a16"), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	env.To.Addr = ln.Addr().String()
+	if err := n.sendAll([]msg.Envelope{env}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	want := binaryFrame(t, env)
+	got := make([]byte, len(want))
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("node wrote a different frame\n got %x\nwant %x", got, want)
+	}
 }
 
 // The guard block is always present on /status, and the hostile-input
@@ -169,7 +314,7 @@ func TestAdminExposesGuardCounters(t *testing.T) {
 	defer n.Close()
 
 	conn := dialNode(t, n)
-	if _, err := conn.Write(junkFrame(16)); err != nil {
+	if _, err := conn.Write(junkFrame(t, 16)); err != nil {
 		t.Fatal(err)
 	}
 	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 1)

@@ -1,15 +1,15 @@
 // Package tcptransport is the deployment runtime: it drives one composed
 // node (internal/node — the same value the simulator drives) from real
 // TCP sockets. Inbound, a listener's read loops decode length-prefixed
-// frames of binary-coded envelopes (internal/wire; gob frames are still
-// recognised), rate-limit and budget them per connection, and deliver
-// each envelope to the node under the node's one lock. Outbound, a
-// reliable-delivery layer (delivery.go) keeps a bounded queue and a
-// writer goroutine per peer, with retry, backoff, redial, frame
-// coalescing and dead-letter accounting. One ticker goroutine supplies
-// the passage of time. Around that sit fault injection for tests
-// (Faults), the per-node metrics registry and trace ring (obs.go), and
-// the HTTP admin surface cmd/hypercubed serves (admin.go).
+// frames of internal/wire payloads, rate-limit and budget them per
+// connection, and deliver each envelope to the node under the node's
+// one lock. Outbound, a reliable-delivery layer (delivery.go) keeps a
+// bounded queue and a writer goroutine per peer, with retry, backoff,
+// redial, frame coalescing and dead-letter accounting. One ticker
+// goroutine supplies the passage of time. Around that sit fault
+// injection for tests (Faults), the per-node metrics registry and trace
+// ring (obs.go), and the HTTP admin surface cmd/hypercubed serves
+// (admin.go).
 package tcptransport
 
 import (
@@ -359,6 +359,10 @@ func (n *Node) acceptLoop() {
 // aborted because the node is shutting down; it is not a decode error.
 var errReadLoopStopped = errors.New("tcptransport: read loop stopped")
 
+// errNotWirePayload is the decode error of a frame whose header lacks
+// flagBinary: whatever its payload is, it is not an internal/wire one.
+var errNotWirePayload = errors.New("tcptransport: frame is not a wire payload")
+
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -404,12 +408,12 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 			return // closed, idle-timed-out, or oversized; peer redials
 		}
+		// One frame may carry several envelopes; each passes the token
+		// bucket and handler individually. A malformed record rejects the
+		// rest of the frame (records after it have no trustworthy
+		// boundary) but envelopes already decoded were already handled.
+		err = errNotWirePayload
 		if isBinary {
-			// One binary frame may carry several envelopes; each passes
-			// the token bucket and handler individually. A malformed
-			// record rejects the rest of the frame (records after it
-			// have no trustworthy boundary) but envelopes already
-			// decoded were already handled.
 			err = wire.DecodePayload(n.params, payload, func(env msg.Envelope) error {
 				if !takeToken() {
 					return errReadLoopStopped
@@ -417,14 +421,6 @@ func (n *Node) readLoop(conn net.Conn) {
 				n.handleEnvelope(env)
 				return nil
 			})
-		} else {
-			if !takeToken() {
-				return
-			}
-			var env msg.Envelope
-			if env, err = DecodeGobPayload(n.params, payload); err == nil {
-				n.handleEnvelope(env)
-			}
 		}
 		if errors.Is(err, errReadLoopStopped) {
 			return

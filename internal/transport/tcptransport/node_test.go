@@ -16,145 +16,6 @@ import (
 
 var p163 = id.Params{B: 16, D: 3}
 
-func TestWireRoundTrip(t *testing.T) {
-	p := id.Params{B: 8, D: 5}
-	owner := id.MustParse(p, "21233")
-	tbl := table.New(p, owner)
-	tbl.Set(0, 1, table.Neighbor{ID: id.MustParse(p, "33121"), Addr: "127.0.0.1:9", State: table.StateS})
-	tbl.Set(3, 0, table.Neighbor{ID: id.MustParse(p, "40233"), Addr: "127.0.0.1:8", State: table.StateT})
-	snap := tbl.Snapshot()
-	refA := table.Ref{ID: owner, Addr: "127.0.0.1:1"}
-	refB := table.Ref{ID: id.MustParse(p, "33121"), Addr: "127.0.0.1:2"}
-
-	fill := tbl.FillVector()
-	messages := []msg.Message{
-		msg.CpRst{Level: 3},
-		msg.CpRly{Table: snap},
-		msg.JoinWait{},
-		msg.JoinWaitRly{R: msg.Negative, U: refB, Table: snap},
-		msg.JoinNoti{Table: snap, NotiLevel: 2, FillVector: fill},
-		msg.JoinNoti{Table: snap},
-		msg.JoinNotiRly{R: msg.Positive, F: true, Table: snap},
-		msg.InSysNoti{},
-		msg.SpeNoti{X: refA, Y: refB},
-		msg.SpeNotiRly{X: refA, Y: refB},
-		msg.RvNghNoti{Level: 2, Digit: 5, State: table.StateT},
-		msg.RvNghNotiRly{Level: 2, Digit: 5, State: table.StateS},
-		msg.Leave{Table: snap},
-		msg.LeaveRly{},
-		msg.Find{Want: id.MustParseSuffix(p, "233"), Origin: refA, Avoid: id.MustParse(p, "40233")},
-		msg.Find{Want: id.EmptySuffix, Origin: refA},
-		msg.FindRly{Want: id.MustParseSuffix(p, "233"), Found: table.Neighbor{ID: id.MustParse(p, "40233"), Addr: "a:1", State: table.StateS}},
-		msg.FindRly{Want: id.MustParseSuffix(p, "233"), Blocked: true},
-		msg.Ping{Seq: 42, Origin: refA},
-		msg.Ping{Seq: 43, Origin: refA, Target: refB},
-		msg.Pong{Seq: 42},
-		msg.FailedNoti{Failed: refB},
-		msg.SyncReq{Fill: fill},
-		msg.SyncRly{Table: snap, Fill: fill},
-		msg.SyncPush{Table: snap},
-		msg.SamplePush{},
-		msg.SamplePullReq{},
-		msg.SamplePullRly{Refs: []table.Ref{refB}},
-	}
-	for _, m := range messages {
-		env := msg.Envelope{From: refA, To: refB, Msg: m}
-		w, err := encodeEnvelope(env)
-		if err != nil {
-			t.Fatalf("%v: encode: %v", m.Type(), err)
-		}
-		back, err := decodeEnvelope(p, w)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", m.Type(), err)
-		}
-		if back.From != env.From || back.To != env.To {
-			t.Fatalf("%v: refs changed", m.Type())
-		}
-		if back.Msg.Type() != m.Type() {
-			t.Fatalf("type changed: %v -> %v", m.Type(), back.Msg.Type())
-		}
-		// Structural spot checks on table-carrying messages.
-		switch bm := back.Msg.(type) {
-		case msg.Find:
-			orig := m.(msg.Find)
-			if bm.Want != orig.Want || bm.Avoid != orig.Avoid || bm.Origin != orig.Origin {
-				t.Fatalf("Find fields corrupted: %+v vs %+v", bm, orig)
-			}
-		case msg.FindRly:
-			orig := m.(msg.FindRly)
-			if bm.Want != orig.Want || bm.Blocked != orig.Blocked || bm.Found != orig.Found {
-				t.Fatalf("FindRly fields corrupted: %+v vs %+v", bm, orig)
-			}
-		case msg.Leave:
-			if bm.Table.FilledCount() != snap.FilledCount() {
-				t.Fatal("Leave table lost entries")
-			}
-		case msg.CpRly:
-			if bm.Table.FilledCount() != snap.FilledCount() {
-				t.Fatalf("CpRly table lost entries")
-			}
-			if bm.Table.Get(0, 1) != snap.Get(0, 1) {
-				t.Fatalf("CpRly entry mismatch: %+v", bm.Table.Get(0, 1))
-			}
-		case msg.JoinNoti:
-			if orig := m.(msg.JoinNoti); orig.FillVector.Len() > 0 {
-				if bm.FillVector.Len() != orig.FillVector.Len() || bm.FillVector.Count() != orig.FillVector.Count() {
-					t.Fatal("JoinNoti fill vector corrupted")
-				}
-				if bm.NotiLevel != 2 {
-					t.Fatal("NotiLevel lost")
-				}
-			}
-		case msg.JoinNotiRly:
-			if !bm.F || bm.R != msg.Positive {
-				t.Fatal("JoinNotiRly flags lost")
-			}
-		case msg.Ping:
-			orig := m.(msg.Ping)
-			if bm.Seq != orig.Seq || bm.Origin != orig.Origin || bm.Target != orig.Target {
-				t.Fatalf("Ping fields corrupted: %+v vs %+v", bm, orig)
-			}
-		case msg.Pong:
-			if bm.Seq != 42 {
-				t.Fatal("Pong seq lost")
-			}
-		case msg.FailedNoti:
-			if bm.Failed != refB {
-				t.Fatalf("FailedNoti ref corrupted: %+v", bm.Failed)
-			}
-		case msg.SyncReq:
-			if bm.Fill.Len() != fill.Len() || bm.Fill.Count() != fill.Count() {
-				t.Fatal("SyncReq fill vector corrupted")
-			}
-		case msg.SyncRly:
-			if bm.Table.FilledCount() != snap.FilledCount() {
-				t.Fatal("SyncRly table lost entries")
-			}
-			if bm.Fill.Len() != fill.Len() || bm.Fill.Count() != fill.Count() {
-				t.Fatal("SyncRly fill vector corrupted")
-			}
-		case msg.SyncPush:
-			if bm.Table.FilledCount() != snap.FilledCount() {
-				t.Fatal("SyncPush table lost entries")
-			}
-		}
-	}
-}
-
-func TestWireDecodeErrors(t *testing.T) {
-	p := id.Params{B: 8, D: 5}
-	if _, err := decodeEnvelope(p, wireEnvelope{Kind: 200}); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if _, err := decodeEnvelope(p, wireEnvelope{Kind: uint8(msg.TJoinWait), From: wireRef{ID: "zzz"}}); err == nil {
-		t.Error("bad from-ID accepted")
-	}
-	bad := wireEnvelope{Kind: uint8(msg.TCpRly), HasTable: true, Table: wireTable{Owner: "99999"}}
-	if _, err := decodeEnvelope(p, bad); err == nil {
-		t.Error("bad table owner accepted")
-	}
-}
-
 func TestTCPSingleJoin(t *testing.T) {
 	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "abc"), "127.0.0.1:0")
 	if err != nil {

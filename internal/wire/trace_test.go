@@ -239,13 +239,13 @@ func TestTraceTrailerRejectsHostile(t *testing.T) {
 //
 //	go test ./internal/wire -run TestTraceGoldenVectors -update
 func TestTraceGoldenVectors(t *testing.T) {
-	envs := sampleEnvelopes(t)
+	envs := goldenEnvelopes(t)
 	for i := range envs {
 		envs[i].Trace = sampleTraceContext(byte(i + 1))
 	}
 	// One untraced record inside a v2 payload (flags 0) is part of the
 	// format too.
-	plain := sampleEnvelopes(t)[0]
+	plain := goldenEnvelopes(t)[0]
 	path := filepath.Join("testdata", "golden_v2.txt")
 	encode := func(i int) []byte {
 		var payload []byte

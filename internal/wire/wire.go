@@ -1,7 +1,7 @@
-// Package wire implements the binary wire codec of the TCP transport: a
-// hand-rolled, versioned, stdlib-only encoding of protocol envelopes
-// that replaces the reflection-driven encoding/gob format on the hot
-// path. The layout goals, in order:
+// Package wire implements the wire codec of the TCP transport: a
+// hand-rolled, versioned, stdlib-only binary encoding of protocol
+// envelopes, with no reflection on the hot path. The layout goals, in
+// order:
 //
 //   - Zero allocations on the steady-state encode path: Append* functions
 //     write into caller-owned buffers (pooled by the delivery layer), IDs
@@ -15,14 +15,14 @@
 //     re-encoding the decoded envelopes reproduces the payload byte for
 //     byte. Table entries must arrive in ascending (level,digit) order,
 //     booleans must be 0/1, fill-vector padding bits must be zero —
-//     anything non-canonical is rejected, which keeps the differential
-//     fuzz target (FuzzCodecRoundTrip) a strict equality check.
+//     anything non-canonical is rejected, which keeps the fuzz target
+//     (FuzzBinaryDecode) a strict equality check.
 //   - Coalescing: one payload carries 1..MaxBatch envelopes, so many
 //     small messages to the same peer (probes, JoinNoti, sync digests)
 //     share one frame write and one length prefix.
 //
 // Payload layout (the frame header is the transport's concern; see
-// tcptransport/frame.go for how binary payloads are flagged):
+// tcptransport/frame.go):
 //
 //	byte    version (currently 1)
 //	byte    count   (1..MaxBatch envelopes)

@@ -64,10 +64,23 @@ func sampleFill(t *testing.T) table.BitVector {
 	return v
 }
 
-// sampleEnvelopes returns one representative envelope per message kind,
-// exercising every field shape (refs, tables, fill vectors, suffixes,
-// optional IDs, flags).
+// sampleEnvelopes is every input the round-trip, trailer and fuzz-seed
+// tests run over: the frozen golden set plus shapes added since.
 func sampleEnvelopes(t *testing.T) []msg.Envelope {
+	t.Helper()
+	envs := goldenEnvelopes(t)
+	from, to := envs[0].From, envs[0].To
+	return append(envs,
+		// A direct probe: Origin set, Target the zero ref.
+		msg.Envelope{From: from, To: to, Msg: msg.Ping{Seq: 42, Origin: from}},
+	)
+}
+
+// goldenEnvelopes returns one representative envelope per message kind,
+// exercising every field shape (refs, tables, fill vectors, suffixes,
+// optional IDs, flags). testdata/golden*.txt hold one vector per entry,
+// in this order, so the list only ever changes together with them.
+func goldenEnvelopes(t *testing.T) []msg.Envelope {
 	t.Helper()
 	from := tref(t, "21233", "127.0.0.1:7001")
 	to := tref(t, "33121", "127.0.0.1:7002")
@@ -217,10 +230,10 @@ func TestDecodeRejectsHostile(t *testing.T) {
 	}
 }
 
-// The satellite-bug classes from the gob codec must be structurally
-// impossible or rejected here: under-length fill words, phantom padding
-// bits, out-of-order or duplicate table entries, oversized addresses,
-// and invalid Found state/addr on FindRly.
+// The boundary classes a decoder most easily lets through must be
+// structurally impossible or rejected: under-length fill words, phantom
+// padding bits, out-of-order or duplicate table entries, oversized
+// addresses, and invalid Found state/addr on FindRly.
 func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	from := tref(t, "21233", "a")
 	to := tref(t, "33121", "b")
@@ -255,6 +268,20 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 		t.Error("fill vector with phantom padding bits accepted")
 	}
 
+	// One word more than the declared length needs is trailing garbage in
+	// the record body.
+	overFill := AppendHeader(nil, Version)
+	body = []byte{byte(msg.TSyncReq)}
+	body = appendRawRef(body, from)
+	body = appendRawRef(body, to)
+	body = append(body, 40)                  // 40 bits -> one word...
+	body = append(body, make([]byte, 16)...) // ...but two follow
+	overFill = appendRecord(overFill, body)
+	SetCount(overFill, 1)
+	if _, err := DecodeOne(tp, overFill); err == nil {
+		t.Error("over-length fill vector accepted")
+	}
+
 	// FindRly Found with an invalid state byte.
 	foundBad := AppendHeader(nil, Version)
 	body = []byte{byte(msg.TFindRly)}
@@ -286,6 +313,19 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	SetCount(foundAddr, 1)
 	if _, err := DecodeOne(tp, foundAddr); err == nil {
 		t.Error("FindRly Found with oversized address accepted")
+	}
+
+	// A table owner outside the ID space (digit 9 under base 8).
+	badOwner := []byte{byte(msg.TCpRly)}
+	badOwner = appendRawRef(badOwner, from)
+	badOwner = appendRawRef(badOwner, to)
+	badOwner = append(badOwner, 1)             // table present
+	badOwner = append(badOwner, 9, 9, 9, 9, 9) // owner digits
+	badOwner = append(badOwner, 0, 0, 0)       // empty level range, no entries
+	ownerPayload := appendRecord(AppendHeader(nil, Version), badOwner)
+	SetCount(ownerPayload, 1)
+	if _, err := DecodeOne(tp, ownerPayload); err == nil {
+		t.Error("table owner outside the ID space accepted")
 	}
 
 	// Out-of-order table entries break the canonical ordering rule.
@@ -384,7 +424,7 @@ func TestAppendEnvelopeRejectsUnencodable(t *testing.T) {
 //
 //	go test ./internal/wire -run TestGoldenVectors -update
 func TestGoldenVectors(t *testing.T) {
-	envs := sampleEnvelopes(t)
+	envs := goldenEnvelopes(t)
 	path := filepath.Join("testdata", "golden.txt")
 	if *update {
 		var sb strings.Builder
