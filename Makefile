@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 
 .PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
 
-all: build lint test fuzz-smoke nemesis-smoke bench-smoke
+all: build lint test fuzz-smoke nemesis-smoke trace-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -94,19 +94,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzValidateMatchesOracle -fuzztime $(FUZZTIME) ./internal/table
 
 # trace-smoke proves the tracing pipeline end to end: a 16-node overlay
-# wave writes a JSONL trace and tracestat must parse it cleanly (exit 0).
+# wave streams its JSONL trace into `trace report`. pipefail makes both
+# ends gate: the wave exits non-zero unless every join completes into a
+# consistent network, the report unless every line parses.
 trace-smoke:
-	$(GO) run ./cmd/tracewave -n 16 -m 12 -out /tmp/hypercube-trace-smoke.jsonl
-	$(GO) run ./cmd/tracestat /tmp/hypercube-trace-smoke.jsonl
+	bash -o pipefail -c '$(GO) run ./cmd/trace wave -n 16 -m 12 -out - | $(GO) run ./cmd/trace report -'
 
 # fleettrace-smoke proves cross-node causal tracing end to end at a
 # CI-friendly size: a 32-node flash-crowd run with tracing on writes a
-# fleet JSONL trace, and fleettrace must reconstruct at least 95% of
+# fleet JSONL trace, and `trace report` must reconstruct at least 95% of
 # the joins as complete cross-node span trees (exit non-zero below).
 fleettrace-smoke:
 	$(GO) run ./cmd/churn -flashcrowd -n 32 -fc-joins 32 -b 16 -d 4 -seed 7 \
 		-trace /tmp/hypercube-fleettrace-smoke.jsonl
-	$(GO) run ./cmd/fleettrace -require-joins 0.95 /tmp/hypercube-fleettrace-smoke.jsonl
+	$(GO) run ./cmd/trace report -require-joins 0.95 /tmp/hypercube-fleettrace-smoke.jsonl
 
 # nemesis-smoke is the deterministic chaos-search gate: sweep a pinned
 # seed range of generated fault schedules (composed join waves, crashes,

@@ -30,7 +30,7 @@ import (
 
 // traceSample is package-level because scenarioConfig (scenarios.go)
 // reads it alongside the per-mode configs built here.
-var traceSample = flag.Float64("trace-sample", 1, "causal-trace head-sampling rate in [0,1]; effective only with -trace (reconstruct with fleettrace)")
+var traceSample = flag.Float64("trace-sample", 1, "causal-trace head-sampling rate in [0,1]; effective only with -trace (reconstruct with `trace report`)")
 
 func main() {
 	var (
@@ -43,7 +43,7 @@ func main() {
 		auto   = flag.Bool("crash", false, "self-healing crash mode: nodes detect and repair crashes themselves (no recovery oracle)")
 		heal   = flag.Duration("heal", 20*time.Second, "virtual healing window per crash in -crash mode")
 
-		trace = flag.String("trace", "", "write every protocol event as JSONL to this file (analyze with tracestat or fleettrace)")
+		trace = flag.String("trace", "", "write every protocol event as JSONL to this file (analyze with `go run ./cmd/trace report`)")
 
 		partition = flag.Bool("partition", false, "partition experiment: split the network into halves, verify declarations are held, heal, and measure anti-entropy reconvergence (replaces the churn phases)")
 		split     = flag.Duration("split", 15*time.Second, "virtual duration of the partition in -partition mode")

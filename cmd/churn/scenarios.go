@@ -68,7 +68,7 @@ func scenarioConfig(p id.Params, seed int64, syncEvery time.Duration, tl *overla
 	if sink != nil {
 		fwd = sink
 		// A JSONL trace is the input of cross-node span reconstruction
-		// (cmd/fleettrace), so tracing there means causal tracing too.
+		// (`trace report`), so tracing there means causal tracing too.
 		cfg.TraceSample = *traceSample
 		cfg.TraceSeed = uint64(seed)
 	}

@@ -14,10 +14,10 @@
 //	curl -s 127.0.0.1:8002/metrics
 //
 // Observability: -trace writes every protocol event as JSONL (analyze
-// with tracestat), -trace-ring keeps the newest N events in memory
+// with `trace report`), -trace-ring keeps the newest N events in memory
 // behind GET /trace, -trace-sample enables causal tracing (crypto/rand
 // span IDs, wire-v2 trace trailers; merge per-node traces or scrape a
-// fleet's /trace endpoints with fleettrace), -log-level=debug mirrors
+// fleet's /trace endpoints with `trace report -scrape`), -log-level=debug mirrors
 // events into the log stream, and the admin server serves
 // net/http/pprof under /debug/pprof/.
 //
@@ -80,7 +80,7 @@ func run() error {
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error (debug mirrors protocol events)")
 		tracePath   = flag.String("trace", "", "write protocol events as JSONL to this file")
 		traceRing   = flag.Int("trace-ring", 0, "keep the newest N events in memory behind GET /trace (0 = off)")
-		traceSample = flag.Float64("trace-sample", 0, "causal-trace head-sampling rate in [0,1]; sampled operations carry trace context on the wire (reconstruct fleet-wide with fleettrace; 0 = off, node stays a v1 opaque hop)")
+		traceSample = flag.Float64("trace-sample", 0, "causal-trace head-sampling rate in [0,1]; sampled operations carry trace context on the wire (reconstruct fleet-wide with `trace report`; 0 = off, node stays a v1 opaque hop)")
 
 		// Reliable-delivery knobs (0 keeps the transport default).
 		attempts = flag.Int("max-attempts", 0, "delivery attempts per message before dead-lettering")

@@ -101,7 +101,9 @@ type Config struct {
 	SuspectAfter int
 	// IndirectProbes is the number of relayed probes (via distinct other
 	// neighbors) added to the direct probe in each confirmation round.
-	// Default 3; 0 disables indirect probing.
+	// The zero value is the default and means off: confirmation rounds
+	// are direct-only unless a caller sets it (the scenario drivers use
+	// 2-3; hypercubed's -indirect-probes defaults to 0).
 	IndirectProbes int
 	// ConfirmRounds is the number of fully unanswered confirmation
 	// rounds needed to declare a suspect failed. Default 2.

@@ -130,6 +130,18 @@ func Types() []Type {
 	return out
 }
 
+// Zero returns one zero-valued message of every type, in Type order: the
+// way to ask a per-type question (Big) without a message in hand.
+func Zero() []Message {
+	return []Message{
+		CpRst{}, CpRly{}, JoinWait{}, JoinWaitRly{}, JoinNoti{}, JoinNotiRly{},
+		InSysNoti{}, SpeNoti{}, SpeNotiRly{}, RvNghNoti{}, RvNghNotiRly{},
+		Leave{}, LeaveRly{}, Find{}, FindRly{}, Ping{}, Pong{}, FailedNoti{},
+		SyncReq{}, SyncRly{}, SyncPush{},
+		SamplePush{}, SamplePullReq{}, SamplePullRly{},
+	}
+}
+
 // Result is the positive/negative verdict carried by reply messages.
 type Result uint8
 

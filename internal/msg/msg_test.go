@@ -60,6 +60,17 @@ func TestTypesEnumeratesAll(t *testing.T) {
 		}
 		seen[typ] = true
 	}
+	// Zero is the same enumeration as values: one message per type, in
+	// Type order, so a new type cannot be left out of per-type questions.
+	zero := Zero()
+	if len(zero) != len(types) {
+		t.Fatalf("Zero() has %d entries, want %d", len(zero), len(types))
+	}
+	for i, m := range zero {
+		if m.Type() != types[i] {
+			t.Errorf("Zero()[%d] is %v, want %v", i, m.Type(), types[i])
+		}
+	}
 }
 
 func TestBigClassification(t *testing.T) {

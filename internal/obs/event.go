@@ -11,7 +11,7 @@
 // small typed Event through a Sink. The overlay simulator stamps events
 // with the virtual clock and the TCP runtime with wall time since start,
 // so both produce the same trace schema and the same analysis tooling
-// (cmd/tracestat, Analyzer) works on either.
+// (Analyzer, printed by `trace report`) works on either.
 //
 // Tracing is off by default and must cost nearly nothing when off: the
 // emitting code holds a Sink field that is nil by default and checks it

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -239,4 +240,32 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
+}
+
+// FoldPrometheus adds one node's text exposition (what WritePrometheus
+// renders) into fleet-wide sums. Labeled series are summed under the bare
+// metric name; histogram buckets are skipped, their _sum and _count carry
+// the signal that aggregates across nodes.
+func FoldPrometheus(r io.Reader, into map[string]float64) error {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			continue
+		}
+		name, _, labeled := strings.Cut(line[:i], "{")
+		if labeled && strings.HasSuffix(name, "_bucket") {
+			continue
+		}
+		into[strings.TrimSpace(name)] += v
+	}
+	return sc.Err()
 }

@@ -27,8 +27,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := s.Emitted(); got != len(want) {
 		t.Fatalf("emitted = %d, want %d", got, len(want))
 	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
+	var got []Event
+	if err := ScanJSONL(&buf, func(e Event) { got = append(got, e) }); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if len(got) != len(want) {
@@ -42,9 +42,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLBadLine(t *testing.T) {
-	_, err := ReadJSONL(strings.NewReader("{\"kind\":\"send\"}\nnot json\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-2 error, got %v", err)
+	seen := 0
+	err := ScanJSONL(strings.NewReader("{\"kind\":\"send\"}\n\nnot json\n"), func(Event) { seen++ })
+	if err == nil || !strings.Contains(err.Error(), "line 3") || seen != 1 {
+		t.Fatalf("want one event then a line-3 error, got %d events, %v", seen, err)
 	}
 }
 
@@ -280,20 +281,21 @@ func TestAnalyzerJoinSpans(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	ds := []time.Duration{4, 1, 3, 2, 5}
-	if got := Percentile(ds, 50); got != 3 {
-		t.Errorf("p50 = %v", got)
+	if got, want := summarize(ds), (Stats{Count: 5, P50: 3, P90: 5, P99: 5, Max: 5}); got != want {
+		t.Errorf("summarize = %+v, want %+v", got, want)
 	}
-	if got := Percentile(ds, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(ds, 100); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-	// Input must not be mutated.
 	if ds[0] != 4 {
-		t.Error("Percentile sorted its input in place")
+		t.Error("summarize sorted its input in place")
+	}
+	if got := summarize(nil); got != (Stats{}) {
+		t.Errorf("empty = %+v", got)
+	}
+	// Nearest rank on 1..200 in reverse: p50 is the 100th smallest.
+	var big []time.Duration
+	for i := 200; i >= 1; i-- {
+		big = append(big, time.Duration(i))
+	}
+	if got, want := summarize(big), (Stats{Count: 200, P50: 100, P90: 180, P99: 198, Max: 200}); got != want {
+		t.Errorf("summarize(1..200) = %+v, want %+v", got, want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // JSONL writes one JSON object per event, newline-delimited — the trace
-// format cmd/tracestat consumes. Writes are buffered; call Flush (or
+// format ScanJSONL and `trace report` consume. Writes are buffered; call Flush (or
 // Close, which also closes an owned file) before reading the output.
 // Safe for concurrent use.
 type JSONL struct {
@@ -94,11 +94,10 @@ func (s *JSONL) Close() error {
 	return err
 }
 
-// ReadJSONL decodes a JSONL trace stream back into events, in order.
-// Blank lines are skipped; a malformed line aborts with an error naming
-// its line number.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
+// ScanJSONL decodes a JSONL trace stream, handing each event to fn in
+// order without holding the stream in memory. Blank lines are skipped; a
+// malformed line aborts with an error naming its line number.
+func ScanJSONL(r io.Reader, fn func(Event)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	line := 0
@@ -110,14 +109,14 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		}
 		var e Event
 		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+			return fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
-		out = append(out, e)
+		fn(e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: trace read: %w", err)
+		return fmt.Errorf("obs: trace read: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // Ring is a bounded in-memory sink: the newest Cap events are kept, the

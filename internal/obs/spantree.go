@@ -9,9 +9,9 @@ import (
 // offline half of the causal-tracing pipeline. Emitters stamp events
 // with (trace, span, parent) hex IDs via Event.Stamped; BuildTrees
 // groups a merged multi-node event stream back into one Tree per
-// operation, with one Span per network hop. cmd/fleettrace feeds it
-// per-node JSONL files (or live /trace scrapes) and reports on the
-// result.
+// operation, with one Span per network hop. Analyzer.Report feeds it the
+// traced events of per-node JSONL files (or live /trace scrapes) and
+// folds the trees into the Report that `trace report` prints.
 
 // Span is one hop (or the root) of a traced operation: every event that
 // carries the same span ID, across all nodes. A protocol hop's span
@@ -86,33 +86,25 @@ func (t *Tree) Complete() bool {
 	return t.Root != nil && len(t.Orphans) == 0
 }
 
-// RootKind returns the kind of the operation's root event (join_start,
-// probe, sync_round, sample_round, dht_publish, dht_lookup), or "" when
-// the root is missing.
-func (t *Tree) RootKind() Kind {
-	if t.Root == nil {
-		return ""
-	}
-	for _, e := range t.Root.Events {
-		if rootKinds[e.Kind] {
-			return e.Kind
+// rootEvent returns the event that started the operation (a join_start,
+// probe, sync_round, sample_round, dht_publish or dht_lookup); ok is
+// false when the root is missing.
+func (t *Tree) rootEvent() (Event, bool) {
+	if t.Root != nil {
+		for _, e := range t.Root.Events {
+			if rootKinds[e.Kind] {
+				return e, true
+			}
 		}
 	}
-	return ""
+	return Event{}, false
 }
 
-// RootNode returns the node that started the operation, or "" when the
-// root is missing.
-func (t *Tree) RootNode() string {
-	if t.Root == nil {
-		return ""
-	}
-	for _, e := range t.Root.Events {
-		if rootKinds[e.Kind] {
-			return e.Node
-		}
-	}
-	return ""
+// RootKind returns the kind of the operation's root event, or "" when
+// the root is missing.
+func (t *Tree) RootKind() Kind {
+	e, _ := t.rootEvent()
+	return e.Kind
 }
 
 // HasStatus reports whether any event in the tree is a status

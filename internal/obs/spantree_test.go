@@ -62,8 +62,8 @@ func TestBuildTreesJoin(t *testing.T) {
 	if got := tree.RootKind(); got != KindJoinStart {
 		t.Fatalf("RootKind = %q, want join_start", got)
 	}
-	if got := tree.RootNode(); got != "n1" {
-		t.Fatalf("RootNode = %q, want n1", got)
+	if root, ok := tree.rootEvent(); !ok || root.Node != "n1" {
+		t.Fatalf("root event = %+v (%v), want n1's join_start", root, ok)
 	}
 	if !tree.JoinComplete() {
 		t.Fatal("JoinComplete = false, want true")

@@ -1,9 +1,11 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"time"
+
+	"hypercube/internal/msg"
 )
 
 // JoinSpan is one node's join attempt reconstructed from a trace: from
@@ -13,14 +15,14 @@ import (
 // walks), waiting (JoinWaitMsg sent, blocked on the gateway's notify
 // grant), notifying (JoinNotiMsg flood until the last reply).
 type JoinSpan struct {
-	Node      string
-	Start     time.Duration // first join activity observed
-	End       time.Duration // in_system transition; zero if !Completed
-	Copying   time.Duration
-	Waiting   time.Duration
-	Notifying time.Duration
-	Restarts  int  // timeout-driven join restarts (join_start with N>0)
-	Completed bool // reached in_system
+	Node      string        `json:"node"`
+	Start     time.Duration `json:"start"` // first join activity observed
+	End       time.Duration `json:"end"`   // in_system transition; zero if !Completed
+	Copying   time.Duration `json:"copying"`
+	Waiting   time.Duration `json:"waiting"`
+	Notifying time.Duration `json:"notifying"`
+	Restarts  int           `json:"restarts"`  // timeout-driven join restarts (join_start with N>0)
+	Completed bool          `json:"completed"` // reached in_system
 }
 
 // Total returns the full join latency, zero if the join never finished.
@@ -31,39 +33,40 @@ func (s JoinSpan) Total() time.Duration {
 	return s.End - s.Start
 }
 
-// Summary is the aggregate view of one trace.
+// Summary is what one streaming pass over a trace counts: the part of a
+// Report that needs no span trees and no percentile math. Its JSON form
+// (flattened into Report's) is the struct.
 type Summary struct {
-	Events    int
-	Nodes     int
-	Joins     []JoinSpan     // completed and incomplete, by start time
-	Sent      map[string]int // message-type name -> send count
-	Received  map[string]int
-	Retries   int
-	Drops     int
-	Resends   int
-	GiveUps   int
-	Probes    int
-	ProbeMiss int
-	Suspects  int
-	Declared  int
-	Repairs   int // repair_start events
-	SyncRound int
+	Events       int           `json:"events"`
+	TracedEvents int           `json:"tracedEvents"` // events carrying causal trace context
+	Span         time.Duration `json:"span"`         // time of the last event
+	// Nodes counts distinct emitting nodes. Joiners are len(Joins); nodes
+	// that ever reported a status are Convergence.Nodes.
+	Nodes     int            `json:"nodes"`
+	Joins     []JoinSpan     `json:"joins"` // completed and incomplete, by start time
+	Sent      map[string]int `json:"sent"`  // message-type name -> send count
+	Received  map[string]int `json:"received"`
+	Retries   int            `json:"retries"`
+	Drops     int            `json:"drops"`
+	Resends   int            `json:"resends"`
+	GiveUps   int            `json:"giveUps"`
+	Probes    int            `json:"probes"`
+	ProbeMiss int            `json:"probeMisses"`
+	Suspects  int            `json:"suspects"`
+	Declared  int            `json:"declared"`
+	Repairs   int            `json:"repairs"` // repair_start events
+	SyncRound int            `json:"syncRounds"`
 	// Guard-layer activity (hostile-input hardening).
-	GuardRejects int // semantically invalid messages rejected
-	GuardDrops   int // unvalidated drops: unknown types, quarantined senders
-	Quarantines  int // peers quarantined for repeated misbehavior
-	Releases     int // quarantines released after cooldown
-	Busy         int // budget-exceeded deferrals
-	// Gray-failure (adaptive timeout) activity. ProbeRTTs holds the
-	// measured round-trip of each answered direct probe (probe event
-	// paired with its probe_ack by node and sequence number), capped at
-	// probeRTTCap samples; LatePongs counts acks that arrived after
-	// their probe expired (Detail "late").
-	ProbeRTTs       []time.Duration
-	LatePongs       int
-	Degraded        int // degraded-flag marks
-	DegradedCleared int
-	Span            time.Duration // time of the last event
+	GuardRejects int `json:"guardRejects"`       // semantically invalid messages rejected
+	GuardDrops   int `json:"guardDrops"`         // unvalidated drops: unknown types, quarantined senders
+	Quarantines  int `json:"quarantines"`        // peers quarantined for repeated misbehavior
+	Releases     int `json:"quarantineReleases"` // quarantines released after cooldown
+	Busy         int `json:"busyDeferrals"`      // budget-exceeded deferrals
+	// Gray-failure (adaptive timeout) activity: LatePongs counts acks
+	// that arrived after their probe expired (Detail "late").
+	LatePongs       int `json:"latePongs"`
+	Degraded        int `json:"degradedMarked"` // degraded-flag marks
+	DegradedCleared int `json:"degradedCleared"`
 }
 
 // Completed returns only the joins that reached in_system.
@@ -77,27 +80,61 @@ func (s *Summary) Completed() []JoinSpan {
 	return out
 }
 
-type joinState struct {
-	span      JoinSpan
-	started   bool
-	phase     string // current status
-	phaseAt   time.Duration
-	everJoins bool // saw a join_start (distinguishes joiners from seeds)
+// nodeState is what the analyzer keeps per emitting node: its join span
+// and its latest protocol status.
+type nodeState struct {
+	span    JoinSpan
+	started bool
+	phase   string // latest status; "" until the node reports one
+	phaseAt time.Duration
 }
 
-// Analyzer consumes a stream of events (in trace order) and reduces it
-// to a Summary. Feed events with Feed, then call Summary once. It is
-// streaming — memory is O(nodes + message types), not O(events) — so
-// large soak traces analyze in one pass.
+// flagSet tracks which (observer, peer) pairs currently hold a liveness
+// flag (suspected, degraded, quarantined). Keying by the pair, not the
+// peer alone, makes the result independent of how per-node streams are
+// interleaved: a flag is only ever lowered by the node that raised it.
+type flagSet map[[2]string]struct{}
+
+func (s flagSet) set(e Event, on bool) {
+	if k := [2]string{e.Node, e.Peer}; on {
+		s[k] = struct{}{}
+	} else {
+		delete(s, k)
+	}
+}
+
+// peers counts the distinct peers flagged by at least one observer.
+func (s flagSet) peers() int {
+	seen := make(map[string]struct{}, len(s))
+	for k := range s {
+		seen[k[1]] = struct{}{}
+	}
+	return len(seen)
+}
+
+// Analyzer reduces a stream of events to a Report: Feed every event
+// (each node's events in trace order; nodes may interleave or follow one
+// another, so per-node files concatenate), then call Report once. Events
+// without trace context are folded into counters and per-node state —
+// O(nodes + message types) memory, so an untraced multi-GB soak trace
+// analyzes in one pass; only events carrying trace context are retained,
+// for span-tree reconstruction.
 type Analyzer struct {
-	joins map[string]*joinState
-	sum   Summary
+	only   string // when set, events from other nodes are skipped
+	nodes  map[string]*nodeState
+	sum    Summary
+	traced []Event
+
+	suspected, degraded, quarantined flagSet
 
 	// probeAt holds the send time of each not-yet-answered direct probe,
 	// keyed by node+"|"+seq, for RTT pairing. Misses evict their entry;
 	// the map is additionally capped so a trace with pathological loss
-	// cannot grow it without bound.
-	probeAt map[string]time.Duration
+	// cannot grow it without bound. probeRTTs collects the measured round
+	// trip of each answered one, capped at probeRTTCap samples, for
+	// Report.ProbeRTT.
+	probeAt   map[string]time.Duration
+	probeRTTs []time.Duration
 }
 
 // probePendingCap bounds the in-flight probe-pairing map; probeRTTCap
@@ -108,11 +145,17 @@ const (
 	probeRTTCap     = 1 << 18
 )
 
-// NewAnalyzer creates an empty analyzer.
-func NewAnalyzer() *Analyzer {
+// NewAnalyzer creates an empty analyzer. A non-empty node restricts the
+// whole analysis to events that node emitted (one node's view of a
+// merged fleet trace).
+func NewAnalyzer(node string) *Analyzer {
 	return &Analyzer{
-		joins:   make(map[string]*joinState),
-		probeAt: make(map[string]time.Duration),
+		only:        node,
+		nodes:       make(map[string]*nodeState),
+		probeAt:     make(map[string]time.Duration),
+		suspected:   make(flagSet),
+		degraded:    make(flagSet),
+		quarantined: make(flagSet),
 		sum: Summary{
 			Sent:     make(map[string]int),
 			Received: make(map[string]int),
@@ -126,55 +169,54 @@ func probeKey(e Event) string {
 	return e.Node + "|" + strconv.FormatUint(e.Seq, 10)
 }
 
-func (a *Analyzer) node(name string) *joinState {
-	js, ok := a.joins[name]
-	if !ok {
-		js = &joinState{span: JoinSpan{Node: name}}
-		a.joins[name] = js
-	}
-	return js
-}
-
 // Feed processes one event.
 func (a *Analyzer) Feed(e Event) {
+	if a.only != "" && e.Node != a.only {
+		return
+	}
 	a.sum.Events++
 	if e.T > a.sum.Span {
 		a.sum.Span = e.T
 	}
+	if e.Trace != "" {
+		a.traced = append(a.traced, e)
+	}
+	ns, ok := a.nodes[e.Node]
+	if !ok {
+		ns = &nodeState{span: JoinSpan{Node: e.Node}}
+		a.nodes[e.Node] = ns
+	}
 	switch e.Kind {
 	case KindJoinStart:
-		js := a.node(e.Node)
-		js.everJoins = true
-		if !js.started {
-			js.started = true
-			js.span.Start = e.T
+		if !ns.started {
+			ns.started = true
+			ns.span.Start = e.T
 		}
 		if e.N > 0 {
-			js.span.Restarts++
+			ns.span.Restarts++
 		}
 	case KindStatus:
-		js := a.node(e.Node)
-		if e.Detail == "copying" && !js.started {
-			js.started = true
-			js.span.Start = e.T
+		if e.Detail == "copying" && !ns.started {
+			ns.started = true
+			ns.span.Start = e.T
 		}
-		if js.started && !js.span.Completed && js.phase != "" {
-			d := e.T - js.phaseAt
-			switch js.phase {
+		if ns.started && !ns.span.Completed && ns.phase != "" {
+			d := e.T - ns.phaseAt
+			switch ns.phase {
 			case "copying":
-				js.span.Copying += d
+				ns.span.Copying += d
 			case "waiting":
-				js.span.Waiting += d
+				ns.span.Waiting += d
 			case "notifying":
-				js.span.Notifying += d
+				ns.span.Notifying += d
 			}
 		}
-		if e.Detail == "in_system" && js.started && !js.span.Completed {
-			js.span.Completed = true
-			js.span.End = e.T
+		if e.Detail == "in_system" && ns.started && !ns.span.Completed {
+			ns.span.Completed = true
+			ns.span.End = e.T
 		}
-		js.phase = e.Detail
-		js.phaseAt = e.T
+		ns.phase = e.Detail
+		ns.phaseAt = e.T
 	case KindSend:
 		a.sum.Sent[e.Msg]++
 	case KindRecv:
@@ -204,20 +246,26 @@ func (a *Analyzer) Feed(e Event) {
 		key := probeKey(e)
 		if at, ok := a.probeAt[key]; ok {
 			delete(a.probeAt, key)
-			if rtt := e.T - at; rtt > 0 && len(a.sum.ProbeRTTs) < probeRTTCap {
-				a.sum.ProbeRTTs = append(a.sum.ProbeRTTs, rtt)
+			if rtt := e.T - at; rtt > 0 && len(a.probeRTTs) < probeRTTCap {
+				a.probeRTTs = append(a.probeRTTs, rtt)
 			}
 		}
 	case KindProbeMiss:
 		a.sum.ProbeMiss++
 	case KindDegraded:
 		a.sum.Degraded++
+		a.degraded.set(e, true)
 	case KindDegradedClear:
 		a.sum.DegradedCleared++
+		a.degraded.set(e, false)
 	case KindSuspect:
 		a.sum.Suspects++
+		a.suspected.set(e, true)
+	case KindRecovered:
+		a.suspected.set(e, false)
 	case KindDeclared:
 		a.sum.Declared++
+		a.suspected.set(e, false)
 	case KindRepairStart:
 		a.sum.Repairs++
 	case KindSyncRound:
@@ -228,63 +276,56 @@ func (a *Analyzer) Feed(e Event) {
 		a.sum.GuardDrops++
 	case KindQuarantine:
 		a.sum.Quarantines++
+		a.quarantined.set(e, true)
 	case KindQuarantineRelease:
 		a.sum.Releases++
+		a.quarantined.set(e, false)
 	case KindBusy:
 		a.sum.Busy++
 	}
 }
 
-// Summary finalizes and returns the aggregate. Nodes that only ever
-// appear as in_system (wave seeds booted directly into the table, no
-// join_start and no copying transition) are not counted as joins.
-func (a *Analyzer) Summary() *Summary {
-	a.sum.Nodes = len(a.joins)
-	a.sum.Joins = a.sum.Joins[:0]
-	for _, js := range a.joins {
-		if js.started {
-			a.sum.Joins = append(a.sum.Joins, js.span)
-		}
-	}
-	sort.Slice(a.sum.Joins, func(i, j int) bool {
-		if a.sum.Joins[i].Start != a.sum.Joins[j].Start {
-			return a.sum.Joins[i].Start < a.sum.Joins[j].Start
-		}
-		return a.sum.Joins[i].Node < a.sum.Joins[j].Node
-	})
-	return &a.sum
+// Stats is the percentile summary of one duration sample set
+// (nearest-rank); the zero value describes an empty set.
+type Stats struct {
+	Count int           `json:"count"`
+	P50   time.Duration `json:"p50"`
+	P90   time.Duration `json:"p90"`
+	P99   time.Duration `json:"p99"`
+	Max   time.Duration `json:"max"`
 }
 
-// Analyze is the one-shot form: feed every event, return the summary.
-func Analyze(events []Event) *Summary {
-	a := NewAnalyzer()
-	for _, e := range events {
-		a.Feed(e)
-	}
-	return a.Summary()
-}
-
-// Percentile returns the p-th percentile (0..100, nearest-rank) of the
-// given durations; zero if empty. Used by cmd/tracestat for the Figure
-// 15-style join-latency distribution.
-func Percentile(ds []time.Duration, p float64) time.Duration {
+// summarize sorts one copy of ds and reads every percentile off it.
+func summarize(ds []time.Duration) Stats {
 	if len(ds) == 0 {
-		return 0
+		return Stats{}
 	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	rank := func(p float64) time.Duration {
+		r := int(float64(len(sorted))*p/100 + 0.5)
+		return sorted[min(max(r, 1), len(sorted))-1]
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
+	return Stats{
+		Count: len(sorted),
+		P50:   rank(50), P90: rank(90), P99: rank(99),
+		Max: sorted[len(sorted)-1],
 	}
-	rank := int(float64(len(sorted))*p/100 + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
+
+// bigMsgs names the table-carrying message types (msg.Message.Big): their
+// payload scales with the neighbor table, so the big/small split of a
+// trace's sends approximates the paper's §5.2 bandwidth accounting.
+var bigMsgs = func() map[string]bool {
+	big := make(map[string]bool)
+	for _, m := range msg.Zero() {
+		if m.Big() {
+			big[m.Type().String()] = true
+		}
+	}
+	return big
+}()
+
+// BigMsg reports whether name is the paper name of a table-carrying
+// message type.
+func BigMsg(name string) bool { return bigMsgs[name] }

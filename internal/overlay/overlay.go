@@ -197,7 +197,7 @@ type Config struct {
 	// Sink, when non-nil, receives every protocol event from every
 	// machine, prober, and anti-entropy engine, stamped with the virtual
 	// clock — the same trace schema live TCP runs produce, so
-	// cmd/tracestat works on either.
+	// `trace report` works on either.
 	Sink obs.Sink
 	// TraceSample enables causal tracing: protocol-operation roots
 	// (joins, probe round trips, sync and gossip rounds, DHT walks) are

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 // TestWaveTraceMatchesResult runs a join wave with a JSONL sink and
 // checks the trace against the wave's own records: one completed join
 // span per joiner, virtual-clock stamps, and the same trace schema the
-// TCP runtime produces (so cmd/tracestat works on either).
+// TCP runtime produces (so `trace report` works on either).
 func TestWaveTraceMatchesResult(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
@@ -26,11 +27,14 @@ func TestWaveTraceMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, err := obs.ReadJSONL(&buf)
-	if err != nil {
+	a := obs.NewAnalyzer("")
+	if err := obs.ScanJSONL(&buf, a.Feed); err != nil {
 		t.Fatal(err)
 	}
-	sum := obs.Analyze(events)
+	sum := a.Report()
+	if sum.Nodes != 40+25 {
+		t.Errorf("trace nodes = %d, want 65 (every emitter, not only the joiners)", sum.Nodes)
+	}
 	completed := sum.Completed()
 	if len(completed) != 25 {
 		t.Fatalf("completed join spans = %d, want 25", len(completed))
@@ -71,6 +75,43 @@ func TestWaveTraceMatchesResult(t *testing.T) {
 		if sum.Span > res.VirtualDuration {
 			t.Errorf("trace span %v exceeds virtual duration %v", sum.Span, res.VirtualDuration)
 		}
+	}
+}
+
+// TestWaveTraceReportE14 pins EXPERIMENTS.md E14: the §5.2 quantities
+// `trace wave -n 256 -m 192 -seed 1 | trace report -` prints, recomputed
+// from the event stream alone. A protocol or analysis change that moves
+// one of them must move the table in EXPERIMENTS.md with it.
+func TestWaveTraceReportE14(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
+	res, err := RunWave(WaveConfig{Params: p164, N: 256, M: 192, Seed: 1, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AllSNodes || !res.Consistent() {
+		t.Fatal("wave did not converge to a consistent network")
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a := obs.NewAnalyzer("")
+	if err := obs.ScanJSONL(&buf, a.Feed); err != nil {
+		t.Fatal(err)
+	}
+	rep := a.Report()
+	got := []int{rep.Events, rep.Nodes, len(rep.Joins), rep.Total.Count, rep.JoinRestarts,
+		rep.Sent["JoinNotiMsg"], rep.BigSent, rep.SmallSent}
+	want := []int{23150, 448, 192, 192, 0, 1250, 3206, 7889}
+	if !slices.Equal(got, want) {
+		t.Errorf("events/nodes/joins/completed/restarts/JoinNotiMsg/big/small\n got %v\nwant %v", got, want)
+	}
+	ms := func(d time.Duration) int { return int(d.Round(time.Millisecond) / time.Millisecond) }
+	if p50, p90, p99 := ms(rep.Total.P50), ms(rep.Total.P90), ms(rep.Total.P99); p50 != 619 || p90 != 902 || p99 != 1065 {
+		t.Errorf("join latency p50/p90/p99 = %d/%d/%d ms, want 619/902/1065", p50, p90, p99)
+	}
+	if rep.Span > res.VirtualDuration || rep.Traces != 0 {
+		t.Errorf("span %v (virtual duration %v), %d span trees in an untraced wave", rep.Span, res.VirtualDuration, rep.Traces)
 	}
 }
 

@@ -3,8 +3,9 @@
 // join attempt, a probe, an anti-entropy round, a sample round, a DHT
 // publish or lookup) and an 8-byte span ID naming one hop of it. The
 // context rides inside msg.Envelope, crosses the network in the wire
-// codec's v2 trailer, and is echoed into obs events so cmd/fleettrace
-// can stitch per-node JSONL streams into cross-node span trees.
+// codec's v2 trailer, and is echoed into obs events so `trace report`
+// (obs.BuildTrees) can stitch per-node JSONL streams into cross-node
+// span trees.
 //
 // Sampling is head-based: the decision is made once, when the root
 // span is allocated. An unsampled operation gets the zero Context,
