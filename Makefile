@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
+.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments experiments-check trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
 
-all: build lint test fuzz-smoke nemesis-smoke trace-smoke bench-smoke
+all: build lint test experiments-check fuzz-smoke nemesis-smoke trace-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -29,8 +29,9 @@ loc:
 # bench runs the repository benchmark (./bench, BENCHMARK.json) at its
 # own run length, one workload after another; each prints its metrics as
 # one JSON line. `bench-all` sweeps every `go test` benchmark in the
-# module — the paper-evaluation harness in bench_test.go and the few
-# micro-benchmarks ./bench has no probe for — without recording.
+# module — the §7 and ablation benchmarks EXPERIMENTS.md cites from
+# bench_test.go (E1-E11 themselves are `paper`, see experiments) and the
+# few micro-benchmarks ./bench has no probe for — without recording.
 bench:
 	$(GO) run ./bench --workload sim_join_paper
 	$(GO) run ./bench --workload sim_maintain_crash
@@ -69,17 +70,20 @@ lint:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Regenerate every table and figure of the paper's evaluation.
+# Regenerate every table and figure of the paper's evaluation (E1-E11)
+# at paper scale, then the §7 churn phases of E11.
 experiments:
-	$(GO) run ./cmd/figure15a
-	$(GO) run ./cmd/figure15b
-	$(GO) run ./cmd/jointable
-	$(GO) run ./cmd/consistency
-	$(GO) run ./cmd/csettree
-	$(GO) run ./cmd/baselinecmp
-	$(GO) run ./cmd/msgsize
+	$(GO) run ./cmd/paper all
 	$(GO) run ./cmd/churn
-	$(GO) run ./cmd/workload -quiet
+
+# experiments-check is the paper-scale half of cmd/paper's golden test:
+# `go test` pins every subcommand byte for byte but runs the §5.2 waves
+# (E2/E3) at -small, so that tier-1 and the race pass do not pay for
+# n=7192; this runs them at full size (~10 s) and diffs the whole
+# evaluation against the committed text. Refresh a golden by redirecting
+# the command's output into it.
+experiments-check:
+	bash -o pipefail -c '$(GO) run ./cmd/paper all | diff -u cmd/paper/testdata/all.golden -'
 
 # fuzz-smoke gives each hostile-input fuzz target a short budget
 # (override with FUZZTIME=5m for a real hunt): ID/suffix parsing, the

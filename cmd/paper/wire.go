@@ -1,93 +1,20 @@
-// Command msgsize measures the §6.2 message-size reductions of Liu & Lam
-// (ICDCS 2003): shipping only the usable level range of the joiner's
-// table in JoinNotiMsg, and attaching a bit vector so that replies omit
-// entries the joiner already has. It runs the same join wave with each
-// option combination and reports bytes and messages.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"text/tabwriter"
 
-	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
-	"hypercube/internal/overlay"
 	"hypercube/internal/table"
 	"hypercube/internal/wire"
 )
 
-func main() {
-	var (
-		b        = flag.Int("b", 16, "digit base")
-		d        = flag.Int("d", 8, "digits per ID")
-		n        = flag.Int("n", 500, "initial network size")
-		m        = flag.Int("m", 200, "concurrent joiners")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		wireMode = flag.Bool("wire", false, "print per-kind encoded bytes on the wire next to the WireSize estimate")
-	)
-	flag.Parse()
-	p := id.Params{B: *b, D: *d}
-	if err := p.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "msgsize: %v\n", err)
-		os.Exit(1)
-	}
-	if *wireMode {
-		if err := wireReport(p); err != nil {
-			fmt.Fprintf(os.Stderr, "msgsize: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"full tables (baseline)", core.Options{}},
-		{"level-range reduction", core.Options{ReduceLevels: true}},
-		{"bit-vector replies", core.Options{BitVector: true}},
-		{"both reductions (§6.2)", core.Options{ReduceLevels: true, BitVector: true}},
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "variant\ttotal bytes\tbytes/join\tmessages\tconsistent")
-	baselineBytes := 0
-	for i, variant := range variants {
-		res, err := overlay.RunWave(overlay.WaveConfig{
-			Params: p, N: *n, M: *m, Seed: *seed, Opts: variant.opts,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msgsize: %v\n", err)
-			os.Exit(1)
-		}
-		totalBytes := 0
-		for _, rec := range res.Records {
-			totalBytes += rec.BytesSent
-		}
-		if i == 0 {
-			baselineBytes = totalBytes
-		}
-		note := ""
-		if i > 0 && baselineBytes > 0 {
-			note = fmt.Sprintf(" (%.1f%% of baseline)", 100*float64(totalBytes)/float64(baselineBytes))
-		}
-		fmt.Fprintf(w, "%s\t%d%s\t%d\t%d\t%v\n",
-			variant.name, totalBytes, note, totalBytes / *m, res.Events,
-			res.Consistent() && res.AllSNodes)
-	}
-	if err := w.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "msgsize: %v\n", err)
-		os.Exit(1)
-	}
-}
-
 // wireReport encodes one representative envelope per message kind with
 // the transport's codec and prints the encoded size next to the
 // WireSize estimate the simulator's traffic accounting uses.
-func wireReport(p id.Params) error {
+func wireReport(out io.Writer, p id.Params) error {
 	from, to, snap, fill, err := wireSamples(p)
 	if err != nil {
 		return err
@@ -116,7 +43,7 @@ func wireReport(p id.Params) error {
 		msg.SyncRly{Table: snap, Fill: fill},
 		msg.SyncPush{Table: snap},
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "kind\tbinary bytes\testimate (WireSize)")
 	total := 0
 	for _, m := range messages {

@@ -6,8 +6,8 @@
 // communication-cost model, and the simulation experiments.
 //
 // The implementation lives under internal/ (see DESIGN.md for the map);
-// runnable experiment tools are under cmd/ and worked examples under
-// examples/. This root package holds the benchmark harness that
-// regenerates every table and figure of the paper's evaluation
-// (bench_test.go).
+// runnable tools are under cmd/ — cmd/paper regenerates every table and
+// figure of the paper's evaluation — and worked examples under
+// examples/. This root package holds only the benchmarks EXPERIMENTS.md
+// cites that cmd/paper does not run (bench_test.go).
 package hypercube
