@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 
 .PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments experiments-check trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
 
-all: build lint test experiments-check fuzz-smoke nemesis-smoke trace-smoke bench-smoke
+all: build lint test experiments-check fuzz-smoke gray-smoke nemesis-smoke trace-smoke fleettrace-smoke bench-smoke
 
 build:
 	$(GO) build ./...

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -123,5 +124,50 @@ func TestSteadyTrafficMatchesCadences(t *testing.T) {
 		if ty != msg.TSyncReq && ty != msg.TSyncRly && sentBy(ty) != 0 {
 			t.Errorf("%d %v sent by the machines of a converged, fault-free network", sentBy(ty), ty)
 		}
+	}
+}
+
+// TestSteadyCrashRepairPinned is the one-second determinism gate of the
+// maintenance plane: crash one fixed member, run 40 virtual seconds of
+// detection and repair, and compare what the network sent, what every
+// layer counted and whom every sampler holds against values recorded at
+// PR 21's commit, before the samplers skipped IDs they had ranked. A
+// change that promises "identical messages, views and virtual times"
+// must pass it untouched; ROADMAP item 3 (flood threshold, indirect probes, re-probe,
+// FailedNoti fan-out) changes behaviour on purpose and will re-baseline
+// every constant here.
+func TestSteadyCrashRepairPinned(t *testing.T) {
+	type pin struct {
+		sent, bytes, violations int
+		samples                 uint64
+		sampling                sampling.Stats
+		liveness                liveness.Stats
+	}
+	want := pin{
+		sent: 11373, bytes: 2342414, violations: 0, samples: 0x448a6f9ee6617252,
+		sampling: sampling.Stats{Rounds: 6344, PushesSent: 44408, PushesReceived: 44259, PullsSent: 44408,
+			PullsAnswered: 44239, FloodsDetected: 2518, ViewSize: 1839, SamplerFill: 4064},
+		liveness: liveness.Stats{ProbesSent: 25530, PongsReceived: 24752, Suspects: 2, Declared: 1, Retargets: 306},
+	}
+
+	net := steadyNetwork(t)
+	if err := net.InjectFailure(net.Members()[64].ID); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(40 * time.Second)
+
+	traffic := net.AggregateTraffic()
+	h := fnv.New64a()
+	for _, m := range net.Members() {
+		s, _ := net.Sampler(m.ID)
+		for _, r := range s.Sample(8) {
+			h.Write([]byte(r.ID.String() + "@" + r.Addr + ","))
+		}
+		h.Write([]byte{';'})
+	}
+	got := pin{traffic.TotalSent(), traffic.BytesSent, len(net.CheckConsistency()), h.Sum64(),
+		net.SamplingStats(), net.LivenessStats()}
+	if got != want {
+		t.Errorf("crash repair diverged from the recorded run:\n got  %+v\n want %+v", got, want)
 	}
 }

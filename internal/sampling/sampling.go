@@ -17,6 +17,19 @@
 // the previous view wholesale (flood detection), and pull replies are
 // accepted only from peers actually pulled this round.
 //
+// Because a sampler keeps only a minimum, offering it an ID it has
+// already ranked changes nothing: same hash, strict <, so not even a new
+// address for the ID replaces the held reference. The engine keeps the
+// set of IDs every sampler has ranked since the last time any sampler was
+// emptied, and an offer of a member returns before hashing — in a
+// converged network nearly every pushed or pulled reference is one. The
+// invariant is "each sampler's minimum ≤ the hash of every member": a
+// sampler emptied by sweep or Invalidate has ranked nothing, so any
+// ejection empties the set, and (min, cur) is always what hashing every
+// offer would have left. The set is emptied when it reaches
+// knownPerSampler·Samplers IDs, so a Sybil flood of fresh IDs costs what
+// it did without the set, plus a map insert, and pins bounded memory.
+//
 // The layer feeds every recovery path that would otherwise depend on a
 // static bootstrap set: gateway selection for join restarts, rejoin after
 // restart, and anti-entropy sync-peer choice. A validator hook (wired to
@@ -113,10 +126,6 @@ type sampler struct {
 	cur   table.Ref
 }
 
-func (s *sampler) reset() {
-	s.min, s.cur = 0, table.Ref{}
-}
-
 const (
 	offset64 = 14695981039346656037
 	prime64  = 1099511628211
@@ -190,6 +199,9 @@ type Engine struct {
 	pullFrom map[id.ID]bool
 
 	samplers []sampler
+	// known holds IDs every sampler has ranked since the last reset of any
+	// sampler; observe skips them (see the package comment).
+	known map[id.ID]struct{}
 
 	validate  func(table.Ref) bool
 	bootstrap func() []table.Ref
@@ -218,6 +230,7 @@ func New(cfg Config, self table.Ref) *Engine {
 		pullBuf:  make(map[id.ID]table.Ref),
 		pullFrom: make(map[id.ID]bool),
 		samplers: make([]sampler, cfg.Samplers),
+		known:    make(map[id.ID]struct{}),
 		first:    true,
 	}
 	for i := range e.samplers {
@@ -278,8 +291,22 @@ func (e *Engine) SeedPeers(refs ...table.Ref) {
 	}
 }
 
-// observe offers r to every sampler, reading its digits once.
+// knownPerSampler bounds the known set at this multiple of Samplers (512
+// IDs at the defaults): every peer of a network of a few hundred nodes,
+// two thirds of the offers at n = 2048 (DESIGN.md has the sweep), and the
+// most a flood of fresh IDs can pin.
+const knownPerSampler = 16
+
+// observe offers r to every sampler, reading its digits once — unless
+// every sampler has already ranked r.ID, when no minimum can move.
 func (e *Engine) observe(r table.Ref) {
+	if _, ok := e.known[r.ID]; ok {
+		return
+	}
+	if len(e.known) >= knownPerSampler*len(e.samplers) {
+		clear(e.known)
+	}
+	e.known[r.ID] = struct{}{}
 	var buf [64]byte
 	raw := r.ID.AppendRawDigits(buf[:0])
 	for i := range e.samplers {
@@ -456,10 +483,17 @@ func (e *Engine) sweep() {
 	e.view = kept
 	for i := range e.samplers {
 		if cur := e.samplers[i].cur; !cur.IsZero() && !e.admissible(cur) {
-			e.samplers[i].reset()
-			e.stats.Ejected++
+			e.resetSampler(i)
 		}
 	}
+}
+
+// resetSampler ejects sampler i's reference. The emptied sampler has
+// ranked nothing, so nothing is known to all samplers any more.
+func (e *Engine) resetSampler(i int) {
+	e.samplers[i].min, e.samplers[i].cur = 0, table.Ref{}
+	e.stats.Ejected++
+	clear(e.known)
 }
 
 // Invalidate ejects a peer everywhere: view, buffers, and any sampler
@@ -480,8 +514,7 @@ func (e *Engine) Invalidate(x id.ID) {
 	delete(e.pullFrom, x)
 	for i := range e.samplers {
 		if e.samplers[i].cur.ID == x {
-			e.samplers[i].reset()
-			e.stats.Ejected++
+			e.resetSampler(i)
 		}
 	}
 }
@@ -503,16 +536,14 @@ func (e *Engine) View() []table.Ref {
 // so a fixed seed yields a deterministic result.
 func (e *Engine) Sample(k int) []table.Ref {
 	var out []table.Ref
-	seen := make(map[id.ID]bool, k)
 	for i := range e.samplers {
 		if len(out) >= k {
 			break
 		}
 		cur := e.samplers[i].cur
-		if cur.IsZero() || seen[cur.ID] || !e.admissible(cur) {
+		if cur.IsZero() || refsContain(out, cur.ID) || !e.admissible(cur) {
 			continue
 		}
-		seen[cur.ID] = true
 		out = append(out, cur)
 	}
 	return out

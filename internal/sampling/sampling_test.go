@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -253,30 +254,251 @@ func TestSplitHashMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSamplersKeepOracleMinimum replays the engine's seed draws and
-// checks that, after a stream of observations, every sampler holds the
-// first reference with the minimum oracle hash under its own seed.
-func TestSamplersKeepOracleMinimum(t *testing.T) {
-	p := id.Params{B: 16, D: 70}
-	r := rand.New(rand.NewSource(3))
-	self := table.Ref{ID: id.Random(p, r), Addr: "sim://self"}
-	e := New(Config{Seed: 99}, self)
-	draws := rng{state: uint64(99) ^ hashIDOracle(0x5a11, self.ID)}
-	var refs []table.Ref
-	for i := 0; i < 300; i++ {
-		refs = append(refs, table.Ref{ID: id.Random(p, r), Addr: fmt.Sprint("sim://", i)})
-	}
-	e.SeedPeers(refs...)
-	for i := range e.samplers {
-		seed := draws.next()
-		want := refs[0]
-		for _, r := range refs[1:] {
-			if hashIDOracle(seed, r.ID) < hashIDOracle(seed, want.ID) {
-				want = r
+// samplerOracle is the sampler bank as it stood before observe skipped
+// IDs it had ranked: every offer is hashed whole, under every seed, with
+// hashIDOracle. banned is the validator's state, shared with the engines.
+type samplerOracle struct {
+	self   id.ID
+	seeds  []uint64
+	min    []uint64
+	cur    []table.Ref
+	banned map[id.ID]bool
+}
+
+func (o *samplerOracle) admissible(r table.Ref) bool {
+	return !r.IsZero() && r.ID != o.self && !o.banned[r.ID]
+}
+
+func (o *samplerOracle) offer(refs ...table.Ref) {
+	for _, r := range refs {
+		if !o.admissible(r) {
+			continue
+		}
+		for i, seed := range o.seeds {
+			if h := hashIDOracle(seed, r.ID); o.cur[i].IsZero() || h < o.min[i] {
+				o.min[i], o.cur[i] = h, r
 			}
 		}
-		if got := e.samplers[i].cur; got != want {
-			t.Errorf("sampler %d holds %v, oracle minimum is %v", i, got.ID, want.ID)
+	}
+}
+
+// eject empties every sampler whose reference drop names.
+func (o *samplerOracle) eject(drop func(id.ID) bool) {
+	for i, c := range o.cur {
+		if !c.IsZero() && drop(c.ID) {
+			o.min[i], o.cur[i] = 0, table.Ref{}
 		}
+	}
+}
+
+func (o *samplerOracle) sample(k int) []table.Ref {
+	var out []table.Ref
+	for _, c := range o.cur {
+		if len(out) < k && o.admissible(c) && !refsContain(out, c.ID) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestSamplersKeepOracleMinimum drives one engine through a long random
+// stream — pushes, pull replies and SeedPeers offering fresh IDs, recent
+// and old repeats and known IDs under a new address; Invalidate of IDs
+// samplers hold and do not hold; validator flips that make the next
+// round's sweep eject; rounds; and, in alternate thousands of events, a
+// flood of fresh IDs that overflows the known set — and after every
+// event requires each sampler's (min, cur) and Sample(k) to equal the
+// oracle's, and Stats, View and every round's envelopes to equal those of
+// a twin engine whose known set the test empties before each event, so
+// that it re-ranks every offer.
+func TestSamplersKeepOracleMinimum(t *testing.T) {
+	const events = 12000
+	p := id.Params{B: 16, D: 70} // longer than observe's stack buffer
+	r := rand.New(rand.NewSource(3))
+	self := table.Ref{ID: id.Random(p, r), Addr: "sim://self"}
+	cfg := Config{Seed: 99, Samplers: 8} // a known set of 128 IDs, so that floods overflow it often
+	e, twin := New(cfg, self), New(cfg, self)
+	o := &samplerOracle{self: self.ID, banned: make(map[id.ID]bool)}
+	draws := rng{state: uint64(99) ^ hashIDOracle(0x5a11, self.ID)}
+	for range e.samplers {
+		o.seeds = append(o.seeds, draws.next())
+	}
+	o.min, o.cur = make([]uint64, len(o.seeds)), make([]table.Ref, len(o.seeds))
+	for _, eng := range []*Engine{e, twin} {
+		eng.SetValidator(func(r table.Ref) bool { return !o.banned[r.ID] })
+		eng.Tick(0) // absorbs the stagger: every later Tick is a round
+	}
+
+	var seen []table.Ref
+	var bannedList, pulled []id.ID
+	fresh := func() table.Ref {
+		ref := table.Ref{ID: id.Random(p, r), Addr: fmt.Sprint("sim://", len(seen))}
+		seen = append(seen, ref)
+		return ref
+	}
+	recent := func() table.Ref { // likely still in the known set
+		return seen[len(seen)-1-r.Intn(min(len(seen), 48))]
+	}
+	pick := func(flood bool) table.Ref {
+		x := r.Intn(10)
+		switch {
+		case len(seen) == 0 || x < 3 || flood && x < 8:
+			return fresh()
+		case x < 8:
+			return recent()
+		case x < 9:
+			return seen[r.Intn(len(seen))]
+		default: // a known ID that moved
+			ref := recent()
+			ref.Addr += "'"
+			return ref
+		}
+	}
+	picks := func(n int, flood bool) []table.Ref {
+		refs := make([]table.Ref, n)
+		for i := range refs {
+			refs[i] = pick(flood)
+		}
+		return refs
+	}
+	held := func() id.ID { // some sampler's reference, else a seen or unseen ID
+		if c := o.cur[r.Intn(len(o.cur))]; !c.IsZero() && r.Intn(4) > 0 {
+			return c.ID
+		}
+		if len(seen) > 0 && r.Intn(2) == 0 {
+			return seen[r.Intn(len(seen))].ID
+		}
+		return id.Random(p, r)
+	}
+
+	now := time.Duration(0)
+	bound := knownPerSampler * len(e.samplers)
+	overflows, skips := 0, 0
+	for i := 0; i < events; i++ {
+		flood := i/1000%2 == 1
+		clear(twin.known)
+		switch x := r.Intn(100); {
+		case x < 55:
+			env := msg.Envelope{From: pick(flood), To: self, Msg: msg.SamplePush{}}
+			_, hit := e.known[env.From.ID]
+			full := len(e.known) == bound
+			e.Deliver(env)
+			twin.Deliver(env)
+			o.offer(env.From)
+			if hit {
+				skips++
+			} else if full && len(e.known) == 1 {
+				overflows++
+			}
+		case x < 70:
+			if len(pulled) == 0 {
+				continue
+			}
+			from := pulled[len(pulled)-1]
+			pulled = pulled[:len(pulled)-1]
+			env := msg.Envelope{From: table.Ref{ID: from, Addr: "sim://pulled"}, To: self,
+				Msg: msg.SamplePullRly{Refs: picks(1+r.Intn(8), flood)}}
+			e.Deliver(env)
+			twin.Deliver(env)
+			o.offer(env.Msg.(msg.SamplePullRly).Refs...)
+		case x < 80:
+			refs := picks(1+r.Intn(4), flood)
+			e.SeedPeers(refs...)
+			twin.SeedPeers(refs...)
+			o.offer(refs...)
+		case x < 82 && !flood:
+			gone := held()
+			e.Invalidate(gone)
+			twin.Invalidate(gone)
+			o.eject(func(x id.ID) bool { return x == gone })
+			pulled = slices.DeleteFunc(pulled, func(x id.ID) bool { return x == gone })
+		case x < 84 && !flood:
+			if len(bannedList) > 0 && r.Intn(3) == 0 {
+				delete(o.banned, bannedList[0])
+				bannedList = bannedList[1:]
+			} else if bad := held(); !o.banned[bad] {
+				o.banned[bad] = true
+				bannedList = append(bannedList, bad)
+			}
+		default:
+			now += time.Second
+			out := e.Tick(now)
+			if !reflect.DeepEqual(out, twin.Tick(now)) {
+				t.Fatalf("event %d: round envelopes diverged from the twin's", i)
+			}
+			o.eject(func(x id.ID) bool { return o.banned[x] })
+			pulled = pulled[:0]
+			for _, env := range out {
+				if _, ok := env.Msg.(msg.SamplePullReq); ok {
+					pulled = append(pulled, env.To.ID)
+				}
+			}
+		}
+
+		fill := 0
+		for j := range e.samplers {
+			if got := e.samplers[j]; got.min != o.min[j] || got.cur != o.cur[j] {
+				t.Fatalf("event %d: sampler %d holds %v (%#x), oracle %v (%#x)", i, j, got.cur, got.min, o.cur[j], o.min[j])
+			}
+			if !o.cur[j].IsZero() {
+				fill++
+			}
+		}
+		if k := r.Intn(2 * len(e.samplers)); !reflect.DeepEqual(e.Sample(k), o.sample(k)) {
+			t.Fatalf("event %d: Sample(%d) = %v, oracle %v", i, k, e.Sample(k), o.sample(k))
+		}
+		if got, want := e.Stats(), twin.Stats(); got != want || got.SamplerFill != fill {
+			t.Fatalf("event %d: stats %+v, twin %+v, oracle fill %d", i, got, want, fill)
+		}
+		if !reflect.DeepEqual(e.View(), twin.View()) {
+			t.Fatalf("event %d: view %v, twin %v", i, e.View(), twin.View())
+		}
+		if len(e.known) > bound {
+			t.Fatalf("event %d: %d known IDs, bound %d", i, len(e.known), bound)
+		}
+	}
+	st := e.Stats()
+	t.Logf("%d events over %d IDs: %d offers skipped, %d overflows, %d ejected, %d rounds, %d floods",
+		events, len(seen), skips, overflows, st.Ejected, st.Rounds, st.FloodsDetected)
+	if skips < events/10 || overflows < 5 || st.Ejected < 20 || st.FloodsDetected == 0 || st.FloodsDetected == st.Rounds {
+		t.Error("the stream missed a case it exists to cover")
+	}
+}
+
+// TestKnownOfferAllocatesNothing pins the cost of the common case: a push
+// from a peer every sampler has ranked is two map probes and no
+// allocation.
+func TestKnownOfferAllocatesNothing(t *testing.T) {
+	e := New(Config{Seed: 1}, sref(1))
+	env := msg.Envelope{From: sref(2), To: sref(1), Msg: msg.SamplePush{}}
+	e.Deliver(env)
+	if n := testing.AllocsPerRun(100, func() { e.Deliver(env) }); n != 0 {
+		t.Errorf("a push from a known peer allocates %.0f times, want 0", n)
+	}
+}
+
+// BenchmarkObserve times one offer to the sampler bank at the daemon's
+// defaults (view 16, 32 samplers) over the benchmark's 8-digit IDs: of an
+// ID every sampler has ranked, and of IDs never seen before.
+func BenchmarkObserve(b *testing.B) {
+	p := id.Params{B: 16, D: 8}
+	r := rand.New(rand.NewSource(1))
+	refs := make([]table.Ref, 1<<14)
+	for i := range refs {
+		refs[i] = table.Ref{ID: id.Random(p, r), Addr: "sim://peer"}
+	}
+	for _, bc := range []struct {
+		name string
+		pool []table.Ref
+	}{{"known", refs[:64]}, {"new", refs}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := New(Config{ViewSize: 16, Seed: 1}, table.Ref{ID: id.Random(p, r), Addr: "sim://self"})
+			e.SeedPeers(bc.pool[:64]...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.observe(bc.pool[i%len(bc.pool)])
+			}
+		})
 	}
 }

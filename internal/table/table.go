@@ -272,6 +272,39 @@ type Snapshot struct {
 // coordinates; levels outside [lo,hi] are rejected. The input map is
 // copied.
 func NewSnapshot(p id.Params, owner id.ID, lo, hi int, entries map[[2]int]Neighbor) (Snapshot, error) {
+	s, err := snapshotShell(p, owner, lo, hi)
+	if err != nil || hi < lo {
+		return s, err
+	}
+	s.entries = make([]Neighbor, (hi-lo+1)*p.B)
+	for pos, n := range entries {
+		level, digit := pos[0], pos[1]
+		if level < lo || level > hi || digit < 0 || digit >= p.B {
+			return Snapshot{}, fmt.Errorf("table: snapshot entry (%d,%d) outside range", level, digit)
+		}
+		s.entries[(level-lo)*p.B+digit] = n
+	}
+	return s, nil
+}
+
+// SnapshotOfCells is NewSnapshot for a caller that already holds the
+// dense form: cells[(level-lo)·b+digit] for every cell of levels lo..hi,
+// empty ones zero. The slice is adopted, not copied; the caller gives it
+// up.
+func SnapshotOfCells(p id.Params, owner id.ID, lo, hi int, cells []Neighbor) (Snapshot, error) {
+	s, err := snapshotShell(p, owner, lo, hi)
+	if err != nil || hi < lo {
+		return s, err
+	}
+	if len(cells) != (hi-lo+1)*p.B {
+		return Snapshot{}, fmt.Errorf("table: %d cells for levels [%d,%d], want %d", len(cells), lo, hi, (hi-lo+1)*p.B)
+	}
+	s.entries = cells
+	return s, nil
+}
+
+// snapshotShell checks a snapshot's header and returns it without cells.
+func snapshotShell(p id.Params, owner id.ID, lo, hi int) (Snapshot, error) {
 	if err := p.Validate(); err != nil {
 		return Snapshot{}, err
 	}
@@ -284,15 +317,7 @@ func NewSnapshot(p id.Params, owner id.ID, lo, hi int, entries map[[2]int]Neighb
 	if lo < 0 || hi >= p.D {
 		return Snapshot{}, fmt.Errorf("table: snapshot level range [%d,%d] out of bounds", lo, hi)
 	}
-	out := make([]Neighbor, (hi-lo+1)*p.B)
-	for pos, n := range entries {
-		level, digit := pos[0], pos[1]
-		if level < lo || level > hi || digit < 0 || digit >= p.B {
-			return Snapshot{}, fmt.Errorf("table: snapshot entry (%d,%d) outside range", level, digit)
-		}
-		out[(level-lo)*p.B+digit] = n
-	}
-	return Snapshot{params: p, owner: owner, lo: lo, hi: hi, entries: out}, nil
+	return Snapshot{params: p, owner: owner, lo: lo, hi: hi}, nil
 }
 
 // Validate checks the invariants a snapshot received from an untrusted

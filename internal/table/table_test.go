@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -526,6 +527,13 @@ func TestNewSnapshotRoundTrip(t *testing.T) {
 	if lo, hi := part.LevelRange(); lo != 2 || hi != 3 {
 		t.Errorf("range [%d,%d]", lo, hi)
 	}
+	// The dense form builds the same snapshot and adopts its argument.
+	cells := make([]Neighbor, 2*p45.B)
+	cells[1*p45.B+0] = nb(t, "10233", StateS)
+	dense, err := SnapshotOfCells(p45, owner, 2, 3, cells)
+	if err != nil || !reflect.DeepEqual(dense, part) || &dense.entries[0] != &cells[0] {
+		t.Errorf("SnapshotOfCells: %v, %v, want %v built on the caller's slice", err, dense, part)
+	}
 	// Inverted range yields an empty snapshot.
 	inv, err := NewSnapshot(p45, owner, 3, 1, nil)
 	if err != nil || inv.FilledCount() != 0 {
@@ -549,6 +557,12 @@ func TestNewSnapshotErrors(t *testing.T) {
 	}
 	if _, err := NewSnapshot(p45, owner, 0, 4, map[[2]int]Neighbor{{0, 9}: nb(t, "10233", StateS)}); err == nil {
 		t.Error("out-of-range digit accepted")
+	}
+	if _, err := SnapshotOfCells(p45, owner, 0, 5, make([]Neighbor, 6*p45.B)); err == nil {
+		t.Error("dense form: out-of-range hi accepted")
+	}
+	if _, err := SnapshotOfCells(p45, owner, 0, 4, make([]Neighbor, 4*p45.B)); err == nil {
+		t.Error("dense form: a level's worth of cells missing, accepted")
 	}
 }
 

@@ -761,7 +761,7 @@ func (r *reader) snapshot(p id.Params) (table.Snapshot, error) {
 	if count > (hi-lo+1)*p.B {
 		return table.Snapshot{}, badf("table with %d entries exceeds %d", count, (hi-lo+1)*p.B)
 	}
-	entries := make(map[[2]int]table.Neighbor, count)
+	cells := make([]table.Neighbor, (hi-lo+1)*p.B)
 	lastIdx := -1
 	for i := 0; i < count; i++ {
 		level, err := r.u8()
@@ -794,9 +794,9 @@ func (r *reader) snapshot(p id.Params) (table.Snapshot, error) {
 		if err != nil {
 			return table.Snapshot{}, err
 		}
-		entries[[2]int{int(level), int(digit)}] = table.Neighbor{ID: x, Addr: addr, State: s}
+		cells[idx-lo*p.B] = table.Neighbor{ID: x, Addr: addr, State: s}
 	}
-	snap, err := table.NewSnapshot(p, owner, lo, hi, entries)
+	snap, err := table.SnapshotOfCells(p, owner, lo, hi, cells)
 	if err != nil {
 		return table.Snapshot{}, badf("%v", err)
 	}
