@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments experiments-check trace-smoke fleettrace-smoke gray-smoke fuzz-smoke nemesis-smoke
+.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments experiments-check trace-smoke fleettrace-smoke fuzz-smoke nemesis-smoke
 
-all: build lint test experiments-check fuzz-smoke gray-smoke nemesis-smoke trace-smoke fleettrace-smoke bench-smoke
+all: build lint test experiments-check fuzz-smoke nemesis-smoke trace-smoke fleettrace-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ loc:
 # own run length, one workload after another; each prints its metrics as
 # one JSON line. `bench-all` sweeps every `go test` benchmark in the
 # module — the §7 and ablation benchmarks EXPERIMENTS.md cites from
-# bench_test.go (E1-E11 themselves are `paper`, see experiments) and the
+# bench_test.go (E1-E18 themselves are `paper`, see experiments) and the
 # few micro-benchmarks ./bench has no probe for — without recording.
 bench:
 	$(GO) run ./bench --workload sim_join_paper
@@ -70,18 +70,18 @@ lint:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Regenerate every table and figure of the paper's evaluation (E1-E11)
-# at paper scale, then the §7 churn phases of E11.
+# Regenerate every table and figure of the paper's evaluation and every
+# §7 scenario (E1-E18) at full size.
 experiments:
 	$(GO) run ./cmd/paper all
-	$(GO) run ./cmd/churn
 
-# experiments-check is the paper-scale half of cmd/paper's golden test:
+# experiments-check is the full-size half of cmd/paper's golden test:
 # `go test` pins every subcommand byte for byte but runs the §5.2 waves
-# (E2/E3) at -small, so that tier-1 and the race pass do not pay for
-# n=7192; this runs them at full size (~10 s) and diffs the whole
-# evaluation against the committed text. Refresh a golden by redirecting
-# the command's output into it.
+# (E2/E3), the E11 churn phases and the E18 gray contrast at -small, so
+# that tier-1 and the race pass do not pay for n=7192, n=1000 and n=64
+# twice over; this runs them at full size (~15 s) and diffs E1-E18
+# against the committed text. Refresh a golden by redirecting the
+# command's output into it.
 experiments-check:
 	bash -o pipefail -c '$(GO) run ./cmd/paper all | diff -u cmd/paper/testdata/all.golden -'
 
@@ -105,12 +105,12 @@ trace-smoke:
 	bash -o pipefail -c '$(GO) run ./cmd/trace wave -n 16 -m 12 -out - | $(GO) run ./cmd/trace report -'
 
 # fleettrace-smoke proves cross-node causal tracing end to end at a
-# CI-friendly size: a 32-node flash-crowd run with tracing on writes a
-# fleet JSONL trace, and `trace report` must reconstruct at least 95% of
-# the joins as complete cross-node span trees (exit non-zero below).
+# CI-friendly size: E17's flash crowd at -small (64 joiners into 64
+# nodes, E19's size) writes a fleet JSONL trace, and `trace report` must
+# reconstruct at least 95% of the joins as complete cross-node span
+# trees (exit non-zero below).
 fleettrace-smoke:
-	$(GO) run ./cmd/churn -flashcrowd -n 32 -fc-joins 32 -b 16 -d 4 -seed 7 \
-		-trace /tmp/hypercube-fleettrace-smoke.jsonl
+	$(GO) run ./cmd/paper flashcrowd -small -trace /tmp/hypercube-fleettrace-smoke.jsonl
 	$(GO) run ./cmd/trace report -require-joins 0.95 /tmp/hypercube-fleettrace-smoke.jsonl
 
 # nemesis-smoke is the deterministic chaos-search gate: sweep a pinned
@@ -125,10 +125,3 @@ fleettrace-smoke:
 nemesis-smoke:
 	$(GO) run ./cmd/nemesis -seeds 0..49 -n 32 -b 16 -d 4 -steps 8 \
 		-out /tmp/hypercube-nemesis
-
-# gray-smoke runs the gray-degradation contrast at a CI-friendly size:
-# the adaptive detector must hold every declaration of a slow-but-live
-# node while the fixed baseline visibly suffers (exit non-zero either
-# way otherwise).
-gray-smoke:
-	$(GO) run ./cmd/churn -graydegrade -n 48 -b 16 -d 4 -seed 1

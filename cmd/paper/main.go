@@ -1,5 +1,7 @@
-// Command paper regenerates the evaluation of Liu & Lam (ICDCS 2003) —
-// EXPERIMENTS.md E1–E11 — one subcommand per table or figure:
+// Command paper regenerates the evaluation of Liu & Lam (ICDCS 2003)
+// and this repository's evaluation of what its §7 leaves as future work
+// — EXPERIMENTS.md E1–E18 — one subcommand per table, figure or
+// scenario:
 //
 //	paper fig15a        # E1: Theorem-5 bound curves of Figure 15(a)
 //	paper fig15b        # E2: simulated CDFs of Figure 15(b), paper scale
@@ -10,14 +12,24 @@
 //	paper msgsize       # E9: §6.2 size reductions (-wire: encoded bytes, E16)
 //	paper topo          # the transit-stub topology under E2/E3
 //	paper workload      # E11: random churn, consistency checked per operation
-//	paper all           # all nine; fig15b and table share one set of waves
+//	paper churn         # E11: §7 leaves, crash recovery, table optimization
+//	paper selfheal      # E12: the crash phase with no recovery oracle
+//	paper partition     # E13: split, held declarations, heal, reconvergence
+//	paper byzantine     # E15: hostile members under 10% loss
+//	paper flashcrowd    # E17: a join wave through four gateways (-small -trace: E19)
+//	paper massfail      # E17: whole stub domains crash at one instant
+//	paper restart       # E17: rolling restart from persisted dumps
+//	paper gray          # E18: slow-but-alive members, adaptive vs fixed timeouts
+//	paper all           # all seventeen; fig15b and table share one set of waves
 //
-// Every simulated join wave is held to Theorems 1-3 as it runs, so a
-// zero exit status is itself a result. This file is dispatch, flags and
-// exit codes; experiments.go holds the experiments, each with its grid,
-// sizes and seeds as data beside it. Output is deterministic given
-// -seed (wall time goes to stderr) and is pinned byte for byte by
-// testdata/*.golden; refresh one with
+// Every simulated join wave is held to Theorems 1-3 as it runs, and
+// every scenario to its verdict (no false declaration, no stuck joiner,
+// reconvergence, a fault model that engaged), so a zero exit status is
+// itself a result. This file is dispatch, flags and exit codes;
+// experiments.go holds E1-E11 and scenarios.go E11-E18, each experiment
+// with its grid, sizes and seeds as data beside it. Output is
+// deterministic given -seed (wall time goes to stderr) and is pinned
+// byte for byte by testdata/*.golden; refresh one with
 // `go run ./cmd/paper <sub> > cmd/paper/testdata/<sub>.golden`.
 package main
 
@@ -29,6 +41,8 @@ import (
 	"os"
 	"slices"
 	"strings"
+
+	"hypercube/internal/obs"
 )
 
 type experiment struct {
@@ -48,6 +62,14 @@ var experiments = []experiment{
 	{"msgsize", "-seed -wire", "E9, §6.2: message-size reductions", (*env).msgsize},
 	{"topo", "-seed -small", "transit-stub topology under E2/E3", (*env).topo},
 	{"workload", "-seed -quiet", "E11, random churn with Definition 3.8 checked after every operation", (*env).workload},
+	{"churn", "-seed -small -trace", "E11, §7: concurrent leaves, crash recovery by oracle, table optimization", (*env).churn},
+	{"selfheal", "-seed -trace", "E12: unannounced crashes, detected and repaired by the survivors", (*env).selfheal},
+	{"partition", "-seed -trace", "E13: partition, heal and time to reconvergence", (*env).partition},
+	{"byzantine", "-seed -trace", "E15: joins among hostile members under 10% loss", (*env).byzantine},
+	{"flashcrowd", "-seed -small -with-byzantine -trace", "E17: simultaneous joins through four gateways", (*env).flashcrowd},
+	{"massfail", "-seed -with-byzantine -trace", "E17: correlated crash of whole stub domains", (*env).massfail},
+	{"restart", "-seed -with-byzantine -trace", "E17: rolling restart from persisted tables and sampled peers", (*env).restart},
+	{"gray", "-seed -small -with-byzantine -trace", "E18: gray degradation, adaptive against fixed timeouts", (*env).gray},
 }
 
 // allFlags are the options `all` hands to every experiment that reads them.
@@ -59,10 +81,14 @@ type env struct {
 	out, log io.Writer
 
 	seed        int64
+	seedSet     bool // -seed was given: it overrides the seed a scenario documents
 	small       bool
 	b, d        int
 	v, w        string
 	wire, quiet bool
+	withByz     bool
+	trace       string
+	sink        *obs.JSONL // the open -trace file
 
 	waves  []*wave // the §5.2 waves, run once for fig15b and table
 	breach error   // first theorem a wave broke, see (*env).wave
@@ -76,14 +102,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	x := &env{out: stdout, log: stderr}
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.Int64Var(&x.seed, "seed", 1, "simulation seed")
-	fs.BoolVar(&x.small, "small", false, "fig15b, table, topo: 1/16 of the paper's n and m on the 248-router topology")
+	fs.Int64Var(&x.seed, "seed", 1, "simulation seed; unless given, byzantine runs at its documented 21 and flashcrowd, massfail, restart at 7")
+	fs.BoolVar(&x.small, "small", false, "fig15b, table, topo: 1/16 of the paper's n and m on the 248-router topology; churn, flashcrowd, gray: the CI size")
 	fs.IntVar(&x.b, "b", 8, "cset: digit base")
 	fs.IntVar(&x.d, "d", 5, "cset: digits per ID")
 	fs.StringVar(&x.v, "v", "72430,10353,62332,13141,31701", "cset: existing node IDs, comma separated")
 	fs.StringVar(&x.w, "w", "10261,47051,00261", "cset: joining node IDs, comma separated")
 	fs.BoolVar(&x.wire, "wire", false, "msgsize: encoded bytes per message kind next to the WireSize estimate")
 	fs.BoolVar(&x.quiet, "quiet", false, "workload: summary only, no per-operation log")
+	fs.BoolVar(&x.withByz, "with-byzantine", false, "E17, E18: compose E15's fault model in (10% of the members hostile)")
+	fs.StringVar(&x.trace, "trace", "", "E11-E18: write every protocol event, causally traced, to this JSONL `file` (read it with cmd/trace report)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: paper <subcommand> [flags]")
 		for _, e := range experiments {
@@ -117,6 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !slices.Contains(strings.Fields(accepted), "-"+f.Name) {
 			refused = append(refused, "-"+f.Name)
 		}
+		x.seedSet = x.seedSet || f.Name == "seed"
 	})
 	if len(refused) > 0 {
 		fmt.Fprintf(stderr, "paper %s: does not take %s\n", args[0], strings.Join(refused, " "))
@@ -124,6 +153,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if x.trace != "" {
+		var err error
+		if x.sink, err = obs.NewJSONLFile(x.trace); err != nil {
+			fmt.Fprintf(stderr, "paper %s: %v\n", args[0], err)
+			return 1
+		}
+	}
+	code := 0
 	for _, e := range todo {
 		fmt.Fprintf(stdout, "== %s — %s ==\n\n", e.name, e.title)
 		err := e.run(x)
@@ -132,9 +169,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "paper %s: %v\n", e.name, err)
-			return 1
+			code = 1
+			break
 		}
 		fmt.Fprintln(stdout)
 	}
-	return 0
+	if x.sink != nil {
+		if err := x.sink.Close(); err != nil {
+			fmt.Fprintf(stderr, "paper %s: %v\n", args[0], err)
+			code = 1
+		}
+	}
+	return code
 }

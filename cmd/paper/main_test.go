@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"hypercube/internal/id"
 	"hypercube/internal/netcheck"
+	"hypercube/internal/obs"
 	"hypercube/internal/overlay"
 )
 
@@ -17,8 +21,11 @@ import (
 const multiW = "10261,47051,00261,33333,12345,22222,44444"
 
 // goldens is every output pinned under testdata/: each subcommand at
-// its default size except the two that run the §5.2 waves, which
-// `go test` runs at -small (make experiments-check covers paper scale).
+// its default size except the two that run the §5.2 waves and the two
+// one-second scenarios (churn at n=1000, gray at n=64), which `go test`
+// runs at -small (make experiments-check covers full size). The
+// scenarios run five times each: their member, hostile, slow and victim
+// selections, partitionJoiner and DeclWatch.Examples all touch maps.
 var goldens = []struct {
 	file string
 	args []string
@@ -37,6 +44,18 @@ var goldens = []struct {
 	{file: "topo-small", args: []string{"topo", "-small"}},
 	{file: "workload", args: []string{"workload"}},
 	{file: "workload-quiet", args: []string{"workload", "-quiet"}},
+	{file: "churn-small", args: []string{"churn", "-small"}, runs: 5},
+	{file: "selfheal", args: []string{"selfheal"}, runs: 5},
+	{file: "partition", args: []string{"partition"}, runs: 5},
+	{file: "byzantine", args: []string{"byzantine"}, runs: 5},
+	{file: "flashcrowd", args: []string{"flashcrowd"}, runs: 5},
+	{file: "flashcrowd-small", args: []string{"flashcrowd", "-small"}, runs: 5},
+	{file: "flashcrowd-byz", args: []string{"flashcrowd", "-with-byzantine"}, runs: 5},
+	{file: "massfail", args: []string{"massfail"}, runs: 5},
+	{file: "massfail-byz", args: []string{"massfail", "-with-byzantine"}, runs: 5},
+	{file: "restart", args: []string{"restart"}, runs: 5},
+	{file: "gray-small", args: []string{"gray", "-small"}, runs: 5},
+	{file: "gray-small-byz", args: []string{"gray", "-small", "-with-byzantine"}, runs: 5},
 }
 
 func golden(t *testing.T, files ...string) string {
@@ -54,9 +73,10 @@ func golden(t *testing.T, files ...string) string {
 
 // mustRun runs the command and requires exit status 0. That status is
 // the assertion that every join wave of the run ended consistent with
-// all joiners S-nodes and within Theorem 3's d+1 — and, for the §5.2
-// waves, with its mean JoinNotiMsg under the Theorem-5 bound — taken
-// from the run's own results, not from the printed text.
+// all joiners S-nodes and within Theorem 3's d+1 — for the §5.2 waves,
+// with its mean JoinNotiMsg under the Theorem-5 bound — and that every
+// scenario passed its verdict (TestVerdicts), taken from the run's own
+// results, not from the printed text.
 func mustRun(t *testing.T, args ...string) (stdout, stderr string) {
 	t.Helper()
 	var out, errb bytes.Buffer
@@ -67,8 +87,10 @@ func mustRun(t *testing.T, args ...string) (stdout, stderr string) {
 }
 
 func TestGolden(t *testing.T) {
+	t.Parallel()
 	for _, c := range goldens {
 		t.Run(c.file, func(t *testing.T) {
+			t.Parallel()
 			want := golden(t, c.file)
 			for i := 0; i < max(c.runs, 1); i++ {
 				if got, _ := mustRun(t, c.args...); got != want {
@@ -79,13 +101,15 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestAll pins `all` as the nine subcommands back to back, with the
-// §5.2 waves run once for fig15b and table together.
+// TestAll pins `all` as the seventeen subcommands back to back, with
+// the §5.2 waves run once for fig15b and table together.
 func TestAll(t *testing.T) {
-	want := golden(t, "fig15a", "fig15b-small", "table-small", "consistency", "cset", "baseline", "msgsize", "topo-small", "workload")
+	t.Parallel()
+	want := golden(t, "fig15a", "fig15b-small", "table-small", "consistency", "cset", "baseline", "msgsize", "topo-small", "workload",
+		"churn-small", "selfheal", "partition", "byzantine", "flashcrowd-small", "massfail", "restart", "gray-small")
 	got, stderr := mustRun(t, "all", "-small")
 	if got != want {
-		t.Errorf("`all -small` is not the concatenation of its nine subcommands' goldens; got:\n%s", got)
+		t.Errorf("`all -small` is not the concatenation of its subcommands' goldens; got:\n%s", got)
 	}
 	if n := strings.Count(stderr, " wall\n"); n != len(paperSetups) {
 		t.Errorf("`all` timed %d §5.2 waves on stderr, want %d (fig15b and table share them):\n%s", n, len(paperSetups), stderr)
@@ -96,7 +120,7 @@ func TestAll(t *testing.T) {
 		files = append(files, e.name)
 	}
 	if golden(t, files...) != golden(t, "all") {
-		t.Error("testdata/all.golden is not the concatenation of the nine per-subcommand goldens")
+		t.Error("testdata/all.golden is not the concatenation of the per-subcommand goldens")
 	}
 }
 
@@ -118,28 +142,42 @@ func TestCsetFigure2(t *testing.T) {
 	}
 }
 
-// TestExperimentsDoc keeps EXPERIMENTS.md's E1-E11 transcripts from
-// drifting again: every fenced block there must be a run of lines of
-// some golden.
+// TestExperimentsDoc keeps EXPERIMENTS.md's transcripts from drifting
+// again: every fenced block there must be a run of lines of some
+// golden, so a section gives its commands inline and fences output
+// only. E14, E16, E19 and E20 quote other tools (cmd/trace,
+// cmd/nemesis) or figures recorded before a removal, and the closing
+// section quotes nothing; those stay outside the check.
 func TestExperimentsDoc(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1to11, _, _ := strings.Cut(string(doc), "\n## E12 ")
-	var names []string
+	names := []string{"fig15b", "table", "churn", "gray"} // full size: pinned by all.golden
 	for _, c := range goldens {
 		names = append(names, c.file)
 	}
-	pinned := golden(t, append(names, "fig15b", "table")...)
-	blocks := strings.Split(e1to11, "\n```\n")
-	if len(blocks) < 3 || len(blocks)%2 == 0 {
-		t.Fatalf("EXPERIMENTS.md splits into %d parts at its code fences before E12: none, or unbalanced", len(blocks))
-	}
-	for i := 1; i < len(blocks); i += 2 {
-		if !strings.Contains(pinned, blocks[i]+"\n") {
-			t.Errorf("EXPERIMENTS.md block is in no testdata/*.golden:\n%s", blocks[i])
+	pinned := golden(t, names...)
+	unchecked := []string{"E14 ", "E16 ", "E19 ", "E20 ", "Additional measurements"}
+	checked := 0
+	for _, section := range strings.Split(string(doc), "\n## ")[1:] {
+		title, _, _ := strings.Cut(section, "\n")
+		if slices.ContainsFunc(unchecked, func(p string) bool { return strings.HasPrefix(title, p) }) {
+			continue
 		}
+		blocks := strings.Split(section, "\n```\n")
+		if len(blocks)%2 == 0 {
+			t.Fatalf("EXPERIMENTS.md %q: unbalanced code fences", title)
+		}
+		for i := 1; i < len(blocks); i += 2 {
+			checked++
+			if !strings.Contains(pinned, blocks[i]+"\n") {
+				t.Errorf("EXPERIMENTS.md %q: block is in no testdata/*.golden:\n%s", title, blocks[i])
+			}
+		}
+	}
+	if checked < 20 {
+		t.Errorf("only %d blocks of EXPERIMENTS.md were checked: its sections or fences changed shape", checked)
 	}
 }
 
@@ -164,6 +202,82 @@ func TestTheorems(t *testing.T) {
 	}
 }
 
+// TestVerdicts holds the gates that make a scenario's zero exit status
+// a result: each must trip on an outcome fabricated to breach it, and
+// none on a clean one.
+func TestVerdicts(t *testing.T) {
+	if err := (outcome{}).verdict(); err != nil {
+		t.Errorf("clean outcome: %v", err)
+	}
+	for want, o := range map[string]outcome{
+		"1 Definition 3.8 violations": {violations: make([]netcheck.Violation, 1)},
+		"2 table entries left unrep":  {unrepaired: 2},
+		"3 live nodes declared":       {falseDecl: 3},
+		"1 joins did not complete":    {stuck: []string{"beef in copying"}},
+		"did not reconverge":          {unconverged: true},
+		"4 probers still in part":     {partitioned: 4},
+		"fault model never engaged":   {inert: true},
+	} {
+		if err := o.verdict(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("outcome %+v judged %v, want an error mentioning %q", o, err, want)
+		}
+	}
+	if err := (outcome{falseDecl: 1, unconverged: true}).verdict(); err == nil || strings.Count(err.Error(), "\n") != 1 {
+		t.Errorf("two tripped gates reported as %v, want both", err)
+	}
+
+	// E18 at n=64: the adaptive run clean, the baseline visibly worse.
+	adaptive := grayRun{detected: 3, crashed: 3, meanDetect: 10 * time.Second, marked: 57, slowDelayed: 21565, consistent: true}
+	fixed := grayRun{falsePos: 3, detected: 3, crashed: 3, meanDetect: 21 * time.Second, consistent: true}
+	if err := grayVerdict(adaptive, fixed); err != nil {
+		t.Errorf("clean gray pair: %v", err)
+	}
+	slower := fixed
+	slower.falsePos = 0 // contrast by detection latency alone: 21 s > 1.2 × 10 s
+	if err := grayVerdict(adaptive, slower); err != nil {
+		t.Errorf("baseline 2.1x slower with no false declaration: %v", err)
+	}
+	for want, breach := range map[string]func(a, f *grayRun){
+		"declared 1 live nodes":       func(a, _ *grayRun) { a.falsePos = 1 },
+		"only 2 of 3 genuine crashes": func(a, _ *grayRun) { a.detected = 2 },
+		"ended inconsistent":          func(a, _ *grayRun) { a.consistent = false },
+		"estimator never engaged":     func(a, _ *grayRun) { a.marked = 0 },
+		"never delayed a message":     func(a, _ *grayRun) { a.slowDelayed = 0 },
+		"baseline showed no contrast": func(_, f *grayRun) { f.falsePos, f.meanDetect = 0, 12*time.Second },
+		"showed no contrast (0 false": func(a, f *grayRun) { f.falsePos, a.meanDetect = 0, 0 },
+	} {
+		a, f := adaptive, fixed
+		breach(&a, &f)
+		if err := grayVerdict(a, f); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("gray breach judged %v, want an error mentioning %q", err, want)
+		}
+	}
+}
+
+// TestTraceE19 pins what EXPERIMENTS.md E19 reads off its source run's
+// trace, and that tracing changes nothing the run prints.
+func TestTraceE19(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.jsonl")
+	traced, _ := mustRun(t, "flashcrowd", "-small", "-seed", "1", "-trace", path)
+	if plain, _ := mustRun(t, "flashcrowd", "-small", "-seed", "1"); traced != plain {
+		t.Errorf("-trace changed the run's output:\n%s\nuntraced:\n%s", traced, plain)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a := obs.NewAnalyzer("")
+	if err := obs.ScanJSONL(f, a.Feed); err != nil {
+		t.Fatal(err)
+	}
+	rep := a.Report()
+	got := []int{rep.Events, rep.Traces, rep.JoinTrees.Attempted, rep.JoinTrees.Reconstructed}
+	if want := []int{18298, 1626, 64, 64}; !slices.Equal(got, want) {
+		t.Errorf("events/span trees/joins attempted/reconstructed = %v, want %v", got, want)
+	}
+}
+
 func TestUsageAndErrors(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -177,6 +291,13 @@ func TestUsageAndErrors(t *testing.T) {
 		{[]string{"topo", "8320"}, 2, "does not take 8320"},
 		{[]string{"cset", "-b", "8", "-d", "5", "-v", "99999"}, 1, "-v: "},
 		{[]string{"cset", "-b", "1"}, 1, "paper cset: "},
+		{[]string{"graydegrade"}, 2, "usage: paper"},
+		{[]string{"-flashcrowd"}, 2, "usage: paper"},
+		{[]string{"massfail", "-small"}, 2, "does not take -small"},
+		{[]string{"partition", "-with-byzantine"}, 2, "does not take -with-byzantine"},
+		{[]string{"flashcrowd", "-fc-joins", "64"}, 2, "flag provided but not defined: -fc-joins"},
+		{[]string{"all", "-trace", "x.jsonl"}, 2, "does not take -trace"},
+		{[]string{"restart", "-trace", "/nonexistent/dir/x.jsonl"}, 1, "paper restart: obs: trace file"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(c.args, &out, &errb); code != c.code || !strings.Contains(errb.String(), c.stderr) {

@@ -13,7 +13,7 @@
 //
 // The simulator stamps events with its virtual clock and the TCP runtime
 // with wall time since start, in one schema, so report reads hypercubed
-// -trace, churn -trace and wave output alike. Every event carries the
+// -trace, paper -trace and wave output alike. Every event carries the
 // emitting node's identity, so concatenating per-node files is merging.
 // Events without causal trace context are folded as they stream past
 // (O(nodes) memory, so multi-GB soak traces are fine); traced events are

@@ -1,23 +1,19 @@
 // Package oracle holds the invariant checks a chaos scenario is judged
-// by, shared between the hand-scripted cmd/churn modes and the
-// generated cmd/nemesis schedules: a false-declaration watcher teed
-// into the event stream, the end-of-run consistency report with its
-// exit-code semantics, and the quiescence-point audit (Definition 3.8
-// consistency plus sampled Definition 3.7 reachability).
+// by: a false-declaration watcher teed into the event stream, which the
+// hand-scripted cmd/paper scenarios (E17, E18) and the generated
+// cmd/nemesis schedules share, and the quiescence-point audit of the
+// latter (Definition 3.8 consistency plus sampled Definition 3.7
+// reachability).
 //
 // Everything here needs global knowledge and therefore lives in the
 // verification harness, never in protocol nodes.
 package oracle
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"hypercube/internal/id"
-	"hypercube/internal/netcheck"
 	"hypercube/internal/obs"
-	"hypercube/internal/overlay"
 )
 
 // DeclWatch splits failure declarations into genuine (the declared peer
@@ -118,40 +114,4 @@ func (w *DeclWatch) MeanDetection() time.Duration {
 		return 0
 	}
 	return sum / time.Duration(n)
-}
-
-// ReportFinal prints the end-of-run summary every scenario shares —
-// node count, Definition 3.8 consistency, and the guard layer's
-// rejection and quarantine counters — and returns the process exit
-// code: non-zero when the network ends inconsistent or the driver
-// flagged an earlier failure. Routing every mode through this one path
-// keeps the exit semantics of all scenario drivers identical.
-func ReportFinal(out, errOut io.Writer, net *overlay.Network, earlierFailure bool) int {
-	final := net.CheckConsistency()
-	state := "consistent"
-	if len(final) != 0 {
-		state = fmt.Sprintf("%d violations", len(final))
-	}
-	gs := net.GuardStats()
-	fmt.Fprintf(out, "\nfinal network: %d nodes, %s; guard: %d rejected, %d unknown dropped, %d quarantines (%d active), %d released, %d ingress-dropped, %d busy-deferred\n",
-		net.Size(), state, gs.Rejected, gs.UnknownDropped,
-		gs.Scorer.Quarantines, gs.Scorer.Quarantined, gs.Scorer.Releases,
-		gs.IngressDropped, gs.BusyDeferred)
-	if len(final) != 0 || earlierFailure {
-		PrintViolations(errOut, final)
-		return 1
-	}
-	return 0
-}
-
-// PrintViolations lists every netcheck violation so a failing run names
-// the broken entries instead of just exiting non-zero.
-func PrintViolations(w io.Writer, v []netcheck.Violation) {
-	if len(v) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "netcheck failed with %d violations:\n", len(v))
-	for _, x := range v {
-		fmt.Fprintf(w, "  %v\n", x)
-	}
 }

@@ -17,7 +17,6 @@ import (
 	"hypercube/internal/liveness"
 	"hypercube/internal/nemesis/oracle"
 	"hypercube/internal/overlay"
-	"hypercube/internal/persist"
 	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
 	"hypercube/internal/table"
@@ -114,7 +113,6 @@ type executor struct {
 	slow    map[id.ID]bool // gray members
 	pending []pendingJoin  // scheduled joiners not yet admitted
 	leaves  map[id.ID]int  // scheduled graceful leaves -> step
-	machs   map[id.ID]*core.Machine
 
 	byzEver  bool
 	lossEver bool
@@ -127,12 +125,14 @@ type pendingJoin struct {
 	step int
 }
 
-// build mirrors cmd/churn's scenarioConfig: the full robustness stack —
-// guard layer, latency-tolerant adaptive failure detection, anti-entropy
-// and gossip sampling — plus every injector armed (loss at rate 0, slow
-// and byzantine models with executor-driven selection). The liveness
-// PartitionThreshold is lowered to 0.3 so both sides of a generated
-// 40–50% partition enter partition mode and freeze declarations.
+// build configures the full robustness stack. Timeouts, detector
+// thresholds and view size are cmd/paper scenarioConfig's (E17/E18),
+// copied by hand; the rest differs on purpose: constant 10 ms latency
+// instead of a transit-stub topology, 500 ms sync rounds, the RTT
+// estimator always on, every injector armed (loss at rate 0, slow and
+// byzantine models with executor-driven selection), and
+// PartitionThreshold lowered to 0.3 so both sides of a generated 40–50%
+// partition enter partition mode and freeze declarations.
 func (e *executor) build() {
 	e.p = id.Params{B: e.s.B, D: e.s.D}
 	e.watch = oracle.NewDeclWatch()
@@ -171,7 +171,6 @@ func (e *executor) build() {
 	e.byz = make(map[id.ID]bool)
 	e.slow = make(map[id.ID]bool)
 	e.leaves = make(map[id.ID]int)
-	e.machs = make(map[id.ID]*core.Machine)
 	rng := rand.New(rand.NewSource(int64(e.s.Seed)))
 	refs := overlay.RandomRefs(e.p, e.s.Nodes, rng, e.taken)
 	e.net.BuildDirect(refs, rng)
@@ -216,7 +215,7 @@ func (e *executor) pick(r *rng, n int, eligible func(table.Ref) bool) []table.Re
 
 func (e *executor) honest(m table.Ref) bool { return !e.byz[m.ID] }
 func (e *executor) fastHonest(m table.Ref) bool {
-	return !e.byz[m.ID] && !e.slow[m.ID] && e.leaves[m.ID] == 0 && !e.leaving(m.ID)
+	return !e.byz[m.ID] && !e.slow[m.ID] && !e.leaving(m.ID)
 }
 
 func (e *executor) leaving(x id.ID) bool { _, ok := e.leaves[x]; return ok }
@@ -325,7 +324,6 @@ func (e *executor) settleJoins(maxRounds int) {
 	for _, pj := range e.pending {
 		if pj.m.IsSNode() {
 			e.members = append(e.members, pj.ref)
-			e.machs[pj.ref.ID] = pj.m
 			e.res.Joined++
 		} else {
 			still = append(still, pj)
@@ -347,10 +345,14 @@ func (e *executor) leave(i int, a Action, r *rng) {
 		// goodbye and declares it afterwards is behaving correctly, so
 		// leavers never count as false positives.
 		e.watch.MarkDead(m.ID)
-		e.leaves[m.ID] = i + 1 // +1 so the zero value means "not leaving"
+		e.leaves[m.ID] = i
 	}
-	// Bounded wait for the departures to finalize; stragglers are judged
-	// at the final audit.
+	e.settleLeaves()
+}
+
+// settleLeaves waits, bounded, for the scheduled departures to
+// finalize; stragglers are judged at the final audit.
+func (e *executor) settleLeaves() {
 	for rounds := 0; rounds < 100 && len(e.leaves) > 0; rounds++ {
 		e.net.RunFor(e.opt.SyncEvery)
 		for _, x := range e.net.FinalizeLeaves() {
@@ -409,16 +411,8 @@ func (e *executor) partition(i int, a Action, r *rng) {
 func (e *executor) restart(i int, a Action, r *rng) {
 	targets := e.pick(r, a.Count, e.fastHonest)
 	for _, m := range targets {
-		tbl, ok := e.net.TableOf(m.ID)
-		if !ok {
-			continue
-		}
-		var sampled []table.Ref
-		if s, ok := e.net.Sampler(m.ID); ok {
-			sampled = s.View()
-		}
 		path := filepath.Join(e.dir, m.ID.String()+".json")
-		if err := persist.SaveFileState(path, tbl.Snapshot(), sampled); err != nil {
+		if err := e.net.Persist(m.ID, path); err != nil {
 			e.fail(oracle.CheckPersist, i, "save: %v", err)
 			continue
 		}
@@ -435,40 +429,26 @@ func (e *executor) restart(i int, a Action, r *rng) {
 			e.fail(oracle.CheckStuckJoin, i, "no live helper for restarting %v", m.ID)
 			continue
 		}
-		snap, bootPeers, err := persist.LoadFileState(path, e.p)
-		switch {
-		case err == nil && a.Corrupt:
+		mach, restored, err := e.net.Restart(m, path, func([]table.Ref) table.Ref { return helper })
+		if err != nil {
+			e.fail(oracle.CheckPersist, i, "restart of %v: %v", m.ID, err)
+			continue
+		}
+		e.res.Restarted++
+		if !restored {
+			// Detected corruption: no state, fresh join.
+			e.res.CorruptDumps++
+			e.pending = append(e.pending, pendingJoin{ref: m, m: mach, step: i})
+			e.settleJoins(200)
+			continue
+		}
+		if a.Corrupt {
 			// The dump was bit-flipped and load did not notice: the
 			// checksum layer failed. This is exactly the class of bug the
 			// corrupt flag exists to catch.
 			e.fail(oracle.CheckPersist, i, "corrupted dump of %v loaded without error", m.ID)
-			continue
-		case err != nil && !persist.IsCorrupt(err):
-			e.fail(oracle.CheckPersist, i, "load: %v", err)
-			continue
-		case err != nil:
-			// Detected corruption: no state, fresh join.
-			e.res.CorruptDumps++
-			mach := e.net.ScheduleJoin(m, helper, e.net.Engine().Now())
-			e.pending = append(e.pending, pendingJoin{ref: m, m: mach, step: i})
-			e.settleJoins(200)
-			e.res.Restarted++
-			continue
 		}
-		mach := e.net.AddEstablished(m, persist.Restore(snap))
-		if s, ok := e.net.Sampler(m.ID); ok && len(bootPeers) > 0 {
-			s.SeedPeers(bootPeers...)
-		}
-		out, err := mach.StartRejoin(helper)
-		if err != nil {
-			e.fail(oracle.CheckStuckJoin, i, "rejoin of %v: %v", m.ID, err)
-			continue
-		}
-		e.net.Transmit(out)
-		e.net.Run()
 		e.members = append(e.members, m)
-		e.machs[m.ID] = mach
-		e.res.Restarted++
 	}
 	e.sortMembers()
 }
@@ -507,15 +487,7 @@ func (e *executor) pickHelper(r *rng, self id.ID) table.Ref {
 // invariant oracle, stamping the step into any findings.
 func (e *executor) quiesce(step int) {
 	e.settleJoins(50)
-	converged := false
-	for rounds := 0; rounds < 60; rounds++ {
-		if len(e.net.CheckConsistency()) == 0 {
-			converged = true
-			break
-		}
-		e.net.RunFor(e.opt.SyncEvery)
-	}
-	if !converged {
+	if _, ok := e.net.Settle(e.opt.SyncEvery, 60); !ok {
 		e.fail(oracle.CheckConverge, step, "still inconsistent after 60 settle rounds")
 	}
 	e.findings = append(e.findings, oracle.Audit(e.net, e.opt.ReachPairs, e.s.Seed, step)...)
@@ -538,23 +510,8 @@ func (e *executor) finish() {
 	e.net.UnmarkSlow(slowIDs...)
 	e.net.RunFor(2 * time.Second)
 	e.settleJoins(100)
-	for rounds := 0; rounds < 100 && len(e.leaves) > 0; rounds++ {
-		e.net.RunFor(e.opt.SyncEvery)
-		for _, x := range e.net.FinalizeLeaves() {
-			delete(e.leaves, x)
-			e.dropMember(x)
-			e.res.Left++
-		}
-	}
-	converged := false
-	for rounds := 0; rounds < 100; rounds++ {
-		if len(e.net.CheckConsistency()) == 0 {
-			converged = true
-			break
-		}
-		e.net.RunFor(e.opt.SyncEvery)
-	}
-	if !converged {
+	e.settleLeaves()
+	if _, ok := e.net.Settle(e.opt.SyncEvery, 100); !ok {
 		e.fail(oracle.CheckConverge, -1, "still inconsistent after 100 final settle rounds")
 	}
 
@@ -568,7 +525,7 @@ func (e *executor) finish() {
 	}
 	sort.Slice(stuckLeaves, func(i, j int) bool { return stuckLeaves[i].Less(stuckLeaves[j]) })
 	for _, x := range stuckLeaves {
-		e.fail(oracle.CheckStuckLeave, -1, "leave of %v from step %d never completed", x, e.leaves[x]-1)
+		e.fail(oracle.CheckStuckLeave, -1, "leave of %v from step %d never completed", x, e.leaves[x])
 	}
 
 	e.findings = append(e.findings, oracle.Audit(e.net, e.opt.ReachPairs, e.s.Seed, -1)...)

@@ -311,14 +311,17 @@ func churnMix(t *testing.T, seed int64) {
 			}
 			net.Run()
 		case 1: // graceful leaves
-			for count := 0; count < 5 && len(live) >= 20; count++ {
+			scheduled := 0
+			for ; scheduled < 5 && len(live) >= 20; scheduled++ {
 				x := removeLive(rng.Intn(len(live)))
 				if err := net.ScheduleLeave(x.ID, net.Engine().Now()); err != nil {
 					t.Fatal(err)
 				}
 			}
 			net.Run()
-			net.FinalizeLeaves()
+			if gone := net.FinalizeLeaves(); len(gone) != scheduled {
+				t.Fatalf("phase %d: %d of %d scheduled leavers finalized (%v)", phase, len(gone), scheduled, gone)
+			}
 		case 2: // crash + recovery
 			if len(live) >= 20 {
 				x := removeLive(rng.Intn(len(live)))

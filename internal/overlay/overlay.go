@@ -453,12 +453,6 @@ func (n *Network) ScheduleJoin(ref table.Ref, g0 table.Ref, at time.Duration, fa
 	return m
 }
 
-// Transmit schedules delivery of envelopes produced outside the
-// network's own pumps — e.g. a driver calling a machine method such as
-// StartRejoin directly — applying the same latency, loss, partition,
-// and byzantine fault models as internally generated traffic.
-func (n *Network) Transmit(envs []msg.Envelope) { n.transmit(envs) }
-
 // transmit schedules delivery of each envelope after its pair latency.
 // Envelopes leaving a byzantine member pass through the fault model
 // first (see byzantine.go); honest traffic feeds the replay history.
@@ -782,7 +776,8 @@ func (n *Network) Prober(x id.ID) (*liveness.Prober, bool) {
 // table — e.g. one restored from a persisted snapshot — and clears any
 // removed mark for the node, modeling a crashed node restarting from
 // disk. The table is adopted, not copied. The caller re-announces the
-// node via core's StartRejoin so survivors relearn it.
+// node via core's StartRejoin so survivors relearn it; Restart is the
+// whole sequence from a dump on disk.
 func (n *Network) AddEstablished(ref table.Ref, tbl *table.Table) *core.Machine {
 	delete(n.removed, ref.ID)
 	m := core.NewEstablished(n.cfg.Params, ref, tbl, n.cfg.Opts)

@@ -2,67 +2,88 @@ package overlay
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"hypercube/internal/id"
-	"hypercube/internal/persist"
+	"hypercube/internal/table"
 )
 
 // TestPersistRestartRejoin is the end-to-end restart story persist
-// exists for: a member dumps its table to disk, crashes, restarts from
-// the snapshot as an established node, and re-announces itself with
-// StartRejoin. The survivors never repaired the crash (the restart is
-// immediate), so their tables still point at the victim; after the
-// re-announce drains, the whole network must pass netcheck.
+// exists for, on the path cmd/paper's restart scenario and the nemesis
+// executor share (Persist, Restart): a member dumps its table to disk,
+// crashes, restarts from the snapshot as an established node, and
+// re-announces itself with a rejoin. The survivors never repaired the
+// crash (the restart is immediate), so their tables still point at the
+// victim; after the re-announce drains, the whole network must pass
+// netcheck. A dump damaged on disk must demote the restart to a fresh
+// join instead of failing it.
 func TestPersistRestartRejoin(t *testing.T) {
-	p := id.Params{B: 4, D: 4}
-	rng := rand.New(rand.NewSource(11))
-	net := New(Config{Params: p})
-	refs := RandomRefs(p, 16, rng, nil)
+	for _, corrupt := range []bool{false, true} {
+		p := id.Params{B: 4, D: 4}
+		rng := rand.New(rand.NewSource(11))
+		net := New(Config{Params: p})
+		refs := RandomRefs(p, 16, rng, nil)
+		net.BuildDirect(refs, rng)
+		requireConsistent(t, net)
+
+		victim := refs[3]
+		tbl, _ := net.TableOf(victim.ID)
+		filled := tbl.FilledCount()
+		path := filepath.Join(t.TempDir(), "victim.json")
+		if err := net.Persist(victim.ID, path); err != nil {
+			t.Fatal(err)
+		}
+		if corrupt {
+			if err := os.Truncate(path, 40); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := net.InjectFailure(victim.ID); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := net.Restart(victim, path, func([]table.Ref) table.Ref { return victim }); err == nil {
+			t.Fatal("Restart accepted the restarting node as its own helper")
+		}
+
+		m, restored, err := net.Restart(victim, path, func([]table.Ref) table.Ref { return refs[0] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored == corrupt {
+			t.Fatalf("corrupt=%v: Restart reports restored=%v", corrupt, restored)
+		}
+		if restored {
+			if got, _ := net.TableOf(victim.ID); got.FilledCount() != filled {
+				t.Fatalf("restored table has %d entries, want %d", got.FilledCount(), filled)
+			}
+		} else {
+			net.Run() // the fresh join is the caller's to drain
+		}
+		if !m.IsSNode() {
+			t.Fatalf("corrupt=%v: restarted node stuck in %v", corrupt, m.Status())
+		}
+		requireConsistent(t, net)
+	}
+}
+
+// TestSettle pins the contract its four former copies shared: zero
+// rounds on a consistent network, and a spent budget reported as such.
+func TestSettle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	net := New(Config{Params: p164})
+	refs := RandomRefs(p164, 20, rng, nil)
 	net.BuildDirect(refs, rng)
-	if v := net.CheckConsistency(); len(v) != 0 {
-		t.Fatalf("pre-crash network inconsistent: %v", v[0])
+	if rounds, ok := net.Settle(time.Second, 10); rounds != 0 || !ok {
+		t.Fatalf("consistent network: Settle = %d, %v; want 0, true", rounds, ok)
 	}
-
-	// Dump the victim's table through a real file round-trip.
-	victim := refs[3]
-	tbl, ok := net.TableOf(victim.ID)
-	if !ok {
-		t.Fatalf("victim %v has no table", victim.ID)
-	}
-	filled := tbl.FilledCount()
-	path := filepath.Join(t.TempDir(), "victim.json")
-	if err := persist.SaveFile(path, tbl.Snapshot()); err != nil {
+	// A crash nobody repairs (no detector is configured) never settles.
+	if err := net.InjectFailure(refs[0].ID); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := net.InjectFailure(victim.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart from disk: load the dump, materialize the table, and
-	// rejoin through any survivor.
-	snap, err := persist.LoadFile(path, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := persist.Restore(snap)
-	if restored.FilledCount() != filled {
-		t.Fatalf("restored table has %d entries, want %d", restored.FilledCount(), filled)
-	}
-	m := net.AddEstablished(victim, restored)
-	out, err := m.StartRejoin(refs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.transmit(out)
-	net.Run()
-
-	if !m.IsSNode() {
-		t.Fatalf("restarted node stuck in %v", m.Status())
-	}
-	if v := net.CheckConsistency(); len(v) != 0 {
-		t.Fatalf("inconsistent after restart+rejoin: %d violations, first: %v", len(v), v[0])
+	if rounds, ok := net.Settle(time.Second, 3); rounds != 3 || ok {
+		t.Fatalf("unrepaired crash: Settle = %d, %v; want 3, false", rounds, ok)
 	}
 }
