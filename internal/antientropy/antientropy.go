@@ -46,16 +46,16 @@ func (c Config) withDefaults() Config {
 // Stats counts the engine's activity, for admin endpoints and tests.
 type Stats struct {
 	// Rounds counts sync rounds initiated (one digest exchange each).
-	Rounds int
+	Rounds int `json:"rounds"`
 	// Pulled counts table entries installed from peers' replies and
 	// pushes (including rounds initiated by the peer).
-	Pulled int
+	Pulled int `json:"pulled"`
 	// Purged counts entries removed by table audits.
-	Purged int
+	Purged int `json:"purged"`
 	// Deprioritized counts rounds where one or more degraded peers were
 	// filtered out of partner choice (health predicate wired and at
 	// least one healthy alternative existed).
-	Deprioritized int
+	Deprioritized int `json:"deprioritized"`
 }
 
 // Add accumulates other into s, for fleet totals.

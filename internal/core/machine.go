@@ -121,11 +121,11 @@ func (b Budgets) withDefaults() Budgets {
 // quarantined senders, budget-shed requests, and the scorer's own
 // lifecycle counters.
 type GuardStats struct {
-	Rejected       int
-	UnknownDropped int
-	IngressDropped int
-	BusyDeferred   int
-	Scorer         guard.Stats
+	Rejected       int         `json:"rejected"`
+	UnknownDropped int         `json:"unknownDropped"`
+	IngressDropped int         `json:"ingressDropped"`
+	BusyDeferred   int         `json:"busyDeferred"`
+	Scorer         guard.Stats `json:"scorer"`
 }
 
 // Add accumulates other into g.

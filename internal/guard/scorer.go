@@ -48,13 +48,13 @@ type Stats struct {
 	// Charges counts violations charged; Quarantines peers that crossed
 	// the threshold; Releases quarantines that expired; Evictions tracked
 	// peers displaced by the MaxPeers bound.
-	Charges     int
-	Quarantines int
-	Releases    int
-	Evictions   int
+	Charges     int `json:"charges"`
+	Quarantines int `json:"quarantines"`
+	Releases    int `json:"releases"`
+	Evictions   int `json:"evictions"`
 	// Quarantined is how many peers are quarantined right now (as of the
 	// last Charge/Quarantined call that observed them).
-	Quarantined int
+	Quarantined int `json:"quarantined" metric:"gauge"`
 }
 
 // Add accumulates other into s.

@@ -150,29 +150,31 @@ func (c Config) withDefaults() Config {
 // Stats counts the detector's activity, for admin endpoints and tests.
 type Stats struct {
 	// ProbesSent counts direct probes; IndirectSent relayed ones.
-	ProbesSent   int
-	IndirectSent int
+	ProbesSent   int `json:"probesSent"`
+	IndirectSent int `json:"indirectSent"`
 	// PongsReceived counts answers attributable to an outstanding probe.
-	PongsReceived int
-	// Suspects counts alive -> suspect transitions.
-	Suspects int
+	PongsReceived int `json:"pongsReceived"`
+	// Suspects counts alive -> suspect transitions. Its JSON key is
+	// "suspected": an admin surface's "suspects" is how many targets are
+	// under suspicion right now (Prober.SuspectCount), a different number.
+	Suspects int `json:"suspected"`
 	// Recovered counts suspect -> alive transitions (false alarms caught
 	// by the confirmation round).
-	Recovered int
+	Recovered int `json:"recovered"`
 	// Declared counts suspect -> declared-failed transitions.
-	Declared int
+	Declared int `json:"declared"`
 	// PartitionsEntered / PartitionsExited count transitions in and out
 	// of partitioned mode.
-	PartitionsEntered int
-	PartitionsExited  int
+	PartitionsEntered int `json:"partitionsEntered"`
+	PartitionsExited  int `json:"partitionsExited"`
 	// DeclarationsHeld counts declarations suppressed because the prober
 	// was in partitioned mode when the suspect's confirm rounds ran out.
-	DeclarationsHeld int
+	DeclarationsHeld int `json:"declarationsHeld"`
 	// Unreachable counts targets dropped without a failure declaration
 	// because they never once answered from here: with no evidence they
 	// were ever alive, their silence may equally be our own partition, so
 	// they are forgotten locally instead of tombstoned and gossiped.
-	Unreachable int
+	Unreachable int `json:"unreachable"`
 	// Adaptive-timeout (gray failure) counters; all stay zero unless a
 	// per-peer RTT estimator is attached (SetRTT). AdaptiveDeadlines
 	// counts probes whose deadline came from the estimator rather than
@@ -180,12 +182,12 @@ type Stats struct {
 	// their probe expired (still fed to the estimator and counted as
 	// liveness); DegradedMarked / DegradedCleared the estimator's
 	// degraded-flag transitions observed through probe samples.
-	AdaptiveDeadlines int
-	LatePongs         int
-	DegradedMarked    int
-	DegradedCleared   int
+	AdaptiveDeadlines int `json:"adaptiveDeadlines"`
+	LatePongs         int `json:"latePongs"`
+	DegradedMarked    int `json:"degradedMarked"`
+	DegradedCleared   int `json:"degradedCleared"`
 	// Retargets counts rebuilds of the monitored set (SetTargets calls).
-	Retargets int
+	Retargets int `json:"retargets"`
 }
 
 // Add accumulates other into s, for fleet totals.

@@ -8,6 +8,7 @@
 package msg
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"hypercube/internal/id"
@@ -397,16 +398,44 @@ func (e Envelope) String() string {
 // (dead-lettered) when the transport gives up on it entirely. The zero
 // value is ready to use.
 type Counters struct {
-	Sent     [numTypes + 1]int
-	Received [numTypes + 1]int
-	Retried  [numTypes + 1]int
-	Dropped  [numTypes + 1]int
+	Sent     PerType `json:"sent"`
+	Received PerType `json:"received"`
+	Retried  PerType `json:"retried"`
+	Dropped  PerType `json:"dropped"`
 	// Rejected counts messages the guard layer refused at ingress:
 	// semantic validation failures, unknown types, and traffic from
 	// quarantined peers. Index 0 holds rejects whose type is unknown.
-	Rejected [numTypes + 1]int
+	Rejected PerType `json:"rejected"`
 	// BytesSent accumulates WireSize over sent messages.
-	BytesSent int
+	BytesSent int `json:"bytesSent"`
+}
+
+// PerType is one tally per message type, indexed by Type.
+type PerType [numTypes + 1]int
+
+// MarshalJSON renders the tally as an object keyed by type name, zero
+// counts left out.
+func (p PerType) MarshalJSON() ([]byte, error) {
+	by := make(map[string]int)
+	for t, n := range p {
+		if n != 0 {
+			by[Type(t).String()] = n
+		}
+	}
+	return json.Marshal(by)
+}
+
+// UnmarshalJSON is MarshalJSON's inverse; names it does not know are
+// ignored.
+func (p *PerType) UnmarshalJSON(b []byte) error {
+	var by map[string]int
+	if err := json.Unmarshal(b, &by); err != nil {
+		return err
+	}
+	for t := range p {
+		p[t] = by[Type(t).String()]
+	}
+	return nil
 }
 
 // CountSent records an outgoing message.

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -203,6 +204,28 @@ func TestCountersDelivery(t *testing.T) {
 	}
 	if got := c.TotalDropped(); got != 2 {
 		t.Errorf("after Add TotalDropped = %d", got)
+	}
+}
+
+// TestCountersJSON pins the by-name view /status serves: one object per
+// tally keyed by type name with zero counts left out, and a decode that
+// gives the counters back.
+func TestCountersJSON(t *testing.T) {
+	var c Counters
+	c.Sent[TCpRst], c.Sent[TSamplePullRly] = 2, 3
+	c.Rejected[0] = 1
+	c.BytesSent = 40
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"sent":{"CpRstMsg":2,"SamplePullRlyMsg":3},"received":{},"retried":{},"dropped":{},"rejected":{"Type(0)":1},"bytesSent":40}`
+	if string(b) != want {
+		t.Errorf("Counters JSON =\n%s\nwant\n%s", b, want)
+	}
+	var back Counters
+	if err := json.Unmarshal(b, &back); err != nil || back != c {
+		t.Errorf("round trip = %+v, %v; want %+v", back, err, c)
 	}
 }
 

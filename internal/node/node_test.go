@@ -8,10 +8,12 @@ import (
 
 	"hypercube/internal/antientropy"
 	"hypercube/internal/core"
+	"hypercube/internal/guard"
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
 	"hypercube/internal/obs"
+	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
 	"hypercube/internal/table"
 )
@@ -241,34 +243,66 @@ func TestTickResendsWithoutAnyPart(t *testing.T) {
 	}
 }
 
-// setInts sets every int field reachable from v to x.
-func setInts(v reflect.Value, x int64) (fields int) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			fields += setInts(v.Field(i), x)
-		}
-	case reflect.Int, reflect.Int64:
-		v.SetInt(x)
-		fields = 1
-	default:
-		panic(fmt.Sprintf("Stats field of kind %v: teach this test (and Add) about it", v.Kind()))
-	}
-	return fields
-}
-
-// A counter added to any part's Stats but forgotten in its Add would
-// silently vanish from fleet totals; this catches it.
+// TestStatsAddCoversEveryField guards the fleet totals the simulator,
+// the benchmark and the E12-E18 goldens read: every Stats struct sums
+// field by field in a hand-written Add, and a counter added to the
+// struct but not to Add would silently read zero there. Each numeric
+// field is filled with a distinct value by reflection; adding the value
+// twice into a zero one must double every field.
 func TestStatsAddCoversEveryField(t *testing.T) {
-	var ones, want, total Stats
-	fields := setInts(reflect.ValueOf(&ones).Elem(), 1)
-	setInts(reflect.ValueOf(&want).Elem(), 2)
-	if fields < 30 {
-		t.Fatalf("walked only %d counters; the reflection is not reaching the parts", fields)
-	}
-	total.Add(ones)
-	total.Add(ones)
-	if total != want {
-		t.Errorf("after adding all-ones twice:\n got  %+v\n want %+v", total, want)
+	for _, zero := range []any{
+		&liveness.Stats{}, &antientropy.Stats{}, &sampling.Stats{}, &rtt.Stats{},
+		&guard.Stats{}, &core.GuardStats{}, &Stats{}, &msg.Counters{},
+	} {
+		typ := reflect.TypeOf(zero).Elem()
+		filled := reflect.New(typ)
+		next := 0
+		var fill func(v reflect.Value)
+		fill = func(v reflect.Value) {
+			switch v.Kind() {
+			case reflect.Struct:
+				for i := 0; i < v.NumField(); i++ {
+					fill(v.Field(i))
+				}
+			case reflect.Array:
+				for i := 0; i < v.Len(); i++ {
+					fill(v.Index(i))
+				}
+			case reflect.Int:
+				next++
+				v.SetInt(int64(next))
+			default:
+				t.Fatalf("%v has a %v field: teach this test to fill it", typ, v.Kind())
+			}
+		}
+		fill(filled.Elem())
+
+		// Add takes its argument by value everywhere but msg.Counters.
+		add := reflect.ValueOf(zero).MethodByName("Add")
+		arg := filled.Elem()
+		if add.Type().In(0).Kind() == reflect.Pointer {
+			arg = filled
+		}
+		add.Call([]reflect.Value{arg})
+		add.Call([]reflect.Value{arg})
+
+		var check func(path string, sum, one reflect.Value)
+		check = func(path string, sum, one reflect.Value) {
+			switch sum.Kind() {
+			case reflect.Struct:
+				for i := 0; i < sum.NumField(); i++ {
+					check(path+"."+sum.Type().Field(i).Name, sum.Field(i), one.Field(i))
+				}
+			case reflect.Array:
+				for i := 0; i < sum.Len(); i++ {
+					check(fmt.Sprintf("%s[%d]", path, i), sum.Index(i), one.Index(i))
+				}
+			case reflect.Int:
+				if got, want := sum.Int(), 2*one.Int(); got != want {
+					t.Errorf("%s = %d after two Adds of %d: Add does not sum it", path, got, want/2)
+				}
+			}
+		}
+		check(typ.String(), reflect.ValueOf(zero).Elem(), filled.Elem())
 	}
 }

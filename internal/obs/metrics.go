@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,16 +16,19 @@ import (
 
 // Registry is a dependency-free metrics registry: counters, gauges, and
 // fixed-bucket histograms, exported in the Prometheus text exposition
-// format. All instruments are safe for concurrent use (lock-free atomics
-// on the update path); registration takes a lock and should happen at
-// startup. Registering the same name twice returns the existing
-// instrument, so packages can share a registry without coordination —
-// but the kinds must match, which panics otherwise (a programming
-// error, like a duplicate expvar).
+// format, plus scrape-time renderers (Collect) for series derived from
+// state kept elsewhere. All instruments are safe for concurrent use
+// (lock-free atomics on the update path); registration takes a lock and
+// should happen at startup. Registering the same name twice returns the
+// existing instrument, so packages can share a registry without
+// coordination — but the kinds must match, which panics otherwise (a
+// programming error, like a duplicate expvar).
 type Registry struct {
 	mu    sync.Mutex
 	named map[string]any
 	order []metricEntry
+	// collectors render derived series at scrape time (see Collect).
+	collectors []func(io.Writer)
 }
 
 type metricEntry struct {
@@ -143,13 +147,81 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}).(*Gauge)
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time —
-// the right shape for instantaneous facts like queue depths or uptime.
-// fn must be safe to call from the scrape goroutine.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, "gauge", fn, func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %s\n", n, formatFloat(fn()))
-	})
+// Collect adds a scrape-time renderer: every WritePrometheus calls fn
+// after the registered instruments, and fn writes complete exposition
+// text, "# TYPE" lines included — the shape for series derived from one
+// snapshot of state kept elsewhere (see WriteStruct). fn must be safe to
+// call from the scrape goroutine.
+func (r *Registry) Collect(fn func(io.Writer)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.collectors = append(r.collectors, fn)
+}
+
+// WriteStruct renders every exported numeric field of the struct v (or
+// of the struct v points to) as one series named prefix + "_" + the
+// snake-cased field path. Integers and floats are counters and gain
+// "_total", unless the field is tagged `metric:"gauge"`; bools are 0/1
+// gauges. Nested structs extend the path (embedded ones do not), nil
+// pointers are left out, and strings, maps, slices and arrays are not
+// numbers. So a counter added to a stats struct is exported by adding
+// the field.
+func WriteStruct(w io.Writer, prefix string, v any) {
+	rv := reflect.Indirect(reflect.ValueOf(v))
+	for i := 0; i < rv.NumField(); i++ {
+		f, fv := rv.Type().Field(i), reflect.Indirect(rv.Field(i))
+		if !f.IsExported() || !fv.IsValid() {
+			continue
+		}
+		name := prefix
+		if !f.Anonymous {
+			name += "_" + snake(f.Name)
+		}
+		kind, val := "counter", 0.0
+		switch {
+		case fv.Kind() == reflect.Struct:
+			WriteStruct(w, name, fv.Interface())
+			continue
+		case fv.CanInt():
+			val = float64(fv.Int())
+		case fv.CanUint():
+			val = float64(fv.Uint())
+		case fv.CanFloat():
+			val = fv.Float()
+		case fv.Kind() == reflect.Bool:
+			kind = "gauge"
+			if fv.Bool() {
+				val = 1
+			}
+		default:
+			continue
+		}
+		if f.Tag.Get("metric") == "gauge" {
+			kind = "gauge"
+		}
+		if kind == "counter" {
+			name += "_total"
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", name, kind, name, formatFloat(val))
+	}
+}
+
+// snake turns a Go field name into a metric name component:
+// "PushesSent" -> "pushes_sent", "RTT" -> "rtt".
+func snake(s string) string {
+	lower := func(i int) bool { return i >= 0 && i < len(s) && s[i] >= 'a' && s[i] <= 'z' }
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 'A' && c <= 'Z' {
+			if i > 0 && (lower(i-1) || lower(i+1)) {
+				b.WriteByte('_')
+			}
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
 }
 
 // Histogram is a fixed-bucket cumulative histogram in the Prometheus
@@ -220,10 +292,11 @@ func formatFloat(v float64) string {
 }
 
 // WritePrometheus renders every registered metric in the text exposition
-// format, in registration order.
+// format, in registration order, then runs the collectors.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	entries := append([]metricEntry(nil), r.order...)
+	collectors := r.collectors // append-only, so the header is a snapshot
 	r.mu.Unlock()
 	for _, e := range entries {
 		if e.help != "" {
@@ -231,6 +304,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n", e.name, e.kind)
 		e.collect(w, e.name)
+	}
+	for _, fn := range collectors {
+		fn(w)
 	}
 }
 

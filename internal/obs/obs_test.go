@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -118,7 +119,11 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	v.With("a").Add(2)
 	g := reg.Gauge("test_depth", "a gauge")
 	g.Set(1.5)
-	reg.GaugeFunc("test_uptime_seconds", "computed", func() float64 { return 42 })
+	reg.Collect(func(w io.Writer) {
+		WriteStruct(w, "test", struct {
+			UptimeSeconds float64 `metric:"gauge"`
+		}{42})
+	})
 	h := reg.Histogram("test_latency_seconds", "a histogram", []float64{0.1, 1, 10})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -163,6 +168,50 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	// Label values are sorted, so scrapes are deterministic.
 	if strings.Index(body, `type="a"`) > strings.Index(body, `type="b"`) {
 		t.Error("vec label values not sorted")
+	}
+}
+
+// TestWriteStruct pins the derived exporter's rules: name from the field
+// path, counter unless tagged gauge, bools as gauges, embedded structs
+// flattened, nil sections and non-numbers left out.
+func TestWriteStruct(t *testing.T) {
+	type inner struct {
+		PushesSent int
+		ViewSize   int `metric:"gauge"`
+	}
+	type Embedded struct{ BytesSent int }
+	type stats struct {
+		ID string
+		Embedded
+		UptimeSeconds float64 `metric:"gauge"`
+		Partitioned   bool
+		RTT           *inner
+		AntiEntropy   *inner
+		Inbound       struct{ DecodeErrors int64 }
+		Queues        map[string]int
+		PerType       [3]int
+		hidden        int
+	}
+	var buf bytes.Buffer
+	WriteStruct(&buf, "hc", &stats{
+		ID: "abc", Embedded: Embedded{7}, UptimeSeconds: 1.5, Partitioned: true,
+		RTT: &inner{PushesSent: 2, ViewSize: 3}, Queues: map[string]int{"x": 1}, hidden: 9,
+	})
+	want := `# TYPE hc_bytes_sent_total counter
+hc_bytes_sent_total 7
+# TYPE hc_uptime_seconds gauge
+hc_uptime_seconds 1.5
+# TYPE hc_partitioned gauge
+hc_partitioned 1
+# TYPE hc_rtt_pushes_sent_total counter
+hc_rtt_pushes_sent_total 2
+# TYPE hc_rtt_view_size gauge
+hc_rtt_view_size 3
+# TYPE hc_inbound_decode_errors_total counter
+hc_inbound_decode_errors_total 0
+`
+	if got := buf.String(); got != want {
+		t.Errorf("WriteStruct =\n%s\nwant\n%s", got, want)
 	}
 }
 

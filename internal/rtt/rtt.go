@@ -88,14 +88,14 @@ func (c Config) withDefaults() Config {
 // and scenario reports.
 type Stats struct {
 	// Tracked is the number of peers with at least one sample.
-	Tracked int
+	Tracked int `json:"tracked" metric:"gauge"`
 	// Degraded is the number of peers currently flagged degraded.
-	Degraded int
+	Degraded int `json:"degraded" metric:"gauge"`
 	// Samples counts all observations ever fed.
-	Samples int
+	Samples int `json:"samples"`
 	// Marked / Cleared count degraded-flag transitions.
-	Marked  int
-	Cleared int
+	Marked  int `json:"marked"`
+	Cleared int `json:"cleared"`
 }
 
 // Add accumulates other into s, for fleet totals.

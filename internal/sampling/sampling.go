@@ -88,20 +88,20 @@ func (c Config) withDefaults() Config {
 
 // Stats counts engine activity for reporting.
 type Stats struct {
-	Rounds         int // push-pull rounds run
-	PushesSent     int
-	PushesReceived int
-	PullsSent      int
-	PullsAnswered  int
+	Rounds         int `json:"rounds"` // push-pull rounds run
+	PushesSent     int `json:"pushesSent"`
+	PushesReceived int `json:"pushesReceived"`
+	PullsSent      int `json:"pullsSent"`
+	PullsAnswered  int `json:"pullsAnswered"`
 	// FloodsDetected counts rounds whose push volume exceeded α·l and
 	// whose view update was therefore skipped.
-	FloodsDetected int
+	FloodsDetected int `json:"floodsDetected"`
 	// Ejected counts references removed from view or samplers by the
 	// validator (quarantine) or Invalidate.
-	Ejected int
+	Ejected int `json:"ejected"`
 	// ViewSize and SamplerFill describe current occupancy.
-	ViewSize    int
-	SamplerFill int
+	ViewSize    int `json:"viewSize" metric:"gauge"`
+	SamplerFill int `json:"samplerFill" metric:"gauge"`
 }
 
 // Add accumulates other into s, for fleet totals (the occupancy fields

@@ -53,8 +53,8 @@ func TestTCPAdaptiveRTTSampling(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for _, n := range []*Node{seed, j} {
 		for {
-			st, ok := n.RTTStats()
-			if !ok {
+			st := n.Stats().RTT
+			if st == nil {
 				t.Fatalf("node %v reports no RTT stats despite WithRTT", n.Ref().ID)
 			}
 			if st.Samples > 0 && st.Tracked > 0 {
@@ -79,8 +79,8 @@ func TestTCPAdaptiveRTTSampling(t *testing.T) {
 	if st.RTT.Degraded != 0 {
 		t.Fatalf("loopback peer flagged degraded: %+v", st.RTT)
 	}
-	if n, ok := seed.RTTStats(); !ok || n.Samples != st.RTT.Samples && n.Samples < st.RTT.Samples {
-		t.Fatalf("RTTStats regressed vs /status: %+v vs %+v", n, st.RTT)
+	if n := seed.Stats().RTT; n.Samples < st.RTT.Samples {
+		t.Fatalf("Stats().RTT regressed vs /status: %+v vs %+v", n, st.RTT)
 	}
 }
 

@@ -38,13 +38,13 @@ func TestAdminStatusAndTable(t *testing.T) {
 	srv := httptest.NewServer(seed.AdminHandler())
 	defer srv.Close()
 
-	var st statusResponse
+	var st Stats
 	getJSON(t, srv, "/status", &st)
 	if st.ID != "a1b" || st.Status != "in_system" || st.B != 16 || st.D != 3 {
 		t.Fatalf("status = %+v", st)
 	}
-	if st.Filled != p163.D {
-		t.Fatalf("seed should have %d diagonal entries, reports %d", p163.D, st.Filled)
+	if st.FilledEntries != p163.D {
+		t.Fatalf("seed should have %d diagonal entries, reports %d", p163.D, st.FilledEntries)
 	}
 
 	var tbl struct {

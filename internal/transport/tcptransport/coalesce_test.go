@@ -80,7 +80,7 @@ func newFrameSink(t *testing.T) *frameSink {
 func TestCoalescingBatchesEnvelopes(t *testing.T) {
 	sink := newFrameSink(t)
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a07"), "127.0.0.1:0",
-		WithFlushDelay(40*time.Millisecond))
+		WithConfig(Config{FlushDelay: 40 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCoalescerRespectsMaxFrameBytes(t *testing.T) {
 	sink := newFrameSink(t)
 	const limit = 512
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a08"), "127.0.0.1:0",
-		WithFlushDelay(40*time.Millisecond), WithMaxFrameBytes(limit))
+		WithConfig(Config{FlushDelay: 40 * time.Millisecond, MaxFrameBytes: limit}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,10 +154,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Option adjusts a node's delivery Config at start time.
+// Option adjusts a node's Config at start time. Every field can be set
+// through WithConfig; the other options are shorthands for the ones
+// commands and examples set on their own.
 type Option func(*Config)
 
-// WithConfig replaces the whole delivery configuration.
+// WithConfig replaces the whole configuration.
 func WithConfig(cfg Config) Option {
 	return func(c *Config) { *c = cfg }
 }
@@ -172,25 +174,9 @@ func WithBackoff(base, max time.Duration) Option {
 	return func(c *Config) { c.BaseBackoff, c.MaxBackoff = base, max }
 }
 
-// WithDialTimeout sets the per-dial timeout.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *Config) { c.DialTimeout = d }
-}
-
-// WithQueueLimit sets the per-peer outbound queue bound.
-func WithQueueLimit(n int) Option {
-	return func(c *Config) { c.QueueLimit = n }
-}
-
 // WithPollInterval sets AwaitStatus's polling period.
 func WithPollInterval(d time.Duration) Option {
 	return func(c *Config) { c.PollInterval = d }
-}
-
-// WithFlushDelay sets how long a peer's writer lingers to coalesce more
-// envelopes into one frame.
-func WithFlushDelay(d time.Duration) Option {
-	return func(c *Config) { c.FlushDelay = d }
 }
 
 // WithFaults installs a fault injector.
@@ -219,51 +205,6 @@ func WithSampling(sc sampling.Config) Option {
 // tuning.
 func WithAntiEntropy(ac antientropy.Config) Option {
 	return func(c *Config) { c.AntiEntropy = &ac }
-}
-
-// WithSink streams every protocol event the node emits to s (e.g. an
-// obs.JSONL trace file). s must be safe for concurrent use.
-func WithSink(s obs.Sink) Option {
-	return func(c *Config) { c.Sink = s }
-}
-
-// WithTraceRing keeps the newest capacity events in memory, drained via
-// Node.DrainTrace or GET /trace on the admin API.
-func WithTraceRing(capacity int) Option {
-	return func(c *Config) { c.TraceRing = capacity }
-}
-
-// WithTraceSample enables causal tracing with the given head-sampling
-// rate (1 traces every operation, 0 disables tracing).
-func WithTraceSample(rate float64) Option {
-	return func(c *Config) { c.TraceSample = rate }
-}
-
-// WithMaxFrameBytes bounds inbound wire-frame payloads.
-func WithMaxFrameBytes(n int) Option {
-	return func(c *Config) { c.MaxFrameBytes = n }
-}
-
-// WithReadIdleTimeout bounds how long an inbound connection may idle.
-func WithReadIdleTimeout(d time.Duration) Option {
-	return func(c *Config) { c.ReadIdleTimeout = d }
-}
-
-// WithWriteTimeout bounds each outbound frame write.
-func WithWriteTimeout(d time.Duration) Option {
-	return func(c *Config) { c.WriteTimeout = d }
-}
-
-// WithDecodeErrorBudget sets how many malformed frames one inbound
-// connection may deliver before disconnection.
-func WithDecodeErrorBudget(n int) Option {
-	return func(c *Config) { c.DecodeErrorBudget = n }
-}
-
-// WithInboundRate caps per-connection inbound envelopes per second (with
-// the given token-bucket burst).
-func WithInboundRate(rate float64, burst int) Option {
-	return func(c *Config) { c.InboundRate, c.InboundBurst = rate, burst }
 }
 
 // Faults injects failures into the outbound delivery path so the

@@ -100,7 +100,7 @@ func awaitInt64(t *testing.T, what string, get func() int64, want int64) {
 func TestSendAllDeliversPastFailures(t *testing.T) {
 	sink := newEnvelopeSink(t)
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a00"), "127.0.0.1:0",
-		WithMaxAttempts(2), WithBackoff(time.Millisecond, 2*time.Millisecond), WithDialTimeout(200*time.Millisecond))
+		WithConfig(Config{DialTimeout: 200 * time.Millisecond}), WithMaxAttempts(2), WithBackoff(time.Millisecond, 2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRedialClosesDisplacedConnection(t *testing.T) {
 // reply address tore down a healthy peer link.)
 func TestReadLoopSurvivesOutboundFailure(t *testing.T) {
 	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a02"), "127.0.0.1:0",
-		WithMaxAttempts(2), WithBackoff(time.Millisecond, 2*time.Millisecond), WithDialTimeout(200*time.Millisecond))
+		WithConfig(Config{DialTimeout: 200 * time.Millisecond}), WithMaxAttempts(2), WithBackoff(time.Millisecond, 2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAwaitStatusPollsGently(t *testing.T) {
 // Queue overflow must dead-letter, not block or grow without bound.
 func TestQueueOverflowDeadLetters(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a04"), "127.0.0.1:0",
-		WithQueueLimit(1), WithMaxAttempts(3), WithBackoff(time.Hour, time.Hour), WithDialTimeout(200*time.Millisecond))
+		WithConfig(Config{QueueLimit: 1, DialTimeout: 200 * time.Millisecond}), WithMaxAttempts(3), WithBackoff(time.Hour, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

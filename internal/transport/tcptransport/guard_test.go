@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -90,7 +89,7 @@ func awaitClosed(t *testing.T, conn net.Conn) {
 // connection before the payload is read, and be visible in the counters.
 func TestOversizedFrameDisconnects(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a10"), "127.0.0.1:0",
-		WithMaxFrameBytes(1024))
+		WithConfig(Config{MaxFrameBytes: 1024}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +102,8 @@ func TestOversizedFrameDisconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitClosed(t, conn)
-	awaitInt64(t, "oversized frames", func() int64 { return n.TransportGuardStats().OversizedFrames }, 1)
-	awaitInt64(t, "guard disconnects", func() int64 { return n.TransportGuardStats().Disconnects }, 1)
+	awaitInt64(t, "oversized frames", func() int64 { return n.Stats().Inbound.OversizedFrames }, 1)
+	awaitInt64(t, "guard disconnects", func() int64 { return n.Stats().Inbound.Disconnects }, 1)
 }
 
 // Frame boundaries isolate malformed payloads: a connection survives
@@ -112,9 +111,8 @@ func TestOversizedFrameDisconnects(t *testing.T) {
 // frames in between — then is torn down when the budget is exhausted.
 func TestDecodeErrorBudgetDisconnects(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a11"), "127.0.0.1:0",
-		WithDecodeErrorBudget(3),
-		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond),
-		WithDialTimeout(50*time.Millisecond))
+		WithConfig(Config{DecodeErrorBudget: 3, DialTimeout: 50 * time.Millisecond}),
+		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +131,7 @@ func TestDecodeErrorBudgetDisconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 1)
-	if got := n.TransportGuardStats().Disconnects; got != 0 {
+	if got := n.Stats().Inbound.Disconnects; got != 0 {
 		t.Fatalf("disconnects = %d before budget exhausted, want 0", got)
 	}
 	// Third junk frame exhausts the budget.
@@ -141,8 +139,8 @@ func TestDecodeErrorBudgetDisconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitClosed(t, conn)
-	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 3)
-	awaitInt64(t, "guard disconnects", func() int64 { return n.TransportGuardStats().Disconnects }, 1)
+	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, 3)
+	awaitInt64(t, "guard disconnects", func() int64 { return n.Stats().Inbound.Disconnects }, 1)
 }
 
 // A peer pushing envelopes faster than the inbound rate limit is
@@ -153,9 +151,8 @@ func TestInboundRateLimitThrottles(t *testing.T) {
 	for name, coalesced := range map[string]bool{"frame per envelope": false, "one coalesced frame": true} {
 		t.Run(name, func(t *testing.T) {
 			n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a12"), "127.0.0.1:0",
-				WithInboundRate(20, 2),
-				WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond),
-				WithDialTimeout(50*time.Millisecond))
+				WithConfig(Config{InboundRate: 20, InboundBurst: 2, DialTimeout: 50 * time.Millisecond}),
+				WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +166,7 @@ func TestInboundRateLimitThrottles(t *testing.T) {
 			if _, err := dialNode(t, n).Write(burst); err != nil {
 				t.Fatal(err)
 			}
-			awaitInt64(t, "throttled inbound", func() int64 { return n.TransportGuardStats().ThrottledInbound }, 1)
+			awaitInt64(t, "throttled inbound", func() int64 { return n.Stats().Inbound.Throttled }, 1)
 			awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 5)
 		})
 	}
@@ -179,8 +176,8 @@ func TestInboundRateLimitThrottles(t *testing.T) {
 // before it were already handled and the frame costs one decode error.
 func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a14"), "127.0.0.1:0",
-		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond),
-		WithDialTimeout(50*time.Millisecond))
+		WithConfig(Config{DialTimeout: 50 * time.Millisecond}),
+		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +194,7 @@ func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
 	if _, err := conn.Write(framePayload(t, payload)); err != nil {
 		t.Fatal(err)
 	}
-	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 1)
+	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, 1)
 	if got := receivedCpRst(n); got != 2 {
 		t.Fatalf("%d CpRst delivered from the records before the corrupt one, want 2", got)
 	}
@@ -206,7 +203,7 @@ func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 3)
-	if got := n.TransportGuardStats().DecodeErrors; got != 1 {
+	if got := n.Stats().Inbound.DecodeErrors; got != 1 {
 		t.Fatalf("decode errors = %d, want exactly 1", got)
 	}
 }
@@ -216,9 +213,8 @@ func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
 // budget, and never delivered.
 func TestTopBitClearFrameIsDecodeError(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a15"), "127.0.0.1:0",
-		WithDecodeErrorBudget(2),
-		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond),
-		WithDialTimeout(50*time.Millisecond))
+		WithConfig(Config{DecodeErrorBudget: 2, DialTimeout: 50 * time.Millisecond}),
+		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +229,7 @@ func TestTopBitClearFrameIsDecodeError(t *testing.T) {
 	if _, err := conn.Write(clear); err != nil {
 		t.Fatal(err)
 	}
-	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 1)
+	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, 1)
 	if got := receivedCpRst(n); got != 0 {
 		t.Fatalf("top-bit-clear frame delivered %d CpRst, want 0", got)
 	}
@@ -243,15 +239,15 @@ func TestTopBitClearFrameIsDecodeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 1)
-	if got := n.TransportGuardStats().Disconnects; got != 0 {
+	if got := n.Stats().Inbound.Disconnects; got != 0 {
 		t.Fatalf("disconnects = %d before budget exhausted, want 0", got)
 	}
 	if _, err := conn.Write(clear); err != nil {
 		t.Fatal(err)
 	}
 	awaitClosed(t, conn)
-	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 2)
-	awaitInt64(t, "guard disconnects", func() int64 { return n.TransportGuardStats().Disconnects }, 1)
+	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, 2)
+	awaitInt64(t, "guard disconnects", func() int64 { return n.Stats().Inbound.Disconnects }, 1)
 	if got := receivedCpRst(n); got != 1 {
 		t.Fatalf("CpRst received = %d, want 1", got)
 	}
@@ -303,11 +299,10 @@ func TestFrameHeaderGolden(t *testing.T) {
 	}
 }
 
-// The guard block is always present on /status, and the hostile-input
-// gauges are exported on /metrics.
+// The hostile-input counters are served on /status and /metrics.
 func TestAdminExposesGuardCounters(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a13"), "127.0.0.1:0",
-		WithDecodeErrorBudget(8))
+		WithConfig(Config{DecodeErrorBudget: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,27 +312,13 @@ func TestAdminExposesGuardCounters(t *testing.T) {
 	if _, err := conn.Write(junkFrame(t, 16)); err != nil {
 		t.Fatal(err)
 	}
-	awaitInt64(t, "decode errors", func() int64 { return n.TransportGuardStats().DecodeErrors }, 1)
+	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, 1)
 
 	srv := httptest.NewServer(n.AdminHandler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var status struct {
-		Guard *guardStatus `json:"guard"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		t.Fatal(err)
-	}
-	if status.Guard == nil {
-		t.Fatal("/status has no guard block")
-	}
-	if status.Guard.DecodeErrors != 1 {
-		t.Fatalf("guard.decodeErrors = %d, want 1", status.Guard.DecodeErrors)
+	if got := adminStatus(t, n).Inbound.DecodeErrors; got != 1 {
+		t.Fatalf("/status inbound.decodeErrors = %d, want 1", got)
 	}
 
 	mresp, err := http.Get(srv.URL + "/metrics")
@@ -351,10 +332,10 @@ func TestAdminExposesGuardCounters(t *testing.T) {
 	}
 	for _, metric := range []string{
 		"hypercube_guard_rejected_total",
-		"hypercube_guard_quarantined",
-		"hypercube_inbound_decode_errors_total",
+		"hypercube_guard_scorer_quarantined",
+		"hypercube_inbound_decode_errors_total 1",
 		"hypercube_inbound_throttled_total",
-		"hypercube_guard_disconnects_total",
+		"hypercube_inbound_disconnects_total",
 	} {
 		if !strings.Contains(string(body), metric) {
 			t.Errorf("/metrics missing %s", metric)

@@ -18,7 +18,7 @@ import (
 // opaque hop must succeed, traced nodes must keep producing spans, and
 // the opaque node must emit no trace state at all.
 func TestMixedVersionInterop(t *testing.T) {
-	traced := []Option{WithTraceSample(1), WithTraceRing(8192)}
+	traced := []Option{WithConfig(Config{TraceSample: 1, TraceRing: 8192})}
 	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a1c"), "127.0.0.1:0", traced...)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +45,10 @@ func TestMixedVersionInterop(t *testing.T) {
 	defer a.Close()
 	join(a, seed)
 
-	// The "old binary": no WithTraceSample, so no tracer — it decodes
+	// The "old binary": no TraceSample, so no tracer — it decodes
 	// the cluster's v2 frames, ignores the trailers, and emits v1. The
 	// ring is tracing-agnostic, so we can still watch its events.
-	old, err := StartJoiner(p163, core.Options{}, id.MustParse(p163, "c3e"), "127.0.0.1:0", WithTraceRing(8192))
+	old, err := StartJoiner(p163, core.Options{}, id.MustParse(p163, "c3e"), "127.0.0.1:0", WithConfig(Config{TraceRing: 8192}))
 	if err != nil {
 		t.Fatal(err)
 	}

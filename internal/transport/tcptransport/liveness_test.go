@@ -65,8 +65,7 @@ func TestTCPCrashDetectionAndRepair(t *testing.T) {
 	// declared. One full round-robin cycle over the seed's three targets
 	// guarantees the seed has seen the victim alive before it dies.
 	pongs := func() int {
-		stats, _, _ := seed.LivenessStats()
-		return stats.PongsReceived
+		return seed.Stats().Liveness.PongsReceived
 	}
 	for base, deadline := pongs(), time.Now().Add(10*time.Second); pongs() < base+3; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -103,8 +102,8 @@ func TestTCPCrashDetectionAndRepair(t *testing.T) {
 
 	declared := 0
 	for _, n := range survivors {
-		stats, _, ok := n.LivenessStats()
-		if !ok {
+		stats := n.Stats().Liveness
+		if stats == nil {
 			t.Fatalf("node %v reports no liveness", n.Ref().ID)
 		}
 		if stats.ProbesSent == 0 {
@@ -122,7 +121,7 @@ func TestTCPCrashDetectionAndRepair(t *testing.T) {
 }
 
 // adminStatus fetches and decodes GET /status from the node's handler.
-func adminStatus(t *testing.T, n *Node) statusResponse {
+func adminStatus(t *testing.T, n *Node) Stats {
 	t.Helper()
 	srv := httptest.NewServer(n.AdminHandler())
 	defer srv.Close()
@@ -131,7 +130,7 @@ func adminStatus(t *testing.T, n *Node) statusResponse {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statusResponse
+	var st Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

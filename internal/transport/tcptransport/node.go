@@ -21,15 +21,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hypercube/internal/antientropy"
 	"hypercube/internal/core"
 	"hypercube/internal/id"
-	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
 	"hypercube/internal/node"
 	"hypercube/internal/obs"
-	"hypercube/internal/rtt"
-	"hypercube/internal/sampling"
 	"hypercube/internal/table"
 	"hypercube/internal/trace"
 	"hypercube/internal/wire"
@@ -167,35 +163,10 @@ func (n *Node) Counters() msg.Counters {
 
 // GuardStats returns the machine's hostile-input counters (rejections,
 // quarantines, budget deferrals).
-func (n *Node) GuardStats() core.GuardStats { return n.stats().Guard }
-
-// stats snapshots every part's counters under the protocol lock.
-func (n *Node) stats() node.Stats {
+func (n *Node) GuardStats() core.GuardStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.node.Stats()
-}
-
-// TransportGuardStats are the inbound connection-hardening counters.
-type TransportGuardStats struct {
-	// DecodeErrors counts malformed frames; OversizedFrames frames over
-	// MaxFrameBytes; ThrottledInbound envelopes stalled by the inbound
-	// rate limiter; Disconnects connections dropped for exhausting the
-	// decode-error budget or declaring an oversized frame.
-	DecodeErrors     int64
-	OversizedFrames  int64
-	ThrottledInbound int64
-	Disconnects      int64
-}
-
-// TransportGuardStats returns the inbound hardening counters.
-func (n *Node) TransportGuardStats() TransportGuardStats {
-	return TransportGuardStats{
-		DecodeErrors:     n.decodeErrors.Load(),
-		OversizedFrames:  n.oversizedFrames.Load(),
-		ThrottledInbound: n.throttledInbound.Load(),
-		Disconnects:      n.guardDisconnects.Load(),
-	}
+	return n.node.Machine().GuardStats()
 }
 
 // Join starts the join protocol through the given bootstrap node. The
@@ -273,12 +244,6 @@ func (n *Node) tickLoop(every time.Duration) {
 	}
 }
 
-// SamplingStats returns the peer-sampling engine's counters; ok is
-// false when sampling is disabled.
-func (n *Node) SamplingStats() (stats sampling.Stats, ok bool) {
-	return n.stats().Sampling, n.cfg.Sampling != nil
-}
-
 // SampledPeers returns up to k references from the sampling layer's
 // min-wise samplers — the byzantine-resistant long-term sample, the
 // right thing to persist alongside the table so a restart can rejoin
@@ -301,30 +266,6 @@ func (n *Node) SeedSamplingPeers(refs ...table.Ref) {
 	if s := n.node.Sampler(); s != nil {
 		s.SeedPeers(refs...)
 	}
-}
-
-// RTTStats returns the shared estimator's counters; ok is false when
-// adaptive timeouts are disabled.
-func (n *Node) RTTStats() (stats rtt.Stats, ok bool) {
-	return n.stats().RTT, n.cfg.RTT != nil
-}
-
-// AntiEntropyStats returns the anti-entropy engine's counters; ok is
-// false when anti-entropy is disabled.
-func (n *Node) AntiEntropyStats() (stats antientropy.Stats, ok bool) {
-	return n.stats().AntiEntropy, n.cfg.AntiEntropy != nil
-}
-
-// LivenessStats returns the failure detector's counters plus the current
-// suspect count; ok is false when liveness is disabled.
-func (n *Node) LivenessStats() (stats liveness.Stats, suspects int, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	p := n.node.Prober()
-	if p == nil {
-		return liveness.Stats{}, 0, false
-	}
-	return p.Stats(), p.SuspectCount(), true
 }
 
 func (n *Node) acceptLoop() {

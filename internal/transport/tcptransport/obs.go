@@ -1,21 +1,30 @@
 package tcptransport
 
 import (
+	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"hypercube/internal/antientropy"
+	"hypercube/internal/core"
 	"hypercube/internal/id"
+	"hypercube/internal/liveness"
+	"hypercube/internal/msg"
 	"hypercube/internal/obs"
+	"hypercube/internal/rtt"
+	"hypercube/internal/sampling"
 )
 
 // nodeObs is the per-node observability hub, always installed on TCP
 // nodes: every protocol event (machine, prober, anti-entropy engine,
 // delivery layer) flows through it, already stamped with wall time
 // since node start by the obs.Clocked wrapper. It reduces the stream
-// into the node's metrics registry, remembers the last protocol-status
-// transition for /status, and forwards to the optional user sink and
-// trace ring.
+// into what no counter can say — the three latency histograms, the
+// per-kind event tally and the last protocol-status transition — and
+// forwards to the optional user sink and trace ring. Everything else on
+// /status and /metrics is a rendering of Stats.
 //
 // Emitters call it from different goroutines, some under the protocol
 // lock n.mu and some (writer goroutines) under none, so its own mutex
@@ -26,10 +35,6 @@ type nodeObs struct {
 	reg     *obs.Registry
 	forward obs.Sink // user sink and/or trace ring; nil when none
 
-	sent     *obs.CounterVec
-	received *obs.CounterVec
-	retried  *obs.CounterVec
-	dropped  *obs.CounterVec
 	events   *obs.CounterVec
 	joinDur  *obs.Histogram
 	probeRTT *obs.Histogram
@@ -53,14 +58,6 @@ func newNodeObs() *nodeObs {
 		reg:         reg,
 		probeSentAt: make(map[uint64]time.Duration),
 	}
-	o.sent = reg.CounterVec("hypercube_messages_sent_total",
-		"Protocol messages sent, by message type.", "type")
-	o.received = reg.CounterVec("hypercube_messages_received_total",
-		"Protocol messages received, by message type.", "type")
-	o.retried = reg.CounterVec("hypercube_messages_retried_total",
-		"Delivery-layer retry attempts, by message type.", "type")
-	o.dropped = reg.CounterVec("hypercube_messages_dropped_total",
-		"Messages dead-lettered after exhausting delivery attempts, by message type.", "type")
 	o.events = reg.CounterVec("hypercube_events_total",
 		"Protocol events emitted, by event kind.", "kind")
 	o.joinDur = reg.Histogram("hypercube_join_duration_seconds",
@@ -76,14 +73,6 @@ func newNodeObs() *nodeObs {
 func (o *nodeObs) Emit(e obs.Event) {
 	o.events.With(string(e.Kind)).Inc()
 	switch e.Kind {
-	case obs.KindSend:
-		o.sent.With(e.Msg).Inc()
-	case obs.KindRecv:
-		o.received.With(e.Msg).Inc()
-	case obs.KindRetry:
-		o.retried.With(e.Msg).Inc()
-	case obs.KindDrop:
-		o.dropped.With(e.Msg).Inc()
 	case obs.KindJoinStart:
 		o.mu.Lock()
 		if !o.joinInFlight {
@@ -139,15 +128,16 @@ func (n *Node) emitTransport(kind obs.Kind, typeName string) {
 	}
 }
 
-// Metrics returns the node's metrics registry (always present), for
-// embedding its /metrics endpoint in a larger mux.
+// Metrics returns the node's metrics registry (always present). It
+// holds the event-fed instruments and renders the derived series of
+// Stats beside them on every scrape.
 func (n *Node) Metrics() *obs.Registry { return n.tobs.reg }
 
 // MetricsHandler returns the Prometheus text-format scrape endpoint.
 func (n *Node) MetricsHandler() http.Handler { return n.tobs.reg.Handler() }
 
 // DrainTrace empties the node's in-memory trace ring, oldest event
-// first; ok is false when the node was started without WithTraceRing.
+// first; ok is false when the node was started without Config.TraceRing.
 func (n *Node) DrainTrace() (events []obs.Event, ok bool) {
 	if n.ring == nil {
 		return nil, false
@@ -174,9 +164,148 @@ func (n *Node) QueueDepths() map[string]int {
 // Uptime returns how long the node has been running.
 func (n *Node) Uptime() time.Duration { return time.Since(n.start) }
 
-// setupObs wires the node's observability hub: the registry's runtime
-// gauges, the optional trace ring, and the clocked sink every protocol
-// component emits through. Called once from start, before any
+// Stats is everything the node counts, read in one go: the counters the
+// machine and each attached part keep for themselves (the same structs
+// the simulator sums into fleet totals) plus what only this runtime
+// knows. GET /status is its JSON and GET /metrics its numeric fields
+// (obs.WriteStruct: counters unless tagged gauge), so a field added
+// here or to any part's Stats reaches both with no further code.
+type Stats struct {
+	ID     string `json:"id"`
+	Addr   string `json:"addr"`
+	Status string `json:"status"`
+	B      int    `json:"b" metric:"gauge"`
+	D      int    `json:"d" metric:"gauge"`
+	// FilledEntries is the number of non-empty neighbor-table entries.
+	FilledEntries int `json:"filledEntries" metric:"gauge"`
+	// UptimeSeconds is how long the node has been running; LastTransition
+	// is the wall-clock time and target of the most recent protocol-status
+	// change (absent before the first one).
+	UptimeSeconds  float64 `json:"uptimeSeconds" metric:"gauge"`
+	LastTransition string  `json:"lastTransition,omitempty"`
+	// Counters are the machine's message tallies by type (keys sent,
+	// received, retried, dropped, rejected; bytesSent), the delivery
+	// layer's retries and dead letters included. /metrics serves them as
+	// hypercube_messages_*_total{type}.
+	msg.Counters
+	// Queues maps peer address to outbound queue depth — a persistently
+	// deep queue is the signature of a wedged or unreachable peer.
+	// OutboundQueueDepth is their sum.
+	Queues             map[string]int `json:"queues,omitempty"`
+	OutboundQueueDepth int            `json:"outboundQueueDepth" metric:"gauge"`
+	Inbound            InboundStats   `json:"inbound"`
+	// Guard is always present (validation is always on); the sections
+	// below are nil for parts the node was started without. Antientropy
+	// is spelled as one word so that its series share the
+	// hypercube_antientropy_ prefix of the round-duration histogram.
+	Guard       core.GuardStats    `json:"guard"`
+	Liveness    *LivenessStats     `json:"liveness,omitempty"`
+	RTT         *rtt.Stats         `json:"rtt,omitempty"`
+	Antientropy *antientropy.Stats `json:"antiEntropy,omitempty"`
+	Sampling    *sampling.Stats    `json:"sampling,omitempty"`
+}
+
+// InboundStats are the inbound connection-hardening counters (see
+// readLoop): malformed frames, frames over Config.MaxFrameBytes,
+// envelopes stalled by the inbound rate limiter, and connections
+// dropped for exhausting the decode-error budget or declaring an
+// oversized frame.
+type InboundStats struct {
+	DecodeErrors    int64 `json:"decodeErrors"`
+	OversizedFrames int64 `json:"oversizedFrames"`
+	Throttled       int64 `json:"throttled"`
+	Disconnects     int64 `json:"disconnects"`
+}
+
+// LivenessStats is the failure detector's section of Stats: its own
+// counters plus the current size of its target set, how many of those
+// are under suspicion right now (the counter Suspects, key "suspected",
+// is how many ever became so), and whether declarations are frozen.
+// The first two take a walk of the target set, so they are read here,
+// once per request, rather than in Prober.Stats, which the simulator
+// sums over every node.
+type LivenessStats struct {
+	liveness.Stats
+	Targets     int  `json:"targets" metric:"gauge"`
+	SuspectsNow int  `json:"suspects" metric:"gauge"`
+	Partitioned bool `json:"partitioned"`
+}
+
+// Stats snapshots the node. The protocol lock is taken once, so the
+// machine's and every part's counters are one consistent cut; the
+// transport's own atomics and queue depths are read just before it.
+func (n *Node) Stats() Stats {
+	self := n.Ref()
+	s := Stats{
+		ID:            self.ID.String(),
+		Addr:          self.Addr,
+		B:             n.params.B,
+		D:             n.params.D,
+		UptimeSeconds: n.Uptime().Seconds(),
+		Queues:        n.QueueDepths(),
+		Inbound: InboundStats{
+			DecodeErrors:    n.decodeErrors.Load(),
+			OversizedFrames: n.oversizedFrames.Load(),
+			Throttled:       n.throttledInbound.Load(),
+			Disconnects:     n.guardDisconnects.Load(),
+		},
+	}
+	for _, depth := range s.Queues {
+		s.OutboundQueueDepth += depth
+	}
+	if at, status := n.tobs.last(); !at.IsZero() {
+		s.LastTransition = fmt.Sprintf("%s (-> %s)", at.UTC().Format(time.RFC3339Nano), status)
+	}
+	n.mu.Lock()
+	m := n.node.Machine()
+	s.Status = m.Status().String()
+	s.FilledEntries = n.node.Table().FilledCount()
+	s.Counters = *m.Counters()
+	parts := n.node.Stats()
+	if p := n.node.Prober(); p != nil {
+		s.Liveness = &LivenessStats{
+			Stats:       parts.Liveness,
+			Targets:     p.TargetCount(),
+			SuspectsNow: p.SuspectCount(),
+			Partitioned: p.Partitioned(),
+		}
+	}
+	n.mu.Unlock()
+	s.Guard = parts.Guard
+	if n.cfg.RTT != nil {
+		s.RTT = &parts.RTT
+	}
+	if n.cfg.AntiEntropy != nil {
+		s.Antientropy = &parts.AntiEntropy
+	}
+	if n.cfg.Sampling != nil {
+		s.Sampling = &parts.Sampling
+	}
+	return s
+}
+
+// writeMessageSeries renders c's per-type tallies as the labelled
+// families hypercube_messages_{sent,received,retried,dropped,rejected}_total.
+func writeMessageSeries(w io.Writer, c *msg.Counters) {
+	for _, fam := range []struct {
+		name string
+		by   *msg.PerType
+	}{
+		{"sent", &c.Sent}, {"received", &c.Received}, {"retried", &c.Retried},
+		{"dropped", &c.Dropped}, {"rejected", &c.Rejected},
+	} {
+		fmt.Fprintf(w, "# TYPE hypercube_messages_%s_total counter\n", fam.name)
+		for t, v := range fam.by {
+			if v != 0 {
+				fmt.Fprintf(w, "hypercube_messages_%s_total{type=%q} %d\n", fam.name, msg.Type(t).String(), v)
+			}
+		}
+	}
+}
+
+// setupObs wires the node's observability hub: the optional trace ring,
+// the clocked sink every protocol component emits through, and the
+// scrape-time rendering of Stats. Called once from start, before any
 // goroutine runs.
 func (n *Node) setupObs(self id.ID) {
 	n.tobs = newNodeObs()
@@ -190,71 +319,9 @@ func (n *Node) setupObs(self id.ID) {
 	}
 	n.tobs.forward = obs.Tee(n.cfg.Sink, ringSink)
 	n.sink = obs.Clocked(n.tobs, func() time.Duration { return time.Since(n.start) })
-	n.tobs.reg.GaugeFunc("hypercube_uptime_seconds",
-		"Seconds since the node started.",
-		func() float64 { return n.Uptime().Seconds() })
-	n.tobs.reg.GaugeFunc("hypercube_outbound_queue_depth",
-		"Total envelopes waiting in per-peer outbound queues.",
-		func() float64 {
-			total := 0
-			for _, d := range n.QueueDepths() {
-				total += d
-			}
-			return float64(total)
-		})
-	n.tobs.reg.GaugeFunc("hypercube_guard_rejected_total",
-		"Envelopes rejected by semantic validation.",
-		func() float64 { return float64(n.GuardStats().Rejected) })
-	n.tobs.reg.GaugeFunc("hypercube_guard_quarantined",
-		"Peers currently quarantined by the misbehavior scorer.",
-		func() float64 { return float64(n.GuardStats().Scorer.Quarantined) })
-	n.tobs.reg.GaugeFunc("hypercube_inbound_decode_errors_total",
-		"Malformed inbound frames (counted against the per-connection budget).",
-		func() float64 { return float64(n.decodeErrors.Load()) })
-	n.tobs.reg.GaugeFunc("hypercube_inbound_throttled_total",
-		"Inbound envelopes stalled by the per-connection rate limiter.",
-		func() float64 { return float64(n.throttledInbound.Load()) })
-	n.tobs.reg.GaugeFunc("hypercube_guard_disconnects_total",
-		"Inbound connections dropped for oversized frames or exhausted decode budgets.",
-		func() float64 { return float64(n.guardDisconnects.Load()) })
-	if n.cfg.RTT != nil {
-		n.tobs.reg.GaugeFunc("hypercube_rtt_tracked_peers",
-			"Peers with at least one RTT sample in the shared estimator.",
-			func() float64 {
-				st, _ := n.RTTStats()
-				return float64(st.Tracked)
-			})
-		n.tobs.reg.GaugeFunc("hypercube_rtt_degraded_peers",
-			"Peers currently flagged degraded (persistently slow vs the cross-peer median).",
-			func() float64 {
-				st, _ := n.RTTStats()
-				return float64(st.Degraded)
-			})
-		n.tobs.reg.GaugeFunc("hypercube_rtt_samples_total",
-			"RTT samples fed into the shared estimator.",
-			func() float64 {
-				st, _ := n.RTTStats()
-				return float64(st.Samples)
-			})
-		n.tobs.reg.GaugeFunc("hypercube_rtt_degraded_marked_total",
-			"Times any peer was flagged degraded.",
-			func() float64 {
-				st, _ := n.RTTStats()
-				return float64(st.Marked)
-			})
-	}
-	if n.cfg.Sampling != nil {
-		n.tobs.reg.GaugeFunc("hypercube_sampling_view_size",
-			"Current gossip peer-sampling view occupancy.",
-			func() float64 {
-				st, _ := n.SamplingStats()
-				return float64(st.ViewSize)
-			})
-		n.tobs.reg.GaugeFunc("hypercube_sampling_flood_rounds_total",
-			"Sampling rounds that hit the Brahms push-flood threshold and kept the previous view.",
-			func() float64 {
-				st, _ := n.SamplingStats()
-				return float64(st.FloodsDetected)
-			})
-	}
+	n.tobs.reg.Collect(func(w io.Writer) {
+		s := n.Stats()
+		obs.WriteStruct(w, "hypercube", s)
+		writeMessageSeries(w, &s.Counters)
+	})
 }

@@ -148,7 +148,7 @@ func TestTraceRingAndSink(t *testing.T) {
 	}
 	defer seed.Close()
 	joiner, err := StartJoiner(p163, core.Options{}, id.MustParse(p163, "231"), "127.0.0.1:0",
-		WithSink(user), WithTraceRing(1024))
+		WithConfig(Config{Sink: user, TraceRing: 1024}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestTraceRingAndSink(t *testing.T) {
 	}
 }
 
-// TestTraceWithoutRing404s confirms GET /trace without WithTraceRing is
+// TestTraceWithoutRing404s confirms GET /trace without Config.TraceRing is
 // a 404, not a panic or an empty 200.
 func TestTraceWithoutRing404s(t *testing.T) {
 	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "cba"), "127.0.0.1:0")

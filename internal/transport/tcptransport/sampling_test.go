@@ -51,8 +51,8 @@ func TestTCPSamplingRounds(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for _, n := range nodes {
 		for {
-			st, ok := n.SamplingStats()
-			if !ok {
+			st := n.Stats().Sampling
+			if st == nil {
 				t.Fatalf("node %v reports no sampling despite WithSampling", n.Ref().ID)
 			}
 			if st.Rounds > 0 && st.ViewSize > 0 && st.SamplerFill > 0 {
@@ -66,7 +66,7 @@ func TestTCPSamplingRounds(t *testing.T) {
 	}
 	total := sampling.Stats{}
 	for _, n := range nodes {
-		st, _ := n.SamplingStats()
+		st := n.Stats().Sampling
 		total.PushesReceived += st.PushesReceived
 		total.PullsAnswered += st.PullsAnswered
 	}
