@@ -109,7 +109,7 @@ func run() error {
 		probeEvery   = flag.Duration("probe-interval", 0, "gap between routine liveness probes")
 		probeTimeout = flag.Duration("probe-timeout", 0, "unanswered-probe deadline")
 		suspectAfter = flag.Int("suspect-after", 0, "consecutive misses before a peer is suspected")
-		indirect     = flag.Int("indirect-probes", 0, "relayed probes per confirmation round")
+		indirect     = flag.Int("indirect-probes", 0, "relayed probes per confirmation round (0 keeps the default of 3, negative turns them off)")
 		retryAfter   = flag.Duration("retry-after", 2*time.Second, "join-protocol request timeout (0 disables)")
 
 		// Adaptive-timeout knobs (gray-failure tolerance).

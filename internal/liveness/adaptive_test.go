@@ -216,11 +216,12 @@ func TestAdaptiveRampRescuedByConfirmFloor(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDeclaresDeadFasterOnFastLink: the flip side of accrual
-// suspicion. A genuinely dead peer whose link was learned fast (RTO
-// near MinRTO) accumulates double-weight misses on a short deadline,
-// so the adaptive prober reaches the declaration measurably sooner
-// than the fixed-timeout one under identical traffic.
+// TestAdaptiveDeclaresDeadFasterOnFastLink: the flip side of per-peer
+// deadlines. A genuinely dead peer whose link was learned fast (RTO
+// near MinRTO) misses its first probe on that short deadline, so the
+// adaptive prober reaches the declaration sooner than the fixed-timeout
+// one under identical traffic — by the first miss only: every later
+// probe is floored at ProbeTimeout (TestAdaptiveNeverShrinksWindow).
 func TestAdaptiveDeclaresDeadFasterOnFastLink(t *testing.T) {
 	cfg := Config{
 		ProbeInterval:  100 * time.Millisecond,
@@ -253,6 +254,48 @@ func TestAdaptiveDeclaresDeadFasterOnFastLink(t *testing.T) {
 	if adaptive >= fixed {
 		t.Fatalf("adaptive declaration (%v) not faster than fixed (%v)", adaptive, fixed)
 	}
+}
+
+// TestAdaptiveNeverShrinksWindow: adaptivity may extend the declaration
+// window, never shrink it. A dead peer the estimator knows at a 100 ms
+// RTO misses its first probe early, but then needs SuspectAfter − 1 more
+// misses and ConfirmRounds rounds of at least ProbeTimeout each: misses
+// charge at most 1 and a distressed target's probes wait at least
+// ProbeTimeout. Without either rule the re-probes would declare it in
+// about 2 s.
+func TestAdaptiveNeverShrinksWindow(t *testing.T) {
+	self := mkRef(t, "0000")
+	dead := mkRef(t, "1111")
+	est := rtt.New(rtt.Config{MinRTO: 100 * time.Millisecond, MaxRTO: 5 * time.Second})
+	for range 8 {
+		est.Observe(dead.ID, 10*time.Millisecond)
+	}
+	if rto, _ := est.RTO(dead.ID); rto != 100*time.Millisecond {
+		t.Fatalf("estimator RTO = %v, want the 100ms floor", rto)
+	}
+	p := NewProber(Config{}, self)
+	p.SetRTT(est)
+	p.SetTargets([]table.Ref{dead})
+	p.Observe(dead.ID)
+	firstMiss := time.Duration(-1)
+	for now := time.Duration(0); now <= 15*time.Second; now += 10 * time.Millisecond {
+		_, declared, _ := p.Tick(now)
+		if tgt := p.targets[dead.ID]; firstMiss < 0 && tgt != nil && tgt.missed > 0 {
+			firstMiss = now
+		}
+		if len(declared) == 0 {
+			continue
+		}
+		if firstMiss != 100*time.Millisecond {
+			t.Fatalf("first miss at %v, want at the 100ms RTO", firstMiss)
+		}
+		window := p.cfg.ProbeTimeout * time.Duration(p.cfg.SuspectAfter-1+p.cfg.ConfirmRounds)
+		if got := now - firstMiss; got < window {
+			t.Fatalf("declared %v after the first miss (at %v), want no sooner than %v", got, firstMiss, window)
+		}
+		return
+	}
+	t.Fatal("dead peer never declared")
 }
 
 // TestRecentBufferBounded: the late-pong buffer must not grow without

@@ -12,8 +12,11 @@
 // Suspicion protocol (SWIM-flavored, adapted to the hypercube tables):
 //
 //   - alive: the target is probed when its turn comes in the round-robin
-//     cycle. A probe unanswered within ProbeTimeout is a miss; pongs and
-//     any other traffic from the target (Observe) reset the miss count.
+//     cycle. A probe unanswered within ProbeTimeout is a miss, and a miss
+//     re-probes the target at once instead of waiting for its next turn,
+//     so detection takes phase + (SuspectAfter + ConfirmRounds) ×
+//     ProbeTimeout however many targets share the cycle. Pongs and any
+//     other traffic from the target (Observe) reset the miss count.
 //   - suspect: after SuspectAfter consecutive misses. Each confirmation
 //     round sends one direct probe plus IndirectProbes relayed probes
 //     through distinct other neighbors, so one-way loss on the direct
@@ -38,12 +41,16 @@
 // attached (SetRTT + SetClock), each target's probe deadline derives
 // from its own measured round-trips instead of the fixed ProbeTimeout,
 // misses accrue as a confidence-weighted suspicion score instead of a
-// flat count (a miss against a well-measured fast peer is strong
-// evidence; one against a poorly-measured or slow peer is weak), and
-// pongs arriving after their probe expired still feed the estimator and
-// count as liveness — the feedback loop that lets the deadline chase a
-// peer whose latency is ramping up. Without an estimator the detector
-// behaves exactly as documented above, bit for bit.
+// flat count (a miss against a known-slow peer weighs less than one),
+// and pongs arriving after their probe expired still feed the estimator
+// and count as liveness — the feedback loop that lets the deadline chase
+// a peer whose latency is ramping up. Invariant: adaptivity can only
+// extend the declaration window, never shrink it. Only a target's first
+// miss may come before ProbeTimeout (every later probe of a distressed
+// target waits at least that long) and no miss charges more than one,
+// so a declaration comes no sooner than ProbeTimeout × (SuspectAfter −
+// 1 + ConfirmRounds) after the first miss. Without an estimator the
+// detector behaves exactly as documented above, bit for bit.
 //
 // Partition awareness: a network partition is indistinguishable from a
 // mass crash to a per-target detector — every cross-partition peer times
@@ -81,29 +88,28 @@ type Config struct {
 	// ProbeTimeout is how long a probe may stay unanswered before it
 	// counts as a miss. Default 1s.
 	//
-	// Invariant (see the pending==0 guard in Tick): routine probing
-	// never launches a second probe at a target whose previous probe is
-	// still in flight, so the default ProbeTimeout (1s) exceeding the
-	// default ProbeInterval (250ms) does NOT make successive probes to
-	// a silent peer overlap in the in-flight set. The round-robin skips
-	// a target with an outstanding probe, which means a silent peer
-	// accrues misses at one per ProbeTimeout — not one per
-	// ProbeInterval — and suspicion takes SuspectAfter × ProbeTimeout,
-	// not SuspectAfter × ProbeInterval. Only confirmation rounds put
-	// several probes (direct + indirect) in flight for one target at
-	// once, and those launch strictly after the previous round fully
-	// expired. A per-peer RTT estimator (SetRTT) shortens the effective
-	// timeout per target but cannot break the invariant: the guard is
-	// on the probe count, not the deadline.
+	// Invariant (see the pending==0 guard in Tick): a target never has
+	// two direct probes in flight at once, so the default ProbeTimeout
+	// (1s) exceeding the default ProbeInterval (250ms) does NOT make
+	// successive probes to a silent peer overlap. The round-robin skips
+	// a target with an outstanding probe, and a miss re-probes its
+	// target at once, so a silent peer accrues misses at one per
+	// ProbeTimeout — not one per ProbeInterval, and not one per cycle
+	// of |targets| × ProbeInterval — and suspicion takes SuspectAfter ×
+	// ProbeTimeout after its first probe whatever the table size. Only
+	// confirmation rounds put several probes (direct + indirect) in
+	// flight for one target at once, and those launch strictly after
+	// the previous round fully expired. A per-peer RTT estimator
+	// (SetRTT) may shorten a target's first probe only: once it has
+	// missed, its budget is floored at ProbeTimeout (probeBudget).
 	ProbeTimeout time.Duration
 	// SuspectAfter is the number of consecutive missed routine probes
 	// that turns an alive target into a suspect. Default 3.
 	SuspectAfter int
 	// IndirectProbes is the number of relayed probes (via distinct other
-	// neighbors) added to the direct probe in each confirmation round.
-	// The zero value is the default and means off: confirmation rounds
-	// are direct-only unless a caller sets it (the scenario drivers use
-	// 2-3; hypercubed's -indirect-probes defaults to 0).
+	// neighbors) added to the direct probe in each confirmation round, so
+	// that one-way loss on the direct path cannot condemn a live node.
+	// Default 3; a negative value turns them off (direct-only rounds).
 	IndirectProbes int
 	// ConfirmRounds is the number of fully unanswered confirmation
 	// rounds needed to declare a suspect failed. Default 2.
@@ -132,7 +138,9 @@ func (c Config) withDefaults() Config {
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3
 	}
-	if c.IndirectProbes < 0 {
+	if c.IndirectProbes == 0 {
+		c.IndirectProbes = 3
+	} else if c.IndirectProbes < 0 {
 		c.IndirectProbes = 0
 	}
 	if c.ConfirmRounds <= 0 {
@@ -694,15 +702,19 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 			}
 			t.missed++
 			t.susp += p.missCharge(t)
-			if t.susp >= float64(p.cfg.SuspectAfter) {
-				t.state = stateSuspect
-				t.rounds = 0
-				p.stats.Suspects++
-				if p.sink != nil {
-					p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindSuspect, Peer: e.pr.target.String(), N: t.missed})
-				}
-				p.confirmRound(t, now)
+			if t.susp < float64(p.cfg.SuspectAfter) {
+				// Re-probe at once rather than at the target's next turn
+				// in the cycle: misses accrue one per ProbeTimeout.
+				p.sendProbe(t, table.Ref{}, now)
+				continue
 			}
+			t.state = stateSuspect
+			t.rounds = 0
+			p.stats.Suspects++
+			if p.sink != nil {
+				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindSuspect, Peer: e.pr.target.String(), N: t.missed})
+			}
+			p.confirmRound(t, now)
 		case stateSuspect:
 			if t.pending > 0 {
 				continue // round still has probes in flight
@@ -839,12 +851,14 @@ func (p *Prober) confirmRound(t *target, now time.Duration) {
 // back to the fixed default for the whole probe — a half-adaptive
 // budget would be neither calibrated nor comparable.
 //
-// Confirmation-round probes (suspect state) are additionally floored
-// at the fixed ProbeTimeout: they decide declarations, and a peer that
-// was fast and just turned gray would otherwise burn through all its
-// confirm rounds in a few small RTOs — before its first late pong can
-// teach the estimator the new latency. Adaptivity may extend the
-// declaration window for known-slow peers, never shrink it.
+// Once a target has missed (the re-probes and confirmation rounds of a
+// distressed target) the budget is additionally floored at the fixed
+// ProbeTimeout: those probes decide declarations, and a peer that was
+// fast and just turned gray would otherwise burn through its re-probes
+// and confirm rounds in a few small RTOs — before its first late pong
+// can teach the estimator the new latency. Only the first miss may come
+// early. Adaptivity may extend the declaration window for known-slow
+// peers, never shrink it.
 func (p *Prober) probeBudget(t *target, via table.Ref) time.Duration {
 	if p.est == nil {
 		return p.cfg.ProbeTimeout
@@ -864,7 +878,7 @@ func (p *Prober) probeBudget(t *target, via table.Ref) time.Duration {
 		}
 		budget = rtoT + rtoV
 	}
-	if t.state == stateSuspect && budget < p.cfg.ProbeTimeout {
+	if t.distressed() && budget < p.cfg.ProbeTimeout {
 		budget = p.cfg.ProbeTimeout
 	}
 	p.stats.AdaptiveDeadlines++
@@ -876,10 +890,11 @@ func (p *Prober) probeBudget(t *target, via table.Ref) time.Duration {
 // 1.0, keeping the accrual score numerically identical to the legacy
 // missed counter (small-integer float arithmetic is exact, so the
 // suspect threshold fires on the same tick). With samples, the charge
-// is ProbeTimeout/RTO clamped to [0.5, 2.0]: a miss against a fast
-// peer (RTO well under the fixed timeout) weighs up to double — a dead
-// peer on a fast link is declared sooner — while a miss against a
-// known-slow peer weighs as little as half.
+// is ProbeTimeout/RTO clamped to [0.5, 1.0]: a miss against a known-slow
+// peer weighs as little as half, one against a fast peer never more
+// than a plain miss — a cap above 1 would let adaptivity shrink the
+// declaration window, and the immediate re-probe in Tick already keeps
+// detection of a dead fast peer short.
 func (p *Prober) missCharge(t *target) float64 {
 	if p.est == nil {
 		return 1
@@ -888,14 +903,7 @@ func (p *Prober) missCharge(t *target) float64 {
 	if !ok || rto <= 0 {
 		return 1
 	}
-	c := float64(p.cfg.ProbeTimeout) / float64(rto)
-	if c < 0.5 {
-		c = 0.5
-	}
-	if c > 2 {
-		c = 2
-	}
-	return c
+	return min(max(float64(p.cfg.ProbeTimeout)/float64(rto), 0.5), 1)
 }
 
 // sampleRTT feeds one answered probe's round-trip into the estimator

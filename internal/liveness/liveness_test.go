@@ -1,6 +1,9 @@
 package liveness
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -187,6 +190,65 @@ func TestNeverAnsweredDroppedUnreachable(t *testing.T) {
 	p.SetTargets([]table.Ref{ghost, helper})
 	if p.TargetCount() != 2 {
 		t.Fatal("unreachable target not re-adopted after drop")
+	}
+}
+
+// TestDetectionWindowIndependentOfTableSize: on the daemon defaults a
+// silent target is declared (SuspectAfter + ConfirmRounds) ×
+// ProbeTimeout = 5 s after its first probe whether 4 or 64 live targets
+// share the round-robin cycle, because a miss re-probes at once instead
+// of waiting one cycle (1.25 s or 16.25 s here) for the target's turn.
+func TestDetectionWindowIndependentOfTableSize(t *testing.T) {
+	for _, alive := range []int{4, 64} {
+		self := mkRef(t, "0000")
+		var refs []table.Ref
+		for i := 1; i <= alive+1; i++ {
+			refs = append(refs, mkRef(t, fmt.Sprintf("%04s", strconv.FormatInt(int64(i), 4))))
+		}
+		// The cycle is sorted, so the smallest ID is probed first, at 0.
+		dead := slices.MinFunc(refs, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
+		p := NewProber(Config{}, self)
+		p.SetTargets(refs)
+		p.Observe(dead.ID) // alive once, so its silence is declarable
+		declared, at := runDelayed(p, 10*time.Second, func(_ time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
+			pm, ok := env.Msg.(msg.Ping)
+			if !ok || env.To.ID == dead.ID || pm.Target.ID == dead.ID {
+				return nil, -1
+			}
+			return RespondPing(env.To, env.From, pm), 10 * time.Millisecond
+		})
+		if len(declared) != 1 || declared[0].ID != dead.ID || at[0] != 5*time.Second {
+			t.Errorf("%d live targets: declared %v at %v, want %v at 5s", alive, declared, at, dead.ID)
+		}
+	}
+}
+
+// TestIndirectProbesOnByDefault: with a zero Config, a target whose
+// direct probes all go unanswered but which answers probes relayed by
+// other neighbors is never declared — one-way loss on one path must not
+// condemn a live node.
+func TestIndirectProbesOnByDefault(t *testing.T) {
+	self := mkRef(t, "0000")
+	x := mkRef(t, "1111")
+	helpers := []table.Ref{mkRef(t, "2222"), mkRef(t, "3333"), mkRef(t, "0011")}
+	p := NewProber(Config{}, self)
+	p.SetTargets(append([]table.Ref{x}, helpers...))
+	p.Observe(x.ID) // alive once, so its silence would be declarable
+	declared, _ := drive(p, 30*time.Second, func(env msg.Envelope) []msg.Envelope {
+		switch pm, _ := env.Msg.(msg.Ping); {
+		case env.To.ID == self.ID:
+			return p.HandleMessage(env)
+		case env.To.ID == x.ID && pm.Target.IsZero():
+			return nil // the direct path to x loses everything
+		default:
+			return RespondPing(env.To, env.From, pm)
+		}
+	})
+	if len(declared) != 0 {
+		t.Fatalf("target reachable through relays declared: %v", declared)
+	}
+	if st := p.Stats(); st.IndirectSent == 0 || st.Recovered == 0 {
+		t.Fatalf("stats %+v: want relayed probes sent and the suspect recovered", st)
 	}
 }
 

@@ -13,7 +13,13 @@ import (
 //   - partitions cut a 40–50% minority: large enough that both sides'
 //     detectors see a distressed fraction above the executor's
 //     PartitionThreshold (0.3) and freeze declarations; a smaller
-//     minority would be declared dead by design.
+//     minority would be declared dead by design. Each split lasts at
+//     most 5s, and the heal after it at least genMinHeal (2 ×
+//     the executor's 1s ProbeTimeout): a heal shorter than a probe
+//     period gives a timeout-based detector no evidence that contact
+//     resumed, so a chain of partitions counts as one long partition —
+//     beyond any bound on a single split — unless the heal between them
+//     lets every distressed target answer a probe.
 //   - cumulative crashes stay below ~15% of the current membership, well
 //     under the partition threshold, so mass death never freezes the
 //     detectors permanently.
@@ -32,6 +38,7 @@ const (
 	genMaxByzFrac   = 0.08
 	genPartMinFrac  = 0.40
 	genPartMaxFrac  = 0.50
+	genMinHeal      = 2 * time.Second
 	genMinNodes     = 8
 	genDefaultSteps = 8
 )
@@ -114,6 +121,8 @@ func Generate(seed uint64, p id.Params, nodes, steps int) Schedule {
 		case OpPartition:
 			a.Frac = genPartMinFrac + r.float()*(genPartMaxFrac-genPartMinFrac)
 			a.Dur = r.durBetween(2*time.Second, 5*time.Second)
+			// Adjusted after the draw, so the RNG stream is unchanged.
+			a.Gap = max(a.Gap, genMinHeal)
 		case OpSlow:
 			a.Count = r.between(1, 2)
 			slowMarked = true

@@ -33,6 +33,20 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGeneratedPartitionsHealLongEnough: no generated schedule chains
+// partitions with a heal shorter than two probe timeouts, which the
+// detectors would see as one split longer than the envelope allows
+// (seed 253 chained three with heals of 0.56–0.99 s).
+func TestGeneratedPartitionsHealLongEnough(t *testing.T) {
+	for seed := uint64(0); seed < 10000; seed++ {
+		for i, a := range Generate(seed, p164, 32, 8).Steps {
+			if a.Op == OpPartition && a.Gap < 2*time.Second {
+				t.Fatalf("seed %d step %d: partition healed for only %v", seed, i, a.Gap)
+			}
+		}
+	}
+}
+
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	s := Generate(7, p164, 24, 8)
 	data, err := s.Marshal()

@@ -18,14 +18,20 @@ import (
 	"hypercube/internal/sampling"
 )
 
-type countingSink struct{ events int }
+// declaredSink records whom the fleet's detectors declared failed.
+type declaredSink map[string]bool
 
-func (s *countingSink) Emit(obs.Event) { s.events++ }
+func (s declaredSink) Emit(e obs.Event) {
+	if e.Kind == obs.KindDeclared {
+		s[e.Peer] = true
+	}
+}
 
 // steadyNetwork is the stack cmd/hypercubed ships by default (guard,
 // 2 s exchange timeout, failure detector, anti-entropy and peer sampling
-// all on their zero configs, an event sink attached) over 128 converged
-// nodes of the paper's ID space, warmed up for 10 virtual seconds.
+// all on their zero configs, an event sink attached — a declaredSink,
+// net.cfg.Sink) over 128 converged nodes of the paper's ID space, warmed
+// up for 10 virtual seconds.
 func steadyNetwork(t *testing.T) *Network {
 	t.Helper()
 	p := id.Params{B: 16, D: 40}
@@ -37,7 +43,7 @@ func steadyNetwork(t *testing.T) *Network {
 		Liveness:    &liveness.Config{},
 		AntiEntropy: &antientropy.Config{},
 		Sampling:    &sampling.Config{Seed: 1},
-		Sink:        &countingSink{},
+		Sink:        declaredSink{},
 	})
 	net.BuildDirect(RandomRefs(p, 128, rng, nil), rng)
 	net.RunFor(10 * time.Second)
@@ -131,11 +137,11 @@ func TestSteadyTrafficMatchesCadences(t *testing.T) {
 // maintenance plane: crash one fixed member, run 40 virtual seconds of
 // detection and repair, and compare what the network sent, what every
 // layer counted and whom every sampler holds against values recorded at
-// PR 21's commit, before the samplers skipped IDs they had ranked. A
-// change that promises "identical messages, views and virtual times"
-// must pass it untouched; ROADMAP item 3 (flood threshold, indirect probes, re-probe,
-// FailedNoti fan-out) changes behaviour on purpose and will re-baseline
-// every constant here.
+// PR 25's commit, when a missed probe started re-probing at once and
+// indirect probes came on by default. A change that promises
+// "identical messages, views and virtual times" must pass it untouched;
+// the rest of ROADMAP item 3 (flood threshold, FailedNoti fan-out)
+// changes behaviour on purpose and will re-baseline every constant here.
 func TestSteadyCrashRepairPinned(t *testing.T) {
 	type pin struct {
 		sent, bytes, violations int
@@ -144,10 +150,10 @@ func TestSteadyCrashRepairPinned(t *testing.T) {
 		liveness                liveness.Stats
 	}
 	want := pin{
-		sent: 11373, bytes: 2342414, violations: 0, samples: 0x448a6f9ee6617252,
+		sent: 11380, bytes: 2343675, violations: 0, samples: 0x448a6f9ee6617252,
 		sampling: sampling.Stats{Rounds: 6344, PushesSent: 44408, PushesReceived: 44259, PullsSent: 44408,
 			PullsAnswered: 44239, FloodsDetected: 2518, ViewSize: 1839, SamplerFill: 4064},
-		liveness: liveness.Stats{ProbesSent: 25530, PongsReceived: 24752, Suspects: 2, Declared: 1, Retargets: 306},
+		liveness: liveness.Stats{ProbesSent: 25605, IndirectSent: 75, PongsReceived: 24776, Suspects: 18, Declared: 2, Retargets: 308},
 	}
 
 	net := steadyNetwork(t)
@@ -170,4 +176,44 @@ func TestSteadyCrashRepairPinned(t *testing.T) {
 	if got != want {
 		t.Errorf("crash repair diverged from the recorded run:\n got  %+v\n want %+v", got, want)
 	}
+}
+
+// TestLargeNetworkCrashRepairWindow is the exemplar's TestLargeNetwork
+// shape (SNIPPETS.md; ROADMAP item 3): kill 5 % of a converged 128-node
+// network on the daemon defaults at once, and every victim must be
+// declared and every table consistent again within 10 virtual seconds.
+// Detection takes phase + (SuspectAfter + ConfirmRounds) × ProbeTimeout
+// ≈ 5 s whatever the table size; when a missed target waited a whole
+// probe cycle (≈ 35 × 250 ms here) for its next probe it took ≈ 21 s.
+func TestLargeNetworkCrashRepairWindow(t *testing.T) {
+	const window = 10 * time.Second
+	net := steadyNetwork(t)
+	members := net.Members()
+	victims := make([]id.ID, 0, len(members)/20)
+	for i := 0; len(victims) < cap(victims); i += 20 {
+		victims = append(victims, members[i].ID)
+	}
+	for _, x := range victims {
+		if err := net.InjectFailure(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	declared := net.cfg.Sink.(declaredSink)
+	crashedAt := net.Engine().Now()
+	for net.Engine().Now()-crashedAt < window {
+		net.RunFor(250 * time.Millisecond)
+		if len(declared) == len(victims) && len(net.CheckConsistency()) == 0 {
+			break
+		}
+	}
+	elapsed := net.Engine().Now() - crashedAt
+	for _, x := range victims {
+		if !declared[x.String()] {
+			t.Errorf("victim %v not declared within %v", x, elapsed)
+		}
+	}
+	if v := net.CheckConsistency(); len(v) > 0 || elapsed > window {
+		t.Errorf("%d violations after %v, want 0 within %v", len(v), elapsed, window)
+	}
+	t.Logf("%d of %d crashed, all declared and repaired after %v", len(victims), len(members), elapsed)
 }
