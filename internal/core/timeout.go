@@ -439,18 +439,18 @@ func (m *Machine) knownBad(x id.ID) bool {
 }
 
 // DeclareFailed records that the failure detector declared gone crashed,
-// and returns the resulting traffic: FailedNoti gossip to co-holders,
+// and returns the resulting traffic: FailedNoti gossip to its neighbours,
 // reverse-neighbor notices from local repairs, and (from later Ticks)
 // repair queries for entries local repair could not fill.
 func (m *Machine) DeclareFailed(gone table.Ref) []msg.Envelope {
 	m.out = m.out[:0]
-	m.noteFailed(gone)
+	m.noteFailed(gone, true)
 	return m.take()
 }
 
 // onFailedNoti processes gossip about a crash declared elsewhere.
 func (m *Machine) onFailedNoti(pm msg.FailedNoti) {
-	m.noteFailed(pm.Failed)
+	m.noteFailed(pm.Failed, false)
 }
 
 // DropUnreachable removes every table entry holding gone — a neighbor
@@ -469,10 +469,11 @@ func (m *Machine) DropUnreachable(gone table.Ref) []msg.Envelope {
 	return m.take()
 }
 
-// noteFailed is the shared crash-declaration path: dedupe, gossip to
-// co-holders, orphan check, local table repair, and repair-job seeding.
-// Appends to m.out; callers manage the reset.
-func (m *Machine) noteFailed(gone table.Ref) {
+// noteFailed is the shared crash-declaration path: dedupe, gossip from
+// the victim's neighbourhood, orphan check, local table repair, and
+// repair-job seeding. declared is true for our own detector's verdict,
+// false for gossip. Appends to m.out; callers manage the reset.
+func (m *Machine) noteFailed(gone table.Ref, declared bool) {
 	if gone.IsZero() || gone.ID == m.self.ID {
 		return
 	}
@@ -490,39 +491,35 @@ func (m *Machine) noteFailed(gone table.Ref) {
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindFailureNoted, Peer: gone.ID.String()})
 	}
 
-	// Gossip once per failure. Every node that stores the dead node is
-	// either in our table, stores us too (reverse set), or is reached
-	// transitively: each co-holder re-gossips on first hearing, and every
-	// holder's own detector probes its entries anyway, so declarations
-	// reach all holders even if gossip misses some.
-	targets := make(map[id.ID]table.Ref, len(m.reverse))
-	for x, r := range m.reverse {
-		targets[x] = r
-	}
-	m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
-		if n.ID != m.self.ID {
-			targets[n.ID] = n.Ref()
+	held := false
+	m.tbl.ForEach(func(_, _ int, n table.Neighbor) { held = held || n.ID == gone.ID })
+
+	// Gossip once per failure, from the victim's neighbourhood only: the
+	// declarer always (even if it no longer holds the victim), a receiver
+	// on first hearing only if the victim was in its table or stored it
+	// (reverse set) — the nodes whose detectors were probing it. Each
+	// tells its own table ∪ reverse set: O(neighbours × degree) messages,
+	// not O(edges). A neighbour the gossip misses declares it itself.
+	if _, stored := m.reverse[gone.ID]; declared || held || stored {
+		targets := make(map[id.ID]table.Ref, len(m.reverse))
+		for x, r := range m.reverse {
+			targets[x] = r
 		}
-	})
-	delete(targets, m.self.ID)
-	for x := range targets {
-		if m.knownBad(x) {
-			delete(targets, x)
+		m.tbl.ForEach(func(_, _ int, n table.Neighbor) { targets[n.ID] = n.Ref() })
+		delete(targets, m.self.ID)
+		for x := range targets {
+			if m.knownBad(x) {
+				delete(targets, x)
+			}
 		}
-	}
-	for _, ref := range sortedRefs(targets) {
-		m.send(ref, msg.FailedNoti{Failed: gone})
+		for _, ref := range sortedRefs(targets) {
+			m.send(ref, msg.FailedNoti{Failed: gone})
+		}
 	}
 
 	// Orphan check before the entries are dropped: if our deepest-known
 	// neighbor crashed it may have been the only node storing us, making
 	// us unfindable; re-announce via a rejoin at the next Tick.
-	held := false
-	m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
-		if n.ID == gone.ID {
-			held = true
-		}
-	})
 	if held && m.status == StatusInSystem && m.DeepestNeighborIs(gone.ID) {
 		m.needsRejoin = true
 	}

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -215,74 +217,129 @@ func TestPickGatewayNeverReturnsSelf(t *testing.T) {
 	}
 }
 
-func TestDeclareFailedGossipAndDedupe(t *testing.T) {
-	p := id.Params{B: 4, D: 4}
-	pp, members := buildSmallNetwork(t, p, 12, 9)
-	dead := members[4]
-
-	// Find a survivor that stores the dead node.
-	var holder *core.Machine
+// crashNeighbourhood builds a sparse network and sorts the survivors by
+// their relation to the victim members[4]: holders store it in their
+// table, stored nodes are stored by it (it is in their reverse set) but
+// do not store it, strangers have neither relation.
+func crashNeighbourhood(t *testing.T) (dead table.Ref, holders, stored, strangers []*core.Machine) {
+	t.Helper()
+	pp, members := buildSmallNetwork(t, id.Params{B: 4, D: 5}, 48, 9)
+	dead = members[4]
 	for _, ref := range members {
 		if ref.ID == dead.ID {
 			continue
 		}
 		m := pp.machines[ref.ID]
-		held := false
-		m.Table().ForEach(func(_, _ int, nb table.Neighbor) {
-			if nb.ID == dead.ID {
-				held = true
-			}
-		})
-		if held {
-			holder = m
-			break
+		switch {
+		case holds(m, dead.ID):
+			holders = append(holders, m)
+		case slices.ContainsFunc(m.ReverseNeighbors(), func(r table.Ref) bool { return r.ID == dead.ID }):
+			stored = append(stored, m)
+		default:
+			strangers = append(strangers, m)
 		}
 	}
-	if holder == nil {
-		t.Fatal("nobody stored the dead node — setup broken")
+	if len(holders) < 2 || len(stored) == 0 || len(strangers) < 2 {
+		t.Fatalf("setup: %d holders, %d stored, %d strangers; want at least 2, 1, 2", len(holders), len(stored), len(strangers))
 	}
+	return dead, holders, stored, strangers
+}
 
-	out := holder.DeclareFailed(dead)
-	if !holder.KnowsFailed(dead.ID) {
-		t.Fatal("DeclareFailed did not record the failure")
+func holds(m *core.Machine, x id.ID) bool {
+	held := false
+	m.Table().ForEach(func(_, _ int, nb table.Neighbor) { held = held || nb.ID == x })
+	return held
+}
+
+// gossipTargets is m's table ∪ reverse set, less m itself: whom a node
+// that gossips a crash tells (less the victim).
+func gossipTargets(m *core.Machine) map[id.ID]bool {
+	out := make(map[id.ID]bool)
+	m.Table().ForEach(func(_, _ int, nb table.Neighbor) { out[nb.ID] = true })
+	for _, r := range m.ReverseNeighbors() {
+		out[r.ID] = true
 	}
-	holder.Table().ForEach(func(level, digit int, nb table.Neighbor) {
-		if nb.ID == dead.ID {
-			t.Errorf("dead node still at (%d,%d) after DeclareFailed", level, digit)
-		}
-	})
-	var notis []msg.Envelope
+	delete(out, m.Self().ID)
+	return out
+}
+
+// notiTargets is whom out sends FailedNoti to.
+func notiTargets(out []msg.Envelope) map[id.ID]bool {
+	got := make(map[id.ID]bool)
 	for _, env := range out {
 		if env.Msg.Type() == msg.TFailedNoti {
-			notis = append(notis, env)
+			got[env.To.ID] = true
 		}
 	}
-	if len(notis) == 0 {
-		t.Fatal("declaration produced no FailedNoti gossip")
+	return got
+}
+
+// wantGossip checks that out tells exactly before — the sender's
+// gossipTargets taken before it noted the crash — less the victim.
+func wantGossip(t *testing.T, who string, out []msg.Envelope, before map[id.ID]bool, dead id.ID) {
+	t.Helper()
+	delete(before, dead)
+	if got := notiTargets(out); !maps.Equal(got, before) {
+		t.Errorf("%s told %d nodes of the crash, want its %d live table and reverse-set members", who, len(got), len(before))
+	}
+}
+
+// TestDeclareFailedGossipAndDedupe pins who spreads a crash: the
+// declarer always, and a first-time receiver only if the victim was in
+// its table or its reverse set — each to its own live table ∪ reverse
+// set. Anyone else records the tombstone and stays silent.
+func TestDeclareFailedGossipAndDedupe(t *testing.T) {
+	dead, holders, stored, strangers := crashNeighbourhood(t)
+	declarer, holder := holders[0], holders[1]
+
+	before := gossipTargets(declarer)
+	out := declarer.DeclareFailed(dead)
+	if !declarer.KnowsFailed(dead.ID) {
+		t.Fatal("DeclareFailed did not record the failure")
+	}
+	if holds(declarer, dead.ID) {
+		t.Error("dead node still in the declarer's table after DeclareFailed")
+	}
+	wantGossip(t, "the declarer", out, before, dead.ID)
+	noti := func(to *core.Machine) msg.Envelope {
+		return msg.Envelope{From: declarer.Self(), To: to.Self(), Msg: msg.FailedNoti{Failed: dead}}
 	}
 
-	// First hearing: the co-holder drops the dead node and re-gossips.
-	env := notis[0]
-	peer := pp.machines[env.To.ID]
-	out2 := peer.Deliver(env)
-	if !peer.KnowsFailed(dead.ID) {
-		t.Fatal("gossip receiver did not record the failure")
+	// First hearing by a node that stored the victim: it forwards.
+	before = gossipTargets(holder)
+	wantGossip(t, "a holder hearing first", holder.Deliver(noti(holder)), before, dead.ID)
+	if !holder.KnowsFailed(dead.ID) || holds(holder, dead.ID) {
+		t.Error("a holder hearing the gossip did not record and drop the victim")
 	}
-	regossiped := 0
-	for _, e := range out2 {
-		if e.Msg.Type() == msg.TFailedNoti {
-			regossiped++
-		}
+
+	// A node the victim stored, though it does not store the victim, is
+	// probing it too: it forwards as well.
+	before = gossipTargets(stored[0])
+	wantGossip(t, "a stored node hearing first", stored[0].Deliver(noti(stored[0])), before, dead.ID)
+
+	// A node with neither relation records the tombstone, keeps its
+	// table, and forwards nothing.
+	stranger := strangers[0]
+	tbl := stranger.Table().String()
+	if got := notiTargets(stranger.Deliver(noti(stranger))); len(got) != 0 {
+		t.Errorf("a stranger to the victim forwarded the crash to %d nodes", len(got))
 	}
-	if regossiped == 0 {
-		t.Fatal("first hearing did not re-gossip")
+	if !stranger.KnowsFailed(dead.ID) {
+		t.Error("a stranger to the victim did not record the failure")
 	}
+	if stranger.Table().String() != tbl {
+		t.Error("a stranger to the victim changed its table")
+	}
+
 	// Second hearing is a no-op (the gossip converges instead of echoing).
-	for _, e := range peer.Deliver(env) {
-		if e.Msg.Type() == msg.TFailedNoti {
-			t.Fatal("duplicate declaration re-gossiped")
-		}
+	if got := notiTargets(holder.Deliver(noti(holder))); len(got) != 0 {
+		t.Error("duplicate declaration re-gossiped")
 	}
+
+	// A declarer's own verdict is gossiped even if it no longer holds the
+	// victim (its entry was replaced, or it only ever held it in reverse).
+	before = gossipTargets(strangers[1])
+	wantGossip(t, "a declarer not holding the victim", strangers[1].DeclareFailed(dead), before, dead.ID)
 }
 
 func TestTickIssuesRepairQueries(t *testing.T) {

@@ -2,8 +2,8 @@
 // (§7 names failure recovery as future work; the paper itself assumes
 // reliable nodes). Ping/Pong are the smallest message class: they carry a
 // sequence number and, for indirect probes, a relay target. FailedNoti
-// gossips a declared crash to co-holders so repairs converge without a
-// global oracle.
+// gossips a declared crash among the victim's neighbours so repairs
+// converge without a global oracle.
 package msg
 
 import "hypercube/internal/table"
@@ -43,10 +43,10 @@ func (Pong) Big() bool { return false }
 func (Pong) WireSize() int { return smallHeader + 8 }
 
 // FailedNoti tells the receiver that Failed was declared crashed by the
-// sender's failure detector. Receivers drop the node from their tables,
-// repair autonomously, and gossip the declaration onward (once per
-// failed node), so every co-holder converges without central
-// coordination.
+// sender's failure detector. Receivers drop the node from their tables
+// and repair autonomously; those that had it in their table or reverse
+// set also gossip the declaration onward (once per failed node), so the
+// victim's neighbours converge without central coordination.
 type FailedNoti struct {
 	Failed table.Ref
 }

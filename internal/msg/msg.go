@@ -60,7 +60,7 @@ const (
 	TPing
 	// TPong answers a PingMsg to its origin.
 	TPong
-	// TFailedNoti gossips a declared crash to co-holders.
+	// TFailedNoti gossips a declared crash among the victim's neighbours.
 	TFailedNoti
 	// TSyncReq opens an anti-entropy round, carrying the sender's fill
 	// vector as a compact table digest.
