@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments experiments-check trace-smoke fleettrace-smoke fuzz-smoke nemesis-smoke
+.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments experiments-check fleettrace-smoke fuzz-smoke nemesis-smoke
 
-all: build lint test experiments-check fuzz-smoke nemesis-smoke trace-smoke fleettrace-smoke bench-smoke
+all: build lint test experiments-check fuzz-smoke nemesis-smoke fleettrace-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -96,13 +96,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzMachineDeliver -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzValidateMatchesOracle -fuzztime $(FUZZTIME) ./internal/table
-
-# trace-smoke proves the tracing pipeline end to end: a 16-node overlay
-# wave streams its JSONL trace into `trace report`. pipefail makes both
-# ends gate: the wave exits non-zero unless every join completes into a
-# consistent network, the report unless every line parses.
-trace-smoke:
-	bash -o pipefail -c '$(GO) run ./cmd/trace wave -n 16 -m 12 -out - | $(GO) run ./cmd/trace report -'
 
 # fleettrace-smoke proves cross-node causal tracing end to end at a
 # CI-friendly size: E17's flash crowd at -small (64 joiners into 64

@@ -211,6 +211,42 @@ func (x *env) consistency() error {
 	return w.Flush()
 }
 
+// fig1 builds a network in Figure 1's ID space by sequential §6.1 joins,
+// fig1Members random IDs with the figure's node 21233 joining last, and
+// prints 21233's table in the figure's layout.
+const fig1Node, fig1Members = "21233", 16
+
+func (x *env) fig1() error {
+	p := id.Params{B: 4, D: 5}
+	rng := rand.New(rand.NewSource(x.seed))
+	self := id.MustParse(p, fig1Node)
+	members := overlay.RandomRefs(p, fig1Members-1, rng, map[id.ID]bool{self: true})
+	members = append(members, table.Ref{ID: self, Addr: "sim://" + fig1Node})
+	net := overlay.New(overlay.Config{Params: p})
+	if err := net.BuildByJoins(members, rng); err != nil {
+		return err
+	}
+	tbl, _ := net.TableOf(self)
+	fmt.Fprintf(x.out, "%d nodes joined one by one from a single seed (§6.1), node %v last\n\n%v\n", net.Size(), self, tbl)
+
+	pairs := net.Size() * (net.Size() - 1)
+	if v := net.CheckConsistency(); len(v) != 0 {
+		return fmt.Errorf("Definition 3.8 violated: %d entries, first %v", len(v), v[0])
+	}
+	if bad := netcheck.CheckAllPairsReachability(p, net.Tables()); len(bad) != 0 {
+		return fmt.Errorf("%d of %d ordered pairs unroutable, e.g. %v", len(bad), pairs, bad[0])
+	}
+	var longest []id.ID // the first of node 21233's longest routes, in join order
+	for _, m := range members {
+		if path, _ := core.Route(net, self, m.ID, p); len(path) > len(longest) {
+			longest = path
+		}
+	}
+	fmt.Fprintf(x.out, "route %v -> %v, one more suffix digit per hop: %v\n", self, longest[len(longest)-1], longest)
+	fmt.Fprintf(x.out, "Definition 3.8: satisfied; all %d ordered pairs route within d=%d hops\n", pairs, p.D)
+	return nil
+}
+
 // cset prints one C-set tree per notification suffix of the joiners W,
 // as the template C(V,W) and as realized by running the join protocol,
 // and checks conditions (1)-(3) of §3.3 on each.
@@ -380,6 +416,40 @@ func (x *env) msgsize() error {
 		fmt.Fprintf(w, "%s\t%d%s\t%d\t%d\t%v\n",
 			variant.name, wv.bytes, note, wv.bytes/msgsizeM, wv.Events, wv.Consistent() && wv.AllSNodes)
 	}
+	return w.Flush()
+}
+
+// netinit is §6.1 initialization: one seed node, then netinitJoiners
+// joiners in concurrent batches of 1, 2, 4, ..., each through a random
+// established node, with Definition 3.8 checked after every batch.
+const netinitJoiners = 255
+
+func (x *env) netinit() error {
+	p := id.Params{B: 16, D: 8}
+	rng := rand.New(rand.NewSource(x.seed))
+	refs := overlay.RandomRefs(p, netinitJoiners+1, rng, nil)
+	net := overlay.New(overlay.Config{Params: p})
+	net.AddSeed(refs[0])
+	fmt.Fprintf(x.out, "seed node %v\n\n", refs[0].ID)
+
+	w := tabwriter.NewWriter(x.out, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "concurrent joins\tnetwork size\tmessages delivered\tconsistent")
+	for lo := 1; lo < len(refs); lo *= 2 { // batch refs[lo:2lo] joins through refs[:lo]
+		hi := min(2*lo, len(refs))
+		before, now := net.Delivered(), net.Engine().Now()
+		for _, ref := range refs[lo:hi] {
+			net.ScheduleJoin(ref, refs[rng.Intn(lo)], now)
+		}
+		net.Run()
+		v := net.CheckConsistency()
+		fmt.Fprintf(w, "%d\t%d\t%d\t%v\n", hi-lo, net.Size(), net.Delivered()-before, len(v) == 0)
+		if len(v) != 0 {
+			w.Flush()
+			return fmt.Errorf("batch of %d joins left %d inconsistent entries, first %v", hi-lo, len(v), v[0])
+		}
+	}
+	fmt.Fprintf(w, "\n%d nodes from one seed by the join protocol alone: %d messages, %.1f per node\n",
+		net.Size(), net.Delivered(), float64(net.Delivered())/float64(net.Size()))
 	return w.Flush()
 }
 

@@ -7,9 +7,11 @@
 //	paper fig15b        # E2: simulated CDFs of Figure 15(b), paper scale
 //	paper table         # E3/E4: §5.2 averages vs Theorems 3, 4 and 5
 //	paper consistency   # E5: Theorems 1-3 over an ID-space grid
+//	paper fig1          # E6: Figure 1's neighbor table of node 21233, and a route
 //	paper cset          # E7: Figure 2's C-set tree, template and realization
 //	paper baseline      # E8: §1 comparison with the multicast join
 //	paper msgsize       # E9: §6.2 size reductions (-wire: encoded bytes, E16)
+//	paper netinit       # E10: §6.1 initialization from one node, batch by batch
 //	paper topo          # the transit-stub topology under E2/E3
 //	paper workload      # E11: random churn, consistency checked per operation
 //	paper churn         # E11: §7 leaves, crash recovery, table optimization
@@ -20,7 +22,7 @@
 //	paper massfail      # E17: whole stub domains crash at one instant
 //	paper restart       # E17: rolling restart from persisted dumps
 //	paper gray          # E18: slow-but-alive members, adaptive vs fixed timeouts
-//	paper all           # all seventeen; fig15b and table share one set of waves
+//	paper all           # all nineteen; fig15b and table share one set of waves
 //
 // Every simulated join wave is held to Theorems 1-3 as it runs, and
 // every scenario to its verdict (no false declaration, no stuck joiner,
@@ -57,9 +59,11 @@ var experiments = []experiment{
 	{"fig15b", "-seed -small", "E2, Figure 15(b): CDF of the number of JoinNotiMsg sent by a joining node", (*env).fig15b},
 	{"table", "-seed -small", "E3/E4, §5.2: simulated averages against Theorems 3, 4 and 5", (*env).table},
 	{"consistency", "", "E5, Theorems 1-3 over an ID-space grid", (*env).consistency},
+	{"fig1", "-seed", "E6, Figure 1: node 21233's neighbor table, built by §6.1 joins", (*env).fig1},
 	{"cset", "-seed -b -d -v -w", "E7, Figure 2: C-set tree template and realization", (*env).cset},
 	{"baseline", "", "E8, §1: the join protocol against the multicast join", (*env).baseline},
 	{"msgsize", "-seed -wire", "E9, §6.2: message-size reductions", (*env).msgsize},
+	{"netinit", "-seed", "E10, §6.1: a network initialized from one node by concurrent joins", (*env).netinit},
 	{"topo", "-seed -small", "transit-stub topology under E2/E3", (*env).topo},
 	{"workload", "-seed -quiet", "E11, random churn with Definition 3.8 checked after every operation", (*env).workload},
 	{"churn", "-seed -small -trace", "E11, §7: concurrent leaves, crash recovery by oracle, table optimization", (*env).churn},

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -35,11 +36,13 @@ var goldens = []struct {
 	{file: "fig15b-small", args: []string{"fig15b", "-small"}},
 	{file: "table-small", args: []string{"table", "-small"}},
 	{file: "consistency", args: []string{"consistency"}},
+	{file: "fig1", args: []string{"fig1"}},
 	{file: "cset", args: []string{"cset"}},
 	{file: "cset-multi", args: []string{"cset", "-w", multiW}, runs: 20},
 	{file: "baseline", args: []string{"baseline"}},
 	{file: "msgsize", args: []string{"msgsize"}},
 	{file: "msgsize-wire", args: []string{"msgsize", "-wire"}},
+	{file: "netinit", args: []string{"netinit"}},
 	{file: "topo", args: []string{"topo"}},
 	{file: "topo-small", args: []string{"topo", "-small"}},
 	{file: "workload", args: []string{"workload"}},
@@ -101,11 +104,11 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestAll pins `all` as the seventeen subcommands back to back, with
+// TestAll pins `all` as the nineteen subcommands back to back, with
 // the §5.2 waves run once for fig15b and table together.
 func TestAll(t *testing.T) {
 	t.Parallel()
-	want := golden(t, "fig15a", "fig15b-small", "table-small", "consistency", "cset", "baseline", "msgsize", "topo-small", "workload",
+	want := golden(t, "fig15a", "fig15b-small", "table-small", "consistency", "fig1", "cset", "baseline", "msgsize", "netinit", "topo-small", "workload",
 		"churn-small", "selfheal", "partition", "byzantine", "flashcrowd-small", "massfail", "restart", "gray-small")
 	got, stderr := mustRun(t, "all", "-small")
 	if got != want {
@@ -139,6 +142,36 @@ func TestCsetFigure2(t *testing.T) {
 	}
 	if !strings.Contains(out, "conditions (1), (2), (3) of §3.3: satisfied\n") {
 		t.Error("cset golden does not report the §3.3 conditions satisfied")
+	}
+}
+
+// TestFigure1 checks E6 against the paper: the golden prints node
+// 21233's table at Figure 1's b=4, d=5, every (i,j)-entry holding a node
+// whose rightmost i+1 digits are j followed by 21233's rightmost i, and
+// reports Definition 3.8 satisfied.
+func TestFigure1(t *testing.T) {
+	out := golden(t, "fig1")
+	const owner = "21233"
+	_, tbl, ok := strings.Cut(out, "Neighbor table of node "+owner+" (b=4, d=5)\n")
+	if !ok {
+		t.Fatal("fig1 golden has no b=4, d=5 table of node 21233")
+	}
+	rows := strings.Split(tbl, "\n")[:4]
+	for j, row := range rows {
+		cells, label, _ := strings.Cut(row, "|")
+		if want := fmt.Sprintf(" digit %d", j); label != want {
+			t.Fatalf("row %d labelled %q, want %q", j, label, want)
+		}
+		for c, cell := range strings.Fields(cells) {
+			level := len(owner) - 1 - c
+			node, _, filled := strings.Cut(cell, "/")
+			if want := fmt.Sprint(j) + owner[len(owner)-level:]; filled && !strings.HasSuffix(node, want) {
+				t.Errorf("(%d,%d)-entry %s does not end in %s", level, j, node, want)
+			}
+		}
+	}
+	if !strings.Contains(out, "Definition 3.8: satisfied;") {
+		t.Error("fig1 golden does not report Definition 3.8 satisfied")
 	}
 }
 
@@ -176,7 +209,7 @@ func TestExperimentsDoc(t *testing.T) {
 			}
 		}
 	}
-	if checked < 20 {
+	if checked < 23 {
 		t.Errorf("only %d blocks of EXPERIMENTS.md were checked: its sections or fences changed shape", checked)
 	}
 }
@@ -297,6 +330,8 @@ func TestUsageAndErrors(t *testing.T) {
 		{[]string{"partition", "-with-byzantine"}, 2, "does not take -with-byzantine"},
 		{[]string{"flashcrowd", "-fc-joins", "64"}, 2, "flag provided but not defined: -fc-joins"},
 		{[]string{"all", "-trace", "x.jsonl"}, 2, "does not take -trace"},
+		{[]string{"fig1", "-small"}, 2, "does not take -small"},
+		{[]string{"netinit", "-wire"}, 2, "does not take -wire"},
 		{[]string{"restart", "-trace", "/nonexistent/dir/x.jsonl"}, 1, "paper restart: obs: trace file"},
 	} {
 		var out, errb bytes.Buffer

@@ -27,6 +27,7 @@ package main
 import (
 	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,33 +47,60 @@ const usage = `usage: trace wave [-n N] [-m M] [-b B] [-d D] [-seed S] [-out pat
        trace report [-json] [-node id] [-require-joins 0.95] -scrape host:port,...
 `
 
-func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprint(os.Stderr, usage)
-		os.Exit(2)
+// errUsage is a command line already explained on stderr: exit 2.
+var errUsage = errors.New("usage")
+
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values. Exit 2 is a
+// usage error; exit 1 a wave that did not converge, an unreadable trace
+// or a missed -require-joins floor.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	fs := flag.NewFlagSet("trace "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprint(stderr, usage)
+		fs.PrintDefaults()
 	}
 	var err error
-	switch cmd, args := os.Args[1], os.Args[2:]; cmd {
+	switch args[0] {
 	case "wave":
-		err = wave(args)
+		err = wave(fs, args[1:], stdout, stderr)
 	case "report":
-		err = report(args)
+		err = report(fs, args[1:], stdin, stdout)
 	default:
-		fmt.Fprint(os.Stderr, usage)
-		os.Exit(2)
+		fmt.Fprint(stderr, usage)
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace %s: %v\n", os.Args[1], err)
-		os.Exit(1)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	}
+	fmt.Fprintf(stderr, "trace %s: %v\n", args[0], err)
+	return 1
+}
+
+// parse parses a subcommand's flags. A bad flag, which the flag package
+// has already reported, becomes errUsage.
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
 }
 
 // wave runs a simulated join wave (N established nodes, M joining
 // concurrently) with the event sink attached and writes the trace as
 // JSONL. With -out - the trace goes to stdout and the summary to stderr,
 // so it pipes into report.
-func wave(args []string) error {
-	fs := flag.NewFlagSet("trace wave", flag.ExitOnError)
+func wave(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	var (
 		n    = fs.Int("n", 256, "size of the initial consistent network")
 		m    = fs.Int("m", 192, "number of concurrently joining nodes")
@@ -81,17 +109,23 @@ func wave(args []string) error {
 		seed = fs.Int64("seed", 1, "PRNG seed (IDs, bootstraps, latencies)")
 		out  = fs.String("out", "wave.jsonl", "trace output path; - for stdout")
 	)
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "trace wave: unexpected argument %q\n", fs.Arg(0))
+		return errUsage
+	}
 	p := id.Params{B: *b, D: *d}
 	if err := p.Validate(); err != nil {
 		return err
 	}
 
 	var sink *obs.JSONL
-	summary := os.Stdout
+	summary := stdout
 	if *out == "-" {
-		sink = obs.NewJSONL(os.Stdout)
-		summary = os.Stderr
+		sink = obs.NewJSONL(stdout)
+		summary = stderr
 	} else {
 		var err error
 		sink, err = obs.NewJSONLFile(*out)
@@ -123,17 +157,14 @@ func wave(args []string) error {
 	return nil
 }
 
-func report(args []string) error {
-	fs := flag.NewFlagSet("trace report", flag.ExitOnError)
+func report(fs *flag.FlagSet, args []string, stdin io.Reader, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
 	node := fs.String("node", "", "analyze only events emitted by this node ID")
 	scrape := fs.String("scrape", "", "comma-separated admin endpoints to scrape live (/trace + /metrics) instead of reading files")
 	requireJoins := fs.Float64("require-joins", 0, "exit nonzero unless at least this fraction of joins reconstructs end to end (0 disables)")
-	fs.Usage = func() {
-		fmt.Fprint(fs.Output(), usage)
-		fs.PrintDefaults()
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	fs.Parse(args)
 
 	a := obs.NewAnalyzer(*node)
 	var metrics map[string]float64
@@ -147,10 +178,10 @@ func report(args []string) error {
 		}
 	case fs.NArg() == 0:
 		fs.Usage()
-		os.Exit(2)
+		return errUsage
 	default:
 		for _, path := range fs.Args() {
-			if err := feedFile(a, path); err != nil {
+			if err := feedFile(a, path, stdin); err != nil {
 				return err
 			}
 		}
@@ -159,13 +190,13 @@ func report(args []string) error {
 	rep := a.Report()
 	rep.FleetMetrics = metrics
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			return err
 		}
 	} else {
-		printReport(os.Stdout, rep)
+		printReport(stdout, rep)
 	}
 	if *requireJoins > 0 {
 		return rep.RequireJoins(*requireJoins)
@@ -175,16 +206,17 @@ func report(args []string) error {
 
 // feedFile streams one JSONL trace ("-" is stdin) into the analyzer and
 // closes it before the next one opens.
-func feedFile(a *obs.Analyzer, path string) error {
-	f := os.Stdin
+func feedFile(a *obs.Analyzer, path string, stdin io.Reader) error {
+	r := stdin
 	if path != "-" {
-		var err error
-		if f, err = os.Open(path); err != nil {
+		f, err := os.Open(path)
+		if err != nil {
 			return err
 		}
 		defer f.Close()
+		r = f
 	}
-	if err := obs.ScanJSONL(f, a.Feed); err != nil {
+	if err := obs.ScanJSONL(r, a.Feed); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil

@@ -1,0 +1,79 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"strings"
+	"testing"
+)
+
+// waveArgs is the pinned pipeline: a 16-node wave with 12 joiners whose
+// trace goes to stdout and summary to stderr, so report can read it.
+// Refresh testdata/ after an intended change of output with
+//
+//	go run ./cmd/trace wave -n 16 -m 12 -out - 2>cmd/trace/testdata/wave.golden | go run ./cmd/trace report - >cmd/trace/testdata/report.golden
+var waveArgs = []string{"wave", "-n", "16", "-m", "12", "-out", "-"}
+
+// runWave runs the pinned wave and returns its trace and summary.
+func runWave(t *testing.T) (trace, summary *bytes.Buffer) {
+	t.Helper()
+	trace, summary = new(bytes.Buffer), new(bytes.Buffer)
+	if code := run(waveArgs, nil, trace, summary); code != 0 {
+		t.Fatalf("trace %v: exit %d\n%s", waveArgs, code, summary)
+	}
+	return trace, summary
+}
+
+func golden(t *testing.T, file, got string) {
+	t.Helper()
+	want, err := os.ReadFile("testdata/" + file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from testdata/%s; got:\n%s", file, got)
+	}
+}
+
+// TestWaveReportGolden is `trace wave ... -out - | trace report -` in
+// process: the wave must converge and every line of its trace parse,
+// and both the wave's summary and the report are pinned byte for byte.
+func TestWaveReportGolden(t *testing.T) {
+	trace, summary := runWave(t)
+	golden(t, "wave.golden", summary.String())
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"report", "-"}, trace, &out, &errb); code != 0 {
+		t.Fatalf("trace report -: exit %d\n%s", code, errb.String())
+	}
+	golden(t, "report.golden", out.String())
+}
+
+func TestUsageAndErrors(t *testing.T) {
+	trace, _ := runWave(t)
+	for _, c := range []struct {
+		args   []string
+		stdin  []byte
+		code   int
+		stderr string
+	}{
+		{nil, nil, 2, "usage: trace wave"},
+		{[]string{"replay"}, nil, 2, "usage: trace wave"},
+		{[]string{"wave", "64"}, nil, 2, `trace wave: unexpected argument "64"`},
+		{[]string{"wave", "-size", "64"}, nil, 2, "flag provided but not defined: -size"},
+		{[]string{"report"}, nil, 2, "usage: trace wave"},
+		{[]string{"report", "-scrape", "127.0.0.1:1", "x.jsonl"}, nil, 1, "mutually exclusive"},
+		{[]string{"report", "/nonexistent/x.jsonl"}, nil, 1, "trace report: open /nonexistent/x.jsonl"},
+		{[]string{"report", "-"}, []byte("not json\n"), 1, "trace report: -: "},
+		{[]string{"report", "-require-joins", "0.95", "-"}, trace.Bytes(), 1, "no join traces found"},
+	} {
+		var out, errb bytes.Buffer
+		code := run(c.args, bytes.NewReader(c.stdin), &out, &errb)
+		if code != c.code || !strings.Contains(errb.String(), c.stderr) {
+			t.Errorf("trace %v: exit %d, stderr %q; want exit %d mentioning %q", c.args, code, errb.String(), c.code, c.stderr)
+		}
+		if c.code == 2 && out.Len() != 0 {
+			t.Errorf("trace %v: usage error wrote to stdout: %q", c.args, out.String())
+		}
+	}
+}

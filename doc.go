@@ -8,7 +8,7 @@
 // The implementation lives under internal/ (see DESIGN.md for the map);
 // runnable tools are under cmd/ — cmd/paper regenerates every table and
 // figure of the paper's evaluation and every scenario of this
-// repository's evaluation of the paper's §7 (EXPERIMENTS.md E1–E18) —
-// and worked examples under examples/. This root package holds only the benchmarks EXPERIMENTS.md
-// cites that cmd/paper does not run (bench_test.go).
+// repository's evaluation of the paper's §7 (EXPERIMENTS.md E1–E18).
+// This root package holds only the benchmarks EXPERIMENTS.md cites that
+// cmd/paper does not run (bench_test.go).
 package hypercube

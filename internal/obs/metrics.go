@@ -14,15 +14,14 @@ import (
 	"sync/atomic"
 )
 
-// Registry is a dependency-free metrics registry: counters, gauges, and
-// fixed-bucket histograms, exported in the Prometheus text exposition
-// format, plus scrape-time renderers (Collect) for series derived from
-// state kept elsewhere. All instruments are safe for concurrent use
-// (lock-free atomics on the update path); registration takes a lock and
-// should happen at startup. Registering the same name twice returns the
-// existing instrument, so packages can share a registry without
-// coordination — but the kinds must match, which panics otherwise (a
-// programming error, like a duplicate expvar).
+// Registry is a dependency-free metrics registry: labeled counter
+// families and fixed-bucket histograms, exported in the Prometheus text
+// exposition format, plus scrape-time renderers (Collect) for series
+// derived from state kept elsewhere. All instruments are safe for
+// concurrent use (atomics on the update path); registration takes a lock
+// and should happen at startup. Registering the same name twice returns
+// the existing instrument, but the kinds must match, which panics
+// otherwise (a programming error, like a duplicate expvar).
 type Registry struct {
 	mu    sync.Mutex
 	named map[string]any
@@ -33,7 +32,7 @@ type Registry struct {
 
 type metricEntry struct {
 	name, help string
-	kind       string // "counter", "gauge", "histogram"
+	kind       string // "counter" or "histogram"
 	collect    func(w io.Writer, name string)
 }
 
@@ -58,7 +57,8 @@ func (r *Registry) register(name, help, kind string, m any, collect func(io.Writ
 	return m
 }
 
-// Counter is a monotonically increasing count.
+// Counter is a monotonically increasing count: one member of a
+// CounterVec.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -66,23 +66,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be >= 0; negative deltas are ignored).
-func (c *Counter) Add(n int) {
-	if n > 0 {
-		c.v.Add(uint64(n))
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Counter registers (or fetches) the named counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	return r.register(name, help, "counter", c, func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, c.Value())
-	}).(*Counter)
-}
 
 // CounterVec is a family of counters split by one label.
 type CounterVec struct {
@@ -126,25 +111,6 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 		}
 		v.mu.RUnlock()
 	}).(*CounterVec)
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Gauge registers (or fetches) the named gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	return r.register(name, help, "gauge", g, func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %s\n", n, formatFloat(g.Value()))
-	}).(*Gauge)
 }
 
 // Collect adds a scrape-time renderer: every WritePrometheus calls fn

@@ -112,13 +112,10 @@ func TestClockedStamps(t *testing.T) {
 
 func TestRegistryPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_total", "a counter")
-	c.Add(3)
 	v := reg.CounterVec("test_by_type_total", "a vec", "type")
 	v.With("b").Inc()
-	v.With("a").Add(2)
-	g := reg.Gauge("test_depth", "a gauge")
-	g.Set(1.5)
+	v.With("a").Inc()
+	v.With("a").Inc()
 	reg.Collect(func(w io.Writer) {
 		WriteStruct(w, "test", struct {
 			UptimeSeconds float64 `metric:"gauge"`
@@ -145,14 +142,13 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	}
 	body := buf.String()
 	for _, want := range []string{
-		"# HELP test_total a counter",
-		"# TYPE test_total counter",
-		"test_total 3",
+		"# HELP test_by_type_total a vec",
+		"# TYPE test_by_type_total counter",
 		"test_by_type_total{type=\"a\"} 2",
 		"test_by_type_total{type=\"b\"} 1",
-		"# TYPE test_depth gauge",
-		"test_depth 1.5",
+		"# TYPE test_uptime_seconds gauge",
 		"test_uptime_seconds 42",
+		"# HELP test_latency_seconds a histogram",
 		"# TYPE test_latency_seconds histogram",
 		"test_latency_seconds_bucket{le=\"0.1\"} 1",
 		"test_latency_seconds_bucket{le=\"1\"} 2",
@@ -217,15 +213,25 @@ hc_inbound_decode_errors_total 0
 
 func TestRegistryReregisterReturnsSame(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("dup_total", "x")
-	b := reg.Counter("dup_total", "x")
+	a := reg.CounterVec("dup_total", "x", "kind")
+	b := reg.CounterVec("dup_total", "x", "kind")
 	if a != b {
-		t.Fatal("re-registering the same counter must return the original")
+		t.Fatal("re-registering the same counter family must return the original")
 	}
-	a.Inc()
-	if b.Value() != 1 {
+	a.With("join").Inc()
+	if b.With("join").Value() != 1 {
 		t.Fatal("aliases out of sync")
 	}
+	h := reg.Histogram("dup_seconds", "x", LatencyBuckets())
+	if reg.Histogram("dup_seconds", "x", LatencyBuckets()) != h {
+		t.Fatal("re-registering the same histogram must return the original")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-registering a counter family's name as a histogram did not panic")
+		}
+	}()
+	reg.Histogram("dup_total", "x", LatencyBuckets())
 }
 
 // TestRegistryConcurrent hammers every instrument kind from concurrent
@@ -233,9 +239,7 @@ func TestRegistryReregisterReturnsSame(t *testing.T) {
 // is the registry's data-race proof.
 func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("conc_total", "")
 	v := reg.CounterVec("conc_by_type_total", "", "type")
-	g := reg.Gauge("conc_gauge", "")
 	h := reg.Histogram("conc_hist", "", LatencyBuckets())
 
 	const workers = 8
@@ -247,9 +251,8 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			label := fmt.Sprintf("t%d", w%3)
 			for i := 0; i < iters; i++ {
-				c.Inc()
 				v.With(label).Inc()
-				g.Set(float64(i))
+				v.With("all").Inc()
 				h.Observe(float64(i) * 0.001)
 			}
 		}(w)
@@ -264,7 +267,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := c.Value(); got != workers*iters {
+	if got := v.With("all").Value(); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
 	if got := h.Count(); got != workers*iters {

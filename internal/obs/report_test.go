@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -335,11 +336,16 @@ func TestFoldPrometheusRoundTrip(t *testing.T) {
 	into := make(map[string]float64)
 	for node := 1; node <= 2; node++ {
 		r := NewRegistry()
-		r.Counter("joins_total", "joins").Add(node)
-		r.Gauge("queue_depth", "depth").Set(1.5)
+		r.Collect(func(w io.Writer) {
+			WriteStruct(w, "hc", struct {
+				Joins      int
+				QueueDepth float64 `metric:"gauge"`
+			}{node, 1.5})
+		})
 		v := r.CounterVec("sent_total", "sends by type", "type")
-		v.With("CpRstMsg").Add(3)
-		v.With("JoinNotiMsg").Add(4)
+		for _, typ := range []string{"CpRstMsg", "CpRstMsg", "JoinNotiMsg"} {
+			v.With(typ).Inc()
+		}
 		h := r.Histogram("join_seconds", "latency", []float64{0.1, 1})
 		h.Observe(0.05)
 		h.Observe(0.5)
@@ -350,9 +356,9 @@ func TestFoldPrometheusRoundTrip(t *testing.T) {
 		}
 	}
 	want := map[string]float64{
-		"joins_total":        3,   // 1 + 2
-		"queue_depth":        3,   // gauges sum too
-		"sent_total":         14,  // both labels, both nodes, under the bare name
+		"hc_joins_total":     3,   // 1 + 2
+		"hc_queue_depth":     3,   // gauges sum too
+		"sent_total":         6,   // both labels, both nodes, under the bare name
 		"join_seconds_sum":   1.1, // _bucket lines skipped, _sum/_count kept
 		"join_seconds_count": 4,
 	}

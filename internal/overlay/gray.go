@@ -1,14 +1,12 @@
 package overlay
 
-// Gray-failure fault injection: slow nodes (per-node processing delay
-// with a ramp) and asymmetric link latency. Unlike the crash and
+// Gray-failure fault injection: slow nodes, a per-node processing delay
+// with a ramp, which E18 (`paper gray`) arms. Unlike the crash and
 // byzantine models, a gray node runs the correct protocol and answers
 // every message — just late. A fixed-timeout failure detector cannot
 // tell this from a crash; the adaptive (RTT-estimating) detector must.
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"time"
 
@@ -67,15 +65,6 @@ func (n *Network) UnmarkSlow(ids ...id.ID) {
 	}
 }
 
-// SlowIDs returns the currently slow members, unsorted.
-func (n *Network) SlowIDs() []id.ID {
-	out := make([]id.ID, 0, len(n.slow))
-	for x := range n.slow {
-		out = append(out, x)
-	}
-	return out
-}
-
 // SelectSlow deterministically draws Fraction of the candidates
 // (rounded down, minimum 1 when Fraction > 0), marks them slow, and
 // returns their IDs. The draw depends only on SlowNodes.Seed and the
@@ -118,39 +107,6 @@ func (n *Network) slowDelay(x id.ID, now time.Duration) time.Duration {
 // SlowDelayed returns how many message transmissions were delayed by
 // the slow-node model so far.
 func (n *Network) SlowDelayed() uint64 { return n.slowDelayed }
-
-// AsymmetricLatency wraps a LatencyFunc with directional skew: a
-// hash-chosen fraction of node pairs have one direction's latency
-// multiplied by factor while the reverse stays at base — the
-// "asymmetric link" gray failure, where A hears B promptly but B's
-// replies to A crawl. The skewed direction is chosen per pair from the
-// seed, so the wrapper is deterministic and the skew survives replays.
-func AsymmetricLatency(base LatencyFunc, fraction, factor float64, seed int64) LatencyFunc {
-	if factor < 1 {
-		panic(fmt.Sprintf("overlay: asymmetric factor %v < 1", factor))
-	}
-	return func(from, to table.Ref) time.Duration {
-		d := base(from, to)
-		a, b := from.ID.String(), to.ID.String()
-		flip := false
-		if b < a {
-			a, b = b, a
-			flip = true
-		}
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%s|%s", seed, a, b)
-		sum := h.Sum64()
-		// Low 52 bits select the pair; bit 52 picks the slow direction.
-		if float64(sum&((1<<52)-1))/float64(uint64(1)<<52) >= fraction {
-			return d
-		}
-		lowToHigh := sum&(1<<52) == 0
-		if lowToHigh != flip {
-			return time.Duration(float64(d) * factor)
-		}
-		return d
-	}
-}
 
 // RTT returns node x's estimator, if Config.RTT attached one.
 func (n *Network) RTT(x id.ID) (*rtt.Estimator, bool) {

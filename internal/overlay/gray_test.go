@@ -91,43 +91,6 @@ func TestSelectSlowDeterministic(t *testing.T) {
 	}
 }
 
-// TestAsymmetricLatencySkew: the wrapper is deterministic, skews
-// exactly one direction of a selected pair, and leaves unselected
-// pairs (fraction 0) untouched.
-func TestAsymmetricLatencySkew(t *testing.T) {
-	p := id.Params{B: 4, D: 4}
-	rng := rand.New(rand.NewSource(11))
-	refs := RandomRefs(p, 12, rng, nil)
-	base := ConstantLatency(10 * time.Millisecond)
-
-	identity := AsymmetricLatency(base, 0, 10, 5)
-	all := AsymmetricLatency(base, 1, 10, 5)
-	skewedPairs := 0
-	for i := range refs {
-		for j := i + 1; j < len(refs); j++ {
-			a, b := refs[i], refs[j]
-			if identity(a, b) != 10*time.Millisecond || identity(b, a) != 10*time.Millisecond {
-				t.Fatalf("fraction 0 altered latency for %v<->%v", a.ID, b.ID)
-			}
-			ab, ba := all(a, b), all(b, a)
-			if ab != all(a, b) || ba != all(b, a) {
-				t.Fatalf("wrapper not deterministic for %v<->%v", a.ID, b.ID)
-			}
-			slow, fast := ab, ba
-			if fast > slow {
-				slow, fast = fast, slow
-			}
-			if fast != 10*time.Millisecond || slow != 100*time.Millisecond {
-				t.Fatalf("pair %v<->%v: latencies %v/%v, want one 10ms and one 100ms", a.ID, b.ID, ab, ba)
-			}
-			skewedPairs++
-		}
-	}
-	if skewedPairs == 0 {
-		t.Fatal("no pairs checked")
-	}
-}
-
 // TestSlowDelayRamp: the injected delay grows linearly from the mark
 // time and recovery restores full speed.
 func TestSlowDelayRamp(t *testing.T) {

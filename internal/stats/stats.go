@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: empirical CDFs (Figure 15(b) is a CDF plot), histograms,
-// and summary statistics.
+// harness needs: empirical CDFs (Figure 15(b) is a CDF plot), summary
+// statistics, and series formatting.
 package stats
 
 import (
@@ -157,52 +157,6 @@ func FormatTable(series []Series, xName string) string {
 			}
 		}
 		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Histogram counts integer samples into unit-width bins.
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram builds a histogram from samples.
-func NewHistogram(samples []int) *Histogram {
-	h := &Histogram{counts: make(map[int]int)}
-	for _, v := range samples {
-		h.counts[v]++
-		h.total++
-	}
-	return h
-}
-
-// Count returns the number of samples equal to x.
-func (h *Histogram) Count(x int) int { return h.counts[x] }
-
-// Total returns the sample size.
-func (h *Histogram) Total() int { return h.total }
-
-// String renders the histogram with proportional bars.
-func (h *Histogram) String() string {
-	if h.total == 0 {
-		return "(empty)\n"
-	}
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	maxCount := 0
-	for _, k := range keys {
-		if h.counts[k] > maxCount {
-			maxCount = h.counts[k]
-		}
-	}
-	var sb strings.Builder
-	for _, k := range keys {
-		bar := int(math.Round(40 * float64(h.counts[k]) / float64(maxCount)))
-		fmt.Fprintf(&sb, "%6d | %-40s %d\n", k, strings.Repeat("#", bar), h.counts[k])
 	}
 	return sb.String()
 }

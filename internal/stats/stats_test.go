@@ -148,17 +148,3 @@ func TestFormatTable(t *testing.T) {
 		t.Error("empty series renders non-empty")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]int{3, 3, 3, 7})
-	if h.Total() != 4 || h.Count(3) != 3 || h.Count(7) != 1 || h.Count(5) != 0 {
-		t.Errorf("histogram counts wrong")
-	}
-	s := h.String()
-	if !strings.Contains(s, "3") || !strings.Contains(s, "#") {
-		t.Errorf("render: %q", s)
-	}
-	if got := NewHistogram(nil).String(); got != "(empty)\n" {
-		t.Errorf("empty render: %q", got)
-	}
-}

@@ -156,7 +156,7 @@ func (c Config) withDefaults() Config {
 
 // Option adjusts a node's Config at start time. Every field can be set
 // through WithConfig; the other options are shorthands for the ones
-// commands and examples set on their own.
+// commands and tests set on their own.
 type Option func(*Config)
 
 // WithConfig replaces the whole configuration.
