@@ -21,13 +21,11 @@
 // events into the log stream, and the admin server serves
 // net/http/pprof under /debug/pprof/.
 //
-// Hostile-input hardening is on by default: inbound frames are bounded
-// (-max-frame), malformed frames are budgeted per connection
-// (-decode-budget), inbound envelopes are rate-limited (-inbound-rate,
-// -inbound-burst), and a per-peer misbehavior scorer quarantines repeat
-// offenders (-guard-threshold, -guard-decay, -guard-cooldown; disable
-// scoring with -no-guard). Guard counters appear on /status and
-// /metrics.
+// The protocol stack is fixed: the guard's misbehavior scorer, the
+// failure detector, anti-entropy and peer sampling, each at its package
+// defaults, with a 2 s exchange timeout — the stack the repository's
+// benchmark and tests run. Only deployment and observability are flags;
+// any other flag, or a positional argument, is a usage error (exit 2).
 package main
 
 import (
@@ -35,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -51,95 +50,74 @@ import (
 	"hypercube/internal/liveness"
 	"hypercube/internal/obs"
 	"hypercube/internal/persist"
-	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
 	"hypercube/internal/table"
 	"hypercube/internal/transport/tcptransport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		slog.Error("hypercubed failed", "err", err)
-		os.Exit(1)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// flags is the daemon's command line: where it listens, who it is, whom
+// it joins through, and what it records.
+type flags struct {
+	listen, admin, name, id, join, dump string
+	b, d                                int
+	timeout                             time.Duration
+	logLevel, trace                     string
+	traceRing                           int
+	traceSample                         float64
 }
 
-func run() error {
-	var (
-		listen  = flag.String("listen", "127.0.0.1:0", "protocol listen address")
-		admin   = flag.String("admin", "", "HTTP admin listen address (empty = disabled)")
-		name    = flag.String("name", "", "node name, hashed into the ID space (default: the listen address)")
-		idStr   = flag.String("id", "", "explicit node ID (overrides -name)")
-		b       = flag.Int("b", 16, "digit base")
-		d       = flag.Int("d", 8, "digits per ID")
-		join    = flag.String("join", "", "bootstrap as id@host:port; empty starts a new network (seed)")
-		dump    = flag.String("dump", "", "write the neighbor table to this file on exit")
-		timeout = flag.Duration("timeout", time.Minute, "join/leave completion timeout")
+// run is main with its arguments, log stream and exit status as values.
+// Exit 2 is a usage error; exit 1 a failure to start, join or leave.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hypercubed", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var f flags
+	fs.StringVar(&f.listen, "listen", "127.0.0.1:0", "protocol listen address")
+	fs.StringVar(&f.admin, "admin", "", "HTTP admin listen address (empty = disabled)")
+	fs.StringVar(&f.name, "name", "", "node name, hashed into the ID space (default: the listen address)")
+	fs.StringVar(&f.id, "id", "", "explicit node ID (overrides -name)")
+	fs.IntVar(&f.b, "b", 16, "digit base")
+	fs.IntVar(&f.d, "d", 8, "digits per ID")
+	fs.StringVar(&f.join, "join", "", "bootstrap as id@host:port; empty starts a new network (seed)")
+	fs.StringVar(&f.dump, "dump", "", "write the neighbor table to this file on exit")
+	fs.DurationVar(&f.timeout, "timeout", time.Minute, "join/leave completion timeout")
+	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, error (debug mirrors protocol events)")
+	fs.StringVar(&f.trace, "trace", "", "write protocol events as JSONL to this file")
+	fs.IntVar(&f.traceRing, "trace-ring", 0, "keep the newest N events in memory behind GET /trace (0 = off)")
+	fs.Float64Var(&f.traceSample, "trace-sample", 0, "causal-trace head-sampling `rate` in [0,1]; sampled operations carry trace context on the wire (reconstruct fleet-wide with trace report; 0 = off, node stays a v1 opaque hop)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "hypercubed: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if err := serve(f, stderr); err != nil {
+		fmt.Fprintf(stderr, "hypercubed: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
-		// Observability knobs.
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error (debug mirrors protocol events)")
-		tracePath   = flag.String("trace", "", "write protocol events as JSONL to this file")
-		traceRing   = flag.Int("trace-ring", 0, "keep the newest N events in memory behind GET /trace (0 = off)")
-		traceSample = flag.Float64("trace-sample", 0, "causal-trace head-sampling rate in [0,1]; sampled operations carry trace context on the wire (reconstruct fleet-wide with `trace report`; 0 = off, node stays a v1 opaque hop)")
-
-		// Reliable-delivery knobs (0 keeps the transport default).
-		attempts = flag.Int("max-attempts", 0, "delivery attempts per message before dead-lettering")
-		backoff  = flag.Duration("backoff", 0, "base retry backoff (doubles per retry)")
-		maxBack  = flag.Duration("max-backoff", 0, "retry backoff cap")
-		queue    = flag.Int("queue-limit", 0, "per-peer outbound queue bound")
-
-		// Hostile-input hardening knobs (0 keeps the transport default).
-		flushDelay = flag.Duration("flush-delay", 0, "how long a peer's writer lingers to coalesce envelopes into one frame (0 = flush immediately)")
-
-		maxFrame     = flag.Int("max-frame", 0, "largest accepted inbound wire frame in bytes")
-		decodeBudget = flag.Int("decode-budget", 0, "malformed frames tolerated per connection before disconnect")
-		inRate       = flag.Float64("inbound-rate", 0, "per-connection inbound envelopes per second")
-		inBurst      = flag.Int("inbound-burst", 0, "token-bucket depth for -inbound-rate")
-		readIdle     = flag.Duration("read-idle-timeout", 0, "idle inbound connection deadline")
-		writeTimeout = flag.Duration("write-timeout", 0, "outbound frame write deadline")
-
-		// Misbehavior-scorer knobs (0 keeps the guard default).
-		noGuard       = flag.Bool("no-guard", false, "disable the per-peer misbehavior scorer (validation stays on)")
-		guardScore    = flag.Float64("guard-threshold", 0, "misbehavior score that quarantines a peer")
-		guardDecay    = flag.Duration("guard-decay", 0, "time for one unit of misbehavior score to drain")
-		guardCooldown = flag.Duration("guard-cooldown", 0, "how long a quarantined peer's traffic is dropped")
-
-		// Failure-detection knobs (0 keeps the liveness default).
-		noLive       = flag.Bool("no-liveness", false, "disable failure detection and self-healing")
-		probeEvery   = flag.Duration("probe-interval", 0, "gap between routine liveness probes")
-		probeTimeout = flag.Duration("probe-timeout", 0, "unanswered-probe deadline")
-		suspectAfter = flag.Int("suspect-after", 0, "consecutive misses before a peer is suspected")
-		indirect     = flag.Int("indirect-probes", 0, "relayed probes per confirmation round (0 keeps the default of 3, negative turns them off)")
-		retryAfter   = flag.Duration("retry-after", 2*time.Second, "join-protocol request timeout (0 disables)")
-
-		// Adaptive-timeout knobs (gray-failure tolerance).
-		adaptive = flag.Bool("adaptive-timeouts", false, "derive per-peer probe deadlines and retransmission timers from a live RTT estimator instead of the fixed -probe-timeout / -retry-after; flags persistently slow peers degraded")
-		minRTO   = flag.Duration("min-rto", 0, "adaptive retransmission-timeout floor (0 keeps the estimator default)")
-		maxRTO   = flag.Duration("max-rto", 0, "adaptive retransmission-timeout ceiling (0 keeps the estimator default)")
-
-		// Anti-entropy knobs (0 keeps the antientropy default).
-		noSync    = flag.Bool("no-sync", false, "disable anti-entropy table audit and repair")
-		syncEvery = flag.Duration("sync-interval", 0, "gap between anti-entropy rounds")
-
-		// Peer-sampling knobs (0 keeps the sampling default).
-		noSample    = flag.Bool("no-sampling", false, "disable the gossip peer-sampling layer")
-		sampleEvery = flag.Duration("sample-interval", 0, "gap between peer-sampling rounds")
-		viewSize    = flag.Int("view-size", 0, "peer-sampling view bound")
-		sampleSeed  = flag.Int64("sample-seed", 0, "peer-sampling determinism seed (mixed with the node ID)")
-	)
-	flag.Parse()
-	p := id.Params{B: *b, D: *d}
+// serve runs the node until SIGINT or SIGTERM, then leaves gracefully.
+func serve(f flags, stderr io.Writer) error {
+	p := id.Params{B: f.b, D: f.d}
 	if err := p.Validate(); err != nil {
 		return err
 	}
 
 	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+	if err := level.UnmarshalText([]byte(f.logLevel)); err != nil {
 		return fmt.Errorf("-log-level: %w", err)
 	}
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
-	nodeID, err := resolveID(p, *idStr, *name, *listen)
+	nodeID, err := resolveID(p, f.id, f.name, f.listen)
 	if err != nil {
 		return err
 	}
@@ -149,8 +127,8 @@ func run() error {
 	// Sink: JSONL trace file and/or debug-level log mirror of every event.
 	var sinks []obs.Sink
 	var traceFile *obs.JSONL
-	if *tracePath != "" {
-		traceFile, err = obs.NewJSONLFile(*tracePath)
+	if f.trace != "" {
+		traceFile, err = obs.NewJSONLFile(f.trace)
 		if err != nil {
 			return err
 		}
@@ -158,7 +136,7 @@ func run() error {
 			if err := traceFile.Close(); err != nil {
 				log.Error("trace file", "err", err)
 			} else {
-				log.Info("trace written", "path", *tracePath, "events", traceFile.Emitted())
+				log.Info("trace written", "path", f.trace, "events", traceFile.Emitted())
 			}
 		}()
 		sinks = append(sinks, traceFile)
@@ -167,62 +145,20 @@ func run() error {
 		sinks = append(sinks, obs.NewSlogSink(log))
 	}
 
-	options := []tcptransport.Option{tcptransport.WithConfig(tcptransport.Config{
-		FlushDelay:        *flushDelay,
-		MaxAttempts:       *attempts,
-		BaseBackoff:       *backoff,
-		MaxBackoff:        *maxBack,
-		QueueLimit:        *queue,
-		MaxFrameBytes:     *maxFrame,
-		DecodeErrorBudget: *decodeBudget,
-		InboundRate:       *inRate,
-		InboundBurst:      *inBurst,
-		ReadIdleTimeout:   *readIdle,
-		WriteTimeout:      *writeTimeout,
-		Sink:              obs.Tee(sinks...),
-		TraceRing:         *traceRing,
-		TraceSample:       *traceSample,
-	})}
-	opts := core.Options{}
-	if !*noGuard {
-		opts.Guard = &guard.Policy{
-			Threshold: *guardScore,
-			Decay:     *guardDecay,
-			Cooldown:  *guardCooldown,
-		}
-	}
-	if !*noLive {
-		options = append(options, tcptransport.WithLiveness(liveness.Config{
-			ProbeInterval:  *probeEvery,
-			ProbeTimeout:   *probeTimeout,
-			SuspectAfter:   *suspectAfter,
-			IndirectProbes: *indirect,
-		}))
-		opts.Timeouts = core.Timeouts{RetryAfter: *retryAfter}
-	}
-	if *adaptive {
-		options = append(options, tcptransport.WithRTT(rtt.Config{
-			MinRTO: *minRTO,
-			MaxRTO: *maxRTO,
-		}))
-	}
-	if !*noSync {
-		options = append(options, tcptransport.WithAntiEntropy(antientropy.Config{
-			Interval: *syncEvery,
-		}))
-	}
-	if !*noSample {
-		options = append(options, tcptransport.WithSampling(sampling.Config{
-			ViewSize: *viewSize,
-			Interval: *sampleEvery,
-			Seed:     *sampleSeed,
-		}))
-	}
+	stack := tcptransport.WithConfig(tcptransport.Config{
+		Liveness:    &liveness.Config{},
+		AntiEntropy: &antientropy.Config{},
+		Sampling:    &sampling.Config{},
+		Sink:        obs.Tee(sinks...),
+		TraceRing:   f.traceRing,
+		TraceSample: f.traceSample,
+	})
+	opts := core.Options{Guard: &guard.Policy{}, Timeouts: core.Timeouts{RetryAfter: 2 * time.Second}}
 	var node *tcptransport.Node
-	if *join == "" {
-		node, err = tcptransport.StartSeed(p, opts, nodeID, *listen, options...)
+	if f.join == "" {
+		node, err = tcptransport.StartSeed(p, opts, nodeID, f.listen, stack)
 	} else {
-		node, err = tcptransport.StartJoiner(p, opts, nodeID, *listen, options...)
+		node, err = tcptransport.StartJoiner(p, opts, nodeID, f.listen, stack)
 	}
 	if err != nil {
 		return err
@@ -230,7 +166,7 @@ func run() error {
 	defer node.Close()
 	log.Info("node listening", "addr", node.Ref().Addr)
 
-	if *admin != "" {
+	if f.admin != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", node.AdminHandler())
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -238,19 +174,19 @@ func run() error {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		srv := &http.Server{Addr: *admin, Handler: mux}
+		srv := &http.Server{Addr: f.admin, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Error("admin server", "err", err)
 			}
 		}()
 		defer srv.Close()
-		log.Info("admin endpoint up", "url", "http://"+*admin,
+		log.Info("admin endpoint up", "url", "http://"+f.admin,
 			"paths", "/status /table /metrics /trace /join /leave /debug/pprof/")
 	}
 
-	if *join != "" {
-		boot, err := parseBootstrap(p, *join)
+	if f.join != "" {
+		boot, err := parseBootstrap(p, f.join)
 		if err != nil {
 			return err
 		}
@@ -258,7 +194,7 @@ func run() error {
 		if err := node.Join(boot); err != nil {
 			return err
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
 		err = node.AwaitStatus(ctx, core.StatusInSystem)
 		cancel()
 		if err != nil {
@@ -277,7 +213,7 @@ func run() error {
 		if err := node.Leave(); err != nil {
 			log.Error("leave", "err", err)
 		} else {
-			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
 			if err := node.AwaitStatus(ctx, core.StatusLeft); err != nil {
 				log.Error("departure not acknowledged", "err", err)
 			} else {
@@ -286,14 +222,14 @@ func run() error {
 			cancel()
 		}
 	}
-	if *dump != "" {
+	if f.dump != "" {
 		// Persist the sampler's long-term sample alongside the table: on
 		// restart it is the rejoin bootstrap of last resort when every
 		// table neighbor has moved on.
-		if err := persist.SaveFileState(*dump, node.Snapshot(), node.SampledPeers(32)); err != nil {
+		if err := persist.SaveFileState(f.dump, node.Snapshot(), node.SampledPeers(32)); err != nil {
 			return err
 		}
-		log.Info("table written", "path", *dump)
+		log.Info("table written", "path", f.dump)
 	}
 	return nil
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,10 +18,11 @@ import (
 )
 
 // TestDaemonSeedAndJoiner drives the real binary end to end on
-// loopback: a seed and a joiner as two processes, the joiner watched
-// through its admin endpoint until it is in_system and its failure
-// detector has probed, then SIGINT — which must run the graceful leave,
-// write a loadable -dump and exit 0.
+// loopback, with no flag beyond deployment ones: a seed and a joiner as
+// two processes, the joiner watched through its admin endpoint until it
+// is in_system, reports the fixed stack's parts and its failure detector
+// has probed, then SIGINT — which must run the graceful leave, write a
+// loadable -dump and exit 0.
 func TestDaemonSeedAndJoiner(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "hypercubed")
@@ -72,8 +75,23 @@ func TestDaemonSeedAndJoiner(t *testing.T) {
 
 	dump := filepath.Join(dir, "joiner.json")
 	joiner, joinerLog := start("joiner", "-listen", "127.0.0.1:0", "-admin", joinerAdmin, "-id", "22222222",
-		"-join", "11111111@"+status.Addr, "-probe-interval", "20ms", "-dump", dump)
+		"-join", "11111111@"+status.Addr, "-dump", dump)
 	poll("the join", "http://"+joinerAdmin+"/status", joinerLog, statusIs("in_system"))
+	poll("the stack's sections", "http://"+joinerAdmin+"/status", joinerLog, func(resp *http.Response) bool {
+		var sections map[string]json.RawMessage
+		if json.NewDecoder(resp.Body).Decode(&sections) != nil {
+			return false
+		}
+		for _, part := range []string{"liveness", "antiEntropy", "sampling"} {
+			if sections[part] == nil {
+				t.Fatalf("/status has no %s section", part)
+			}
+		}
+		if sections["rtt"] != nil {
+			t.Fatalf("/status has an rtt section: the daemon runs the fixed detector")
+		}
+		return true
+	})
 	poll("a liveness probe", "http://"+joinerAdmin+"/metrics", joinerLog, func(resp *http.Response) bool {
 		sums := make(map[string]float64)
 		return obs.FoldPrometheus(resp.Body, sums) == nil && sums["hypercube_liveness_probes_sent_total"] > 0
@@ -97,6 +115,47 @@ func TestDaemonSeedAndJoiner(t *testing.T) {
 	}
 	if snap.FilledCount() == 0 {
 		t.Error("-dump holds an empty table")
+	}
+}
+
+// TestFlagsGolden pins the daemon's whole command line: a new flag is a
+// diff here. Refresh after an intended change with
+//
+//	go run ./cmd/hypercubed -h 2> cmd/hypercubed/testdata/flags.golden
+func TestFlagsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errb bytes.Buffer
+	if code := run([]string{"-h"}, &errb); code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	if errb.String() != string(want) {
+		t.Errorf("usage differs from testdata/flags.golden; got:\n%s", errb.String())
+	}
+}
+
+// TestUsageErrors: each tuning flag of earlier releases, and a stray
+// argument, is a usage error — exit 2 before anything starts.
+func TestUsageErrors(t *testing.T) {
+	for _, name := range []string{
+		"max-attempts", "backoff", "max-backoff", "queue-limit",
+		"flush-delay", "max-frame", "decode-budget", "inbound-rate", "inbound-burst", "read-idle-timeout", "write-timeout",
+		"no-guard", "guard-threshold", "guard-decay", "guard-cooldown",
+		"no-liveness", "probe-interval", "probe-timeout", "suspect-after", "indirect-probes", "retry-after",
+		"adaptive-timeouts", "min-rto", "max-rto",
+		"no-sync", "sync-interval",
+		"no-sampling", "sample-interval", "view-size", "sample-seed",
+	} {
+		var errb bytes.Buffer
+		if code := run([]string{"-" + name}, &errb); code != 2 || !strings.Contains(errb.String(), "flag provided but not defined: -"+name) {
+			t.Errorf("hypercubed -%s: exit %d, stderr %q; want exit 2, flag not defined", name, code, errb.String())
+		}
+	}
+	var errb bytes.Buffer
+	if code := run([]string{"seed"}, &errb); code != 2 || !strings.Contains(errb.String(), `unexpected argument "seed"`) {
+		t.Errorf("hypercubed seed: exit %d, stderr %q; want exit 2, unexpected argument", code, errb.String())
 	}
 }
 

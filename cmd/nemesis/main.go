@@ -45,9 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds = fs.String("seeds", "", "seed range to sweep, e.g. 0..99 (inclusive); overrides -seed")
 		seed  = fs.Uint64("seed", 1, "single seed to run")
 
-		syncEvery = fs.Duration("sync-interval", 500*time.Millisecond, "anti-entropy/settle round interval")
-		reach     = fs.Int("reach-pairs", 16, "sampled reachability pairs per audit")
-
 		replay   = fs.String("replay", "", "re-execute a recorded repro.json and compare findings; exit 0 only on an exact match")
 		out      = fs.String("out", ".", "directory for repro files of shrunk failures")
 		noShrink = fs.Bool("no-shrink", false, "emit the full failing schedule instead of delta-debugging it")
@@ -64,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "nemesis: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	opt := nemesis.Options{SyncEvery: *syncEvery, ReachPairs: *reach}
+	var opt nemesis.Options
 	if *verbose {
 		opt.Log = stdout
 	}
@@ -102,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "seed %4d: FAIL  %d findings, first: %v\n", s, len(res.Findings), res.Findings[0])
 		repro := nemesis.Repro{Schedule: sched, Findings: res.Findings}
 		if !*noShrink {
-			sh := nemesis.Shrink(sched, opt, res.Findings[0].Check, *maxExec)
+			sh := nemesis.Shrink(sched, res.Findings[0].Check, *maxExec)
 			if len(sh.Findings) > 0 {
 				fmt.Fprintf(stdout, "           shrunk %d -> %d steps (nodes %d -> %d) in %d executions\n",
 					len(sched.Steps), len(sh.Schedule.Steps), sched.Nodes, sh.Schedule.Nodes, sh.Executions)

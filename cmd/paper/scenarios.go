@@ -807,7 +807,7 @@ func (x *env) grayOnce(n int, adaptive bool) (grayRun, error) {
 	cfg.SlowNodes = &overlay.SlowNodes{Delay: grayDelay, Ramp: grayRamp, Fraction: grayFraction, Seed: x.seed}
 	if adaptive {
 		label = "adaptive"
-		cfg.RTT = &rtt.Config{MinRTO: 100 * time.Millisecond, MaxRTO: 5 * time.Second}
+		cfg.RTT = &rtt.Config{}
 	}
 	w, err := x.world(cfg, n, x.seed)
 	if err != nil {

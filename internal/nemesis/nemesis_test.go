@@ -67,12 +67,11 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 
 func TestExecuteDeterministic(t *testing.T) {
 	s := Generate(11, p164, 16, 5)
-	opt := Options{SyncEvery: 500 * time.Millisecond, ReachPairs: 8}
-	a, err := Execute(s, opt)
+	a, err := Execute(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(s, opt)
+	b, err := Execute(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +102,8 @@ func TestShrinkInjectedViolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shrinking runs dozens of simulations")
 	}
-	opt := Options{SyncEvery: 500 * time.Millisecond, ReachPairs: 8}
 	s := injectedViolation()
-	res, err := Execute(s, opt)
+	res, err := Execute(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +115,7 @@ func TestShrinkInjectedViolation(t *testing.T) {
 		t.Logf("primary finding is %q (findings: %v)", target, res.Findings)
 	}
 
-	sh := Shrink(s, opt, target, 150)
+	sh := Shrink(s, target, 150)
 	if len(sh.Findings) == 0 {
 		t.Fatal("shrink lost the violation")
 	}
@@ -137,7 +135,7 @@ func TestShrinkInjectedViolation(t *testing.T) {
 		len(s.Steps), len(sh.Schedule.Steps), s.Nodes, sh.Schedule.Nodes, sh.Executions)
 
 	// The shrinker's output must itself be deterministic.
-	sh2 := Shrink(s, opt, target, 150)
+	sh2 := Shrink(s, target, 150)
 	if !reflect.DeepEqual(sh.Schedule, sh2.Schedule) || !reflect.DeepEqual(sh.Findings, sh2.Findings) {
 		t.Fatal("two shrinks of the same schedule diverged")
 	}
@@ -147,12 +145,11 @@ func TestReproReplayRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes two full simulations")
 	}
-	opt := Options{SyncEvery: 500 * time.Millisecond, ReachPairs: 8}
 	s := Schedule{
 		Seed: 5, B: 16, D: 4, Nodes: 16,
 		Steps: []Action{{Op: OpPause, Count: 1, Dur: 30 * time.Second, Gap: 2 * time.Second}},
 	}
-	res, err := Execute(s, opt)
+	res, err := Execute(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +164,7 @@ func TestReproReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, match, err := Replay(r, opt)
+	got, match, err := Replay(r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

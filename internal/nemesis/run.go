@@ -22,28 +22,21 @@ import (
 	"hypercube/internal/table"
 )
 
-// Options tunes an execution without affecting its verdicts' meaning.
-// The zero value is usable.
+// Options tunes an execution without affecting its verdicts. The zero
+// value is usable.
 type Options struct {
-	// SyncEvery is the anti-entropy/sampling interval and the settle
-	// round length. Default 500ms.
-	SyncEvery time.Duration
-	// ReachPairs is how many sampled ordered pairs each audit routes via
-	// Definition 3.7. Default 16.
-	ReachPairs int
 	// Log, when non-nil, receives one progress line per executed step.
 	Log io.Writer
 }
 
-func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 500 * time.Millisecond
-	}
-	if o.ReachPairs <= 0 {
-		o.ReachPairs = 16
-	}
-	return o
-}
+// An execution is a function of its Schedule alone — a Repro records
+// nothing else — so the round length (anti-entropy and sampling
+// interval, settle round) and the audit size (sampled ordered pairs
+// routed via Definition 3.7) are constants.
+const (
+	syncEvery  = 500 * time.Millisecond
+	reachPairs = 16
+)
 
 // Result is the outcome of executing one schedule. With an identical
 // Schedule, every field is identical across runs — findings included —
@@ -75,7 +68,6 @@ func Execute(s Schedule, opt Options) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
 	dir, err := os.MkdirTemp("", "nemesis-")
 	if err != nil {
 		return nil, fmt.Errorf("nemesis: %w", err)
@@ -156,9 +148,9 @@ func (e *executor) build() {
 			ConfirmRounds:      4,
 			PartitionThreshold: 0.3,
 		},
-		RTT:          &rtt.Config{MinRTO: 100 * time.Millisecond, MaxRTO: 5 * time.Second},
-		AntiEntropy:  &antientropy.Config{Interval: e.opt.SyncEvery},
-		Sampling:     &sampling.Config{ViewSize: 16, Interval: e.opt.SyncEvery, Seed: seed},
+		RTT:          &rtt.Config{},
+		AntiEntropy:  &antientropy.Config{Interval: syncEvery},
+		Sampling:     &sampling.Config{ViewSize: 16, Interval: syncEvery, Seed: seed},
 		SlowNodes:    &overlay.SlowNodes{Delay: 400 * time.Millisecond, Ramp: 2 * time.Second, Seed: seed},
 		Byzantine:    &overlay.Byzantine{Seed: seed},
 		Loss:         &overlay.Loss{Rate: 0, Seed: seed},
@@ -318,7 +310,7 @@ func (e *executor) settleJoins(maxRounds int) {
 		if !stuck {
 			break
 		}
-		e.net.RunFor(e.opt.SyncEvery)
+		e.net.RunFor(syncEvery)
 	}
 	var still []pendingJoin
 	for _, pj := range e.pending {
@@ -354,7 +346,7 @@ func (e *executor) leave(i int, a Action, r *rng) {
 // finalize; stragglers are judged at the final audit.
 func (e *executor) settleLeaves() {
 	for rounds := 0; rounds < 100 && len(e.leaves) > 0; rounds++ {
-		e.net.RunFor(e.opt.SyncEvery)
+		e.net.RunFor(syncEvery)
 		for _, x := range e.net.FinalizeLeaves() {
 			delete(e.leaves, x)
 			e.dropMember(x)
@@ -487,10 +479,10 @@ func (e *executor) pickHelper(r *rng, self id.ID) table.Ref {
 // invariant oracle, stamping the step into any findings.
 func (e *executor) quiesce(step int) {
 	e.settleJoins(50)
-	if _, ok := e.net.Settle(e.opt.SyncEvery, 60); !ok {
+	if _, ok := e.net.Settle(syncEvery, 60); !ok {
 		e.fail(oracle.CheckConverge, step, "still inconsistent after 60 settle rounds")
 	}
-	e.findings = append(e.findings, oracle.Audit(e.net, e.opt.ReachPairs, e.s.Seed, step)...)
+	e.findings = append(e.findings, oracle.Audit(e.net, reachPairs, e.s.Seed, step)...)
 	e.findings = append(e.findings, oracle.AuditDeclarations(e.watch, step)...)
 }
 
@@ -511,7 +503,7 @@ func (e *executor) finish() {
 	e.net.RunFor(2 * time.Second)
 	e.settleJoins(100)
 	e.settleLeaves()
-	if _, ok := e.net.Settle(e.opt.SyncEvery, 100); !ok {
+	if _, ok := e.net.Settle(syncEvery, 100); !ok {
 		e.fail(oracle.CheckConverge, -1, "still inconsistent after 100 final settle rounds")
 	}
 
@@ -528,7 +520,7 @@ func (e *executor) finish() {
 		e.fail(oracle.CheckStuckLeave, -1, "leave of %v from step %d never completed", x, e.leaves[x])
 	}
 
-	e.findings = append(e.findings, oracle.Audit(e.net, e.opt.ReachPairs, e.s.Seed, -1)...)
+	e.findings = append(e.findings, oracle.Audit(e.net, reachPairs, e.s.Seed, -1)...)
 	e.findings = append(e.findings, oracle.AuditDeclarations(e.watch, -1)...)
 
 	if !e.byzEver {

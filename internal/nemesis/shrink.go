@@ -26,16 +26,16 @@ type ShrinkResult struct {
 // The target is the Check of the finding being chased (normally the
 // first finding of the original run); any finding of that check counts
 // as a reproduction, since step indices shift while shrinking.
-func Shrink(s Schedule, opt Options, target string, maxExec int) ShrinkResult {
+func Shrink(s Schedule, target string, maxExec int) ShrinkResult {
 	if maxExec <= 0 {
 		maxExec = 200
 	}
-	sh := &shrinker{opt: opt, target: target, budget: maxExec}
+	sh := &shrinker{target: target, budget: maxExec}
 
 	best, findings := s, []oracle.Finding(nil)
 	if got, ok := sh.reproduces(s); !ok {
-		// The caller's schedule does not reproduce under these options —
-		// nothing to shrink.
+		// The caller's schedule does not reproduce the target — nothing
+		// to shrink.
 		return ShrinkResult{Schedule: s, Executions: sh.executions}
 	} else {
 		findings = got
@@ -102,7 +102,6 @@ func Shrink(s Schedule, opt Options, target string, maxExec int) ShrinkResult {
 }
 
 type shrinker struct {
-	opt        Options
 	target     string
 	budget     int
 	executions int
@@ -116,7 +115,7 @@ func (sh *shrinker) reproduces(s Schedule) ([]oracle.Finding, bool) {
 	}
 	sh.budget--
 	sh.executions++
-	res, err := Execute(s, Options{SyncEvery: sh.opt.SyncEvery, ReachPairs: sh.opt.ReachPairs})
+	res, err := Execute(s, Options{})
 	if err != nil {
 		return nil, false
 	}

@@ -156,8 +156,6 @@ type Config struct {
 	Opts   core.Options
 	// Latency models message delivery delay; nil means 10ms constant.
 	Latency LatencyFunc
-	// MaxEvents bounds the event count per Run (0 = default 500M).
-	MaxEvents uint64
 	// Loss optionally subjects deliveries to message loss with
 	// retransmission; nil means the reliable network of the paper.
 	Loss *Loss
@@ -286,9 +284,6 @@ func New(cfg Config) *Network {
 	}
 	if cfg.Latency == nil {
 		cfg.Latency = ConstantLatency(10 * time.Millisecond)
-	}
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 500_000_000
 	}
 	n := &Network{
 		cfg:             cfg,
@@ -642,9 +637,13 @@ func (n *Network) deliver(env msg.Envelope) {
 	n.transmit(out)
 }
 
+// maxEvents bounds the event count per Run: a run that reaches it has
+// livelocked, and the engine panics.
+const maxEvents = 500_000_000
+
 // Run drains the event queue and returns the number of events processed.
 func (n *Network) Run() uint64 {
-	return n.engine.Run(n.cfg.MaxEvents)
+	return n.engine.Run(maxEvents)
 }
 
 func (n *Network) tickInterval() time.Duration {
@@ -666,7 +665,7 @@ func (n *Network) RunFor(d time.Duration) uint64 {
 	}
 	n.scheduleTick()
 	ev := n.engine.RunUntil(deadline)
-	return ev + n.engine.Run(n.cfg.MaxEvents)
+	return ev + n.engine.Run(maxEvents)
 }
 
 // scheduleTick arms the recurring clock pump. It reschedules itself only

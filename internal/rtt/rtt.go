@@ -48,18 +48,8 @@ type Config struct {
 	MinRTO time.Duration
 	// MaxRTO caps the derived retry timeout so a peer with a wildly
 	// inflated history cannot push detection latency unboundedly.
-	// Default 10s.
+	// Default 5s.
 	MaxRTO time.Duration
-	// DegradedFactor marks a peer degraded when its smoothed RTT
-	// exceeds this multiple of the cross-peer median; the flag clears
-	// (hysteresis) when it falls back to half the multiple. Default 4.
-	DegradedFactor float64
-	// DegradedMinSamples is how many samples a peer needs before it can
-	// be judged degraded. Default 4.
-	DegradedMinSamples int
-	// DegradedMinPeers is how many tracked peers the estimator needs
-	// before the cross-peer median is meaningful. Default 4.
-	DegradedMinPeers int
 }
 
 func (c Config) withDefaults() Config {
@@ -67,22 +57,20 @@ func (c Config) withDefaults() Config {
 		c.MinRTO = 100 * time.Millisecond
 	}
 	if c.MaxRTO <= 0 {
-		c.MaxRTO = 10 * time.Second
+		c.MaxRTO = 5 * time.Second
 	}
 	if c.MaxRTO < c.MinRTO {
 		c.MaxRTO = c.MinRTO
 	}
-	if c.DegradedFactor <= 1 {
-		c.DegradedFactor = 4
-	}
-	if c.DegradedMinSamples <= 0 {
-		c.DegradedMinSamples = 4
-	}
-	if c.DegradedMinPeers <= 0 {
-		c.DegradedMinPeers = 4
-	}
 	return c
 }
+
+// A peer is marked degraded when its smoothed RTT exceeds
+// degradedFactor times the cross-peer median, and cleared (hysteresis)
+// when it falls back to half that. It is judged only from its
+// degradedMinSamples-th sample on, and the median only counts once
+// degradedMinPeers peers are tracked.
+const degradedFactor, degradedMinSamples, degradedMinPeers = 4, 4, 4
 
 // Stats is a snapshot of the estimator's activity, for admin endpoints
 // and scenario reports.
@@ -193,18 +181,18 @@ func (e *Estimator) rto(pe *peerEstimate) time.Duration {
 }
 
 // reassess re-evaluates one peer's degraded flag against the cross-peer
-// median, with hysteresis: mark above DegradedFactor × median, clear at
+// median, with hysteresis: mark above degradedFactor × median, clear at
 // or below half that. Returns whether the flag flipped. Callers hold
 // e.mu.
 func (e *Estimator) reassess(pe *peerEstimate) bool {
-	if pe.samples < e.cfg.DegradedMinSamples {
+	if pe.samples < degradedMinSamples {
 		return false
 	}
 	med := e.medianSRTT()
 	if med <= 0 {
 		return false
 	}
-	limit := e.cfg.DegradedFactor * float64(med)
+	limit := degradedFactor * float64(med)
 	switch {
 	case !pe.degraded && float64(pe.srtt) > limit:
 		pe.degraded = true
@@ -221,7 +209,7 @@ func (e *Estimator) reassess(pe *peerEstimate) bool {
 }
 
 // medianSRTT computes the median smoothed RTT over all sampled peers;
-// zero when fewer than DegradedMinPeers are tracked. Callers hold e.mu.
+// zero when fewer than degradedMinPeers are tracked. Callers hold e.mu.
 // O(peers log peers) per call, but observations arrive at probe rate
 // (a few per second per node), so this stays negligible.
 func (e *Estimator) medianSRTT() time.Duration {
@@ -231,7 +219,7 @@ func (e *Estimator) medianSRTT() time.Duration {
 			srtts = append(srtts, pe.srtt)
 		}
 	}
-	if len(srtts) < e.cfg.DegradedMinPeers {
+	if len(srtts) < degradedMinPeers {
 		return 0
 	}
 	sort.Slice(srtts, func(i, j int) bool { return srtts[i] < srtts[j] })

@@ -137,7 +137,7 @@ func TestDegradedTransitionReportedOnce(t *testing.T) {
 }
 
 func TestDegradedNeedsQuorum(t *testing.T) {
-	// With fewer than DegradedMinPeers tracked there is no meaningful
+	// With fewer than degradedMinPeers tracked there is no meaningful
 	// median: nobody is flagged no matter how slow.
 	e := New(Config{})
 	a, b := mkID(t, "1111"), mkID(t, "2222")

@@ -53,10 +53,6 @@ type Config struct {
 	// ViewSize is l, the bound on the local view. Brahms suggests
 	// l ≈ n^(1/3); the default 16 covers n up to ~4k.
 	ViewSize int
-	// Alpha, Beta, Gamma are the view mixing weights for pushed peers,
-	// pulled peers, and history samples. They should sum to 1; the
-	// defaults are the exemplar's 0.45/0.45/0.10.
-	Alpha, Beta, Gamma float64
 	// Samplers is the number of min-wise independent samplers backing
 	// the history sample. Defaults to 2·ViewSize.
 	Samplers int
@@ -74,9 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.ViewSize > msg.MaxSampleRefs {
 		c.ViewSize = msg.MaxSampleRefs
 	}
-	if c.Alpha <= 0 && c.Beta <= 0 && c.Gamma <= 0 {
-		c.Alpha, c.Beta, c.Gamma = 0.45, 0.45, 0.10
-	}
 	if c.Samplers <= 0 {
 		c.Samplers = 2 * c.ViewSize
 	}
@@ -85,6 +78,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// The view mixing weights α, β, γ for pushed peers, pulled peers and
+// history samples: the Brahms exemplar's 0.45/0.45/0.10.
+const alphaWeight, betaWeight, gammaWeight = 0.45, 0.45, 0.10
 
 // Stats counts engine activity for reporting.
 type Stats struct {
@@ -392,9 +389,9 @@ func (e *Engine) round() []msg.Envelope {
 	e.stats.Rounds++
 	e.sweep()
 
-	alpha := scaled(e.cfg.Alpha, e.cfg.ViewSize)
-	beta := scaled(e.cfg.Beta, e.cfg.ViewSize)
-	gamma := scaled(e.cfg.Gamma, e.cfg.ViewSize)
+	alpha := scaled(alphaWeight, e.cfg.ViewSize)
+	beta := scaled(betaWeight, e.cfg.ViewSize)
+	gamma := scaled(gammaWeight, e.cfg.ViewSize)
 
 	// Close the previous round: rebuild the view from its pushes, pulls,
 	// and history — unless the push volume exceeded α·l, the Brahms flood
