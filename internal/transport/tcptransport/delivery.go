@@ -21,11 +21,12 @@ import (
 //
 // The paper's correctness argument (Theorems 1–2) assumes reliable
 // message passing; over real networks that assumption must be earned.
-// Each node therefore keeps one bounded outbound queue per peer,
-// drained by a dedicated writer goroutine that dials on demand,
-// redials on stale connections, and retries failed deliveries with
-// exponential backoff plus jitter. Messages that exhaust their
-// attempts are dead-lettered and surface in msg.Counters as Dropped.
+// Each node therefore keeps one bounded outbound queue per peer. While
+// a queue holds envelopes, one writer goroutine drains it: it dials on
+// demand, redials on stale connections, retries failed deliveries with
+// exponential backoff plus jitter, and exits once the queue is empty.
+// Messages that exhaust their attempts are dead-lettered and surface in
+// msg.Counters as Dropped.
 type Config struct {
 	// MaxAttempts is the number of delivery attempts per envelope
 	// (dial + write counts as one attempt). Default 5.
@@ -298,60 +299,69 @@ func (f *Faults) nextWrite() (drop, kill bool, delay time.Duration) {
 	return false, false, delay
 }
 
-// peerQueue is one peer's outbound mailbox plus the connection its
-// writer goroutine currently holds. The writer owns conn; other
+// peerQueue is one peer's outbound mailbox plus the connection and the
+// batch buffer its writer goroutine uses. At most one writer runs per
+// queue (running), and only while the queue holds envelopes: push
+// starts it, popBatch retires it. The connection and the buffer outlive
+// the writer, so the next one reuses both. The writer owns conn; other
 // goroutines may only nil-and-close it under mu (connection kill),
 // which the writer observes as a failed write and repairs by
 // redialing.
 type peerQueue struct {
 	addr string
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []msg.Envelope
-	closed bool
-	conn   net.Conn
+	mu      sync.Mutex
+	queue   []msg.Envelope
+	batch   []msg.Envelope // the writer's current batch; grown on demand
+	running bool
+	closed  bool
+	conn    net.Conn
 }
 
-func newPeerQueue(addr string) *peerQueue {
-	pq := &peerQueue{addr: addr}
-	pq.cond = sync.NewCond(&pq.mu)
-	return pq
-}
-
-// push enqueues env; it reports false if the queue is closed or full.
-func (pq *peerQueue) push(env msg.Envelope, limit int) bool {
+// push enqueues env and, if no writer is running, starts one. It reports
+// false if the queue is closed or full. The writer is started under mu,
+// so Close — which closes every queue before waiting on n.wg — can
+// never miss it.
+func (n *Node) push(pq *peerQueue, env msg.Envelope) bool {
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
-	if pq.closed || len(pq.queue) >= limit {
+	if pq.closed || len(pq.queue) >= n.cfg.QueueLimit {
 		return false
 	}
 	pq.queue = append(pq.queue, env)
-	pq.cond.Signal()
+	if !pq.running {
+		pq.running = true
+		n.writers.Add(1)
+		n.wg.Add(1)
+		go n.writeLoop(pq)
+	}
 	return true
 }
 
-// popBatch blocks until at least one envelope is pending (or the queue
-// closes), then moves up to max envelopes into dst without further
-// blocking. It reports false once the queue is closed and empty.
-func (pq *peerQueue) popBatch(dst []msg.Envelope, max int) ([]msg.Envelope, bool) {
+// popBatch moves up to max pending envelopes into the queue's batch
+// buffer and returns it. With nothing pending it retires the writer
+// instead: it clears running, empties the buffer (so parked envelopes
+// pin no memory) and reports false.
+func (pq *peerQueue) popBatch(max int) ([]msg.Envelope, bool) {
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
-	for len(pq.queue) == 0 && !pq.closed {
-		pq.cond.Wait()
-	}
 	if len(pq.queue) == 0 {
-		return dst, false
+		pq.running = false
+		clear(pq.batch)
+		pq.batch = pq.batch[:0]
+		return nil, false
 	}
-	return pq.moveLocked(dst, max), true
+	pq.batch = pq.moveLocked(pq.batch[:0], max)
+	return pq.batch, true
 }
 
-// drainInto moves whatever is already queued into dst, up to max total,
-// without blocking.
-func (pq *peerQueue) drainInto(dst []msg.Envelope, max int) []msg.Envelope {
+// drainBatch appends whatever is already queued to the batch buffer, up
+// to max total, without blocking.
+func (pq *peerQueue) drainBatch(max int) []msg.Envelope {
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
-	return pq.moveLocked(dst, max)
+	pq.batch = pq.moveLocked(pq.batch, max)
+	return pq.batch
 }
 
 func (pq *peerQueue) moveLocked(dst []msg.Envelope, max int) []msg.Envelope {
@@ -386,7 +396,6 @@ func (pq *peerQueue) close() []msg.Envelope {
 	}
 	pending := pq.queue
 	pq.queue = nil
-	pq.cond.Broadcast()
 	return pending
 }
 
@@ -432,16 +441,15 @@ func (pq *peerQueue) install(conn net.Conn) bool {
 	return true
 }
 
-// writeLoop drains one peer's queue for the life of the node. Each
-// round grabs every envelope already pending (up to wire.MaxBatch),
-// optionally lingers FlushDelay to let more arrive, and hands the batch
-// to deliverBatch.
+// writeLoop drains one peer's queue until it is empty, then exits; the
+// next push starts a new writer. Each round grabs every envelope already
+// pending (up to wire.MaxBatch), optionally lingers FlushDelay to let
+// more arrive, and hands the batch to deliverBatch.
 func (n *Node) writeLoop(pq *peerQueue) {
 	defer n.wg.Done()
-	batch := make([]msg.Envelope, 0, wire.MaxBatch)
+	defer n.writers.Add(-1)
 	for {
-		var ok bool
-		batch, ok = pq.popBatch(batch[:0], wire.MaxBatch)
+		batch, ok := pq.popBatch(wire.MaxBatch)
 		if !ok {
 			return
 		}
@@ -451,7 +459,7 @@ func (n *Node) writeLoop(pq *peerQueue) {
 			// and syscall costs. Shutdown mid-linger just delivers what
 			// we already hold.
 			n.sleep(d)
-			batch = pq.drainInto(batch, wire.MaxBatch)
+			batch = pq.drainBatch(wire.MaxBatch)
 		}
 		n.deliverBatch(pq, batch)
 	}
@@ -613,7 +621,7 @@ func (n *Node) writeOnce(pq *peerQueue, frame []byte) bool {
 	return true
 }
 
-// enqueue hands env to its peer's writer, spawning the writer on first
+// enqueue hands env to its peer's queue, creating the queue on first
 // use. Queue overflow dead-letters the envelope and returns an error.
 func (n *Node) enqueue(env msg.Envelope) error {
 	n.peersMu.Lock()
@@ -623,13 +631,11 @@ func (n *Node) enqueue(env msg.Envelope) error {
 	}
 	pq, ok := n.peers[env.To.Addr]
 	if !ok {
-		pq = newPeerQueue(env.To.Addr)
+		pq = &peerQueue{addr: env.To.Addr}
 		n.peers[env.To.Addr] = pq
-		n.wg.Add(1)
-		go n.writeLoop(pq)
 	}
 	n.peersMu.Unlock()
-	if !pq.push(env, n.cfg.QueueLimit) {
+	if !n.push(pq, env) {
 		n.countDropped(env.Msg.Type())
 		return fmt.Errorf("tcptransport: outbound queue to %s full (limit %d)", env.To.Addr, n.cfg.QueueLimit)
 	}

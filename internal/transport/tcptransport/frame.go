@@ -68,6 +68,12 @@ func writeFrame(conn net.Conn, frame []byte, timeout time.Duration) error {
 	return err
 }
 
+// frameReadStep is the most readFrame allocates for a payload before any
+// of it arrives. A frame up to this size is read into one exact
+// allocation; a bigger one grows its buffer as bytes arrive, so a peer
+// that declares a huge frame and stalls pins no more than this.
+const frameReadStep = 64 << 10
+
 // readFrame reads one frame payload, enforcing the size limit and an
 // idle deadline covering the whole frame (0 disables the deadline).
 // isBinary reports the header's top bit; a payload read with it clear is
@@ -89,8 +95,16 @@ func readFrame(conn net.Conn, maxBytes int, idle time.Duration) (payload []byte,
 	if int64(n) > int64(maxBytes) {
 		return nil, isBinary, errFrameTooBig
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
+	size := int(n)
+	payload = make([]byte, min(size, frameReadStep))
+	_, err = io.ReadFull(conn, payload)
+	for err == nil && len(payload) < size {
+		// Double what has arrived, never past the declared size.
+		have := len(payload)
+		payload = append(payload, make([]byte, min(have, size-have))...)
+		_, err = io.ReadFull(conn, payload[have:])
+	}
+	if err != nil {
 		return nil, isBinary, err
 	}
 	return payload, isBinary, nil

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,71 @@ func TestOversizedFrameDisconnects(t *testing.T) {
 	awaitClosed(t, conn)
 	awaitInt64(t, "oversized frames", func() int64 { return n.Stats().Inbound.OversizedFrames }, 1)
 	awaitInt64(t, "guard disconnects", func() int64 { return n.Stats().Inbound.Disconnects }, 1)
+}
+
+// A frame's declared length is not an allocation: 32 peers that each
+// declare a MaxFrameBytes frame and then stall after 16 bytes must not
+// make the node reserve 32 MiB (it used to, until ReadIdleTimeout).
+func TestStalledFramePinsWhatArrived(t *testing.T) {
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a12"), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	const conns = 32
+	for i := 0; i < conns; i++ {
+		conn := dialNode(t, n)
+		frame := make([]byte, frameHeaderLen+16)
+		binary.BigEndian.PutUint32(frame, uint32(n.cfg.MaxFrameBytes)|flagBinary)
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitInt64(t, "accepted connections", func() int64 {
+		n.peersMu.Lock()
+		defer n.peersMu.Unlock()
+		return int64(len(n.accepted))
+	}, conns)
+	// Give every read loop time to reach the payload.
+	for i := 0; i < 10; i++ {
+		time.Sleep(20 * time.Millisecond)
+		if grown := int64(heap()) - int64(before); grown >= 4<<20 {
+			t.Fatalf("heap grew %d KiB for %d stalled frames of 16 bytes", grown>>10, conns)
+		}
+	}
+}
+
+// A frame bigger than the first read step still arrives whole, and one
+// cut short is an error, not a short payload.
+func TestReadFrameGrowsToDeclaredSize(t *testing.T) {
+	payload := make([]byte, 3*frameReadStep+17)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	for _, cut := range []int{0, 1000} {
+		client, server := net.Pipe()
+		frame := framePayload(t, payload)
+		go func() {
+			client.Write(frame[:len(frame)-cut])
+			client.Close()
+		}()
+		got, isBinary, err := readFrame(server, 1<<20, 0)
+		server.Close()
+		switch {
+		case cut > 0 && err == nil:
+			t.Errorf("frame cut %d bytes short read without error", cut)
+		case cut == 0 && (err != nil || !isBinary || !bytes.Equal(got, payload)):
+			t.Errorf("frame of %d bytes: err %v, binary %v, payload intact %v", len(payload), err, isBinary, bytes.Equal(got, payload))
+		}
+	}
 }
 
 // Frame boundaries isolate malformed payloads: a connection survives

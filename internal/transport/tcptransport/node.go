@@ -4,8 +4,9 @@
 // frames of internal/wire payloads, rate-limit and budget them per
 // connection, and deliver each envelope to the node under the node's
 // one lock. Outbound, a reliable-delivery layer (delivery.go) keeps a
-// bounded queue and a writer goroutine per peer, with retry, backoff,
-// redial, frame coalescing and dead-letter accounting. One ticker
+// bounded queue per peer, drained by a writer goroutine that runs only
+// while the queue holds envelopes, with retry, backoff, redial, frame
+// coalescing and dead-letter accounting. One ticker
 // goroutine supplies the passage of time. Around that sit fault
 // injection for tests (Faults), the per-node metrics registry and trace
 // ring (obs.go), and the HTTP admin surface cmd/hypercubed serves
@@ -33,8 +34,8 @@ import (
 
 // Node hosts one protocol machine behind a TCP listener. Outbound
 // messages go through the reliable-delivery layer (see delivery.go):
-// per-peer bounded queues drained by writer goroutines with retry,
-// exponential backoff, and automatic redial.
+// per-peer bounded queues, each drained while non-empty by a writer
+// goroutine with retry, exponential backoff, and automatic redial.
 type Node struct {
 	params id.Params
 	cfg    Config
@@ -62,6 +63,7 @@ type Node struct {
 	accepted map[net.Conn]struct{}
 
 	statusPolls atomic.Int64 // diagnostic: Status() call count
+	writers     atomic.Int64 // writer goroutines running (Stats.Writers)
 
 	// Inbound hardening counters (see readLoop): malformed frames,
 	// frames over the size limit, envelopes stalled by the inbound rate

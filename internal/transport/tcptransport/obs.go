@@ -146,7 +146,8 @@ func (n *Node) DrainTrace() (events []obs.Event, ok bool) {
 }
 
 // QueueDepths snapshots the per-peer outbound queue lengths, keyed by
-// peer address. Empty queues are included while their writer lives.
+// peer address. Every peer the node has ever sent to is listed, at
+// depth 0 once its queue has drained.
 func (n *Node) QueueDepths() map[string]int {
 	n.peersMu.Lock()
 	queues := make(map[string]*peerQueue, len(n.peers))
@@ -193,7 +194,10 @@ type Stats struct {
 	// OutboundQueueDepth is their sum.
 	Queues             map[string]int `json:"queues,omitempty"`
 	OutboundQueueDepth int            `json:"outboundQueueDepth" metric:"gauge"`
-	Inbound            InboundStats   `json:"inbound"`
+	// Writers is how many writer goroutines are running: one per peer
+	// whose queue holds envelopes or whose last batch is still in flight.
+	Writers int64        `json:"writers" metric:"gauge"`
+	Inbound InboundStats `json:"inbound"`
 	// Guard is always present (validation is always on); the sections
 	// below are nil for parts the node was started without. Antientropy
 	// is spelled as one word so that its series share the
@@ -243,6 +247,7 @@ func (n *Node) Stats() Stats {
 		D:             n.params.D,
 		UptimeSeconds: n.Uptime().Seconds(),
 		Queues:        n.QueueDepths(),
+		Writers:       n.writers.Load(),
 		Inbound: InboundStats{
 			DecodeErrors:    n.decodeErrors.Load(),
 			OversizedFrames: n.oversizedFrames.Load(),

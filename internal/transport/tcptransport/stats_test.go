@@ -149,7 +149,7 @@ func TestMetricTypes(t *testing.T) {
 		"hypercube_rtt_tracked", "hypercube_rtt_degraded",
 		"hypercube_guard_scorer_quarantined",
 		"hypercube_liveness_targets", "hypercube_liveness_suspects_now", "hypercube_liveness_partitioned",
-		"hypercube_outbound_queue_depth", "hypercube_filled_entries", "hypercube_uptime_seconds",
+		"hypercube_outbound_queue_depth", "hypercube_writers", "hypercube_filled_entries", "hypercube_uptime_seconds",
 	} {
 		if types[name] != "gauge" {
 			t.Errorf("%s is typed %q, want gauge", name, types[name])
