@@ -29,7 +29,7 @@ loc:
 # bench runs the repository benchmark (./bench, BENCHMARK.json) at its
 # own run length, one workload after another; each prints its metrics as
 # one JSON line. `bench-all` sweeps every `go test` benchmark in the
-# module — the §7 and ablation benchmarks EXPERIMENTS.md cites from
+# module — the ablation benchmarks EXPERIMENTS.md cites from
 # bench_test.go (E1-E18 themselves are `paper`, see experiments) and the
 # few micro-benchmarks ./bench has no probe for — without recording.
 bench:
@@ -102,9 +102,11 @@ fuzz-smoke:
 
 # fleettrace-smoke proves cross-node causal tracing end to end at a
 # CI-friendly size: E17's flash crowd at -small (64 joiners into 64
-# nodes, E19's size) writes a fleet JSONL trace, and `trace report` must
-# reconstruct at least 95% of the joins as complete cross-node span
-# trees (exit non-zero below).
+# nodes, E19's size; the committed schedule
+# cmd/paper/testdata/flashcrowd-small.json run by the nemesis executor)
+# writes a fleet JSONL trace, and `trace report` must reconstruct at
+# least 95% of the joins as complete cross-node span trees (exit
+# non-zero below).
 fleettrace-smoke:
 	$(GO) run ./cmd/paper flashcrowd -small -trace /tmp/hypercube-fleettrace-smoke.jsonl
 	$(GO) run ./cmd/trace report -require-joins 0.95 /tmp/hypercube-fleettrace-smoke.jsonl

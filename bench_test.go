@@ -1,10 +1,9 @@
 // The benchmarks EXPERIMENTS.md cites by name and cmd/paper does not
-// already run as a golden-tested experiment: the §7 extensions of E11
-// (BenchmarkLeave, BenchmarkFailureRecovery, BenchmarkOptimization) and
-// the design-choice ablations of "Additional measurements"
-// (BenchmarkAblation*). Each attaches the quantity it reproduces as a
-// custom metric (ReportMetric) next to the runtime cost; nothing records
-// them, `go test -bench . -benchmem` prints them.
+// already run as a golden-tested experiment: the design-choice ablations
+// of "Additional measurements" (BenchmarkAblation*). Each attaches the
+// quantity it reproduces as a custom metric (ReportMetric) next to the
+// runtime cost; nothing records them, `go test -bench . -benchmem`
+// prints them.
 package hypercube
 
 import (
@@ -16,7 +15,6 @@ import (
 	"hypercube/internal/id"
 	"hypercube/internal/overlay"
 	"hypercube/internal/table"
-	"hypercube/internal/topology"
 )
 
 // BenchmarkAblationStagger contrasts the paper's all-at-t=0 wave with
@@ -69,90 +67,6 @@ func BenchmarkAblationBase(b *testing.B) {
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// BenchmarkLeave measures a concurrent graceful-leave wave (the §7 leave
-// extension): 50 of 500 nodes depart at once.
-func BenchmarkLeave(b *testing.B) {
-	p := id.Params{B: 16, D: 8}
-	var perLeave float64
-	for i := 0; i < b.N; i++ {
-		rng := newRand(int64(i))
-		net := overlay.New(overlay.Config{Params: p})
-		refs := overlay.RandomRefs(p, 500, rng, nil)
-		net.BuildDirect(refs, rng)
-		before := net.Delivered()
-		for j := 0; j < 50; j++ {
-			if err := net.ScheduleLeave(refs[j].ID, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		net.Run()
-		if got := len(net.FinalizeLeaves()); got != 50 {
-			b.Fatalf("only %d leaves completed", got)
-		}
-		if v := net.CheckConsistency(); len(v) != 0 {
-			b.Fatalf("inconsistent after leaves: %v", v[0])
-		}
-		perLeave = float64(net.Delivered()-before) / 50
-	}
-	b.ReportMetric(perLeave, "msgs/leave")
-}
-
-// BenchmarkFailureRecovery measures crash repair: one node of 500 fails,
-// survivors repair via local scans, routed queries, and orphan rejoins.
-func BenchmarkFailureRecovery(b *testing.B) {
-	p := id.Params{B: 16, D: 8}
-	var perCrash float64
-	unrepaired := 0
-	for i := 0; i < b.N; i++ {
-		rng := newRand(int64(i) * 17)
-		net := overlay.New(overlay.Config{Params: p})
-		refs := overlay.RandomRefs(p, 500, rng, nil)
-		net.BuildDirect(refs, rng)
-		before := net.Delivered()
-		dead := refs[rng.Intn(len(refs))].ID
-		if err := net.InjectFailure(dead); err != nil {
-			b.Fatal(err)
-		}
-		st := net.RecoverFailure(dead, rng, 0)
-		unrepaired += st.Unrepaired
-		if v := net.CheckConsistency(); len(v) != 0 {
-			b.Fatalf("inconsistent after recovery: %v", v[0])
-		}
-		perCrash = float64(net.Delivered() - before)
-	}
-	if unrepaired != 0 {
-		b.Fatalf("%d entries unrepaired", unrepaired)
-	}
-	b.ReportMetric(perCrash, "msgs/crash")
-}
-
-// BenchmarkOptimization measures the §7 table-optimization extension and
-// reports the route-stretch improvement on a transit-stub topology.
-func BenchmarkOptimization(b *testing.B) {
-	p := id.Params{B: 16, D: 6}
-	var beforeMean, afterMean float64
-	for i := 0; i < b.N; i++ {
-		topo, err := topology.Generate(topology.Small(int64(i) + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := newRand(int64(i) * 3)
-		tl := overlay.NewTopologyLatency(topo)
-		net := overlay.New(overlay.Config{Params: p, Latency: tl.Func()})
-		refs := overlay.RandomRefs(p, 300, rng, nil)
-		hosts := topo.AttachHosts(len(refs), rng)
-		for j, ref := range refs {
-			tl.Bind(ref.ID, hosts[j])
-		}
-		net.BuildDirect(refs, rng)
-		beforeMean = net.MeasureStretch(300, newRand(7)).Mean
-		net.OptimizeTables(2)
-		afterMean = net.MeasureStretch(300, newRand(7)).Mean
-	}
-	b.ReportMetric(beforeMean, "stretchBefore")
-	b.ReportMetric(afterMean, "stretchAfter")
-}
 
 // BenchmarkAblationSequentialVsConcurrent compares the same m joins run
 // one-at-a-time against all-at-t=0 (the paper's Lemma 5.2 vs Lemma 5.5

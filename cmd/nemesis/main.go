@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wall := time.Now()
 	for s := lo; s <= hi; s++ {
 		sched := nemesis.Generate(s, p, *n, *steps)
-		res, err := nemesis.Execute(sched, opt)
+		res, _, err := nemesis.Execute(sched, opt)
 		if err != nil {
 			fmt.Fprintf(stderr, "nemesis: seed %d: %v\n", s, err)
 			return 1

@@ -41,21 +41,28 @@ func TestSweepGolden(t *testing.T) {
 // TestReplay round-trips a recording through -replay: a clean schedule
 // recorded with no findings replays to no findings, and a recording
 // that claims a finding the run does not produce is reported diverged.
+// E17's small flash crowd, a committed cmd/paper scenario, replays as
+// is.
 func TestReplay(t *testing.T) {
 	sched := nemesis.Generate(60, id.Params{B: 16, D: 4}, 32, 8)
 	dir := t.TempDir()
 	for _, c := range []struct {
 		name     string
+		file     string // a committed recording; "" writes one of sched
 		findings []oracle.Finding
 		code     int
 		stream   string
 	}{
-		{"clean", nil, 0, "replay matches the recording exactly (0 findings)"},
-		{"claimed", make([]oracle.Finding, 1), 1, "replay DIVERGED"},
+		{"clean", "", nil, 0, "replay matches the recording exactly (0 findings)"},
+		{"claimed", "", make([]oracle.Finding, 1), 1, "replay DIVERGED"},
+		{"flashcrowd-small", "../paper/testdata/flashcrowd-small.json", nil, 0, "replay matches the recording exactly (0 findings)"},
 	} {
-		path := filepath.Join(dir, c.name+".json")
-		if err := nemesis.WriteRepro(path, nemesis.Repro{Schedule: sched, Findings: c.findings}); err != nil {
-			t.Fatal(err)
+		path := c.file
+		if path == "" {
+			path = filepath.Join(dir, c.name+".json")
+			if err := nemesis.WriteRepro(path, nemesis.Repro{Schedule: sched, Findings: c.findings}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var out, errb bytes.Buffer
 		code := run([]string{"-replay", path}, &out, &errb)

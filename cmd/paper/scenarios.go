@@ -1,11 +1,12 @@
 package main
 
 import (
+	"embed"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"slices"
 	"text/tabwriter"
 	"time"
@@ -16,30 +17,30 @@ import (
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
-	"hypercube/internal/nemesis/oracle"
+	"hypercube/internal/nemesis"
 	"hypercube/internal/netcheck"
 	"hypercube/internal/obs"
 	"hypercube/internal/overlay"
-	"hypercube/internal/rtt"
-	"hypercube/internal/sampling"
 	"hypercube/internal/table"
 	"hypercube/internal/topology"
 )
 
 // E11-E18 exercise what the paper's §7 leaves as future work — leave,
 // failure recovery, table optimization — and the layers this repository
-// stacks on them. Each scenario's size, seed and windows are data beside
-// it, at the values EXPERIMENTS.md documents; syncEvery is the
-// anti-entropy and sampling interval, and the settle round, of them all.
+// stacks on them. E11-E13 and E15 are Go drivers below, each with its
+// size, seed and windows as data beside it, at the values EXPERIMENTS.md
+// documents; syncEvery is their anti-entropy interval and settle round.
+// E17 and E18 are committed schedules (see schedules).
 const syncEvery = time.Second
 
-// The ID space of all but E15 and E18.
+// The ID space of E11-E13.
 var scenarioParams = id.Params{B: 16, D: 8}
 
-// world is what every scenario starts from: a consistent network whose
-// members sit on end hosts of the 248-router transit-stub topology. The
-// order of draws from rng — member IDs, their hosts, BuildDirect, then
-// whatever the scenario draws — is part of every golden.
+// world is what every Go-driven scenario starts from: a consistent
+// network whose members sit on end hosts of the 248-router transit-stub
+// topology. The order of draws from rng — member IDs, their hosts,
+// BuildDirect, then whatever the scenario draws — is part of every
+// golden.
 type world struct {
 	rng   *rand.Rand
 	topo  *topology.Topology
@@ -47,7 +48,6 @@ type world struct {
 	net   *overlay.Network
 	taken map[id.ID]bool // every ID issued so far
 	refs  []table.Ref    // the initial members
-	hosts []int          // hosts[i] is the end host of refs[i]
 }
 
 // world builds n members under cfg, whose Latency it supplies. With
@@ -70,18 +70,17 @@ func (x *env) world(cfg overlay.Config, n int, seed int64) (*world, error) {
 	}
 	w.net = overlay.New(cfg)
 	w.refs = overlay.RandomRefs(cfg.Params, n, w.rng, w.taken)
-	w.hosts = w.bind(w.refs)
+	w.bind(w.refs)
 	w.net.BuildDirect(w.refs, w.rng)
 	return w, nil
 }
 
 // bind attaches one fresh end host per ref.
-func (w *world) bind(refs []table.Ref) []int {
+func (w *world) bind(refs []table.Ref) {
 	hosts := w.topo.AttachHosts(len(refs), w.rng)
 	for i, r := range refs {
 		w.tl.Bind(r.ID, hosts[i])
 	}
-	return hosts
 }
 
 // seedOr is the seed a scenario documents, unless -seed was given.
@@ -99,7 +98,6 @@ type outcome struct {
 	unrepaired  int                  // table entries RecoverFailure gave up on
 	falseDecl   int                  // failure declarations naming a live node
 	stuck       []string             // joiners that are not S-nodes
-	unconverged bool                 // Settle ran out of rounds
 	partitioned int                  // probers still in partition mode after the heal
 	inert       bool                 // the fault model under test never fired
 }
@@ -122,7 +120,6 @@ func (o outcome) verdict() error {
 	g.gate(len(o.stuck) != 0, "%d joins did not complete: %v", len(o.stuck), o.stuck)
 	g.gate(o.partitioned != 0, "%d probers still in partition mode after the heal", o.partitioned)
 	g.gate(o.inert, "fault model never engaged: nothing was tested")
-	g.gate(o.unconverged, "network did not reconverge within its round budget")
 	g.gate(len(o.violations) != 0, "final network has %d Definition 3.8 violations, first: %v", len(o.violations), o.violations[:min(1, len(o.violations))])
 	return errors.Join(g...)
 }
@@ -463,270 +460,105 @@ func (x *env) byzantine() error {
 	}.verdict()
 }
 
-// scenarioConfig is the stack E17 and E18 run on: autonomous timeout
-// handling, the guard layer, a failure detector tolerant of stacked
-// topology latencies and churn-induced load, anti-entropy repair, and
-// gossip peer sampling feeding gateway selection, rejoin bootstrap and
-// sync-peer choice. -with-byzantine composes E15's fault model in.
-// internal/nemesis copies the timeouts and detector thresholds by hand.
-func (x *env) scenarioConfig(p id.Params, seed int64, watch *oracle.DeclWatch) overlay.Config {
-	cfg := overlay.Config{
-		Params: p,
-		Opts: core.Options{
-			Timeouts: core.Timeouts{RetryAfter: 500 * time.Millisecond, MaxAttempts: 6, RepairAfter: 600 * time.Millisecond},
-			Guard:    &guard.Policy{},
-		},
-		Liveness: &liveness.Config{
-			ProbeInterval:  250 * time.Millisecond,
-			ProbeTimeout:   time.Second,
-			SuspectAfter:   4,
-			IndirectProbes: 3,
-			ConfirmRounds:  4,
-		},
-		AntiEntropy:  &antientropy.Config{Interval: syncEvery},
-		Sampling:     &sampling.Config{ViewSize: 16, Interval: syncEvery, Seed: seed},
-		TickInterval: 100 * time.Millisecond,
-		Sink:         watch,
+// E17 and E18 are data: each scenario is a committed schedule,
+// testdata/<name>.json in the repro format `nemesis -replay` runs as
+// is, executed by internal/nemesis on its stack and judged by its
+// oracle. -seed overrides the recorded seed, -small picks
+// <name>-small.json where a scenario has one (`all -small` hands it to
+// every scenario), and -with-byzantine prepends a step that marks
+// byzFraction of the members hostile.
+//
+//go:embed testdata/*.json
+var schedules embed.FS
+
+// schedule loads scenario name's committed schedule, applies the flags
+// and prints the result: the report opens with what it runs.
+func (x *env) schedule(name string) (nemesis.Schedule, error) {
+	data, err := schedules.ReadFile("testdata/" + name + "-small.json")
+	if !x.small || err != nil {
+		data, err = schedules.ReadFile("testdata/" + name + ".json")
+	}
+	var r nemesis.Repro
+	if err == nil {
+		err = json.Unmarshal(data, &r)
+	}
+	if err != nil {
+		return nemesis.Schedule{}, fmt.Errorf("schedule %s: %w", name, err)
+	}
+	s := r.Schedule
+	if x.seedSet {
+		s.Seed = uint64(x.seed)
 	}
 	if x.withByz {
-		cfg.Byzantine = &overlay.Byzantine{Fraction: byzFraction, CorruptRate: byzCorrupt, Seed: seed}
+		s.Steps = append([]nemesis.Action{{Op: nemesis.OpByzantine, Frac: byzFraction}}, s.Steps...)
 	}
-	return cfg
+	fmt.Fprintf(x.out, "schedule: %d nodes (b=%d, d=%d), %s latency, seed %d\n", s.Nodes, s.B, s.D, s.Latency, s.Seed)
+	for i, a := range s.Steps {
+		fmt.Fprintf(x.out, "  step %d: %v\n", i, a)
+	}
+	fmt.Fprintln(x.out)
+	return s, nil
 }
 
-// hostile marks the composed fault model's members, none without
-// -with-byzantine.
-func (x *env) hostile(w *world) []id.ID {
-	if !x.withByz {
+// judge passes a run without findings. A run with findings fails, and
+// leaves its schedule and findings behind in a temporary repro file
+// that `nemesis -replay` re-executes to an exact match.
+func (x *env) judge(name string, res *nemesis.Result) error {
+	if !res.Failed() {
 		return nil
 	}
-	return w.net.SelectByzantine(w.refs)
+	f, err := os.CreateTemp("", "paper-"+name+"-*.json")
+	if err != nil {
+		return err
+	}
+	f.Close()
+	if err := nemesis.WriteRepro(f.Name(), nemesis.Repro{Schedule: res.Schedule, Findings: res.Findings}); err != nil {
+		return err
+	}
+	fmt.Fprintf(x.log, "paper %s: repro written to %s; replay it with\n\tgo run ./cmd/nemesis -replay %s\n", name, f.Name(), f.Name())
+	return fmt.Errorf("%d oracle findings, first: %v", len(res.Findings), res.Findings[0])
 }
 
-// declarations prints the audit E17's scenarios share and returns the
-// false ones.
-func (x *env) declarations(w *world, watch *oracle.DeclWatch) int {
-	fmt.Fprintf(x.out, "declarations: %d genuine, %d false", watch.Genuine(), watch.FalsePositives())
-	if watch.FalsePositives() > 0 {
-		fmt.Fprintf(x.out, " (e.g. %v)", watch.Examples())
+// e17 runs one of E17's schedules: a flash crowd, a mass failure of
+// whole stub domains, or every member restarted from its dump.
+func (x *env) e17(name string) error {
+	s, err := x.schedule(name)
+	if err != nil {
+		return err
 	}
-	ss := w.net.SamplingStats()
+	return x.scenario(name, s)
+}
+
+// scenario executes s and reports it from the executor's counters, the
+// network it leaves and its declaration watcher.
+func (x *env) scenario(name string, s nemesis.Schedule) error {
+	res, fin, err := nemesis.Execute(s, nemesis.Options{Trace: x.sink})
+	if err != nil {
+		return err
+	}
+	net, watch := fin.Net, fin.Watch
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	fmt.Fprintf(x.out, "executed: %d joined, %d crashed, %d restarted (%d from corrupt dumps); %v virtual\n",
+		res.Joined, res.Crashed, res.Restarted, res.CorruptDumps, ms(res.VirtualEnd))
+	if joins := net.Joins(); len(joins) > 0 {
+		var sum time.Duration
+		for _, r := range joins {
+			sum += r.Ended - r.Started
+		}
+		fmt.Fprintf(x.out, "mean join latency %v over %d joins\n", ms(sum/time.Duration(len(joins))), len(joins))
+	}
+	fmt.Fprintf(x.out, "declarations: %d genuine, %d false", watch.Genuine(), watch.FalsePositives())
+	if res.Crashed > 0 {
+		fmt.Fprintf(x.out, "; %d/%d crashed members declared, mean detection %v", watch.Detected(), res.Crashed, ms(watch.MeanDetection()))
+	}
+	ss := net.SamplingStats()
 	fmt.Fprintf(x.out, "\nsampling: %d rounds, %d pushes received, %d pulls answered, %d flood rounds absorbed, %d peers ejected\n",
 		ss.Rounds, ss.PushesReceived, ss.PullsAnswered, ss.FloodsDetected, ss.Ejected)
-	return watch.FalsePositives()
+	x.final(net)
+	return x.judge(name, res)
 }
 
-// E17's three scenarios run at scenarioSeed. A flash crowd is joins
-// simultaneous joiners funnelled through crowdGateways members; -small
-// is the size E19 traces.
-type crowdSize struct {
-	p        id.Params
-	n, joins int
-}
-
-var (
-	crowdFull  = crowdSize{scenarioParams, 200, 256}
-	crowdSmall = crowdSize{id.Params{B: 16, D: 4}, 64, 64}
-)
-
-const (
-	scenarioSeed   = 7
-	crowdGateways  = 4
-	crowdMaxRounds = 600
-)
-
-// flashcrowd must admit the whole wave. The peer-sampling layer is what
-// keeps the retry path alive: a joiner that exhausts its static gateways
-// restarts through sampled peers instead of wedging.
-func (x *env) flashcrowd() error {
-	sz, seed := crowdFull, x.seedOr(scenarioSeed)
-	if x.small {
-		sz = crowdSmall
-	}
-	watch := oracle.NewDeclWatch()
-	w, err := x.world(x.scenarioConfig(sz.p, seed, watch), sz.n, seed)
-	if err != nil {
-		return err
-	}
-	net := w.net
-	hostile := x.hostile(w)
-	gws := honest(w.refs, hostile)[:crowdGateways]
-	fmt.Fprintf(x.out, "flash crowd: %d nodes (b=%d, d=%d), %d simultaneous joins through %d gateways, %d byzantine, sync every %v\n\n",
-		net.Size(), sz.p.B, sz.p.D, sz.joins, crowdGateways, len(hostile), syncEvery)
-	net.RunFor(2 * time.Second) // warm-up: probers acquire targets, views fill
-
-	joiners := overlay.RandomRefs(sz.p, sz.joins, w.rng, w.taken)
-	w.bind(joiners)
-	start := net.Engine().Now() + 100*time.Millisecond
-	var jms []*core.Machine
-	for i, j := range joiners {
-		jms = append(jms, net.ScheduleJoin(j, gws[i%crowdGateways], start, gws[(i+1)%crowdGateways], gws[(i+2)%crowdGateways]))
-	}
-	// The scheduled joins only fire once time passes start, so each
-	// round runs before the joiners are consulted.
-	rounds := 1
-	waiting := func(m *core.Machine) bool { return !m.IsSNode() }
-	for net.RunFor(syncEvery); rounds < crowdMaxRounds && slices.ContainsFunc(jms, waiting); rounds++ {
-		net.RunFor(syncEvery)
-	}
-	o := outcome{stuck: stuck(joiners, jms)}
-	var meanJoin time.Duration
-	if recs := net.JoinsSince(start); len(recs) > 0 {
-		for _, r := range recs {
-			meanJoin += r.Ended - r.Started
-		}
-		meanJoin /= time.Duration(len(recs))
-	}
-	further, ok := net.Settle(syncEvery, 100)
-	fmt.Fprintf(x.out, "admission: %d/%d joined after %d rounds (%v), mean join latency %v, %d stuck\n",
-		sz.joins-len(o.stuck), sz.joins, rounds, time.Duration(rounds)*syncEvery, meanJoin, len(o.stuck))
-	fmt.Fprintf(x.out, "reconvergence: consistent after %d further rounds\n", further)
-	o.falseDecl, o.unconverged, o.violations = x.declarations(w, watch), !ok, x.final(net)
-	return o.verdict()
-}
-
-// massfail crashes, at one instant, every member hosted in massfailStubs
-// stub domains — the correlated loss of a datacenter or access-network
-// outage. Survivors must detect the deaths themselves, repair or
-// provably empty the affected entries, and reconverge.
-const massfailN, massfailStubs = 200, 2
-
-func (x *env) massfail() error {
-	seed := x.seedOr(scenarioSeed)
-	watch := oracle.NewDeclWatch()
-	w, err := x.world(x.scenarioConfig(scenarioParams, seed, watch), massfailN, seed)
-	if err != nil {
-		return err
-	}
-	net, topo := w.net, w.topo
-	hostile := x.hostile(w)
-	chosen := w.rng.Perm(topo.StubCount())[:massfailStubs]
-	var kill []id.ID
-	for i, r := range w.refs {
-		if slices.Contains(chosen, topo.StubOf(topo.HostRouter(w.hosts[i]))) {
-			kill = append(kill, r.ID)
-		}
-	}
-	if len(kill) == 0 {
-		return errors.New("the chosen stub domains host no members: try another -seed")
-	}
-	fmt.Fprintf(x.out, "mass failure: %d nodes (b=%d, d=%d), killing %d stub domains hosting %d members, %d byzantine, sync every %v\n\n",
-		net.Size(), scenarioParams.B, scenarioParams.D, massfailStubs, len(kill), len(hostile), syncEvery)
-	net.RunFor(2 * time.Second) // warm-up
-
-	watch.MarkDead(kill...)
-	for _, dead := range kill {
-		if err := net.InjectFailure(dead); err != nil {
-			return err
-		}
-	}
-	rounds, ok := net.Settle(syncEvery, 300)
-	fmt.Fprintf(x.out, "outage: %d members gone; reconverged after %d rounds (%v)\n", len(kill), rounds, time.Duration(rounds)*syncEvery)
-	return outcome{falseDecl: x.declarations(w, watch), unconverged: !ok, violations: x.final(net)}.verdict()
-}
-
-// restart restarts every member, restartWave at a time: each persists
-// its table and sampled peers, crashes, and comes back from the dump
-// (overlay.Network.Restart) through a persisted sampled peer. The
-// restart is immediate in virtual time, so any failure declaration at
-// all is a false one.
-const restartN, restartWave = 64, 8
-
-func (x *env) restart() error {
-	seed := x.seedOr(scenarioSeed)
-	watch := oracle.NewDeclWatch()
-	w, err := x.world(x.scenarioConfig(scenarioParams, seed, watch), restartN, seed)
-	if err != nil {
-		return err
-	}
-	net, refs := w.net, w.refs
-	hostile := x.hostile(w)
-	dir, err := os.MkdirTemp("", "paper-restart-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	dump := func(r table.Ref) string { return filepath.Join(dir, r.ID.String()+".json") }
-	fmt.Fprintf(x.out, "rolling restart: %d nodes (b=%d, d=%d), %d waves of %d, %d byzantine, sync every %v\n\n",
-		net.Size(), scenarioParams.B, scenarioParams.D, (restartN+restartWave-1)/restartWave, restartWave, len(hostile), syncEvery)
-	net.RunFor(2 * time.Second) // warm-up: sampler views fill before the first dump
-
-	restarts, sampledBoots := 0, 0
-	for w0 := 0; w0 < len(refs); w0 += restartWave {
-		group := refs[w0:min(w0+restartWave, len(refs))]
-		// Persist and crash the whole wave at one instant.
-		for _, r := range group {
-			if err := net.Persist(r.ID, dump(r)); err != nil {
-				return err
-			}
-			if err := net.InjectFailure(r.ID); err != nil {
-				return err
-			}
-		}
-		// Rejoins go one at a time, each drained before the next:
-		// concurrently rejoining members already appear in each other's
-		// tables and could park each other in join-wait forever.
-		for _, r := range group {
-			_, restored, err := net.Restart(r, dump(r), func(sampled []table.Ref) table.Ref {
-				helper, viaSample := rejoinHelper(net, r, sampled)
-				if viaSample {
-					sampledBoots++
-				}
-				return helper
-			})
-			if err != nil {
-				return err
-			}
-			if !restored {
-				fmt.Fprintf(x.log, "paper: corrupt dump, member %v restarts with a fresh join\n", r.ID)
-				net.Run()
-			}
-			restarts++
-		}
-		net.RunFor(syncEvery) // settle before the next wave
-	}
-	rounds, ok := net.Settle(syncEvery, 100)
-	fmt.Fprintf(x.out, "restarts: %d/%d completed, %d bootstrapped through persisted sampled peers\n",
-		restarts, restartN, sampledBoots)
-	fmt.Fprintf(x.out, "reconvergence: consistent after %d rounds past the last wave\n", rounds)
-	return outcome{falseDecl: x.declarations(w, watch), unconverged: !ok, violations: x.final(net)}.verdict()
-}
-
-// rejoinHelper picks the bootstrap for a restarting member: the first
-// persisted sampled peer that is currently alive (the sampling layer's
-// rejoin-bootstrap role), else the lowest live member ID. Reports
-// whether a sampled peer won.
-func rejoinHelper(net *overlay.Network, self table.Ref, sampled []table.Ref) (table.Ref, bool) {
-	for _, r := range sampled {
-		if _, live := net.Machine(r.ID); live && r.ID != self.ID {
-			return r, true
-		}
-	}
-	for _, r := range net.Members() { // in ID order
-		if r.ID != self.ID {
-			return r, false
-		}
-	}
-	return table.Ref{}, false
-}
-
-// E18: grayFraction of the members turn slow — alive, correct,
-// answering every message, just late: grayDelay per side, reached over
-// grayRamp — for grayWindow; then grayCrashes fast honest members crash
-// for real and the detector gets grayDetect to catch them.
-var grayParams = id.Params{B: 16, D: 4}
-
-const (
-	grayN, graySmallN = 64, 48
-	grayFraction      = 0.1
-	grayDelay         = 600 * time.Millisecond
-	grayRamp          = 5 * time.Second
-	grayWindow        = 30 * time.Second
-	grayCrashes       = 3
-	grayDetect        = 30 * time.Second
-)
-
-// grayRun is the outcome of one of E18's two runs.
+// grayRun is the outcome of one of E18's two arms.
 type grayRun struct {
 	falsePos    int
 	detected    int           // distinct genuine crashes declared
@@ -736,34 +568,31 @@ type grayRun struct {
 	latePongs   int
 	deprio      int // anti-entropy rounds that skipped a degraded partner
 	slowDelayed uint64
-	consistent  bool
 }
 
-// gray builds the same network twice from one seed, once with the
-// adaptive per-peer RTT estimator and once with fixed timeouts, and
-// subjects both to the same degradation.
+// gray runs E18's schedule twice, once with the adaptive per-peer RTT
+// estimator and once with fixed timeouts, and prints the contrast. Only
+// the adaptive arm is held to the oracle: the baseline is expected to
+// misbehave, and its findings are part of the contrast.
 func (x *env) gray() error {
-	n := grayN
-	if x.small {
-		n = graySmallN
+	s, err := x.schedule("gray")
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(x.out, "gray degradation: %d nodes (b=%d, d=%d), %.0f%% slow at %v/side (ramp %v, window %v), byzantine=%v, sync every %v\n\n",
-		n, grayParams.B, grayParams.D, 100*grayFraction, grayDelay, grayRamp, grayWindow, x.withByz, syncEvery)
-	adaptive, err := x.grayOnce(n, true)
+	adaptive, res, err := grayArm(s, x.sink)
 	if err != nil {
 		return err
 	}
 	// The baseline never gets the trace: its events would interleave
 	// with the adaptive run's in one file.
-	untraced := *x
-	untraced.sink = nil
-	fixed, err := untraced.grayOnce(n, false)
+	s.FixedTimeouts = true
+	fixed, fixedRes, err := grayArm(s, nil)
 	if err != nil {
 		return err
 	}
 
 	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
-	fmt.Fprintf(x.out, "\n%-28s %12s %12s\n", "", "adaptive", "fixed")
+	fmt.Fprintf(x.out, "%-28s %12s %12s\n", "", "adaptive", "fixed")
 	fmt.Fprintf(x.out, "%-28s %12d %12d\n", "false declarations", adaptive.falsePos, fixed.falsePos)
 	fmt.Fprintf(x.out, "%-28s %12s %12s\n", "genuine crashes declared",
 		fmt.Sprintf("%d/%d", adaptive.detected, adaptive.crashed), fmt.Sprintf("%d/%d", fixed.detected, fixed.crashed))
@@ -771,6 +600,11 @@ func (x *env) gray() error {
 	fmt.Fprintf(x.out, "%-28s %12d %12d\n", "degraded flags raised", adaptive.marked, fixed.marked)
 	fmt.Fprintf(x.out, "%-28s %12d %12d\n", "late pongs learned", adaptive.latePongs, fixed.latePongs)
 	fmt.Fprintf(x.out, "%-28s %12d %12d\n", "sync partners deprioritized", adaptive.deprio, fixed.deprio)
+	fmt.Fprintf(x.out, "%-28s %12d %12d\n", "slow-delayed messages", adaptive.slowDelayed, fixed.slowDelayed)
+	fmt.Fprintf(x.out, "%-28s %12d %12d\n", "oracle findings", len(res.Findings), len(fixedRes.Findings))
+	if err := x.judge("gray", res); err != nil {
+		return err
+	}
 	if err := grayVerdict(adaptive, fixed); err != nil {
 		return err
 	}
@@ -779,17 +613,16 @@ func (x *env) gray() error {
 	return nil
 }
 
-// grayVerdict judges the pair: the adaptive run must hold every
-// declaration of a slow-but-live node, catch every genuine crash, end
-// consistent and have engaged at all; and the baseline must visibly
-// suffer, either by falsely declaring a slow-but-live node or by
-// detecting the genuine crashes materially slower — otherwise fixed
-// timeouts were already adequate and the scenario has no teeth.
+// grayVerdict judges the pair on what the adaptive arm's oracle does
+// not cover (it already fails a false declaration or an inconsistent
+// end): the adaptive run must catch every genuine crash and have
+// engaged at all; and the baseline must visibly suffer, either by
+// falsely declaring a slow-but-live node or by detecting the genuine
+// crashes materially slower — otherwise fixed timeouts were already
+// adequate and the scenario has no teeth.
 func grayVerdict(adaptive, fixed grayRun) error {
 	var g gates
-	g.gate(adaptive.falsePos != 0, "adaptive run declared %d live nodes dead", adaptive.falsePos)
 	g.gate(adaptive.detected != adaptive.crashed, "adaptive run detected only %d of %d genuine crashes", adaptive.detected, adaptive.crashed)
-	g.gate(!adaptive.consistent, "adaptive run ended inconsistent")
 	g.gate(adaptive.marked == 0, "no node was ever flagged degraded: the estimator never engaged")
 	g.gate(adaptive.slowDelayed == 0, "slow-node model never delayed a message: nothing was tested")
 	g.gate(fixed.falsePos == 0 && (adaptive.meanDetect <= 0 || float64(fixed.meanDetect) <= 1.2*float64(adaptive.meanDetect)),
@@ -797,70 +630,24 @@ func grayVerdict(adaptive, fixed grayRun) error {
 	return errors.Join(g...)
 }
 
-// grayOnce executes one run. Its error covers setup only; protocol
+// grayArm executes one arm. Its error covers setup only; protocol
 // outcomes — false declarations, missed crashes — are reported in
-// grayRun for grayVerdict, because the baseline is expected to misbehave.
-func (x *env) grayOnce(n int, adaptive bool) (grayRun, error) {
-	label := "fixed"
-	watch := oracle.NewDeclWatch()
-	cfg := x.scenarioConfig(grayParams, x.seed, watch)
-	cfg.SlowNodes = &overlay.SlowNodes{Delay: grayDelay, Ramp: grayRamp, Fraction: grayFraction, Seed: x.seed}
-	if adaptive {
-		label = "adaptive"
-		cfg.RTT = &rtt.Config{}
-	}
-	w, err := x.world(cfg, n, x.seed)
+// grayRun for grayVerdict.
+func grayArm(s nemesis.Schedule, trace obs.Sink) (grayRun, *nemesis.Result, error) {
+	res, fin, err := nemesis.Execute(s, nemesis.Options{Trace: trace})
 	if err != nil {
-		return grayRun{}, err
+		return grayRun{}, nil, err
 	}
-	net := w.net
-	hostile := x.hostile(w)
-
-	// Warm-up: probers acquire targets and (in the adaptive run) the
-	// estimators learn the fast baseline the ramp will depart from.
-	net.RunFor(5 * time.Second)
-	if watch.Total() != 0 {
-		return grayRun{}, fmt.Errorf("[%s] %d declarations before degradation began", label, watch.Total())
-	}
-	slow := net.SelectSlow(w.refs)
-	fmt.Fprintf(x.out, "[%s] %d members turning gray\n", label, len(slow))
-	net.RunFor(grayWindow)
-
-	// Adaptivity may extend the window for slow peers, never let real
-	// failures slide.
-	var crash []id.ID
-	for _, r := range w.refs {
-		if len(crash) < grayCrashes && !slices.Contains(slow, r.ID) && !slices.Contains(hostile, r.ID) {
-			crash = append(crash, r.ID)
-		}
-	}
-	watch.MarkDeadAt(net.Engine().Now(), crash...)
-	for _, dead := range crash {
-		if err := net.InjectFailure(dead); err != nil {
-			return grayRun{}, fmt.Errorf("[%s] %w", label, err)
-		}
-	}
-	net.RunFor(grayDetect)
-	_, consistent := net.Settle(syncEvery, 100)
-
+	net, watch := fin.Net, fin.Watch
 	ls, ae := net.LivenessStats(), net.AntiEntropyStats()
-	out := grayRun{
+	return grayRun{
 		falsePos:    watch.FalsePositives(),
 		detected:    watch.Detected(),
-		crashed:     len(crash),
+		crashed:     res.Crashed,
 		meanDetect:  watch.MeanDetection(),
+		marked:      net.RTTStats().Marked,
 		latePongs:   ls.LatePongs,
 		deprio:      ae.Deprioritized,
 		slowDelayed: net.SlowDelayed(),
-		consistent:  consistent,
-	}
-	if adaptive {
-		out.marked = net.RTTStats().Marked
-	}
-	fmt.Fprintf(x.out, "[%s] declarations: %d genuine / %d false; crash detection %v; %d late pongs, %d degraded flags, %d slow-delayed messages\n",
-		label, watch.Genuine(), watch.FalsePositives(), out.meanDetect.Round(time.Millisecond), out.latePongs, out.marked, out.slowDelayed)
-	if watch.FalsePositives() > 0 {
-		fmt.Fprintf(x.out, "[%s]   falsely declared: %v\n", label, watch.Examples())
-	}
-	return out, nil
+	}, res, nil
 }

@@ -1,6 +1,7 @@
 package nemesis
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -60,23 +61,52 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s, back) {
 		t.Fatalf("round trip changed the schedule:\n%v\n%v", s, back)
 	}
-	if _, err := ParseSchedule([]byte(`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"warp-core-breach"}]}`)); err == nil {
-		t.Fatal("unknown op accepted")
+	// A generated schedule leaves the header at its defaults and out of
+	// its JSON, so repro files stay byte-identical.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"seed", "b", "d", "nodes", "steps"} {
+		delete(keys, k)
+	}
+	if len(keys) != 0 {
+		t.Fatalf("generated schedule marshals new keys: %s", data)
+	}
+	for _, bad := range []string{
+		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"warp-core-breach"}]}`,
+		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"crash-stubs","count":1}]}`,
+		`{"seed":1,"b":16,"d":4,"nodes":16,"latency":"constant","steps":[]}`,
+		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"slow","count":1,"dur":-1}]}`,
+	} {
+		if _, err := ParseSchedule([]byte(bad)); err == nil {
+			t.Errorf("invalid schedule accepted: %s", bad)
+		}
 	}
 }
 
 func TestExecuteDeterministic(t *testing.T) {
-	s := Generate(11, p164, 16, 5)
-	a, err := Execute(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Execute(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same schedule, different results:\nrun1: %+v\nrun2: %+v", a, b)
+	for _, s := range []Schedule{
+		Generate(11, p164, 16, 5),
+		{Seed: 3, B: 16, D: 4, Nodes: 24, Latency: LatencyTransitStub, Steps: []Action{
+			{Op: OpJoinWave, Count: 4},
+			{Op: OpCrashStubs, Count: 3, Gap: 5 * time.Second},
+		}},
+	} {
+		a, _, err := Execute(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := Execute(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("same schedule, different results:\nrun1: %+v\nrun2: %+v", a, b)
+		}
+		if s.Latency == LatencyTransitStub && a.Crashed == 0 {
+			t.Errorf("crash-stubs crashed no member: %+v", a)
+		}
 	}
 }
 
@@ -103,7 +133,7 @@ func TestShrinkInjectedViolation(t *testing.T) {
 		t.Skip("shrinking runs dozens of simulations")
 	}
 	s := injectedViolation()
-	res, err := Execute(s, Options{})
+	res, _, err := Execute(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +179,7 @@ func TestReproReplayRoundTrip(t *testing.T) {
 		Seed: 5, B: 16, D: 4, Nodes: 16,
 		Steps: []Action{{Op: OpPause, Count: 1, Dur: 30 * time.Second, Gap: 2 * time.Second}},
 	}
-	res, err := Execute(s, Options{})
+	res, _, err := Execute(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package oracle holds the invariant checks a chaos scenario is judged
-// by: a false-declaration watcher teed into the event stream, which the
-// hand-scripted cmd/paper scenarios (E17, E18) and the generated
-// cmd/nemesis schedules share, and the quiescence-point audit of the
-// latter (Definition 3.8 consistency plus sampled Definition 3.7
-// reachability).
+// by: a false-declaration watcher teed into the event stream, and the
+// quiescence-point audit (Definition 3.8 consistency plus sampled
+// Definition 3.7 reachability). The nemesis executor applies both to
+// every schedule it runs — generated ones and cmd/paper's E17/E18 —
+// and the repository benchmark reuses the watcher.
 //
 // Everything here needs global knowledge and therefore lives in the
 // verification harness, never in protocol nodes.
@@ -84,9 +84,6 @@ func (w *DeclWatch) Genuine() int { return w.genuine }
 
 // FalsePositives returns how many declarations named a live node.
 func (w *DeclWatch) FalsePositives() int { return w.falsePos }
-
-// Total returns all declarations observed so far.
-func (w *DeclWatch) Total() int { return w.genuine + w.falsePos }
 
 // Examples returns up to five falsely declared peers, in declaration
 // order.

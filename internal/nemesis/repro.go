@@ -50,7 +50,7 @@ func LoadRepro(path string) (Repro, error) {
 // against the recording. It returns the fresh findings and whether they
 // match exactly (same checks, steps, and details, in order).
 func Replay(r Repro, opt Options) ([]oracle.Finding, bool, error) {
-	res, err := Execute(r.Schedule, opt)
+	res, _, err := Execute(r.Schedule, opt)
 	if err != nil {
 		return nil, false, err
 	}

@@ -2,11 +2,13 @@ package nemesis
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,10 +18,12 @@ import (
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
 	"hypercube/internal/nemesis/oracle"
+	"hypercube/internal/obs"
 	"hypercube/internal/overlay"
 	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
 	"hypercube/internal/table"
+	"hypercube/internal/topology"
 )
 
 // Options tunes an execution without affecting its verdicts. The zero
@@ -27,15 +31,20 @@ import (
 type Options struct {
 	// Log, when non-nil, receives one progress line per executed step.
 	Log io.Writer
+	// Trace, when non-nil, receives every protocol event, every
+	// operation causally traced: the input of `trace report`.
+	Trace obs.Sink
 }
 
 // An execution is a function of its Schedule alone — a Repro records
 // nothing else — so the round length (anti-entropy and sampling
-// interval, settle round) and the audit size (sampled ordered pairs
-// routed via Definition 3.7) are constants.
+// interval, settle round), the audit size (sampled ordered pairs routed
+// via Definition 3.7) and the delay of a slow step without one are
+// constants.
 const (
 	syncEvery  = 500 * time.Millisecond
 	reachPairs = 16
+	slowDelay  = 400 * time.Millisecond
 )
 
 // Result is the outcome of executing one schedule. With an identical
@@ -60,22 +69,32 @@ type Result struct {
 // Failed reports whether any invariant was violated.
 func (r *Result) Failed() bool { return len(r.Findings) != 0 }
 
+// Final is what an execution leaves behind besides its Result: the
+// settled network and the watcher that classified its declarations.
+// Result stays a comparable value; a report reads these.
+type Final struct {
+	Net   *overlay.Network
+	Watch *oracle.DeclWatch
+}
+
 // Execute runs one schedule against a freshly built network and returns
 // its findings. The error return covers infrastructure problems (bad
 // schedule, filesystem) only; protocol misbehavior is reported through
 // Result.Findings, never through the error.
-func Execute(s Schedule, opt Options) (*Result, error) {
+func Execute(s Schedule, opt Options) (*Result, *Final, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dir, err := os.MkdirTemp("", "nemesis-")
 	if err != nil {
-		return nil, fmt.Errorf("nemesis: %w", err)
+		return nil, nil, fmt.Errorf("nemesis: %w", err)
 	}
 	defer os.RemoveAll(dir)
 
 	e := &executor{s: s, opt: opt, dir: dir, res: &Result{Schedule: s}}
-	e.build()
+	if err := e.build(); err != nil {
+		return nil, nil, err
+	}
 	for i, a := range s.Steps {
 		e.step(i, a)
 	}
@@ -83,7 +102,7 @@ func Execute(s Schedule, opt Options) (*Result, error) {
 	e.res.VirtualEnd = e.net.Engine().Now()
 	e.res.FinalSize = e.net.Size()
 	e.res.Findings = e.findings
-	return e.res, nil
+	return e.res, &Final{Net: e.net, Watch: e.watch}, nil
 }
 
 // executor holds the mutable state of one schedule run. All bookkeeping
@@ -98,6 +117,12 @@ type executor struct {
 	net   *overlay.Network
 	watch *oracle.DeclWatch
 	p     id.Params
+
+	// Under the transit-stub latency model: the topology, the host
+	// binding every issued ref gets, and each ref's stub domain.
+	topo *topology.Topology
+	tl   *overlay.TopologyLatency
+	stub map[id.ID]int
 
 	members []table.Ref    // established members, sorted by ID
 	taken   map[id.ID]bool // every ID ever issued
@@ -117,15 +142,17 @@ type pendingJoin struct {
 	step int
 }
 
-// build configures the full robustness stack. Timeouts, detector
-// thresholds and view size are cmd/paper scenarioConfig's (E17/E18),
-// copied by hand; the rest differs on purpose: constant 10 ms latency
-// instead of a transit-stub topology, 500 ms sync rounds, the RTT
-// estimator always on, every injector armed (loss at rate 0, slow and
-// byzantine models with executor-driven selection), and
-// PartitionThreshold lowered to 0.3 so both sides of a generated 40–50%
-// partition enter partition mode and freeze declarations.
-func (e *executor) build() {
+// build configures the full robustness stack, the one every schedule —
+// generated or one of cmd/paper's E17/E18 scenarios — runs on:
+// autonomous timeout handling, the guard layer, a failure detector
+// tolerant of stacked topology latencies, anti-entropy repair, gossip
+// peer sampling, the RTT estimator unless the schedule asks for fixed
+// timeouts, every injector armed (loss at rate 0, slow and byzantine
+// models with executor-driven selection), and PartitionThreshold
+// lowered to 0.3 so both sides of a generated 40–50% partition enter
+// partition mode and freeze declarations. Latency is a constant 10 ms
+// unless the schedule names the transit-stub model.
+func (e *executor) build() error {
 	e.p = id.Params{B: e.s.B, D: e.s.D}
 	e.watch = oracle.NewDeclWatch()
 	seed := int64(e.s.Seed)
@@ -151,12 +178,26 @@ func (e *executor) build() {
 		RTT:          &rtt.Config{},
 		AntiEntropy:  &antientropy.Config{Interval: syncEvery},
 		Sampling:     &sampling.Config{ViewSize: 16, Interval: syncEvery, Seed: seed},
-		SlowNodes:    &overlay.SlowNodes{Delay: 400 * time.Millisecond, Ramp: 2 * time.Second, Seed: seed},
+		SlowNodes:    &overlay.SlowNodes{Ramp: 2 * time.Second},
 		Byzantine:    &overlay.Byzantine{Seed: seed},
 		Loss:         &overlay.Loss{Rate: 0, Seed: seed},
 		TickInterval: 100 * time.Millisecond,
+		Sink:         obs.Tee(e.opt.Trace, e.watch),
 	}
-	cfg.Sink = e.watch
+	if e.s.FixedTimeouts {
+		cfg.RTT = nil
+	}
+	if e.opt.Trace != nil {
+		cfg.TraceSample, cfg.TraceSeed = 1, e.s.Seed
+	}
+	if e.s.Latency == LatencyTransitStub {
+		topo, err := topology.Generate(topology.Small(seed))
+		if err != nil {
+			return fmt.Errorf("nemesis: %w", err)
+		}
+		e.topo, e.tl, e.stub = topo, overlay.NewTopologyLatency(topo), make(map[id.ID]int)
+		cfg.Latency = e.tl.Func()
+	}
 	e.net = overlay.New(cfg)
 
 	e.taken = make(map[id.ID]bool)
@@ -165,10 +206,24 @@ func (e *executor) build() {
 	e.leaves = make(map[id.ID]int)
 	rng := rand.New(rand.NewSource(int64(e.s.Seed)))
 	refs := overlay.RandomRefs(e.p, e.s.Nodes, rng, e.taken)
+	e.bind(refs, rng)
 	e.net.BuildDirect(refs, rng)
 	e.members = append(e.members, refs...)
 	e.sortMembers()
 	e.net.RunFor(3 * time.Second) // warm-up: probers acquire, views fill
+	return nil
+}
+
+// bind attaches each ref to a fresh end host of the topology, drawing
+// from rng; under constant latency it draws nothing.
+func (e *executor) bind(refs []table.Ref, rng *rand.Rand) {
+	if e.topo == nil {
+		return
+	}
+	for i, h := range e.topo.AttachHosts(len(refs), rng) {
+		e.tl.Bind(refs[i].ID, h)
+		e.stub[refs[i].ID] = e.topo.StubOf(e.topo.HostRouter(h))
+	}
 }
 
 func (e *executor) sortMembers() {
@@ -210,7 +265,8 @@ func (e *executor) fastHonest(m table.Ref) bool {
 	return !e.byz[m.ID] && !e.slow[m.ID] && !e.leaving(m.ID)
 }
 
-func (e *executor) leaving(x id.ID) bool { _, ok := e.leaves[x]; return ok }
+func (e *executor) leaving(x id.ID) bool        { _, ok := e.leaves[x]; return ok }
+func (e *executor) notLeaving(m table.Ref) bool { return !e.leaving(m.ID) }
 
 func (e *executor) dropMember(x id.ID) {
 	for i, m := range e.members {
@@ -230,13 +286,15 @@ func (e *executor) step(i int, a Action) {
 	case OpLeave:
 		e.leave(i, a, r)
 	case OpCrash:
-		e.crash(i, a, r)
+		e.crash(e.pick(r, a.Count, e.notLeaving))
+	case OpCrashStubs:
+		e.crash(e.inStubs(r, a.Count))
 	case OpPartition:
 		e.partition(i, a, r)
 	case OpSlow:
 		for _, m := range e.pick(r, a.Count, e.fastHonest) {
 			e.slow[m.ID] = true
-			e.net.MarkSlow(m.ID)
+			e.net.MarkSlow(cmp.Or(a.Dur, slowDelay), m.ID)
 		}
 	case OpByzantine:
 		n := int(a.Frac * float64(len(e.members)))
@@ -285,6 +343,7 @@ func (e *executor) joinWave(i int, a Action, r *rng) {
 	}
 	jrng := rand.New(rand.NewSource(int64(r.next())))
 	joiners := overlay.RandomRefs(e.p, a.Count, jrng, e.taken)
+	e.bind(joiners, jrng)
 	start := e.net.Engine().Now() + 100*time.Millisecond
 	for k, j := range joiners {
 		g := gws[k%len(gws)]
@@ -355,8 +414,9 @@ func (e *executor) settleLeaves() {
 	}
 }
 
-func (e *executor) crash(i int, a Action, r *rng) {
-	targets := e.pick(r, a.Count, func(m table.Ref) bool { return !e.leaving(m.ID) })
+// crash kills the targets at one instant; the survivors must detect the
+// deaths and repair on their own.
+func (e *executor) crash(targets []table.Ref) {
 	now := e.net.Engine().Now()
 	for _, m := range targets {
 		e.watch.MarkDeadAt(now, m.ID)
@@ -366,6 +426,20 @@ func (e *executor) crash(i int, a Action, r *rng) {
 		e.dropMember(m.ID)
 		e.res.Crashed++
 	}
+}
+
+// inStubs returns every member (not leaving) hosted in one of k stub
+// domains drawn at random.
+func (e *executor) inStubs(r *rng, k int) []table.Ref {
+	perm := rand.New(rand.NewSource(int64(r.next()))).Perm(e.topo.StubCount())
+	stubs := perm[:min(k, len(perm))]
+	var out []table.Ref
+	for _, m := range e.members {
+		if e.notLeaving(m) && slices.Contains(stubs, e.stub[m.ID]) {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // partition cuts a Frac minority away, holds the cut for Dur, heals, and

@@ -35,7 +35,8 @@ const (
 	// heals. Declarations must freeze on both sides (partition mode).
 	OpPartition Op = "partition"
 	// OpSlow marks Count members gray: alive and correct but ramping to
-	// a per-side processing delay. They stay slow until the final settle.
+	// a per-side processing delay of Dur (0: 400 ms). They stay slow
+	// until the final settle.
 	OpSlow Op = "slow"
 	// OpByzantine marks Frac of the members hostile (mutating,
 	// withholding, replaying). They stay hostile for the whole run.
@@ -55,7 +56,15 @@ const (
 	// OpQuiesce settles the network (sync rounds until Definition 3.8
 	// consistency, bounded) and runs the full invariant oracle.
 	OpQuiesce Op = "quiesce"
+	// OpCrashStubs kills, at one instant, every member hosted in Count
+	// stub domains of the transit-stub topology: a correlated outage.
+	OpCrashStubs Op = "crash-stubs"
 )
+
+// LatencyTransitStub names the latency model of a Schedule whose members
+// sit on end hosts of the 248-router transit-stub topology; the empty
+// name is a constant 10 ms.
+const LatencyTransitStub = "transit-stub"
 
 // Action is one step of a fault schedule. Unused fields stay zero and
 // are omitted from the JSON; Gap is virtual time the executor runs after
@@ -95,14 +104,19 @@ func (a Action) String() string {
 }
 
 // Schedule is a complete chaos scenario: the ID-space shape, the base
-// network size, the seed that drives every in-run random choice, and the
-// action sequence. Seed plus Steps fully determine the run.
+// network size, the seed that drives every in-run random choice, the
+// action sequence, and two header fields a generated schedule leaves
+// at their defaults (and out of its JSON): the latency model, and
+// FixedTimeouts, which attaches no RTT estimator. These fields fully
+// determine the run.
 type Schedule struct {
-	Seed  uint64   `json:"seed"`
-	B     int      `json:"b"`
-	D     int      `json:"d"`
-	Nodes int      `json:"nodes"`
-	Steps []Action `json:"steps"`
+	Seed          uint64   `json:"seed"`
+	B             int      `json:"b"`
+	D             int      `json:"d"`
+	Nodes         int      `json:"nodes"`
+	Latency       string   `json:"latency,omitempty"`
+	FixedTimeouts bool     `json:"fixedTimeouts,omitempty"`
+	Steps         []Action `json:"steps"`
 }
 
 // Validate rejects schedules the executor cannot run deterministically
@@ -116,9 +130,12 @@ func (s Schedule) Validate() error {
 	if s.Nodes < 4 {
 		return fmt.Errorf("nemesis: base network of %d nodes is below the minimum of 4", s.Nodes)
 	}
+	if s.Latency != "" && s.Latency != LatencyTransitStub {
+		return fmt.Errorf("nemesis: unknown latency model %q", s.Latency)
+	}
 	for i, a := range s.Steps {
 		switch a.Op {
-		case OpJoinWave, OpLeave, OpCrash, OpSlow, OpPause, OpRestart:
+		case OpJoinWave, OpLeave, OpCrash, OpSlow, OpPause, OpRestart, OpCrashStubs:
 			if a.Count < 1 {
 				return fmt.Errorf("nemesis: step %d (%s): count %d", i, a.Op, a.Count)
 			}
@@ -138,6 +155,14 @@ func (s Schedule) Validate() error {
 		case OpPartition, OpLoss, OpPause:
 			if a.Dur <= 0 {
 				return fmt.Errorf("nemesis: step %d (%s): non-positive dur %v", i, a.Op, a.Dur)
+			}
+		case OpSlow:
+			if a.Dur < 0 {
+				return fmt.Errorf("nemesis: step %d (%s): negative dur %v", i, a.Op, a.Dur)
+			}
+		case OpCrashStubs:
+			if s.Latency != LatencyTransitStub {
+				return fmt.Errorf("nemesis: step %d (%s): needs latency %q", i, a.Op, LatencyTransitStub)
 			}
 		}
 	}

@@ -115,7 +115,7 @@ func (sh *shrinker) reproduces(s Schedule) ([]oracle.Finding, bool) {
 	}
 	sh.budget--
 	sh.executions++
-	res, err := Execute(s, Options{})
+	res, _, err := Execute(s, Options{})
 	if err != nil {
 		return nil, false
 	}

@@ -189,8 +189,8 @@ type Config struct {
 	// gated on the estimator, bit-identical legacy behavior.
 	RTT *rtt.Config
 	// SlowNodes enables the gray-failure fault model: members marked via
-	// MarkSlow/SelectSlow process all traffic with a ramping per-side
-	// delay (see SlowNodes). Nil keeps every member fast.
+	// MarkSlow process all traffic with a ramping per-side delay (see
+	// SlowNodes). Nil keeps every member fast.
 	SlowNodes *SlowNodes
 	// Sink, when non-nil, receives every protocol event from every
 	// machine, prober, and anti-entropy engine, stamped with the virtual
@@ -253,9 +253,9 @@ type Network struct {
 	// different groups drop in flight (Partition/Heal fault injection).
 	partition        map[id.ID]int
 	partitionDropped uint64
-	// slow maps gray-marked nodes to their mark time (Config.SlowNodes);
+	// slow maps gray-marked nodes to their mark (Config.SlowNodes);
 	// slowDelayed counts transmissions the model delayed.
-	slow        map[id.ID]time.Duration
+	slow        map[id.ID]slowMark
 	slowDelayed uint64
 	// byz marks byzantine members (Config.Byzantine); byzHistory is the
 	// bounded replay ring of recently sent honest envelopes.
@@ -294,7 +294,7 @@ func New(cfg Config) *Network {
 		paused:          make(map[id.ID]time.Duration),
 	}
 	if cfg.SlowNodes != nil {
-		n.slow = make(map[id.ID]time.Duration)
+		n.slow = make(map[id.ID]slowMark)
 	}
 	if cfg.Loss != nil {
 		n.lossRng = rand.New(rand.NewSource(cfg.Loss.Seed))
@@ -801,21 +801,10 @@ func (n *Network) LostMessages() uint64 { return n.lost }
 
 // Joins returns the completed join records. Records for joins completed
 // during BuildByJoins are included; callers measuring a specific wave
-// should slice by Started time or reset via JoinsSince.
+// should slice by Started time.
 func (n *Network) Joins() []JoinRecord {
 	out := make([]JoinRecord, len(n.joins))
 	copy(out, n.joins)
-	return out
-}
-
-// JoinsSince returns join records whose join began at or after t.
-func (n *Network) JoinsSince(t time.Duration) []JoinRecord {
-	var out []JoinRecord
-	for _, r := range n.joins {
-		if r.Started >= t {
-			out = append(out, r)
-		}
-	}
 	return out
 }
 

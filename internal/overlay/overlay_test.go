@@ -230,7 +230,7 @@ func TestWaveReproducible(t *testing.T) {
 	}
 }
 
-func TestJoinsSinceAndPending(t *testing.T) {
+func TestJoinsAndPending(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	net := New(Config{Params: p164})
 	refs := RandomRefs(p164, 10, rng, nil)
@@ -246,11 +246,8 @@ func TestJoinsSinceAndPending(t *testing.T) {
 	if got := net.PendingJoins(); got != 0 {
 		t.Errorf("PendingJoins after quiescence = %d", got)
 	}
-	if got := len(net.JoinsSince(0)); got != 5 {
-		t.Errorf("JoinsSince(0) = %d", got)
-	}
-	if got := len(net.JoinsSince(time.Hour)); got != 0 {
-		t.Errorf("JoinsSince(1h) = %d", got)
+	if got := len(net.Joins()); got != 5 {
+		t.Errorf("Joins() = %d records, want 5", got)
 	}
 	if net.Delivered() == 0 {
 		t.Error("no messages delivered")
