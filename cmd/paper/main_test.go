@@ -26,9 +26,10 @@ const multiW = "10261,47051,00261,33333,12345,22222,44444"
 // its default size except the two that run the §5.2 waves and the two
 // one-second scenarios (churn at n=1000, gray at n=64), which `go test`
 // runs at -small (make experiments-check covers full size). The
-// scenarios run five times each: E11–E15's member and hostile
-// selections, partitionJoiner and DeclWatch.Examples touch maps, and
-// E17/E18 run on the same overlay, sampling and guard layers.
+// scenarios run five times each: E11 and E12's member selections touch
+// maps, and E13–E18 run on the nemesis executor, whose mid-split joiner
+// rule ranges over the map of issued IDs, over the same overlay,
+// sampling and guard layers.
 var goldens = []struct {
 	file string
 	args []string
@@ -179,10 +180,10 @@ func TestFigure1(t *testing.T) {
 
 // TestExperimentsDoc keeps EXPERIMENTS.md's transcripts from drifting
 // again: every fenced block there must be a run of lines of some
-// golden, so a section gives its commands inline and fences output
-// only. E14, E16, E19 and E20 quote other tools (cmd/trace,
-// cmd/nemesis) or figures recorded before a removal, and the closing
-// section quotes nothing; those stay outside the check.
+// golden — this command's, or cmd/nemesis's sweep for E20 — so a
+// section gives its commands inline and fences output only. E14 and
+// E19 quote cmd/trace, and the closing section quotes nothing; those
+// stay outside the check.
 func TestExperimentsDoc(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -192,8 +193,12 @@ func TestExperimentsDoc(t *testing.T) {
 	for _, c := range goldens {
 		names = append(names, c.file)
 	}
-	pinned := golden(t, names...)
-	unchecked := []string{"E14 ", "E16 ", "E19 ", "E20 ", "Additional measurements"}
+	sweep, err := os.ReadFile("../nemesis/testdata/sweep.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := golden(t, names...) + string(sweep)
+	unchecked := []string{"E14 ", "E19 ", "Additional measurements"}
 	checked := 0
 	for _, section := range strings.Split(string(doc), "\n## ")[1:] {
 		title, _, _ := strings.Cut(section, "\n")
@@ -211,7 +216,7 @@ func TestExperimentsDoc(t *testing.T) {
 			}
 		}
 	}
-	if checked < 23 {
+	if checked < 25 {
 		t.Errorf("only %d blocks of EXPERIMENTS.md were checked: its sections or fences changed shape", checked)
 	}
 }
@@ -247,16 +252,12 @@ func TestVerdicts(t *testing.T) {
 	for want, o := range map[string]outcome{
 		"1 Definition 3.8 violations": {violations: make([]netcheck.Violation, 1)},
 		"2 table entries left unrep":  {unrepaired: 2},
-		"3 live nodes declared":       {falseDecl: 3},
-		"1 joins did not complete":    {stuck: []string{"beef in copying"}},
-		"4 probers still in part":     {partitioned: 4},
-		"fault model never engaged":   {inert: true},
 	} {
 		if err := o.verdict(); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("outcome %+v judged %v, want an error mentioning %q", o, err, want)
 		}
 	}
-	if err := (outcome{falseDecl: 1, partitioned: 2}).verdict(); err == nil || strings.Count(err.Error(), "\n") != 1 {
+	if err := (outcome{violations: make([]netcheck.Violation, 1), unrepaired: 2}).verdict(); err == nil || strings.Count(err.Error(), "\n") != 1 {
 		t.Errorf("two tripped gates reported as %v, want both", err)
 	}
 
@@ -286,12 +287,12 @@ func TestVerdicts(t *testing.T) {
 	}
 }
 
-// TestScheduleFiles holds the committed E17/E18 schedules to the repro
+// TestScheduleFiles holds the committed E13-E18 schedules to the repro
 // format `nemesis -replay` takes: each loads and records no findings.
 func TestScheduleFiles(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.json")
-	if err != nil || len(files) != 6 {
-		t.Fatalf("testdata holds schedules %v (%v), want six", files, err)
+	if err != nil || len(files) != 8 {
+		t.Fatalf("testdata holds schedules %v (%v), want eight", files, err)
 	}
 	for _, f := range files {
 		r, err := nemesis.LoadRepro(f)

@@ -2,13 +2,16 @@ package nemesis
 
 import (
 	"encoding/json"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"hypercube/internal/id"
 	"hypercube/internal/nemesis/oracle"
+	"hypercube/internal/table"
 )
 
 var p164 = id.Params{B: 16, D: 4}
@@ -78,6 +81,8 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"crash-stubs","count":1}]}`,
 		`{"seed":1,"b":16,"d":4,"nodes":16,"latency":"constant","steps":[]}`,
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"slow","count":1,"dur":-1}]}`,
+		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"partition","count":-1,"frac":0.5,"dur":1}]}`,
+		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"loss","count":-2,"rate":0.1,"dur":1}]}`,
 	} {
 		if _, err := ParseSchedule([]byte(bad)); err == nil {
 			t.Errorf("invalid schedule accepted: %s", bad)
@@ -107,6 +112,85 @@ func TestExecuteDeterministic(t *testing.T) {
 		if s.Latency == LatencyTransitStub && a.Crashed == 0 {
 			t.Errorf("crash-stubs crashed no member: %+v", a)
 		}
+	}
+}
+
+// TestJoinsHeldOpenByAFault: a partition or loss step with a count
+// admits that many fresh joiners while its fault is open, and each must
+// be an S-node when the fault closes. The 40 s split outlasts the
+// executor's join give-up (six attempts from 500 ms doubling, 31.5 s);
+// a 15 s one does not, and at seed 1 one of two joiners is still
+// notifying across the cut when it heals, which is a stuck-join finding
+// at that step. The joiner completes after the heal, so nothing else is
+// found.
+func TestJoinsHeldOpenByAFault(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		s     Schedule
+		stuck int // stuck-join findings at step 0
+	}{
+		{"split outlasts the give-up", Schedule{Seed: 1, B: 16, D: 4, Nodes: 16, Steps: []Action{
+			{Op: OpPartition, Frac: 0.5, Dur: 40 * time.Second, Count: 2}}}, 0},
+		{"split shorter than the give-up", Schedule{Seed: 1, B: 16, D: 4, Nodes: 16, Steps: []Action{
+			{Op: OpPartition, Frac: 0.5, Dur: 15 * time.Second, Count: 2}}}, 1},
+		{"base above 16", Schedule{Seed: 1, B: 32, D: 3, Nodes: 16, Steps: []Action{
+			{Op: OpPartition, Frac: 0.5, Dur: 40 * time.Second, Count: 2}}}, 0},
+		{"loss", Schedule{Seed: 1, B: 16, D: 4, Nodes: 16, Steps: []Action{
+			{Op: OpLoss, Rate: 0.1, Dur: 20 * time.Second, Count: 3}}}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, _, err := Execute(c.s, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := c.s.Steps[0].Count
+			if res.Joined != want {
+				t.Errorf("joined %d, want %d", res.Joined, want)
+			}
+			stuck := 0
+			for _, f := range res.Findings {
+				if f.Check == oracle.CheckStuckJoin && f.Step == 0 && strings.Contains(f.Detail, "notifying") {
+					stuck++
+				}
+			}
+			if stuck != c.stuck || len(res.Findings) != c.stuck {
+				t.Errorf("findings %v, want exactly %d stuck-join at step 0", res.Findings, c.stuck)
+			}
+		})
+	}
+}
+
+// TestJoinerUnder pins the ID rule of a joiner entering a cut network
+// at a base whose digits have no single hexadecimal character: the
+// joiner ends in its gateway's digit, shares its two-digit suffix with
+// no issued ID, and when no such suffix is left the rule fails instead
+// of panicking.
+func TestJoinerUnder(t *testing.T) {
+	p := id.Params{B: 20, D: 3}
+	rng := rand.New(rand.NewSource(1))
+	e := &executor{p: p, taken: make(map[id.ID]bool)}
+	gw := table.Ref{ID: id.MustParse(p, "a0j")}
+	e.taken[gw.ID] = true
+	for k := 1; k < p.B; k++ {
+		j, ok := e.joinerUnder(gw, rng)
+		if !ok {
+			t.Fatalf("joiner %d: no ID, with %d two-digit suffixes left", k, p.B-k)
+		}
+		if j.ID.Digit(0) != gw.ID.Digit(0) {
+			t.Fatalf("joiner %v does not end in gateway %v's digit", j.ID, gw.ID)
+		}
+		for x := range e.taken {
+			if x != j.ID && x.CommonSuffixLen(j.ID) >= 2 {
+				t.Fatalf("joiner %v shares a two-digit suffix with %v", j.ID, x)
+			}
+		}
+	}
+	if j, ok := e.joinerUnder(gw, rng); ok {
+		t.Fatalf("joiner %v issued with every two-digit suffix under %v taken", j.ID, gw.ID)
+	}
+	one := &executor{p: id.Params{B: 20, D: 1}, taken: make(map[id.ID]bool)}
+	if _, ok := one.joinerUnder(table.Ref{ID: id.MustParse(one.p, "j")}, rng); ok {
+		t.Fatal("single-digit IDs have no two-digit suffix to keep fresh")
 	}
 }
 

@@ -12,15 +12,16 @@ import (
 // Check names an invariant class a Finding violates. The strings are
 // stable: repro files record them and replays compare against them.
 const (
-	CheckConsistency = "consistency"       // Definition 3.8 over all tables
-	CheckReachable   = "reachability"      // sampled Definition 3.7 pairs
-	CheckFalseDecl   = "false-declaration" // a live node declared failed
-	CheckStuckJoin   = "stuck-join"        // a scheduled joiner never admitted
-	CheckStuckLeave  = "stuck-leave"       // a graceful leave never completed
-	CheckGuardHonest = "guard-honest"      // guard quarantined a peer with no adversary marked
-	CheckDeadLetter  = "dead-letter"       // messages dead-lettered with loss disabled
-	CheckConverge    = "convergence"       // still inconsistent after the settle budget
-	CheckPersist     = "persist-corrupt"   // a damaged dump was not detected, or persistence failed
+	CheckConsistency   = "consistency"       // Definition 3.8 over all tables
+	CheckReachable     = "reachability"      // sampled Definition 3.7 pairs
+	CheckFalseDecl     = "false-declaration" // a live node declared failed
+	CheckStuckJoin     = "stuck-join"        // a scheduled joiner never admitted
+	CheckStuckLeave    = "stuck-leave"       // a graceful leave never completed
+	CheckGuardHonest   = "guard-honest"      // guard quarantined a peer with no adversary marked
+	CheckDeadLetter    = "dead-letter"       // messages dead-lettered with loss disabled
+	CheckConverge      = "convergence"       // still inconsistent after the settle budget
+	CheckPersist       = "persist-corrupt"   // a damaged dump was not detected, or persistence failed
+	CheckPartitionMode = "partition-mode"    // a prober still in partition mode after the final settle
 )
 
 // Finding is one invariant violation the oracle detected.

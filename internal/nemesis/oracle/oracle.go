@@ -2,7 +2,7 @@
 // by: a false-declaration watcher teed into the event stream, and the
 // quiescence-point audit (Definition 3.8 consistency plus sampled
 // Definition 3.7 reachability). The nemesis executor applies both to
-// every schedule it runs — generated ones and cmd/paper's E17/E18 —
+// every schedule it runs — generated ones and cmd/paper's E13-E18 —
 // and the repository benchmark reuses the watcher.
 //
 // Everything here needs global knowledge and therefore lives in the

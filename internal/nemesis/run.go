@@ -60,6 +60,9 @@ type Result struct {
 	Restarted    int `json:"restarted"`
 	CorruptDumps int `json:"corruptDumps"`
 	Paused       int `json:"paused"`
+	// SettleRounds sums the sync rounds the quiesce steps took to reach
+	// Definition 3.8 consistency: the reconvergence time after a heal.
+	SettleRounds int `json:"settleRounds"`
 	// Final virtual clock and network size, cheap cross-run checksums of
 	// the whole execution.
 	VirtualEnd time.Duration `json:"virtualEnd"`
@@ -143,7 +146,7 @@ type pendingJoin struct {
 }
 
 // build configures the full robustness stack, the one every schedule —
-// generated or one of cmd/paper's E17/E18 scenarios — runs on:
+// generated or one of cmd/paper's E13-E18 scenarios — runs on:
 // autonomous timeout handling, the guard layer, a failure detector
 // tolerant of stacked topology latencies, anti-entropy repair, gossip
 // peer sampling, the RTT estimator unless the schedule asks for fixed
@@ -312,8 +315,12 @@ func (e *executor) step(i int, a Action) {
 			e.fail(oracle.CheckDeadLetter, i, "SetLossRate: %v", err)
 			break
 		}
+		if a.Count > 0 {
+			e.admit(i, a.Count, r, e.fastHonest, e.randomJoiner)
+		}
 		e.net.RunFor(a.Dur)
 		_ = e.net.SetLossRate(0)
+		e.closeJoins(i, a)
 	case OpPause:
 		for _, m := range e.pick(r, a.Count, e.honest) {
 			if err := e.net.PauseNode(m.ID, a.Dur); err == nil {
@@ -336,13 +343,31 @@ func (e *executor) step(i int, a Action) {
 // Joiners that miss the bound stay tracked and are judged at the final
 // audit — a join may legitimately still be retrying here.
 func (e *executor) joinWave(i int, a Action, r *rng) {
-	gws := e.pick(r, 3, e.fastHonest)
+	e.admit(i, a.Count, r, e.fastHonest, e.randomJoiner)
+	e.settleJoins(200)
+}
+
+// admit schedules count fresh joiners, each through one of up to three
+// gateways drawn from the eligible members, with the others as its
+// fallbacks, and tracks them as step i's pending joins. fresh issues
+// each joiner's ref given its gateway. It returns the joiners.
+func (e *executor) admit(i, count int, r *rng, eligible func(table.Ref) bool,
+	fresh func(gw table.Ref, rng *rand.Rand) (table.Ref, bool)) []table.Ref {
+	gws := e.pick(r, 3, eligible)
 	if len(gws) == 0 {
-		e.fail(oracle.CheckStuckJoin, i, "no eligible gateway for a %d-joiner wave", a.Count)
-		return
+		e.fail(oracle.CheckStuckJoin, i, "no eligible gateway for a %d-joiner wave", count)
+		return nil
 	}
 	jrng := rand.New(rand.NewSource(int64(r.next())))
-	joiners := overlay.RandomRefs(e.p, a.Count, jrng, e.taken)
+	var joiners []table.Ref
+	for k := 0; k < count; k++ {
+		j, ok := fresh(gws[k%len(gws)], jrng)
+		if !ok {
+			e.fail(oracle.CheckStuckJoin, i, "no fresh ID fits joiner %d of %d under gateway %v", k+1, count, gws[k%len(gws)].ID)
+			break
+		}
+		joiners = append(joiners, j)
+	}
 	e.bind(joiners, jrng)
 	start := e.net.Engine().Now() + 100*time.Millisecond
 	for k, j := range joiners {
@@ -352,7 +377,59 @@ func (e *executor) joinWave(i int, a Action, r *rng) {
 		m := e.net.ScheduleJoin(j, g, start, fb1, fb2)
 		e.pending = append(e.pending, pendingJoin{ref: j, m: m, step: i})
 	}
-	e.settleJoins(200)
+	return joiners
+}
+
+// randomJoiner issues a uniformly random fresh ID.
+func (e *executor) randomJoiner(_ table.Ref, rng *rand.Rand) (table.Ref, bool) {
+	return overlay.RandomRefs(e.p, 1, rng, e.taken)[0], true
+}
+
+// joinerUnder issues a fresh ID whose rightmost digit is the gateway's
+// and whose two-digit suffix no issued ID shares. The first makes a
+// join through the gateway resolve its copy phase without leaving the
+// gateway's side of a cut (a deeper shared suffix could put the copy
+// target across it); the second makes its deeper copy levels legally
+// empty. It fails when every two-digit suffix under the gateway's digit
+// is taken, or IDs have a single digit.
+func (e *executor) joinerUnder(gw table.Ref, rng *rand.Rand) (table.Ref, bool) {
+	if e.p.D < 2 {
+		return table.Ref{}, false
+	}
+	y0 := gw.ID.Digit(0)
+	used := make([]bool, e.p.B)
+	for x := range e.taken {
+		if x.Digit(0) == y0 {
+			used[x.Digit(1)] = true
+		}
+	}
+	var free []int
+	for y1, u := range used {
+		if !u {
+			free = append(free, y1)
+		}
+	}
+	if len(free) == 0 {
+		return table.Ref{}, false
+	}
+	x := id.Random(e.p, rng).WithDigit(0, y0).WithDigit(1, free[rng.Intn(len(free))])
+	e.taken[x] = true
+	return table.Ref{ID: x, Addr: "sim://" + x.String()}, true
+}
+
+// closeJoins ends the window in which a partition or loss step held its
+// Count joiners: each of step i's joiners that is not an S-node now is
+// stuck at that step, and the admitted become members.
+func (e *executor) closeJoins(i int, a Action) {
+	if a.Count == 0 {
+		return
+	}
+	for _, pj := range e.pending {
+		if pj.step == i && !pj.m.IsSNode() {
+			e.fail(oracle.CheckStuckJoin, i, "joiner %v not admitted when the fault closed (status %v)", pj.ref.ID, pj.m.Status())
+		}
+	}
+	e.settleJoins(0)
 }
 
 // settleJoins advances sync rounds until every pending joiner is
@@ -445,7 +522,10 @@ func (e *executor) inStubs(r *rng, k int) []table.Ref {
 // partition cuts a Frac minority away, holds the cut for Dur, heals, and
 // lets the Gap absorb the reconciliation. Both sides must freeze
 // declarations (partition mode); any declaration during the cut names a
-// live node and surfaces as a false-positive finding.
+// live node and surfaces as a false-positive finding. With Count > 0,
+// Count fresh joiners enter through fast honest majority gateways as
+// the cut starts, listed on the majority side, each under its
+// gateway's rightmost digit (joinerUnder).
 func (e *executor) partition(i int, a Action, r *rng) {
 	k := int(a.Frac * float64(len(e.members)))
 	if k < 1 {
@@ -464,8 +544,15 @@ func (e *executor) partition(i int, a Action, r *rng) {
 			majIDs = append(majIDs, m.ID)
 		}
 	}
+	if a.Count > 0 {
+		majority := func(m table.Ref) bool { return !inMinority[m.ID] && e.fastHonest(m) }
+		for _, j := range e.admit(i, a.Count, r, majority, e.joinerUnder) {
+			majIDs = append(majIDs, j.ID)
+		}
+	}
 	e.net.Partition(minIDs, majIDs)
 	e.net.RunFor(a.Dur)
+	e.closeJoins(i, a)
 	e.net.Heal()
 }
 
@@ -553,7 +640,9 @@ func (e *executor) pickHelper(r *rng, self id.ID) table.Ref {
 // invariant oracle, stamping the step into any findings.
 func (e *executor) quiesce(step int) {
 	e.settleJoins(50)
-	if _, ok := e.net.Settle(syncEvery, 60); !ok {
+	rounds, ok := e.net.Settle(syncEvery, 60)
+	e.res.SettleRounds += rounds
+	if !ok {
 		e.fail(oracle.CheckConverge, step, "still inconsistent after 60 settle rounds")
 	}
 	e.findings = append(e.findings, oracle.Audit(e.net, reachPairs, e.s.Seed, step)...)
@@ -562,8 +651,8 @@ func (e *executor) quiesce(step int) {
 
 // finish restores a fault-free network (heal, full speed, no loss),
 // settles, and runs the complete end-of-run oracle: consistency,
-// reachability, declarations, stuck joiners and leavers, guard honesty,
-// and dead letters.
+// reachability, declarations, stuck joiners and leavers, probers left
+// in partition mode, guard honesty, and dead letters.
 func (e *executor) finish() {
 	e.net.Heal()
 	_ = e.net.SetLossRate(0)
@@ -592,6 +681,10 @@ func (e *executor) finish() {
 	sort.Slice(stuckLeaves, func(i, j int) bool { return stuckLeaves[i].Less(stuckLeaves[j]) })
 	for _, x := range stuckLeaves {
 		e.fail(oracle.CheckStuckLeave, -1, "leave of %v from step %d never completed", x, e.leaves[x])
+	}
+
+	if n := e.net.PartitionedCount(); n > 0 {
+		e.fail(oracle.CheckPartitionMode, -1, "%d probers still in partition mode after the final settle", n)
 	}
 
 	e.findings = append(e.findings, oracle.Audit(e.net, reachPairs, e.s.Seed, -1)...)

@@ -33,6 +33,8 @@ const (
 	OpCrash Op = "crash"
 	// OpPartition cuts a minority of Frac members away for Dur, then
 	// heals. Declarations must freeze on both sides (partition mode).
+	// With Count > 0, Count fresh joiners enter the majority side as the
+	// cut starts and must be S-nodes when it heals.
 	OpPartition Op = "partition"
 	// OpSlow marks Count members gray: alive and correct but ramping to
 	// a per-side processing delay of Dur (0: 400 ms). They stay slow
@@ -42,7 +44,8 @@ const (
 	// withholding, replaying). They stay hostile for the whole run.
 	OpByzantine Op = "byzantine"
 	// OpLoss raises the message-loss rate to Rate for Dur, then restores
-	// lossless delivery.
+	// lossless delivery. With Count > 0, Count fresh joiners enter as the
+	// loss starts and must be S-nodes when it ends.
 	OpLoss Op = "loss"
 	// OpPause clock-pauses Count members for Dur: their timers stall and
 	// their inbound traffic bursts at resume. Dur is kept below the
@@ -155,6 +158,9 @@ func (s Schedule) Validate() error {
 		case OpPartition, OpLoss, OpPause:
 			if a.Dur <= 0 {
 				return fmt.Errorf("nemesis: step %d (%s): non-positive dur %v", i, a.Op, a.Dur)
+			}
+			if a.Count < 0 {
+				return fmt.Errorf("nemesis: step %d (%s): count %d", i, a.Op, a.Count)
 			}
 		case OpSlow:
 			if a.Dur < 0 {

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
@@ -22,8 +21,6 @@ import (
 // crash, which the liveness suite already covers; the byzantine model
 // targets the protocol message layer.
 type Byzantine struct {
-	// Fraction of the candidates SelectByzantine marks, in [0,1].
-	Fraction float64
 	// CorruptRate is the per-envelope probability that a byzantine
 	// sender's message is mutated or withheld. Default 0.25.
 	CorruptRate float64
@@ -72,25 +69,6 @@ func (n *Network) MarkByzantine(ids ...id.ID) {
 	for _, x := range ids {
 		n.byz[x] = true
 	}
-}
-
-// SelectByzantine deterministically draws Fraction of the candidates
-// (rounded down), marks them byzantine, and returns their IDs. The draw
-// depends only on Byzantine.Seed and the candidate order.
-func (n *Network) SelectByzantine(candidates []table.Ref) []id.ID {
-	b := n.cfg.Byzantine
-	if b == nil {
-		panic("overlay: SelectByzantine without Config.Byzantine")
-	}
-	count := int(b.Fraction * float64(len(candidates)))
-	rng := rand.New(rand.NewSource(b.Seed ^ 0x42797a61)) // "Byza"
-	perm := rng.Perm(len(candidates))
-	out := make([]id.ID, 0, count)
-	for _, i := range perm[:count] {
-		out = append(out, candidates[i].ID)
-	}
-	n.MarkByzantine(out...)
-	return out
 }
 
 // ByzantineStats returns the fault model's counters.

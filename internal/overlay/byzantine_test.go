@@ -36,8 +36,19 @@ func byzantineConfig(seed int64) Config {
 		},
 		AntiEntropy:  &antientropy.Config{Interval: time.Second},
 		TickInterval: 50 * time.Millisecond,
-		Byzantine:    &Byzantine{Fraction: 0.1, Seed: seed},
+		Byzantine:    &Byzantine{Seed: seed},
 	}
+}
+
+// markHostile marks count of the candidates byzantine, drawn by a
+// permutation seeded with seed, and returns their IDs.
+func markHostile(net *Network, candidates []table.Ref, count int, seed int64) []id.ID {
+	out := make([]id.ID, 0, count)
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(len(candidates))[:count] {
+		out = append(out, candidates[i].ID)
+	}
+	net.MarkByzantine(out...)
+	return out
 }
 
 // TestByzantineSoak is the hostile-input tentpole scenario: a 32-node
@@ -50,18 +61,14 @@ func byzantineConfig(seed int64) Config {
 // its own retries, liveness, and anti-entropy machinery.
 func TestByzantineSoak(t *testing.T) {
 	cfg := byzantineConfig(21)
-	// 3 of the 28 established members ≈ 10% of the final 32-node network.
-	cfg.Byzantine.Fraction = 3.0 / 28.0
 	rng := rand.New(rand.NewSource(21))
 	net := New(cfg)
 	taken := make(map[id.ID]bool)
 	refs := RandomRefs(cfg.Params, 28, rng, taken)
 	net.BuildDirect(refs, rng)
 
-	byz := net.SelectByzantine(refs)
-	if len(byz) != 3 {
-		t.Fatalf("marked %d byzantine nodes, want 3 (~10%% of 32)", len(byz))
-	}
+	// 3 of the 28 established members ≈ 10% of the final 32-node network.
+	byz := markHostile(net, refs, 3, 21)
 	byzSet := make(map[id.ID]bool)
 	for _, x := range byz {
 		byzSet[x] = true
@@ -120,7 +127,7 @@ func TestByzantineDeterminism(t *testing.T) {
 		taken := make(map[id.ID]bool)
 		refs := RandomRefs(cfg.Params, 12, rng, taken)
 		net.BuildDirect(refs, rng)
-		net.SelectByzantine(refs)
+		markHostile(net, refs, 1, 9)
 		j := RandomRefs(cfg.Params, 1, rng, taken)[0]
 		net.ScheduleJoin(j, refs[0], time.Second, refs[1])
 		net.RunFor(15 * time.Second)

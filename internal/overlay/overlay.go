@@ -176,7 +176,7 @@ type Config struct {
 	// Machine.Tick during RunFor. Default 50ms.
 	TickInterval time.Duration
 	// Byzantine enables the adversarial fault model: members marked via
-	// MarkByzantine/SelectByzantine have their outgoing protocol traffic
+	// MarkByzantine have their outgoing protocol traffic
 	// randomly mutated, withheld, or replayed (see Byzantine). Nil keeps
 	// every member honest.
 	Byzantine *Byzantine
