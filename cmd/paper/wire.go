@@ -65,14 +65,14 @@ func wireSamples(p id.Params) (from, to table.Ref, snap table.Snapshot, fill tab
 	for i := range raw {
 		raw[i] = byte((i*5 + 2) % p.B)
 	}
-	owner, err := id.FromRawDigits(p, raw)
+	owner, err := id.FromRawDigits(p, string(raw))
 	if err != nil {
 		return from, to, snap, fill, err
 	}
 	for i := range raw {
 		raw[i] = byte((i*3 + 1) % p.B)
 	}
-	other, err := id.FromRawDigits(p, raw)
+	other, err := id.FromRawDigits(p, string(raw))
 	if err != nil {
 		return from, to, snap, fill, err
 	}
@@ -90,7 +90,7 @@ func wireSamples(p id.Params) (from, to table.Ref, snap table.Snapshot, fill tab
 			for j := level + 1; j < p.D; j++ {
 				nraw[j] = byte((j*7 + digit) % p.B)
 			}
-			nid, err2 := id.FromRawDigits(p, nraw)
+			nid, err2 := id.FromRawDigits(p, string(nraw))
 			if err2 != nil {
 				return from, to, snap, fill, err2
 			}

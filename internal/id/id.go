@@ -349,20 +349,21 @@ func (x ID) AppendRawDigits(dst []byte) []byte {
 // FromRawDigits rebuilds an ID from the raw digit bytes produced by
 // AppendRawDigits, validating length and digit range against p. Unlike
 // Parse it works on wire-order digits (index 0 = rightmost) and never
-// touches the printable form.
-func FromRawDigits(p Params, raw []byte) (ID, error) {
+// touches the printable form. The ID shares raw's storage, so the wire
+// decoder's interned digits become the ID without a copy.
+func FromRawDigits(p Params, raw string) (ID, error) {
 	if err := p.Validate(); err != nil {
 		return Null, err
 	}
 	if len(raw) != p.D {
 		return Null, fmt.Errorf("%w: %d raw digits, want %d", errParse, len(raw), p.D)
 	}
-	for i, v := range raw {
-		if int(v) >= p.B {
-			return Null, fmt.Errorf("%w: raw digit %d at index %d out of range for base %d", errParse, v, i, p.B)
+	for i := 0; i < len(raw); i++ {
+		if int(raw[i]) >= p.B {
+			return Null, fmt.Errorf("%w: raw digit %d at index %d out of range for base %d", errParse, raw[i], i, p.B)
 		}
 	}
-	return ID{digits: string(raw)}, nil
+	return ID{digits: raw}, nil
 }
 
 // AppendRawDigits appends the suffix's raw digit bytes to dst (index 0 =

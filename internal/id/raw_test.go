@@ -15,7 +15,7 @@ func TestRawDigitsRoundTrip(t *testing.T) {
 	if len(raw) != p.D {
 		t.Fatalf("AppendRawDigits wrote %d bytes, want %d", len(raw), p.D)
 	}
-	back, err := FromRawDigits(p, raw)
+	back, err := FromRawDigits(p, string(raw))
 	if err != nil {
 		t.Fatalf("FromRawDigits: %v", err)
 	}
@@ -40,16 +40,16 @@ func TestRawDigitsRoundTrip(t *testing.T) {
 
 func TestFromRawDigitsRejectsHostile(t *testing.T) {
 	p := Params{B: 8, D: 5}
-	cases := [][]byte{
-		{1, 2, 3},          // too short
-		{1, 2, 3, 4, 5, 6}, // too long
-		{1, 2, 3, 4, 8},    // digit >= base
-		{1, 2, 3, 4, 0xff}, // wildly out of range
-		nil,                // empty
+	cases := []string{
+		"\x01\x02\x03",             // too short
+		"\x01\x02\x03\x04\x05\x06", // too long
+		"\x01\x02\x03\x04\x08",     // digit >= base
+		"\x01\x02\x03\x04\xff",     // wildly out of range
+		"",                         // empty
 	}
 	for _, raw := range cases {
 		if _, err := FromRawDigits(p, raw); err == nil {
-			t.Errorf("FromRawDigits(%v) accepted", raw)
+			t.Errorf("FromRawDigits(%q) accepted", raw)
 		}
 	}
 }

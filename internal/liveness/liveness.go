@@ -232,6 +232,7 @@ type target struct {
 	rounds   int     // completed confirmation rounds while suspect
 	pending  int     // outstanding probes (any kind) for this target
 	answered bool    // ever seen alive from here (pong or observed traffic)
+	stamp    int     // Stats.Retargets of the last SetTargets that listed it
 	// seqs lists this target's probes still in flight; those of a target
 	// no longer monitored stay in flight as strays.
 	seqs []uint64
@@ -493,22 +494,27 @@ func (p *Prober) updatePartitionMode(now time.Duration) {
 // (declared) targets are never re-adopted.
 func (p *Prober) SetTargets(refs []table.Ref) {
 	p.stats.Retargets++
-	seen := make(map[id.ID]bool, len(refs))
+	stamp := p.stats.Retargets
 	changed := false
 	for _, r := range refs {
-		if r.ID == p.self.ID || p.tombs[r.ID] || seen[r.ID] {
+		if r.ID == p.self.ID || p.tombs[r.ID] {
 			continue
 		}
-		seen[r.ID] = true
-		if t, ok := p.targets[r.ID]; ok {
+		t, ok := p.targets[r.ID]
+		switch {
+		case !ok:
+			t = &target{ref: r, state: stateAlive}
+			p.targets[r.ID] = t
+			changed = true
+		case t.stamp == stamp:
+			continue // a duplicate: the first occurrence wins
+		default:
 			t.ref = r // refresh address
-			continue
 		}
-		p.targets[r.ID] = &target{ref: r, state: stateAlive}
-		changed = true
+		t.stamp = stamp
 	}
-	for x, t := range p.targets {
-		if !seen[x] {
+	for _, t := range p.targets {
+		if t.stamp != stamp {
 			p.forget(t)
 			changed = true
 		}

@@ -350,6 +350,29 @@ func TestSetTargetsRefreshesAndForgets(t *testing.T) {
 	}
 }
 
+// A node retargets on every table change, so rebuilding an unchanged set
+// must not allocate; a duplicate ref keeps its first occurrence.
+func TestSetTargetsUnchangedAllocatesNothing(t *testing.T) {
+	self := mkRef(t, "0000")
+	refs := []table.Ref{self}
+	for i := 1; i <= 32; i++ {
+		refs = append(refs, mkRef(t, fmt.Sprintf("%04s", strconv.FormatInt(int64(i), 4))))
+	}
+	a := refs[1]
+	refs = append(refs, table.Ref{ID: a.ID, Addr: "sim://moved"})
+	p := NewProber(cfgFast(), self)
+	p.SetTargets(refs)
+	if allocs := testing.AllocsPerRun(100, func() { p.SetTargets(refs) }); allocs != 0 {
+		t.Fatalf("retarget with an unchanged set allocates %v times, want 0", allocs)
+	}
+	if p.TargetCount() != 32 {
+		t.Fatalf("TargetCount = %d, want 32", p.TargetCount())
+	}
+	if got := p.targets[a.ID].ref.Addr; got != a.Addr {
+		t.Fatalf("duplicate ref: address %q, want the first occurrence's %q", got, a.Addr)
+	}
+}
+
 func TestPartitionHoldsDeclarationsThenRecovers(t *testing.T) {
 	self := mkRef(t, "0000")
 	targets := []table.Ref{mkRef(t, "1111"), mkRef(t, "2222"), mkRef(t, "3333"), mkRef(t, "0011")}

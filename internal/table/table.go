@@ -460,25 +460,9 @@ func NewBitVector(n int) BitVector {
 	return BitVector{bits: make([]uint64, (n+63)/64), n: n}
 }
 
-// BitVectorFromWords rebuilds a vector from its word representation (the
-// inverse of Words, for wire decoding). The slice is copied.
-func BitVectorFromWords(words []uint64, n int) BitVector {
-	v := NewBitVector(n)
-	copy(v.bits, words)
-	return v
-}
-
-// Words exposes the vector's backing words for wire encoding. The
-// returned slice is a copy.
-func (v BitVector) Words() []uint64 {
-	out := make([]uint64, len(v.bits))
-	copy(out, v.bits)
-	return out
-}
-
 // WordCount returns the number of 64-bit words backing the vector,
 // always ⌈Len/64⌉. With Word it gives codecs allocation-free access to
-// the wire representation (Words copies).
+// the wire representation.
 func (v BitVector) WordCount() int { return len(v.bits) }
 
 // Word returns the i-th backing word (bits 64i..64i+63, LSB first).

@@ -571,7 +571,10 @@ func TestBitVectorWordsRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 31, 64, 99} {
 		v.Set(i)
 	}
-	back := BitVectorFromWords(v.Words(), 100)
+	back := NewBitVector(100)
+	for i := 0; i < v.WordCount(); i++ {
+		back.SetWord(i, v.Word(i))
+	}
 	if back.Count() != v.Count() {
 		t.Fatalf("Count %d vs %d", back.Count(), v.Count())
 	}
@@ -580,11 +583,10 @@ func TestBitVectorWordsRoundTrip(t *testing.T) {
 			t.Fatalf("bit %d differs", i)
 		}
 	}
-	// Words returns a copy: mutating it does not affect the vector.
-	w := v.Words()
-	w[0] = 0
+	// The rebuilt vector owns its words: clearing it leaves v alone.
+	back.SetWord(0, 0)
 	if !v.Get(0) {
-		t.Error("Words exposed internal storage")
+		t.Error("SetWord wrote through to the source vector")
 	}
 }
 

@@ -7,6 +7,10 @@
 //     write into caller-owned buffers (pooled by the delivery layer), IDs
 //     travel as raw digit bytes instead of parsed strings, and no
 //     intermediate struct is built.
+//   - No allocation per name on the decode path: ID digits and addresses
+//     already decoded once are looked up in a bounded process-wide table
+//     (intern) instead of copied again, so a table-carrying reply costs
+//     the same number of allocations whatever its number of entries.
 //   - Validation at the codec boundary: every length, coordinate, state
 //     bit and digit read off the wire is range-checked before it sizes an
 //     allocation or reaches the protocol machine (guard.Check stays as
@@ -55,6 +59,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
@@ -615,12 +620,43 @@ func (r *reader) traceContext() (trace.Context, error) {
 	}
 }
 
+// internCap bounds interned: at most internCap names of at most MaxAddr
+// bytes (≈ 1 MiB) stay pinned, whatever peers send.
+const internCap = 4096
+
+// interned is the process-wide table of decoded names (raw ID digits and
+// addresses), each mapped to one shared copy: a node hears the same few
+// hundred peers named in every envelope and every shipped table. Every
+// node in the process shares it, since they name mostly the same peers.
+var interned struct {
+	sync.Mutex
+	m map[string]string
+}
+
+// intern returns a string equal to raw, reusing an earlier decode's copy;
+// the lookup m[string(raw)] does not allocate. A full table is dropped
+// rather than evicted entry by entry, so a peer flooding junk names costs
+// one allocation per name, as without the table.
+func intern(raw []byte) string {
+	interned.Lock()
+	defer interned.Unlock()
+	if s, ok := interned.m[string(raw)]; ok {
+		return s
+	}
+	if interned.m == nil || len(interned.m) >= internCap {
+		interned.m = make(map[string]string)
+	}
+	s := string(raw)
+	interned.m[s] = s
+	return s
+}
+
 func (r *reader) id(p id.Params) (id.ID, error) {
 	raw, err := r.take(p.D)
 	if err != nil {
 		return id.Null, err
 	}
-	x, err := id.FromRawDigits(p, raw)
+	x, err := id.FromRawDigits(p, intern(raw))
 	if err != nil {
 		return id.Null, badf("%v", err)
 	}
@@ -639,7 +675,7 @@ func (r *reader) addr() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return string(raw), nil
+	return intern(raw), nil
 }
 
 func (r *reader) ref(p id.Params) (table.Ref, error) {
