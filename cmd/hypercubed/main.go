@@ -21,11 +21,12 @@
 // events into the log stream, and the admin server serves
 // net/http/pprof under /debug/pprof/.
 //
-// The protocol stack is fixed: the guard's misbehavior scorer, the
-// failure detector, anti-entropy and peer sampling, each at its package
-// defaults, with a 2 s exchange timeout — the stack the repository's
-// benchmark and tests run. Only deployment and observability are flags;
-// any other flag, or a positional argument, is a usage error (exit 2).
+// The protocol stack is fixed: node.Shipped — the guard's misbehavior
+// scorer, the failure detector with its RTT estimator, anti-entropy,
+// peer sampling and the exchange timeouts — the profile the nemesis
+// sweep and the E13–E18 scenarios check. Only deployment and
+// observability are flags; any other flag, or a positional argument, is
+// a usage error (exit 2).
 package main
 
 import (
@@ -43,14 +44,11 @@ import (
 	"syscall"
 	"time"
 
-	"hypercube/internal/antientropy"
 	"hypercube/internal/core"
-	"hypercube/internal/guard"
 	"hypercube/internal/id"
-	"hypercube/internal/liveness"
+	"hypercube/internal/node"
 	"hypercube/internal/obs"
 	"hypercube/internal/persist"
-	"hypercube/internal/sampling"
 	"hypercube/internal/table"
 	"hypercube/internal/transport/tcptransport"
 )
@@ -145,30 +143,31 @@ func serve(f flags, stderr io.Writer) error {
 		sinks = append(sinks, obs.NewSlogSink(log))
 	}
 
+	opts, parts := node.Shipped(0)
 	stack := tcptransport.WithConfig(tcptransport.Config{
-		Liveness:    &liveness.Config{},
-		AntiEntropy: &antientropy.Config{},
-		Sampling:    &sampling.Config{},
+		Liveness:    parts.Liveness,
+		RTT:         parts.RTT,
+		AntiEntropy: parts.AntiEntropy,
+		Sampling:    parts.Sampling,
 		Sink:        obs.Tee(sinks...),
 		TraceRing:   f.traceRing,
 		TraceSample: f.traceSample,
 	})
-	opts := core.Options{Guard: &guard.Policy{}, Timeouts: core.Timeouts{RetryAfter: 2 * time.Second}}
-	var node *tcptransport.Node
+	var n *tcptransport.Node
 	if f.join == "" {
-		node, err = tcptransport.StartSeed(p, opts, nodeID, f.listen, stack)
+		n, err = tcptransport.StartSeed(p, opts, nodeID, f.listen, stack)
 	} else {
-		node, err = tcptransport.StartJoiner(p, opts, nodeID, f.listen, stack)
+		n, err = tcptransport.StartJoiner(p, opts, nodeID, f.listen, stack)
 	}
 	if err != nil {
 		return err
 	}
-	defer node.Close()
-	log.Info("node listening", "addr", node.Ref().Addr)
+	defer n.Close()
+	log.Info("node listening", "addr", n.Ref().Addr)
 
 	if f.admin != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/", node.AdminHandler())
+		mux.Handle("/", n.AdminHandler())
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -190,18 +189,18 @@ func serve(f flags, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		node.SeedSamplingPeers(boot)
-		if err := node.Join(boot); err != nil {
+		n.SeedSamplingPeers(boot)
+		if err := n.Join(boot); err != nil {
 			return err
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
-		err = node.AwaitStatus(ctx, core.StatusInSystem)
+		err = n.AwaitStatus(ctx, core.StatusInSystem)
 		cancel()
 		if err != nil {
 			return err
 		}
 		log.Info("joined the network", "bootstrap", boot.ID.String(),
-			"tableEntries", node.Snapshot().FilledCount())
+			"tableEntries", n.Snapshot().FilledCount())
 	}
 
 	// Wait for shutdown, then leave gracefully so holders can repair.
@@ -209,12 +208,12 @@ func serve(f flags, stderr io.Writer) error {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Info("shutting down: announcing departure")
-	if node.Status() == core.StatusInSystem {
-		if err := node.Leave(); err != nil {
+	if n.Status() == core.StatusInSystem {
+		if err := n.Leave(); err != nil {
 			log.Error("leave", "err", err)
 		} else {
 			ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
-			if err := node.AwaitStatus(ctx, core.StatusLeft); err != nil {
+			if err := n.AwaitStatus(ctx, core.StatusLeft); err != nil {
 				log.Error("departure not acknowledged", "err", err)
 			} else {
 				log.Info("departure acknowledged by all holders")
@@ -226,7 +225,7 @@ func serve(f flags, stderr io.Writer) error {
 		// Persist the sampler's long-term sample alongside the table: on
 		// restart it is the rejoin bootstrap of last resort when every
 		// table neighbor has moved on.
-		if err := persist.SaveFileState(f.dump, node.Snapshot(), node.SampledPeers(32)); err != nil {
+		if err := persist.SaveFileState(f.dump, n.Snapshot(), n.SampledPeers(32)); err != nil {
 			return err
 		}
 		log.Info("table written", "path", f.dump)

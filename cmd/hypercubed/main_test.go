@@ -20,9 +20,10 @@ import (
 // TestDaemonSeedAndJoiner drives the real binary end to end on
 // loopback, with no flag beyond deployment ones: a seed and a joiner as
 // two processes, the joiner watched through its admin endpoint until it
-// is in_system, reports the fixed stack's parts and its failure detector
-// has probed, then SIGINT — which must run the graceful leave, write a
-// loadable -dump and exit 0.
+// is in_system, reports the shipped stack's parts — the RTT estimator
+// included — and its failure detector has probed and fed the estimator,
+// then SIGINT — which must run the graceful leave, write a loadable
+// -dump and exit 0.
 func TestDaemonSeedAndJoiner(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "hypercubed")
@@ -82,19 +83,17 @@ func TestDaemonSeedAndJoiner(t *testing.T) {
 		if json.NewDecoder(resp.Body).Decode(&sections) != nil {
 			return false
 		}
-		for _, part := range []string{"liveness", "antiEntropy", "sampling"} {
+		for _, part := range []string{"liveness", "rtt", "antiEntropy", "sampling"} {
 			if sections[part] == nil {
 				t.Fatalf("/status has no %s section", part)
 			}
 		}
-		if sections["rtt"] != nil {
-			t.Fatalf("/status has an rtt section: the daemon runs the fixed detector")
-		}
 		return true
 	})
-	poll("a liveness probe", "http://"+joinerAdmin+"/metrics", joinerLog, func(resp *http.Response) bool {
+	poll("a liveness probe and a tracked RTT", "http://"+joinerAdmin+"/metrics", joinerLog, func(resp *http.Response) bool {
 		sums := make(map[string]float64)
-		return obs.FoldPrometheus(resp.Body, sums) == nil && sums["hypercube_liveness_probes_sent_total"] > 0
+		return obs.FoldPrometheus(resp.Body, sums) == nil &&
+			sums["hypercube_liveness_probes_sent_total"] > 0 && sums["hypercube_rtt_tracked"] > 0
 	})
 
 	for _, d := range []struct {

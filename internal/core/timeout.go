@@ -44,12 +44,12 @@ type Timeouts struct {
 	// blocked for this long is retried through the next helper.
 	// Default: RetryAfter, or 1s when exchange timeouts are disabled.
 	RepairAfter time.Duration
-	// MaxRepairAttempts caps autonomous repair queries per entry before
-	// the suffix is concluded dead. Default 8. Forced kicks (the batch
-	// RecoverFailures path) apply their own convergence rule and ignore
-	// this cap.
-	MaxRepairAttempts int
 }
+
+// maxRepairAttempts caps autonomous repair queries per entry before the
+// suffix is concluded dead. Forced kicks (the batch RecoverFailures
+// path) apply their own convergence rule and ignore this cap.
+const maxRepairAttempts = 8
 
 // Enabled reports whether request/reply exchange timeouts are active.
 func (t Timeouts) Enabled() bool { return t.RetryAfter > 0 }
@@ -69,13 +69,6 @@ func (t Timeouts) repairAfter() time.Duration {
 		return t.RetryAfter
 	}
 	return time.Second
-}
-
-func (t Timeouts) maxRepairAttempts() int {
-	if t.MaxRepairAttempts <= 0 {
-		return 8
-	}
-	return t.MaxRepairAttempts
 }
 
 // xchgKind identifies which request/reply pair an exchange tracks.
@@ -645,7 +638,7 @@ func (m *Machine) kickRepairs(now time.Duration, force bool) {
 			}
 			job.active = false // reply lost or blocked in flight; reissue
 		}
-		if !force && job.attempts >= m.opts.Timeouts.maxRepairAttempts() {
+		if !force && job.attempts >= maxRepairAttempts {
 			// Every helper rotation came back blocked or lost: conclude
 			// the suffix died with the crashed node.
 			m.AbandonRepair(e[0], e[1])

@@ -128,7 +128,9 @@ type Config struct {
 	PartitionMinTargets int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset field at its documented
+// default: the values a Prober built from c runs with.
+func (c Config) WithDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
@@ -363,7 +365,7 @@ func (p *Prober) RTT() *rtt.Estimator { return p.est }
 // NewProber creates a detector for the node self.
 func NewProber(cfg Config, self table.Ref) *Prober {
 	return &Prober{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg.WithDefaults(),
 		self:     self,
 		targets:  make(map[id.ID]*target),
 		tombs:    make(map[id.ID]bool),

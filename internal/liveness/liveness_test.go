@@ -193,7 +193,7 @@ func TestNeverAnsweredDroppedUnreachable(t *testing.T) {
 	}
 }
 
-// TestDetectionWindowIndependentOfTableSize: on the daemon defaults a
+// TestDetectionWindowIndependentOfTableSize: on the package defaults a
 // silent target is declared (SuspectAfter + ConfirmRounds) ×
 // ProbeTimeout = 5 s after its first probe whether 4 or 64 live targets
 // share the round-robin cycle, because a miss re-probes at once instead

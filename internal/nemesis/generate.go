@@ -8,14 +8,16 @@ import (
 
 // Generator bounds. Each fault is kept inside the envelope the protocol
 // is *specified* to survive, so a finding on a generated schedule is a
-// bug, not an overdriven scenario:
+// bug, not an overdriven scenario. The detector bounds are read off
+// node.Shipped, the profile the executor runs, and
+// TestEnvelopeInsideShippedProfile holds them to it:
 //
 //   - partitions cut a 40–50% minority: large enough that both sides'
-//     detectors see a distressed fraction above the executor's
+//     detectors see a distressed fraction above the profile's
 //     PartitionThreshold (0.3) and freeze declarations; a smaller
 //     minority would be declared dead by design. Each split lasts at
-//     most 5s, and the heal after it at least genMinHeal (2 ×
-//     the executor's 1s ProbeTimeout): a heal shorter than a probe
+//     most 5s, and the heal after it at least genMinHeal (2 × the
+//     profile's 1s ProbeTimeout): a heal shorter than a probe
 //     period gives a timeout-based detector no evidence that contact
 //     resumed, so a chain of partitions counts as one long partition —
 //     beyond any bound on a single split — unless the heal between them
@@ -23,10 +25,13 @@ import (
 //   - cumulative crashes stay below ~15% of the current membership, well
 //     under the partition threshold, so mass death never freezes the
 //     detectors permanently.
-//   - clock pauses stay under 3s, below the declaration window of the
-//     executor's liveness settings (SuspectAfter 4 × 1s timeout plus 4
-//     confirmation rounds ≥ 8s), so any declaration of a paused node is
-//     a genuine false positive.
+//   - clock pauses stay under 3s, below the profile's declaration
+//     window: after a target's first miss (which an RTT estimator may
+//     bring early) it takes SuspectAfter − 1 more misses and
+//     ConfirmRounds confirmation rounds, each at least ProbeTimeout,
+//     so (4 − 1 + 4) × 1s = 7s (liveness.Tick; pinned by its
+//     TestAdaptiveNeverShrinksWindow). Any declaration of a paused node
+//     is therefore a genuine false positive.
 //   - loss bursts stay under 12%: the retransmission layer is specified
 //     to ride that out without dead-lettering protocol traffic.
 //   - at most ~8% of members turn byzantine, matching the guard layer's

@@ -11,6 +11,7 @@ import (
 
 	"hypercube/internal/id"
 	"hypercube/internal/nemesis/oracle"
+	"hypercube/internal/node"
 	"hypercube/internal/table"
 )
 
@@ -48,6 +49,27 @@ func TestGeneratedPartitionsHealLongEnough(t *testing.T) {
 				t.Fatalf("seed %d step %d: partition healed for only %v", seed, i, a.Gap)
 			}
 		}
+	}
+}
+
+// TestEnvelopeInsideShippedProfile: the generator's fault bounds stay
+// inside what the shipped detector is specified to survive — a pause
+// shorter than its declaration window, a heal of at least two probe
+// timeouts, a partitioned minority above its partition threshold — so
+// a retuned profile that leaves them outside fails here, not as a
+// sweep finding.
+func TestEnvelopeInsideShippedProfile(t *testing.T) {
+	_, parts := node.Shipped(0)
+	lc := parts.Liveness.WithDefaults()
+	window := time.Duration(lc.SuspectAfter-1+lc.ConfirmRounds) * lc.ProbeTimeout
+	if genMaxPauseDur >= window {
+		t.Errorf("pauses up to %v reach the declaration window %v", genMaxPauseDur, window)
+	}
+	if genMinHeal < 2*lc.ProbeTimeout {
+		t.Errorf("heals of %v are shorter than two probe timeouts (%v)", genMinHeal, 2*lc.ProbeTimeout)
+	}
+	if genPartMinFrac <= lc.PartitionThreshold {
+		t.Errorf("a %.2f minority does not exceed the partition threshold %.2f", genPartMinFrac, lc.PartitionThreshold)
 	}
 }
 

@@ -12,16 +12,12 @@ import (
 	"sort"
 	"time"
 
-	"hypercube/internal/antientropy"
 	"hypercube/internal/core"
-	"hypercube/internal/guard"
 	"hypercube/internal/id"
-	"hypercube/internal/liveness"
 	"hypercube/internal/nemesis/oracle"
+	"hypercube/internal/node"
 	"hypercube/internal/obs"
 	"hypercube/internal/overlay"
-	"hypercube/internal/rtt"
-	"hypercube/internal/sampling"
 	"hypercube/internal/table"
 	"hypercube/internal/topology"
 )
@@ -37,12 +33,11 @@ type Options struct {
 }
 
 // An execution is a function of its Schedule alone — a Repro records
-// nothing else — so the round length (anti-entropy and sampling
-// interval, settle round), the audit size (sampled ordered pairs routed
-// via Definition 3.7) and the delay of a slow step without one are
-// constants.
+// nothing else — so the stack is node.Shipped, the settle round is that
+// profile's anti-entropy interval, and the audit size (sampled ordered
+// pairs routed via Definition 3.7) and the delay of a slow step without
+// one are constants.
 const (
-	syncEvery  = 500 * time.Millisecond
 	reachPairs = 16
 	slowDelay  = 400 * time.Millisecond
 )
@@ -120,6 +115,8 @@ type executor struct {
 	net   *overlay.Network
 	watch *oracle.DeclWatch
 	p     id.Params
+	// round is one settle round: the stack's anti-entropy interval.
+	round time.Duration
 
 	// Under the transit-stub latency model: the topology, the host
 	// binding every issued ref gets, and each ref's stub domain.
@@ -145,42 +142,28 @@ type pendingJoin struct {
 	step int
 }
 
-// build configures the full robustness stack, the one every schedule —
-// generated or one of cmd/paper's E13-E18 scenarios — runs on:
-// autonomous timeout handling, the guard layer, a failure detector
-// tolerant of stacked topology latencies, anti-entropy repair, gossip
-// peer sampling, the RTT estimator unless the schedule asks for fixed
-// timeouts, every injector armed (loss at rate 0, slow and byzantine
-// models with executor-driven selection), and PartitionThreshold
-// lowered to 0.3 so both sides of a generated 40–50% partition enter
-// partition mode and freeze declarations. Latency is a constant 10 ms
-// unless the schedule names the transit-stub model.
+// build configures the stack every schedule — generated or one of
+// cmd/paper's E13-E18 scenarios — runs on: node.Shipped, the profile
+// cmd/hypercubed deploys, without its RTT estimator when the schedule
+// asks for fixed timeouts. On top come only simulation settings: every
+// injector armed (loss at rate 0, slow and byzantine models with
+// executor-driven selection), the clock pump and the trace sink.
+// Latency is a constant 10 ms unless the schedule names the
+// transit-stub model.
 func (e *executor) build() error {
 	e.p = id.Params{B: e.s.B, D: e.s.D}
 	e.watch = oracle.NewDeclWatch()
 	seed := int64(e.s.Seed)
+	opts, parts := node.Shipped(seed)
+	e.round = parts.AntiEntropy.Interval
 	cfg := overlay.Config{
-		Params:  e.p,
-		Latency: overlay.ConstantLatency(10 * time.Millisecond),
-		Opts: core.Options{
-			Timeouts: core.Timeouts{
-				RetryAfter:  500 * time.Millisecond,
-				MaxAttempts: 6,
-				RepairAfter: 600 * time.Millisecond,
-			},
-			Guard: &guard.Policy{},
-		},
-		Liveness: &liveness.Config{
-			ProbeInterval:      250 * time.Millisecond,
-			ProbeTimeout:       time.Second,
-			SuspectAfter:       4,
-			IndirectProbes:     3,
-			ConfirmRounds:      4,
-			PartitionThreshold: 0.3,
-		},
-		RTT:          &rtt.Config{},
-		AntiEntropy:  &antientropy.Config{Interval: syncEvery},
-		Sampling:     &sampling.Config{ViewSize: 16, Interval: syncEvery, Seed: seed},
+		Params:       e.p,
+		Latency:      overlay.ConstantLatency(10 * time.Millisecond),
+		Opts:         opts,
+		Liveness:     parts.Liveness,
+		RTT:          parts.RTT,
+		AntiEntropy:  parts.AntiEntropy,
+		Sampling:     parts.Sampling,
 		SlowNodes:    &overlay.SlowNodes{Ramp: 2 * time.Second},
 		Byzantine:    &overlay.Byzantine{Seed: seed},
 		Loss:         &overlay.Loss{Rate: 0, Seed: seed},
@@ -446,7 +429,7 @@ func (e *executor) settleJoins(maxRounds int) {
 		if !stuck {
 			break
 		}
-		e.net.RunFor(syncEvery)
+		e.net.RunFor(e.round)
 	}
 	var still []pendingJoin
 	for _, pj := range e.pending {
@@ -482,7 +465,7 @@ func (e *executor) leave(i int, a Action, r *rng) {
 // finalize; stragglers are judged at the final audit.
 func (e *executor) settleLeaves() {
 	for rounds := 0; rounds < 100 && len(e.leaves) > 0; rounds++ {
-		e.net.RunFor(syncEvery)
+		e.net.RunFor(e.round)
 		for _, x := range e.net.FinalizeLeaves() {
 			delete(e.leaves, x)
 			e.dropMember(x)
@@ -640,7 +623,7 @@ func (e *executor) pickHelper(r *rng, self id.ID) table.Ref {
 // invariant oracle, stamping the step into any findings.
 func (e *executor) quiesce(step int) {
 	e.settleJoins(50)
-	rounds, ok := e.net.Settle(syncEvery, 60)
+	rounds, ok := e.net.Settle(e.round, 60)
 	e.res.SettleRounds += rounds
 	if !ok {
 		e.fail(oracle.CheckConverge, step, "still inconsistent after 60 settle rounds")
@@ -666,7 +649,7 @@ func (e *executor) finish() {
 	e.net.RunFor(2 * time.Second)
 	e.settleJoins(100)
 	e.settleLeaves()
-	if _, ok := e.net.Settle(syncEvery, 100); !ok {
+	if _, ok := e.net.Settle(e.round, 100); !ok {
 		e.fail(oracle.CheckConverge, -1, "still inconsistent after 100 final settle rounds")
 	}
 

@@ -80,6 +80,37 @@ func (c Config) TickEvery(t core.Timeouts) time.Duration {
 	return every
 }
 
+// Shipped returns the one stack profile: the machine options and the
+// parts that cmd/hypercubed deploys and the nemesis executor checks, on
+// every generated schedule and on cmd/paper's E13–E18. seed seeds the
+// peer sampler; each node also mixes its own ID into its stream, so a
+// deployment may pass 0. The caller adds only what belongs to its
+// runtime (a sink, a tracer) and may drop the RTT estimator to run the
+// fixed-timeout detector.
+//
+// The detector waits SuspectAfter 4 misses and ConfirmRounds 4 rounds
+// rather than the package's 3 and 2, so stacked topology latencies and
+// gray peers do not read as crashes, and PartitionThreshold is lowered
+// to 0.3 so that both sides of a 40–50% partition freeze declarations.
+// Anti-entropy and sampling run a round every 500 ms.
+func Shipped(seed int64) (core.Options, Config) {
+	const round = 500 * time.Millisecond
+	opts := core.Options{
+		Guard: &guard.Policy{},
+		Timeouts: core.Timeouts{
+			RetryAfter:  500 * time.Millisecond,
+			MaxAttempts: 6,
+			RepairAfter: 600 * time.Millisecond,
+		},
+	}
+	return opts, Config{
+		Liveness:    &liveness.Config{SuspectAfter: 4, ConfirmRounds: 4, PartitionThreshold: 0.3},
+		RTT:         &rtt.Config{},
+		AntiEntropy: &antientropy.Config{Interval: round},
+		Sampling:    &sampling.Config{Interval: round, Seed: seed},
+	}
+}
+
 // Node is one composed overlay node. Not safe for concurrent use: drive
 // it from one goroutine or under one lock, like the machine it wraps.
 type Node struct {

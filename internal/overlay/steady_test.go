@@ -37,11 +37,12 @@ func (s declarerSink) Emit(e obs.Event) {
 	}
 }
 
-// steadyNetwork is the stack cmd/hypercubed ships by default (guard,
-// 2 s exchange timeout, failure detector, anti-entropy and peer sampling
-// all on their zero configs, an event sink attached — a declaredSink,
-// net.cfg.Sink) over 128 converged nodes of the paper's ID space, warmed
-// up for 10 virtual seconds.
+// steadyNetwork is the package-default stack the repository benchmark's
+// sim_maintain_crash workload simulates (guard, 2 s exchange timeout,
+// failure detector, anti-entropy and peer sampling all on their zero
+// configs — not node.Shipped — with an event sink attached, a
+// declaredSink, net.cfg.Sink) over 128 converged nodes of the paper's
+// ID space, warmed up for 10 virtual seconds.
 func steadyNetwork(t *testing.T) *Network {
 	t.Helper()
 	return steadyNetworkWith(t, declaredSink{})
@@ -196,7 +197,7 @@ func TestSteadyCrashRepairPinned(t *testing.T) {
 
 // TestLargeNetworkCrashRepairWindow is the exemplar's TestLargeNetwork
 // shape (SNIPPETS.md; ROADMAP item 3): kill 5 % of a converged 128-node
-// network on the daemon defaults at once, and every victim must be
+// network on the package defaults at once, and every victim must be
 // declared and every table consistent again within 10 virtual seconds.
 // Detection takes phase + (SuspectAfter + ConfirmRounds) × ProbeTimeout
 // ≈ 5 s whatever the table size; when a missed target waited a whole
@@ -234,7 +235,7 @@ func TestLargeNetworkCrashRepairWindow(t *testing.T) {
 	t.Logf("%d of %d crashed, all declared and repaired after %v", len(victims), len(members), elapsed)
 }
 
-// TestCrashGossipStaysInNeighbourhood: one crash on the daemon defaults
+// TestCrashGossipStaysInNeighbourhood: one crash on the package defaults
 // is repaired within the same 10 virtual seconds with at most half the
 // FailedNoti that forwarding from every survivor cost, and only the
 // victim's own neighbours — its table and reverse set at crash time —

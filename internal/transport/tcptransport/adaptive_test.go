@@ -11,7 +11,7 @@ import (
 	"hypercube/internal/rtt"
 )
 
-// TestTCPAdaptiveRTTSampling: with WithRTT, a live two-node network
+// TestTCPAdaptiveRTTSampling: with Config.RTT set, a live two-node network
 // feeds the shared estimator from real probe and exchange round trips,
 // and the counters surface on /status.
 func TestTCPAdaptiveRTTSampling(t *testing.T) {
@@ -27,7 +27,7 @@ func TestTCPAdaptiveRTTSampling(t *testing.T) {
 		RetryAfter:  250 * time.Millisecond,
 		MaxAttempts: 4,
 	}}
-	options := []Option{WithLiveness(lc), WithRTT(rc)}
+	options := []Option{WithConfig(Config{Liveness: &lc, RTT: &rc})}
 
 	seed, err := StartSeed(p163, opts, id.MustParse(p163, "abc"), "127.0.0.1:0", options...)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestTCPAdaptiveRTTSampling(t *testing.T) {
 		for {
 			st := n.Stats().RTT
 			if st == nil {
-				t.Fatalf("node %v reports no RTT stats despite WithRTT", n.Ref().ID)
+				t.Fatalf("node %v reports no RTT stats despite Config.RTT", n.Ref().ID)
 			}
 			if st.Samples > 0 && st.Tracked > 0 {
 				break
@@ -71,7 +71,7 @@ func TestTCPAdaptiveRTTSampling(t *testing.T) {
 	// estimator section.
 	st := adminStatus(t, seed)
 	if st.RTT == nil {
-		t.Fatal("/status has no rtt section despite WithRTT")
+		t.Fatal("/status has no rtt section despite Config.RTT")
 	}
 	if st.RTT.Samples == 0 || st.RTT.Tracked == 0 {
 		t.Fatalf("/status rtt counters empty: %+v", st.RTT)

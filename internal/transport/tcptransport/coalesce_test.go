@@ -75,12 +75,13 @@ func newFrameSink(t *testing.T) *frameSink {
 	return s
 }
 
-// With a flush delay, a burst of envelopes to one peer must coalesce
-// into far fewer frames than envelopes — and all of them must arrive.
+// A burst of envelopes to one peer, queued behind a slow first write,
+// must coalesce into far fewer frames than envelopes — and all of them
+// must arrive.
 func TestCoalescingBatchesEnvelopes(t *testing.T) {
 	sink := newFrameSink(t)
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a07"), "127.0.0.1:0",
-		WithConfig(Config{FlushDelay: 40 * time.Millisecond}))
+		WithConfig(Config{Faults: &Faults{Latency: 40 * time.Millisecond}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestCoalescerRespectsMaxFrameBytes(t *testing.T) {
 	sink := newFrameSink(t)
 	const limit = 512
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a08"), "127.0.0.1:0",
-		WithConfig(Config{FlushDelay: 40 * time.Millisecond, MaxFrameBytes: limit}))
+		WithConfig(Config{Faults: &Faults{Latency: 40 * time.Millisecond}, MaxFrameBytes: limit}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,10 +51,6 @@ type Config struct {
 	// without completing a frame before it is closed (the remote writer
 	// redials on demand). Default 2m.
 	ReadIdleTimeout time.Duration
-	// WriteTimeout bounds each outbound frame write; a stalled peer
-	// fails the attempt into the normal retry path instead of wedging
-	// the writer goroutine. Default 10s.
-	WriteTimeout time.Duration
 	// DecodeErrorBudget is how many malformed frames one inbound
 	// connection may deliver before it is disconnected. Default 8.
 	DecodeErrorBudget int
@@ -65,12 +61,6 @@ type Config struct {
 	// InboundBurst is the token-bucket depth for InboundRate.
 	// Default 4000.
 	InboundBurst int
-	// FlushDelay is how long a peer's writer lingers after its first
-	// pending envelope to coalesce more envelopes into the same frame
-	// (each frame stays within MaxFrameBytes and wire.MaxBatch). 0 — the
-	// default — still drains whatever is already queued into one frame,
-	// it just never waits for more.
-	FlushDelay time.Duration
 	// Faults optionally injects transport failures (tests and
 	// experiments). Nil disables injection.
 	Faults *Faults
@@ -140,9 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.ReadIdleTimeout <= 0 {
 		c.ReadIdleTimeout = 2 * time.Minute
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.DecodeErrorBudget <= 0 {
 		c.DecodeErrorBudget = 8
 	}
@@ -155,9 +142,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Option adjusts a node's Config at start time. Every field can be set
-// through WithConfig; the other options are shorthands for the ones
-// commands and tests set on their own.
+// writeTimeout bounds each outbound frame write; a stalled peer fails
+// the attempt into the normal retry path instead of wedging the writer
+// goroutine.
+const writeTimeout = 10 * time.Second
+
+// Option adjusts a node's Config at start time; options apply in order.
+// WithConfig replaces the whole configuration, and each of the others
+// sets one field of it.
 type Option func(*Config)
 
 // WithConfig replaces the whole configuration.
@@ -165,35 +157,14 @@ func WithConfig(cfg Config) Option {
 	return func(c *Config) { *c = cfg }
 }
 
-// WithMaxAttempts sets the delivery attempts per envelope.
-func WithMaxAttempts(n int) Option {
-	return func(c *Config) { c.MaxAttempts = n }
-}
-
-// WithBackoff sets the base and maximum retry backoff.
-func WithBackoff(base, max time.Duration) Option {
-	return func(c *Config) { c.BaseBackoff, c.MaxBackoff = base, max }
-}
-
 // WithPollInterval sets AwaitStatus's polling period.
 func WithPollInterval(d time.Duration) Option {
 	return func(c *Config) { c.PollInterval = d }
 }
 
-// WithFaults installs a fault injector.
-func WithFaults(f *Faults) Option {
-	return func(c *Config) { c.Faults = f }
-}
-
 // WithLiveness enables the failure detector with the given tuning.
 func WithLiveness(lc liveness.Config) Option {
 	return func(c *Config) { c.Liveness = &lc }
-}
-
-// WithRTT enables adaptive per-peer timeouts backed by a shared RTT
-// estimator with the given tuning.
-func WithRTT(rc rtt.Config) Option {
-	return func(c *Config) { c.RTT = &rc }
 }
 
 // WithSampling enables the gossip peer-sampling layer with the given
@@ -351,30 +322,10 @@ func (pq *peerQueue) popBatch(max int) ([]msg.Envelope, bool) {
 		pq.batch = pq.batch[:0]
 		return nil, false
 	}
-	pq.batch = pq.moveLocked(pq.batch[:0], max)
+	k := min(len(pq.queue), max)
+	pq.batch = append(pq.batch[:0], pq.queue[:k]...)
+	pq.queue = pq.queue[k:]
 	return pq.batch, true
-}
-
-// drainBatch appends whatever is already queued to the batch buffer, up
-// to max total, without blocking.
-func (pq *peerQueue) drainBatch(max int) []msg.Envelope {
-	pq.mu.Lock()
-	defer pq.mu.Unlock()
-	pq.batch = pq.moveLocked(pq.batch, max)
-	return pq.batch
-}
-
-func (pq *peerQueue) moveLocked(dst []msg.Envelope, max int) []msg.Envelope {
-	n := len(pq.queue)
-	if n > max-len(dst) {
-		n = max - len(dst)
-	}
-	if n <= 0 {
-		return dst
-	}
-	dst = append(dst, pq.queue[:n]...)
-	pq.queue = pq.queue[n:]
-	return dst
 }
 
 // depth returns how many envelopes are waiting in the queue.
@@ -443,8 +394,9 @@ func (pq *peerQueue) install(conn net.Conn) bool {
 
 // writeLoop drains one peer's queue until it is empty, then exits; the
 // next push starts a new writer. Each round grabs every envelope already
-// pending (up to wire.MaxBatch), optionally lingers FlushDelay to let
-// more arrive, and hands the batch to deliverBatch.
+// pending (up to wire.MaxBatch) and hands the batch to deliverBatch, so
+// envelopes queued while a write is under way ride in the next frame
+// together.
 func (n *Node) writeLoop(pq *peerQueue) {
 	defer n.wg.Done()
 	defer n.writers.Add(-1)
@@ -452,14 +404,6 @@ func (n *Node) writeLoop(pq *peerQueue) {
 		batch, ok := pq.popBatch(wire.MaxBatch)
 		if !ok {
 			return
-		}
-		if d := n.cfg.FlushDelay; d > 0 && len(batch) < wire.MaxBatch {
-			// Linger to coalesce: envelopes arriving within the window
-			// ride in the same frame instead of paying per-frame framing
-			// and syscall costs. Shutdown mid-linger just delivers what
-			// we already hold.
-			n.sleep(d)
-			batch = pq.drainBatch(wire.MaxBatch)
 		}
 		n.deliverBatch(pq, batch)
 	}
@@ -614,7 +558,7 @@ func (n *Node) writeOnce(pq *peerQueue, frame []byte) bool {
 			defer pq.killConn()
 		}
 	}
-	if err := writeFrame(conn, frame, n.cfg.WriteTimeout); err != nil {
+	if err := writeFrame(conn, frame, writeTimeout); err != nil {
 		pq.killConn()
 		return false
 	}

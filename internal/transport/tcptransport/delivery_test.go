@@ -100,7 +100,7 @@ func awaitInt64(t *testing.T, what string, get func() int64, want int64) {
 func TestSendAllDeliversPastFailures(t *testing.T) {
 	sink := newEnvelopeSink(t)
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a00"), "127.0.0.1:0",
-		WithConfig(Config{DialTimeout: 200 * time.Millisecond}), WithMaxAttempts(2), WithBackoff(time.Millisecond, 2*time.Millisecond))
+		WithConfig(Config{DialTimeout: 200 * time.Millisecond, MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSendAllDeliversPastFailures(t *testing.T) {
 func TestRedialClosesDisplacedConnection(t *testing.T) {
 	sink := newEnvelopeSink(t)
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a01"), "127.0.0.1:0",
-		WithBackoff(time.Millisecond, 5*time.Millisecond))
+		WithConfig(Config{BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRedialClosesDisplacedConnection(t *testing.T) {
 // reply address tore down a healthy peer link.)
 func TestReadLoopSurvivesOutboundFailure(t *testing.T) {
 	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a02"), "127.0.0.1:0",
-		WithConfig(Config{DialTimeout: 200 * time.Millisecond}), WithMaxAttempts(2), WithBackoff(time.Millisecond, 2*time.Millisecond))
+		WithConfig(Config{DialTimeout: 200 * time.Millisecond, MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAwaitStatusPollsGently(t *testing.T) {
 // Queue overflow must dead-letter, not block or grow without bound.
 func TestQueueOverflowDeadLetters(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a04"), "127.0.0.1:0",
-		WithConfig(Config{QueueLimit: 1, DialTimeout: 200 * time.Millisecond}), WithMaxAttempts(3), WithBackoff(time.Hour, time.Hour))
+		WithConfig(Config{QueueLimit: 1, DialTimeout: 200 * time.Millisecond, MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +274,12 @@ func TestJoinUnderInjectedFaults(t *testing.T) {
 	faults := NewFaults(7)
 	faults.DropRate = 0.10
 	faults.KillEvery = 40 // sprinkle connection kills on top of drops
-	opts := []Option{
-		WithFaults(faults),
-		WithMaxAttempts(10),
-		WithBackoff(2*time.Millisecond, 50*time.Millisecond),
-	}
+	opts := []Option{WithConfig(Config{
+		Faults:      faults,
+		MaxAttempts: 10,
+		BaseBackoff: 2 * time.Millisecond,
+		MaxBackoff:  50 * time.Millisecond,
+	})}
 
 	rng := rand.New(rand.NewSource(11))
 	seen := make(map[id.ID]bool)
@@ -362,7 +363,7 @@ func TestJoinUnderInjectedFaults(t *testing.T) {
 // connection and deliver everything queued meanwhile.
 func TestRedialAfterPeerRestart(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a05"), "127.0.0.1:0",
-		WithMaxAttempts(20), WithBackoff(5*time.Millisecond, 40*time.Millisecond))
+		WithConfig(Config{MaxAttempts: 20, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

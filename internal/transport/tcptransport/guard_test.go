@@ -177,8 +177,8 @@ func TestReadFrameGrowsToDeclaredSize(t *testing.T) {
 // frames in between — then is torn down when the budget is exhausted.
 func TestDecodeErrorBudgetDisconnects(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a11"), "127.0.0.1:0",
-		WithConfig(Config{DecodeErrorBudget: 3, DialTimeout: 50 * time.Millisecond}),
-		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
+		WithConfig(Config{DecodeErrorBudget: 3, DialTimeout: 50 * time.Millisecond,
+			MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +217,8 @@ func TestInboundRateLimitThrottles(t *testing.T) {
 	for name, coalesced := range map[string]bool{"frame per envelope": false, "one coalesced frame": true} {
 		t.Run(name, func(t *testing.T) {
 			n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a12"), "127.0.0.1:0",
-				WithConfig(Config{InboundRate: 20, InboundBurst: 2, DialTimeout: 50 * time.Millisecond}),
-				WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
+				WithConfig(Config{InboundRate: 20, InboundBurst: 2, DialTimeout: 50 * time.Millisecond,
+					MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,8 +242,8 @@ func TestInboundRateLimitThrottles(t *testing.T) {
 // before it were already handled and the frame costs one decode error.
 func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a14"), "127.0.0.1:0",
-		WithConfig(Config{DialTimeout: 50 * time.Millisecond}),
-		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
+		WithConfig(Config{DialTimeout: 50 * time.Millisecond,
+			MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +279,8 @@ func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
 // budget, and never delivered.
 func TestTopBitClearFrameIsDecodeError(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a15"), "127.0.0.1:0",
-		WithConfig(Config{DecodeErrorBudget: 2, DialTimeout: 50 * time.Millisecond}),
-		WithMaxAttempts(1), WithBackoff(time.Millisecond, 2*time.Millisecond))
+		WithConfig(Config{DecodeErrorBudget: 2, DialTimeout: 50 * time.Millisecond,
+			MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestTCPCrashDetectionAndRepair(t *testing.T) {
 		RetryAfter:  250 * time.Millisecond,
 		MaxAttempts: 4,
 	}}
-	options := []Option{WithLiveness(lc), WithMaxAttempts(2), WithBackoff(5*time.Millisecond, 50*time.Millisecond)}
+	options := []Option{WithConfig(Config{Liveness: &lc, MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond})}
 
 	seed, err := StartSeed(p163, opts, id.MustParse(p163, "abc"), "127.0.0.1:0", options...)
 	if err != nil {

@@ -275,7 +275,8 @@ func TestTCPJoinTimeoutResendsWithoutLiveness(t *testing.T) {
 	defer seed.Close()
 	faults := NewFaults(1)
 	faults.DropRate = 1
-	joiner, err := StartJoiner(p163, opts, id.MustParse(p163, "b01"), "127.0.0.1:0", WithFaults(faults), WithMaxAttempts(1))
+	joiner, err := StartJoiner(p163, opts, id.MustParse(p163, "b01"), "127.0.0.1:0",
+		WithConfig(Config{Faults: faults, MaxAttempts: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

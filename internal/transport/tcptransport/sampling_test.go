@@ -20,7 +20,7 @@ func TestTCPSamplingRounds(t *testing.T) {
 		Interval: 100 * time.Millisecond,
 		Seed:     31,
 	}
-	options := []Option{WithSampling(sc), WithMaxAttempts(2), WithBackoff(5*time.Millisecond, 50*time.Millisecond)}
+	options := []Option{WithConfig(Config{Sampling: &sc, MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond})}
 
 	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "abc"), "127.0.0.1:0", options...)
 	if err != nil {

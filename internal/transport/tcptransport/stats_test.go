@@ -32,18 +32,18 @@ var update = flag.Bool("update", false, "rewrite testdata/admin_surface.golden f
 func fullNodeSurfaces(t *testing.T) (n *Node, status map[string]any, scrape string) {
 	t.Helper()
 	opts := core.Options{Guard: &guard.Policy{}}
-	parts := []Option{
-		WithLiveness(liveness.Config{ProbeInterval: 20 * time.Millisecond}),
-		WithRTT(rtt.Config{}),
-		WithAntiEntropy(antientropy.Config{}),
-		WithSampling(sampling.Config{}),
-	}
-	seed, err := StartSeed(p163, opts, id.MustParse(p163, "abc"), "127.0.0.1:0", parts...)
+	parts := WithConfig(Config{
+		Liveness:    &liveness.Config{ProbeInterval: 20 * time.Millisecond},
+		RTT:         &rtt.Config{},
+		AntiEntropy: &antientropy.Config{},
+		Sampling:    &sampling.Config{},
+	})
+	seed, err := StartSeed(p163, opts, id.MustParse(p163, "abc"), "127.0.0.1:0", parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { seed.Close() })
-	n, err = StartJoiner(p163, opts, id.MustParse(p163, "132"), "127.0.0.1:0", parts...)
+	n, err = StartJoiner(p163, opts, id.MustParse(p163, "132"), "127.0.0.1:0", parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestWriterHandoffKeepsOrder(t *testing.T) {
 // and everything still queued — and leaves no writer running.
 func TestCloseDuringBurst(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a31"), "127.0.0.1:0",
-		WithConfig(Config{DialTimeout: 200 * time.Millisecond}), WithBackoff(time.Hour, time.Hour))
+		WithConfig(Config{DialTimeout: 200 * time.Millisecond, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
 	if err != nil {
 		t.Fatal(err)
 	}
