@@ -487,29 +487,25 @@ var workloadParams = id.Params{B: 16, D: 6}
 const workloadInitial, workloadOps, workloadRoutes = 200, 60, 2000
 
 func (x *env) workload() error {
-	runner, err := workload.NewRunner(workloadParams, workloadInitial, x.seed)
+	runner, err := workload.NewRunner(selfHealing(workloadParams), healWindow, workloadInitial, x.seed)
 	if err != nil {
 		return err
 	}
 	script := workload.RandomScript(rand.New(rand.NewSource(x.seed*31)), workloadOps, workload.DefaultMix())
 	// RunScript stops at the first operation that errs or leaves a
-	// violation or an unrepaired entry; print what ran either way.
+	// violation; print what ran either way.
 	reports, runErr := runner.RunScript(script)
 
 	w := tabwriter.NewWriter(x.out, 2, 4, 2, ' ', 0)
-	if !x.quiet {
-		fmt.Fprintln(w, "#\top\tcount\tapplied\tsize\tmessages\tviolations")
-	}
+	fmt.Fprintln(w, "#\top\tcount\tapplied\tsize\tmessages\tviolations")
 	counts := make(map[workload.Kind]int)
 	var messages uint64
 	for i, rep := range reports {
 		op := script[i]
 		counts[op.Kind] += rep.Applied
 		messages += rep.Messages
-		if !x.quiet {
-			fmt.Fprintf(w, "%d\t%v\t%d\t%d\t%d\t%d\t%d\n",
-				i, op.Kind, op.Count, rep.Applied, rep.Size, rep.Messages, rep.Violations)
-		}
+		fmt.Fprintf(w, "%d\t%v\t%d\t%d\t%d\t%d\t%d\n",
+			i, op.Kind, op.Count, rep.Applied, rep.Size, rep.Messages, rep.Violations)
 	}
 	if err := w.Flush(); err != nil {
 		return err

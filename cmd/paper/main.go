@@ -14,15 +14,14 @@
 //	paper netinit       # E10: §6.1 initialization from one node, batch by batch
 //	paper topo          # the transit-stub topology under E2/E3
 //	paper workload      # E11: random churn, consistency checked per operation
-//	paper churn         # E11: §7 leaves, crash recovery, table optimization
-//	paper selfheal      # E12: the crash phase with no recovery oracle
+//	paper churn         # E11: §7 leaves, crash recovery, table optimization (-small: E12)
 //	paper partition     # E13: split, held declarations, heal, reconvergence
 //	paper byzantine     # E15: hostile members under 10% loss
 //	paper flashcrowd    # E17: a join wave through three gateways (-small -trace: E19)
 //	paper massfail      # E17: whole stub domains crash at one instant
 //	paper restart       # E17: every member restarted from its persisted dump
 //	paper gray          # E18: slow-but-alive members, adaptive vs fixed timeouts
-//	paper all           # all nineteen; fig15b and table share one set of waves
+//	paper all           # all eighteen; fig15b and table share one set of waves
 //
 // Every simulated join wave is held to Theorems 1-3 as it runs, and
 // every scenario to its verdict (no false declaration, no stuck joiner,
@@ -68,9 +67,8 @@ var experiments = []experiment{
 	{"msgsize", "-seed -wire", "E9, §6.2: message-size reductions", (*env).msgsize},
 	{"netinit", "-seed", "E10, §6.1: a network initialized from one node by concurrent joins", (*env).netinit},
 	{"topo", "-seed -small", "transit-stub topology under E2/E3", (*env).topo},
-	{"workload", "-seed -quiet", "E11, random churn with Definition 3.8 checked after every operation", (*env).workload},
-	{"churn", "-seed -small -trace", "E11, §7: concurrent leaves, crash recovery by oracle, table optimization", (*env).churn},
-	{"selfheal", "-seed -trace", "E12: unannounced crashes, detected and repaired by the survivors", (*env).selfheal},
+	{"workload", "-seed", "E11, random churn with Definition 3.8 checked after every operation", (*env).workload},
+	{"churn", "-seed -small -trace", "E11, §7: concurrent leaves, crashes repaired by the survivors, table optimization", (*env).churn},
 	{"partition", "-seed -trace", "E13: partition, heal and time to reconvergence", func(x *env) error { return x.committed("partition") }},
 	{"byzantine", "-seed -trace", "E15: joins among hostile members under 10% loss", func(x *env) error { return x.committed("byzantine") }},
 	{"flashcrowd", "-seed -small -with-byzantine -trace", "E17: simultaneous joins through three gateways", func(x *env) error { return x.committed("flashcrowd") }},
@@ -87,15 +85,15 @@ const allFlags = "-seed -small"
 type env struct {
 	out, log io.Writer
 
-	seed        int64
-	seedSet     bool // -seed was given: it overrides the seed a scenario documents
-	small       bool
-	b, d        int
-	v, w        string
-	wire, quiet bool
-	withByz     bool
-	trace       string
-	sink        obs.Sink // the open -trace file, or nil
+	seed    int64
+	seedSet bool // -seed was given: it overrides the seed a scenario documents
+	small   bool
+	b, d    int
+	v, w    string
+	wire    bool
+	withByz bool
+	trace   string
+	sink    obs.Sink // the open -trace file, or nil
 
 	waves  []*wave // the §5.2 waves, run once for fig15b and table
 	breach error   // first theorem a wave broke, see (*env).wave
@@ -116,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&x.v, "v", "72430,10353,62332,13141,31701", "cset: existing node IDs, comma separated")
 	fs.StringVar(&x.w, "w", "10261,47051,00261", "cset: joining node IDs, comma separated")
 	fs.BoolVar(&x.wire, "wire", false, "msgsize: encoded bytes per message kind next to the WireSize estimate")
-	fs.BoolVar(&x.quiet, "quiet", false, "workload: summary only, no per-operation log")
 	fs.BoolVar(&x.withByz, "with-byzantine", false, "E17, E18: compose E15's fault model in (10% of the members hostile)")
 	fs.StringVar(&x.trace, "trace", "", "E11-E18: write every protocol event, causally traced, to this JSONL `file` (read it with cmd/trace report)")
 	fs.Usage = func() {

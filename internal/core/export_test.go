@@ -1,0 +1,15 @@
+package core
+
+import (
+	"hypercube/internal/id"
+	"hypercube/internal/msg"
+	"hypercube/internal/table"
+)
+
+// RepairEntry launches one repair query, as Tick does for a due repair
+// job, and returns what it sends.
+func (m *Machine) RepairEntry(level, digit int, helper table.Ref, avoid id.ID) []msg.Envelope {
+	m.out = m.out[:0]
+	m.repairEntry(level, digit, helper, avoid)
+	return m.take()
+}

@@ -21,9 +21,9 @@
 // holder u first tries a local scan; failing that it sends a FindMsg
 // toward the wanted suffix through a helper. Queries that would route
 // through the dead node report Blocked and are retried after other
-// holders repair their own entries; Machine.RepairEntry drives one
-// attempt and the harness (overlay.Network.RecoverFailure) iterates
-// rounds to a fixed point.
+// holders repair their own entries: each unrepaired entry becomes a
+// repair job that Tick reissues through rotating helpers until it
+// resolves or maxRepairAttempts concludes the suffix died with x.
 package core
 
 import (
@@ -263,10 +263,9 @@ func (m *Machine) onRepairCpRly(from table.Ref, donor table.Snapshot) {
 
 // DropFailed removes a crashed node from every entry and from the reverse
 // set, attempting local-only repair, and returns the entries that remain
-// unrepaired (their desired suffix may still be inhabited — RepairEntry
-// resolves them via routed queries). Unrepaired entries are also
-// registered as repair jobs, driven either autonomously by Tick or in
-// forced rounds by KickRepairs (the RecoverFailures batch path).
+// unrepaired (their desired suffix may still be inhabited — a routed
+// Find resolves them). Unrepaired entries are also registered as repair
+// jobs, which Tick drives.
 func (m *Machine) DropFailed(gone id.ID) (unrepaired [][2]int) {
 	delete(m.reverse, gone)
 	m.reverseGen++
@@ -290,18 +289,10 @@ func (m *Machine) DropFailed(gone id.ID) (unrepaired [][2]int) {
 	return unrepaired
 }
 
-// RepairEntry launches a routed Find for the desired suffix of the given
+// repairEntry launches a routed Find for the desired suffix of the given
 // (empty) entry through the helper node, avoiding the failed node. The
 // result arrives as a FindRly handled by the machine; ResolveRepair
-// reports the outcome.
-func (m *Machine) RepairEntry(level, digit int, helper table.Ref, avoid id.ID) []msg.Envelope {
-	m.out = m.out[:0]
-	m.repairEntry(level, digit, helper, avoid)
-	return m.take()
-}
-
-// repairEntry launches the Find without resetting m.out, for use inside
-// Tick/KickRepairs.
+// reports the outcome. Appends to m.out.
 func (m *Machine) repairEntry(level, digit int, helper table.Ref, avoid id.ID) {
 	want := m.tbl.DesiredSuffix(level, digit)
 	if m.pendingFinds == nil {
@@ -323,7 +314,7 @@ func appendEntryOnce(entries [][2]int, e [2]int) [][2]int {
 	return append(entries, e)
 }
 
-// RepairOutcome describes the result of a RepairEntry query.
+// RepairOutcome describes the result of a repair query.
 type RepairOutcome uint8
 
 const (
@@ -337,8 +328,8 @@ const (
 	RepairBlocked
 )
 
-// ResolveRepair reports and clears the outcome for an entry previously
-// passed to RepairEntry.
+// ResolveRepair reports and clears the outcome for an entry whose repair
+// query was launched.
 func (m *Machine) ResolveRepair(level, digit int) RepairOutcome {
 	want := m.tbl.DesiredSuffix(level, digit)
 	st, ok := m.pendingFinds[want]
@@ -400,11 +391,10 @@ func (m *Machine) DeepestNeighborIs(who id.ID) bool {
 }
 
 // AbandonRepair resolves a pending repair as "suffix no longer
-// inhabited": the entry stays empty and stops blocking Find queries. The
-// recovery coordinator calls it when repair rounds stop making progress —
-// which happens exactly when the dead node was the sole carrier of the
-// suffix, so every potential certifier is itself waiting (see
-// overlay.RecoverFailure for the convergence rule).
+// inhabited": the entry stays empty and stops blocking Find queries. Tick
+// calls it once an entry's queries have come back blocked or lost
+// maxRepairAttempts times — which happens when the dead node was the sole
+// carrier of the suffix, so every potential certifier is itself waiting.
 func (m *Machine) AbandonRepair(level, digit int) {
 	want := m.tbl.DesiredSuffix(level, digit)
 	delete(m.pendingFinds, want)

@@ -245,8 +245,8 @@ func TestRejoinRestoresAnnouncement(t *testing.T) {
 		t.Fatalf("rejoiner stuck in %v", y.Status())
 	}
 	// Routed-repair round for the entries local repair could not fix
-	// (nodes too shallow for y's re-announcement) — the same step
-	// overlay.RecoverFailure performs after rejoins.
+	// (nodes too shallow for y's re-announcement) — the query a holder's
+	// repair job issues on its next Tick.
 	for x, entries := range unrepaired {
 		m := pp.machines[x]
 		for _, e := range entries {

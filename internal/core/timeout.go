@@ -1,7 +1,6 @@
 // Clock-driven machine behavior for the failure-detection extension:
 // request/reply timeouts with exponential resend and join restart, crash
-// declarations with FailedNoti gossip, and self-driven repair jobs that
-// replace the external RecoverFailure round loop.
+// declarations with FailedNoti gossip, and self-driven repair jobs.
 //
 // The paper's protocol is purely message-driven; every request
 // eventually gets a reply because nodes never fail. Once crashes are
@@ -46,9 +45,8 @@ type Timeouts struct {
 	RepairAfter time.Duration
 }
 
-// maxRepairAttempts caps autonomous repair queries per entry before the
-// suffix is concluded dead. Forced kicks (the batch RecoverFailures
-// path) apply their own convergence rule and ignore this cap.
+// maxRepairAttempts caps repair queries per entry before the suffix is
+// concluded dead.
 const maxRepairAttempts = 8
 
 // Enabled reports whether request/reply exchange timeouts are active.
@@ -213,7 +211,7 @@ func (m *Machine) Tick(now time.Duration) []msg.Envelope {
 	if m.opts.Timeouts.Enabled() {
 		m.tickExchanges(now)
 	}
-	m.kickRepairs(now, false)
+	m.kickRepairs(now)
 	if m.needsRejoin && m.status == StatusInSystem {
 		if g := m.pickGateway(id.ID{}); !g.IsZero() {
 			m.needsRejoin = false
@@ -561,32 +559,16 @@ func (m *Machine) RepairsPending() [][2]int {
 	return out
 }
 
-// KickRepairs drives the repair jobs once and returns the queries to
-// transmit. force reissues even jobs whose query is not yet overdue —
-// the batch RecoverFailures path uses it between quiescent rounds, where
-// "no reply yet" can only mean the query was blocked and consumed.
-// Forced mode also skips the per-entry attempt cap: the caller applies
-// its own convergence rule (see overlay.RecoverFailures).
-func (m *Machine) KickRepairs(now time.Duration, force bool) []msg.Envelope {
-	m.out = m.out[:0]
-	m.now = now
-	m.kickRepairs(now, force)
-	return m.take()
-}
-
-// SettleRepairs resolves repair jobs whose outcome is already known —
+// settleRepairs resolves repair jobs whose outcome is already known —
 // entry refilled (by a query reply, rejoin notification, or harvested
-// table), or proven empty — without issuing new queries. Returns how
-// many jobs resolved filled and how many empty. Blocked jobs are marked
-// for reissue by the next kick. The batch recovery rounds use the counts
-// for their convergence rule.
-func (m *Machine) SettleRepairs() (filled, emptied int) {
+// table), or proven empty — without issuing new queries. Blocked jobs
+// are marked for reissue by the next kick.
+func (m *Machine) settleRepairs() {
 	for _, e := range m.RepairsPending() {
 		job := m.repairs[e]
 		if !m.tbl.Get(e[0], e[1]).IsZero() {
 			m.AbandonRepair(e[0], e[1])
 			m.emitRepairDone(e, "filled")
-			filled++
 			continue
 		}
 		if !job.active {
@@ -596,18 +578,15 @@ func (m *Machine) SettleRepairs() (filled, emptied int) {
 		case RepairFilled:
 			delete(m.repairs, e)
 			m.emitRepairDone(e, "filled")
-			filled++
 		case RepairEmpty:
 			delete(m.repairs, e)
 			m.emitRepairDone(e, "empty")
-			emptied++
 		case RepairBlocked:
 			job.active = false // reissue on the next kick
 		case RepairPending:
 			// Reply still in flight (or lost); the next kick decides.
 		}
 	}
-	return filled, emptied
 }
 
 func (m *Machine) emitRepairDone(e [2]int, outcome string) {
@@ -616,9 +595,9 @@ func (m *Machine) emitRepairDone(e [2]int, outcome string) {
 	}
 }
 
-// kickRepairs is the shared repair-trigger loop (autonomous Ticks and
-// the batch recovery rounds). Appends to m.out.
-func (m *Machine) kickRepairs(now time.Duration, force bool) {
+// kickRepairs drives the repair jobs once from Tick: it settles what
+// is known and issues the queries that are due. Appends to m.out.
+func (m *Machine) kickRepairs(now time.Duration) {
 	if len(m.repairs) == 0 {
 		return
 	}
@@ -629,16 +608,16 @@ func (m *Machine) kickRepairs(now time.Duration, force bool) {
 		}
 		return
 	}
-	m.SettleRepairs()
+	m.settleRepairs()
 	for _, e := range m.RepairsPending() {
 		job := m.repairs[e]
 		if job.active {
-			if !force && now < job.due {
+			if now < job.due {
 				continue // still waiting for the reply
 			}
 			job.active = false // reply lost or blocked in flight; reissue
 		}
-		if !force && job.attempts >= maxRepairAttempts {
+		if job.attempts >= maxRepairAttempts {
 			// Every helper rotation came back blocked or lost: conclude
 			// the suffix died with the crashed node.
 			m.AbandonRepair(e[0], e[1])

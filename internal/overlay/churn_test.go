@@ -8,6 +8,8 @@ import (
 
 	"hypercube/internal/core"
 	"hypercube/internal/id"
+	"hypercube/internal/liveness"
+	"hypercube/internal/msg"
 	"hypercube/internal/netcheck"
 	"hypercube/internal/table"
 )
@@ -17,6 +19,67 @@ func requireConsistent(t *testing.T, net *Network) {
 	if v := net.CheckConsistency(); len(v) != 0 {
 		t.Fatalf("network inconsistent (%d violations), first: %v", len(v), v[0])
 	}
+}
+
+// requireForgotten fails if any survivor still stores one of gone.
+func requireForgotten(t *testing.T, net *Network, gone ...id.ID) {
+	t.Helper()
+	for x, tbl := range net.Tables() {
+		tbl.ForEach(func(level, digit int, nb table.Neighbor) {
+			for _, d := range gone {
+				if nb.ID == d {
+					t.Errorf("node %v still stores crashed %v at (%d,%d)", x, d, level, digit)
+				}
+			}
+		})
+	}
+}
+
+// healWindow is the virtual time the survivors get per crash. E11 gives
+// 20 s in its sparse ID space; in p164's a prober can watch every other
+// member (79 at n=80), its round-robin reaches each once per 250 ms ×
+// 79 ≈ 20 s, and detection takes up to that plus (SuspectAfter +
+// ConfirmRounds) × ProbeTimeout = 5 s.
+const healWindow = 30 * time.Second
+
+// newHealing builds members into a network on p whose survivors detect
+// crashes and repair their own tables — a failure detector on every
+// node and clock-driven repair, at the settings E11 runs (cmd/paper) —
+// with declared as its event sink. It then runs the clock for
+// healWindow, in which every detector hears from each of its peers: a
+// peer never heard from is dropped on a crash as unreachable, not
+// declared.
+func newHealing(p id.Params, declared declaredSink, members []table.Ref, rng *rand.Rand) *Network {
+	net := New(Config{
+		Params:       p,
+		Liveness:     &liveness.Config{},
+		Opts:         core.Options{Timeouts: core.Timeouts{RetryAfter: 500 * time.Millisecond}},
+		TickInterval: 100 * time.Millisecond,
+		Sink:         declared,
+	})
+	net.BuildDirect(members, rng)
+	net.RunFor(healWindow)
+	return net
+}
+
+// crashAndHeal crashes x, tells no one, and runs the clock for
+// healWindow; afterwards no survivor may store x. It returns how many
+// survivors stored x before the crash.
+func crashAndHeal(t *testing.T, net *Network, x id.ID) (holders int) {
+	t.Helper()
+	for _, tbl := range net.Tables() {
+		stored := false
+		tbl.ForEach(func(_, _ int, nb table.Neighbor) { stored = stored || nb.ID == x })
+		if stored {
+			holders++
+		}
+	}
+	if err := net.InjectFailure(x); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(healWindow)
+	requireForgotten(t, net, x)
+	return holders
 }
 
 func TestGracefulLeaveSingle(t *testing.T) {
@@ -161,43 +224,28 @@ func TestLeaveThenJoin(t *testing.T) {
 
 func TestFailureRecoverySingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	net := New(Config{Params: p164})
+	declared := declaredSink{}
 	refs := RandomRefs(p164, 80, rng, nil)
-	net.BuildDirect(refs, rng)
+	net := newHealing(p164, declared, refs, rng)
 
 	dead := refs[7].ID
-	if err := net.InjectFailure(dead); err != nil {
-		t.Fatal(err)
-	}
-	st := net.RecoverFailure(dead, rng, 0)
-	if st.Holders == 0 {
+	if crashAndHeal(t, net, dead) == 0 {
 		t.Fatal("nobody stored the dead node — setup broken")
 	}
-	if st.Unrepaired != 0 {
-		t.Fatalf("recovery left %d entries broken: %+v", st.Unrepaired, st)
-	}
 	requireConsistent(t, net)
-	if st.LocalRepairs+st.RoutedRepairs+st.Emptied == 0 {
-		t.Errorf("no repairs recorded: %+v", st)
+	if !declared[dead.String()] {
+		t.Error("the crash was never declared")
 	}
 }
 
 func TestFailureRecoverySeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	net := New(Config{Params: p164})
 	refs := RandomRefs(p164, 100, rng, nil)
-	net.BuildDirect(refs, rng)
+	net := newHealing(p164, declaredSink{}, refs, rng)
 
 	perm := rng.Perm(len(refs))
 	for i := 0; i < 15; i++ {
-		dead := refs[perm[i]].ID
-		if err := net.InjectFailure(dead); err != nil {
-			t.Fatal(err)
-		}
-		st := net.RecoverFailure(dead, rng, 0)
-		if st.Unrepaired != 0 {
-			t.Fatalf("failure %d: %d entries unrepaired (%+v)", i, st.Unrepaired, st)
-		}
+		crashAndHeal(t, net, refs[perm[i]].ID)
 		requireConsistent(t, net)
 	}
 	if net.Size() != 85 {
@@ -211,26 +259,16 @@ func TestFailureRecoveryRoutedPath(t *testing.T) {
 	// alternative member of the dead node's suffix sets.
 	p := id.Params{B: 16, D: 8}
 	rng := rand.New(rand.NewSource(7))
-	net := New(Config{Params: p})
 	refs := RandomRefs(p, 300, rng, nil)
-	net.BuildDirect(refs, rng)
+	net := newHealing(p, declaredSink{}, refs, rng)
 
-	routed := 0
 	perm := rng.Perm(len(refs))
 	for i := 0; i < 10; i++ {
-		dead := refs[perm[i]].ID
-		if err := net.InjectFailure(dead); err != nil {
-			t.Fatal(err)
-		}
-		st := net.RecoverFailure(dead, rng, 0)
-		if st.Unrepaired != 0 {
-			t.Fatalf("failure %d unrepaired: %+v", i, st)
-		}
-		routed += st.RoutedRepairs
+		crashAndHeal(t, net, refs[perm[i]].ID)
 		requireConsistent(t, net)
 	}
-	if routed == 0 {
-		t.Error("no routed repairs exercised; Find path untested at this scale")
+	if traffic := net.AggregateTraffic(); traffic.SentOf(msg.TFind) == 0 {
+		t.Error("no FindMsg sent; Find path untested at this scale")
 	}
 }
 
@@ -286,10 +324,9 @@ func TestChurnMixKeepsReachability(t *testing.T) {
 // network and can all reach each other.
 func churnMix(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	net := New(Config{Params: p164})
 	taken := make(map[id.ID]bool)
 	refs := RandomRefs(p164, 60, rng, taken)
-	net.BuildDirect(refs, rng)
+	net := newHealing(p164, declaredSink{}, refs, rng)
 	// live is kept sorted for deterministic selection.
 	var live []table.Ref
 	live = append(live, refs...)
@@ -322,16 +359,9 @@ func churnMix(t *testing.T, seed int64) {
 			if gone := net.FinalizeLeaves(); len(gone) != scheduled {
 				t.Fatalf("phase %d: %d of %d scheduled leavers finalized (%v)", phase, len(gone), scheduled, gone)
 			}
-		case 2: // crash + recovery
+		case 2: // crash, detected and repaired by the survivors
 			if len(live) >= 20 {
-				x := removeLive(rng.Intn(len(live)))
-				if err := net.InjectFailure(x.ID); err != nil {
-					t.Fatal(err)
-				}
-				st := net.RecoverFailure(x.ID, rng, 0)
-				if st.Unrepaired != 0 {
-					t.Fatalf("phase %d: unrepaired %d", phase, st.Unrepaired)
-				}
+				crashAndHeal(t, net, removeLive(rng.Intn(len(live))).ID)
 			}
 		}
 		if v := net.CheckConsistency(); len(v) != 0 {

@@ -8,7 +8,6 @@ import (
 	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
-	"hypercube/internal/table"
 )
 
 func selfHealingConfig(seed int64) Config {
@@ -37,7 +36,7 @@ func selfHealingConfig(seed int64) Config {
 // join in progress), no oracle. The only external inputs are the crashes
 // themselves; detection, table repair, gossip, and the join restart all
 // come from the nodes' own probe and timeout machinery. The test never
-// calls RecoverFailure and never tells any survivor who died.
+// tells any survivor who died.
 func TestSelfHealingSoak(t *testing.T) {
 	cfg := selfHealingConfig(42)
 	rng := rand.New(rand.NewSource(42))
@@ -71,16 +70,7 @@ func TestSelfHealingSoak(t *testing.T) {
 		t.Errorf("joiner stuck in %v after its gateway crashed", jm.Status())
 	}
 	requireConsistent(t, net)
-	deadIDs := []id.ID{dead1.ID, gateway.ID, dead3.ID}
-	for x, tbl := range net.Tables() {
-		tbl.ForEach(func(level, digit int, nb table.Neighbor) {
-			for _, d := range deadIDs {
-				if nb.ID == d {
-					t.Errorf("node %v still stores crashed %v at (%d,%d)", x, d, level, digit)
-				}
-			}
-		})
-	}
+	requireForgotten(t, net, dead1.ID, gateway.ID, dead3.ID)
 	st := net.LivenessStats()
 	if st.Declared == 0 {
 		t.Error("no failures were declared — the crashes went undetected")
@@ -123,15 +113,14 @@ func TestNoFalsePositivesUnderOneWayLoss(t *testing.T) {
 	requireConsistent(t, net)
 }
 
-// TestRecoverFailuresSimultaneous drives the offline/batch repair path
-// with two nodes crashing at the same instant: the shared repair-trigger
-// code must converge even when each dead node's potential helpers
-// include the other dead node.
-func TestRecoverFailuresSimultaneous(t *testing.T) {
+// TestCrashesSimultaneous crashes two nodes at the same instant: the
+// survivors must declare both and repair to a consistent network even
+// when each dead node's potential repair helpers include the other.
+func TestCrashesSimultaneous(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	net := New(Config{Params: p164})
+	declared := declaredSink{}
 	refs := RandomRefs(p164, 80, rng, nil)
-	net.BuildDirect(refs, rng)
+	net := newHealing(p164, declared, refs, rng)
 
 	dead := []id.ID{refs[11].ID, refs[12].ID}
 	for _, d := range dead {
@@ -139,21 +128,12 @@ func TestRecoverFailuresSimultaneous(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := net.RecoverFailures(dead, rng, 0)
-	if st.Holders == 0 {
-		t.Fatal("nobody stored the dead nodes — setup broken")
-	}
-	if st.Unrepaired != 0 {
-		t.Fatalf("batch recovery left %d entries broken: %+v", st.Unrepaired, st)
+	net.RunFor(healWindow)
+	for _, d := range dead {
+		if !declared[d.String()] {
+			t.Errorf("crashed %v was never declared", d)
+		}
 	}
 	requireConsistent(t, net)
-	for x, tbl := range net.Tables() {
-		tbl.ForEach(func(level, digit int, nb table.Neighbor) {
-			for _, d := range dead {
-				if nb.ID == d {
-					t.Errorf("node %v still stores crashed %v at (%d,%d)", x, d, level, digit)
-				}
-			}
-		})
-	}
+	requireForgotten(t, net, dead...)
 }

@@ -713,12 +713,6 @@ func (n *Network) sortedIDs() []id.ID {
 	return n.sorted
 }
 
-// machineNow is Machine for a node known to be live.
-func (n *Network) machineNow(x id.ID) *core.Machine {
-	m, _ := n.Machine(x)
-	return m
-}
-
 // stats sums every part's counters over all live nodes.
 func (n *Network) stats() node.Stats {
 	var total node.Stats

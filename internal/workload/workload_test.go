@@ -4,11 +4,29 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"hypercube/internal/core"
 	"hypercube/internal/id"
+	"hypercube/internal/liveness"
+	"hypercube/internal/overlay"
 )
 
 var p164 = id.Params{B: 16, D: 4}
+
+// newRunner is a Runner on p164 at the settings of cmd/paper's churn
+// script — a failure detector on every node and clock-driven repair —
+// with 30 s per crash: a prober here can watch every other member, and
+// its 250 ms round-robin takes up to ~20 s to reach the victim.
+func newRunner(initial int, seed int64) (*Runner, error) {
+	cfg := overlay.Config{
+		Params:       p164,
+		Liveness:     &liveness.Config{},
+		Opts:         core.Options{Timeouts: core.Timeouts{RetryAfter: 500 * time.Millisecond}},
+		TickInterval: 100 * time.Millisecond,
+	}
+	return NewRunner(cfg, 30*time.Second, initial, seed)
+}
 
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
@@ -55,10 +73,10 @@ func TestRandomScriptRespectsMix(t *testing.T) {
 }
 
 func TestRunnerValidation(t *testing.T) {
-	if _, err := NewRunner(p164, 0, 1); err == nil {
+	if _, err := newRunner(0, 1); err == nil {
 		t.Error("zero initial size accepted")
 	}
-	r, err := NewRunner(p164, 20, 1)
+	r, err := newRunner(20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +89,7 @@ func TestRunnerValidation(t *testing.T) {
 }
 
 func TestScriptedLifecycle(t *testing.T) {
-	r, err := NewRunner(p164, 50, 7)
+	r, err := newRunner(50, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +133,7 @@ func TestLongRandomChurn(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			r, err := NewRunner(p164, 60, seed)
+			r, err := newRunner(60, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +150,7 @@ func TestLongRandomChurn(t *testing.T) {
 }
 
 func TestMinSizeFloor(t *testing.T) {
-	r, err := NewRunner(p164, 10, 3)
+	r, err := newRunner(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
