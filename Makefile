@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint cover experiments experiments-check fleettrace-smoke fuzz-smoke nemesis-smoke
+.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint deadcode cover experiments experiments-check fleettrace-smoke fuzz-smoke nemesis-smoke
 
-all: build lint test experiments-check fuzz-smoke nemesis-smoke fleettrace-smoke bench-smoke
+all: build lint deadcode test experiments-check fuzz-smoke nemesis-smoke fleettrace-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,14 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -unreachable -lostcancel ./...
+
+# deadcode keeps every production path one that a command runs: it
+# fails when a function under internal/ is reached by no package main
+# (cmd/* and bench, by the linker's -dumpdep edges) and is not listed,
+# with the reason a test needs it, in deadcode.allow, and when an entry
+# there is stale. See scripts/deadcode.sh.
+deadcode:
+	bash scripts/deadcode.sh
 
 cover:
 	$(GO) test -cover ./internal/...

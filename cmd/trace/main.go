@@ -19,7 +19,7 @@
 // (O(nodes) memory, so multi-GB soak traces are fine); traced events are
 // kept and rebuilt into cross-node span trees: end-to-end join
 // reconstruction with per-hop latency, probe round trips with per-node
-// clock skew, anti-entropy and gossip round trees, DHT hop counts. With
+// clock skew, anti-entropy and gossip round trees. With
 // -require-joins the exit status enforces a reconstruction floor, which
 // is how CI keeps the tracing pipeline honest.
 package main
@@ -379,14 +379,6 @@ func printReport(w io.Writer, rep *obs.Report) {
 			fmt.Fprintln(w)
 		}
 	}
-	if len(rep.DHTHops) > 0 {
-		fmt.Fprintf(w, "dht lookups by hop count:")
-		for _, h := range sortedKeys(rep.DHTHops) {
-			fmt.Fprintf(w, " %d:%d", h, rep.DHTHops[h])
-		}
-		fmt.Fprintln(w)
-	}
-
 	c := rep.Convergence
 	fmt.Fprintf(w, "convergence: %d nodes reported a status, %d in_system, %d suspected, %d degraded, %d quarantined\n",
 		c.Nodes, c.InSystem, c.Suspects, c.Degraded, c.Quarantined)

@@ -36,7 +36,9 @@ type Config struct {
 	Interval time.Duration
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset field at its documented
+// default: the values an Engine built from c runs with.
+func (c Config) WithDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second
 	}
@@ -98,7 +100,7 @@ type Engine struct {
 
 // New creates an engine auditing m.
 func New(cfg Config, m *core.Machine) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), m: m}
+	return &Engine{cfg: cfg.WithDefaults(), m: m}
 }
 
 // SetPeerSampler installs a source of sampled peers. Table neighbors

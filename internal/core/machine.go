@@ -562,11 +562,10 @@ func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 		m.onFind(pm)
 	case msg.FindRly:
 		m.onFindRly(pm)
-	case msg.Ping:
-		m.onPing(from, pm)
-	case msg.Pong:
-		// Absorbed: runtimes with a failure detector intercept pongs
-		// before the machine; without one there is no probe to match.
+	case msg.Ping, msg.Pong:
+		// Absorbed: runtimes with a failure detector intercept probes
+		// before the machine; without one nothing answers or matches
+		// them.
 	case msg.FailedNoti:
 		m.onFailedNoti(pm)
 	case msg.SyncReq:

@@ -658,21 +658,3 @@ func minInt(a, b int) int {
 	}
 	return b
 }
-
-// onPing answers a liveness probe (or relays an indirect one). Runtimes
-// with a detector intercept probes before the machine; this fallback
-// keeps detector-less nodes good probe citizens.
-func (m *Machine) onPing(from table.Ref, pm msg.Ping) {
-	if !pm.Target.IsZero() && pm.Target.ID != m.self.ID {
-		m.send(pm.Target, pm)
-		return
-	}
-	origin := pm.Origin
-	if origin.IsZero() {
-		origin = from
-	}
-	if origin.ID == m.self.ID {
-		return
-	}
-	m.send(origin, msg.Pong{Seq: pm.Seq})
-}

@@ -17,9 +17,7 @@ import (
 
 	"hypercube/internal/core"
 	"hypercube/internal/id"
-	"hypercube/internal/obs"
 	"hypercube/internal/table"
-	"hypercube/internal/trace"
 )
 
 // Pointer is a directory entry: the object is stored at Holder.
@@ -61,22 +59,6 @@ func (d *Directory) Lookup(object id.ID) []table.Ref {
 	return out
 }
 
-// Remove deletes holder's pointer for object.
-func (d *Directory) Remove(object id.ID, holder id.ID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	hs := d.pointers[object]
-	for i, h := range hs {
-		if h.ID == holder {
-			d.pointers[object] = append(hs[:i], hs[i+1:]...)
-			if len(d.pointers[object]) == 0 {
-				delete(d.pointers, object)
-			}
-			return
-		}
-	}
-}
-
 // Len returns the number of objects with at least one pointer.
 func (d *Directory) Len() int {
 	d.mu.Lock()
@@ -95,34 +77,6 @@ type Store struct {
 	// published is the authoritative (object, holder) list used by
 	// Republish to repair directories after membership changes.
 	published map[id.ID][]table.Ref
-
-	// Observability: publishes and lookups are traced operation roots
-	// recording the directory-path length / hop count. Set both before
-	// first use; nil means off.
-	sink   obs.Sink
-	tracer *trace.Tracer
-}
-
-// SetSink installs the event sink (nil or obs.Nop turns it off); wrap
-// with obs.Clocked so the driving runtime stamps Event.T.
-func (s *Store) SetSink(sink obs.Sink) {
-	if obs.IsNop(sink) {
-		s.sink = nil
-		return
-	}
-	s.sink = sink
-}
-
-// SetTracer installs the span-context source rooting each publish and
-// lookup; nil turns it off.
-func (s *Store) SetTracer(t *trace.Tracer) { s.tracer = t }
-
-// root allocates a sampled root context when tracing is on.
-func (s *Store) root() trace.Context {
-	if s.tracer == nil {
-		return trace.Context{}
-	}
-	return s.tracer.Root()
 }
 
 // NewStore creates a store over the given resolver.
@@ -173,9 +127,6 @@ func (s *Store) Publish(object id.ID, holder table.Ref) ([]id.ID, error) {
 		s.published[object] = append(s.published[object], holder)
 	}
 	s.mu.Unlock()
-	if s.sink != nil {
-		s.sink.Emit(obs.Event{Node: holder.ID.String(), Kind: obs.KindDHTPublish, Detail: object.String(), N: len(path)}.Stamped(s.root(), trace.SpanID{}))
-	}
 	return path, nil
 }
 
@@ -209,30 +160,6 @@ func (s *Store) Republish() error {
 	return nil
 }
 
-// Unpublish removes holder's pointers for object along the same route.
-func (s *Store) Unpublish(object id.ID, holder table.Ref) error {
-	path, err := s.rootPath(holder.ID, object)
-	if err != nil {
-		return fmt.Errorf("dht: unpublish %v: %w", object, err)
-	}
-	for _, node := range path {
-		s.dir(node).Remove(object, holder.ID)
-	}
-	s.mu.Lock()
-	hs := s.published[object]
-	for i, h := range hs {
-		if h.ID == holder.ID {
-			s.published[object] = append(hs[:i], hs[i+1:]...)
-			break
-		}
-	}
-	if len(s.published[object]) == 0 {
-		delete(s.published, object)
-	}
-	s.mu.Unlock()
-	return nil
-}
-
 // Lookup routes from the querying node toward the object's root and
 // returns the first holder found together with the number of hops the
 // query traveled. The earlier a pointer is found, the nearer the copy
@@ -244,14 +171,8 @@ func (s *Store) Lookup(from id.ID, object id.ID) (holder table.Ref, hops int, er
 	}
 	for hop, node := range path {
 		if hs := s.dir(node).Lookup(object); len(hs) > 0 {
-			if s.sink != nil {
-				s.sink.Emit(obs.Event{Node: from.String(), Kind: obs.KindDHTLookup, Detail: object.String(), N: hop}.Stamped(s.root(), trace.SpanID{}))
-			}
 			return hs[0], hop, nil
 		}
-	}
-	if s.sink != nil {
-		s.sink.Emit(obs.Event{Node: from.String(), Kind: obs.KindDHTLookup, Detail: object.String() + " miss", N: len(path)}.Stamped(s.root(), trace.SpanID{}))
 	}
 	return table.Ref{}, 0, fmt.Errorf("dht: object %v not found from %v", object, from)
 }

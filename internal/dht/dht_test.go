@@ -36,15 +36,6 @@ func TestDirectory(t *testing.T) {
 	if d.Len() != 1 {
 		t.Errorf("Len = %d", d.Len())
 	}
-	d.Remove(obj, h1.ID)
-	if got := d.Lookup(obj); len(got) != 1 || got[0].ID != h2.ID {
-		t.Fatalf("after remove: %v", got)
-	}
-	d.Remove(obj, h2.ID)
-	if d.Len() != 0 {
-		t.Errorf("Len after full removal = %d", d.Len())
-	}
-	d.Remove(obj, h2.ID) // removing absent pointer is a no-op
 }
 
 func TestPublishLookup(t *testing.T) {
@@ -80,25 +71,6 @@ func TestLookupMissingObject(t *testing.T) {
 	obj := store.ObjectID("never-published")
 	if _, _, err := store.Lookup(refs[0].ID, obj); err == nil {
 		t.Fatal("lookup of unpublished object succeeded")
-	}
-}
-
-func TestUnpublish(t *testing.T) {
-	net, refs := buildNetwork(t, 60, 3)
-	store := dht.NewStore(p164, net)
-	obj := store.ObjectID("ephemeral")
-	holder := refs[3]
-	if _, err := store.Publish(obj, holder); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := store.Lookup(refs[10].ID, obj); err != nil {
-		t.Fatalf("lookup before unpublish: %v", err)
-	}
-	if err := store.Unpublish(obj, holder); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := store.Lookup(refs[10].ID, obj); err == nil {
-		t.Fatal("lookup after unpublish succeeded")
 	}
 }
 

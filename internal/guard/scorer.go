@@ -88,9 +88,6 @@ func NewScorer(pol Policy) *Scorer {
 	return &Scorer{pol: pol.withDefaults(), peers: make(map[id.ID]*peerScore)}
 }
 
-// Policy returns the effective (defaulted) policy.
-func (s *Scorer) Policy() Policy { return s.pol }
-
 // Charge records one violation of the given weight by peer x at time
 // now. It returns true when the charge pushed the peer over the
 // threshold — the moment it entered quarantine.

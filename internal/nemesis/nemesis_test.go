@@ -2,7 +2,9 @@ package nemesis
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -74,31 +76,37 @@ func TestEnvelopeInsideShippedProfile(t *testing.T) {
 }
 
 func TestScheduleJSONRoundTrip(t *testing.T) {
+	dir := t.TempDir()
 	s := Generate(7, p164, 24, 8)
-	data, err := s.Marshal()
+	path := filepath.Join(dir, "repro.json")
+	if err := WriteRepro(path, Repro{Schedule: s}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadRepro(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSchedule(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, back) {
-		t.Fatalf("round trip changed the schedule:\n%v\n%v", s, back)
+	if !reflect.DeepEqual(s, back.Schedule) {
+		t.Fatalf("round trip changed the schedule:\n%v\n%v", s, back.Schedule)
 	}
 	// A generated schedule leaves the header at its defaults and out of
 	// its JSON, so repro files stay byte-identical.
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(data, &keys); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var file struct{ Schedule map[string]json.RawMessage }
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	keys := file.Schedule
 	for _, k := range []string{"seed", "b", "d", "nodes", "steps"} {
 		delete(keys, k)
 	}
 	if len(keys) != 0 {
 		t.Fatalf("generated schedule marshals new keys: %s", data)
 	}
-	for _, bad := range []string{
+	for i, bad := range []string{
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"warp-core-breach"}]}`,
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"crash-stubs","count":1}]}`,
 		`{"seed":1,"b":16,"d":4,"nodes":16,"latency":"constant","steps":[]}`,
@@ -106,7 +114,11 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"partition","count":-1,"frac":0.5,"dur":1}]}`,
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"loss","count":-2,"rate":0.1,"dur":1}]}`,
 	} {
-		if _, err := ParseSchedule([]byte(bad)); err == nil {
+		path := filepath.Join(dir, fmt.Sprintf("bad%d.json", i))
+		if err := os.WriteFile(path, []byte(`{"schedule":`+bad+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadRepro(path); err == nil {
 			t.Errorf("invalid schedule accepted: %s", bad)
 		}
 	}

@@ -12,7 +12,6 @@
 package nemesis
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -173,23 +172,6 @@ func (s Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Marshal renders the schedule as indented JSON, the repro-file format.
-func (s Schedule) Marshal() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// ParseSchedule is the inverse of Marshal, with validation.
-func ParseSchedule(data []byte) (Schedule, error) {
-	var s Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Schedule{}, fmt.Errorf("nemesis: parse schedule: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
 }
 
 // rng is the splitmix64 stream every schedule-level random choice draws

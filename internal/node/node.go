@@ -60,22 +60,19 @@ func (c Config) TickEvery(t core.Timeouts) time.Duration {
 	if t.Enabled() {
 		every = t.RetryAfter
 	}
-	part := func(interval, def time.Duration) {
-		if interval <= 0 {
-			interval = def
-		}
+	part := func(interval time.Duration) {
 		if every == 0 || interval < every {
 			every = interval
 		}
 	}
 	if c.Liveness != nil {
-		part(c.Liveness.ProbeInterval, 250*time.Millisecond)
+		part(c.Liveness.WithDefaults().ProbeInterval)
 	}
 	if c.AntiEntropy != nil {
-		part(c.AntiEntropy.Interval, 2*time.Second)
+		part(c.AntiEntropy.WithDefaults().Interval)
 	}
 	if c.Sampling != nil {
-		part(c.Sampling.Interval, time.Second)
+		part(c.Sampling.WithDefaults().Interval)
 	}
 	return every
 }
@@ -203,9 +200,6 @@ func (n *Node) Prober() *liveness.Prober { return n.prober }
 // Sampler returns the peer sampler, nil without Config.Sampling.
 func (n *Node) Sampler() *sampling.Engine { return n.sampler }
 
-// RTT returns the shared estimator, nil without Config.RTT.
-func (n *Node) RTT() *rtt.Estimator { return n.est }
-
 // Advance moves the node's clock to now without running any timer.
 // Deliver and Tick do it themselves; a driver calls it before invoking
 // a machine entry point directly, so the exchange that call opens is
@@ -218,7 +212,8 @@ func (n *Node) Advance(now time.Duration) { n.now = now }
 // liveness. Sampling messages belong to the sampler, which has no input
 // validation of its own, so they pass guard.Check first. Everything
 // else, and everything whose owner is not attached, goes to the
-// machine.
+// machine, which counts probes and sampling messages it has no owner
+// for and answers none of them.
 func (n *Node) Deliver(env msg.Envelope, now time.Duration) []msg.Envelope {
 	n.now = now
 	var t msg.Type

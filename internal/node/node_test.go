@@ -71,7 +71,7 @@ func TestDispatch(t *testing.T) {
 	}{
 		{"ping, prober attached", full, msg.Ping{Seq: 7}, false, msg.TPong},
 		{"pong, prober attached", full, msg.Pong{Seq: 7}, false, 0},
-		{"ping, bare", Config{}, msg.Ping{Seq: 7}, true, msg.TPong},
+		{"ping, bare", Config{}, msg.Ping{Seq: 7}, true, 0},
 		{"sample pull request, sampler attached", full, msg.SamplePullReq{}, false, msg.TSamplePullRly},
 		{"sample push, bare", Config{}, msg.SamplePush{}, true, 0},
 		{"protocol traffic, all parts", full, msg.CpRst{}, true, msg.TCpRly},
@@ -227,6 +227,10 @@ func TestTickResendsWithoutAnyPart(t *testing.T) {
 	}
 	if got := cfg.TickEvery(core.Timeouts{}); got != 0 {
 		t.Fatalf("TickEvery with nothing clock-driven = %v, want 0", got)
+	}
+	zero := Config{Liveness: &liveness.Config{}, AntiEntropy: &antientropy.Config{}, Sampling: &sampling.Config{}}
+	if got, want := zero.TickEvery(core.Timeouts{}), (liveness.Config{}).WithDefaults().ProbeInterval; got != want {
+		t.Fatalf("TickEvery with every part at its defaults = %v, want the probe interval %v", got, want)
 	}
 	n := New(core.NewJoiner(p43, self, opts), cfg)
 	n.Advance(0)

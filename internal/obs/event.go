@@ -104,13 +104,6 @@ const (
 	// update was skipped (N the offending push count).
 	KindSampleRound Kind = "sample_round"
 	KindSampleFlood Kind = "sample_flood"
-	// DHT (object-location) events. KindDHTPublish is one publish walk
-	// (Node the holder, Detail the object ID, N the directory-path
-	// length); KindDHTLookup one lookup (Node the querier, Detail the
-	// object ID, N the hop count — Detail gains a " miss" suffix when
-	// no holder was found). Both are traced operation roots.
-	KindDHTPublish Kind = "dht_publish"
-	KindDHTLookup  Kind = "dht_lookup"
 	// Gray-failure (adaptive timeout) events. KindDegraded marks a peer
 	// whose smoothed probe RTT stays persistently above the cross-peer
 	// median (Peer the flagged node); KindDegradedClear reports the

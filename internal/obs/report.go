@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -32,7 +31,6 @@ type Report struct {
 	Ops          map[string]OpStats `json:"operations,omitempty"` // by root kind
 	JoinTrees    JoinTrees          `json:"joinTrees"`
 	ProbeTrees   ProbeTrees         `json:"probeTrees"`
-	DHTHops      map[int]int        `json:"dhtLookupHops,omitempty"` // successful lookups by hop count
 	Convergence  Convergence        `json:"convergence"`
 	FleetMetrics map[string]float64 `json:"fleetMetrics,omitempty"` // set by the caller from FoldPrometheus
 }
@@ -156,7 +154,6 @@ func (rep *Report) foldTrees(trees []*Tree) {
 		return
 	}
 	rep.Ops = make(map[string]OpStats)
-	rep.DHTHops = make(map[int]int)
 	jt := &rep.JoinTrees
 	jt.DepthDist = make(map[int]int)
 
@@ -192,10 +189,6 @@ func (rep *Report) foldTrees(trees []*Tree) {
 			if s, ok := t.ProbeSample(); ok {
 				rtts = append(rtts, s.RTT)
 				skews.add(s)
-			}
-		case KindDHTLookup:
-			if !strings.HasSuffix(root.Detail, " miss") {
-				rep.DHTHops[root.N]++
 			}
 		}
 	}

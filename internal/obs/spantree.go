@@ -48,8 +48,6 @@ var rootKinds = map[Kind]bool{
 	KindProbe:       true,
 	KindSyncRound:   true,
 	KindSampleRound: true,
-	KindDHTPublish:  true,
-	KindDHTLookup:   true,
 }
 
 func (s *Span) isRoot() bool {
@@ -87,8 +85,8 @@ func (t *Tree) Complete() bool {
 }
 
 // rootEvent returns the event that started the operation (a join_start,
-// probe, sync_round, sample_round, dht_publish or dht_lookup); ok is
-// false when the root is missing.
+// probe, sync_round or sample_round); ok is false when the root is
+// missing.
 func (t *Tree) rootEvent() (Event, bool) {
 	if t.Root != nil {
 		for _, e := range t.Root.Events {

@@ -71,14 +71,5 @@ func (n *Network) slowDelay(x id.ID, now time.Duration) time.Duration {
 // the slow-node model so far.
 func (n *Network) SlowDelayed() uint64 { return n.slowDelayed }
 
-// RTT returns node x's estimator, if Config.RTT attached one.
-func (n *Network) RTT(x id.ID) (*rtt.Estimator, bool) {
-	nd, ok := n.nodes[x]
-	if !ok || nd.RTT() == nil {
-		return nil, false
-	}
-	return nd.RTT(), true
-}
-
 // RTTStats aggregates estimator counters over all live nodes.
 func (n *Network) RTTStats() rtt.Stats { return n.stats().RTT }

@@ -756,15 +756,6 @@ func (n *Network) Sampler(x id.ID) (*sampling.Engine, bool) {
 	return nd.Sampler(), true
 }
 
-// Prober returns node x's failure detector, if liveness is enabled.
-func (n *Network) Prober(x id.ID) (*liveness.Prober, bool) {
-	nd, ok := n.nodes[x]
-	if !ok || nd.Prober() == nil {
-		return nil, false
-	}
-	return nd.Prober(), true
-}
-
 // AddEstablished installs an in_system machine wrapping a pre-built
 // table — e.g. one restored from a persisted snapshot — and clears any
 // removed mark for the node, modeling a crashed node restarting from

@@ -24,11 +24,11 @@
 // emptied, and an offer of a member returns before hashing — in a
 // converged network nearly every pushed or pulled reference is one. The
 // invariant is "each sampler's minimum ≤ the hash of every member": a
-// sampler emptied by sweep or Invalidate has ranked nothing, so any
-// ejection empties the set, and (min, cur) is always what hashing every
-// offer would have left. The set is emptied when it reaches
-// knownPerSampler·Samplers IDs, so a Sybil flood of fresh IDs costs what
-// it did without the set, plus a map insert, and pins bounded memory.
+// sampler emptied by sweep has ranked nothing, so any ejection empties
+// the set, and (min, cur) is always what hashing every offer would have
+// left. The set is emptied when it reaches knownPerSampler·Samplers
+// IDs, so a Sybil flood of fresh IDs costs what it did without the set,
+// plus a map insert, and pins bounded memory.
 //
 // The layer feeds every recovery path that would otherwise depend on a
 // static bootstrap set: gateway selection for join restarts, rejoin after
@@ -63,7 +63,9 @@ type Config struct {
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset field at its documented
+// default: the values an Engine built from c runs with.
+func (c Config) WithDefaults() Config {
 	if c.ViewSize <= 0 {
 		c.ViewSize = 16
 	}
@@ -94,7 +96,7 @@ type Stats struct {
 	// whose view update was therefore skipped.
 	FloodsDetected int `json:"floodsDetected"`
 	// Ejected counts references removed from view or samplers by the
-	// validator (quarantine) or Invalidate.
+	// validator (quarantine).
 	Ejected int `json:"ejected"`
 	// ViewSize and SamplerFill describe current occupancy.
 	ViewSize    int `json:"viewSize" metric:"gauge"`
@@ -218,7 +220,7 @@ type Engine struct {
 // always yields the same random stream, sampler hash seeds, and round
 // stagger.
 func New(cfg Config, self table.Ref) *Engine {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	e := &Engine{
 		cfg:      cfg,
 		self:     self,
@@ -235,9 +237,6 @@ func New(cfg Config, self table.Ref) *Engine {
 	}
 	return e
 }
-
-// Self returns the engine's own reference.
-func (e *Engine) Self() table.Ref { return e.self }
 
 // SetValidator installs the acceptance predicate: references it rejects
 // are never admitted and are ejected from view and samplers at each
@@ -491,29 +490,6 @@ func (e *Engine) resetSampler(i int) {
 	e.samplers[i].min, e.samplers[i].cur = 0, table.Ref{}
 	e.stats.Ejected++
 	clear(e.known)
-}
-
-// Invalidate ejects a peer everywhere: view, buffers, and any sampler
-// holding it (those samplers restart empty and re-converge).
-func (e *Engine) Invalidate(x id.ID) {
-	kept := e.view[:0]
-	for _, r := range e.view {
-		if r.ID == x {
-			e.stats.Ejected++
-			e.sorted = nil
-			continue
-		}
-		kept = append(kept, r)
-	}
-	e.view = kept
-	delete(e.pushBuf, x)
-	delete(e.pullBuf, x)
-	delete(e.pullFrom, x)
-	for i := range e.samplers {
-		if e.samplers[i].cur.ID == x {
-			e.resetSampler(i)
-		}
-	}
 }
 
 // View returns the current view, ascending by ID (the canonical wire

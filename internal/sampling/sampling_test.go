@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -303,9 +302,9 @@ func (o *samplerOracle) sample(k int) []table.Ref {
 
 // TestSamplersKeepOracleMinimum drives one engine through a long random
 // stream — pushes, pull replies and SeedPeers offering fresh IDs, recent
-// and old repeats and known IDs under a new address; Invalidate of IDs
-// samplers hold and do not hold; validator flips that make the next
-// round's sweep eject; rounds; and, in alternate thousands of events, a
+// and old repeats and known IDs under a new address; validator flips,
+// of IDs samplers hold and do not hold, that make the next round's
+// sweep eject; rounds; and, in alternate thousands of events, a
 // flood of fresh IDs that overflows the known set — and after every
 // event requires each sampler's (min, cur) and Sample(k) to equal the
 // oracle's, and Stats, View and every round's envelopes to equal those of
@@ -406,12 +405,6 @@ func TestSamplersKeepOracleMinimum(t *testing.T) {
 			e.SeedPeers(refs...)
 			twin.SeedPeers(refs...)
 			o.offer(refs...)
-		case x < 82 && !flood:
-			gone := held()
-			e.Invalidate(gone)
-			twin.Invalidate(gone)
-			o.eject(func(x id.ID) bool { return x == gone })
-			pulled = slices.DeleteFunc(pulled, func(x id.ID) bool { return x == gone })
 		case x < 84 && !flood:
 			if len(bannedList) > 0 && r.Intn(3) == 0 {
 				delete(o.banned, bannedList[0])

@@ -1,7 +1,7 @@
 // Package trace defines the compact causal trace context propagated
 // across nodes: a 16-byte trace ID naming one protocol operation (a
-// join attempt, a probe, an anti-entropy round, a sample round, a DHT
-// publish or lookup) and an 8-byte span ID naming one hop of it. The
+// join attempt, a probe, an anti-entropy round, a sample round) and an
+// 8-byte span ID naming one hop of it. The
 // context rides inside msg.Envelope, crosses the network in the wire
 // codec's v2 trailer, and is echoed into obs events so `trace report`
 // (obs.BuildTrees) can stitch per-node JSONL streams into cross-node

@@ -83,36 +83,3 @@ func TestTCPAdaptiveRTTSampling(t *testing.T) {
 		t.Fatalf("Stats().RTT regressed vs /status: %+v vs %+v", n, st.RTT)
 	}
 }
-
-// TestFaultsStallInjection: every StallEvery-th write succeeds but only
-// after the extra StallFor delay, and the counter tracks it.
-func TestFaultsStallInjection(t *testing.T) {
-	f := NewFaults(1)
-	f.StallEvery = 3
-	f.StallFor = 40 * time.Millisecond
-	var stalled, clean int
-	for i := 0; i < 9; i++ {
-		drop, kill, delay := f.nextWrite()
-		if drop || kill {
-			t.Fatalf("write %d: unexpected drop=%v kill=%v", i, drop, kill)
-		}
-		if delay >= 40*time.Millisecond {
-			stalled++
-		} else {
-			clean++
-		}
-	}
-	if stalled != 3 || clean != 6 {
-		t.Fatalf("9 writes at StallEvery=3: %d stalled, %d clean; want 3/6", stalled, clean)
-	}
-	if f.Stalls() != 3 {
-		t.Fatalf("Stalls() = %d, want 3", f.Stalls())
-	}
-
-	// Default StallFor when unset.
-	g := NewFaults(1)
-	g.StallEvery = 1
-	if _, _, delay := g.nextWrite(); delay != time.Second {
-		t.Fatalf("default stall delay = %v, want 1s", delay)
-	}
-}

@@ -81,7 +81,7 @@ func newFrameSink(t *testing.T) *frameSink {
 func TestCoalescingBatchesEnvelopes(t *testing.T) {
 	sink := newFrameSink(t)
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a07"), "127.0.0.1:0",
-		WithConfig(Config{Faults: &Faults{Latency: 40 * time.Millisecond}}))
+		WithConfig(Config{dial: (&faultyDialer{latency: 40 * time.Millisecond}).dial}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCoalescerRespectsMaxFrameBytes(t *testing.T) {
 	sink := newFrameSink(t)
 	const limit = 512
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a08"), "127.0.0.1:0",
-		WithConfig(Config{Faults: &Faults{Latency: 40 * time.Millisecond}, MaxFrameBytes: limit}))
+		WithConfig(Config{dial: (&faultyDialer{latency: 40 * time.Millisecond}).dial, MaxFrameBytes: limit}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,9 +61,6 @@ type Config struct {
 	// InboundBurst is the token-bucket depth for InboundRate.
 	// Default 4000.
 	InboundBurst int
-	// Faults optionally injects transport failures (tests and
-	// experiments). Nil disables injection.
-	Faults *Faults
 	// Liveness enables the failure detector: the node probes table and
 	// reverse neighbors and declares unresponsive peers failed. Nil
 	// disables it. (Machine.Tick — join timeouts, repair — runs whenever
@@ -103,6 +100,11 @@ type Config struct {
 	// the node then ignores inbound contexts and emits v1 payloads — an
 	// opaque hop.
 	TraceSample float64
+
+	// dial opens every outbound connection; net.DialTimeout over TCP by
+	// default. Tests substitute a dialer whose connections fail, delay
+	// or drop writes.
+	dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
 func (c Config) withDefaults() Config {
@@ -138,6 +140,11 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InboundBurst <= 0 {
 		c.InboundBurst = 4000
+	}
+	if c.dial == nil {
+		c.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
 	}
 	return c
 }
@@ -179,105 +186,13 @@ func WithAntiEntropy(ac antientropy.Config) Option {
 	return func(c *Config) { c.AntiEntropy = &ac }
 }
 
-// Faults injects failures into the outbound delivery path so the
-// transport (and protocol scenarios above it) can be exercised under
-// loss. Set the knobs before starting the node; they are read per
-// write under an internal lock.
-//
-// Injected drops model a lossy network below a reliable transport: the
-// write is suppressed and reported as a failed attempt, so the
-// delivery layer retries it with backoff exactly as it would a real
-// timeout. Injected kills close the sender's connection after a
-// successful write, forcing the redial path. Latency delays every
-// write. Injected stalls model a gray sender — every StallEvery-th
-// write completes, but only after an extra StallFor delay, so the peer
-// sees intact-but-late traffic rather than loss.
-type Faults struct {
-	// DropRate is the probability in [0,1] that a write attempt is
-	// suppressed and reported as failed.
-	DropRate float64
-	// Latency is added before every write attempt.
-	Latency time.Duration
-	// KillEvery forcibly closes the outbound connection after every
-	// Nth successful write (0 = never).
-	KillEvery int
-	// StallEvery delays every Nth successful write by StallFor before
-	// the bytes go out (0 = never) — the stalled-write gray failure:
-	// delivery succeeds, so no retry fires, but the receiver's RTT for
-	// that exchange inflates by StallFor.
-	StallEvery int
-	// StallFor is the extra delay a stalled write suffers. Default 1s
-	// when StallEvery is set.
-	StallFor time.Duration
-
-	mu     sync.Mutex
-	rng    *rand.Rand
-	writes int
-	drops  int
-	kills  int
-	stalls int
-}
-
-// NewFaults creates an injector whose drop decisions are drawn from a
-// deterministic seeded stream.
-func NewFaults(seed int64) *Faults {
-	return &Faults{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Drops returns how many write attempts were suppressed so far.
-func (f *Faults) Drops() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.drops
-}
-
-// Kills returns how many connections were killed so far.
-func (f *Faults) Kills() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.kills
-}
-
-// Stalls returns how many writes were stalled so far.
-func (f *Faults) Stalls() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stalls
-}
-
-// nextWrite decides the fate of one write attempt.
-func (f *Faults) nextWrite() (drop, kill bool, delay time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delay = f.Latency
-	if f.DropRate > 0 && f.rng.Float64() < f.DropRate {
-		f.drops++
-		return true, false, delay
-	}
-	f.writes++
-	if f.StallEvery > 0 && f.writes%f.StallEvery == 0 {
-		f.stalls++
-		if f.StallFor > 0 {
-			delay += f.StallFor
-		} else {
-			delay += time.Second
-		}
-	}
-	if f.KillEvery > 0 && f.writes%f.KillEvery == 0 {
-		f.kills++
-		return false, true, delay
-	}
-	return false, false, delay
-}
-
 // peerQueue is one peer's outbound mailbox plus the connection and the
 // batch buffer its writer goroutine uses. At most one writer runs per
 // queue (running), and only while the queue holds envelopes: push
 // starts it, popBatch retires it. The connection and the buffer outlive
 // the writer, so the next one reuses both. The writer owns conn; other
-// goroutines may only nil-and-close it under mu (connection kill),
-// which the writer observes as a failed write and repairs by
-// redialing.
+// goroutines may only nil-and-close it under mu (queue close), which
+// the writer observes as a failed write.
 type peerQueue struct {
 	addr string
 
@@ -528,14 +443,13 @@ func (n *Node) sleep(d time.Duration) bool {
 	}
 }
 
-// writeOnce performs one delivery attempt: ensure a connection, apply
-// fault injection, write the frame under the write deadline. It reports
-// success; on failure the connection is torn down so the next attempt
-// redials.
+// writeOnce performs one delivery attempt: ensure a connection, write
+// the frame under the write deadline. It reports success; on failure
+// the connection is torn down so the next attempt redials.
 func (n *Node) writeOnce(pq *peerQueue, frame []byte) bool {
 	conn := pq.current()
 	if conn == nil {
-		c, err := net.DialTimeout("tcp", pq.addr, n.cfg.DialTimeout)
+		c, err := n.cfg.dial(pq.addr, n.cfg.DialTimeout)
 		if err != nil {
 			return false
 		}
@@ -543,20 +457,6 @@ func (n *Node) writeOnce(pq *peerQueue, frame []byte) bool {
 			return false
 		}
 		conn = c
-	}
-	if f := n.cfg.Faults; f != nil {
-		drop, kill, delay := f.nextWrite()
-		if delay > 0 && !n.sleep(delay) {
-			return false
-		}
-		if drop {
-			// Simulated network loss: report a failed attempt so the
-			// retry path (not TCP) earns the reliability.
-			return false
-		}
-		if kill {
-			defer pq.killConn()
-		}
 	}
 	if err := writeFrame(conn, frame, writeTimeout); err != nil {
 		pq.killConn()
@@ -584,27 +484,6 @@ func (n *Node) enqueue(env msg.Envelope) error {
 		return fmt.Errorf("tcptransport: outbound queue to %s full (limit %d)", env.To.Addr, n.cfg.QueueLimit)
 	}
 	return nil
-}
-
-// KillConnections force-closes every live outbound connection,
-// returning how many it closed. Writers redial on their next delivery
-// attempt; queued envelopes are unaffected. Inbound connections are
-// left alone — they are owned by the remote writer, which repairs them
-// the same way. Useful for crash/partition experiments.
-func (n *Node) KillConnections() int {
-	n.peersMu.Lock()
-	queues := make([]*peerQueue, 0, len(n.peers))
-	for _, pq := range n.peers {
-		queues = append(queues, pq)
-	}
-	n.peersMu.Unlock()
-	killed := 0
-	for _, pq := range queues {
-		if pq.killConn() {
-			killed++
-		}
-	}
-	return killed
 }
 
 func (n *Node) countRetried(t msg.Type) {

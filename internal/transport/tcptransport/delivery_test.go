@@ -156,8 +156,8 @@ func TestRedialClosesDisplacedConnection(t *testing.T) {
 
 	// Stale the connection from the sender side, then send concurrently
 	// so the transport must redial under contention.
-	if got := n.KillConnections(); got != 1 {
-		t.Fatalf("KillConnections = %d, want 1", got)
+	if got := killConnections(n); got != 1 {
+		t.Fatalf("killConnections = %d, want 1", got)
 	}
 	send(2)
 	awaitInt64(t, "sink received after redial", sink.received.Load, 4)
@@ -271,11 +271,11 @@ func TestQueueOverflowDeadLetters(t *testing.T) {
 // — must still complete every join and settle into a globally
 // consistent table set, with the retry layer (not luck) earning it.
 func TestJoinUnderInjectedFaults(t *testing.T) {
-	faults := NewFaults(7)
-	faults.DropRate = 0.10
-	faults.KillEvery = 40 // sprinkle connection kills on top of drops
+	faults := newFaultyDialer(7)
+	faults.setDropRate(0.10)
+	faults.killEvery = 40 // sprinkle connection kills on top of drops
 	opts := []Option{WithConfig(Config{
-		Faults:      faults,
+		dial:        faults.dial,
 		MaxAttempts: 10,
 		BaseBackoff: 2 * time.Millisecond,
 		MaxBackoff:  50 * time.Millisecond,
@@ -320,7 +320,7 @@ func TestJoinUnderInjectedFaults(t *testing.T) {
 
 	// One forced connection kill while joins are in flight.
 	time.Sleep(20 * time.Millisecond)
-	killed := seed.KillConnections()
+	killed := killConnections(seed)
 	t.Logf("killed %d live connections mid-join", killed)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -346,7 +346,8 @@ func TestJoinUnderInjectedFaults(t *testing.T) {
 	if v := netcheck.CheckConsistency(p163, tables); len(v) != 0 {
 		t.Fatalf("network inconsistent under faults: %v (of %d)", v[0], len(v))
 	}
-	if faults.Drops() == 0 {
+	drops, kills := faults.counts()
+	if drops == 0 {
 		t.Fatal("fault injector never dropped a write; test proves nothing")
 	}
 	if total.TotalRetried() == 0 {
@@ -356,7 +357,7 @@ func TestJoinUnderInjectedFaults(t *testing.T) {
 		t.Fatalf("%d messages dead-lettered; delivery layer gave up under 10%% loss", total.TotalDropped())
 	}
 	t.Logf("injected drops=%d kills=%d; transport retried=%d dead-lettered=%d",
-		faults.Drops(), faults.Kills(), total.TotalRetried(), total.TotalDropped())
+		drops, kills, total.TotalRetried(), total.TotalDropped())
 }
 
 // A redial after a receiver restart must converge on a single healthy
@@ -408,7 +409,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 
 	// Kill the receiver; sends queue and retry against a dead port.
 	ln.Close()
-	n.KillConnections()
+	killConnections(n)
 	for i := 0; i < 3; i++ {
 		if err := n.sendAll([]msg.Envelope{{From: n.Ref(), To: to, Msg: msg.JoinWait{}}}); err != nil {
 			t.Fatal(err)

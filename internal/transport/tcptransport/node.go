@@ -7,10 +7,9 @@
 // bounded queue per peer, drained by a writer goroutine that runs only
 // while the queue holds envelopes, with retry, backoff, redial, frame
 // coalescing and dead-letter accounting. One ticker
-// goroutine supplies the passage of time. Around that sit fault
-// injection for tests (Faults), the per-node metrics registry and trace
-// ring (obs.go), and the HTTP admin surface cmd/hypercubed serves
-// (admin.go).
+// goroutine supplies the passage of time. Around that sit the per-node
+// metrics registry and trace ring (obs.go) and the HTTP admin surface
+// cmd/hypercubed serves (admin.go).
 package tcptransport
 
 import (

@@ -273,10 +273,10 @@ func TestTCPJoinTimeoutResendsWithoutLiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seed.Close()
-	faults := NewFaults(1)
-	faults.DropRate = 1
+	faults := newFaultyDialer(1)
+	faults.setDropRate(1)
 	joiner, err := StartJoiner(p163, opts, id.MustParse(p163, "b01"), "127.0.0.1:0",
-		WithConfig(Config{Faults: faults, MaxAttempts: 1}))
+		WithConfig(Config{dial: faults.dial, MaxAttempts: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +293,7 @@ func TestTCPJoinTimeoutResendsWithoutLiveness(t *testing.T) {
 			t.Fatal("the first CpRst was never dead-lettered")
 		}
 	}
-	faults.mu.Lock()
-	faults.DropRate = 0
-	faults.mu.Unlock()
+	faults.setDropRate(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := joiner.AwaitStatus(ctx, core.StatusInSystem); err != nil {

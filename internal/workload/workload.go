@@ -141,9 +141,6 @@ func NewRunner(cfg overlay.Config, window time.Duration, initial int, seed int64
 	return r, nil
 }
 
-// Network exposes the underlying network for inspection.
-func (r *Runner) Network() *overlay.Network { return r.net }
-
 // Size returns the current network size.
 func (r *Runner) Size() int { return r.net.Size() }
 
