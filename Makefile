@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race loc bench bench-smoke bench-all vet fmt lint deadcode cover experiments experiments-check fleettrace-smoke fuzz-smoke nemesis-smoke
+.PHONY: all build test race loc knobs bench bench-smoke bench-all vet fmt lint deadcode cover experiments experiments-check fleettrace-smoke fuzz-smoke nemesis-smoke
 
 all: build lint deadcode test experiments-check fuzz-smoke nemesis-smoke fleettrace-smoke bench-smoke
 
@@ -26,12 +26,24 @@ race:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
+# knobs is the tracked number of options of the stack: the exported
+# fields of its config types, counted from `go doc`. One definition, so
+# "knobs" in CHANGES.md always means this number (86 over 15 types
+# before the fields no command set became constants).
+KNOB_TYPES = transport/tcptransport:Config overlay:Config overlay:Loss \
+	overlay:Byzantine overlay:WaveConfig node:Config core:Options \
+	core:Timeouts core:Budgets liveness:Config antientropy:Config \
+	sampling:Config rtt:Config guard:Policy
+knobs:
+	@for t in $(KNOB_TYPES); do $(GO) doc -all ./internal/$${t%%:*} $${t##*:} || exit 1; done | \
+		awk '/^type [A-Za-z]+ struct \{$$/ {f=1; next} /^\}/ {f=0} \
+			f && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) {s=substr($$0, 1, RLENGTH); n += gsub(/,/, "", s) + 1} \
+			END {print n + 0}'
+
 # bench runs the repository benchmark (./bench, BENCHMARK.json) at its
 # own run length, one workload after another; each prints its metrics as
-# one JSON line. `bench-all` sweeps every `go test` benchmark in the
-# module — the ablation benchmarks EXPERIMENTS.md cites from
-# bench_test.go (E1-E18 themselves are `paper`, see experiments) and the
-# few micro-benchmarks ./bench has no probe for — without recording.
+# one JSON line. `bench-all` sweeps every `go test` micro-benchmark in
+# the module without recording.
 bench:
 	$(GO) run ./bench --workload sim_join_paper
 	$(GO) run ./bench --workload sim_maintain_crash

@@ -9,6 +9,5 @@
 // runnable tools are under cmd/ — cmd/paper regenerates every table and
 // figure of the paper's evaluation and every scenario of this
 // repository's evaluation of the paper's §7 (EXPERIMENTS.md E1–E18).
-// This root package holds only the benchmarks EXPERIMENTS.md cites that
-// cmd/paper does not run (bench_test.go).
+// This file is the root package's only one: the package holds no code.
 package hypercube

@@ -222,11 +222,10 @@ func FuzzMachineDeliver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := id.Params{B: 4, D: 4}
 		self := table.Ref{ID: id.MustParse(p, "3210"), Addr: "sim://self"}
-		pol := guard.Policy{Threshold: 4, Decay: time.Second, Cooldown: 5 * time.Second}
 		m := core.NewSeed(p, self, core.Options{
 			ReduceLevels: true,
 			BitVector:    true,
-			Guard:        &pol,
+			Guard:        &guard.Policy{},
 			Budgets:      core.Budgets{MaxDeferredJoins: 8, MaxSpeNoti: 8, MaxReverse: 8},
 		})
 		var now time.Duration

@@ -78,6 +78,20 @@ func TestFindAvoidingSelfAnswersBlocked(t *testing.T) {
 	}
 }
 
+// quarantine delivers env until the machine quarantines its sender and
+// returns how many deliveries that took.
+func quarantine(t *testing.T, m *core.Machine, env msg.Envelope) int {
+	t.Helper()
+	for i := 1; i <= 100; i++ {
+		m.Deliver(env)
+		if m.PeerQuarantined(env.From.ID) {
+			return i
+		}
+	}
+	t.Fatalf("%v never quarantined", env.From.ID)
+	return 0
+}
+
 // TestMachineQuarantineLifecycle drives the full quarantine loop through
 // Deliver: repeated malformed messages quarantine the sender, whose
 // traffic is then dropped at ingress until the cooldown expires.
@@ -85,18 +99,15 @@ func TestMachineQuarantineLifecycle(t *testing.T) {
 	p := id.Params{B: 4, D: 4}
 	self := ref(p, "3210")
 	attacker := ref(p, "0123")
-	pol := guard.Policy{Threshold: 3, Decay: time.Second, Cooldown: 10 * time.Second}
-	seed := core.NewSeed(p, self, core.Options{Guard: &pol})
+	seed := core.NewSeed(p, self, core.Options{Guard: &guard.Policy{}})
 	var now time.Duration
 	seed.SetClock(func() time.Duration { return now })
 
 	bad := msg.Envelope{From: attacker, To: self, Msg: msg.CpRst{Level: 99}}
-	for i := 0; i < 3; i++ {
-		seed.Deliver(bad)
-	}
+	charges := quarantine(t, seed, bad)
 	gs := seed.GuardStats()
-	if gs.Rejected != 3 || gs.Scorer.Quarantines != 1 || gs.Scorer.Quarantined != 1 {
-		t.Fatalf("after charges: %+v, want 3 rejected, 1 quarantine", gs)
+	if gs.Rejected != charges || gs.Scorer.Quarantines != 1 || gs.Scorer.Quarantined != 1 {
+		t.Fatalf("after charges: %+v, want %d rejected, 1 quarantine", gs, charges)
 	}
 
 	// A perfectly valid request from the quarantined peer is dropped at
@@ -121,7 +132,11 @@ func TestMachineQuarantineLifecycle(t *testing.T) {
 	}
 
 	// After the cooldown the peer is released and served again.
-	now = 11 * time.Second
+	for seed.PeerQuarantined(attacker.ID) {
+		if now += time.Second; now > time.Hour {
+			t.Fatal("quarantine never expired")
+		}
+	}
 	out := seed.Deliver(good)
 	if len(out) != 1 {
 		t.Fatalf("released peer got %d replies, want 1", len(out))

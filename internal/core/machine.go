@@ -79,10 +79,10 @@ type Options struct {
 	// message-driven behavior.
 	Timeouts Timeouts
 	// Guard, when non-nil, enables the misbehavior scorer: peers whose
-	// messages repeatedly fail validation are quarantined under the given
-	// policy (traffic dropped at ingress, never installed or gossiped
-	// about, released after a cooldown). Semantic validation itself is
-	// always on — a nil Guard only disables scoring.
+	// messages repeatedly fail validation are quarantined (traffic
+	// dropped at ingress, never installed or gossiped about, released
+	// after a cooldown). Semantic validation itself is always on — a
+	// nil Guard only disables scoring.
 	Guard *guard.Policy
 	// Budgets bounds the join-protocol bookkeeping a node accepts on
 	// behalf of other nodes; zero fields select the documented defaults.
@@ -327,7 +327,7 @@ func newMachine(p id.Params, self table.Ref, status Status, opts Options) *Machi
 		qsr:     make(map[id.ID]struct{}),
 	}
 	if opts.Guard != nil {
-		m.scorer = guard.NewScorer(*opts.Guard)
+		m.scorer = guard.NewScorer()
 	}
 	return m
 }

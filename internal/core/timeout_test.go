@@ -122,9 +122,8 @@ func TestJoinRestartRotatesGateway(t *testing.T) {
 // a hostile node cannot spam its way into becoming the rescue gateway.
 func TestJoinRestartSkipsQuarantinedGateway(t *testing.T) {
 	p := id.Params{B: 4, D: 4}
-	pol := guard.Policy{Threshold: 3, Decay: time.Minute, Cooldown: time.Hour}
 	opts := timeoutOpts()
-	opts.Guard = &pol
+	opts.Guard = &guard.Policy{}
 	j := core.NewJoiner(p, ref(p, "0123"), opts)
 	seedRef := ref(p, "3210")
 	badGw := ref(p, "2101")
@@ -134,12 +133,7 @@ func TestJoinRestartSkipsQuarantinedGateway(t *testing.T) {
 
 	// The hostile fallback hammers the joiner with malformed requests and
 	// is quarantined before the join times out.
-	for i := 0; i < 3; i++ {
-		j.Deliver(msg.Envelope{From: badGw, To: j.Self(), Msg: msg.CpRst{Level: 99}})
-	}
-	if !j.PeerQuarantined(badGw.ID) {
-		t.Fatal("setup: hostile gateway not quarantined")
-	}
+	quarantine(t, j, msg.Envelope{From: badGw, To: j.Self(), Msg: msg.CpRst{Level: 99}})
 
 	if out := j.Tick(100 * time.Millisecond); len(out) != 1 || out[0].To.ID != seedRef.ID {
 		t.Fatalf("first timeout should retry the seed, got %v", out)

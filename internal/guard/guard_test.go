@@ -233,34 +233,35 @@ func TestCheckRejectsMalformed(t *testing.T) {
 // accumulate to the threshold, the peer is quarantined for the
 // cooldown, then released with a clean score.
 func TestScorerQuarantineLifecycle(t *testing.T) {
-	s := NewScorer(Policy{Threshold: 3, Decay: time.Second, Cooldown: 10 * time.Second})
+	s := NewScorer()
 	x := id.MustParse(tp, "1201")
 	now := time.Duration(0)
 
 	if s.Quarantined(x, now) {
 		t.Fatal("fresh peer quarantined")
 	}
-	if s.Charge(x, 1, now) || s.Charge(x, 1, now) {
-		t.Fatal("quarantined below threshold")
+	for i := 1; i < threshold; i++ {
+		if s.Charge(x, 1, now) {
+			t.Fatalf("quarantined at charge %d, below threshold %d", i, threshold)
+		}
 	}
 	if !s.Charge(x, 1, now) {
-		t.Fatal("third charge should quarantine (threshold 3)")
+		t.Fatalf("charge %d should quarantine", threshold)
 	}
 	if !s.Quarantined(x, now) {
 		t.Fatal("peer not quarantined after crossing threshold")
 	}
 	// Mid-cooldown: still quarantined; further charges don't extend it.
-	mid := 5 * time.Second
+	mid := cooldown / 2
 	s.Charge(x, 1, mid)
 	if !s.Quarantined(x, mid) {
 		t.Fatal("peer released mid-cooldown")
 	}
 	// After the cooldown: released, score reset.
-	after := 10 * time.Second
-	if s.Quarantined(x, after) {
+	if s.Quarantined(x, cooldown) {
 		t.Fatal("peer still quarantined after cooldown")
 	}
-	if s.Charge(x, 1, after) {
+	if s.Charge(x, 1, cooldown) {
 		t.Fatal("released peer re-quarantined by a single charge")
 	}
 	st := s.Stats()
@@ -269,29 +270,31 @@ func TestScorerQuarantineLifecycle(t *testing.T) {
 	}
 }
 
-// TestScorerDecay: a slow trickle of violations below 1/Decay never
+// TestScorerDecay: a slow trickle of violations below 1/decay never
 // quarantines — the score drains between charges.
 func TestScorerDecay(t *testing.T) {
-	s := NewScorer(Policy{Threshold: 3, Decay: time.Second, Cooldown: 10 * time.Second})
+	s := NewScorer()
 	x := id.MustParse(tp, "1201")
 	for i := 0; i < 100; i++ {
-		now := time.Duration(i) * 2 * time.Second // one charge per 2 decay units
+		now := time.Duration(i) * 2 * decay // one charge per 2 decay units
 		if s.Charge(x, 1, now) {
 			t.Fatalf("slow offender quarantined at charge %d", i)
 		}
 	}
 }
 
+// wide has room for thousands of distinct peer IDs, more than maxPeers.
+var wide = id.Params{B: 16, D: 8}
+
 // TestScorerEviction: the tracked-peer map is bounded; rotating spoofed
-// IDs cannot grow it past MaxPeers.
+// IDs cannot grow it past maxPeers.
 func TestScorerEviction(t *testing.T) {
-	s := NewScorer(Policy{Threshold: 100, MaxPeers: 8})
-	for i := 0; i < 64; i++ {
-		x := id.FromName(tp, string(rune('a'+i)))
-		s.Charge(x, 1, 0)
+	s := NewScorer()
+	for i := 0; i < 2*maxPeers; i++ {
+		s.Charge(id.FromName(wide, fmt.Sprintf("spoof-%d", i)), 1, 0)
 	}
-	if len(s.peers) > 8 {
-		t.Fatalf("scorer tracks %d peers, want <= 8", len(s.peers))
+	if len(s.peers) > maxPeers {
+		t.Fatalf("scorer tracks %d peers, want <= %d", len(s.peers), maxPeers)
 	}
 	if s.Stats().Evictions == 0 {
 		t.Fatal("no evictions recorded")
@@ -306,31 +309,39 @@ func TestScorerEviction(t *testing.T) {
 // never exceeding quarantines, and the active-quarantine gauge inside
 // its lifetime bounds.
 func TestScorerConcurrentHammer(t *testing.T) {
-	s := NewScorer(Policy{
-		Threshold: 4,
-		Decay:     time.Second,
-		Cooldown:  5 * time.Millisecond,
-		MaxPeers:  64,
-	})
+	s := NewScorer()
 	var mu sync.Mutex
 
-	// A pool of peers larger than MaxPeers so eviction churns too.
-	peers := make([]id.ID, 128)
-	for i := range peers {
-		peers[i] = id.FromName(tp, fmt.Sprintf("peer-%d", i))
+	// Every other operation hits one of a few hot peers, which cross the
+	// threshold, sit out the cooldown and are released while the clock
+	// runs; the rest rotate through a pool twice maxPeers, so eviction
+	// churns too.
+	hot := make([]id.ID, 16)
+	for i := range hot {
+		hot[i] = id.FromName(wide, fmt.Sprintf("hot-%d", i))
+	}
+	cold := make([]id.ID, 2*maxPeers)
+	for i := range cold {
+		cold[i] = id.FromName(wide, fmt.Sprintf("cold-%d", i))
 	}
 
 	const workers = 8
-	const iters = 5000
-	var clock atomic.Int64 // shared monotonic time source, in microseconds
+	const iters = 2000
+	// Each operation advances the shared clock by step, so the run spans
+	// more than two cooldowns.
+	const step = 3 * cooldown / (workers * iters)
+	var clock atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				x := peers[(w*31+i)%len(peers)]
-				now := time.Duration(clock.Add(10)) * time.Microsecond
+				x := cold[(w*31+i)%len(cold)]
+				if i%2 == 1 {
+					x = hot[(w*7+i)%len(hot)]
+				}
+				now := time.Duration(clock.Add(int64(step)))
 				mu.Lock()
 				if i%3 == 0 {
 					s.Quarantined(x, now)
@@ -355,13 +366,16 @@ func TestScorerConcurrentHammer(t *testing.T) {
 	if st.Charges != wantCharges {
 		t.Errorf("charges = %d, want %d", st.Charges, wantCharges)
 	}
+	if st.Releases == 0 || st.Evictions == 0 {
+		t.Errorf("stats = %+v: the hammer never released a quarantine or evicted a peer", st)
+	}
 	if st.Releases > st.Quarantines {
 		t.Errorf("releases %d exceed quarantines %d", st.Releases, st.Quarantines)
 	}
 	if st.Quarantined < 0 || st.Quarantined > st.Quarantines {
 		t.Errorf("active quarantines %d outside [0, %d]", st.Quarantined, st.Quarantines)
 	}
-	if len(s.peers) > 64 {
-		t.Errorf("scorer tracks %d peers, want <= MaxPeers 64", len(s.peers))
+	if len(s.peers) > maxPeers {
+		t.Errorf("scorer tracks %d peers, want <= maxPeers %d", len(s.peers), maxPeers)
 	}
 }

@@ -6,48 +6,36 @@ import (
 	"hypercube/internal/id"
 )
 
-// Policy tunes the misbehavior scorer. The zero value selects the
-// defaults documented per field, so &Policy{} enables scoring with
-// sensible behavior.
-type Policy struct {
-	// Threshold is the score at which a peer is quarantined. Each
-	// violation charges one unit (callers may weight differently), so the
-	// default 8 quarantines after 8 violations inside the decay window.
-	Threshold float64
-	// Decay is the time for one unit of score to drain away; a peer that
-	// stops misbehaving is forgiven at rate 1/Decay. Default 5s.
-	Decay time.Duration
-	// Cooldown is how long a quarantined peer's traffic is dropped at
-	// ingress before it is released (score reset). Default 30s.
-	Cooldown time.Duration
-	// MaxPeers bounds the tracked-peer map; when full, the lowest-scored
-	// tracked peer is evicted to admit a new offender, so an attacker
-	// rotating spoofed IDs costs bounded memory. Default 1024.
-	MaxPeers int
-}
+// Policy switches the misbehavior scorer on: a machine built with a
+// non-nil *Policy charges peers for rejected input and quarantines
+// repeat offenders. It has no fields; every deployment scores at the
+// constants below.
+type Policy struct{}
 
-func (p Policy) withDefaults() Policy {
-	if p.Threshold <= 0 {
-		p.Threshold = 8
-	}
-	if p.Decay <= 0 {
-		p.Decay = 5 * time.Second
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = 30 * time.Second
-	}
-	if p.MaxPeers <= 0 {
-		p.MaxPeers = 1024
-	}
-	return p
-}
+// The scorer's policy.
+const (
+	// threshold is the score at which a peer is quarantined. Each
+	// violation charges one unit (callers may weight differently), so a
+	// peer is quarantined after 8 violations inside the decay window.
+	threshold = 8
+	// decay is the time for one unit of score to drain away; a peer that
+	// stops misbehaving is forgiven at rate 1/decay.
+	decay = 5 * time.Second
+	// cooldown is how long a quarantined peer's traffic is dropped at
+	// ingress before it is released (score reset).
+	cooldown = 30 * time.Second
+	// maxPeers bounds the tracked-peer map; when full, the lowest-scored
+	// tracked peer is evicted to admit a new offender, so an attacker
+	// rotating spoofed IDs costs bounded memory.
+	maxPeers = 1024
+)
 
 // Stats are the scorer's lifetime counters plus the current quarantine
 // population.
 type Stats struct {
 	// Charges counts violations charged; Quarantines peers that crossed
 	// the threshold; Releases quarantines that expired; Evictions tracked
-	// peers displaced by the MaxPeers bound.
+	// peers displaced by the maxPeers bound.
 	Charges     int `json:"charges"`
 	Quarantines int `json:"quarantines"`
 	Releases    int `json:"releases"`
@@ -78,14 +66,13 @@ type peerScore struct {
 // supplied by the caller as a duration since the run started, matching
 // the clocks of both runtimes (virtual in the simulator, wall in TCP).
 type Scorer struct {
-	pol   Policy
 	peers map[id.ID]*peerScore
 	stats Stats
 }
 
-// NewScorer creates a scorer under the given policy.
-func NewScorer(pol Policy) *Scorer {
-	return &Scorer{pol: pol.withDefaults(), peers: make(map[id.ID]*peerScore)}
+// NewScorer creates a scorer that tracks no peer yet.
+func NewScorer() *Scorer {
+	return &Scorer{peers: make(map[id.ID]*peerScore)}
 }
 
 // Charge records one violation of the given weight by peer x at time
@@ -95,7 +82,7 @@ func (s *Scorer) Charge(x id.ID, weight float64, now time.Duration) bool {
 	s.stats.Charges++
 	ps := s.peers[x]
 	if ps == nil {
-		if len(s.peers) >= s.pol.MaxPeers {
+		if len(s.peers) >= maxPeers {
 			s.evict()
 		}
 		ps = &peerScore{last: now}
@@ -107,8 +94,8 @@ func (s *Scorer) Charge(x id.ID, weight float64, now time.Duration) bool {
 	}
 	ps.score = s.decayed(ps, now) + weight
 	ps.last = now
-	if ps.score >= s.pol.Threshold {
-		ps.until = now + s.pol.Cooldown
+	if ps.score >= threshold {
+		ps.until = now + cooldown
 		s.stats.Quarantines++
 		s.stats.Quarantined++
 		return true
@@ -144,7 +131,7 @@ func (s *Scorer) decayed(ps *peerScore, now time.Duration) float64 {
 	if now <= ps.last {
 		return ps.score
 	}
-	drained := float64(now-ps.last) / float64(s.pol.Decay)
+	drained := float64(now-ps.last) / float64(decay)
 	if drained >= ps.score {
 		return 0
 	}
@@ -162,7 +149,7 @@ func (s *Scorer) evict() {
 		if ps.until > 0 {
 			// Keep quarantined peers tracked in preference to scored
 			// ones: forgetting a quarantine would lift it early.
-			score = s.pol.Threshold + float64(ps.until)
+			score = threshold + float64(ps.until)
 		}
 		if !found || score < best {
 			victim, best, found = x, score, true

@@ -166,10 +166,6 @@ func (x ID) HasSuffix(s Suffix) bool {
 	return x.digits[:len(s.digits)] == s.digits
 }
 
-// Equal reports whether two IDs are identical. ID is comparable, so ==
-// works too; Equal exists for readability at call sites.
-func (x ID) Equal(y ID) bool { return x == y }
-
 // Less imposes a total order on IDs (lexicographic most-significant digit
 // first), useful for deterministic iteration in tests and tools.
 func (x ID) Less(y ID) bool {
@@ -240,15 +236,6 @@ func (s Suffix) String() string {
 	return sb.String()
 }
 
-// Parent returns the suffix with the leftmost digit removed (one digit
-// shorter). It panics on the empty suffix.
-func (s Suffix) Parent() Suffix {
-	if len(s.digits) == 0 {
-		panic("id: Parent of empty suffix")
-	}
-	return Suffix{digits: s.digits[:len(s.digits)-1]}
-}
-
 // Leading returns the leftmost (most significant) digit of the suffix.
 func (s Suffix) Leading() int {
 	if len(s.digits) == 0 {
@@ -264,15 +251,6 @@ func (s Suffix) IsSuffixOf(t Suffix) bool {
 		return false
 	}
 	return t.digits[:len(s.digits)] == s.digits
-}
-
-// AsID converts a full-length suffix into the ID it determines. It panics
-// if the suffix is shorter than d digits.
-func (s Suffix) AsID(p Params) ID {
-	if len(s.digits) != p.D {
-		panic(fmt.Sprintf("id: suffix %q has %d digits, want %d", s.String(), len(s.digits), p.D))
-	}
-	return ID{digits: s.digits}
 }
 
 // errParse is the sentinel wrapped by all Parse failures.

@@ -64,11 +64,10 @@ func runDelayed(p *Prober, until time.Duration, respond func(now time.Duration, 
 // evidence against a slow peer.
 func TestOverlapMissAccountingInvariant(t *testing.T) {
 	cfg := Config{
-		ProbeInterval:  250 * time.Millisecond,
-		ProbeTimeout:   time.Second,
-		SuspectAfter:   4,
-		IndirectProbes: 1,
-		ConfirmRounds:  2,
+		ProbeInterval: 250 * time.Millisecond,
+		ProbeTimeout:  time.Second,
+		SuspectAfter:  4,
+		ConfirmRounds: 2,
 	}
 	self := mkRef(t, "0000")
 	a := mkRef(t, "1111")
@@ -108,11 +107,10 @@ func TestOverlapMissAccountingInvariant(t *testing.T) {
 // from late pongs.
 func TestAdaptiveSlowPeerNotDeclared(t *testing.T) {
 	cfg := Config{
-		ProbeInterval:  100 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		SuspectAfter:   3,
-		IndirectProbes: 1,
-		ConfirmRounds:  2,
+		ProbeInterval: 100 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		SuspectAfter:  3,
+		ConfirmRounds: 2,
 	}
 	self := mkRef(t, "0000")
 	slow := mkRef(t, "1111")
@@ -146,11 +144,10 @@ func TestAdaptiveSlowPeerNotDeclared(t *testing.T) {
 // dead once it slows down, because late pongs are dropped.
 func TestFixedBaselineDeclaresSlowPeer(t *testing.T) {
 	cfg := Config{
-		ProbeInterval:  100 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		SuspectAfter:   3,
-		IndirectProbes: 1,
-		ConfirmRounds:  2,
+		ProbeInterval: 100 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		SuspectAfter:  3,
+		ConfirmRounds: 2,
 	}
 	self := mkRef(t, "0000")
 	gray := mkRef(t, "1111")
@@ -182,11 +179,10 @@ func TestFixedBaselineDeclaresSlowPeer(t *testing.T) {
 // revive it.
 func TestAdaptiveRampRescuedByConfirmFloor(t *testing.T) {
 	cfg := Config{
-		ProbeInterval:  100 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		SuspectAfter:   3,
-		IndirectProbes: 1,
-		ConfirmRounds:  2,
+		ProbeInterval: 100 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		SuspectAfter:  3,
+		ConfirmRounds: 2,
 	}
 	self := mkRef(t, "0000")
 	gray := mkRef(t, "1111")
@@ -224,11 +220,10 @@ func TestAdaptiveRampRescuedByConfirmFloor(t *testing.T) {
 // probe is floored at ProbeTimeout (TestAdaptiveNeverShrinksWindow).
 func TestAdaptiveDeclaresDeadFasterOnFastLink(t *testing.T) {
 	cfg := Config{
-		ProbeInterval:  100 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		SuspectAfter:   3,
-		IndirectProbes: 1,
-		ConfirmRounds:  2,
+		ProbeInterval: 100 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		SuspectAfter:  3,
+		ConfirmRounds: 2,
 	}
 	run := func(adaptive bool) time.Duration {
 		self := mkRef(t, "0000")

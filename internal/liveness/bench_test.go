@@ -28,11 +28,10 @@ func benchRef(s string) table.Ref {
 // must declare it.
 func benchDetection(b *testing.B, adaptive bool) time.Duration {
 	cfg := Config{
-		ProbeInterval:  100 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		SuspectAfter:   3,
-		IndirectProbes: 1,
-		ConfirmRounds:  2,
+		ProbeInterval: 100 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		SuspectAfter:  3,
+		ConfirmRounds: 2,
 	}
 	const diesAt = 2 * time.Second
 	p := NewProber(cfg, benchRef("0000"))
@@ -83,11 +82,10 @@ func BenchmarkProbeTick(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("%s/targets=64", name), func(b *testing.B) {
 			cfg := Config{
-				ProbeInterval:  time.Millisecond,
-				ProbeTimeout:   10 * time.Millisecond,
-				SuspectAfter:   3,
-				IndirectProbes: 1,
-				ConfirmRounds:  2,
+				ProbeInterval: time.Millisecond,
+				ProbeTimeout:  10 * time.Millisecond,
+				SuspectAfter:  3,
+				ConfirmRounds: 2,
 			}
 			p := NewProber(cfg, benchRef("0000"))
 			now := time.Duration(0)

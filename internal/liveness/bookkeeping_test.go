@@ -72,7 +72,7 @@ func TestBookkeepingMatchesAWalk(t *testing.T) {
 					pool = append(pool, table.Ref{ID: x, Addr: "sim://" + x.String()})
 				}
 			}
-			p := NewProber(Config{ProbeInterval: 10 * time.Millisecond, ProbeTimeout: 40 * time.Millisecond, SuspectAfter: 2, IndirectProbes: 2}, self)
+			p := NewProber(Config{ProbeInterval: 10 * time.Millisecond, ProbeTimeout: 40 * time.Millisecond, SuspectAfter: 2}, self)
 			now := time.Duration(0)
 			p.SetClock(func() time.Duration { return now })
 			if adaptive {

@@ -18,7 +18,7 @@
 //     ProbeTimeout however many targets share the cycle. Pongs and any
 //     other traffic from the target (Observe) reset the miss count.
 //   - suspect: after SuspectAfter consecutive misses. Each confirmation
-//     round sends one direct probe plus IndirectProbes relayed probes
+//     round sends one direct probe plus indirectProbes relayed probes
 //     through distinct other neighbors, so one-way loss on the direct
 //     path cannot produce a false declaration.
 //   - declared: after ConfirmRounds confirmation rounds with no answer
@@ -106,11 +106,6 @@ type Config struct {
 	// SuspectAfter is the number of consecutive missed routine probes
 	// that turns an alive target into a suspect. Default 3.
 	SuspectAfter int
-	// IndirectProbes is the number of relayed probes (via distinct other
-	// neighbors) added to the direct probe in each confirmation round, so
-	// that one-way loss on the direct path cannot condemn a live node.
-	// Default 3; a negative value turns them off (direct-only rounds).
-	IndirectProbes int
 	// ConfirmRounds is the number of fully unanswered confirmation
 	// rounds needed to declare a suspect failed. Default 2.
 	ConfirmRounds int
@@ -121,12 +116,18 @@ type Config struct {
 	// threshold or below. Default 0.5; set above 1 to disable partition
 	// detection entirely.
 	PartitionThreshold float64
-	// PartitionMinTargets is the minimum number of monitored targets for
+}
+
+const (
+	// indirectProbes is the number of relayed probes (via distinct other
+	// neighbors) added to the direct probe in each confirmation round, so
+	// that one-way loss on the direct path cannot condemn a live node.
+	indirectProbes = 3
+	// partitionMinTargets is the minimum number of monitored targets for
 	// partition detection to apply: with very few targets the suspect
 	// fraction is too noisy to distinguish a partition from a crash.
-	// Default 4.
-	PartitionMinTargets int
-}
+	partitionMinTargets = 4
+)
 
 // WithDefaults returns c with every unset field at its documented
 // default: the values a Prober built from c runs with.
@@ -140,19 +141,11 @@ func (c Config) WithDefaults() Config {
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3
 	}
-	if c.IndirectProbes == 0 {
-		c.IndirectProbes = 3
-	} else if c.IndirectProbes < 0 {
-		c.IndirectProbes = 0
-	}
 	if c.ConfirmRounds <= 0 {
 		c.ConfirmRounds = 2
 	}
 	if c.PartitionThreshold <= 0 {
 		c.PartitionThreshold = 0.5
-	}
-	if c.PartitionMinTargets <= 0 {
-		c.PartitionMinTargets = 4
 	}
 	return c
 }
@@ -441,7 +434,7 @@ func (p *Prober) orphan(t *target) {
 // updatePartitionMode re-evaluates the partitioned flag against the
 // current distressed-target fraction, with hysteresis: enter at
 // PartitionThreshold, exit below half of it (or when the target set
-// shrinks under PartitionMinTargets). On exit it restarts every held
+// shrinks under partitionMinTargets). On exit it restarts every held
 // suspect's confirmation rounds at time now.
 func (p *Prober) updatePartitionMode(now time.Duration) {
 	n := len(p.targets)
@@ -450,7 +443,7 @@ func (p *Prober) updatePartitionMode(now time.Duration) {
 		frac = float64(p.distressed) / float64(n)
 	}
 	if !p.partitioned {
-		if n >= p.cfg.PartitionMinTargets && frac >= p.cfg.PartitionThreshold {
+		if n >= partitionMinTargets && frac >= p.cfg.PartitionThreshold {
 			p.partitioned = true
 			p.stats.PartitionsEntered++
 			if p.sink != nil {
@@ -462,7 +455,7 @@ func (p *Prober) updatePartitionMode(now time.Duration) {
 	// Exit at half the entry threshold, inclusive: a residue of exactly
 	// threshold/2 distressed targets (say one dead node out of four) is a
 	// crash picture, not a partition, and must not latch the mode.
-	if n < p.cfg.PartitionMinTargets || frac <= p.cfg.PartitionThreshold/2 {
+	if n < partitionMinTargets || frac <= p.cfg.PartitionThreshold/2 {
 		p.partitioned = false
 		p.stats.PartitionsExited++
 		if p.sink != nil {
@@ -842,10 +835,10 @@ func (p *Prober) nextAlive() *target {
 }
 
 // confirmRound launches one confirmation round for a suspect: a direct
-// probe plus IndirectProbes relayed probes via distinct other targets.
+// probe plus indirectProbes relayed probes via distinct other targets.
 func (p *Prober) confirmRound(t *target, now time.Duration) {
 	p.sendProbe(t, table.Ref{}, now)
-	helpers := p.pickHelpers(t.ref.ID, p.cfg.IndirectProbes)
+	helpers := p.pickHelpers(t.ref.ID, indirectProbes)
 	for _, h := range helpers {
 		p.sendProbe(t, h, now)
 	}

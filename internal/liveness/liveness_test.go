@@ -21,11 +21,10 @@ func mkRef(t *testing.T, s string) table.Ref {
 
 func cfgFast() Config {
 	return Config{
-		ProbeInterval:  100 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		SuspectAfter:   2,
-		IndirectProbes: 1,
-		ConfirmRounds:  2,
+		ProbeInterval: 100 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		SuspectAfter:  2,
+		ConfirmRounds: 2,
 	}
 }
 
@@ -195,10 +194,12 @@ func TestNeverAnsweredDroppedUnreachable(t *testing.T) {
 
 // TestDetectionWindowIndependentOfTableSize: on the package defaults a
 // silent target is declared (SuspectAfter + ConfirmRounds) ×
-// ProbeTimeout = 5 s after its first probe whether 4 or 64 live targets
-// share the round-robin cycle, because a miss re-probes at once instead
-// of waiting one cycle (1.25 s or 16.25 s here) for the target's turn.
+// ProbeTimeout after its first probe whether 4 or 64 live targets share
+// the round-robin cycle, because a miss re-probes at once instead of
+// waiting one cycle (5 or 65 ProbeIntervals here) for the target's turn.
 func TestDetectionWindowIndependentOfTableSize(t *testing.T) {
+	def := Config{}.WithDefaults()
+	window := time.Duration(def.SuspectAfter+def.ConfirmRounds) * def.ProbeTimeout
 	for _, alive := range []int{4, 64} {
 		self := mkRef(t, "0000")
 		var refs []table.Ref
@@ -210,27 +211,31 @@ func TestDetectionWindowIndependentOfTableSize(t *testing.T) {
 		p := NewProber(Config{}, self)
 		p.SetTargets(refs)
 		p.Observe(dead.ID) // alive once, so its silence is declarable
-		declared, at := runDelayed(p, 10*time.Second, func(_ time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
+		declared, at := runDelayed(p, 2*window, func(_ time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
 			pm, ok := env.Msg.(msg.Ping)
 			if !ok || env.To.ID == dead.ID || pm.Target.ID == dead.ID {
 				return nil, -1
 			}
 			return RespondPing(env.To, env.From, pm), 10 * time.Millisecond
 		})
-		if len(declared) != 1 || declared[0].ID != dead.ID || at[0] != 5*time.Second {
-			t.Errorf("%d live targets: declared %v at %v, want %v at 5s", alive, declared, at, dead.ID)
+		if len(declared) != 1 || declared[0].ID != dead.ID || at[0] != window {
+			t.Errorf("%d live targets: declared %v at %v, want %v at %v", alive, declared, at, dead.ID, window)
 		}
 	}
 }
 
-// TestIndirectProbesOnByDefault: with a zero Config, a target whose
-// direct probes all go unanswered but which answers probes relayed by
-// other neighbors is never declared — one-way loss on one path must not
-// condemn a live node.
+// TestIndirectProbesOnByDefault: indirect probes have no off switch, so
+// even with a zero Config a target whose direct probes all go unanswered
+// but which answers probes relayed by its indirectProbes fellow targets
+// is never declared — one-way loss on one path must not condemn a live
+// node.
 func TestIndirectProbesOnByDefault(t *testing.T) {
 	self := mkRef(t, "0000")
 	x := mkRef(t, "1111")
-	helpers := []table.Ref{mkRef(t, "2222"), mkRef(t, "3333"), mkRef(t, "0011")}
+	var helpers []table.Ref
+	for i := 0; i < indirectProbes; i++ {
+		helpers = append(helpers, mkRef(t, fmt.Sprintf("%04s", strconv.FormatInt(int64(i+2), 4))))
+	}
 	p := NewProber(Config{}, self)
 	p.SetTargets(append([]table.Ref{x}, helpers...))
 	p.Observe(x.ID) // alive once, so its silence would be declarable
@@ -247,7 +252,7 @@ func TestIndirectProbesOnByDefault(t *testing.T) {
 	if len(declared) != 0 {
 		t.Fatalf("target reachable through relays declared: %v", declared)
 	}
-	if st := p.Stats(); st.IndirectSent == 0 || st.Recovered == 0 {
+	if st := p.Stats(); st.IndirectSent < indirectProbes || st.Recovered == 0 {
 		t.Fatalf("stats %+v: want relayed probes sent and the suspect recovered", st)
 	}
 }
@@ -519,18 +524,22 @@ func TestDeadSuspectDeclaredAfterPartitionExit(t *testing.T) {
 }
 
 func TestNoPartitionBelowMinTargets(t *testing.T) {
-	// With fewer simultaneously-suspect peers than PartitionMinTargets the
+	// With fewer simultaneously-suspect peers than partitionMinTargets the
 	// suspect fraction is not evidence of a partition — declarations
-	// proceed (otherwise a 2-node network could never declare anything).
+	// proceed (otherwise a small network could never declare anything).
 	self := mkRef(t, "0000")
-	a, b := mkRef(t, "1111"), mkRef(t, "2222")
+	var targets []table.Ref
+	for i := 1; i < partitionMinTargets; i++ {
+		targets = append(targets, mkRef(t, fmt.Sprintf("%04s", strconv.FormatInt(int64(i), 4))))
+	}
 	p := NewProber(cfgFast(), self)
-	p.SetTargets([]table.Ref{a, b})
-	p.Observe(a.ID) // both were alive once, so silence is declarable
-	p.Observe(b.ID)
+	p.SetTargets(targets)
+	for _, x := range targets {
+		p.Observe(x.ID) // alive once, so silence is declarable
+	}
 	declared, _ := drive(p, 10*time.Second, nil)
-	if len(declared) != 2 {
-		t.Fatalf("declared %v, want both silent targets declared", declared)
+	if len(declared) != len(targets) {
+		t.Fatalf("declared %v, want all %d silent targets declared", declared, len(targets))
 	}
 	if p.Partitioned() || p.Stats().PartitionsEntered != 0 {
 		t.Fatalf("partition mode entered below the target floor: %+v", p.Stats())
@@ -538,15 +547,17 @@ func TestNoPartitionBelowMinTargets(t *testing.T) {
 }
 
 func TestPartitionThresholdConfigurable(t *testing.T) {
-	// A sub-threshold suspect cohort must not trip the mode even above
-	// the minimum target count.
+	// A sub-threshold suspect cohort must not trip the mode even at the
+	// minimum target count.
 	self := mkRef(t, "0000")
 	cfg := cfgFast()
 	cfg.PartitionThreshold = 0.9
-	cfg.PartitionMinTargets = 2
 	p := NewProber(cfg, self)
 	dead := mkRef(t, "1111")
 	live := []table.Ref{mkRef(t, "2222"), mkRef(t, "3333"), mkRef(t, "0011")}
+	if len(live)+1 < partitionMinTargets {
+		t.Fatalf("%d targets: below partitionMinTargets, the threshold is never consulted", len(live)+1)
+	}
 	p.SetTargets(append([]table.Ref{dead}, live...))
 	p.Observe(dead.ID) // alive once, so its crash is declarable
 	responders := make(map[id.ID]*Prober, len(live))

@@ -164,7 +164,6 @@ func (e *executor) build() error {
 		RTT:          parts.RTT,
 		AntiEntropy:  parts.AntiEntropy,
 		Sampling:     parts.Sampling,
-		SlowNodes:    &overlay.SlowNodes{Ramp: 2 * time.Second},
 		Byzantine:    &overlay.Byzantine{Seed: seed},
 		Loss:         &overlay.Loss{Rate: 0, Seed: seed},
 		TickInterval: 100 * time.Millisecond,

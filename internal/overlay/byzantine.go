@@ -21,29 +21,18 @@ import (
 // crash, which the liveness suite already covers; the byzantine model
 // targets the protocol message layer.
 type Byzantine struct {
-	// CorruptRate is the per-envelope probability that a byzantine
-	// sender's message is mutated or withheld. Default 0.25.
-	CorruptRate float64
-	// ReplayRate is the per-envelope probability that a byzantine sender
-	// additionally replays a stale recorded message. Default 0.05.
-	ReplayRate float64
 	// Seed feeds the deterministic corruption stream.
 	Seed int64
 }
 
-func (b *Byzantine) corruptRate() float64 {
-	if b.CorruptRate <= 0 {
-		return 0.25
-	}
-	return b.CorruptRate
-}
-
-func (b *Byzantine) replayRate() float64 {
-	if b.ReplayRate <= 0 {
-		return 0.05
-	}
-	return b.ReplayRate
-}
+const (
+	// byzCorruptRate is the per-envelope probability that a byzantine
+	// sender's message is mutated or withheld.
+	byzCorruptRate = 0.25
+	// byzReplayRate is the per-envelope probability that a byzantine
+	// sender additionally replays a stale recorded message.
+	byzReplayRate = 0.05
+)
 
 // byzantineHistory bounds the replay buffer of recently sent messages.
 const byzantineHistory = 64
@@ -103,9 +92,8 @@ func (n *Network) recordHistory(env msg.Envelope) {
 // corruptOutgoing applies the byzantine fault model to one envelope a
 // marked sender emits, returning what actually enters the network.
 func (n *Network) corruptOutgoing(env msg.Envelope) []msg.Envelope {
-	b := n.cfg.Byzantine
 	var out []msg.Envelope
-	if !isProbe(env) && n.byzRng.Float64() < b.corruptRate() {
+	if !isProbe(env) && n.byzRng.Float64() < byzCorruptRate {
 		if mutated, keep := n.mutateEnvelope(env); keep {
 			n.byzMutated++
 			out = append(out, mutated)
@@ -115,7 +103,7 @@ func (n *Network) corruptOutgoing(env msg.Envelope) []msg.Envelope {
 	} else {
 		out = append(out, env)
 	}
-	if len(n.byzHistory) > 0 && !isProbe(env) && n.byzRng.Float64() < b.replayRate() {
+	if len(n.byzHistory) > 0 && !isProbe(env) && n.byzRng.Float64() < byzReplayRate {
 		n.byzReplayed++
 		out = append(out, n.byzHistory[n.byzRng.Intn(len(n.byzHistory))])
 	}

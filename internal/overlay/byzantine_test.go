@@ -28,11 +28,10 @@ func byzantineConfig(seed int64) Config {
 		},
 		Loss: &Loss{Rate: 0.10, Seed: seed},
 		Liveness: &liveness.Config{
-			ProbeInterval:  100 * time.Millisecond,
-			ProbeTimeout:   400 * time.Millisecond,
-			SuspectAfter:   3,
-			IndirectProbes: 2,
-			ConfirmRounds:  3,
+			ProbeInterval: 100 * time.Millisecond,
+			ProbeTimeout:  400 * time.Millisecond,
+			SuspectAfter:  3,
+			ConfirmRounds: 3,
 		},
 		AntiEntropy:  &antientropy.Config{Interval: time.Second},
 		TickInterval: 50 * time.Millisecond,
@@ -144,20 +143,20 @@ func TestByzantineDeterminism(t *testing.T) {
 }
 
 // TestByzantineQuarantineInSim drives the full quarantine lifecycle
-// through the simulator: a single aggressive byzantine node in a small
-// network corrupts nearly everything it sends, so its peers' scorers
-// cross the threshold, drop its traffic at ingress for the cooldown,
-// and release it afterwards.
+// through the simulator: a single byzantine node in a small network
+// corrupts enough of what it sends that its peers' scorers cross the
+// threshold, drop its traffic at ingress for the cooldown, and release
+// it afterwards — the run spans several of the guard's cooldowns.
 func TestByzantineQuarantineInSim(t *testing.T) {
 	cfg := Config{
 		Params:  id.Params{B: 4, D: 4},
 		Latency: ConstantLatency(5 * time.Millisecond),
 		Opts: core.Options{
-			Guard: &guard.Policy{Cooldown: 10 * time.Second},
+			Guard: &guard.Policy{},
 		},
 		AntiEntropy:  &antientropy.Config{Interval: 200 * time.Millisecond},
 		TickInterval: 50 * time.Millisecond,
-		Byzantine:    &Byzantine{CorruptRate: 0.95, ReplayRate: 0.01, Seed: 5},
+		Byzantine:    &Byzantine{Seed: 5},
 	}
 	rng := rand.New(rand.NewSource(5))
 	net := New(cfg)
@@ -165,7 +164,7 @@ func TestByzantineQuarantineInSim(t *testing.T) {
 	net.BuildDirect(refs, rng)
 	net.MarkByzantine(refs[0].ID)
 
-	net.RunFor(40 * time.Second)
+	net.RunFor(2 * time.Minute)
 
 	gs := net.GuardStats()
 	if gs.Scorer.Quarantines == 0 {
@@ -176,7 +175,7 @@ func TestByzantineQuarantineInSim(t *testing.T) {
 		t.Errorf("no traffic was dropped at ingress during quarantine: %+v", gs)
 	}
 	if gs.Scorer.Releases == 0 {
-		t.Errorf("no quarantine was released within %v cooldowns: %+v", 10*time.Second, gs)
+		t.Errorf("no quarantine was released within the run: %+v", gs)
 	}
 	t.Logf("guard: %+v", gs)
 }

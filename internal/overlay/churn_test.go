@@ -377,7 +377,7 @@ func TestGracefulLeaveUnderLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	net := New(Config{
 		Params: p164,
-		Loss:   &Loss{Rate: 0.10, RetryDelay: 20 * time.Millisecond, MaxAttempts: 8, Seed: 29},
+		Loss:   &Loss{Rate: 0.10, Seed: 29},
 	})
 	refs := RandomRefs(p164, 50, rng, nil)
 	net.BuildDirect(refs, rng)

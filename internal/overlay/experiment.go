@@ -29,11 +29,6 @@ type WaveConfig struct {
 	// deterministic hashed pairwise latency in [5ms,120ms) is used.
 	Topology *topology.Topology
 
-	// Stagger spreads join start times uniformly over the given span
-	// instead of starting all joins at exactly t=0 (the paper starts all
-	// joins at the same time; staggering is an ablation).
-	Stagger time.Duration
-
 	// Sink, when non-nil, receives every protocol event of the wave
 	// stamped with the virtual clock (see Config.Sink).
 	Sink obs.Sink
@@ -118,11 +113,7 @@ func RunWave(cfg WaveConfig) (*WaveResult, error) {
 	machines := make([]*core.Machine, 0, cfg.M)
 	for _, ref := range joiners {
 		g0 := existing[rng.Intn(len(existing))]
-		at := time.Duration(0)
-		if cfg.Stagger > 0 {
-			at = time.Duration(rng.Int63n(int64(cfg.Stagger)))
-		}
-		machines = append(machines, net.ScheduleJoin(ref, g0, at))
+		machines = append(machines, net.ScheduleJoin(ref, g0, 0))
 	}
 	events := net.Run()
 

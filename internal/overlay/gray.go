@@ -14,30 +14,22 @@ import (
 	"hypercube/internal/rtt"
 )
 
-// SlowNodes configures per-node processing-delay injection. A marked
-// node processes slowly in both directions: every message it sends or
-// receives is delayed by its current per-side delay, so a round trip
-// involving one slow endpoint inflates by 2x that delay. The delay
-// ramps linearly from zero to the one MarkSlow gave over Ramp —
-// modeling gradual degradation (GC pressure, disk stalls, thermal
-// throttling) rather than a step change, which is the harder case for
-// an estimator that must chase a moving target.
-type SlowNodes struct {
-	// Ramp is how long a newly marked node takes to reach its full
-	// delay; 0 applies the full delay immediately.
-	Ramp time.Duration
-}
+// slowRamp is how long a node marked slow takes to reach its full
+// delay. A marked node processes slowly in both directions: every
+// message it sends or receives is delayed by its current per-side
+// delay, so a round trip involving one slow endpoint inflates by 2x
+// that delay. The delay ramps linearly from zero to the one MarkSlow
+// gave over slowRamp — modeling gradual degradation (GC pressure, disk
+// stalls, thermal throttling) rather than a step change, which is the
+// harder case for an estimator that must chase a moving target.
+const slowRamp = 2 * time.Second
 
 // slowMark is one gray member: when it was marked and its full delay.
 type slowMark struct{ since, delay time.Duration }
 
 // MarkSlow marks the given members slow starting now, ramping to delay
-// per side. A member already slow keeps its mark. Panics unless the
-// network was configured with Config.SlowNodes.
+// per side. A member already slow keeps its mark.
 func (n *Network) MarkSlow(delay time.Duration, ids ...id.ID) {
-	if n.cfg.SlowNodes == nil {
-		panic("overlay: MarkSlow without Config.SlowNodes")
-	}
 	now := n.engine.Now()
 	for _, x := range ids {
 		if _, dup := n.slow[x]; !dup {
@@ -60,11 +52,10 @@ func (n *Network) slowDelay(x id.ID, now time.Duration) time.Duration {
 	if !ok {
 		return 0
 	}
-	ramp := n.cfg.SlowNodes.Ramp
-	if ramp <= 0 || now-m.since >= ramp {
+	if now-m.since >= slowRamp {
 		return m.delay
 	}
-	return time.Duration(int64(m.delay) * int64(now-m.since) / int64(ramp))
+	return time.Duration(int64(m.delay) * int64(now-m.since) / int64(slowRamp))
 }
 
 // SlowDelayed returns how many message transmissions were delayed by

@@ -15,13 +15,11 @@ func grayConfig() Config {
 		Params:  id.Params{B: 4, D: 4},
 		Latency: ConstantLatency(5 * time.Millisecond),
 		Liveness: &liveness.Config{
-			ProbeInterval:  100 * time.Millisecond,
-			ProbeTimeout:   400 * time.Millisecond,
-			SuspectAfter:   3,
-			IndirectProbes: 2,
-			ConfirmRounds:  3,
+			ProbeInterval: 100 * time.Millisecond,
+			ProbeTimeout:  400 * time.Millisecond,
+			SuspectAfter:  3,
+			ConfirmRounds: 3,
 		},
-		SlowNodes:    &SlowNodes{Ramp: 2 * time.Second},
 		TickInterval: 50 * time.Millisecond,
 	}
 }
@@ -80,14 +78,14 @@ func TestSlowDelayRamp(t *testing.T) {
 	if d := net.slowDelay(x, 0); d != 0 {
 		t.Fatalf("delay at mark time = %v, want 0 (ramp start)", d)
 	}
-	if d := net.slowDelay(x, time.Second); d != 150*time.Millisecond {
+	if d := net.slowDelay(x, slowRamp/2); d != 150*time.Millisecond {
 		t.Fatalf("delay mid-ramp = %v, want 150ms", d)
 	}
-	if d := net.slowDelay(x, 3*time.Second); d != 300*time.Millisecond {
+	if d := net.slowDelay(x, slowRamp); d != 300*time.Millisecond {
 		t.Fatalf("delay post-ramp = %v, want full 300ms", d)
 	}
 	net.UnmarkSlow(x)
-	if d := net.slowDelay(x, 3*time.Second); d != 0 {
+	if d := net.slowDelay(x, slowRamp); d != 0 {
 		t.Fatalf("delay after recovery = %v, want 0", d)
 	}
 	if other := refs[1].ID; net.slowDelay(other, time.Minute) != 0 {

@@ -21,11 +21,10 @@ func selfHealingConfig(seed int64) Config {
 		}},
 		Loss: &Loss{Rate: 0.10, Seed: seed},
 		Liveness: &liveness.Config{
-			ProbeInterval:  100 * time.Millisecond,
-			ProbeTimeout:   400 * time.Millisecond,
-			SuspectAfter:   3,
-			IndirectProbes: 2,
-			ConfirmRounds:  3,
+			ProbeInterval: 100 * time.Millisecond,
+			ProbeTimeout:  400 * time.Millisecond,
+			SuspectAfter:  3,
+			ConfirmRounds: 3,
 		},
 		TickInterval: 50 * time.Millisecond,
 	}

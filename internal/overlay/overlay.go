@@ -115,18 +115,14 @@ func (tl *TopologyLatency) Func() LatencyFunc {
 // simulated delivery path — the discrete-event analogue of
 // tcptransport's reliable-delivery layer. Each transmission is lost
 // with probability Rate; a lost transmission is retried after an
-// exponentially growing timeout until MaxAttempts is exhausted, at
-// which point the message is dead-lettered. It lets join waves and the
+// exponentially growing timeout (lossRetryDelay, doubling) until
+// lossMaxAttempts transmissions are spent, at which point the message
+// is dead-lettered. It lets join waves and the
 // §7 churn scenarios run over an unreliable network while preserving
 // seeded determinism.
 type Loss struct {
 	// Rate is the per-transmission loss probability in [0,1].
 	Rate float64
-	// RetryDelay is the first retransmission timeout; it doubles per
-	// further attempt. Default 50ms.
-	RetryDelay time.Duration
-	// MaxAttempts is the total transmissions per message. Default 5.
-	MaxAttempts int
 	// Seed feeds the deterministic loss stream.
 	Seed int64
 	// OneWay restricts loss to a single direction per node pair (picked
@@ -136,19 +132,13 @@ type Loss struct {
 	OneWay bool
 }
 
-func (l *Loss) retryDelay() time.Duration {
-	if l.RetryDelay <= 0 {
-		return 50 * time.Millisecond
-	}
-	return l.RetryDelay
-}
-
-func (l *Loss) maxAttempts() int {
-	if l.MaxAttempts <= 0 {
-		return 5
-	}
-	return l.MaxAttempts
-}
+const (
+	// lossRetryDelay is the first retransmission timeout of Loss; it
+	// doubles per further attempt.
+	lossRetryDelay = 50 * time.Millisecond
+	// lossMaxAttempts is the total transmissions per message under Loss.
+	lossMaxAttempts = 5
+)
 
 // Config parameterizes a simulated network.
 type Config struct {
@@ -188,10 +178,6 @@ type Config struct {
 	// keeps the fixed timeouts — and, because every adaptive path is
 	// gated on the estimator, bit-identical legacy behavior.
 	RTT *rtt.Config
-	// SlowNodes enables the gray-failure fault model: members marked via
-	// MarkSlow process all traffic with a ramping per-side delay (see
-	// SlowNodes). Nil keeps every member fast.
-	SlowNodes *SlowNodes
 	// Sink, when non-nil, receives every protocol event from every
 	// machine, prober, and anti-entropy engine, stamped with the virtual
 	// clock — the same trace schema live TCP runs produce, so
@@ -253,8 +239,8 @@ type Network struct {
 	// different groups drop in flight (Partition/Heal fault injection).
 	partition        map[id.ID]int
 	partitionDropped uint64
-	// slow maps gray-marked nodes to their mark (Config.SlowNodes);
-	// slowDelayed counts transmissions the model delayed.
+	// slow maps gray-marked nodes to their mark (MarkSlow); slowDelayed
+	// counts transmissions the model delayed.
 	slow        map[id.ID]slowMark
 	slowDelayed uint64
 	// byz marks byzantine members (Config.Byzantine); byzHistory is the
@@ -292,9 +278,7 @@ func New(cfg Config) *Network {
 		joinersInFlight: make(map[id.ID]time.Duration),
 		removed:         make(map[id.ID]bool),
 		paused:          make(map[id.ID]time.Duration),
-	}
-	if cfg.SlowNodes != nil {
-		n.slow = make(map[id.ID]slowMark)
+		slow:            make(map[id.ID]slowMark),
 	}
 	if cfg.Loss != nil {
 		n.lossRng = rand.New(rand.NewSource(cfg.Loss.Seed))
@@ -473,7 +457,7 @@ func (n *Network) transmit(envs []msg.Envelope) {
 func (n *Network) post(env msg.Envelope, attempt int) {
 	delay := n.cfg.Latency(env.From, env.To)
 	if attempt > 1 {
-		delay += n.cfg.Loss.retryDelay() << (attempt - 2)
+		delay += lossRetryDelay << (attempt - 2)
 	}
 	if len(n.slow) > 0 {
 		// Gray nodes are slow on both sides: sending late and processing
@@ -522,9 +506,9 @@ func (n *Network) arrive(slot int) {
 		n.partitionDropped++
 		return
 	}
-	if l := n.cfg.Loss; l != nil && n.lossDrop(env) {
+	if n.cfg.Loss != nil && n.lossDrop(env) {
 		t := env.Msg.Type()
-		if t == msg.TPing || t == msg.TPong || attempt >= l.maxAttempts() {
+		if t == msg.TPing || t == msg.TPong || attempt >= lossMaxAttempts {
 			n.lost++
 			return
 		}

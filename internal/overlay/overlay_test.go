@@ -184,24 +184,6 @@ func TestWaveWithTopologyLatency(t *testing.T) {
 	}
 }
 
-func TestWaveStaggered(t *testing.T) {
-	res, err := RunWave(WaveConfig{Params: p164, N: 60, M: 40, Seed: 13, Stagger: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllSNodes || !res.Consistent() {
-		t.Fatal("staggered wave failed")
-	}
-	// With staggering, join start times must differ.
-	starts := make(map[time.Duration]bool)
-	for _, rec := range res.Records {
-		starts[rec.Started] = true
-	}
-	if len(starts) < 2 {
-		t.Error("staggered starts all identical")
-	}
-}
-
 func TestWaveInvalidConfig(t *testing.T) {
 	if _, err := RunWave(WaveConfig{Params: p164, N: 0, M: 5}); err == nil {
 		t.Error("n=0 accepted")
@@ -346,7 +328,7 @@ func TestJoinWaveUnderLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	net := New(Config{
 		Params: p164,
-		Loss:   &Loss{Rate: 0.10, RetryDelay: 20 * time.Millisecond, MaxAttempts: 8, Seed: 33},
+		Loss:   &Loss{Rate: 0.10, Seed: 33},
 	})
 	refs := RandomRefs(p164, 40, rng, nil)
 	net.BuildDirect(refs[:20], rng)
@@ -368,7 +350,7 @@ func TestJoinWaveUnderLoss(t *testing.T) {
 		t.Error("10% loss produced no retransmissions; loss model inert")
 	}
 	if net.LostMessages() != 0 {
-		t.Errorf("%d messages dead-lettered at 10%% loss with 8 attempts", net.LostMessages())
+		t.Errorf("%d messages dead-lettered at 10%% loss with %d attempts", net.LostMessages(), lossMaxAttempts)
 	}
 	t.Logf("delivered=%d retransmits=%d lost=%d", net.Delivered(), net.Retransmits(), net.LostMessages())
 }

@@ -22,11 +22,10 @@ func partitionConfig() Config {
 			RepairAfter: 400 * time.Millisecond,
 		}},
 		Liveness: &liveness.Config{
-			ProbeInterval:  100 * time.Millisecond,
-			ProbeTimeout:   400 * time.Millisecond,
-			SuspectAfter:   3,
-			IndirectProbes: 2,
-			ConfirmRounds:  3,
+			ProbeInterval: 100 * time.Millisecond,
+			ProbeTimeout:  400 * time.Millisecond,
+			SuspectAfter:  3,
+			ConfirmRounds: 3,
 			// Halving the network makes ~50% of every node's targets
 			// unreachable; 0.2 trips well below that while staying above
 			// any plausible single-crash fraction in a 16-node table.

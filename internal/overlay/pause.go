@@ -4,7 +4,7 @@ package overlay
 // and its inbound traffic queues, then everything bursts at resume —
 // the discrete-event analogue of a long GC pause, a VM live-migration
 // blackout, or a laptop lid closing. Unlike a crash the node never
-// loses state, and unlike a slow node (SlowNodes) the stall is total:
+// loses state, and unlike a slow node (MarkSlow) the stall is total:
 // nothing is processed until the pause ends, at which point every
 // deferred delivery fires in one instant and the node's probers and
 // timers catch up. The failure detector must ride this out: a pause

@@ -22,11 +22,10 @@ func TestClockPauseNotDeclared(t *testing.T) {
 		Params:  id.Params{B: 4, D: 4},
 		Latency: ConstantLatency(5 * time.Millisecond),
 		Liveness: &liveness.Config{
-			ProbeInterval:  100 * time.Millisecond,
-			ProbeTimeout:   400 * time.Millisecond,
-			SuspectAfter:   2,
-			IndirectProbes: 2,
-			ConfirmRounds:  4,
+			ProbeInterval: 100 * time.Millisecond,
+			ProbeTimeout:  400 * time.Millisecond,
+			SuspectAfter:  2,
+			ConfirmRounds: 4,
 		},
 		// The adaptive estimator must ride the pause out too: the burst
 		// of late pongs feeds it without triggering a declaration.
@@ -79,11 +78,10 @@ func TestClockPauseLongEnoughDeclares(t *testing.T) {
 		Params:  id.Params{B: 4, D: 4},
 		Latency: ConstantLatency(5 * time.Millisecond),
 		Liveness: &liveness.Config{
-			ProbeInterval:  100 * time.Millisecond,
-			ProbeTimeout:   300 * time.Millisecond,
-			SuspectAfter:   2,
-			IndirectProbes: 2,
-			ConfirmRounds:  2,
+			ProbeInterval: 100 * time.Millisecond,
+			ProbeTimeout:  300 * time.Millisecond,
+			SuspectAfter:  2,
+			ConfirmRounds: 2,
 		},
 		TickInterval: 50 * time.Millisecond,
 	}

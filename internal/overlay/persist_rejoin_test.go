@@ -108,11 +108,10 @@ func TestRestartWave(t *testing.T) {
 			RepairAfter: 600 * time.Millisecond,
 		}},
 		Liveness: &liveness.Config{
-			ProbeInterval:  100 * time.Millisecond,
-			ProbeTimeout:   400 * time.Millisecond,
-			SuspectAfter:   3,
-			IndirectProbes: 2,
-			ConfirmRounds:  3,
+			ProbeInterval: 100 * time.Millisecond,
+			ProbeTimeout:  400 * time.Millisecond,
+			SuspectAfter:  3,
+			ConfirmRounds: 3,
 		},
 		Sampling:     &sampling.Config{Seed: 13},
 		TickInterval: 50 * time.Millisecond,

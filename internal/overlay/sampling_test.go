@@ -19,7 +19,6 @@ func samplingConfig(seed int64) Config {
 			MaxAttempts: 2,
 		}},
 		Sampling: &sampling.Config{
-			ViewSize: 8,
 			Interval: 500 * time.Millisecond,
 			Seed:     seed,
 		},

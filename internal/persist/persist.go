@@ -63,9 +63,10 @@ type filePeer struct {
 type fileSnapshot struct {
 	Version int `json:"version"`
 	// Checksum is the CRC32 (IEEE) of the dump's canonical JSON bytes
-	// with this field empty, hex-encoded. Load re-derives the canonical
-	// bytes from the decoded values and compares, so any bit flip that
-	// changes a value — not just one that breaks JSON syntax — is caught.
+	// with this field empty, hex-encoded. LoadState re-derives the
+	// canonical bytes from the decoded values and compares, so any bit
+	// flip that changes a value — not just one that breaks JSON syntax —
+	// is caught.
 	// Absent in dumps from before checksumming; those still load.
 	Checksum string      `json:"crc32,omitempty"`
 	B        int         `json:"b"`
@@ -79,11 +80,6 @@ type fileSnapshot struct {
 	// even when every table neighbor died with the outage that forced the
 	// restart. Absent in dumps from before the sampling layer.
 	Sampled []filePeer `json:"sampled,omitempty"`
-}
-
-// Save writes the snapshot to w as JSON.
-func Save(w io.Writer, snap table.Snapshot) error {
-	return SaveState(w, snap, nil)
 }
 
 // SaveState writes the snapshot plus sampled bootstrap peers to w.
@@ -129,23 +125,16 @@ func SaveState(w io.Writer, snap table.Snapshot, sampled []table.Ref) error {
 }
 
 // canonical returns the checksum-covered byte form of a snapshot: its
-// indented JSON with the checksum field cleared. Save computes the CRC
-// over these bytes; Load re-derives them from the decoded values, so
-// the check survives whitespace damage (harmless) while catching any
-// flip that altered a value.
+// indented JSON with the checksum field cleared. SaveState computes the
+// CRC over these bytes; LoadState re-derives them from the decoded
+// values, so the check survives whitespace damage (harmless) while
+// catching any flip that altered a value.
 func canonical(s *fileSnapshot) ([]byte, error) {
 	saved := s.Checksum
 	s.Checksum = ""
 	b, err := json.MarshalIndent(s, "", "  ")
 	s.Checksum = saved
 	return b, err
-}
-
-// Load reads a snapshot from r, verifying it matches the expected ID
-// space.
-func Load(r io.Reader, p id.Params) (table.Snapshot, error) {
-	snap, _, err := LoadState(r, p)
-	return snap, err
 }
 
 // LoadState reads a snapshot plus any sampled bootstrap peers from r.
@@ -217,16 +206,12 @@ func LoadState(r io.Reader, p id.Params) (table.Snapshot, []table.Ref, error) {
 // use it to kill a save midway and prove the previous dump survives.
 var saveHook func(tmp *os.File) error
 
-// SaveFile writes the snapshot atomically: the bytes go to a temp file
-// in the same directory, are fsynced, and only then renamed over path.
-// A crash at any point leaves either the old dump or the new one, never
-// a torn file — the rename is the commit point, and the fsync ensures
-// the data is durable before the name flips to it.
-func SaveFile(path string, snap table.Snapshot) error {
-	return SaveFileState(path, snap, nil)
-}
-
-// SaveFileState is SaveFile plus sampled bootstrap peers.
+// SaveFileState writes the snapshot plus sampled bootstrap peers
+// atomically: the bytes go to a temp file in the same directory, are
+// fsynced, and only then renamed over path. A crash at any point leaves
+// either the old dump or the new one, never a torn file — the rename is
+// the commit point, and the fsync ensures the data is durable before the
+// name flips to it.
 func SaveFileState(path string, snap table.Snapshot, sampled []table.Ref) error {
 	tmp, err := os.CreateTemp(dirOf(path), ".table-*.json")
 	if err != nil {
@@ -267,12 +252,6 @@ func syncDir(dir string) {
 	}
 	defer d.Close()
 	_ = d.Sync()
-}
-
-// LoadFile reads a snapshot previously written by SaveFile.
-func LoadFile(path string, p id.Params) (table.Snapshot, error) {
-	snap, _, err := LoadFileState(path, p)
-	return snap, err
 }
 
 // LoadFileState reads a snapshot plus sampled bootstrap peers previously

@@ -40,10 +40,10 @@ func sampleTable(t *testing.T) *table.Table {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tbl := sampleTable(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, tbl.Snapshot()); err != nil {
+	if err := SaveState(&buf, tbl.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf, p164)
+	back, _, err := LoadState(&buf, p164)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveZeroSnapshotFails(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Save(&buf, table.Snapshot{}); err == nil {
+	if err := SaveState(&buf, table.Snapshot{}, nil); err == nil {
 		t.Fatal("zero snapshot saved")
 	}
 }
@@ -82,7 +82,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := Load(strings.NewReader(in), p164); err == nil {
+			if _, _, err := LoadState(strings.NewReader(in), p164); err == nil {
 				t.Fatalf("accepted %q", in)
 			}
 		})
@@ -92,17 +92,17 @@ func TestLoadRejectsBadInput(t *testing.T) {
 func TestSaveFileLoadFile(t *testing.T) {
 	tbl := sampleTable(t)
 	path := filepath.Join(t.TempDir(), "table.json")
-	if err := SaveFile(path, tbl.Snapshot()); err != nil {
+	if err := SaveFileState(path, tbl.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path, p164)
+	back, _, err := LoadFileState(path, p164)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.FilledCount() != tbl.FilledCount() {
 		t.Fatalf("FilledCount %d, want %d", back.FilledCount(), tbl.FilledCount())
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json"), p164); err == nil {
+	if _, _, err := LoadFileState(filepath.Join(t.TempDir(), "missing.json"), p164); err == nil {
 		t.Fatal("missing file loaded")
 	}
 }
@@ -116,7 +116,7 @@ func TestKilledSaveKeepsPreviousDump(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "table.json")
 	tbl := sampleTable(t)
-	if err := SaveFile(path, tbl.Snapshot()); err != nil {
+	if err := SaveFileState(path, tbl.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,11 +131,11 @@ func TestKilledSaveKeepsPreviousDump(t *testing.T) {
 		return errors.New("killed mid-write")
 	}
 	defer func() { saveHook = nil }()
-	if err := SaveFile(path, tbl.Snapshot()); err == nil {
+	if err := SaveFileState(path, tbl.Snapshot(), nil); err == nil {
 		t.Fatal("killed save reported success")
 	}
 
-	back, err := LoadFile(path, p164)
+	back, _, err := LoadFileState(path, p164)
 	if err != nil {
 		t.Fatalf("previous dump lost: %v", err)
 	}
@@ -161,10 +161,10 @@ func TestRestartRejoinFlow(t *testing.T) {
 	// established machine with the restored table, and re-announce.
 	tbl := sampleTable(t)
 	path := filepath.Join(t.TempDir(), "node.json")
-	if err := SaveFile(path, tbl.Snapshot()); err != nil {
+	if err := SaveFileState(path, tbl.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := LoadFile(path, p164)
+	snap, _, err := LoadFileState(path, p164)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +233,12 @@ func TestBitFlipCorruptionDetected(t *testing.T) {
 func TestTruncatedDumpCorrupt(t *testing.T) {
 	tbl := sampleTable(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, tbl.Snapshot()); err != nil {
+	if err := SaveState(&buf, tbl.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, frac := range []int{0, 1, 2, 3} {
 		cut := buf.Len() * frac / 4
-		_, err := Load(bytes.NewReader(buf.Bytes()[:cut]), p164)
+		_, _, err := LoadState(bytes.NewReader(buf.Bytes()[:cut]), p164)
 		if err == nil {
 			t.Fatalf("dump truncated to %d/%d bytes loaded", cut, buf.Len())
 		}
@@ -253,7 +253,7 @@ func TestChecksumlessDumpStillLoads(t *testing.T) {
 	// keep loading so a node upgraded across the change can still
 	// restart from its last pre-upgrade dump.
 	in := `{"version":1,"b":16,"d":4,"owner":"0123","lo":0,"hi":3,"entries":[{"level":0,"digit":0,"id":"0123","state":"S"}]}`
-	snap, err := Load(strings.NewReader(in), p164)
+	snap, _, err := LoadState(strings.NewReader(in), p164)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@
 // invariant is "each sampler's minimum ≤ the hash of every member": a
 // sampler emptied by sweep has ranked nothing, so any ejection empties
 // the set, and (min, cur) is always what hashing every offer would have
-// left. The set is emptied when it reaches knownPerSampler·Samplers
+// left. The set is emptied when it reaches knownPerSampler·samplers
 // IDs, so a Sybil flood of fresh IDs costs what it did without the set,
 // plus a map insert, and pins bounded memory.
 //
@@ -50,12 +50,6 @@ import (
 
 // Config parameterizes one engine. The zero value gets defaults.
 type Config struct {
-	// ViewSize is l, the bound on the local view. Brahms suggests
-	// l ≈ n^(1/3); the default 16 covers n up to ~4k.
-	ViewSize int
-	// Samplers is the number of min-wise independent samplers backing
-	// the history sample. Defaults to 2·ViewSize.
-	Samplers int
 	// Interval is the round period. Defaults to 1s.
 	Interval time.Duration
 	// Seed makes every engine's randomness deterministic: the per-node
@@ -66,20 +60,21 @@ type Config struct {
 // WithDefaults returns c with every unset field at its documented
 // default: the values an Engine built from c runs with.
 func (c Config) WithDefaults() Config {
-	if c.ViewSize <= 0 {
-		c.ViewSize = 16
-	}
-	if c.ViewSize > msg.MaxSampleRefs {
-		c.ViewSize = msg.MaxSampleRefs
-	}
-	if c.Samplers <= 0 {
-		c.Samplers = 2 * c.ViewSize
-	}
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
 	return c
 }
+
+const (
+	// viewSize is l, the bound on the local view. Brahms suggests
+	// l ≈ n^(1/3); 16 covers n up to ~4k. A pull reply carries the whole
+	// view, so it must not exceed msg.MaxSampleRefs.
+	viewSize = 16
+	// samplers is the number of min-wise independent samplers backing
+	// the history sample.
+	samplers = 2 * viewSize
+)
 
 // The view mixing weights α, β, γ for pushed peers, pulled peers and
 // history samples: the Brahms exemplar's 0.45/0.45/0.10.
@@ -228,7 +223,7 @@ func New(cfg Config, self table.Ref) *Engine {
 		pushBuf:  make(map[id.ID]table.Ref),
 		pullBuf:  make(map[id.ID]table.Ref),
 		pullFrom: make(map[id.ID]bool),
-		samplers: make([]sampler, cfg.Samplers),
+		samplers: make([]sampler, samplers),
 		known:    make(map[id.ID]struct{}),
 		first:    true,
 	}
@@ -280,17 +275,17 @@ func (e *Engine) SeedPeers(refs ...table.Ref) {
 			continue
 		}
 		e.observe(r)
-		if len(e.view) < e.cfg.ViewSize && !refsContain(e.view, r.ID) {
+		if len(e.view) < viewSize && !refsContain(e.view, r.ID) {
 			e.view = append(e.view, r)
 			e.sorted = nil
 		}
 	}
 }
 
-// knownPerSampler bounds the known set at this multiple of Samplers (512
-// IDs at the defaults): every peer of a network of a few hundred nodes,
-// two thirds of the offers at n = 2048 (DESIGN.md has the sweep), and the
-// most a flood of fresh IDs can pin.
+// knownPerSampler bounds the known set at this multiple of samplers
+// (512 IDs): every peer of a network of a few hundred nodes, two thirds
+// of the offers at n = 2048 (DESIGN.md has the sweep), and the most a
+// flood of fresh IDs can pin.
 const knownPerSampler = 16
 
 // observe offers r to every sampler, reading its digits once — unless
@@ -299,7 +294,7 @@ func (e *Engine) observe(r table.Ref) {
 	if _, ok := e.known[r.ID]; ok {
 		return
 	}
-	if len(e.known) >= knownPerSampler*len(e.samplers) {
+	if len(e.known) >= knownPerSampler*samplers {
 		clear(e.known)
 	}
 	e.known[r.ID] = struct{}{}
@@ -388,9 +383,9 @@ func (e *Engine) round() []msg.Envelope {
 	e.stats.Rounds++
 	e.sweep()
 
-	alpha := scaled(alphaWeight, e.cfg.ViewSize)
-	beta := scaled(betaWeight, e.cfg.ViewSize)
-	gamma := scaled(gammaWeight, e.cfg.ViewSize)
+	alpha := scaled(alphaWeight, viewSize)
+	beta := scaled(betaWeight, viewSize)
+	gamma := scaled(gammaWeight, viewSize)
 
 	// Close the previous round: rebuild the view from its pushes, pulls,
 	// and history — unless the push volume exceeded α·l, the Brahms flood

@@ -28,7 +28,7 @@ func sref(i int) table.Ref {
 // a fixed seed — simulation results are meaningless otherwise.
 func TestSamplerDeterminism(t *testing.T) {
 	mk := func() *Engine {
-		e := New(Config{ViewSize: 8, Interval: time.Second, Seed: 42}, sref(1))
+		e := New(Config{Interval: time.Second, Seed: 42}, sref(1))
 		e.SeedPeers(sref(2), sref(3), sref(4), sref(5), sref(6), sref(7), sref(8), sref(9))
 		return e
 	}
@@ -81,7 +81,7 @@ type soakResult struct {
 // Pure-engine simulation: deterministic under the fixed seeds.
 func runByzantineSoak(t *testing.T, honest, byzFlooders, rounds int) soakResult {
 	t.Helper()
-	cfg := Config{ViewSize: 8, Interval: time.Second, Seed: 99}
+	cfg := Config{Interval: time.Second, Seed: 99}
 	rng := rand.New(rand.NewSource(7))
 
 	refs := make([]table.Ref, honest)
@@ -100,7 +100,7 @@ func runByzantineSoak(t *testing.T, honest, byzFlooders, rounds int) soakResult 
 	// graph starts connected and diverse.
 	for _, r := range refs {
 		e := engines[r.ID]
-		for _, j := range rng.Perm(honest)[:cfg.ViewSize] {
+		for _, j := range rng.Perm(honest)[:viewSize] {
 			if refs[j].ID != r.ID {
 				e.SeedPeers(refs[j])
 			}
@@ -164,7 +164,7 @@ func runByzantineSoak(t *testing.T, honest, byzFlooders, rounds int) soakResult 
 		if f := float64(viewByz) / float64(len(view)); f > res.viewByzMax {
 			res.viewByzMax = f
 		}
-		sample := e.Sample(2 * cfg.ViewSize)
+		sample := e.Sample(samplers)
 		if len(sample) == 0 {
 			t.Fatalf("node %v ended with empty samplers", r.ID)
 		}
@@ -315,7 +315,7 @@ func TestSamplersKeepOracleMinimum(t *testing.T) {
 	p := id.Params{B: 16, D: 70} // longer than observe's stack buffer
 	r := rand.New(rand.NewSource(3))
 	self := table.Ref{ID: id.Random(p, r), Addr: "sim://self"}
-	cfg := Config{Seed: 99, Samplers: 8} // a known set of 128 IDs, so that floods overflow it often
+	cfg := Config{Seed: 99}
 	e, twin := New(cfg, self), New(cfg, self)
 	o := &samplerOracle{self: self.ID, banned: make(map[id.ID]bool)}
 	draws := rng{state: uint64(99) ^ hashIDOracle(0x5a11, self.ID)}
@@ -376,19 +376,17 @@ func TestSamplersKeepOracleMinimum(t *testing.T) {
 	for i := 0; i < events; i++ {
 		flood := i/1000%2 == 1
 		clear(twin.known)
+		// Outside rounds only an overflow empties the known set.
+		known, round := len(e.known), false
 		switch x := r.Intn(100); {
 		case x < 55:
 			env := msg.Envelope{From: pick(flood), To: self, Msg: msg.SamplePush{}}
-			_, hit := e.known[env.From.ID]
-			full := len(e.known) == bound
+			if _, hit := e.known[env.From.ID]; hit {
+				skips++
+			}
 			e.Deliver(env)
 			twin.Deliver(env)
 			o.offer(env.From)
-			if hit {
-				skips++
-			} else if full && len(e.known) == 1 {
-				overflows++
-			}
 		case x < 70:
 			if len(pulled) == 0 {
 				continue
@@ -414,6 +412,7 @@ func TestSamplersKeepOracleMinimum(t *testing.T) {
 				bannedList = append(bannedList, bad)
 			}
 		default:
+			round = true
 			now += time.Second
 			out := e.Tick(now)
 			if !reflect.DeepEqual(out, twin.Tick(now)) {
@@ -426,6 +425,10 @@ func TestSamplersKeepOracleMinimum(t *testing.T) {
 					pulled = append(pulled, env.To.ID)
 				}
 			}
+		}
+
+		if !round && len(e.known) < known {
+			overflows++
 		}
 
 		fill := 0
@@ -470,8 +473,8 @@ func TestKnownOfferAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkObserve times one offer to the sampler bank at the daemon's
-// defaults (view 16, 32 samplers) over the benchmark's 8-digit IDs: of an
+// BenchmarkObserve times one offer to the sampler bank (viewSize,
+// samplers) over the benchmark's 8-digit IDs: of an
 // ID every sampler has ranked, and of IDs never seen before.
 func BenchmarkObserve(b *testing.B) {
 	p := id.Params{B: 16, D: 8}
@@ -485,7 +488,7 @@ func BenchmarkObserve(b *testing.B) {
 		pool []table.Ref
 	}{{"known", refs[:64]}, {"new", refs}} {
 		b.Run(bc.name, func(b *testing.B) {
-			e := New(Config{ViewSize: 16, Seed: 1}, table.Ref{ID: id.Random(p, r), Addr: "sim://self"})
+			e := New(Config{Seed: 1}, table.Ref{ID: id.Random(p, r), Addr: "sim://self"})
 			e.SeedPeers(bc.pool[:64]...)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -23,7 +23,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"sync"
 )
 
@@ -37,18 +36,6 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 // String renders t as 32 lowercase hex digits.
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 
-// ParseTraceID parses the 32-hex-digit form produced by String.
-func ParseTraceID(s string) (TraceID, error) {
-	var t TraceID
-	if hex.DecodedLen(len(s)) != len(t) {
-		return TraceID{}, fmt.Errorf("trace: trace ID %q: want %d hex digits", s, 2*len(t))
-	}
-	if _, err := hex.Decode(t[:], []byte(s)); err != nil {
-		return TraceID{}, fmt.Errorf("trace: trace ID %q: %w", s, err)
-	}
-	return t, nil
-}
-
 // SpanID identifies one hop (or the root) of a traced operation. The
 // zero value means "no span".
 type SpanID [8]byte
@@ -58,18 +45,6 @@ func (s SpanID) IsZero() bool { return s == SpanID{} }
 
 // String renders s as 16 lowercase hex digits.
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
-
-// ParseSpanID parses the 16-hex-digit form produced by String.
-func ParseSpanID(s string) (SpanID, error) {
-	var x SpanID
-	if hex.DecodedLen(len(s)) != len(x) {
-		return SpanID{}, fmt.Errorf("trace: span ID %q: want %d hex digits", s, 2*len(x))
-	}
-	if _, err := hex.Decode(x[:], []byte(s)); err != nil {
-		return SpanID{}, fmt.Errorf("trace: span ID %q: %w", s, err)
-	}
-	return x, nil
-}
 
 // Context is the propagated trace context: which operation this
 // message belongs to and which span it is. The zero value is the

@@ -67,34 +67,28 @@ func TestContextValidityMatchesWireTrailer(t *testing.T) {
 	}
 }
 
-func TestIDStringParseRoundTrip(t *testing.T) {
+// Trace and span IDs render as fixed-width lowercase hex, the form
+// trace files and the admin surface carry.
+func TestIDString(t *testing.T) {
+	for _, tc := range []struct{ got, want string }{
+		{trace.TraceID{}.String(), "00000000000000000000000000000000"},
+		{someTrace.String(), "010000000000000000000000000000fe"},
+		{trace.SpanID{}.String(), "0000000000000000"},
+		{someSpan.String(), "02000000000000fd"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("ID renders as %q, want %q", tc.got, tc.want)
+		}
+	}
 	gen := trace.NewDeterministicGen(3)
-	for _, x := range []trace.TraceID{{}, someTrace, gen.TraceID(), trace.NewRandomGen().TraceID()} {
-		s := x.String()
-		if len(s) != 32 {
+	for _, x := range []trace.TraceID{gen.TraceID(), trace.NewRandomGen().TraceID()} {
+		if s := x.String(); len(s) != 32 {
 			t.Errorf("trace ID renders as %q, want 32 hex digits", s)
 		}
-		if back, err := trace.ParseTraceID(s); err != nil || back != x {
-			t.Errorf("ParseTraceID(%q) = %v, %v", s, back, err)
-		}
 	}
-	for _, x := range []trace.SpanID{{}, someSpan, gen.SpanID(), trace.NewRandomGen().SpanID()} {
-		s := x.String()
-		if len(s) != 16 {
+	for _, x := range []trace.SpanID{gen.SpanID(), trace.NewRandomGen().SpanID()} {
+		if s := x.String(); len(s) != 16 {
 			t.Errorf("span ID renders as %q, want 16 hex digits", s)
-		}
-		if back, err := trace.ParseSpanID(s); err != nil || back != x {
-			t.Errorf("ParseSpanID(%q) = %v, %v", s, back, err)
-		}
-	}
-	for _, bad := range []string{"", "0", someSpan.String(), someTrace.String() + "00", "g" + someTrace.String()[1:]} {
-		if _, err := trace.ParseTraceID(bad); err == nil {
-			t.Errorf("ParseTraceID(%q) accepted", bad)
-		}
-	}
-	for _, bad := range []string{"", "0", someTrace.String(), someSpan.String() + "00", "g" + someSpan.String()[1:]} {
-		if _, err := trace.ParseSpanID(bad); err == nil {
-			t.Errorf("ParseSpanID(%q) accepted", bad)
 		}
 	}
 }

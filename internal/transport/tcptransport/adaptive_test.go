@@ -16,11 +16,10 @@ import (
 // and the counters surface on /status.
 func TestTCPAdaptiveRTTSampling(t *testing.T) {
 	lc := liveness.Config{
-		ProbeInterval:  50 * time.Millisecond,
-		ProbeTimeout:   300 * time.Millisecond,
-		SuspectAfter:   3,
-		IndirectProbes: 2,
-		ConfirmRounds:  2,
+		ProbeInterval: 50 * time.Millisecond,
+		ProbeTimeout:  300 * time.Millisecond,
+		SuspectAfter:  3,
+		ConfirmRounds: 2,
 	}
 	rc := rtt.Config{MinRTO: 20 * time.Millisecond, MaxRTO: 2 * time.Second}
 	opts := core.Options{Timeouts: core.Timeouts{

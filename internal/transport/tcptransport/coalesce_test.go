@@ -1,6 +1,7 @@
 package tcptransport
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
 	"hypercube/internal/table"
+	"hypercube/internal/wire"
 )
 
 // frameSink is a raw TCP listener that counts frames and the envelopes
@@ -45,7 +47,7 @@ func newFrameSink(t *testing.T) *frameSink {
 				defer s.wg.Done()
 				defer conn.Close()
 				for {
-					payload, _, err := readFrame(conn, 1<<20, 0)
+					payload, _, err := readFrame(conn, maxFrameBytes, 0)
 					if err != nil {
 						return
 					}
@@ -105,26 +107,36 @@ func TestCoalescingBatchesEnvelopes(t *testing.T) {
 	}
 }
 
-// The coalescer must respect MaxFrameBytes by construction: frames stop
+// The coalescer must respect maxFrameBytes by construction: frames stop
 // growing before the limit, never after it.
 func TestCoalescerRespectsMaxFrameBytes(t *testing.T) {
 	sink := newFrameSink(t)
-	const limit = 512
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a08"), "127.0.0.1:0",
-		WithConfig(Config{dial: (&faultyDialer{latency: 40 * time.Millisecond}).dial, MaxFrameBytes: limit}))
+		WithConfig(Config{dial: (&faultyDialer{latency: 40 * time.Millisecond}).dial}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
 
-	// Table-carrying envelopes big enough that only a few fit per frame.
+	// A full table whose every address has the largest size the wire
+	// accepts, so that a batch of wire.MaxBatch of them overflows a frame.
 	tbl := table.New(p163, n.Ref().ID)
-	tbl.Set(0, 1, table.Neighbor{ID: id.MustParse(p163, "111"), Addr: "127.0.0.1:19001", State: table.StateS})
-	tbl.Set(1, 2, table.Neighbor{ID: id.MustParse(p163, "221"), Addr: "127.0.0.1:19002", State: table.StateT})
-	tbl.Set(2, 3, table.Neighbor{ID: id.MustParse(p163, "3bc"), Addr: "127.0.0.1:19003", State: table.StateS})
+	for level := 0; level < p163.D; level++ {
+		for digit := 0; digit < p163.B; digit++ {
+			addr := fmt.Sprintf("%0*d", wire.MaxAddr, level*p163.B+digit)
+			tbl.Set(level, digit, table.Neighbor{ID: id.MustParse(p163, "111"), Addr: addr, State: table.StateS})
+		}
+	}
 	snap := tbl.Snapshot()
 	to := table.Ref{ID: id.MustParse(p163, "f08"), Addr: sink.ln.Addr().String()}
-	const burst = 30
+	one, err := wire.EncodePayload(p163, msg.Envelope{From: n.Ref(), To: to, Msg: msg.SyncPush{Table: snap}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire.MaxBatch*len(one) <= maxFrameBytes {
+		t.Fatalf("%d envelopes of %d bytes fit one frame; the bound would never bind", wire.MaxBatch, len(one))
+	}
+	burst := 2 * wire.MaxBatch
 	envs := make([]msg.Envelope, burst)
 	for i := range envs {
 		envs[i] = msg.Envelope{From: n.Ref(), To: to, Msg: msg.SyncPush{Table: snap}}
@@ -132,9 +144,9 @@ func TestCoalescerRespectsMaxFrameBytes(t *testing.T) {
 	if err := n.sendAll(envs); err != nil {
 		t.Fatal(err)
 	}
-	awaitInt64(t, "bounded-frame envelopes", sink.envelopes.Load, burst)
-	if got := sink.maxSeen.Load(); got > limit {
-		t.Errorf("frame payload of %d bytes exceeds MaxFrameBytes %d", got, limit)
+	awaitInt64(t, "bounded-frame envelopes", sink.envelopes.Load, int64(burst))
+	if got := sink.maxSeen.Load(); got > maxFrameBytes {
+		t.Errorf("frame payload of %d bytes exceeds maxFrameBytes %d", got, maxFrameBytes)
 	}
 	if sink.coalesced.Load() == 0 {
 		t.Error("no frame carried more than one envelope (bound test proved nothing)")

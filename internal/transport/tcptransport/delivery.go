@@ -16,51 +16,22 @@ import (
 	"hypercube/internal/wire"
 )
 
-// Config tunes the reliable-delivery layer. The zero value is usable:
-// every field falls back to the default documented on it.
+// Config selects a node's optional parts and its observability. The
+// zero value is usable: a bare protocol node polling every 20ms.
 //
-// The paper's correctness argument (Theorems 1–2) assumes reliable
-// message passing; over real networks that assumption must be earned.
-// Each node therefore keeps one bounded outbound queue per peer. While
-// a queue holds envelopes, one writer goroutine drains it: it dials on
-// demand, redials on stale connections, retries failed deliveries with
-// exponential backoff plus jitter, and exits once the queue is empty.
-// Messages that exhaust their attempts are dead-lettered and surface in
-// msg.Counters as Dropped.
+// The reliable-delivery layer itself has no knobs. The paper's
+// correctness argument (Theorems 1–2) assumes reliable message passing;
+// over real networks that assumption must be earned. Each node
+// therefore keeps one outbound queue of at most queueLimit envelopes
+// per peer. While a queue holds envelopes, one writer goroutine drains
+// it: it dials on demand (dialTimeout), redials on stale connections,
+// makes up to maxAttempts tries per frame with exponential backoff from
+// baseBackoff to maxBackoff plus jitter, and exits once the queue is
+// empty. Messages that exhaust their attempts are dead-lettered and
+// surface in msg.Counters as Dropped.
 type Config struct {
-	// MaxAttempts is the number of delivery attempts per envelope
-	// (dial + write counts as one attempt). Default 5.
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; it doubles per
-	// subsequent retry. Default 10ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff. Default 1s.
-	MaxBackoff time.Duration
-	// DialTimeout bounds each TCP dial. Default 5s.
-	DialTimeout time.Duration
-	// QueueLimit bounds each per-peer outbound queue; envelopes that
-	// would overflow it are dead-lettered. Default 4096.
-	QueueLimit int
 	// PollInterval is AwaitStatus's polling period. Default 20ms.
 	PollInterval time.Duration
-	// MaxFrameBytes bounds the payload of one inbound wire frame; a peer
-	// declaring a bigger frame is disconnected before the payload is
-	// read. Default 1 MiB.
-	MaxFrameBytes int
-	// ReadIdleTimeout bounds how long an inbound connection may sit
-	// without completing a frame before it is closed (the remote writer
-	// redials on demand). Default 2m.
-	ReadIdleTimeout time.Duration
-	// DecodeErrorBudget is how many malformed frames one inbound
-	// connection may deliver before it is disconnected. Default 8.
-	DecodeErrorBudget int
-	// InboundRate caps envelopes accepted per second on one inbound
-	// connection (token bucket; excess reads stall, letting TCP
-	// backpressure the sender). Default 2000.
-	InboundRate float64
-	// InboundBurst is the token-bucket depth for InboundRate.
-	// Default 4000.
-	InboundBurst int
 	// Liveness enables the failure detector: the node probes table and
 	// reverse neighbors and declares unresponsive peers failed. Nil
 	// disables it. (Machine.Tick — join timeouts, repair — runs whenever
@@ -102,44 +73,14 @@ type Config struct {
 	TraceSample float64
 
 	// dial opens every outbound connection; net.DialTimeout over TCP by
-	// default. Tests substitute a dialer whose connections fail, delay
-	// or drop writes.
+	// default. Tests substitute a dialer that blocks, or one whose
+	// connections fail, delay or drop writes.
 	dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = 4096
-	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 20 * time.Millisecond
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 1 << 20
-	}
-	if c.ReadIdleTimeout <= 0 {
-		c.ReadIdleTimeout = 2 * time.Minute
-	}
-	if c.DecodeErrorBudget <= 0 {
-		c.DecodeErrorBudget = 8
-	}
-	if c.InboundRate <= 0 {
-		c.InboundRate = 2000
-	}
-	if c.InboundBurst <= 0 {
-		c.InboundBurst = 4000
 	}
 	if c.dial == nil {
 		c.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -149,10 +90,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// writeTimeout bounds each outbound frame write; a stalled peer fails
-// the attempt into the normal retry path instead of wedging the writer
-// goroutine.
-const writeTimeout = 10 * time.Second
+// The delivery layer's bounds. Every deployment runs these values.
+const (
+	// maxAttempts is the number of delivery attempts per frame (dial +
+	// write counts as one attempt).
+	maxAttempts = 5
+	// baseBackoff is the delay before the first retry; it doubles per
+	// subsequent retry up to maxBackoff.
+	baseBackoff = 10 * time.Millisecond
+	maxBackoff  = time.Second
+	// dialTimeout bounds each TCP dial.
+	dialTimeout = 5 * time.Second
+	// queueLimit bounds each per-peer outbound queue; envelopes that
+	// would overflow it are dead-lettered.
+	queueLimit = 4096
+	// writeTimeout bounds each outbound frame write; a stalled peer
+	// fails the attempt into the normal retry path instead of wedging
+	// the writer goroutine.
+	writeTimeout = 10 * time.Second
+)
 
 // Option adjusts a node's Config at start time; options apply in order.
 // WithConfig replaces the whole configuration, and each of the others
@@ -211,7 +167,7 @@ type peerQueue struct {
 func (n *Node) push(pq *peerQueue, env msg.Envelope) bool {
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
-	if pq.closed || len(pq.queue) >= n.cfg.QueueLimit {
+	if pq.closed || len(pq.queue) >= queueLimit {
 		return false
 	}
 	pq.queue = append(pq.queue, env)
@@ -330,7 +286,7 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &
 
 // deliverBatch writes one batch of envelopes to the peer, coalesced
 // greedily into multi-envelope frames: a frame is flushed when appending
-// the next envelope would push its payload past MaxFrameBytes (so every
+// the next envelope would push its payload past maxFrameBytes (so every
 // coalesced frame respects the receiver's limit by construction) or when
 // it reaches wire.MaxBatch records.
 func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
@@ -368,10 +324,10 @@ func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
 			n.countDropped(env.Msg.Type())
 			continue
 		}
-		if len(next)-frameHeaderLen > n.cfg.MaxFrameBytes && len(kinds) > 0 {
+		if len(next)-frameHeaderLen > maxFrameBytes && len(kinds) > 0 {
 			// Doesn't fit alongside the others: flush what we have and
 			// re-append into a fresh frame. A lone envelope bigger than
-			// MaxFrameBytes still ships in its own frame (the receiver's
+			// maxFrameBytes still ships in its own frame (the receiver's
 			// limit, not ours, judges it).
 			frame = next[:mark]
 			flush()
@@ -393,13 +349,13 @@ func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
 	framePool.Put(bufp)
 }
 
-// sendFrame makes up to MaxAttempts tries at writing one pre-encoded
+// sendFrame makes up to maxAttempts tries at writing one pre-encoded
 // frame, redialing as needed, backing off exponentially (with jitter)
 // between tries. Retries and exhaustion are counted once per envelope
 // the frame carries; exhausted envelopes are dead-lettered into the
 // node's counters.
 func (n *Node) sendFrame(pq *peerQueue, frame []byte, kinds []msg.Type) {
-	for attempt := 1; attempt <= n.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
 			for _, t := range kinds {
 				n.countRetried(t)
@@ -418,12 +374,12 @@ func (n *Node) sendFrame(pq *peerQueue, frame []byte, kinds []msg.Type) {
 }
 
 // backoff returns the delay before the retry-th retry: exponential from
-// BaseBackoff, capped at MaxBackoff, plus up to 50% random jitter so
+// baseBackoff, capped at maxBackoff, plus up to 50% random jitter so
 // synchronized retry storms decorrelate.
 func (n *Node) backoff(retry int) time.Duration {
-	d := n.cfg.BaseBackoff << (retry - 1)
-	if d > n.cfg.MaxBackoff || d <= 0 {
-		d = n.cfg.MaxBackoff
+	d := baseBackoff << (retry - 1)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
@@ -449,7 +405,7 @@ func (n *Node) sleep(d time.Duration) bool {
 func (n *Node) writeOnce(pq *peerQueue, frame []byte) bool {
 	conn := pq.current()
 	if conn == nil {
-		c, err := n.cfg.dial(pq.addr, n.cfg.DialTimeout)
+		c, err := n.cfg.dial(pq.addr, dialTimeout)
 		if err != nil {
 			return false
 		}
@@ -481,7 +437,7 @@ func (n *Node) enqueue(env msg.Envelope) error {
 	n.peersMu.Unlock()
 	if !n.push(pq, env) {
 		n.countDropped(env.Msg.Type())
-		return fmt.Errorf("tcptransport: outbound queue to %s full (limit %d)", env.To.Addr, n.cfg.QueueLimit)
+		return fmt.Errorf("tcptransport: outbound queue to %s full (limit %d)", env.To.Addr, queueLimit)
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func newEnvelopeSink(t *testing.T) *envelopeSink {
 				defer s.live.Add(-1)
 				defer conn.Close()
 				for {
-					payload, _, err := readFrame(conn, 1<<20, 0)
+					payload, _, err := readFrame(conn, maxFrameBytes, 0)
 					if err != nil {
 						return
 					}
@@ -99,8 +99,7 @@ func awaitInt64(t *testing.T, what string, get func() int64, want int64) {
 // peers. (The seed transport aborted the loop on the first error.)
 func TestSendAllDeliversPastFailures(t *testing.T) {
 	sink := newEnvelopeSink(t)
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a00"), "127.0.0.1:0",
-		WithConfig(Config{DialTimeout: 200 * time.Millisecond, MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a00"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +129,7 @@ func TestSendAllDeliversPastFailures(t *testing.T) {
 // closing it when two failed sends raced.)
 func TestRedialClosesDisplacedConnection(t *testing.T) {
 	sink := newEnvelopeSink(t)
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a01"), "127.0.0.1:0",
-		WithConfig(Config{BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}))
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a01"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +171,7 @@ func TestRedialClosesDisplacedConnection(t *testing.T) {
 // seed transport returned from readLoop when sendAll errored, so a dead
 // reply address tore down a healthy peer link.)
 func TestReadLoopSurvivesOutboundFailure(t *testing.T) {
-	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a02"), "127.0.0.1:0",
-		WithConfig(Config{DialTimeout: 200 * time.Millisecond, MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
+	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a02"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,27 +239,38 @@ func TestAwaitStatusPollsGently(t *testing.T) {
 	}
 }
 
-// Queue overflow must dead-letter, not block or grow without bound.
+// Queue overflow must dead-letter, not block or grow without bound: with
+// the writer parked, queueLimit envelopes queue and the next one is
+// refused.
 func TestQueueOverflowDeadLetters(t *testing.T) {
+	dialer := newParkingDialer()
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a04"), "127.0.0.1:0",
-		WithConfig(Config{QueueLimit: 1, DialTimeout: 200 * time.Millisecond, MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
+		WithConfig(Config{dial: dialer.dial}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
+	defer close(dialer.release)
 
 	dead := table.Ref{ID: id.MustParse(p163, "b55"), Addr: "127.0.0.1:1"}
-	sawError := false
-	for i := 0; i < 8; i++ {
-		if err := n.sendAll([]msg.Envelope{{From: n.Ref(), To: dead, Msg: msg.JoinWait{}}}); err != nil {
-			sawError = true
+	send := func() error {
+		return n.sendAll([]msg.Envelope{{From: n.Ref(), To: dead, Msg: msg.JoinWait{}}})
+	}
+	// The first envelope starts the writer, which parks holding it.
+	if err := send(); err != nil {
+		t.Fatal(err)
+	}
+	awaitInt64(t, "parked dials", dialer.parked.Load, 1)
+	for i := 0; i < queueLimit; i++ {
+		if err := send(); err != nil {
+			t.Fatalf("envelope %d of a %d-slot queue refused: %v", i+1, queueLimit, err)
 		}
 	}
-	if !sawError {
-		t.Fatal("overflowing a 1-slot queue never errored")
+	if err := send(); err == nil {
+		t.Fatalf("envelope %d overflowed a %d-slot queue without error", queueLimit+1, queueLimit)
 	}
-	if c := n.Counters(); c.TotalDropped() == 0 {
-		t.Fatal("overflow not dead-lettered in counters")
+	if c := n.Counters(); c.TotalDropped() != 1 {
+		t.Fatalf("overflow dead-lettered %d envelopes, want 1", c.TotalDropped())
 	}
 }
 
@@ -274,12 +282,7 @@ func TestJoinUnderInjectedFaults(t *testing.T) {
 	faults := newFaultyDialer(7)
 	faults.setDropRate(0.10)
 	faults.killEvery = 40 // sprinkle connection kills on top of drops
-	opts := []Option{WithConfig(Config{
-		dial:        faults.dial,
-		MaxAttempts: 10,
-		BaseBackoff: 2 * time.Millisecond,
-		MaxBackoff:  50 * time.Millisecond,
-	})}
+	opts := []Option{WithConfig(Config{dial: faults.dial})}
 
 	rng := rand.New(rand.NewSource(11))
 	seen := make(map[id.ID]bool)
@@ -363,8 +366,7 @@ func TestJoinUnderInjectedFaults(t *testing.T) {
 // A redial after a receiver restart must converge on a single healthy
 // connection and deliver everything queued meanwhile.
 func TestRedialAfterPeerRestart(t *testing.T) {
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a05"), "127.0.0.1:0",
-		WithConfig(Config{MaxAttempts: 20, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}))
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a05"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +390,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 			go func() {
 				defer c.Close()
 				for {
-					payload, _, err := readFrame(c, 1<<20, 0)
+					payload, _, err := readFrame(c, maxFrameBytes, 0)
 					if err != nil {
 						return
 					}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -88,6 +89,25 @@ func (c *faultyConn) Write(b []byte) (int, error) {
 		c.Conn.Close()
 	}
 	return n, err
+}
+
+// parkingDialer parks every writer that dials: each dial blocks, with
+// the writer's batch in hand, until release is closed, then fails.
+type parkingDialer struct {
+	parked  atomic.Int64 // dials begun
+	release chan struct{}
+}
+
+func newParkingDialer() *parkingDialer {
+	return &parkingDialer{release: make(chan struct{})}
+}
+
+var errParkedDial = errors.New("tcptransport test: parked dial released")
+
+func (d *parkingDialer) dial(string, time.Duration) (net.Conn, error) {
+	d.parked.Add(1)
+	<-d.release
+	return nil, errParkedDial
 }
 
 // killConnections force-closes every live outbound connection of n and

@@ -21,7 +21,7 @@ import (
 // The header's top bit is set on every frame this node writes; the low
 // 31 bits are the payload length, which caps any payload at
 // maxFramePayload — large enough for every frame the coalescer can build
-// (MaxFrameBytes tops out well below it) and small enough that the
+// (maxFrameBytes is far below it) and small enough that the
 // length prefix can never be silently truncated. A frame that arrives
 // with the bit clear is not in this format (DESIGN.md, "Wire format"):
 // the reader consumes it to its boundary and counts it as undecodable.
@@ -37,7 +37,7 @@ const flagBinary = uint32(1) << 31
 const maxFramePayload = int(flagBinary) - 1
 
 // errFrameTooBig marks a frame whose declared payload exceeds the
-// configured maximum: the reader disconnects without reading the payload.
+// reader's maximum: the reader disconnects without reading the payload.
 var errFrameTooBig = errors.New("tcptransport: frame exceeds size limit")
 
 // errPayloadTooBig marks an outbound payload too large for the 31-bit

@@ -86,11 +86,10 @@ func awaitClosed(t *testing.T, conn net.Conn) {
 	}
 }
 
-// A frame declaring more bytes than MaxFrameBytes must cost the peer its
+// A frame declaring more bytes than maxFrameBytes must cost the peer its
 // connection before the payload is read, and be visible in the counters.
 func TestOversizedFrameDisconnects(t *testing.T) {
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a10"), "127.0.0.1:0",
-		WithConfig(Config{MaxFrameBytes: 1024}))
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a10"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestOversizedFrameDisconnects(t *testing.T) {
 
 	conn := dialNode(t, n)
 	header := make([]byte, frameHeaderLen)
-	binary.BigEndian.PutUint32(header, 1<<20)
+	binary.BigEndian.PutUint32(header, uint32(maxFrameBytes+1)|flagBinary)
 	if _, err := conn.Write(header); err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +107,8 @@ func TestOversizedFrameDisconnects(t *testing.T) {
 }
 
 // A frame's declared length is not an allocation: 32 peers that each
-// declare a MaxFrameBytes frame and then stall after 16 bytes must not
-// make the node reserve 32 MiB (it used to, until ReadIdleTimeout).
+// declare a maxFrameBytes frame and then stall after 16 bytes must not
+// make the node reserve 32 MiB (it used to, until readIdleTimeout).
 func TestStalledFramePinsWhatArrived(t *testing.T) {
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a12"), "127.0.0.1:0")
 	if err != nil {
@@ -128,7 +127,7 @@ func TestStalledFramePinsWhatArrived(t *testing.T) {
 	for i := 0; i < conns; i++ {
 		conn := dialNode(t, n)
 		frame := make([]byte, frameHeaderLen+16)
-		binary.BigEndian.PutUint32(frame, uint32(n.cfg.MaxFrameBytes)|flagBinary)
+		binary.BigEndian.PutUint32(frame, uint32(maxFrameBytes)|flagBinary)
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +160,7 @@ func TestReadFrameGrowsToDeclaredSize(t *testing.T) {
 			client.Write(frame[:len(frame)-cut])
 			client.Close()
 		}()
-		got, isBinary, err := readFrame(server, 1<<20, 0)
+		got, isBinary, err := readFrame(server, maxFrameBytes, 0)
 		server.Close()
 		switch {
 		case cut > 0 && err == nil:
@@ -176,17 +175,15 @@ func TestReadFrameGrowsToDeclaredSize(t *testing.T) {
 // bad frames up to the decode-error budget — and still delivers valid
 // frames in between — then is torn down when the budget is exhausted.
 func TestDecodeErrorBudgetDisconnects(t *testing.T) {
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a11"), "127.0.0.1:0",
-		WithConfig(Config{DecodeErrorBudget: 3, DialTimeout: 50 * time.Millisecond,
-			MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a11"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
 
 	conn := dialNode(t, n)
-	// Two junk frames: within budget, connection must survive.
-	for i := 0; i < 2; i++ {
+	// One junk frame short of the budget: the connection must survive.
+	for i := 0; i < decodeErrorBudget-1; i++ {
 		if _, err := conn.Write(junkFrame(t, 16)); err != nil {
 			t.Fatal(err)
 		}
@@ -200,40 +197,51 @@ func TestDecodeErrorBudgetDisconnects(t *testing.T) {
 	if got := n.Stats().Inbound.Disconnects; got != 0 {
 		t.Fatalf("disconnects = %d before budget exhausted, want 0", got)
 	}
-	// Third junk frame exhausts the budget.
+	// The next junk frame exhausts the budget.
 	if _, err := conn.Write(junkFrame(t, 16)); err != nil {
 		t.Fatal(err)
 	}
 	awaitClosed(t, conn)
-	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, 3)
+	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, decodeErrorBudget)
 	awaitInt64(t, "guard disconnects", func() int64 { return n.Stats().Inbound.Disconnects }, 1)
 }
 
 // A peer pushing envelopes faster than the inbound rate limit is
-// stalled (backpressured through TCP), and the stalls are counted.
-// Tokens are charged per envelope, so five envelopes coalesced into one
-// frame are throttled exactly like five frames.
+// stalled (backpressured through TCP), and the stalls are counted. The
+// envelopes are SamplePushes, which a node without a sampler counts and
+// drops, so the node takes them far faster than the limiter refills:
+// a quarter of a bucket more than inboundBurst empties it unless the
+// node handles fewer than 5·inboundRate envelopes a second. Tokens are
+// charged per envelope, so envelopes coalesced wire.MaxBatch to a frame
+// are throttled exactly like a frame each.
 func TestInboundRateLimitThrottles(t *testing.T) {
-	for name, coalesced := range map[string]bool{"frame per envelope": false, "one coalesced frame": true} {
+	const burst = inboundBurst + inboundBurst/4
+	for name, perFrame := range map[string]int{"frame per envelope": 1, "coalesced frames": wire.MaxBatch} {
 		t.Run(name, func(t *testing.T) {
-			n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a12"), "127.0.0.1:0",
-				WithConfig(Config{InboundRate: 20, InboundBurst: 2, DialTimeout: 50 * time.Millisecond,
-					MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
+			n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a12"), "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer n.Close()
 
-			env := cpRstFrom(n, "b21")
-			burst := binaryFrame(t, env, env, env, env, env)
-			if !coalesced {
-				burst = bytes.Repeat(binaryFrame(t, env), 5)
+			push := cpRstFrom(n, "b21")
+			push.Msg = msg.SamplePush{}
+			envs := make([]msg.Envelope, perFrame)
+			for i := range envs {
+				envs[i] = push
 			}
-			if _, err := dialNode(t, n).Write(burst); err != nil {
+			var stream []byte
+			for sent := 0; sent < burst; sent += perFrame {
+				stream = append(stream, binaryFrame(t, envs[:min(perFrame, burst-sent)]...)...)
+			}
+			if _, err := dialNode(t, n).Write(stream); err != nil {
 				t.Fatal(err)
 			}
 			awaitInt64(t, "throttled inbound", func() int64 { return n.Stats().Inbound.Throttled }, 1)
-			awaitInt64(t, "CpRst received", func() int64 { return receivedCpRst(n) }, 5)
+			awaitInt64(t, "SamplePush received", func() int64 {
+				c := n.Counters()
+				return int64(c.ReceivedOf(msg.TSamplePush))
+			}, burst)
 		})
 	}
 }
@@ -241,9 +249,7 @@ func TestInboundRateLimitThrottles(t *testing.T) {
 // A malformed record rejects the rest of its frame, but the records
 // before it were already handled and the frame costs one decode error.
 func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a14"), "127.0.0.1:0",
-		WithConfig(Config{DialTimeout: 50 * time.Millisecond,
-			MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a14"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,9 +284,7 @@ func TestMalformedRecordKeepsEarlierEnvelopes(t *testing.T) {
 // it carries: it is consumed to its boundary, charged to the decode-error
 // budget, and never delivered.
 func TestTopBitClearFrameIsDecodeError(t *testing.T) {
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a15"), "127.0.0.1:0",
-		WithConfig(Config{DecodeErrorBudget: 2, DialTimeout: 50 * time.Millisecond,
-			MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a15"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +312,14 @@ func TestTopBitClearFrameIsDecodeError(t *testing.T) {
 	if got := n.Stats().Inbound.Disconnects; got != 0 {
 		t.Fatalf("disconnects = %d before budget exhausted, want 0", got)
 	}
-	if _, err := conn.Write(clear); err != nil {
-		t.Fatal(err)
+	// The rest of the budget in top-bit-clear frames disconnects.
+	for i := 1; i < decodeErrorBudget; i++ {
+		if _, err := conn.Write(clear); err != nil {
+			t.Fatal(err)
+		}
 	}
 	awaitClosed(t, conn)
-	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, 2)
+	awaitInt64(t, "decode errors", func() int64 { return n.Stats().Inbound.DecodeErrors }, decodeErrorBudget)
 	awaitInt64(t, "guard disconnects", func() int64 { return n.Stats().Inbound.Disconnects }, 1)
 	if got := receivedCpRst(n); got != 1 {
 		t.Fatalf("CpRst received = %d, want 1", got)
@@ -367,8 +374,7 @@ func TestFrameHeaderGolden(t *testing.T) {
 
 // The hostile-input counters are served on /status and /metrics.
 func TestAdminExposesGuardCounters(t *testing.T) {
-	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a13"), "127.0.0.1:0",
-		WithConfig(Config{DecodeErrorBudget: 8}))
+	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a13"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,17 +20,16 @@ import (
 // /status endpoint must expose the detector's counters throughout.
 func TestTCPCrashDetectionAndRepair(t *testing.T) {
 	lc := liveness.Config{
-		ProbeInterval:  50 * time.Millisecond,
-		ProbeTimeout:   200 * time.Millisecond,
-		SuspectAfter:   2,
-		IndirectProbes: 2,
-		ConfirmRounds:  2,
+		ProbeInterval: 50 * time.Millisecond,
+		ProbeTimeout:  200 * time.Millisecond,
+		SuspectAfter:  2,
+		ConfirmRounds: 2,
 	}
 	opts := core.Options{Timeouts: core.Timeouts{
 		RetryAfter:  250 * time.Millisecond,
 		MaxAttempts: 4,
 	}}
-	options := []Option{WithConfig(Config{Liveness: &lc, MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond})}
+	options := []Option{WithLiveness(lc)}
 
 	seed, err := StartSeed(p163, opts, id.MustParse(p163, "abc"), "127.0.0.1:0", options...)
 	if err != nil {

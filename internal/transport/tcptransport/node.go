@@ -269,21 +269,33 @@ func (n *Node) SeedSamplingPeers(refs ...table.Ref) {
 	}
 }
 
+// acceptBackoffMin and acceptBackoffMax bound the pause after a failed
+// Accept, as in net/http.Server: 5ms doubling to 1s, reset by the next
+// accepted connection.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
+	var delay time.Duration
 	for {
 		conn, err := n.ln.Accept()
 		if err != nil {
-			select {
-			case <-n.done:
-				return
-			default:
-			}
 			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			// Any other error (EMFILE when the process is out of file
+			// descriptors) would recur at once: retrying without a pause
+			// burns a core until descriptors free up.
+			delay = min(max(2*delay, acceptBackoffMin), acceptBackoffMax)
+			if !n.sleep(delay) {
 				return
 			}
 			continue
 		}
+		delay = 0
 		n.peersMu.Lock()
 		if n.closed {
 			n.peersMu.Unlock()
@@ -296,6 +308,27 @@ func (n *Node) acceptLoop() {
 		go n.readLoop(conn)
 	}
 }
+
+// The inbound hardening bounds (see readLoop). Every deployment runs
+// these values.
+const (
+	// maxFrameBytes bounds the payload of one inbound wire frame; a peer
+	// declaring a bigger frame is disconnected before the payload is
+	// read. The coalescer builds no bigger frame.
+	maxFrameBytes = 1 << 20
+	// readIdleTimeout bounds how long an inbound connection may sit
+	// without completing a frame before it is closed (the remote writer
+	// redials on demand).
+	readIdleTimeout = 2 * time.Minute
+	// decodeErrorBudget is how many malformed frames one inbound
+	// connection may deliver before it is disconnected.
+	decodeErrorBudget = 8
+	// inboundRate caps envelopes accepted per second on one inbound
+	// connection (token bucket; excess reads stall, letting TCP
+	// backpressure the sender); inboundBurst is the bucket's depth.
+	inboundRate  = 2000
+	inboundBurst = 4000
+)
 
 // errReadLoopStopped signals that a per-envelope stage (token wait)
 // aborted because the node is shutting down; it is not a decode error.
@@ -313,24 +346,21 @@ func (n *Node) readLoop(conn net.Conn) {
 		delete(n.accepted, conn)
 		n.peersMu.Unlock()
 	}()
-	budget := n.cfg.DecodeErrorBudget
+	budget := decodeErrorBudget
 	// Per-connection token bucket: a peer pushing envelopes faster than
-	// InboundRate stalls here, which backpressures it through TCP instead
+	// inboundRate stalls here, which backpressures it through TCP instead
 	// of letting it monopolize the machine lock. Tokens are charged per
 	// envelope, not per frame, so a coalesced frame cannot smuggle
 	// wire.MaxBatch envelopes past the limiter for one token.
-	tokens := float64(n.cfg.InboundBurst)
+	tokens := float64(inboundBurst)
 	last := time.Now()
 	takeToken := func() bool {
 		now := time.Now()
-		tokens += now.Sub(last).Seconds() * n.cfg.InboundRate
-		if max := float64(n.cfg.InboundBurst); tokens > max {
-			tokens = max
-		}
+		tokens = min(tokens+now.Sub(last).Seconds()*inboundRate, inboundBurst)
 		last = now
 		if tokens < 1 {
 			n.throttledInbound.Add(1)
-			wait := time.Duration((1 - tokens) / n.cfg.InboundRate * float64(time.Second))
+			wait := time.Duration((1 - tokens) / inboundRate * float64(time.Second))
 			if !n.sleep(wait) {
 				return false
 			}
@@ -341,7 +371,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		return true
 	}
 	for {
-		payload, isBinary, err := readFrame(conn, n.cfg.MaxFrameBytes, n.cfg.ReadIdleTimeout)
+		payload, isBinary, err := readFrame(conn, maxFrameBytes, readIdleTimeout)
 		if err != nil {
 			if errors.Is(err, errFrameTooBig) {
 				n.oversizedFrames.Add(1)

@@ -3,7 +3,10 @@ package tcptransport
 import (
 	"context"
 	"math/rand"
+	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -276,7 +279,7 @@ func TestTCPJoinTimeoutResendsWithoutLiveness(t *testing.T) {
 	faults := newFaultyDialer(1)
 	faults.setDropRate(1)
 	joiner, err := StartJoiner(p163, opts, id.MustParse(p163, "b01"), "127.0.0.1:0",
-		WithConfig(Config{dial: faults.dial, MaxAttempts: 1}))
+		WithConfig(Config{dial: faults.dial}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,5 +301,34 @@ func TestTCPJoinTimeoutResendsWithoutLiveness(t *testing.T) {
 	defer cancel()
 	if err := joiner.AwaitStatus(ctx, core.StatusInSystem); err != nil {
 		t.Fatalf("join never recovered from the lost CpRst: %v", err)
+	}
+}
+
+// emfileListener fails every Accept the way a listener does when the
+// process is out of file descriptors, and counts the calls.
+type emfileListener struct {
+	net.Listener // nil: only Accept is called
+	accepts      atomic.Int64
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	l.accepts.Add(1)
+	return nil, syscall.EMFILE
+}
+
+// A failing Accept must not spin: the accept loop pauses 5ms, 10ms,
+// 20ms, ... between failures, so 50ms of EMFILE costs four calls, not
+// millions.
+func TestAcceptLoopBacksOffOnError(t *testing.T) {
+	ln := &emfileListener{}
+	n := &Node{ln: ln, done: make(chan struct{})}
+	n.wg.Add(1)
+	go n.acceptLoop()
+	time.Sleep(50 * time.Millisecond)
+	close(n.done)
+	n.wg.Wait()
+	// Four calls fit; the slack is for a slow scheduler.
+	if got := ln.accepts.Load(); got < 2 || got > 8 {
+		t.Fatalf("%d Accept calls in 50ms of EMFILE, want 2..8", got)
 	}
 }

@@ -210,7 +210,7 @@ type Stats struct {
 }
 
 // InboundStats are the inbound connection-hardening counters (see
-// readLoop): malformed frames, frames over Config.MaxFrameBytes,
+// readLoop): malformed frames, frames over maxFrameBytes,
 // envelopes stalled by the inbound rate limiter, and connections
 // dropped for exhausting the decode-error budget or declaring an
 // oversized frame.

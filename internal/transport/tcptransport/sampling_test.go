@@ -16,11 +16,10 @@ import (
 // counters.
 func TestTCPSamplingRounds(t *testing.T) {
 	sc := sampling.Config{
-		ViewSize: 8,
 		Interval: 100 * time.Millisecond,
 		Seed:     31,
 	}
-	options := []Option{WithConfig(Config{Sampling: &sc, MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond})}
+	options := []Option{WithSampling(sc)}
 
 	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "abc"), "127.0.0.1:0", options...)
 	if err != nil {

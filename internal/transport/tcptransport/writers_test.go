@@ -107,7 +107,7 @@ func TestWriterHandoffKeepsOrder(t *testing.T) {
 				defer done.Done()
 				defer conn.Close()
 				for {
-					payload, _, err := readFrame(conn, 1<<20, 0)
+					payload, _, err := readFrame(conn, maxFrameBytes, 0)
 					if err != nil {
 						return
 					}
@@ -177,12 +177,14 @@ func TestWriterHandoffKeepsOrder(t *testing.T) {
 	}
 }
 
-// Close in the middle of a burst to an unreachable peer returns promptly,
-// dead-letters every envelope exactly once — the writer's in-flight batch
-// and everything still queued — and leaves no writer running.
+// Close in the middle of a burst to an unreachable peer dead-letters
+// every envelope exactly once — the writer's in-flight batch and
+// everything still queued — returns as soon as the writer's dial gives
+// up, and leaves no writer running.
 func TestCloseDuringBurst(t *testing.T) {
+	dialer := newParkingDialer()
 	n, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a31"), "127.0.0.1:0",
-		WithConfig(Config{DialTimeout: 200 * time.Millisecond, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
+		WithConfig(Config{dial: dialer.dial}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,18 +195,26 @@ func TestCloseDuringBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The first dial fails at once, so the writer is parked in its
-	// hour-long backoff when Close arrives.
-	awaitInt64(t, "retries", func() int64 {
+	// The writer is parked in its dial with its batch in hand; the rest
+	// of the burst waits in the queue.
+	awaitInt64(t, "parked dials", dialer.parked.Load, 1)
+	n.peersMu.Lock()
+	queued := n.peers[dead.Addr].depth()
+	n.peersMu.Unlock()
+	closed := make(chan error, 1)
+	go func() { closed <- n.Close() }()
+	// Close dead-letters the queue before it waits for the writer.
+	awaitInt64(t, "queued envelopes dead-lettered", func() int64 {
 		c := n.Counters()
-		return int64(c.TotalRetried())
-	}, 1)
+		return int64(c.DroppedOf(msg.TJoinWait))
+	}, int64(queued))
 	began := time.Now()
-	if err := n.Close(); err != nil {
+	close(dialer.release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(began); took > 2*time.Second {
-		t.Errorf("Close took %v during a burst", took)
+		t.Errorf("Close took %v after the writer's dial failed", took)
 	}
 	c := n.Counters()
 	if got := c.DroppedOf(msg.TJoinWait); got != burst {
