@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race loc knobs bench bench-smoke bench-all vet fmt lint deadcode cover experiments experiments-check fleettrace-smoke fuzz-smoke nemesis-smoke
+.PHONY: all build test race loc knobs allocs bench bench-smoke bench-all vet fmt lint deadcode cover experiments experiments-check fleettrace-smoke fuzz-smoke nemesis-smoke
 
 all: build lint deadcode test experiments-check fuzz-smoke nemesis-smoke fleettrace-smoke bench-smoke
 
@@ -39,6 +39,16 @@ knobs:
 		awk '/^type [A-Za-z]+ struct \{$$/ {f=1; next} /^\}/ {f=0} \
 			f && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) {s=substr($$0, 1, RLENGTH); n += gsub(/,/, "", s) + 1} \
 			END {print n + 0}'
+
+# allocs is the tracked steady-state cost of keeping a network: the
+# allocations per node per 50 ms pump tick of a converged, fault-free
+# 128-node simulated network, on the package defaults and on
+# node.Shipped, as TestSteadyTickAllocBudget measures and bounds them.
+# One definition, so "allocs" in CHANGES.md always means these two
+# numbers (1.93 and 3.86 before every part returned a buffer it owns).
+allocs:
+	@bash -o pipefail -c '$(GO) test -count=1 -run "^TestSteadyTickAllocBudget$$" -v ./internal/overlay | \
+		sed -n "s/.*: \([a-z]*\): \([0-9.]*\) allocations per node-tick$$/\1 \2/p"'
 
 # bench runs the repository benchmark (./bench, BENCHMARK.json) at its
 # own run length, one workload after another; each prints its metrics as

@@ -96,6 +96,11 @@ type Engine struct {
 	sink     obs.Sink
 	selfName string
 	tracer   *trace.Tracer
+
+	// Scratch reused between Ticks: Tick's result and the healthy
+	// partners of a round.
+	out []msg.Envelope
+	fit []table.Ref
 }
 
 // New creates an engine auditing m.
@@ -147,19 +152,21 @@ func (e *Engine) Stats() Stats {
 }
 
 // Tick advances the engine to time now, running any due rounds and
-// returning the traffic to transmit. The first tick staggers the round
-// phase deterministically per node so a fleet started together does not
-// sync in lockstep.
+// returning the traffic to transmit, in the engine's own buffer, valid
+// until its next Tick. The first tick staggers the round phase
+// deterministically per node so a fleet started together does not sync
+// in lockstep.
 func (e *Engine) Tick(now time.Duration) []msg.Envelope {
 	if !e.started {
 		e.started = true
 		e.nextDue = now + e.stagger()
 	}
-	var out []msg.Envelope
+	out := e.out[:0]
 	for e.nextDue <= now {
 		e.nextDue += e.cfg.Interval
-		out = append(out, e.round()...)
+		out = e.round(out)
 	}
+	e.out = out
 	return out
 }
 
@@ -174,14 +181,15 @@ func (e *Engine) stagger() time.Duration {
 	return time.Duration(h % uint64(e.cfg.Interval))
 }
 
-// round runs one audit + sync round. Only S-nodes participate: a
-// joining node's table is still being built by the join protocol, and a
-// departing node's table is being abandoned.
-func (e *Engine) round() []msg.Envelope {
+// round runs one audit + sync round and appends its traffic to out.
+// Only S-nodes participate: a joining node's table is still being built
+// by the join protocol, and a departing node's table is being abandoned.
+func (e *Engine) round(out []msg.Envelope) []msg.Envelope {
 	if !e.m.IsSNode() {
-		return nil
+		return out
 	}
-	purged, out := e.m.AuditTable()
+	purged, audit := e.m.AuditTable()
+	out = append(out, audit...)
 	if purged > 0 && e.sink != nil {
 		e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindAuditPurge, N: purged})
 	}
@@ -197,12 +205,13 @@ func (e *Engine) round() []msg.Envelope {
 		return out
 	}
 	if e.healthy != nil {
-		fit := make([]table.Ref, 0, len(peers))
+		fit := e.fit[:0]
 		for _, r := range peers {
 			if e.healthy(r.ID) {
 				fit = append(fit, r)
 			}
 		}
+		e.fit = fit
 		// Healthy peers first; an all-degraded neighborhood still syncs.
 		if len(fit) > 0 {
 			if len(fit) < len(peers) {

@@ -13,3 +13,7 @@ func (m *Machine) RepairEntry(level, digit int, helper table.Ref, avoid id.ID) [
 	m.repairEntry(level, digit, helper, avoid)
 	return m.take()
 }
+
+// RepairsPending returns the entries with unresolved repair jobs, sorted,
+// in a buffer the machine reuses.
+func (m *Machine) RepairsPending() [][2]int { return m.repairsPending() }

@@ -28,7 +28,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
@@ -216,12 +217,19 @@ func (m *Machine) onRepairCpRly(from table.Ref, donor table.Snapshot) {
 		m.pendingFinds = nil
 		return
 	}
-	wants := make([]id.Suffix, 0, len(m.pendingFinds))
-	for want := range m.pendingFinds {
-		wants = append(wants, want)
+	// Visit the searches in the order of their printed suffixes, each
+	// rendered once.
+	type keyed struct {
+		key  string
+		want id.Suffix
 	}
-	sort.Slice(wants, func(i, j int) bool { return wants[i].String() < wants[j].String() })
-	for _, want := range wants {
+	wants := make([]keyed, 0, len(m.pendingFinds))
+	for want := range m.pendingFinds {
+		wants = append(wants, keyed{want.String(), want})
+	}
+	slices.SortFunc(wants, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for _, w := range wants {
+		want := w.want
 		st := m.pendingFinds[want]
 		if !st.visited[from.ID] || st.outstanding == 0 {
 			continue

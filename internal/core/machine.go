@@ -4,10 +4,13 @@
 //
 // A Machine holds one node's protocol state. It is a pure, non-blocking
 // state machine: Deliver consumes one message and returns the messages to
-// transmit. The discrete-event simulator (internal/sim + internal/overlay)
-// and the TCP transport (internal/transport/tcptransport) drive the same
-// Machine, composed with its optional parts by internal/node, so the
-// protocol logic exists exactly once.
+// transmit. Every entry point that returns messages returns the
+// machine's own buffer, valid until the next call into the machine; a
+// caller that keeps them longer copies them. The discrete-event
+// simulator (internal/sim + internal/overlay) and the TCP transport
+// (internal/transport/tcptransport) drive the same Machine, composed
+// with its optional parts by internal/node, so the protocol logic exists
+// exactly once.
 //
 // Per the paper's design, only joining nodes keep extra join state (the
 // sets Qr, Qn, Qj, Qsn, Qsr and noti_level); established nodes keep only
@@ -153,10 +156,12 @@ type Machine struct {
 	reverse map[id.ID]table.Ref
 	// reverseGen counts changes to reverse: a member added, re-addressed
 	// or removed. syncCands caches the sorted table ∪ reverse union that
-	// SyncPeers filters, built at syncCandsAt = {table version + 1, reverseGen}.
+	// SyncPeers filters, built at syncCandsAt = {table version + 1, reverseGen},
+	// into syncPeers.
 	reverseGen  uint64
 	syncCands   []table.Ref
 	syncCandsAt [2]uint64
+	syncPeers   []table.Ref
 
 	notiLevel int
 	qr        map[id.ID]struct{} // nodes we await JoinWait/JoinNoti replies from
@@ -218,7 +223,14 @@ type Machine struct {
 	est *rtt.Estimator
 
 	counters msg.Counters
-	out      []msg.Envelope
+	// out collects what the current entry point sends. Every entry point
+	// resets it on entry and returns it (take), so a result is valid
+	// until the next call into the machine.
+	out []msg.Envelope
+	// Scratch reused between Ticks: repairsPending's sorted entries and
+	// tickExchanges' sorted keys, never returned to a caller.
+	pending [][2]int
+	keys    []xchgKey
 
 	// Observability (nil when tracing is off; see SetSink). selfName
 	// caches the node's ID string so the emit path never re-renders it.
@@ -639,12 +651,9 @@ func (m *Machine) addReverse(r table.Ref) {
 	m.reverseGen++
 }
 
-func (m *Machine) take() []msg.Envelope {
-	out := make([]msg.Envelope, len(m.out))
-	copy(out, m.out)
-	m.out = m.out[:0]
-	return out
-}
+// take returns what the current entry point queued: the machine's own
+// buffer, valid until the next call into the machine, which reuses it.
+func (m *Machine) take() []msg.Envelope { return m.out }
 
 // onCpRst serves a table-copy request. Any node can serve one immediately
 // (Theorem 2's proof relies on receivers answering with no waiting).

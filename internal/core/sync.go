@@ -55,7 +55,8 @@ func (m *Machine) StartSyncTraced(peer table.Ref, ctx trace.Context) []msg.Envel
 // deterministic. Reverse neighbors matter after a partition heals: a
 // node the far side just installed learns of its holder through the
 // holder's RvNghNoti, and syncing back with that holder is the fastest
-// route to everything else the far side knows.
+// route to everything else the far side knows. The result is the
+// machine's own buffer, valid until the next SyncPeers.
 func (m *Machine) SyncPeers() []table.Ref {
 	if at := [2]uint64{m.tbl.Version() + 1, m.reverseGen}; m.syncCandsAt != at {
 		m.syncCandsAt = at
@@ -81,12 +82,13 @@ func (m *Machine) SyncPeers() []table.Ref {
 		}
 		m.syncCands = uniq
 	}
-	out := make([]table.Ref, 0, len(m.syncCands))
+	out := m.syncPeers[:0]
 	for _, r := range m.syncCands {
 		if !m.knownBad(r.ID) {
 			out = append(out, r)
 		}
 	}
+	m.syncPeers = out
 	return out
 }
 

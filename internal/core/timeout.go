@@ -13,8 +13,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hypercube/internal/id"
@@ -227,16 +228,17 @@ func (m *Machine) tickExchanges(now time.Duration) {
 	if len(m.exchanges) == 0 {
 		return
 	}
-	keys := make([]xchgKey, 0, len(m.exchanges))
+	keys := m.keys[:0]
 	for k := range m.exchanges {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
+	slices.SortFunc(keys, func(a, b xchgKey) int {
+		if c := cmp.Compare(a.kind, b.kind); c != 0 {
+			return c
 		}
-		return keys[i].peer.Less(keys[j].peer)
+		return a.peer.Compare(b.peer)
 	})
+	m.keys = keys
 	for _, k := range keys {
 		ex, ok := m.exchanges[k]
 		if !ok || ex.due > now {
@@ -544,18 +546,20 @@ func (m *Machine) addRepairJob(e [2]int, avoid id.ID) {
 	}
 }
 
-// RepairsPending returns the entries with unresolved repair jobs, sorted.
-func (m *Machine) RepairsPending() [][2]int {
-	out := make([][2]int, 0, len(m.repairs))
+// repairsPending returns the entries with unresolved repair jobs,
+// sorted, in a buffer the next call reuses.
+func (m *Machine) repairsPending() [][2]int {
+	out := m.pending[:0]
 	for e := range m.repairs {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+	slices.SortFunc(out, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return out[i][1] < out[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
+	m.pending = out
 	return out
 }
 
@@ -564,7 +568,7 @@ func (m *Machine) RepairsPending() [][2]int {
 // table), or proven empty — without issuing new queries. Blocked jobs
 // are marked for reissue by the next kick.
 func (m *Machine) settleRepairs() {
-	for _, e := range m.RepairsPending() {
+	for _, e := range m.repairsPending() {
 		job := m.repairs[e]
 		if !m.tbl.Get(e[0], e[1]).IsZero() {
 			m.AbandonRepair(e[0], e[1])
@@ -602,14 +606,14 @@ func (m *Machine) kickRepairs(now time.Duration) {
 		return
 	}
 	if m.status == StatusLeaving || m.status == StatusLeft {
-		for _, e := range m.RepairsPending() {
+		for _, e := range m.repairsPending() {
 			m.AbandonRepair(e[0], e[1])
 			m.emitRepairDone(e, "abandoned")
 		}
 		return
 	}
 	m.settleRepairs()
-	for _, e := range m.RepairsPending() {
+	for _, e := range m.repairsPending() {
 		job := m.repairs[e]
 		if job.active {
 			if now < job.due {

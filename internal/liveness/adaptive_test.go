@@ -120,7 +120,7 @@ func TestAdaptiveSlowPeerNotDeclared(t *testing.T) {
 
 	declared, _ := runDelayed(p, 10*time.Second, func(_ time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
 		if pm, ok := env.Msg.(msg.Ping); ok && env.To.ID == slow.ID {
-			return RespondPing(slow, env.From, pm), 600 * time.Millisecond
+			return RespondPing(nil, slow, env.From, pm), 600 * time.Millisecond
 		}
 		return nil, -1
 	})
@@ -161,7 +161,7 @@ func TestFixedBaselineDeclaresSlowPeer(t *testing.T) {
 			if now >= 2*time.Second {
 				d = 600 * time.Millisecond
 			}
-			return RespondPing(gray, env.From, pm), d
+			return RespondPing(nil, gray, env.From, pm), d
 		}
 		return nil, -1
 	})
@@ -196,7 +196,7 @@ func TestAdaptiveRampRescuedByConfirmFloor(t *testing.T) {
 			if now >= 2*time.Second {
 				d = 600 * time.Millisecond
 			}
-			return RespondPing(gray, env.From, pm), d
+			return RespondPing(nil, gray, env.From, pm), d
 		}
 		return nil, -1
 	})
@@ -235,7 +235,7 @@ func TestAdaptiveDeclaresDeadFasterOnFastLink(t *testing.T) {
 		p.SetTargets([]table.Ref{dead})
 		declared, at := runDelayed(p, 15*time.Second, func(now time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
 			if pm, ok := env.Msg.(msg.Ping); ok && env.To.ID == dead.ID && now < 2*time.Second {
-				return RespondPing(dead, env.From, pm), 50 * time.Millisecond
+				return RespondPing(nil, dead, env.From, pm), 50 * time.Millisecond
 			}
 			return nil, -1
 		})

@@ -231,6 +231,17 @@ type target struct {
 	// seqs lists this target's probes still in flight; those of a target
 	// no longer monitored stay in flight as strays.
 	seqs []uint64
+	// name is ref.ID printed, rendered by peer on the first event about t.
+	name string
+}
+
+// peer returns t's printed ID for an event's Peer field, rendering it
+// once: a monitored peer is named by every probe, ack and miss.
+func (t *target) peer() string {
+	if t.name == "" {
+		t.name = t.ref.ID.String()
+	}
+	return t.name
 }
 
 // distressed reports whether t is suspect or partway there (at least one
@@ -543,7 +554,7 @@ func (p *Prober) markAlive(t *target) {
 	if t.state == stateSuspect {
 		p.stats.Recovered++
 		if p.sink != nil {
-			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindRecovered, Peer: t.ref.ID.String()})
+			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindRecovered, Peer: t.peer()})
 		}
 	}
 	if t.distressed() {
@@ -560,12 +571,13 @@ func (p *Prober) markAlive(t *target) {
 
 // HandleMessage consumes a Ping or Pong addressed to this node and
 // returns any messages to transmit in response (a Pong, or the relayed
-// Ping of an indirect probe). Messages of other types are ignored.
+// Ping of an indirect probe) in the prober's own buffer, valid until its
+// next HandleMessage or Tick. Messages of other types are ignored.
 func (p *Prober) HandleMessage(env msg.Envelope) []msg.Envelope {
 	p.out = p.out[:0]
 	switch pm := env.Msg.(type) {
 	case msg.Ping:
-		replies := RespondPing(p.self, env.From, pm)
+		p.out = RespondPing(p.out, p.self, env.From, pm)
 		// Echo a sampled inbound context verbatim: the pong (or relayed
 		// ping) shares the probe's span, so the four timestamps — probe,
 		// recv, send, probe_ack — pair up across the two nodes' clocks.
@@ -574,14 +586,13 @@ func (p *Prober) HandleMessage(env msg.Envelope) []msg.Envelope {
 			if p.sink != nil {
 				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindRecv, Peer: env.From.ID.String(), Msg: env.Msg.Type().String()}.Stamped(env.Trace, trace.SpanID{}))
 			}
-			for i := range replies {
-				replies[i].Trace = env.Trace
+			for i := range p.out {
+				p.out[i].Trace = env.Trace
 				if p.sink != nil {
-					p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindSend, Peer: replies[i].To.ID.String(), Msg: replies[i].Msg.Type().String()}.Stamped(env.Trace, trace.SpanID{}))
+					p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindSend, Peer: p.out[i].To.ID.String(), Msg: p.out[i].Msg.Type().String()}.Stamped(env.Trace, trace.SpanID{}))
 				}
 			}
 		}
-		p.out = append(p.out, replies...)
 	case msg.Pong:
 		pr, ok := p.inflight[pm.Seq]
 		if !ok {
@@ -604,7 +615,7 @@ func (p *Prober) HandleMessage(env msg.Envelope) []msg.Envelope {
 			p.stats.LatePongs++
 			p.sampleRTT(pr)
 			if p.sink != nil {
-				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeAck, Peer: pr.target.String(), Seq: pm.Seq, Detail: "late"}.Stamped(pr.ctx, trace.SpanID{}))
+				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeAck, Peer: pr.owner.peer(), Seq: pm.Seq, Detail: "late"}.Stamped(pr.ctx, trace.SpanID{}))
 			}
 			if t, ok := p.targets[pr.target]; ok {
 				p.markAlive(t)
@@ -615,35 +626,34 @@ func (p *Prober) HandleMessage(env msg.Envelope) []msg.Envelope {
 		p.stats.PongsReceived++
 		p.sampleRTT(pr)
 		if p.sink != nil {
-			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeAck, Peer: pr.target.String(), Seq: pm.Seq}.Stamped(pr.ctx, trace.SpanID{}))
+			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeAck, Peer: pr.owner.peer(), Seq: pm.Seq}.Stamped(pr.ctx, trace.SpanID{}))
 		}
 		if t, ok := p.targets[pr.target]; ok {
 			p.markAlive(t)
 		}
 	}
-	out := make([]msg.Envelope, len(p.out))
-	copy(out, p.out)
-	p.out = p.out[:0]
-	return out
+	return p.out
 }
 
 // RespondPing implements the receiving side of the probe protocol for
-// node self: answer direct pings with a Pong to the origin, relay
-// indirect pings to their target. It is a free function so nodes
-// without a detector of their own can still be good probe citizens.
-func RespondPing(self, from table.Ref, pm msg.Ping) []msg.Envelope {
+// node self: it appends to dst the answer to pm — a Pong to the origin
+// of a direct ping, the ping itself relayed to the target of an
+// indirect one — and returns the extended slice. It is a free function
+// so nodes without a detector of their own can still be good probe
+// citizens.
+func RespondPing(dst []msg.Envelope, self, from table.Ref, pm msg.Ping) []msg.Envelope {
 	origin := pm.Origin
 	if origin.IsZero() {
 		origin = from
 	}
 	if !pm.Target.IsZero() && pm.Target.ID != self.ID {
 		// Indirect probe: relay unchanged; the target answers the origin.
-		return []msg.Envelope{{From: self, To: pm.Target, Msg: pm}}
+		return append(dst, msg.Envelope{From: self, To: pm.Target, Msg: pm})
 	}
 	if origin.ID == self.ID {
-		return nil // degenerate self-probe
+		return dst // degenerate self-probe
 	}
-	return []msg.Envelope{{From: self, To: origin, Msg: msg.Pong{Seq: pm.Seq}}}
+	return append(dst, msg.Envelope{From: self, To: origin, Msg: msg.Pong{Seq: pm.Seq}})
 }
 
 // Tick advances the detector to virtual (or real) time now. It returns
@@ -694,7 +704,7 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 		}
 		t.pending--
 		if p.sink != nil {
-			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeMiss, Peer: e.pr.target.String(), Seq: e.seq}.Stamped(e.pr.ctx, trace.SpanID{}))
+			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeMiss, Peer: e.pr.owner.peer(), Seq: e.seq}.Stamped(e.pr.ctx, trace.SpanID{}))
 		}
 		switch t.state {
 		case stateAlive:
@@ -713,7 +723,7 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 			t.rounds = 0
 			p.stats.Suspects++
 			if p.sink != nil {
-				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindSuspect, Peer: e.pr.target.String(), N: t.missed})
+				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindSuspect, Peer: t.peer(), N: t.missed})
 			}
 			p.confirmRound(t, now)
 		case stateSuspect:
@@ -756,7 +766,7 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 					}
 					p.stats.Unreachable++
 					if p.sink != nil {
-						p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindUnreachable, Peer: t.ref.ID.String()})
+						p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindUnreachable, Peer: t.peer()})
 					}
 					unreachable = append(unreachable, t.ref)
 					p.rebuildCycle()
@@ -770,7 +780,7 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 				p.tombs[t.ref.ID] = true
 				p.stats.Declared++
 				if p.sink != nil {
-					p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindDeclared, Peer: t.ref.ID.String(), N: t.rounds})
+					p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindDeclared, Peer: t.peer(), N: t.rounds})
 				}
 				declared = append(declared, t.ref)
 				p.rebuildCycle()
@@ -927,7 +937,7 @@ func (p *Prober) sampleRTT(pr probe) {
 		kind = obs.KindDegradedClear
 	}
 	if p.sink != nil {
-		p.sink.Emit(obs.Event{Node: p.selfName, Kind: kind, Peer: pr.target.String()})
+		p.sink.Emit(obs.Event{Node: p.selfName, Kind: kind, Peer: pr.owner.peer()})
 	}
 }
 
@@ -1003,7 +1013,7 @@ func (p *Prober) sendProbe(t *target, via table.Ref, now time.Duration) {
 	}
 	t.pending++
 	if p.sink != nil {
-		e := obs.Event{Node: p.selfName, Kind: obs.KindProbe, Peer: t.ref.ID.String(), Seq: p.seq}
+		e := obs.Event{Node: p.selfName, Kind: obs.KindProbe, Peer: t.peer(), Seq: p.seq}
 		if !via.IsZero() {
 			e.Detail = "indirect"
 		}

@@ -95,7 +95,7 @@ func TestSilentTargetDeclared(t *testing.T) {
 	declared, _ := drive(p, 10*time.Second, func(env msg.Envelope) []msg.Envelope {
 		switch env.To.ID {
 		case helper.ID:
-			out := RespondPing(helper, env.From, env.Msg.(msg.Ping))
+			out := RespondPing(nil, helper, env.From, env.Msg.(msg.Ping))
 			for _, e := range out {
 				if e.To.ID == dead.ID {
 					relayed++
@@ -114,7 +114,7 @@ func TestSilentTargetDeclared(t *testing.T) {
 		case dead.ID:
 			if pm, ok := env.Msg.(msg.Ping); ok && deadAnswers > 0 {
 				deadAnswers--
-				return RespondPing(dead, env.From, pm)
+				return RespondPing(nil, dead, env.From, pm)
 			}
 			return nil
 		}
@@ -216,7 +216,7 @@ func TestDetectionWindowIndependentOfTableSize(t *testing.T) {
 			if !ok || env.To.ID == dead.ID || pm.Target.ID == dead.ID {
 				return nil, -1
 			}
-			return RespondPing(env.To, env.From, pm), 10 * time.Millisecond
+			return RespondPing(nil, env.To, env.From, pm), 10 * time.Millisecond
 		})
 		if len(declared) != 1 || declared[0].ID != dead.ID || at[0] != window {
 			t.Errorf("%d live targets: declared %v at %v, want %v at %v", alive, declared, at, dead.ID, window)
@@ -246,7 +246,7 @@ func TestIndirectProbesOnByDefault(t *testing.T) {
 		case env.To.ID == x.ID && pm.Target.IsZero():
 			return nil // the direct path to x loses everything
 		default:
-			return RespondPing(env.To, env.From, pm)
+			return RespondPing(nil, env.To, env.From, pm)
 		}
 	})
 	if len(declared) != 0 {
@@ -291,7 +291,7 @@ func TestRespondPingDirectAndRelay(t *testing.T) {
 	target := mkRef(t, "2222")
 
 	// Direct probe: pong to the origin.
-	out := RespondPing(self, origin, msg.Ping{Seq: 9, Origin: origin})
+	out := RespondPing(nil, self, origin, msg.Ping{Seq: 9, Origin: origin})
 	if len(out) != 1 || out[0].To.ID != origin.ID {
 		t.Fatalf("direct ping answered %v", out)
 	}
@@ -301,7 +301,7 @@ func TestRespondPingDirectAndRelay(t *testing.T) {
 
 	// Indirect probe addressed to someone else: relay unchanged.
 	ping := msg.Ping{Seq: 10, Origin: origin, Target: target}
-	out = RespondPing(self, origin, ping)
+	out = RespondPing(nil, self, origin, ping)
 	if len(out) != 1 || out[0].To.ID != target.ID {
 		t.Fatalf("indirect ping relayed %v", out)
 	}
@@ -311,7 +311,7 @@ func TestRespondPingDirectAndRelay(t *testing.T) {
 
 	// Indirect probe that reached its target: pong to the origin, not the relay.
 	relay := mkRef(t, "3333")
-	out = RespondPing(target, relay, ping)
+	out = RespondPing(nil, target, relay, ping)
 	if len(out) != 1 || out[0].To.ID != origin.ID {
 		t.Fatalf("terminal indirect ping answered %v", out)
 	}

@@ -119,7 +119,7 @@ func driveGated(t *testing.T, seed int64, steps int) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				acks = out
+				acks = append(acks[:0], out...)
 				return out
 			})
 			for _, env := range acks {

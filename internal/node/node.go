@@ -8,6 +8,13 @@
 // whatever comes back; overlay drives it from the discrete-event clock,
 // tcptransport from sockets and one ticker under one mutex. Every part
 // reads the time last handed in, so a Node needs no clock of its own.
+//
+// What Deliver, Tick and the machine's entry points return is a buffer
+// the node owns, valid until the next call into the node: every part
+// beneath it answers the same way, so the maintenance plane allocates
+// only the messages it sends. A driver transmits a result before its
+// next call (overlay) or copies it before it releases the lock that
+// serialises its callers (tcptransport).
 package node
 
 import (
@@ -127,7 +134,7 @@ type Node struct {
 	// now is the time last passed to Deliver, Tick or Advance; it is the
 	// clock the machine and the prober read.
 	now time.Duration
-	// targets and out are reused between Ticks.
+	// targets and out are reused between Ticks; out is what Tick returns.
 	targets []table.Ref
 	out     []msg.Envelope
 	// monitored is what the prober's targets were last built from: table
@@ -207,13 +214,13 @@ func (n *Node) Sampler() *sampling.Engine { return n.sampler }
 func (n *Node) Advance(now time.Duration) { n.now = now }
 
 // Deliver hands the node one inbound envelope at time now and returns
-// the envelopes to transmit in response. Ping and Pong belong to the
-// failure detector; any other message is proof of its sender's
-// liveness. Sampling messages belong to the sampler, which has no input
-// validation of its own, so they pass guard.Check first. Everything
-// else, and everything whose owner is not attached, goes to the
-// machine, which counts probes and sampling messages it has no owner
-// for and answers none of them.
+// the envelopes to transmit in response, valid until the next call into
+// the node. Ping and Pong belong to the failure detector; any other
+// message is proof of its sender's liveness. Sampling messages belong
+// to the sampler, which has no input validation of its own, so they
+// pass guard.Check first. Everything else, and everything whose owner
+// is not attached, goes to the machine, which counts probes and
+// sampling messages it has no owner for and answers none of them.
 func (n *Node) Deliver(env msg.Envelope, now time.Duration) []msg.Envelope {
 	n.now = now
 	var t msg.Type
@@ -250,8 +257,8 @@ func (n *Node) reject(env msg.Envelope, err error) {
 // envelopes to transmit, in the order the parts ran: failure detector
 // (probes), the machine's reaction to each peer the detector declared
 // failed and then to each it dropped as unreachable, the machine's own
-// timers, anti-entropy, sampler. The returned slice is reused by the
-// next Tick.
+// timers, anti-entropy, sampler. The result is valid until the next
+// call into the node.
 func (n *Node) Tick(now time.Duration) []msg.Envelope {
 	n.now = now
 	if n.prober == nil && n.engine == nil && n.sampler == nil {

@@ -14,6 +14,7 @@ import (
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
+	"hypercube/internal/node"
 	"hypercube/internal/obs"
 	"hypercube/internal/sampling"
 	"hypercube/internal/table"
@@ -51,17 +52,39 @@ func steadyNetwork(t *testing.T) *Network {
 // steadyNetworkWith is steadyNetwork with sink as its event sink.
 func steadyNetworkWith(t *testing.T, sink obs.Sink) *Network {
 	t.Helper()
-	p := id.Params{B: 16, D: 40}
-	rng := rand.New(rand.NewSource(1))
-	net := New(Config{
-		Params:      p,
+	return steadyNetworkOf(t, Config{
 		Opts:        core.Options{Guard: &guard.Policy{}, Timeouts: core.Timeouts{RetryAfter: 2 * time.Second}},
-		Latency:     HashedUniformLatency(5*time.Millisecond, 120*time.Millisecond, 1),
 		Liveness:    &liveness.Config{},
 		AntiEntropy: &antientropy.Config{},
 		Sampling:    &sampling.Config{Seed: 1},
 		Sink:        sink,
 	})
+}
+
+// steadyShipped is steadyNetwork on node.Shipped(1)'s stack: the
+// profile cmd/hypercubed deploys and the nemesis executor checks.
+func steadyShipped(t *testing.T) *Network {
+	t.Helper()
+	opts, parts := node.Shipped(1)
+	return steadyNetworkOf(t, Config{
+		Opts:        opts,
+		Liveness:    parts.Liveness,
+		RTT:         parts.RTT,
+		AntiEntropy: parts.AntiEntropy,
+		Sampling:    parts.Sampling,
+		Sink:        declaredSink{},
+	})
+}
+
+// steadyNetworkOf builds cfg's stack over steadyNetwork's 128 nodes,
+// ID space and latencies, and warms it up for 10 virtual seconds.
+func steadyNetworkOf(t *testing.T, cfg Config) *Network {
+	t.Helper()
+	p := id.Params{B: 16, D: 40}
+	rng := rand.New(rand.NewSource(1))
+	cfg.Params = p
+	cfg.Latency = HashedUniformLatency(5*time.Millisecond, 120*time.Millisecond, 1)
+	net := New(cfg)
 	net.BuildDirect(RandomRefs(p, 128, rng, nil), rng)
 	net.RunFor(10 * time.Second)
 	if v := net.CheckConsistency(); len(v) > 0 {
@@ -71,31 +94,50 @@ func steadyNetworkWith(t *testing.T, sink obs.Sink) *Network {
 }
 
 // TestSteadyTickAllocBudget bounds what a fault-free network costs to
-// keep: allocations per node per 50 ms pump tick — everything the tick
-// sends and everything delivering it causes included — and the rule
-// that a tick in which nothing changed rebuilds no monitoring set.
-// Measured: 1.9 per node-tick, all of it messages and their events
-// (boxed pings and pongs, sync digests, pull replies, rendered IDs);
-// 10.9 when every tick also walked the table, copied the reverse set
-// and re-diffed the prober's targets. The budget is ~1.5x the former.
+// keep, on the package defaults and on the shipped profile: allocations
+// per node per 50 ms pump tick — everything the tick sends and
+// everything delivering it causes included — and the rule that a tick
+// in which nothing changed rebuilds no monitoring set. `make allocs`
+// prints both readings.
+//
+// Measured: 0.48 per node-tick on the defaults and 1.09 on the shipped
+// profile, whose rounds run four times as often — almost all of it the
+// messages themselves (boxed pings, pongs and sync replies) and the
+// machine's send and receive events. A part that copies its result,
+// rebuilds the fill vector or the boxed pull reply per message, or
+// renders a peer's ID per probe event reads about twice that, which the
+// defaults' budget of 1.0 catches; the shipped profile keeps the 3.0
+// the defaults were held to before.
 func TestSteadyTickAllocBudget(t *testing.T) {
-	const virtual, budget = 10 * time.Second, 3.0
-	net := steadyNetwork(t)
-	rebuilds := net.LivenessStats().Retargets
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	net.RunFor(virtual)
-	runtime.ReadMemStats(&after)
-
-	nodeTicks := float64(net.Size()) * float64(virtual/net.tickInterval())
-	perTick := float64(after.Mallocs-before.Mallocs) / nodeTicks
-	t.Logf("%.2f allocations per node-tick", perTick)
-	if perTick > budget {
-		t.Errorf("%.2f allocations per node-tick, budget %.1f", perTick, budget)
+	const virtual = 10 * time.Second
+	cases := []struct {
+		name   string
+		build  func(*testing.T) *Network
+		budget float64
+	}{
+		{"defaults", steadyNetwork, 1.0},
+		{"shipped", steadyShipped, 3.0},
 	}
-	if got := net.LivenessStats().Retargets - rebuilds; got != 0 {
-		t.Errorf("%d monitoring sets rebuilt in %v without a fault, want 0", got, virtual)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := tc.build(t)
+			rebuilds := net.LivenessStats().Retargets
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			net.RunFor(virtual)
+			runtime.ReadMemStats(&after)
+
+			nodeTicks := float64(net.Size()) * float64(virtual/net.tickInterval())
+			perTick := float64(after.Mallocs-before.Mallocs) / nodeTicks
+			t.Logf("%s: %.2f allocations per node-tick", tc.name, perTick)
+			if perTick > tc.budget {
+				t.Errorf("%.2f allocations per node-tick, budget %.1f", perTick, tc.budget)
+			}
+			if got := net.LivenessStats().Retargets - rebuilds; got != 0 {
+				t.Errorf("%d monitoring sets rebuilt in %v without a fault, want 0", got, virtual)
+			}
+		})
 	}
 }
 

@@ -182,10 +182,12 @@ type Engine struct {
 
 	view []table.Ref
 	// sorted is View's answer until the view changes; in-flight pull
-	// replies share it, so it is replaced, never rewritten. The rest is
-	// scratch reused between rounds: the next view's buffer, the shuffle
-	// pool, pickRandom's draw and Tick's result.
+	// replies share it, so it is replaced, never rewritten. reply is the
+	// pull reply carrying it, boxed once with it. The rest is scratch
+	// reused between calls: the next view's buffer, the shuffle pool,
+	// pickRandom's draw and the result of Tick or Deliver.
 	sorted, spare, pool, picked []table.Ref
+	reply                       msg.Message
 	out                         []msg.Envelope
 
 	pushBuf  map[id.ID]table.Ref
@@ -308,7 +310,8 @@ func (e *Engine) observe(r table.Ref) {
 	}
 }
 
-// Deliver handles one sampling message and returns any replies. Callers
+// Deliver handles one sampling message and returns any replies, in the
+// engine's own buffer, valid until its next Deliver or Tick. Callers
 // route TSamplePush, TSamplePullReq, and TSamplePullRly here; other
 // types are ignored.
 func (e *Engine) Deliver(env msg.Envelope) []msg.Envelope {
@@ -324,11 +327,8 @@ func (e *Engine) Deliver(env msg.Envelope) []msg.Envelope {
 			return nil
 		}
 		e.stats.PullsAnswered++
-		rly := msg.Envelope{
-			From: e.self,
-			To:   env.From,
-			Msg:  msg.SamplePullRly{Refs: e.View()},
-		}
+		e.View() // builds e.reply along with the sorted view
+		rly := msg.Envelope{From: e.self, To: env.From, Msg: e.reply}
 		// The reply is its own hop: a child span of the request's, so
 		// the round tree keeps the request→reply causality. Tracerless
 		// engines drop the context (opaque hop).
@@ -339,7 +339,8 @@ func (e *Engine) Deliver(env msg.Envelope) []msg.Envelope {
 				e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSend, Peer: env.From.ID.String(), Msg: rly.Msg.Type().String()}.Stamped(rly.Trace, env.Trace.Span))
 			}
 		}
-		return []msg.Envelope{rly}
+		e.out = append(e.out[:0], rly)
+		return e.out
 	case msg.SamplePullRly:
 		// Unsolicited pull replies are an attack vector (they would let a
 		// flooder inject arbitrary references); accept only from peers we
@@ -364,8 +365,8 @@ func (e *Engine) Deliver(env msg.Envelope) []msg.Envelope {
 }
 
 // Tick runs at most one push-pull round when the round period elapsed,
-// returning the envelopes to transmit, in a buffer the next round
-// reuses. The first round is staggered per node so a synchronized start
+// returning the envelopes to transmit, in the buffer Deliver also
+// returns. The first round is staggered per node so a synchronized start
 // does not thundering-herd the network.
 func (e *Engine) Tick(now time.Duration) []msg.Envelope {
 	if e.first {
@@ -495,6 +496,7 @@ func (e *Engine) View() []table.Ref {
 		e.sorted = make([]table.Ref, len(e.view))
 		copy(e.sorted, e.view)
 		slices.SortFunc(e.sorted, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
+		e.reply = msg.SamplePullRly{Refs: e.sorted}
 	}
 	return e.sorted
 }

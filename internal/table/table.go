@@ -79,6 +79,12 @@ type Table struct {
 	snapCache   Snapshot
 	snapVersion uint64
 	snapValid   bool
+	// FillVector cache, on the same rule: every sync digest, sync reply
+	// and §6.2 notification carries the vector, and it changes only
+	// when the table does.
+	fillCache   BitVector
+	fillVersion uint64
+	fillValid   bool
 }
 
 // New returns an empty table for the given owner in space p.
@@ -226,14 +232,20 @@ func (t *Table) SnapshotLevels(lo, hi int) Snapshot {
 
 // FillVector returns the bit vector of §6.2: bit (level*b+digit) is set
 // iff the entry is filled. A peer replying to a JoinNotiMsg uses it to
-// ship only neighbors the requester is missing.
+// ship only neighbors the requester is missing. Consecutive calls
+// between mutations return the same shared vector; callers must not
+// modify it.
 func (t *Table) FillVector() BitVector {
+	if t.fillValid && t.fillVersion == t.version {
+		return t.fillCache
+	}
 	v := NewBitVector(t.params.D * t.params.B)
 	for i, e := range t.entries {
 		if !e.IsZero() {
 			v.Set(i)
 		}
 	}
+	t.fillCache, t.fillVersion, t.fillValid = v, t.version, true
 	return v
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,9 +41,12 @@ type Node struct {
 	cfg    Config
 
 	// mu is the node's one protocol lock: it guards node — the machine
-	// and every part composed onto it (see internal/node). Whatever a
-	// call under mu returns is handed to the delivery layer after
-	// unlocking, so mu is never held across a send.
+	// and every part composed onto it (see internal/node). What a call
+	// under mu returns is the node's own buffer, valid only until the
+	// next call, which another goroutine may make the moment mu is
+	// released; so each caller copies it into a buffer of its own
+	// goroutine before unlocking, and hands that to the delivery layer
+	// after, so mu is never held across a send.
 	mu    sync.Mutex
 	node  *node.Node
 	start time.Time
@@ -177,6 +181,7 @@ func (n *Node) Join(bootstrap table.Ref) error {
 	n.mu.Lock()
 	n.node.Advance(n.Uptime())
 	out, err := n.node.Machine().StartJoin(bootstrap)
+	out = slices.Clone(out)
 	n.mu.Unlock()
 	if err != nil {
 		return err
@@ -190,6 +195,7 @@ func (n *Node) Leave() error {
 	n.mu.Lock()
 	n.node.Advance(n.Uptime())
 	out, err := n.node.Machine().StartLeave()
+	out = slices.Clone(out)
 	n.mu.Unlock()
 	if err != nil {
 		return err
@@ -224,6 +230,7 @@ func (n *Node) tickLoop(every time.Duration) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	syncRounds := n.tobs.events.With(string(obs.KindSyncRound))
+	var out []msg.Envelope // this goroutine's copy of each Tick's result
 	for {
 		select {
 		case <-n.done:
@@ -233,7 +240,7 @@ func (n *Node) tickLoop(every time.Duration) {
 		before := syncRounds.Value()
 		n.mu.Lock()
 		began := time.Now()
-		out := n.node.Tick(n.Uptime())
+		out = append(out[:0], n.node.Tick(n.Uptime())...)
 		held := time.Since(began)
 		n.mu.Unlock()
 		if syncRounds.Value() != before {
@@ -242,6 +249,7 @@ func (n *Node) tickLoop(every time.Duration) {
 			n.tobs.syncDur.Observe(held.Seconds())
 		}
 		_ = n.sendAll(out)
+		clear(out) // hold no message past its send
 	}
 }
 
@@ -330,9 +338,21 @@ const (
 	inboundBurst = 4000
 )
 
-// errReadLoopStopped signals that a per-envelope stage (token wait)
-// aborted because the node is shutting down; it is not a decode error.
-var errReadLoopStopped = errors.New("tcptransport: read loop stopped")
+// frameBuffer is what a read loop handles one frame with: the frame's
+// decoded envelopes and the copy of each reply (handleEnvelope). The
+// buffers are recycled through frameBuffers, so a connection that
+// carries only a few frames, as most do, allocates none.
+type frameBuffer struct{ envs, out []msg.Envelope }
+
+var frameBuffers = sync.Pool{New: func() any { return new(frameBuffer) }}
+
+// release empties fb, holding no message past its delivery, and
+// returns it to the pool.
+func (fb *frameBuffer) release() {
+	clear(fb.envs)
+	fb.envs = fb.envs[:0]
+	frameBuffers.Put(fb)
+}
 
 // errNotWirePayload is the decode error of a frame whose header lacks
 // flagBinary: whatever its payload is, it is not an internal/wire one.
@@ -383,20 +403,26 @@ func (n *Node) readLoop(conn net.Conn) {
 		// One frame may carry several envelopes; each passes the token
 		// bucket and handler individually. A malformed record rejects the
 		// rest of the frame (records after it have no trustworthy
-		// boundary) but envelopes already decoded were already handled.
+		// boundary) but envelopes decoded before it are still handled.
+		// The whole frame is decoded before any of it is delivered, so
+		// the decoder's frames are not on the stack under every
+		// delivery: with them there, the deepest delivery sat a few
+		// bytes short of doubling each read loop's stack.
 		err = errNotWirePayload
+		fb := frameBuffers.Get().(*frameBuffer)
 		if isBinary {
 			err = wire.DecodePayload(n.params, payload, func(env msg.Envelope) error {
-				if !takeToken() {
-					return errReadLoopStopped
-				}
-				n.handleEnvelope(env)
+				fb.envs = append(fb.envs, env)
 				return nil
 			})
 		}
-		if errors.Is(err, errReadLoopStopped) {
-			return
+		for _, env := range fb.envs {
+			if !takeToken() {
+				return // the node is closing
+			}
+			fb.out = n.handleEnvelope(env, fb.out)
 		}
+		fb.release()
 		if err != nil {
 			// Frame boundaries survive a malformed payload, so charge the
 			// budget and keep reading instead of tearing down on the
@@ -413,14 +439,18 @@ func (n *Node) readLoop(conn net.Conn) {
 }
 
 // handleEnvelope delivers one decoded inbound envelope to the composed
-// node under the protocol lock. Outbound trouble belongs to the delivery
-// layer (retries, then dead-letter counters); an unrelated peer's
-// failure must not tear down this inbound connection.
-func (n *Node) handleEnvelope(env msg.Envelope) {
+// node under the protocol lock and sends the reply, copied under the
+// lock into buf, a buffer of the calling read loop, which it returns
+// for reuse. Outbound trouble belongs to the delivery layer (retries,
+// then dead-letter counters); an unrelated peer's failure must not tear
+// down this inbound connection.
+func (n *Node) handleEnvelope(env msg.Envelope, buf []msg.Envelope) []msg.Envelope {
 	n.mu.Lock()
-	out := n.node.Deliver(env, n.Uptime())
+	buf = append(buf[:0], n.node.Deliver(env, n.Uptime())...)
 	n.mu.Unlock()
-	_ = n.sendAll(out)
+	_ = n.sendAll(buf)
+	clear(buf) // hold no message past its send
+	return buf
 }
 
 // sendAll hands every envelope to the delivery layer. Unlike a
