@@ -112,7 +112,7 @@ experiments:
 # `go test` pins every subcommand byte for byte but runs the §5.2 waves
 # (E2/E3), the E11 churn phases and the E18 gray contrast at -small, so
 # that tier-1 and the race pass do not pay for n=7192, n=1000 and n=64
-# twice over; this runs them at full size (~25 s on two cores) and diffs E1-E18
+# twice over; this runs them at full size (~26 s on two cores) and diffs E1-E18
 # against the committed text. Refresh a golden by redirecting the
 # command's output into it.
 experiments-check:

@@ -19,7 +19,6 @@ import (
 	"hypercube/internal/stats"
 	"hypercube/internal/table"
 	"hypercube/internal/topology"
-	"hypercube/internal/workload"
 )
 
 // wave is one concurrent join wave and what it cost its joiners.
@@ -476,52 +475,5 @@ func (x *env) topo() error {
 	fmt.Fprintf(x.out, "  end hosts:        %d\n", st.Hosts)
 	fmt.Fprintf(x.out, "  mean host-host latency: %v (over %d sampled pairs)\n", st.MeanHostLatency, st.SampledPairs)
 	fmt.Fprintf(x.out, "  max  host-host latency: %v\n", st.MaxHostLatency)
-	return nil
-}
-
-// The churn script: workloadOps random operations (joins, leaves,
-// crashes, optimization passes) on a network of workloadInitial nodes,
-// then workloadRoutes sampled routes, every one of which must deliver.
-var workloadParams = id.Params{B: 16, D: 6}
-
-const workloadInitial, workloadOps, workloadRoutes = 200, 60, 2000
-
-func (x *env) workload() error {
-	runner, err := workload.NewRunner(selfHealing(workloadParams), healWindow, workloadInitial, x.seed)
-	if err != nil {
-		return err
-	}
-	script := workload.RandomScript(rand.New(rand.NewSource(x.seed*31)), workloadOps, workload.DefaultMix())
-	// RunScript stops at the first operation that errs or leaves a
-	// violation; print what ran either way.
-	reports, runErr := runner.RunScript(script)
-
-	w := tabwriter.NewWriter(x.out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "#\top\tcount\tapplied\tsize\tmessages\tviolations")
-	counts := make(map[workload.Kind]int)
-	var messages uint64
-	for i, rep := range reports {
-		op := script[i]
-		counts[op.Kind] += rep.Applied
-		messages += rep.Messages
-		fmt.Fprintf(w, "%d\t%v\t%d\t%d\t%d\t%d\t%d\n",
-			i, op.Kind, op.Count, rep.Applied, rep.Size, rep.Messages, rep.Violations)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if runErr != nil {
-		return runErr
-	}
-
-	failed := runner.VerifyReachability(workloadRoutes)
-	fmt.Fprintf(x.out, "\n%d operations (%d joins, %d leaves, %d crashes, %d optimizations), %d messages\n",
-		workloadOps, counts[workload.KindJoin], counts[workload.KindLeave],
-		counts[workload.KindCrash], counts[workload.KindOptimize], messages)
-	fmt.Fprintf(x.out, "final network: %d nodes, consistent after every operation, %d/%d sampled routes failed\n",
-		runner.Size(), failed, workloadRoutes)
-	if failed > 0 {
-		return fmt.Errorf("%d of %d sampled routes failed", failed, workloadRoutes)
-	}
 	return nil
 }

@@ -13,7 +13,7 @@
 //	paper msgsize       # E9: §6.2 size reductions (-wire: encoded bytes, E16)
 //	paper netinit       # E10: §6.1 initialization from one node, batch by batch
 //	paper topo          # the transit-stub topology under E2/E3
-//	paper workload      # E11: random churn, consistency checked per operation
+//	paper workload      # E11: a random script of joins, leaves, crashes, optimizations
 //	paper churn         # E11: §7 leaves, crash recovery, table optimization (-small: E12)
 //	paper partition     # E13: split, held declarations, heal, reconvergence
 //	paper byzantine     # E15: hostile members under 10% loss
@@ -27,8 +27,10 @@
 // every scenario to its verdict (no false declaration, no stuck joiner,
 // reconvergence, a fault model that engaged), so a zero exit status is
 // itself a result. This file is dispatch, flags and exit codes;
-// experiments.go holds E1-E11 and scenarios.go E11-E18, each experiment
-// with its grid, sizes and seeds as data beside it. E13-E18 are data
+// experiments.go holds E1-E10 and scenarios.go E11-E18, each experiment
+// with its grid, sizes and seeds as data beside it. E11's two
+// subcommands drive one applier of four operations with two scripts,
+// and every crash victim must be declared by a survivor. E13-E18 are data
 // outright: committed schedules, testdata/<sub>[-small].json, that the
 // nemesis executor runs on its stack and judges with its oracle; a run
 // with findings exits 1 and leaves a repro for `nemesis -replay`.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -26,7 +27,8 @@ const multiW = "10261,47051,00261,33333,12345,22222,44444"
 // its default size except the two that run the §5.2 waves and the two
 // one-second scenarios (churn at n=1000, gray at n=64), which `go test`
 // runs at -small (make experiments-check covers full size). The
-// scenarios run five times each: E11's member selections touch maps,
+// scenarios run five times each: E11's two scripts select members
+// through maps,
 // and E13–E18 run on the nemesis executor, whose mid-split joiner
 // rule ranges over the map of issued IDs, over the same overlay,
 // sampling and guard layers.
@@ -48,7 +50,7 @@ var goldens = []struct {
 	{file: "netinit", args: []string{"netinit"}},
 	{file: "topo", args: []string{"topo"}},
 	{file: "topo-small", args: []string{"topo", "-small"}},
-	{file: "workload", args: []string{"workload"}},
+	{file: "workload", args: []string{"workload"}, runs: 5},
 	{file: "churn-small", args: []string{"churn", "-small"}, runs: 5},
 	{file: "partition", args: []string{"partition"}, runs: 5},
 	{file: "byzantine", args: []string{"byzantine"}, runs: 5},
@@ -178,10 +180,10 @@ func TestFigure1(t *testing.T) {
 
 // TestExperimentsDoc keeps EXPERIMENTS.md's transcripts from drifting
 // again: every fenced block there must be a run of lines of some
-// golden — this command's, or cmd/nemesis's sweep for E20 — so a
-// section gives its commands inline and fences output only. E14 and
-// E19 quote cmd/trace, and the closing section quotes nothing; those
-// stay outside the check.
+// golden — this command's, cmd/trace's for E14, or cmd/nemesis's sweep
+// for E20 — so a section gives its commands inline and fences output
+// only. E19 quotes a trace no golden pins, and the closing section
+// quotes nothing; those stay outside the check.
 func TestExperimentsDoc(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -196,7 +198,18 @@ func TestExperimentsDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := golden(t, names...) + string(sweep)
-	unchecked := []string{"E14 ", "E19 ", "Additional measurements"}
+	traces, err := filepath.Glob("../trace/testdata/*.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range traces {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned += string(b)
+	}
+	unchecked := []string{"E19 ", "Additional measurements"}
 	checked := 0
 	for _, section := range strings.Split(string(doc), "\n## ")[1:] {
 		title, _, _ := strings.Cut(section, "\n")
@@ -214,7 +227,7 @@ func TestExperimentsDoc(t *testing.T) {
 			}
 		}
 	}
-	if checked < 25 {
+	if checked < 26 {
 		t.Errorf("only %d blocks of EXPERIMENTS.md were checked: its sections or fences changed shape", checked)
 	}
 }
@@ -247,8 +260,14 @@ func TestVerdicts(t *testing.T) {
 	if err := (outcome{}).verdict(); err != nil {
 		t.Errorf("clean outcome: %v", err)
 	}
-	if err := (outcome{violations: make([]netcheck.Violation, 1)}).verdict(); err == nil || !strings.Contains(err.Error(), "1 Definition 3.8 violations") {
-		t.Errorf("outcome with a violation judged %v", err)
+	for want, o := range map[string]outcome{
+		"1 Definition 3.8 violations":             {violations: make([]netcheck.Violation, 1)},
+		"1 crash victims declared by no survivor": {undeclared: make([]id.ID, 1)},
+		"2 ordered pairs unroutable":              {unroutable: make([][2]id.ID, 2)},
+	} {
+		if err := o.verdict(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("outcome %+v judged %v, want an error mentioning %q", o, err, want)
+		}
 	}
 
 	// E18 at n=64: the adaptive run clean, the baseline visibly worse.
@@ -275,6 +294,75 @@ func TestVerdicts(t *testing.T) {
 			t.Errorf("gray breach judged %v, want an error mentioning %q", err, want)
 		}
 	}
+}
+
+// TestScriptedLifecycle runs a fixed script of all four ops through E11's
+// applier: each op but optimization sends messages, the world ends at the
+// size the script implies, and the verdict finds no violation, no
+// undeclared victim and no unroutable pair.
+func TestScriptedLifecycle(t *testing.T) {
+	t.Parallel()
+	w, err := (&env{seed: 7}).world(workloadParams, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := []op{{opJoin, 20}, {opLeave, 10}, {opCrash, 2}, {opOptimize, 1}, {opJoin, 5}, {opLeave, 8}}
+	for i, o := range script {
+		s, err := w.apply(o)
+		if err != nil {
+			t.Fatalf("op %d (%v): %v", i, o.kind, err)
+		}
+		if s.applied != o.k {
+			t.Errorf("op %d (%v %d): applied %d", i, o.kind, o.k, s.applied)
+		}
+		if o.kind != opOptimize && s.messages == 0 {
+			t.Errorf("op %d (%v): no messages", i, o.kind)
+		}
+	}
+	if got, want := w.net.Size(), 50+20-10-2+5-8; got != want {
+		t.Errorf("final size %d, want %d", got, want)
+	}
+	w.unroutable = netcheck.CheckAllPairsReachability(workloadParams, w.net.Tables())
+	if err := w.verdict(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestChurnScripts runs E11's random scripts on 60-member worlds under
+// four seeds: each must pass every gate, and no leave or crash takes a
+// world below minMembers.
+func TestChurnScripts(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			w, err := (&env{seed: seed}).world(workloadParams, 60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range workloadScript(rand.New(rand.NewSource(seed * 100))) {
+				if _, err := w.apply(o); err != nil {
+					t.Fatalf("op %d (%v): %v", i, o.kind, err)
+				}
+			}
+			w.unroutable = netcheck.CheckAllPairsReachability(workloadParams, w.net.Tables())
+			if err := w.verdict(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	t.Run("floor", func(t *testing.T) {
+		t.Parallel()
+		w, err := (&env{seed: 3}).world(workloadParams, minMembers+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []op{{opLeave, 5}, {opCrash, 3}} {
+			if s, err := w.apply(o); err != nil || w.net.Size() != minMembers {
+				t.Errorf("%v %d: applied %d, %d members left, err %v; want %d left", o.kind, o.k, s.applied, w.net.Size(), err, minMembers)
+			}
+		}
+	})
 }
 
 // TestScheduleFiles holds the committed E13-E18 schedules to the repro

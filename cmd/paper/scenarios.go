@@ -25,19 +25,27 @@ import (
 
 // E11-E18 exercise what the paper's §7 leaves as future work — leave,
 // failure recovery, table optimization — and the layers this repository
-// stacks on them. E11 is one Go driver below, with its sizes and window
-// as data beside it, at the values EXPERIMENTS.md documents; E12 is its
-// -small size. E13-E18 are committed schedules (see schedules).
+// stacks on them. E11 is one applier of four operations below, driven by
+// two scripts with their sizes as data beside them, at the values
+// EXPERIMENTS.md documents: churn's fixed §7 script (E12 is its -small
+// size) and workload's random one. E13-E18 are committed schedules (see
+// schedules).
 
-// The ID space of E11.
-var scenarioParams = id.Params{B: 16, D: 8}
+// The ID spaces of E11's two scripts.
+var (
+	scenarioParams = id.Params{B: 16, D: 8}
+	workloadParams = id.Params{B: 16, D: 6}
+)
 
 // healWindow is the virtual time the survivors get to detect and repair
 // each crash, which no one announces to them.
 const healWindow = 20 * time.Second
 
-// selfHealing is the stack E11 and the churn script run on p: every
-// node runs the failure detector and the clock-driven repair machinery.
+// minMembers is the size below which no leave or crash takes a world.
+const minMembers = 8
+
+// selfHealing is the stack E11 runs on p: every node runs the failure
+// detector and the clock-driven repair machinery.
 func selfHealing(p id.Params) overlay.Config {
 	return overlay.Config{
 		Params:       p,
@@ -47,44 +55,171 @@ func selfHealing(p id.Params) overlay.Config {
 	}
 }
 
-// world is what the Go-driven scenarios start from: a consistent network
-// whose members sit on end hosts of the 248-router transit-stub
-// topology. The order of draws from rng — member IDs, their hosts,
-// BuildDirect, then whatever the scenario draws — is part of every
-// golden.
+// world is what E11's scripts run on: a consistent network whose members
+// sit on end hosts of the 248-router transit-stub topology. The order of
+// draws from rng — member IDs, their hosts, BuildDirect, then what each
+// operation draws — is part of every golden.
 type world struct {
-	rng  *rand.Rand
-	net  *overlay.Network
-	refs []table.Ref // the initial members
+	rng   *rand.Rand
+	net   *overlay.Network
+	tl    *overlay.TopologyLatency
+	taken map[id.ID]bool // every ID drawn, so no joiner reuses one
+	live  []table.Ref    // the members, in the order leavers are drawn from
+	outcome
 }
 
-// world builds n members under cfg, whose Latency it supplies. With
+// world builds n members in ID space p on the selfHealing stack. With
 // -trace the events also go to the JSONL file, every operation causally
 // traced: the file is the input of `trace report`'s span trees.
-func (x *env) world(cfg overlay.Config, n int, seed int64) (*world, error) {
-	topo, err := topology.Generate(topology.Small(seed))
+func (x *env) world(p id.Params, n int) (*world, error) {
+	topo, err := topology.Generate(topology.Small(x.seed))
 	if err != nil {
 		return nil, err
 	}
-	w := &world{rng: rand.New(rand.NewSource(seed))}
-	tl := overlay.NewTopologyLatency(topo)
-	cfg.Latency = tl.Func()
+	w := &world{rng: rand.New(rand.NewSource(x.seed)), tl: overlay.NewTopologyLatency(topo), taken: make(map[id.ID]bool)}
+	cfg := selfHealing(p)
+	cfg.Latency = w.tl.Func()
 	if x.sink != nil {
-		cfg.Sink, cfg.TraceSample, cfg.TraceSeed = obs.Tee(x.sink, cfg.Sink), 1, uint64(seed)
+		cfg.Sink, cfg.TraceSample, cfg.TraceSeed = x.sink, 1, uint64(x.seed)
 	}
 	w.net = overlay.New(cfg)
-	w.refs = overlay.RandomRefs(cfg.Params, n, w.rng, nil)
-	for i, h := range topo.AttachHosts(n, w.rng) {
-		tl.Bind(w.refs[i].ID, h)
-	}
-	w.net.BuildDirect(w.refs, w.rng)
+	w.live = w.add(n)
+	w.net.BuildDirect(w.live, w.rng)
 	return w, nil
 }
+
+// add draws k fresh members and binds each to a host.
+func (w *world) add(k int) []table.Ref {
+	refs := overlay.RandomRefs(w.net.Params(), k, w.rng, w.taken)
+	for i, h := range w.tl.Topo.AttachHosts(k, w.rng) {
+		w.tl.Bind(refs[i].ID, h)
+	}
+	return refs
+}
+
+// opKind is one of E11's four operations.
+type opKind uint8
+
+const (
+	opJoin opKind = iota
+	opLeave
+	opCrash
+	opOptimize
+)
+
+func (k opKind) String() string { return [...]string{"join", "leave", "crash", "optimize"}[k] }
+
+// op is one step of an E11 script: k members join, leave gracefully in
+// one concurrent wave, or crash one after another; or k rounds of table
+// optimization.
+type op struct {
+	kind opKind
+	k    int
+}
+
+// step is what one op did.
+type step struct {
+	applied    int    // members that joined, left or crashed; optimization rounds
+	declared   int    // crash victims some survivor declared
+	messages   uint64 // delivered by the op itself, after a crash's warm-up
+	violations int    // of Definition 3.8 after the op
+	opt        overlay.OptimizeStats
+}
+
+// apply runs o and records in the world's outcome what breaks its
+// gates. A leave or crash never takes the world below minMembers, and
+// every op ends with every member in system: joins and leaves run to
+// quiescence without the clock, so none may start while a node still
+// waits on a timeout.
+func (w *world) apply(o op) (step, error) {
+	var s step
+	net := w.net
+	w.live = slices.DeleteFunc(w.live, func(r table.Ref) bool { _, ok := net.TableOf(r.ID); return !ok })
+	before := net.Delivered()
+	switch o.kind {
+	case opJoin:
+		joiners := w.add(o.k)
+		for _, j := range joiners {
+			net.ScheduleJoin(j, w.live[w.rng.Intn(len(w.live))], net.Engine().Now())
+		}
+		net.Run()
+		w.live = append(w.live, joiners...)
+		s.applied = len(joiners)
+	case opLeave:
+		s.applied = max(0, min(o.k, len(w.live)-minMembers))
+		for _, i := range w.rng.Perm(len(w.live))[:s.applied] {
+			if err := net.ScheduleLeave(w.live[i].ID, net.Engine().Now()); err != nil {
+				return s, err
+			}
+		}
+		net.Run()
+		net.FinalizeLeaves()
+	case opCrash:
+		// A detector declares only a peer it has heard from: one it has
+		// not is dropped as unreachable, with no gossip and no orphan
+		// re-announcement. So every detector first gets a window to hear
+		// from its peers, which the op is not charged for.
+		net.RunFor(healWindow)
+		before = net.Delivered()
+		victims := net.Members()
+		w.rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+		victims = victims[:max(0, min(o.k, len(victims)-minMembers))]
+		for _, v := range victims {
+			if err := net.InjectFailure(v.ID); err != nil {
+				return s, err
+			}
+			net.RunFor(healWindow)
+			if w.count(func(m *core.Machine) bool { return m.KnowsFailed(v.ID) }) > 0 {
+				s.declared++
+			} else {
+				w.undeclared = append(w.undeclared, v.ID)
+			}
+		}
+		// A survivor the crashes orphaned re-announces itself, and two
+		// such rejoiners can wait on each other until an exchange times
+		// out.
+		for end := net.Engine().Now() + healWindow; w.count(outside) > 0 && net.Engine().Now() < end; {
+			net.RunFor(time.Second)
+		}
+		s.applied = len(victims)
+	case opOptimize:
+		s.opt = net.OptimizeTables(o.k)
+		s.applied = o.k
+	}
+	if n := w.count(outside); n > 0 {
+		return s, fmt.Errorf("%d members not in system", n)
+	}
+	s.messages = net.Delivered() - before
+	v := net.CheckConsistency()
+	if len(w.violations) == 0 {
+		w.violations = v
+	}
+	s.violations = len(v)
+	return s, nil
+}
+
+// count is how many members' machines satisfy f. A machine records a
+// crash (KnowsFailed) only after a declaration or its gossip: a holder
+// that drops the victim as unreachable leaves no record.
+func (w *world) count(f func(*core.Machine) bool) int {
+	n := 0
+	for _, r := range w.net.Members() {
+		if m, _ := w.net.Machine(r.ID); f(m) {
+			n++
+		}
+	}
+	return n
+}
+
+// outside reports a machine not in system: joining, rejoining or leaving.
+func outside(m *core.Machine) bool { return !m.IsSNode() }
 
 // outcome is what E11's exit status is judged on. Every field's zero
 // value is the good one.
 type outcome struct {
-	violations []netcheck.Violation // of Definition 3.8 in the final network
+	violations []netcheck.Violation // of Definition 3.8, after the first op that left any
+	undeclared []id.ID              // crash victims no survivor declared within their window
+	unroutable [][2]id.ID           // ordered pairs of members no route joins at the end
 }
 
 // gates collects the gates of a verdict that tripped.
@@ -100,16 +235,16 @@ func (g *gates) gate(tripped bool, format string, args ...any) {
 // gates above tripped.
 func (o outcome) verdict() error {
 	var g gates
-	g.gate(len(o.violations) != 0, "final network has %d Definition 3.8 violations, first: %v", len(o.violations), o.violations[:min(1, len(o.violations))])
+	g.gate(len(o.violations) != 0, "an operation left %d Definition 3.8 violations, first: %v", len(o.violations), o.violations[:min(1, len(o.violations))])
+	g.gate(len(o.undeclared) != 0, "%d crash victims declared by no survivor, first: %v", len(o.undeclared), o.undeclared[:min(1, len(o.undeclared))])
+	g.gate(len(o.unroutable) != 0, "%d ordered pairs unroutable, first: %v", len(o.unroutable), o.unroutable[:min(1, len(o.unroutable))])
 	return errors.Join(g...)
 }
 
-// final prints the line every scenario ends on and returns the
-// violations of Definition 3.8 the network is left with.
-func (x *env) final(net *overlay.Network) []netcheck.Violation {
-	v := net.CheckConsistency()
+// final prints the line every scenario ends on.
+func (x *env) final(net *overlay.Network) {
 	state := "consistent"
-	if len(v) != 0 {
+	if v := net.CheckConsistency(); len(v) != 0 {
 		state = fmt.Sprintf("%d violations", len(v))
 	}
 	gs := net.GuardStats()
@@ -117,11 +252,11 @@ func (x *env) final(net *overlay.Network) []netcheck.Violation {
 		net.Size(), state, gs.Rejected, gs.UnknownDropped,
 		gs.Scorer.Quarantines, gs.Scorer.Quarantined, gs.Scorer.Releases,
 		gs.IngressDropped, gs.BusyDeferred)
-	return v
 }
 
-// churnSize is one size of the E11 phases: n members, of which leaves
-// depart gracefully in one concurrent wave and crashes fail one by one.
+// churnSize is one size of churn's §7 script: n members, of which leaves
+// depart gracefully in one concurrent wave and crashes fail one by one,
+// then optimizeRounds of table optimization.
 type churnSize struct{ n, leaves, crashes int }
 
 var (
@@ -141,52 +276,41 @@ func (x *env) churn() error {
 	return x.phases(churnFull)
 }
 
-// phases runs the three §7 protocols in turn on the selfHealing stack.
-// Crashes are announced to no one: the survivors get healWindow each to
-// notice and repair.
+// phases runs churn's script and reports each of the three §7
+// protocols.
 func (x *env) phases(sz churnSize) error {
-	w, err := x.world(selfHealing(scenarioParams), sz.n, x.seed)
+	w, err := x.world(scenarioParams, sz.n)
 	if err != nil {
 		return err
 	}
-	net, rng := w.net, w.rng
+	net := w.net
 	fmt.Fprintf(x.out, "initial consistent network: %d nodes (b=%d, d=%d)\n\n", net.Size(), scenarioParams.B, scenarioParams.D)
 	tw := tabwriter.NewWriter(x.out, 2, 4, 2, ' ', 0)
 
-	before := net.Delivered()
-	for _, i := range rng.Perm(len(w.refs))[:sz.leaves] {
-		if err := net.ScheduleLeave(w.refs[i].ID, 0); err != nil {
-			return err
-		}
+	s, err := w.apply(op{opLeave, sz.leaves})
+	if err != nil {
+		return err
 	}
-	net.Run()
-	gone := net.FinalizeLeaves()
-	msgs := net.Delivered() - before
 	fmt.Fprintf(tw, "graceful leaves\tcompleted %d/%d\tmessages %d (%.1f/leave)\tviolations %d\n",
-		len(gone), sz.leaves, msgs, float64(msgs)/float64(sz.leaves), len(net.CheckConsistency()))
+		s.applied, sz.leaves, s.messages, float64(s.messages)/float64(sz.leaves), s.violations)
 
-	survivors := net.Members()
-	rng.Shuffle(len(survivors), func(i, j int) { survivors[i], survivors[j] = survivors[j], survivors[i] })
-	before = net.Delivered()
-	for _, dead := range survivors[:sz.crashes] {
-		if err := net.InjectFailure(dead.ID); err != nil {
-			return err
-		}
-		net.RunFor(healWindow)
+	if s, err = w.apply(op{opCrash, sz.crashes}); err != nil {
+		return err
 	}
-	msgs = net.Delivered() - before
-	fmt.Fprintf(tw, "crash recovery\t%d crashes\tmessages %d (%.1f/crash)\tviolations %d\n",
-		sz.crashes, msgs, float64(msgs)/float64(sz.crashes), len(net.CheckConsistency()))
+	fmt.Fprintf(tw, "crash recovery\t%d crashes\tmessages %d (%.1f/crash)\tviolations %d\t%d/%d victims declared\n",
+		s.applied, s.messages, float64(s.messages)/float64(sz.crashes), s.violations, s.declared, s.applied)
 	ls := net.LivenessStats()
 
 	stretch := func() overlay.StretchStats {
 		return net.MeasureStretch(stretchPairs, rand.New(rand.NewSource(x.seed+2)))
 	}
 	was := stretch()
-	opt := net.OptimizeTables(optimizeRounds)
+	if s, err = w.apply(op{opOptimize, optimizeRounds}); err != nil {
+		return err
+	}
 	now := stretch()
 	fmt.Fprintf(tw, "optimization\t%d/%d entries switched\tstretch %.2f -> %.2f (p95 %.2f -> %.2f)\tviolations %d\n",
-		opt.Improved, opt.Considered, was.Mean, now.Mean, was.P95, now.P95, len(net.CheckConsistency()))
+		s.opt.Improved, s.opt.Considered, was.Mean, now.Mean, was.P95, now.P95, s.violations)
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -196,7 +320,66 @@ func (x *env) phases(sz churnSize) error {
 	fmt.Fprintf(x.out, "\ncrash repairs by the survivors: %d probes, %d indirect, %d suspects, %d recovered, %d declared\n%d LeaveMsg received, %d FindMsg sent in total\n",
 		ls.ProbesSent, ls.IndirectSent, ls.Suspects, ls.Recovered, ls.Declared,
 		traffic.ReceivedOf(msg.TLeave), traffic.SentOf(msg.TFind))
-	return outcome{violations: x.final(net)}.verdict()
+	x.final(net)
+	return w.verdict()
+}
+
+// workload's script: workloadOps operations drawn from their own seed,
+// weighted 4:3:2:1 join, leave, crash, optimize; a join or leave moves
+// up to 20 members, a crash up to 3, an optimization is one round. It
+// runs on workloadInitial members and ends by routing every ordered pair.
+const workloadInitial, workloadOps = 200, 60
+
+func workloadScript(rng *rand.Rand) []op {
+	script := make([]op, workloadOps)
+	for i := range script {
+		switch r := rng.Intn(10); {
+		case r < 4:
+			script[i] = op{opJoin, 1 + rng.Intn(20)}
+		case r < 7:
+			script[i] = op{opLeave, 1 + rng.Intn(20)}
+		case r < 9:
+			script[i] = op{opCrash, 1 + rng.Intn(3)}
+		default:
+			script[i] = op{opOptimize, 1}
+		}
+	}
+	return script
+}
+
+func (x *env) workload() error {
+	w, err := x.world(workloadParams, workloadInitial)
+	if err != nil {
+		return err
+	}
+	tw := tabwriter.NewWriter(x.out, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "#\top\tcount\tapplied\tsize\tmessages\tviolations")
+	var applied [4]int
+	var messages uint64
+	declared := 0
+	for i, o := range workloadScript(rand.New(rand.NewSource(x.seed * 31))) {
+		s, err := w.apply(o)
+		if err != nil {
+			tw.Flush()
+			return fmt.Errorf("op %d (%v): %w", i, o.kind, err)
+		}
+		applied[o.kind] += s.applied
+		messages += s.messages
+		declared += s.declared
+		fmt.Fprintf(tw, "%d\t%v\t%d\t%d\t%d\t%d\t%d\n", i, o.kind, o.k, s.applied, w.net.Size(), s.messages, s.violations)
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	w.unroutable = netcheck.CheckAllPairsReachability(workloadParams, w.net.Tables())
+	n, state := w.net.Size(), "consistent after every operation"
+	if len(w.violations) != 0 {
+		state = "inconsistent after an operation"
+	}
+	fmt.Fprintf(x.out, "\n%d operations (%d joins, %d leaves, %d crashes, %d optimizations), %d messages; %d/%d crash victims declared\n",
+		workloadOps, applied[opJoin], applied[opLeave], applied[opCrash], applied[opOptimize], messages, declared, applied[opCrash])
+	fmt.Fprintf(x.out, "final network: %d nodes, %s, %d of %d ordered pairs unroutable\n", n, state, len(w.unroutable), n*(n-1))
+	return w.verdict()
 }
 
 // E13-E18 are data: each scenario is a committed schedule,

@@ -7,19 +7,28 @@ import (
 	"testing"
 )
 
-// waveArgs is the pinned pipeline: a 16-node wave with 12 joiners whose
-// trace goes to stdout and summary to stderr, so report can read it.
-// Refresh testdata/ after an intended change of output with
+// pipelines are the pinned `trace wave -n N -m M -out - | trace report -`
+// runs: a 16-node wave with 12 joiners, and EXPERIMENTS.md E14's wave of
+// 192 joiners into 256 nodes, whose report that section quotes. The
+// trace goes to stdout and the summary to stderr, so report can read
+// it. Refresh testdata/ after an intended change of output with
 //
 //	go run ./cmd/trace wave -n 16 -m 12 -out - 2>cmd/trace/testdata/wave.golden | go run ./cmd/trace report - >cmd/trace/testdata/report.golden
-var waveArgs = []string{"wave", "-n", "16", "-m", "12", "-out", "-"}
+//	go run ./cmd/trace wave -n 256 -m 192 -out - 2>cmd/trace/testdata/wave-e14.golden | go run ./cmd/trace report - >cmd/trace/testdata/report-e14.golden
+var pipelines = []struct {
+	wave, report string // golden files
+	args         []string
+}{
+	{"wave.golden", "report.golden", []string{"wave", "-n", "16", "-m", "12", "-out", "-"}},
+	{"wave-e14.golden", "report-e14.golden", []string{"wave", "-n", "256", "-m", "192", "-out", "-"}},
+}
 
-// runWave runs the pinned wave and returns its trace and summary.
-func runWave(t *testing.T) (trace, summary *bytes.Buffer) {
+// runWave runs a pinned wave and returns its trace and summary.
+func runWave(t *testing.T, args []string) (trace, summary *bytes.Buffer) {
 	t.Helper()
 	trace, summary = new(bytes.Buffer), new(bytes.Buffer)
-	if code := run(waveArgs, nil, trace, summary); code != 0 {
-		t.Fatalf("trace %v: exit %d\n%s", waveArgs, code, summary)
+	if code := run(args, nil, trace, summary); code != 0 {
+		t.Fatalf("trace %v: exit %d\n%s", args, code, summary)
 	}
 	return trace, summary
 }
@@ -35,22 +44,24 @@ func golden(t *testing.T, file, got string) {
 	}
 }
 
-// TestWaveReportGolden is `trace wave ... -out - | trace report -` in
-// process: the wave must converge and every line of its trace parse,
-// and both the wave's summary and the report are pinned byte for byte.
+// TestWaveReportGolden is each pinned pipeline in process: the wave
+// must converge and every line of its trace parse, and both the wave's
+// summary and the report are pinned byte for byte.
 func TestWaveReportGolden(t *testing.T) {
-	trace, summary := runWave(t)
-	golden(t, "wave.golden", summary.String())
+	for _, p := range pipelines {
+		trace, summary := runWave(t, p.args)
+		golden(t, p.wave, summary.String())
 
-	var out, errb bytes.Buffer
-	if code := run([]string{"report", "-"}, trace, &out, &errb); code != 0 {
-		t.Fatalf("trace report -: exit %d\n%s", code, errb.String())
+		var out, errb bytes.Buffer
+		if code := run([]string{"report", "-"}, trace, &out, &errb); code != 0 {
+			t.Fatalf("trace report -: exit %d\n%s", code, errb.String())
+		}
+		golden(t, p.report, out.String())
 	}
-	golden(t, "report.golden", out.String())
 }
 
 func TestUsageAndErrors(t *testing.T) {
-	trace, _ := runWave(t)
+	trace, _ := runWave(t, pipelines[0].args)
 	for _, c := range []struct {
 		args   []string
 		stdin  []byte

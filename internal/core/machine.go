@@ -423,6 +423,16 @@ func (m *Machine) AddReverseNeighbor(w table.Ref) {
 	}
 }
 
+// DropReverseNeighbor forgets that w stores this node. The simulation
+// harness's table optimizer uses it when it moves w's entries off this
+// node without a message exchange.
+func (m *Machine) DropReverseNeighbor(w id.ID) {
+	if _, ok := m.reverse[w]; ok {
+		delete(m.reverse, w)
+		m.reverseGen++
+	}
+}
+
 // ReverseNeighbors returns a copy of the reverse-neighbor set.
 func (m *Machine) ReverseNeighbors() []table.Ref {
 	out := make([]table.Ref, 0, len(m.reverse))

@@ -276,7 +276,12 @@ func (m *Machine) giveUp(k xchgKey) {
 	case xWait:
 		if m.status == StatusWaiting {
 			m.restartJoin(k.peer)
+			return
 		}
+		// A notifier sends JoinWaitMsg on a negative reply; a silent
+		// target of one is dropped like a silent notified node, or the
+		// notifier would wait on it with nothing left to resend.
+		fallthrough
 	case xNoti:
 		delete(m.qr, k.peer)
 		m.maybeSwitch()

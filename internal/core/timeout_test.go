@@ -282,6 +282,54 @@ func wantGossip(t *testing.T, who string, out []msg.Envelope, before map[id.ID]b
 // declarer always, and a first-time receiver only if the victim was in
 // its table or its reverse set — each to its own live table ∪ reverse
 // set. Anyone else records the tombstone and stays silent.
+// TestNotifierDropsSilentWaitTarget: a notifier that gets a negative
+// JoinWaitRly sends JoinWaitMsg to the node it names. If that node never
+// answers, giving up must drop it from the wait set, as for a silent
+// notified node; a notifier left waiting on it has nothing to resend
+// and never reaches in_system.
+func TestNotifierDropsSilentWaitTarget(t *testing.T) {
+	p := id.Params{B: 4, D: 4}
+	opts := timeoutOpts()
+	pp := newPump(t, p, nil)
+	seed := core.NewSeed(p, ref(p, "3210"), opts)
+	pp.add(seed)
+	for _, s := range []string{"1003", "2213"} {
+		m := core.NewJoiner(p, ref(p, s), opts)
+		pp.add(m)
+		pp.enqueue(must(m.StartJoin(seed.Self())))
+		pp.run()
+	}
+	j := core.NewJoiner(p, ref(p, "0123"), opts)
+	pp.add(j)
+	queue := must(j.StartJoin(seed.Self()))
+	for len(queue) > 0 && j.Status() != core.StatusNotifying {
+		env := queue[0]
+		queue = append(queue[1:], pp.machines[env.To.ID].Deliver(env)...)
+	}
+	if j.Status() != core.StatusNotifying {
+		t.Fatalf("joiner in %v, want notifying", j.Status())
+	}
+	// A negative reply names a node that never answers: it has crashed.
+	silent := ref(p, "1113")
+	rly := msg.JoinWaitRly{R: msg.Negative, U: silent, Table: seed.Snapshot()}
+	queue = append(queue, j.Deliver(msg.Envelope{From: seed.Self(), To: j.Self(), Msg: rly})...)
+	for _, env := range queue {
+		if env.To.ID != silent.ID {
+			pp.enqueue([]msg.Envelope{env})
+		}
+	}
+	pp.run()
+	if j.Status() != core.StatusNotifying {
+		t.Fatalf("joiner in %v before the silent node timed out, want notifying", j.Status())
+	}
+	for now := time.Duration(0); now < time.Minute && !j.IsSNode(); now += 100 * time.Millisecond {
+		j.Tick(now)
+	}
+	if !j.IsSNode() {
+		t.Fatalf("notifier still %v a minute after its JoinWaitMsg went unanswered", j.Status())
+	}
+}
+
 func TestDeclareFailedGossipAndDedupe(t *testing.T) {
 	dead, holders, stored, strangers := crashNeighbourhood(t)
 	declarer, holder := holders[0], holders[1]

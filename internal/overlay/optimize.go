@@ -94,12 +94,26 @@ func (n *Network) OptimizeTables(rounds int) OptimizeStats {
 						if peer, ok := n.nodes[best.ID]; ok {
 							peer.Machine().AddReverseNeighbor(self)
 						}
+						// A node x no longer stores must not keep x in
+						// its reverse set: x's departure would not be
+						// announced to it, and its own would wait for
+						// x's acknowledgement for ever.
+						if peer, ok := n.nodes[cur.ID]; ok && !stores(tbl, cur.ID) {
+							peer.Machine().DropReverseNeighbor(x)
+						}
 					}
 				}
 			}
 		}
 	}
 	return st
+}
+
+// stores reports whether tbl holds x in any entry.
+func stores(tbl *table.Table, x id.ID) bool {
+	found := false
+	tbl.ForEach(func(_, _ int, nb table.Neighbor) { found = found || nb.ID == x })
+	return found
 }
 
 // StretchStats summarizes routing stretch over sampled pairs: the ratio

@@ -85,7 +85,21 @@ func TestOptimizeAfterChurn(t *testing.T) {
 		tl.Bind(ref.ID, hosts[i])
 	}
 	net.BuildDirect(refs, rng)
-	net.OptimizeTables(1)
+	if st := net.OptimizeTables(1); st.Improved == 0 {
+		t.Fatal("optimization switched no entry: nothing was tested")
+	}
+	// Every reverse registration is backed by an entry: a node that
+	// optimization moved off a holder's table is not announced that
+	// holder's departure, and would wait for its acknowledgement.
+	tables := net.Tables()
+	for x := range tables {
+		m, _ := net.Machine(x)
+		for _, w := range m.ReverseNeighbors() {
+			if !stores(tables[w.ID], x) {
+				t.Fatalf("%v holds %v as a reverse neighbor that stores it nowhere", x, w.ID)
+			}
+		}
+	}
 
 	for i := 0; i < 10; i++ {
 		if err := net.ScheduleLeave(refs[i].ID, net.Engine().Now()); err != nil {
@@ -93,7 +107,9 @@ func TestOptimizeAfterChurn(t *testing.T) {
 		}
 	}
 	net.Run()
-	net.FinalizeLeaves()
+	if gone := net.FinalizeLeaves(); len(gone) != 10 {
+		t.Fatalf("%d of 10 leaves completed", len(gone))
+	}
 	if v := net.CheckConsistency(); len(v) != 0 {
 		t.Fatalf("post-leave inconsistent: %v", v[0])
 	}
