@@ -64,16 +64,18 @@ bench-all:
 	$(GO) test -bench . -benchmem ./...
 
 # bench-smoke vets the repository benchmark (./bench, BENCHMARK.json) and
-# runs its two simulated workloads and the loopback TCP fleet for two
+# runs its three simulated workloads and the loopback TCP fleet for two
 # seconds each. It gates on the harness's own correctness checks —
 # Theorems 1-3 on the paper-scale join wave, consistency and zero false
-# declarations on crash repair, zero dead letters and Theorem 1 over the
+# declarations on crash repair, every lookup found and the hop model at
+# full scale over 4096 tables, zero dead letters and Theorem 1 over the
 # fleet's tables — through the exit code; the numbers of so short a run
 # mean nothing. The fleet needs 16384 file descriptors.
 bench-smoke:
 	$(GO) vet ./bench
 	$(GO) run ./bench --workload sim_maintain_crash --seconds 2
 	$(GO) run ./bench --workload sim_join_paper --seconds 2
+	$(GO) run ./bench --workload sim_lookup --seconds 2
 	ulimit -n 16384; $(GO) run ./bench --workload tcp_join_fleet --seconds 2
 
 vet:

@@ -83,7 +83,6 @@ type network struct {
 	cfg     Config
 	engine  *sim.Engine
 	nodes   map[id.ID]*node
-	rng     *rand.Rand
 	result  Result
 	pending int // live total pending records
 }
@@ -106,13 +105,14 @@ func RunWave(cfg Config) (*Result, error) {
 		cfg:    cfg,
 		engine: sim.NewEngine(),
 		nodes:  make(map[id.ID]*node, cfg.N+cfg.M),
-		rng:    rng,
 	}
 
 	taken := make(map[id.ID]bool)
 	existing := drawRefs(cfg.Params, cfg.N, rng, taken)
 	joiners := drawRefs(cfg.Params, cfg.M, rng, taken)
-	net.buildConsistent(existing)
+	netcheck.BuildConsistent(cfg.Params, existing, rng, func(k int, tbl *table.Table, _ []int32) {
+		net.nodes[existing[k].ID] = &node{ref: existing[k], tbl: tbl, pending: make(map[id.ID]*pendingRec)}
+	})
 
 	for _, j := range joiners {
 		j := j
@@ -153,33 +153,6 @@ func drawRefs(p id.Params, count int, rng *rand.Rand, taken map[id.ID]bool) []ta
 		out = append(out, table.Ref{ID: x, Addr: "sim://" + x.String()})
 	}
 	return out
-}
-
-// buildConsistent installs a globally consistent initial network.
-func (net *network) buildConsistent(members []table.Ref) {
-	bySuffix := make(map[id.Suffix][]table.Ref)
-	for _, ref := range members {
-		for k := 1; k <= net.cfg.Params.D; k++ {
-			bySuffix[ref.ID.Suffix(k)] = append(bySuffix[ref.ID.Suffix(k)], ref)
-		}
-	}
-	for _, ref := range members {
-		tbl := table.New(net.cfg.Params, ref.ID)
-		for i := 0; i < net.cfg.Params.D; i++ {
-			for j := 0; j < net.cfg.Params.B; j++ {
-				want := tbl.DesiredSuffix(i, j)
-				if ref.ID.HasSuffix(want) {
-					tbl.Set(i, j, table.Neighbor{ID: ref.ID, Addr: ref.Addr, State: table.StateS})
-					continue
-				}
-				if cands := bySuffix[want]; len(cands) > 0 {
-					pick := cands[net.rng.Intn(len(cands))]
-					tbl.Set(i, j, table.Neighbor{ID: pick.ID, Addr: pick.Addr, State: table.StateS})
-				}
-			}
-		}
-		net.nodes[ref.ID] = &node{ref: ref, tbl: tbl, pending: make(map[id.ID]*pendingRec)}
-	}
 }
 
 func (net *network) countMsg() {

@@ -294,14 +294,14 @@ func (m *Machine) setStatus(s Status) {
 // NewJoiner returns a machine for a node about to join: status copying,
 // empty table. Call StartJoin with the bootstrap node to begin.
 func NewJoiner(p id.Params, self table.Ref, opts Options) *Machine {
-	return newMachine(p, self, StatusCopying, opts)
+	return newMachine(p, self, StatusCopying, table.New(p, self.ID), opts)
 }
 
 // NewSeed returns the machine of the very first node of a network
 // (§6.1): status in_system, table holding only its own diagonal entries
 // with state S.
 func NewSeed(p id.Params, self table.Ref, opts Options) *Machine {
-	m := newMachine(p, self, StatusInSystem, opts)
+	m := newMachine(p, self, StatusInSystem, table.New(p, self.ID), opts)
 	for i := 0; i < p.D; i++ {
 		m.tbl.Set(i, self.ID.Digit(i), table.Neighbor{ID: self.ID, Addr: self.Addr, State: table.StateS})
 	}
@@ -315,12 +315,10 @@ func NewEstablished(p id.Params, self table.Ref, tbl *table.Table, opts Options)
 	if tbl.Owner() != self.ID {
 		panic(fmt.Sprintf("core: table owner %v is not %v", tbl.Owner(), self.ID))
 	}
-	m := newMachine(p, self, StatusInSystem, opts)
-	m.tbl = tbl
-	return m
+	return newMachine(p, self, StatusInSystem, tbl, opts)
 }
 
-func newMachine(p id.Params, self table.Ref, status Status, opts Options) *Machine {
+func newMachine(p id.Params, self table.Ref, status Status, tbl *table.Table, opts Options) *Machine {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid params: %v", err))
 	}
@@ -328,7 +326,7 @@ func newMachine(p id.Params, self table.Ref, status Status, opts Options) *Machi
 		params:  p,
 		self:    self,
 		status:  status,
-		tbl:     table.New(p, self.ID),
+		tbl:     tbl,
 		opts:    opts,
 		budgets: opts.Budgets.withDefaults(),
 		reverse: make(map[id.ID]table.Ref),

@@ -1,16 +1,19 @@
 // Package netcheck verifies global properties of a set of neighbor
 // tables: the consistency conditions of Definition 3.8 of Liu & Lam
-// (ICDCS 2003) and pairwise reachability (Definition 3.7).
+// (ICDCS 2003) and pairwise reachability (Definition 3.7). It also
+// builds consistent tables with the same global knowledge
+// (BuildConsistent), the paper's premise of an existing network.
 //
 // The consistency check needs global knowledge and therefore lives in the
-// verification harness, never in protocol nodes. It runs in O(N·d·b)
-// using a registry of every ID suffix present in the network; by
-// Lemma 3.1, condition (a) is equivalent to all-pairs reachability.
+// verification harness, never in protocol nodes. It reads a registry of
+// every ID suffix present in the network, built in O(N·d), once per
+// (node, level); by Lemma 3.1, condition (a) is equivalent to all-pairs
+// reachability.
 package netcheck
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypercube/internal/id"
 	"hypercube/internal/table"
@@ -67,19 +70,25 @@ func (v Violation) String() string {
 }
 
 // SuffixRegistry answers "does any network member have this suffix?" in
-// O(1) after O(N·d) construction.
+// O(1) after O(N·d) construction. Each suffix s some member carries maps
+// to its member count and to the digits j for which some member carries
+// j·s, so the desired suffix of every entry of a level is one bit of one
+// lookup.
 type SuffixRegistry struct {
 	params  id.Params
-	members map[id.ID]struct{}
-	present map[id.Suffix]int // suffix -> member count
+	present map[id.Suffix]suffixInfo
+}
+
+type suffixInfo struct {
+	count  int
+	digits uint64 // bit j: some member has suffix j·s
 }
 
 // NewSuffixRegistry indexes the given member set.
 func NewSuffixRegistry(p id.Params, members []id.ID) *SuffixRegistry {
 	r := &SuffixRegistry{
 		params:  p,
-		members: make(map[id.ID]struct{}, len(members)),
-		present: make(map[id.Suffix]int, len(members)*p.D),
+		present: make(map[id.Suffix]suffixInfo, len(members)*p.D),
 	}
 	for _, x := range members {
 		r.Add(x)
@@ -89,45 +98,28 @@ func NewSuffixRegistry(p id.Params, members []id.ID) *SuffixRegistry {
 
 // Add indexes one more member.
 func (r *SuffixRegistry) Add(x id.ID) {
-	if _, dup := r.members[x]; dup {
+	if r.IsMember(x) {
 		return
 	}
-	r.members[x] = struct{}{}
-	for k := 1; k <= r.params.D; k++ {
-		r.present[x.Suffix(k)]++
+	for k := 0; k <= r.params.D; k++ {
+		info := r.present[x.Suffix(k)]
+		info.count++
+		if k < r.params.D {
+			info.digits |= 1 << x.Digit(k)
+		}
+		r.present[x.Suffix(k)] = info
 	}
 }
 
 // Has reports whether any member has the suffix.
-func (r *SuffixRegistry) Has(s id.Suffix) bool {
-	if s.Len() == 0 {
-		return len(r.members) > 0
-	}
-	return r.present[s] > 0
-}
+func (r *SuffixRegistry) Has(s id.Suffix) bool { return r.Count(s) > 0 }
 
 // Count returns the number of members with the suffix.
-func (r *SuffixRegistry) Count(s id.Suffix) int {
-	if s.Len() == 0 {
-		return len(r.members)
-	}
-	return r.present[s]
-}
+func (r *SuffixRegistry) Count(s id.Suffix) int { return r.present[s].count }
 
 // IsMember reports whether x is in the indexed set.
 func (r *SuffixRegistry) IsMember(x id.ID) bool {
-	_, ok := r.members[x]
-	return ok
-}
-
-// Members returns the indexed IDs in sorted order.
-func (r *SuffixRegistry) Members() []id.ID {
-	out := make([]id.ID, 0, len(r.members))
-	for x := range r.members {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return x.Len() == r.params.D && r.Has(x.Suffix(r.params.D))
 }
 
 // CheckConsistency verifies Definition 3.8 over the given tables: for
@@ -145,30 +137,32 @@ func CheckConsistency(p id.Params, tables map[id.ID]*table.Table) []Violation {
 
 	var out []Violation
 	// Deterministic iteration order for stable failure messages.
-	sort.Slice(members, func(i, j int) bool { return members[i].Less(members[j]) })
+	slices.SortFunc(members, id.ID.Compare)
 	for _, x := range members {
 		tbl := tables[x]
 		for i := 0; i < p.D; i++ {
+			digits := reg.present[x.Suffix(i)].digits
 			for j := 0; j < p.B; j++ {
-				want := tbl.DesiredSuffix(i, j)
+				has := digits&(1<<j) != 0
 				got := tbl.Get(i, j)
 				switch {
-				case reg.Has(want) && got.IsZero():
+				case has && got.IsZero():
+					want := tbl.DesiredSuffix(i, j)
 					out = append(out, Violation{
 						Node: x, Level: i, Digit: j, Kind: FalseNegative,
 						Detail: fmt.Sprintf("suffix %v exists in network (count %d) but entry empty", want, reg.Count(want)),
 					})
-				case !reg.Has(want) && !got.IsZero():
+				case !has && !got.IsZero():
 					out = append(out, Violation{
 						Node: x, Level: i, Digit: j, Kind: FalsePositive,
-						Detail: fmt.Sprintf("no member has suffix %v but entry holds %v", want, got.ID),
+						Detail: fmt.Sprintf("no member has suffix %v but entry holds %v", tbl.DesiredSuffix(i, j), got.ID),
 					})
-				case !got.IsZero() && !got.ID.HasSuffix(want):
+				case !got.IsZero() && !table.Qualifies(x, i, j, got.ID):
 					out = append(out, Violation{
 						Node: x, Level: i, Digit: j, Kind: WrongSuffix,
-						Detail: fmt.Sprintf("entry holds %v which lacks suffix %v", got.ID, want),
+						Detail: fmt.Sprintf("entry holds %v which lacks suffix %v", got.ID, tbl.DesiredSuffix(i, j)),
 					})
-				case !got.IsZero() && !reg.IsMember(got.ID):
+				case !got.IsZero() && got.ID != x && !reg.IsMember(got.ID):
 					out = append(out, Violation{
 						Node: x, Level: i, Digit: j, Kind: Ghost,
 						Detail: fmt.Sprintf("entry holds %v which is not a network member", got.ID),

@@ -12,8 +12,7 @@ import (
 var p45 = id.Params{B: 4, D: 5}
 
 // buildConsistent constructs consistent tables for the given members with
-// global knowledge: every entry whose desired suffix is represented gets
-// an arbitrary qualifying member (the owner itself when possible).
+// global knowledge (BuildConsistent).
 func buildConsistent(t *testing.T, p id.Params, ids []string) map[id.ID]*table.Table {
 	t.Helper()
 	members := make([]id.ID, len(ids))
@@ -24,30 +23,14 @@ func buildConsistent(t *testing.T, p id.Params, ids []string) map[id.ID]*table.T
 }
 
 func buildConsistentIDs(p id.Params, members []id.ID) map[id.ID]*table.Table {
-	bySuffix := make(map[id.Suffix][]id.ID)
-	for _, x := range members {
-		for k := 1; k <= p.D; k++ {
-			s := x.Suffix(k)
-			bySuffix[s] = append(bySuffix[s], x)
-		}
+	refs := make([]table.Ref, len(members))
+	for i, x := range members {
+		refs[i] = table.Ref{ID: x}
 	}
 	tables := make(map[id.ID]*table.Table, len(members))
-	for _, x := range members {
-		tbl := table.New(p, x)
-		for i := 0; i < p.D; i++ {
-			for j := 0; j < p.B; j++ {
-				want := tbl.DesiredSuffix(i, j)
-				if x.HasSuffix(want) {
-					tbl.Set(i, j, table.Neighbor{ID: x, State: table.StateS})
-					continue
-				}
-				if cands := bySuffix[want]; len(cands) > 0 {
-					tbl.Set(i, j, table.Neighbor{ID: cands[0], State: table.StateS})
-				}
-			}
-		}
-		tables[x] = tbl
-	}
+	BuildConsistent(p, refs, rand.New(rand.NewSource(1)), func(_ int, tbl *table.Table, _ []int32) {
+		tables[tbl.Owner()] = tbl
+	})
 	return tables
 }
 
@@ -174,9 +157,6 @@ func TestSuffixRegistry(t *testing.T) {
 	reg.Add(a)
 	reg.Add(a) // duplicate add is a no-op
 	reg.Add(b)
-	if got := len(reg.Members()); got != 2 {
-		t.Fatalf("Members = %d, want 2", got)
-	}
 	if !reg.Has(id.EmptySuffix) {
 		t.Error("Has(ε) false on populated registry")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
+	"hypercube/internal/netcheck"
 	"hypercube/internal/table"
 )
 
@@ -85,5 +86,44 @@ func TestJoinWaveAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations per join", perJoin)
 	if perJoin > budget {
 		t.Errorf("%.0f allocations per join, budget %d", perJoin, budget)
+	}
+}
+
+// TestBuildDirectAllocs bounds the allocations of building a consistent
+// network with global knowledge, and of checking it against Definition
+// 3.8, per member (n=512, d=8). The builder reads a suffix index and
+// the checker a digit mask per suffix, so neither pays per table entry:
+// b=16 must cost about what b=4 does. Measured: 18.2 and 15.6 per
+// member to build, 155.2 and 55.3 when each entry built its suffix;
+// under 0.1 per member to check, d·b when it did.
+func TestBuildDirectAllocs(t *testing.T) {
+	const n = 512
+	perMember := func(b int) (build, check float64) {
+		p := id.Params{B: b, D: 8}
+		members := RandomRefs(p, n, rand.New(rand.NewSource(3)), nil)
+		var tables map[id.ID]*table.Table
+		build = testing.AllocsPerRun(3, func() {
+			net := New(Config{Params: p})
+			net.BuildDirect(members, rand.New(rand.NewSource(4)))
+			tables = net.Tables()
+		}) / n
+		check = testing.AllocsPerRun(3, func() {
+			if v := netcheck.CheckConsistency(p, tables); len(v) != 0 {
+				t.Fatalf("b=%d: built network inconsistent: %v", b, v[0])
+			}
+		}) / n
+		t.Logf("b=%d: %.1f allocations per member to build, %.2f to check", b, build, check)
+		return build, check
+	}
+	build4, _ := perMember(4)
+	build16, check16 := perMember(16)
+	if build16 > 25 {
+		t.Errorf("BuildDirect: %.1f allocations per member, budget 25", build16)
+	}
+	if build16-build4 >= 5 {
+		t.Errorf("BuildDirect: %.1f allocations per member at b=16 against %.1f at b=4: an entry allocates", build16, build4)
+	}
+	if check16 > 1 {
+		t.Errorf("CheckConsistency: %.2f allocations per member, budget 1", check16)
 	}
 }

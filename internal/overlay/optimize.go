@@ -74,11 +74,10 @@ func (n *Network) OptimizeTables(rounds int) OptimizeStats {
 						continue
 					}
 					st.Considered++
-					want := tbl.DesiredSuffix(level, digit)
 					best := cur
 					bestLat := n.cfg.Latency(self, cur.Ref())
 					for _, cand := range candidates {
-						if cand.ID == cur.ID || !cand.ID.HasSuffix(want) {
+						if cand.ID == cur.ID || !table.Qualifies(x, level, digit, cand.ID) {
 							continue
 						}
 						if _, live := n.nodes[cand.ID]; !live {

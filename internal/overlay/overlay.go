@@ -349,45 +349,36 @@ func (n *Network) addMachine(m *core.Machine) *node.Node {
 // paying for n sequential joins; BuildByJoins is the protocol-driven
 // alternative.
 func (n *Network) BuildDirect(members []table.Ref, rng *rand.Rand) {
-	bySuffix := make(map[id.Suffix][]table.Ref)
-	for _, ref := range members {
-		for k := 1; k <= n.cfg.Params.D; k++ {
-			s := ref.ID.Suffix(k)
-			bySuffix[s] = append(bySuffix[s], ref)
-		}
-	}
-	for _, ref := range members {
-		tbl := table.New(n.cfg.Params, ref.ID)
-		for i := 0; i < n.cfg.Params.D; i++ {
-			for j := 0; j < n.cfg.Params.B; j++ {
-				want := tbl.DesiredSuffix(i, j)
-				if ref.ID.HasSuffix(want) {
-					tbl.Set(i, j, table.Neighbor{ID: ref.ID, Addr: ref.Addr, State: table.StateS})
-					continue
-				}
-				cands := bySuffix[want]
-				if len(cands) == 0 {
-					continue
-				}
-				pick := cands[rng.Intn(len(cands))]
-				tbl.Set(i, j, table.Neighbor{ID: pick.ID, Addr: pick.Addr, State: table.StateS})
-			}
-		}
-		n.addMachine(core.NewEstablished(n.cfg.Params, ref, tbl, n.cfg.Opts))
-	}
+	machines := make([]*core.Machine, len(members))
+	var held []int32                        // the members each table holds, table after table
+	heldAt := make([]int32, len(members)+1) // table k's are held[heldAt[k]:heldAt[k+1]]
+	netcheck.BuildConsistent(n.cfg.Params, members, rng, func(k int, tbl *table.Table, picks []int32) {
+		machines[k] = n.addMachine(core.NewEstablished(n.cfg.Params, members[k], tbl, n.cfg.Opts)).Machine()
+		held = append(held, picks...)
+		heldAt[k+1] = int32(len(held))
+	})
 	// Register reverse neighbors with global knowledge: these tables never
 	// exchanged RvNghNotiMsg, but the leave protocol requires every node
-	// to know its holders.
-	for holder, nd := range n.nodes {
-		holderRef := nd.Machine().Self()
-		nd.Machine().Table().ForEach(func(_, _ int, nb table.Neighbor) {
-			if nb.ID == holder {
-				return
-			}
-			if stored, ok := n.nodes[nb.ID]; ok {
-				stored.Machine().AddReverseNeighbor(holderRef)
-			}
-		})
+	// to know its holders. Holders are grouped per stored node first, so
+	// each reverse set is filled in one go.
+	start := make([]int32, len(members)+1) // u's holders are holders[start[u]:start[u+1]]
+	for _, u := range held {
+		start[u+1]++
+	}
+	for u := range members {
+		start[u+1] += start[u]
+	}
+	holders, next := make([]int32, len(held)), slices.Clone(start)
+	for x := range members {
+		for _, u := range held[heldAt[x]:heldAt[x+1]] {
+			holders[next[u]] = int32(x)
+			next[u]++
+		}
+	}
+	for u, m := range machines {
+		for _, x := range holders[start[u]:start[u+1]] {
+			m.AddReverseNeighbor(members[x])
+		}
 	}
 }
 
