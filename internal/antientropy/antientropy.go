@@ -60,14 +60,6 @@ type Stats struct {
 	Deprioritized int `json:"deprioritized"`
 }
 
-// Add accumulates other into s, for fleet totals.
-func (s *Stats) Add(other Stats) {
-	s.Rounds += other.Rounds
-	s.Pulled += other.Pulled
-	s.Purged += other.Purged
-	s.Deprioritized += other.Deprioritized
-}
-
 // Engine drives anti-entropy rounds for one node's machine. It is not
 // safe for concurrent use; drive it from the goroutine (or under the
 // lock) that owns the machine.

@@ -26,6 +26,7 @@ import (
 	"slices"
 	"time"
 
+	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/netcheck"
 	"hypercube/internal/sim"
@@ -130,7 +131,7 @@ func RunWave(cfg Config) (*Result, error) {
 	for _, j := range joiners {
 		lost := false
 		for _, e := range existing {
-			if _, ok := netcheck.Reachable(cfg.Params, tables, e.ID, j.ID); !ok {
+			if _, ok := core.Route(net, e.ID, j.ID, cfg.Params); !ok {
 				lost = true
 				break
 			}
@@ -155,6 +156,15 @@ func drawRefs(p id.Params, count int, rng *rand.Rand, taken map[id.ID]bool) []ta
 	return out
 }
 
+// TableOf implements core.TableResolver.
+func (net *network) TableOf(x id.ID) (*table.Table, bool) {
+	u, ok := net.nodes[x]
+	if !ok {
+		return nil, false
+	}
+	return u.tbl, true
+}
+
 func (net *network) countMsg() {
 	net.result.TotalMessages++
 }
@@ -171,18 +181,11 @@ func (net *network) countAnnounce() {
 func (net *network) startJoin(x, g0 table.Ref) {
 	p := net.cfg.Params
 	// Phase 1: route from g0 toward x to find the surrogate, counting one
-	// message per hop.
-	cur := net.nodes[g0.ID]
-	for hops := 0; hops <= p.D; hops++ {
-		k := cur.ref.ID.CommonSuffixLen(x.ID)
-		next := cur.tbl.Get(k, x.ID.Digit(k))
-		if next.IsZero() || next.ID == x.ID {
-			break
-		}
-		net.countMsg()
-		cur = net.nodes[next.ID]
-	}
-	surrogate := cur
+	// message per hop. No table holds x yet, so the route ends at an
+	// empty entry, on the surrogate.
+	path, _ := core.Route(net, g0.ID, x.ID, p)
+	net.result.TotalMessages += len(path) - 1
+	surrogate := net.nodes[path[len(path)-1]]
 
 	// Phase 2: the joiner builds its table by copying from nodes along
 	// the suffix chain (PRR-style, as in the paper's copying phase).

@@ -285,12 +285,7 @@ func (m *Machine) DropFailed(gone id.ID) (unrepaired [][2]int) {
 		}
 	})
 	for _, e := range held {
-		if !m.repairFromTables(e[0], e[1], gone, table.Snapshot{}) {
-			if m.inRepair == nil {
-				m.inRepair = make(map[[2]int]bool)
-			}
-			m.inRepair[e] = true
-			m.addRepairJob(e, gone)
+		if !m.repairOrQueue(e, gone) {
 			unrepaired = append(unrepaired, e)
 		}
 	}

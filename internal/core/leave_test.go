@@ -262,7 +262,7 @@ func TestRejoinRestoresAnnouncement(t *testing.T) {
 		if ref.ID == y.Self().ID {
 			continue
 		}
-		if _, ok := netcheck.Reachable(p, tables, ref.ID, y.Self().ID); !ok {
+		if _, ok := core.Route(core.TableMap(tables), ref.ID, y.Self().ID, p); !ok {
 			t.Errorf("node %v cannot reach the rejoined orphan", ref.ID)
 		}
 	}

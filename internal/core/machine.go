@@ -131,15 +131,6 @@ type GuardStats struct {
 	Scorer         guard.Stats `json:"scorer"`
 }
 
-// Add accumulates other into g.
-func (g *GuardStats) Add(other GuardStats) {
-	g.Rejected += other.Rejected
-	g.UnknownDropped += other.UnknownDropped
-	g.IngressDropped += other.IngressDropped
-	g.BusyDeferred += other.BusyDeferred
-	g.Scorer.Add(other.Scorer)
-}
-
 // Machine is the protocol state machine for a single node.
 // It is not safe for concurrent use; drive it from one goroutine or under
 // an external lock.

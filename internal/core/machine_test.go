@@ -174,10 +174,10 @@ func TestSingleJoin(t *testing.T) {
 	pp.requireConsistent()
 
 	// Lemma 5.1: the two nodes reach each other.
-	if _, ok := netcheck.Reachable(p, pp.tables(), seed.Self().ID, joiner.Self().ID); !ok {
+	if _, ok := core.Route(core.TableMap(pp.tables()), seed.Self().ID, joiner.Self().ID, p); !ok {
 		t.Error("seed cannot reach joiner")
 	}
-	if _, ok := netcheck.Reachable(p, pp.tables(), joiner.Self().ID, seed.Self().ID); !ok {
+	if _, ok := core.Route(core.TableMap(pp.tables()), joiner.Self().ID, seed.Self().ID, p); !ok {
 		t.Error("joiner cannot reach seed")
 	}
 }
@@ -349,7 +349,7 @@ func TestPaperSection3Example(t *testing.T) {
 					if a == b {
 						continue
 					}
-					if _, ok := netcheck.Reachable(p, tables, a.Self().ID, b.Self().ID); !ok {
+					if _, ok := core.Route(core.TableMap(tables), a.Self().ID, b.Self().ID, p); !ok {
 						t.Errorf("%v cannot reach %v", a.Self().ID, b.Self().ID)
 					}
 				}

@@ -28,11 +28,25 @@ type TableResolver interface {
 	TableOf(x id.ID) (*table.Table, bool)
 }
 
+// TableMap resolves from tables keyed by owner, the form the checkers
+// hold them in.
+type TableMap map[id.ID]*table.Table
+
+// TableOf implements TableResolver.
+func (t TableMap) TableOf(x id.ID) (*table.Table, bool) {
+	tbl, ok := t[x]
+	return tbl, ok
+}
+
 // Route walks the full route from src toward target using resolver,
 // returning the node sequence visited (starting with src) and whether the
 // target was reached. Per Definition 3.7 a consistent network reaches any
-// existing node within d hops; Route therefore aborts after d hops or on
-// an empty entry, returning ok=false.
+// existing node within d hops; Route therefore aborts after d hops, on
+// an empty entry or at a node it cannot resolve, returning ok=false. It
+// is the one walk of the §2.2 route: the checkers' reachability
+// (Definition 3.7, Lemma 3.1), the nemesis audit, the baseline's
+// surrogate search and lost joiners, and the stretch measurement all
+// call it.
 func Route(resolver TableResolver, src, target id.ID, p id.Params) (path []id.ID, ok bool) {
 	cur := src
 	path = append(path, cur)

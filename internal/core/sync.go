@@ -123,13 +123,7 @@ func (m *Machine) AuditTable() (purged int, out []msg.Envelope) {
 		gone := m.tbl.Get(e[0], e[1]).ID
 		purged++
 		m.auditPurged++
-		if !m.repairFromTables(e[0], e[1], gone, table.Snapshot{}) {
-			if m.inRepair == nil {
-				m.inRepair = make(map[[2]int]bool)
-			}
-			m.inRepair[e] = true
-			m.addRepairJob(e, gone)
-		}
+		m.repairOrQueue(e, gone)
 	}
 	return purged, m.take()
 }

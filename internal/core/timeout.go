@@ -537,18 +537,29 @@ func (m *Machine) noteFailed(gone table.Ref, declared bool) {
 	}
 }
 
-// addRepairJob registers a crash-emptied entry for autonomous repair.
-func (m *Machine) addRepairJob(e [2]int, avoid id.ID) {
+// repairOrQueue refills entry e, just emptied of gone, from the local
+// tables, or else marks it in repair and registers a job for Tick's
+// routed repair (once: a job already pending for e is kept). It
+// reports whether the local repair filled the entry.
+func (m *Machine) repairOrQueue(e [2]int, gone id.ID) (repaired bool) {
+	if m.repairFromTables(e[0], e[1], gone, table.Snapshot{}) {
+		return true
+	}
+	if m.inRepair == nil {
+		m.inRepair = make(map[[2]int]bool)
+	}
+	m.inRepair[e] = true
 	if m.repairs == nil {
 		m.repairs = make(map[[2]int]*repairJob)
 	}
 	if _, dup := m.repairs[e]; dup {
-		return
+		return false
 	}
-	m.repairs[e] = &repairJob{avoid: avoid, due: m.now}
+	m.repairs[e] = &repairJob{avoid: gone, due: m.now}
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindRepairStart, Peer: avoid.String(), Detail: entryName(e[0], e[1])})
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindRepairStart, Peer: gone.String(), Detail: entryName(e[0], e[1])})
 	}
+	return false
 }
 
 // repairsPending returns the entries with unresolved repair jobs,

@@ -45,15 +45,6 @@ type Stats struct {
 	Quarantined int `json:"quarantined" metric:"gauge"`
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Charges += other.Charges
-	s.Quarantines += other.Quarantines
-	s.Releases += other.Releases
-	s.Evictions += other.Evictions
-	s.Quarantined += other.Quarantined
-}
-
 type peerScore struct {
 	score float64
 	last  time.Duration // when score was last updated

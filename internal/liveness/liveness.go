@@ -193,25 +193,6 @@ type Stats struct {
 	Retargets int `json:"retargets"`
 }
 
-// Add accumulates other into s, for fleet totals.
-func (s *Stats) Add(other Stats) {
-	s.ProbesSent += other.ProbesSent
-	s.IndirectSent += other.IndirectSent
-	s.PongsReceived += other.PongsReceived
-	s.Suspects += other.Suspects
-	s.Recovered += other.Recovered
-	s.Declared += other.Declared
-	s.PartitionsEntered += other.PartitionsEntered
-	s.PartitionsExited += other.PartitionsExited
-	s.DeclarationsHeld += other.DeclarationsHeld
-	s.Unreachable += other.Unreachable
-	s.AdaptiveDeadlines += other.AdaptiveDeadlines
-	s.LatePongs += other.LatePongs
-	s.DegradedMarked += other.DegradedMarked
-	s.DegradedCleared += other.DegradedCleared
-	s.Retargets += other.Retargets
-}
-
 type targetState uint8
 
 const (

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,6 +206,42 @@ func TestCountersDelivery(t *testing.T) {
 	if got := c.TotalDropped(); got != 2 {
 		t.Errorf("after Add TotalDropped = %d", got)
 	}
+}
+
+// TestCountersAddSumsEveryField guards the one hand-written sum left
+// (every part's stats struct sums through obs.AddStruct, whose walk
+// skips arrays): every tally of every family, and every other field,
+// must double after two Adds of the same counters.
+func TestCountersAddSumsEveryField(t *testing.T) {
+	var one, sum Counters
+	// ints visits every int in c's fields and in their arrays, in order.
+	ints := func(c *Counters, fn func(name string, v reflect.Value)) {
+		v := reflect.ValueOf(c).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			name, f := v.Type().Field(i).Name, v.Field(i)
+			switch f.Kind() {
+			case reflect.Array:
+				for j := 0; j < f.Len(); j++ {
+					fn(name, f.Index(j))
+				}
+			case reflect.Int:
+				fn(name, f)
+			default:
+				t.Fatalf("Counters.%s is a %v: teach this test to fill it", name, f.Kind())
+			}
+		}
+	}
+	// The k-th int visited holds k, so every field and tally differs.
+	k := int64(0)
+	ints(&one, func(_ string, v reflect.Value) { k++; v.SetInt(k) })
+	sum.Add(&one)
+	sum.Add(&one)
+	k = 0
+	ints(&sum, func(name string, v reflect.Value) {
+		if k++; v.Int() != 2*k {
+			t.Errorf("Counters.%s: %d after two Adds of %d", name, v.Int(), k)
+		}
+	})
 }
 
 // TestCountersJSON pins the by-name view /status serves: one object per

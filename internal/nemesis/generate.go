@@ -100,7 +100,7 @@ func Generate(seed uint64, p id.Params, nodes, steps int) Schedule {
 			add(OpQuiesce, 3)
 		}
 
-		a := Action{Op: ops[r.intn(len(ops))]}
+		a := Action{Op: ops[r.Intn(len(ops))]}
 		a.Gap = r.durBetween(500*time.Millisecond, 2*time.Second)
 		switch a.Op {
 		case OpJoinWave:
@@ -142,7 +142,7 @@ func Generate(seed uint64, p id.Params, nodes, steps int) Schedule {
 			a.Dur = r.durBetween(time.Second, genMaxPauseDur)
 		case OpRestart:
 			a.Count = r.between(1, 2)
-			a.Corrupt = r.intn(4) == 0
+			a.Corrupt = r.Intn(4) == 0
 		}
 		if a.Op == OpQuiesce {
 			sinceQuiesce = 0

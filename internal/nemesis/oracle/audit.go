@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"hypercube/internal/core"
 	"hypercube/internal/id"
-	"hypercube/internal/netcheck"
 	"hypercube/internal/overlay"
+	"hypercube/internal/splitmix"
 )
 
 // Check names an invariant class a Finding violates. The strings are
@@ -66,21 +67,24 @@ func Audit(net *overlay.Network, reachPairs int, seed uint64, step int) []Findin
 
 	members := net.Members()
 	if reachPairs > 0 && len(members) >= 2 {
-		tables := net.Tables()
 		ids := make([]id.ID, len(members))
 		for i, r := range members {
 			ids[i] = r.ID
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		rnd := newRNG(seed, uint64(step)+0x5ea1)
+		// The sample draws from its own splitmix64 stream, keyed per
+		// (seed, step) as the schedule's are but on a step key offset
+		// by 0x5ea1, so audits replay bit-identically.
+		key := uint64(step) + 0x5ea1
+		rnd := splitmix.New(seed ^ (key+1)*0x9e3779b97f4a7c15)
 		bad := 0
 		for i := 0; i < reachPairs; i++ {
-			src := ids[rnd.intn(len(ids))]
-			dst := ids[rnd.intn(len(ids))]
+			src := ids[rnd.Intn(len(ids))]
+			dst := ids[rnd.Intn(len(ids))]
 			if src == dst {
 				continue
 			}
-			if path, ok := netcheck.Reachable(net.Params(), tables, src, dst); !ok {
+			if path, ok := core.Route(net, src, dst, net.Params()); !ok {
 				bad++
 				if bad <= maxPerCheck {
 					out = append(out, Finding{Check: CheckReachable, Step: step,
@@ -109,28 +113,4 @@ func AuditDeclarations(w *DeclWatch, step int) []Finding {
 		Detail: fmt.Sprintf("%d live nodes declared failed (e.g. %v)",
 			w.FalsePositives(), w.Examples()),
 	}}
-}
-
-// rng is the splitmix64 stream the audit draws its reachability sample
-// from — per (seed, step), the same discipline as the trace and
-// sampling layers, so audits replay bit-identically.
-type rng struct{ state uint64 }
-
-func newRNG(seed, step uint64) *rng {
-	return &rng{state: seed ^ (step+1)*0x9e3779b97f4a7c15}
-}
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
 }

@@ -238,7 +238,7 @@ func (e *executor) pick(r *rng, n int, eligible func(table.Ref) bool) []table.Re
 	}
 	out := make([]table.Ref, 0, n)
 	for i := 0; i < n && len(cand) > 0; i++ {
-		j := r.intn(len(cand))
+		j := r.Intn(len(cand))
 		out = append(out, cand[j])
 		cand = append(cand[:j], cand[j+1:]...)
 	}
@@ -340,7 +340,7 @@ func (e *executor) admit(i, count int, r *rng, eligible func(table.Ref) bool,
 		e.fail(oracle.CheckStuckJoin, i, "no eligible gateway for a %d-joiner wave", count)
 		return nil
 	}
-	jrng := rand.New(rand.NewSource(int64(r.next())))
+	jrng := rand.New(rand.NewSource(int64(r.Next())))
 	var joiners []table.Ref
 	for k := 0; k < count; k++ {
 		j, ok := fresh(gws[k%len(gws)], jrng)
@@ -490,7 +490,7 @@ func (e *executor) crash(targets []table.Ref) {
 // inStubs returns every member (not leaving) hosted in one of k stub
 // domains drawn at random.
 func (e *executor) inStubs(r *rng, k int) []table.Ref {
-	perm := rand.New(rand.NewSource(int64(r.next()))).Perm(e.topo.StubCount())
+	perm := rand.New(rand.NewSource(int64(r.Next()))).Perm(e.topo.StubCount())
 	stubs := perm[:min(k, len(perm))]
 	var out []table.Ref
 	for _, m := range e.members {
@@ -605,7 +605,7 @@ func (e *executor) flipByte(path string, r *rng) {
 	} else {
 		off = len(data) / 2
 	}
-	data[off] ^= 1 << uint(r.intn(4))
+	data[off] ^= 1 << uint(r.Intn(4))
 	_ = os.WriteFile(path, data, 0o644)
 }
 

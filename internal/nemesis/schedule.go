@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"hypercube/internal/splitmix"
 )
 
 // Op names one fault-schedule action. The strings are the wire format of
@@ -177,25 +179,10 @@ func (s Schedule) Validate() error {
 // rng is the splitmix64 stream every schedule-level random choice draws
 // from, keyed per (seed, step) so editing one step never shifts the
 // randomness of the others — the property the shrinker depends on.
-type rng struct{ state uint64 }
+type rng struct{ splitmix.Stream }
 
 func newRNG(seed, step uint64) *rng {
-	return &rng{state: seed ^ (step+1)*0x9e3779b97f4a7c15}
-}
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
+	return &rng{splitmix.New(seed ^ (step+1)*0x9e3779b97f4a7c15)}
 }
 
 // between returns a uniform int in [lo, hi].
@@ -203,16 +190,16 @@ func (r *rng) between(lo, hi int) int {
 	if hi <= lo {
 		return lo
 	}
-	return lo + r.intn(hi-lo+1)
+	return lo + r.Intn(hi-lo+1)
 }
 
 func (r *rng) float() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
+	return float64(r.Next()>>11) / float64(1<<53)
 }
 
 func (r *rng) durBetween(lo, hi time.Duration) time.Duration {
 	if hi <= lo {
 		return lo
 	}
-	return lo + time.Duration(r.next()%uint64(hi-lo))
+	return lo + time.Duration(r.Next()%uint64(hi-lo))
 }

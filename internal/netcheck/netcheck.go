@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/table"
 )
@@ -174,35 +175,11 @@ func CheckConsistency(p id.Params, tables map[id.ID]*table.Table) []Violation {
 	return out
 }
 
-// Reachable reports whether dst is reachable from src within d hops by
-// following neighbor pointers (Definition 3.7), together with the path
-// walked.
-func Reachable(p id.Params, tables map[id.ID]*table.Table, src, dst id.ID) (path []id.ID, ok bool) {
-	cur := src
-	path = append(path, cur)
-	for hops := 0; hops <= p.D; hops++ {
-		if cur == dst {
-			return path, true
-		}
-		tbl, found := tables[cur]
-		if !found {
-			return path, false
-		}
-		k := cur.CommonSuffixLen(dst)
-		hop := tbl.Get(k, dst.Digit(k))
-		if hop.IsZero() {
-			return path, false
-		}
-		cur = hop.ID
-		path = append(path, cur)
-	}
-	return path, false
-}
-
-// CheckAllPairsReachability routes between every ordered pair of nodes and
-// returns the pairs that failed. Quadratic; intended for small networks in
-// tests (Lemma 3.1 makes it redundant with CheckConsistency, so it serves
-// as an independent cross-check of the checker itself).
+// CheckAllPairsReachability routes between every ordered pair of nodes
+// (core.Route, Definition 3.7) and returns the pairs that failed.
+// Quadratic; intended for small networks in tests (Lemma 3.1 makes it
+// redundant with CheckConsistency, so it serves as an independent
+// cross-check of the checker itself).
 func CheckAllPairsReachability(p id.Params, tables map[id.ID]*table.Table) [][2]id.ID {
 	var bad [][2]id.ID
 	for src := range tables {
@@ -210,7 +187,7 @@ func CheckAllPairsReachability(p id.Params, tables map[id.ID]*table.Table) [][2]
 			if src == dst {
 				continue
 			}
-			if _, ok := Reachable(p, tables, src, dst); !ok {
+			if _, ok := core.Route(core.TableMap(tables), src, dst, p); !ok {
 				bad = append(bad, [2]id.ID{src, dst})
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/table"
 )
@@ -196,7 +197,7 @@ func TestReachableRoutesWithinDHops(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		src := members[rng.Intn(len(members))]
 		dst := members[rng.Intn(len(members))]
-		path, ok := Reachable(p, tables, src, dst)
+		path, ok := core.Route(core.TableMap(tables), src, dst, p)
 		if !ok {
 			t.Fatalf("unreachable %v -> %v", src, dst)
 		}
@@ -216,7 +217,7 @@ func TestReachableRoutesWithinDHops(t *testing.T) {
 func TestReachableFailsOnMissingTable(t *testing.T) {
 	tables := buildConsistent(t, p45, []string{"21233", "03231"})
 	outsider := id.MustParse(p45, "11111")
-	if _, ok := Reachable(p45, tables, outsider, id.MustParse(p45, "21233")); ok {
+	if _, ok := core.Route(core.TableMap(tables), outsider, id.MustParse(p45, "21233"), p45); ok {
 		t.Error("routing from unknown node succeeded")
 	}
 }

@@ -331,12 +331,3 @@ func (n *Node) Stats() Stats {
 	}
 	return s
 }
-
-// Add accumulates other into s, for fleet totals.
-func (s *Stats) Add(other Stats) {
-	s.Guard.Add(other.Guard)
-	s.Liveness.Add(other.Liveness)
-	s.AntiEntropy.Add(other.AntiEntropy)
-	s.Sampling.Add(other.Sampling)
-	s.RTT.Add(other.RTT)
-}

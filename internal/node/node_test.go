@@ -2,19 +2,16 @@ package node
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"hypercube/internal/antientropy"
 	"hypercube/internal/core"
-	"hypercube/internal/guard"
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
 	"hypercube/internal/obs"
-	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
 	"hypercube/internal/table"
 )
@@ -245,69 +242,5 @@ func TestTickResendsWithoutAnyPart(t *testing.T) {
 	out := n.Tick(150 * time.Millisecond)
 	if len(out) != 1 || out[0].Msg.Type() != msg.TCpRst || out[0].To.ID != peerY.ID {
 		t.Errorf("Tick past RetryAfter = %v, want the CpRst resent to %v", out, peerY.ID)
-	}
-}
-
-// TestStatsAddCoversEveryField guards the fleet totals the simulator,
-// the benchmark and the E12-E18 goldens read: every Stats struct sums
-// field by field in a hand-written Add, and a counter added to the
-// struct but not to Add would silently read zero there. Each numeric
-// field is filled with a distinct value by reflection; adding the value
-// twice into a zero one must double every field.
-func TestStatsAddCoversEveryField(t *testing.T) {
-	for _, zero := range []any{
-		&liveness.Stats{}, &antientropy.Stats{}, &sampling.Stats{}, &rtt.Stats{},
-		&guard.Stats{}, &core.GuardStats{}, &Stats{}, &msg.Counters{},
-	} {
-		typ := reflect.TypeOf(zero).Elem()
-		filled := reflect.New(typ)
-		next := 0
-		var fill func(v reflect.Value)
-		fill = func(v reflect.Value) {
-			switch v.Kind() {
-			case reflect.Struct:
-				for i := 0; i < v.NumField(); i++ {
-					fill(v.Field(i))
-				}
-			case reflect.Array:
-				for i := 0; i < v.Len(); i++ {
-					fill(v.Index(i))
-				}
-			case reflect.Int:
-				next++
-				v.SetInt(int64(next))
-			default:
-				t.Fatalf("%v has a %v field: teach this test to fill it", typ, v.Kind())
-			}
-		}
-		fill(filled.Elem())
-
-		// Add takes its argument by value everywhere but msg.Counters.
-		add := reflect.ValueOf(zero).MethodByName("Add")
-		arg := filled.Elem()
-		if add.Type().In(0).Kind() == reflect.Pointer {
-			arg = filled
-		}
-		add.Call([]reflect.Value{arg})
-		add.Call([]reflect.Value{arg})
-
-		var check func(path string, sum, one reflect.Value)
-		check = func(path string, sum, one reflect.Value) {
-			switch sum.Kind() {
-			case reflect.Struct:
-				for i := 0; i < sum.NumField(); i++ {
-					check(path+"."+sum.Type().Field(i).Name, sum.Field(i), one.Field(i))
-				}
-			case reflect.Array:
-				for i := 0; i < sum.Len(); i++ {
-					check(fmt.Sprintf("%s[%d]", path, i), sum.Index(i), one.Index(i))
-				}
-			case reflect.Int:
-				if got, want := sum.Int(), 2*one.Int(); got != want {
-					t.Errorf("%s = %d after two Adds of %d: Add does not sum it", path, got, want/2)
-				}
-			}
-		}
-		check(typ.String(), reflect.ValueOf(zero).Elem(), filled.Elem())
 	}
 }

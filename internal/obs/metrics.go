@@ -134,20 +134,9 @@ func (r *Registry) Collect(fn func(io.Writer)) {
 // the field.
 func WriteStruct(w io.Writer, prefix string, v any) {
 	rv := reflect.Indirect(reflect.ValueOf(v))
-	for i := 0; i < rv.NumField(); i++ {
-		f, fv := rv.Type().Field(i), reflect.Indirect(rv.Field(i))
-		if !f.IsExported() || !fv.IsValid() {
-			continue
-		}
-		name := prefix
-		if !f.Anonymous {
-			name += "_" + snake(f.Name)
-		}
+	eachField(prefix, func(prefix string, f reflect.StructField, fv, _ reflect.Value) {
 		kind, val := "counter", 0.0
 		switch {
-		case fv.Kind() == reflect.Struct:
-			WriteStruct(w, name, fv.Interface())
-			continue
 		case fv.CanInt():
 			val = float64(fv.Int())
 		case fv.CanUint():
@@ -160,16 +149,71 @@ func WriteStruct(w io.Writer, prefix string, v any) {
 				val = 1
 			}
 		default:
-			continue
+			return
 		}
 		if f.Tag.Get("metric") == "gauge" {
 			kind = "gauge"
 		}
+		name := seriesName(prefix, f)
 		if kind == "counter" {
 			name += "_total"
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", name, kind, name, formatFloat(val))
+	}, rv, rv)
+}
+
+// AddStruct adds every exported numeric field of the struct src (or of
+// the struct src points to) into the same field of the struct dst points
+// to, walking the fields as WriteStruct does: gauges sum like counters,
+// a pointer nil in either is left out, and bools, strings, maps, slices
+// and arrays keep dst's value. It panics unless both are the same
+// struct type. So a counter added to a stats struct is summed into
+// fleet totals by adding the field.
+func AddStruct(dst, src any) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.Indirect(reflect.ValueOf(src))
+	if d.Type() != s.Type() {
+		panic(fmt.Sprintf("obs: AddStruct of %v into %v", s.Type(), d.Type()))
 	}
+	eachField("", func(_ string, _ reflect.StructField, d, s reflect.Value) {
+		switch {
+		case d.CanInt():
+			d.SetInt(d.Int() + s.Int())
+		case d.CanUint():
+			d.SetUint(d.Uint() + s.Uint())
+		case d.CanFloat():
+			d.SetFloat(d.Float() + s.Float())
+		}
+	}, d, s)
+}
+
+// eachField walks the exported fields of two structs of the same type
+// in step (WriteStruct passes one struct twice), depth first, and calls
+// fn with each leaf field's prefix (see seriesName), its type field,
+// and its value in either struct. A pointer nil in either struct is
+// left out.
+func eachField(prefix string, fn func(prefix string, f reflect.StructField, a, b reflect.Value), a, b reflect.Value) {
+	for i := 0; i < a.NumField(); i++ {
+		f := a.Type().Field(i)
+		fa, fb := reflect.Indirect(a.Field(i)), reflect.Indirect(b.Field(i))
+		if !f.IsExported() || !fa.IsValid() || !fb.IsValid() {
+			continue
+		}
+		if fa.Kind() == reflect.Struct {
+			eachField(seriesName(prefix, f), fn, fa, fb)
+			continue
+		}
+		fn(prefix, f, fa, fb)
+	}
+}
+
+// seriesName extends prefix by field f: "_" + its snake-cased name, or
+// nothing for an embedded field, so the fields of an embedded struct
+// read as the embedder's own.
+func seriesName(prefix string, f reflect.StructField) string {
+	if f.Anonymous {
+		return prefix
+	}
+	return prefix + "_" + snake(f.Name)
 }
 
 // snake turns a Go field name into a metric name component:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +210,49 @@ hc_inbound_decode_errors_total 0
 	if got := buf.String(); got != want {
 		t.Errorf("WriteStruct =\n%s\nwant\n%s", got, want)
 	}
+}
+
+// TestAddStruct pins the fleet-total rules: every number on WriteStruct's
+// walk sums, gauges included, through nested, embedded and pointed-to
+// structs; a pointer nil on either side is left out, and what is not a
+// number keeps the destination's value.
+func TestAddStruct(t *testing.T) {
+	type inner struct {
+		PushesSent int
+		ViewSize   int `metric:"gauge"`
+	}
+	type Embedded struct{ BytesSent int }
+	type stats struct {
+		ID string
+		Embedded
+		Uptime      float64
+		Marked      uint32
+		Partitioned bool
+		RTT         *inner
+		AntiEntropy *inner
+		Inbound     struct{ DecodeErrors int64 }
+		PerType     [2]int
+		hidden      int
+	}
+	dst := stats{ID: "dst", Embedded: Embedded{1}, Uptime: 0.5, Marked: 2, RTT: &inner{3, 4},
+		Inbound: struct{ DecodeErrors int64 }{5}, PerType: [2]int{6, 7}, hidden: 8}
+	src := stats{ID: "src", Embedded: Embedded{10}, Uptime: 1, Marked: 20, Partitioned: true,
+		RTT: &inner{30, 40}, AntiEntropy: &inner{50, 60},
+		Inbound: struct{ DecodeErrors int64 }{70}, PerType: [2]int{80, 90}, hidden: 100}
+	AddStruct(&dst, src)
+	AddStruct(&dst, &src)
+	want := stats{ID: "dst", Embedded: Embedded{21}, Uptime: 2.5, Marked: 42, RTT: &inner{63, 84},
+		Inbound: struct{ DecodeErrors int64 }{145}, PerType: [2]int{6, 7}, hidden: 8}
+	if !reflect.DeepEqual(dst, want) {
+		t.Errorf("AddStruct twice = %+v (RTT %+v), want %+v (RTT %+v)", dst, *dst.RTT, want, *want.RTT)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("AddStruct of a different struct type did not panic")
+		}
+	}()
+	AddStruct(&dst, inner{})
 }
 
 func TestRegistryReregisterReturnsSame(t *testing.T) {

@@ -32,11 +32,6 @@ type WaveConfig struct {
 	// Sink, when non-nil, receives every protocol event of the wave
 	// stamped with the virtual clock (see Config.Sink).
 	Sink obs.Sink
-
-	// TraceSample and TraceSeed enable causal tracing for the wave (see
-	// Config.TraceSample); 0 leaves every node tracerless.
-	TraceSample float64
-	TraceSeed   uint64
 }
 
 // WaveResult collects the outcome and the §5.2 cost metrics of one wave.
@@ -104,10 +99,7 @@ func RunWave(cfg WaveConfig) (*WaveResult, error) {
 		latency = HashedUniformLatency(5*time.Millisecond, 120*time.Millisecond, cfg.Seed)
 	}
 
-	net := New(Config{
-		Params: cfg.Params, Opts: cfg.Opts, Latency: latency, Sink: cfg.Sink,
-		TraceSample: cfg.TraceSample, TraceSeed: cfg.TraceSeed,
-	})
+	net := New(Config{Params: cfg.Params, Opts: cfg.Opts, Latency: latency, Sink: cfg.Sink})
 	net.BuildDirect(existing, rng)
 
 	machines := make([]*core.Machine, 0, cfg.M)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/table"
 )
@@ -125,7 +126,16 @@ type StretchStats struct {
 	MeanHops float64
 }
 
-// MeasureStretch samples ordered node pairs and routes between them.
+// stretchDrawsPerPair caps MeasureStretch at this many pair draws per
+// pair asked for, so a network where few or no pairs route returns what
+// it measured instead of drawing forever. A network where every pair
+// routes redraws only the pairs that name one node twice.
+const stretchDrawsPerPair = 100
+
+// MeasureStretch samples ordered node pairs and routes between them
+// (core.Route). A pair that does not route is redrawn, within
+// stretchDrawsPerPair draws per pair; the result covers the pairs that
+// routed.
 func (n *Network) MeasureStretch(pairs int, rng *rand.Rand) StretchStats {
 	members := n.Members()
 	if len(members) < 2 {
@@ -133,7 +143,7 @@ func (n *Network) MeasureStretch(pairs int, rng *rand.Rand) StretchStats {
 	}
 	var ratios []float64
 	totalHops := 0
-	for len(ratios) < pairs {
+	for draws := 0; len(ratios) < pairs && draws < stretchDrawsPerPair*pairs; draws++ {
 		src := members[rng.Intn(len(members))]
 		dst := members[rng.Intn(len(members))]
 		if src.ID == dst.ID {
@@ -143,35 +153,16 @@ func (n *Network) MeasureStretch(pairs int, rng *rand.Rand) StretchStats {
 		if direct <= 0 {
 			continue
 		}
-		var routed time.Duration
-		cur := src
-		hops := 0
-		ok := true
-		for cur.ID != dst.ID {
-			tbl, found := n.TableOf(cur.ID)
-			if !found {
-				ok = false
-				break
-			}
-			k := cur.ID.CommonSuffixLen(dst.ID)
-			next := tbl.Get(k, dst.ID.Digit(k))
-			if next.IsZero() {
-				ok = false
-				break
-			}
-			routed += n.cfg.Latency(cur, next.Ref())
-			cur = next.Ref()
-			hops++
-			if hops > n.cfg.Params.D {
-				ok = false
-				break
-			}
-		}
+		path, ok := core.Route(n, src.ID, dst.ID, n.cfg.Params)
 		if !ok {
 			continue
 		}
+		var routed time.Duration
+		for h := 1; h < len(path); h++ {
+			routed += n.cfg.Latency(n.nodes[path[h-1]].Machine().Self(), n.nodes[path[h]].Machine().Self())
+		}
 		ratios = append(ratios, float64(routed)/float64(direct))
-		totalHops += hops
+		totalHops += len(path) - 1
 	}
 	if len(ratios) == 0 {
 		return StretchStats{}

@@ -3,6 +3,7 @@ package overlay
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"hypercube/internal/netcheck"
 	"hypercube/internal/topology"
@@ -116,5 +117,25 @@ func TestOptimizeAfterChurn(t *testing.T) {
 	net.OptimizeTables(1)
 	if v := netcheck.CheckConsistency(p164, net.Tables()); len(v) != 0 {
 		t.Fatalf("post-optimize inconsistent: %v", v[0])
+	}
+}
+
+// TestMeasureStretchStopsWhenNothingRoutes: two seeds that know only
+// themselves route no pair, and MeasureStretch must give up after its
+// draw budget and report no pairs instead of drawing forever.
+func TestMeasureStretchStopsWhenNothingRoutes(t *testing.T) {
+	net := New(Config{Params: p164, Latency: ConstantLatency(10 * time.Millisecond)})
+	for _, ref := range RandomRefs(p164, 2, rand.New(rand.NewSource(5)), nil) {
+		net.AddSeed(ref)
+	}
+	done := make(chan StretchStats, 1)
+	go func() { done <- net.MeasureStretch(50, rand.New(rand.NewSource(1))) }()
+	select {
+	case st := <-done:
+		if st != (StretchStats{}) {
+			t.Errorf("MeasureStretch over unroutable pairs = %+v, want no pairs", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("MeasureStretch still drawing after 10 s on a network where no pair routes")
 	}
 }

@@ -690,9 +690,10 @@ func (n *Network) sortedIDs() []id.ID {
 
 // stats sums every part's counters over all live nodes.
 func (n *Network) stats() node.Stats {
-	var total node.Stats
+	var total, s node.Stats
 	for _, nd := range n.nodes {
-		total.Add(nd.Stats())
+		s = nd.Stats()
+		obs.AddStruct(&total, &s)
 	}
 	return total
 }

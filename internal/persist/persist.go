@@ -20,11 +20,11 @@ import (
 // formatVersion guards against silently reading an incompatible dump.
 const formatVersion = 1
 
-// ErrCorrupt marks a dump that is damaged — truncated, bit-flipped, or
-// failing its checksum — as opposed to merely incompatible (wrong
-// version or ID-space parameters). A restarting node that hits a
-// corrupt dump must fall back to a fresh join rather than trust the
-// bytes; callers detect the case with IsCorrupt.
+// ErrCorrupt marks a dump that is damaged — truncated, bit-flipped,
+// missing its checksum or failing it — as opposed to merely
+// incompatible (wrong version or ID-space parameters). A restarting
+// node that hits a corrupt dump must fall back to a fresh join rather
+// than trust the bytes; callers detect the case with IsCorrupt.
 var ErrCorrupt = errors.New("corrupt dump")
 
 // IsCorrupt reports whether err means the dump bytes are damaged and a
@@ -66,8 +66,8 @@ type fileSnapshot struct {
 	// with this field empty, hex-encoded. LoadState re-derives the
 	// canonical bytes from the decoded values and compares, so any bit
 	// flip that changes a value — not just one that breaks JSON syntax —
-	// is caught.
-	// Absent in dumps from before checksumming; those still load.
+	// is caught. A dump without one is corrupt. The canonical bytes leave
+	// the field out (omitempty), so they never contain the sum itself.
 	Checksum string      `json:"crc32,omitempty"`
 	B        int         `json:"b"`
 	D        int         `json:"d"`
@@ -150,14 +150,17 @@ func LoadState(r io.Reader, p id.Params) (table.Snapshot, []table.Ref, error) {
 		// not from a different version of us.
 		return table.Snapshot{}, nil, corruptf("decode: %v", err)
 	}
-	if in.Checksum != "" {
-		body, err := canonical(&in)
-		if err != nil {
-			return table.Snapshot{}, nil, fmt.Errorf("persist: encode: %w", err)
-		}
-		if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)); got != in.Checksum {
-			return table.Snapshot{}, nil, corruptf("checksum %s, dump says %s", got, in.Checksum)
-		}
+	if in.Checksum == "" {
+		// SaveState always writes one, so it was lost to damage: a
+		// flip in the field's key leaves the sum unread.
+		return table.Snapshot{}, nil, corruptf("no crc32 checksum")
+	}
+	body, err := canonical(&in)
+	if err != nil {
+		return table.Snapshot{}, nil, fmt.Errorf("persist: encode: %w", err)
+	}
+	if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)); got != in.Checksum {
+		return table.Snapshot{}, nil, corruptf("checksum %s, dump says %s", got, in.Checksum)
 	}
 	if in.Version != formatVersion {
 		return table.Snapshot{}, nil, fmt.Errorf("persist: format version %d, want %d", in.Version, formatVersion)

@@ -248,16 +248,20 @@ func TestTruncatedDumpCorrupt(t *testing.T) {
 	}
 }
 
-func TestChecksumlessDumpStillLoads(t *testing.T) {
-	// Dumps written before checksumming carry no crc32 field; they must
-	// keep loading so a node upgraded across the change can still
-	// restart from its last pre-upgrade dump.
+func TestChecksumlessDumpIsCorrupt(t *testing.T) {
+	// Every dump SaveState writes carries a crc32 field, so one without
+	// it is damaged (a flip in the key leaves the sum unread) and a
+	// restart must fall back to a fresh join, not trust the entries.
 	in := `{"version":1,"b":16,"d":4,"owner":"0123","lo":0,"hi":3,"entries":[{"level":0,"digit":0,"id":"0123","state":"S"}]}`
-	snap, _, err := LoadState(strings.NewReader(in), p164)
-	if err != nil {
+	if _, _, err := LoadState(strings.NewReader(in), p164); !IsCorrupt(err) {
+		t.Fatalf("LoadState of a checksumless dump: err = %v, want corrupt", err)
+	}
+	var buf bytes.Buffer
+	if err := SaveState(&buf, sampleTable(t).Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if snap.FilledCount() != 1 {
-		t.Fatalf("FilledCount %d, want 1", snap.FilledCount())
+	renamed := strings.Replace(buf.String(), `"crc32"`, `"crc31"`, 1)
+	if _, _, err := LoadState(strings.NewReader(renamed), p164); !IsCorrupt(err) {
+		t.Fatalf("LoadState of a dump whose crc32 key was hit: err = %v, want corrupt", err)
 	}
 }

@@ -86,15 +86,6 @@ type Stats struct {
 	Cleared int `json:"cleared"`
 }
 
-// Add accumulates other into s, for fleet totals.
-func (s *Stats) Add(other Stats) {
-	s.Tracked += other.Tracked
-	s.Degraded += other.Degraded
-	s.Samples += other.Samples
-	s.Marked += other.Marked
-	s.Cleared += other.Cleared
-}
-
 // Update reports the outcome of one observation: the peer's new RTO,
 // whether it is degraded, and whether this sample flipped the flag
 // (so the caller can emit a transition event exactly once).

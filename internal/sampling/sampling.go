@@ -44,6 +44,7 @@ import (
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
 	"hypercube/internal/obs"
+	"hypercube/internal/splitmix"
 	"hypercube/internal/table"
 	"hypercube/internal/trace"
 )
@@ -98,20 +99,6 @@ type Stats struct {
 	SamplerFill int `json:"samplerFill" metric:"gauge"`
 }
 
-// Add accumulates other into s, for fleet totals (the occupancy fields
-// sum too: total view slots and sampler cells in use).
-func (s *Stats) Add(other Stats) {
-	s.Rounds += other.Rounds
-	s.PushesSent += other.PushesSent
-	s.PushesReceived += other.PushesReceived
-	s.PullsSent += other.PullsSent
-	s.PullsAnswered += other.PullsAnswered
-	s.FloodsDetected += other.FloodsDetected
-	s.Ejected += other.Ejected
-	s.ViewSize += other.ViewSize
-	s.SamplerFill += other.SamplerFill
-}
-
 // sampler is one min-wise independent sampler: a fixed random hash
 // function and the reference with the minimum hash observed so far.
 type sampler struct {
@@ -152,33 +139,15 @@ func hashDigits(state uint64, raw []byte) uint64 {
 	return state
 }
 
-// rng is a small deterministic PRNG (splitmix64). The engine cannot use
-// math/rand directly because each node needs an independent stream
-// derived from (config seed, node ID) without sharing state.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
 // Engine runs the sampling protocol for one node. Not safe for
 // concurrent use; like the protocol machine, a runtime drives it from a
 // single goroutine or under a lock.
 type Engine struct {
 	cfg  Config
 	self table.Ref
-	rnd  rng
+	// rnd is this node's own stream, seeded from (Seed, node ID), so
+	// nodes draw independently without sharing a math/rand source.
+	rnd splitmix.Stream
 
 	view []table.Ref
 	// sorted is View's answer until the view changes; in-flight pull
@@ -221,7 +190,7 @@ func New(cfg Config, self table.Ref) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		self:     self,
-		rnd:      rng{state: uint64(cfg.Seed) ^ hashID(0x5a11, self.ID)},
+		rnd:      splitmix.New(uint64(cfg.Seed) ^ hashID(0x5a11, self.ID)),
 		pushBuf:  make(map[id.ID]table.Ref),
 		pullBuf:  make(map[id.ID]table.Ref),
 		pullFrom: make(map[id.ID]bool),
@@ -230,7 +199,7 @@ func New(cfg Config, self table.Ref) *Engine {
 		first:    true,
 	}
 	for i := range e.samplers {
-		e.samplers[i].state = seedState(e.rnd.next())
+		e.samplers[i].state = seedState(e.rnd.Next())
 	}
 	return e
 }
@@ -535,7 +504,7 @@ func (e *Engine) Stats() Stats {
 // already present, consuming pool in random order.
 func (e *Engine) appendRandom(dst, pool []table.Ref, n int) []table.Ref {
 	for n > 0 && len(pool) > 0 {
-		i := e.rnd.intn(len(pool))
+		i := e.rnd.Intn(len(pool))
 		r := pool[i]
 		pool[i] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
@@ -554,7 +523,7 @@ func (e *Engine) pickRandom(view []table.Ref, n int) []table.Ref {
 	e.pool = pool
 	out := e.picked[:0]
 	for n > 0 && len(pool) > 0 {
-		i := e.rnd.intn(len(pool))
+		i := e.rnd.Intn(len(pool))
 		out = append(out, pool[i])
 		pool[i] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]

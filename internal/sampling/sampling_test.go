@@ -11,6 +11,7 @@ import (
 
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
+	"hypercube/internal/splitmix"
 	"hypercube/internal/table"
 )
 
@@ -318,9 +319,9 @@ func TestSamplersKeepOracleMinimum(t *testing.T) {
 	cfg := Config{Seed: 99}
 	e, twin := New(cfg, self), New(cfg, self)
 	o := &samplerOracle{self: self.ID, banned: make(map[id.ID]bool)}
-	draws := rng{state: uint64(99) ^ hashIDOracle(0x5a11, self.ID)}
+	draws := splitmix.New(uint64(99) ^ hashIDOracle(0x5a11, self.ID))
 	for range e.samplers {
-		o.seeds = append(o.seeds, draws.next())
+		o.seeds = append(o.seeds, draws.Next())
 	}
 	o.min, o.cur = make([]uint64, len(o.seeds)), make([]table.Ref, len(o.seeds))
 	for _, eng := range []*Engine{e, twin} {

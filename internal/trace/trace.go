@@ -24,6 +24,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sync"
+
+	"hypercube/internal/splitmix"
 )
 
 // TraceID identifies one protocol operation across every node it
@@ -70,8 +72,8 @@ type Gen interface {
 // deterministicGen is a splitmix64 stream; the simulator derives one
 // per (seed, node) so reruns produce identical IDs.
 type deterministicGen struct {
-	mu    sync.Mutex
-	state uint64
+	mu sync.Mutex
+	s  splitmix.Stream
 }
 
 // NewDeterministicGen returns a Gen drawing from a splitmix64 stream
@@ -79,15 +81,7 @@ type deterministicGen struct {
 // so derive per-node seeds (e.g. run seed mixed with the node ID hash)
 // before fanning out.
 func NewDeterministicGen(seed uint64) Gen {
-	return &deterministicGen{state: seed}
-}
-
-func (g *deterministicGen) next() uint64 {
-	g.state += 0x9e3779b97f4a7c15
-	z := g.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return &deterministicGen{s: splitmix.New(seed)}
 }
 
 func (g *deterministicGen) TraceID() TraceID {
@@ -95,8 +89,8 @@ func (g *deterministicGen) TraceID() TraceID {
 	defer g.mu.Unlock()
 	var t TraceID
 	for t.IsZero() {
-		binary.BigEndian.PutUint64(t[:8], g.next())
-		binary.BigEndian.PutUint64(t[8:], g.next())
+		binary.BigEndian.PutUint64(t[:8], g.s.Next())
+		binary.BigEndian.PutUint64(t[8:], g.s.Next())
 	}
 	return t
 }
@@ -106,7 +100,7 @@ func (g *deterministicGen) SpanID() SpanID {
 	defer g.mu.Unlock()
 	var s SpanID
 	for s.IsZero() {
-		binary.BigEndian.PutUint64(s[:], g.next())
+		binary.BigEndian.PutUint64(s[:], g.s.Next())
 	}
 	return s
 }
