@@ -16,10 +16,12 @@
 // Observability: -trace writes every protocol event as JSONL (analyze
 // with `trace report`), -trace-ring keeps the newest N events in memory
 // behind GET /trace, -trace-sample enables causal tracing (crypto/rand
-// span IDs, wire-v2 trace trailers; merge per-node traces or scrape a
-// fleet's /trace endpoints with `trace report -scrape`), -log-level=debug mirrors
-// events into the log stream, and the admin server serves
-// net/http/pprof under /debug/pprof/.
+// span IDs, a trace context in each sampled wire record; merge per-node
+// traces or scrape a fleet's /trace endpoints with `trace report
+// -scrape`), -log-level=debug mirrors events into the log stream, and
+// the admin server serves net/http/pprof under /debug/pprof/. A
+// -trace-sample outside [0,1] or a negative -trace-ring is a usage
+// error.
 //
 // The protocol stack is fixed: node.Shipped — the guard's misbehavior
 // scorer, the failure detector with its RTT estimator, anti-entropy,
@@ -50,6 +52,7 @@ import (
 	"hypercube/internal/obs"
 	"hypercube/internal/persist"
 	"hypercube/internal/table"
+	"hypercube/internal/trace"
 	"hypercube/internal/transport/tcptransport"
 )
 
@@ -84,7 +87,7 @@ func run(args []string, stderr io.Writer) int {
 	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, error (debug mirrors protocol events)")
 	fs.StringVar(&f.trace, "trace", "", "write protocol events as JSONL to this file")
 	fs.IntVar(&f.traceRing, "trace-ring", 0, "keep the newest N events in memory behind GET /trace (0 = off)")
-	fs.Float64Var(&f.traceSample, "trace-sample", 0, "causal-trace head-sampling `rate` in [0,1]; sampled operations carry trace context on the wire (reconstruct fleet-wide with trace report; 0 = off, node stays a v1 opaque hop)")
+	fs.Float64Var(&f.traceSample, "trace-sample", 0, "causal-trace head-sampling `rate` in [0,1]; sampled operations carry trace context on the wire (reconstruct fleet-wide with trace report; 0 = off, node stays an opaque hop)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -93,6 +96,15 @@ func run(args []string, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "hypercubed: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	// !(0 <= x <= 1) also refuses NaN, which every comparison fails.
+	if !(f.traceSample >= 0 && f.traceSample <= 1) {
+		fmt.Fprintf(stderr, "hypercubed: -trace-sample %v is not a rate in [0,1]\n", f.traceSample)
+		return 2
+	}
+	if f.traceRing < 0 {
+		fmt.Fprintf(stderr, "hypercubed: -trace-ring %d is negative\n", f.traceRing)
 		return 2
 	}
 	if err := serve(f, stderr); err != nil {
@@ -144,15 +156,14 @@ func serve(f flags, stderr io.Writer) error {
 	}
 
 	opts, parts := node.Shipped(0)
-	stack := tcptransport.WithConfig(tcptransport.Config{
-		Liveness:    parts.Liveness,
-		RTT:         parts.RTT,
-		AntiEntropy: parts.AntiEntropy,
-		Sampling:    parts.Sampling,
-		Sink:        obs.Tee(sinks...),
-		TraceRing:   f.traceRing,
-		TraceSample: f.traceSample,
-	})
+	parts.Sink = obs.Tee(sinks...)
+	if f.traceSample > 0 {
+		// crypto/rand span IDs: real deployments need them collision-free
+		// across independently started processes, unlike the simulator's
+		// deterministic streams.
+		parts.Tracer = trace.NewTracer(trace.NewRandomGen(), f.traceSample)
+	}
+	stack := tcptransport.WithConfig(tcptransport.Config{Config: parts, TraceRing: f.traceRing})
 	var n *tcptransport.Node
 	if f.join == "" {
 		n, err = tcptransport.StartSeed(p, opts, nodeID, f.listen, stack)

@@ -378,8 +378,8 @@ type Envelope struct {
 	Msg  Message
 	// Trace is the causal trace context the envelope carries across the
 	// network (zero — the common case — means untraced). It rides in the
-	// wire codec's v2 trailer and does not count toward WireSize, which
-	// models the paper's §5.2 payload accounting.
+	// wire record after the kind byte and does not count toward
+	// WireSize, which models the paper's §5.2 payload accounting.
 	Trace trace.Context
 }
 

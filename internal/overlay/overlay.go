@@ -184,7 +184,7 @@ type Config struct {
 	// `trace report` works on either.
 	Sink obs.Sink
 	// TraceSample enables causal tracing: protocol-operation roots
-	// (joins, probe round trips, sync and gossip rounds, DHT walks) are
+	// (joins, probe round trips, sync and gossip rounds) are
 	// head-sampled at this rate (0 = off, 1 = every operation), their
 	// messages carry trace contexts on the wire, and events arrive at
 	// the Sink span-stamped. Span IDs come from a deterministic

@@ -2,8 +2,8 @@
 // across nodes: a 16-byte trace ID naming one protocol operation (a
 // join attempt, a probe, an anti-entropy round, a sample round) and an
 // 8-byte span ID naming one hop of it. The
-// context rides inside msg.Envelope, crosses the network in the wire
-// codec's v2 trailer, and is echoed into obs events so `trace report`
+// context rides inside msg.Envelope, crosses the network inside each
+// traced wire record, and is echoed into obs events so `trace report`
 // (obs.BuildTrees) can stitch per-node JSONL streams into cross-node
 // span trees.
 //
@@ -146,9 +146,9 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer sampling the given fraction (clamped to
-// [0,1]) of operation roots from gen's ID streams.
+// [0,1], NaN read as 0) of operation roots from gen's ID streams.
 func NewTracer(gen Gen, sample float64) *Tracer {
-	if sample < 0 {
+	if !(sample > 0) {
 		sample = 0
 	}
 	if sample > 1 {

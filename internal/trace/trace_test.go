@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"math"
 	"testing"
 
 	"hypercube/internal/id"
@@ -16,9 +17,9 @@ var (
 )
 
 // A context is live when its trace ID is non-zero, and a live context
-// must name a span. The wire trailer is where that rule is enforced
+// must name a span. The wire codec is where that rule is enforced
 // against peers, so the two must agree: the decoder accepts a traced
-// trailer exactly when the context it carries is sampled with a span.
+// record exactly when the context it carries is sampled with a span.
 func TestContextValidityMatchesWireTrailer(t *testing.T) {
 	p := id.Params{B: 16, D: 3}
 	env := msg.Envelope{
@@ -50,12 +51,13 @@ func TestContextValidityMatchesWireTrailer(t *testing.T) {
 		if got := tc.ctx.Sampled(); got != tc.sampled {
 			t.Errorf("%s: Sampled() = %v, want %v", tc.name, got, tc.sampled)
 		}
-		// Overwrite the traced trailer (flags byte 1, trace ID, span ID —
-		// the payload's last bytes) with this context.
+		// Overwrite the record's context (trace ID, span ID — after the
+		// version, count, body length and traced kind bytes) with this
+		// context.
 		payload := append([]byte(nil), good...)
-		trailer := payload[len(payload)-len(tc.ctx.Trace)-len(tc.ctx.Span):]
-		copy(trailer, tc.ctx.Trace[:])
-		copy(trailer[len(tc.ctx.Trace):], tc.ctx.Span[:])
+		ctx := payload[4:]
+		copy(ctx, tc.ctx.Trace[:])
+		copy(ctx[len(tc.ctx.Trace):], tc.ctx.Span[:])
 		back, err := wire.DecodeOne(p, payload)
 		valid := tc.ctx.Sampled() && !tc.ctx.Span.IsZero()
 		if (err == nil) != valid {
@@ -96,7 +98,8 @@ func TestIDString(t *testing.T) {
 // Head sampling over a seeded ID stream: never at 0, always at 1, and at
 // 0.25 within ±0.02 of the rate over 4000 roots (the stream is
 // deterministic, so the bound cannot flake; binomial σ is 0.007). Rates
-// outside [0,1] clamp, and a nil tracer samples nothing.
+// outside [0,1] clamp, NaN samples nothing, and a nil tracer samples
+// nothing.
 func TestHeadSamplingRates(t *testing.T) {
 	const roots = 4000
 	cases := []struct {
@@ -107,6 +110,7 @@ func TestHeadSamplingRates(t *testing.T) {
 		{-1, 0, 0},
 		{1, roots, roots},
 		{2, roots, roots},
+		{math.NaN(), 0, 0},
 		{0.25, roots * 23 / 100, roots * 27 / 100},
 	}
 	for _, tc := range cases {

@@ -8,6 +8,7 @@ import (
 	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
+	"hypercube/internal/node"
 	"hypercube/internal/rtt"
 )
 
@@ -26,7 +27,7 @@ func TestTCPAdaptiveRTTSampling(t *testing.T) {
 		RetryAfter:  250 * time.Millisecond,
 		MaxAttempts: 4,
 	}}
-	options := []Option{WithConfig(Config{Liveness: &lc, RTT: &rc})}
+	options := []Option{WithConfig(Config{Config: node.Config{Liveness: &lc, RTT: &rc}})}
 
 	seed, err := StartSeed(p163, opts, id.MustParse(p163, "abc"), "127.0.0.1:0", options...)
 	if err != nil {

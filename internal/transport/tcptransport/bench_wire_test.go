@@ -54,10 +54,10 @@ func BenchmarkFrameCoalesce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
 		buf = append(buf, make([]byte, frameHeaderLen)...)
-		buf = wire.AppendHeader(buf, wire.Version)
+		buf = wire.AppendHeader(buf)
 		var err error
 		for j := 0; j < batch; j++ {
-			if buf, err = wire.AppendEnvelope(buf, benchParams, env, wire.Version); err != nil {
+			if buf, err = wire.AppendEnvelope(buf, benchParams, env); err != nil {
 				b.Fatal(err)
 			}
 		}

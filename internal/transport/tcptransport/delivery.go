@@ -10,14 +10,16 @@ import (
 	"hypercube/internal/antientropy"
 	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
+	"hypercube/internal/node"
 	"hypercube/internal/obs"
-	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
 	"hypercube/internal/wire"
 )
 
-// Config selects a node's optional parts and its observability. The
-// zero value is usable: a bare protocol node polling every 20ms.
+// Config is a node's stack — the parts internal/node composes onto the
+// machine — plus what only a TCP node has: its polling period and its
+// trace ring. The zero value is usable: a bare protocol node polling
+// every 20ms.
 //
 // The reliable-delivery layer itself has no knobs. The paper's
 // correctness argument (Theorems 1–2) assumes reliable message passing;
@@ -30,47 +32,20 @@ import (
 // empty. Messages that exhaust their attempts are dead-lettered and
 // surface in msg.Counters as Dropped.
 type Config struct {
+	// Config is the node's parts. Its Sink, when non-nil, receives every
+	// protocol event stamped with wall time since node start (e.g. an
+	// obs.JSONL trace file) and must be safe for concurrent use; metrics
+	// are collected regardless. Its Tracer, when non-nil, makes the node
+	// a traced hop: it samples operation roots, and sampled context
+	// rides the wire so downstream nodes continue the trace. Without
+	// one the node ignores inbound contexts — an opaque hop.
+	node.Config
 	// PollInterval is AwaitStatus's polling period. Default 20ms.
 	PollInterval time.Duration
-	// Liveness enables the failure detector: the node probes table and
-	// reverse neighbors and declares unresponsive peers failed. Nil
-	// disables it. (Machine.Tick — join timeouts, repair — runs whenever
-	// any clock-driven part or core.Timeouts is configured.)
-	Liveness *liveness.Config
-	// AntiEntropy enables periodic anti-entropy rounds: the node audits
-	// its table and runs push-pull digest exchanges with rotating
-	// neighbors, repairing divergence (e.g. after a partition heals).
-	// Nil disables it.
-	AntiEntropy *antientropy.Config
-	// RTT enables adaptive per-peer timeouts: one shared Jacobson/Karels
-	// estimator is fed by liveness probe round trips and protocol
-	// request/reply latencies, drives per-target probe deadlines and
-	// retransmission timers, and flags persistently slow peers degraded
-	// (deprioritized by anti-entropy partner choice and the sampling
-	// validator). Nil keeps the fixed timeouts.
-	RTT *rtt.Config
-	// Sampling enables the byzantine-resistant gossip peer-sampling
-	// layer: the node runs Brahms-style push-pull rounds, and the
-	// machine's gateway selection plus the anti-entropy engine's peer
-	// choice gain the sampled-peer fallback. Nil disables it.
-	Sampling *sampling.Config
-	// Sink, when non-nil, receives every protocol event the node emits,
-	// stamped with wall time since node start (e.g. an obs.JSONL trace
-	// file). Metrics are collected regardless; the sink is for traces.
-	// The sink must be safe for concurrent use.
-	Sink obs.Sink
 	// TraceRing, when positive, keeps the newest TraceRing events in an
 	// in-memory ring drained via Node.DrainTrace and GET /trace on the
 	// admin API. 0 disables the ring.
 	TraceRing int
-	// TraceSample, when positive, enables causal tracing: every protocol
-	// operation root (join start, probe round, anti-entropy round,
-	// sampling round) is head-sampled at this rate, span IDs come from
-	// crypto/rand, and sampled context rides the wire (payload v2) so
-	// downstream nodes continue the trace. 0 disables tracing entirely;
-	// the node then ignores inbound contexts and emits v1 payloads — an
-	// opaque hop.
-	TraceSample float64
 
 	// dial opens every outbound connection; net.DialTimeout over TCP by
 	// default. Tests substitute a dialer that blocks, or one whose
@@ -293,10 +268,6 @@ func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
 	bufp := framePool.Get().(*[]byte)
 	frame := (*bufp)[:0]
 	kinds := make([]msg.Type, 0, len(batch))
-	// One version decision per batch: v2 only when some envelope carries
-	// a trace context, so untraced traffic stays byte-identical to a
-	// v1-only sender (and interops with v1-only receivers).
-	version := wire.PayloadVersion(batch)
 	flush := func() {
 		if len(kinds) == 0 {
 			return
@@ -315,10 +286,10 @@ func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
 	for _, env := range batch {
 		if len(frame) == 0 {
 			frame = append(frame, make([]byte, frameHeaderLen)...)
-			frame = wire.AppendHeader(frame, version)
+			frame = wire.AppendHeader(frame)
 		}
 		mark := len(frame)
-		next, err := wire.AppendEnvelope(frame, n.params, env, version)
+		next, err := wire.AppendEnvelope(frame, n.params, env)
 		if err != nil {
 			// Unencodable message: retrying cannot help.
 			n.countDropped(env.Msg.Type())
@@ -332,8 +303,8 @@ func (n *Node) deliverBatch(pq *peerQueue, batch []msg.Envelope) {
 			frame = next[:mark]
 			flush()
 			frame = append(frame, make([]byte, frameHeaderLen)...)
-			frame = wire.AppendHeader(frame, version)
-			if next, err = wire.AppendEnvelope(frame, n.params, env, version); err != nil {
+			frame = wire.AppendHeader(frame)
+			if next, err = wire.AppendEnvelope(frame, n.params, env); err != nil {
 				n.countDropped(env.Msg.Type())
 				continue
 			}

@@ -7,18 +7,21 @@ import (
 
 	"hypercube/internal/core"
 	"hypercube/internal/id"
+	"hypercube/internal/node"
+	"hypercube/internal/trace"
 )
 
-// TestMixedVersionInterop is the wire-v2 rollout test: a cluster of
-// traced nodes speaks v2 payloads (trace trailers on every sampled
-// record) while one tracerless node — exactly what a binary from
-// before the tracing release looks like on the wire, since a node
-// without a tracer emits v1 and drops inbound trace context — joins
-// and serves as a bootstrap gateway. Joins through and around the
-// opaque hop must succeed, traced nodes must keep producing spans, and
+// TestOpaqueHopInterop: a cluster of traced nodes carries a trace
+// context in every sampled record while one tracerless node joins and
+// serves as a bootstrap gateway. A node without a tracer decodes the
+// context and drops it, so it is an opaque hop: joins through and
+// around it must succeed, traced nodes must keep producing spans, and
 // the opaque node must emit no trace state at all.
-func TestMixedVersionInterop(t *testing.T) {
-	traced := []Option{WithConfig(Config{TraceSample: 1, TraceRing: 8192})}
+func TestOpaqueHopInterop(t *testing.T) {
+	traced := []Option{WithConfig(Config{
+		Config:    node.Config{Tracer: trace.NewTracer(trace.NewRandomGen(), 1)},
+		TraceRing: 8192,
+	})}
 	seed, err := StartSeed(p163, core.Options{}, id.MustParse(p163, "a1c"), "127.0.0.1:0", traced...)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +40,7 @@ func TestMixedVersionInterop(t *testing.T) {
 		}
 	}
 
-	// A traced node joins the traced seed: pure v2 traffic.
+	// A traced node joins the traced seed: every record traced.
 	a, err := StartJoiner(p163, core.Options{}, id.MustParse(p163, "b2d"), "127.0.0.1:0", traced...)
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +48,9 @@ func TestMixedVersionInterop(t *testing.T) {
 	defer a.Close()
 	join(a, seed)
 
-	// The "old binary": no TraceSample, so no tracer — it decodes
-	// the cluster's v2 frames, ignores the trailers, and emits v1. The
-	// ring is tracing-agnostic, so we can still watch its events.
+	// The opaque node: no tracer, so it drops every inbound context and
+	// sends untraced records. The ring is tracing-agnostic, so we can
+	// still watch its events.
 	old, err := StartJoiner(p163, core.Options{}, id.MustParse(p163, "c3e"), "127.0.0.1:0", WithConfig(Config{TraceRing: 8192}))
 	if err != nil {
 		t.Fatal(err)

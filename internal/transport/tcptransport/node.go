@@ -28,7 +28,6 @@ import (
 	"hypercube/internal/node"
 	"hypercube/internal/obs"
 	"hypercube/internal/table"
-	"hypercube/internal/trace"
 	"hypercube/internal/wire"
 )
 
@@ -117,19 +116,8 @@ func start(p id.Params, opts core.Options, mk func(id.Params, table.Ref, core.Op
 	}
 	machine := mk(p, table.Ref{ID: nodeID, Addr: ln.Addr().String()}, opts)
 	n.setupObs(machine.Self().ID)
-	parts := node.Config{
-		Liveness:    n.cfg.Liveness,
-		AntiEntropy: n.cfg.AntiEntropy,
-		Sampling:    n.cfg.Sampling,
-		RTT:         n.cfg.RTT,
-		Sink:        n.sink,
-	}
-	if n.cfg.TraceSample > 0 {
-		// crypto/rand span IDs: real deployments need them collision-free
-		// across independently started processes, unlike the simulator's
-		// deterministic streams.
-		parts.Tracer = trace.NewTracer(trace.NewRandomGen(), n.cfg.TraceSample)
-	}
+	parts := n.cfg.Config
+	parts.Sink = n.sink
 	n.node = node.New(machine, parts)
 	if every := parts.TickEvery(opts.Timeouts); every > 0 {
 		n.wg.Add(1)

@@ -12,6 +12,7 @@ import (
 
 	"hypercube/internal/core"
 	"hypercube/internal/id"
+	"hypercube/internal/node"
 	"hypercube/internal/obs"
 )
 
@@ -148,7 +149,7 @@ func TestTraceRingAndSink(t *testing.T) {
 	}
 	defer seed.Close()
 	joiner, err := StartJoiner(p163, core.Options{}, id.MustParse(p163, "231"), "127.0.0.1:0",
-		WithConfig(Config{Sink: user, TraceRing: 1024}))
+		WithConfig(Config{Config: node.Config{Sink: user}, TraceRing: 1024}))
 	if err != nil {
 		t.Fatal(err)
 	}

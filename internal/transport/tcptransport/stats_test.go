@@ -20,6 +20,7 @@ import (
 	"hypercube/internal/guard"
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
+	"hypercube/internal/node"
 	"hypercube/internal/rtt"
 	"hypercube/internal/sampling"
 )
@@ -32,12 +33,12 @@ var update = flag.Bool("update", false, "rewrite testdata/admin_surface.golden f
 func fullNodeSurfaces(t *testing.T) (n *Node, status map[string]any, scrape string) {
 	t.Helper()
 	opts := core.Options{Guard: &guard.Policy{}}
-	parts := WithConfig(Config{
+	parts := WithConfig(Config{Config: node.Config{
 		Liveness:    &liveness.Config{ProbeInterval: 20 * time.Millisecond},
 		RTT:         &rtt.Config{},
 		AntiEntropy: &antientropy.Config{},
 		Sampling:    &sampling.Config{},
-	})
+	}})
 	seed, err := StartSeed(p163, opts, id.MustParse(p163, "abc"), "127.0.0.1:0", parts)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,8 @@ func FuzzBinaryDecode(f *testing.F) {
 			f.Add(payload)
 		}
 	}
-	// Traced (v2) seeds, including the all-untraced trailer form.
+	// Traced seeds: every kind traced, and a batch mixing traced and
+	// untraced records.
 	for i, env := range sampleEnvelopes(t) {
 		env.Trace = sampleTraceContext(byte(i + 1))
 		if payload, err := EncodePayload(p, env); err == nil {
@@ -32,14 +33,18 @@ func FuzzBinaryDecode(f *testing.F) {
 		}
 	}
 	if envs := sampleEnvelopes(t); len(envs) > 3 {
-		if payload, err := EncodePayloadV(p, VersionTraced, envs[:3]...); err == nil {
+		envs[1].Trace = sampleTraceContext(7)
+		if payload, err := EncodePayload(p, envs[:3]...); err == nil {
 			f.Add(payload)
 		}
 	}
-	// Hostile shapes: truncations, bad versions, padded fill vectors.
+	// Hostile shapes: truncations, bad versions, the traced bit on kind 0
+	// and on a record too short for its context.
 	f.Add([]byte{Version, 1, 3, byte(msg.TPong), 0, 0})
 	f.Add([]byte{Version, 2, 1, 0})
-	f.Add([]byte{VersionTraced, 1, 3, byte(msg.TPong), 0, 0, 2})
+	f.Add([]byte{Version, 1, 3, byte(msg.TPong) | traced, 0, 0})
+	f.Add([]byte{Version, 1, 1, traced})
+	f.Add([]byte{2, 1, 3, byte(msg.TPong), 0, 0, 2})
 	f.Add([]byte{99, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var envs []msg.Envelope
@@ -49,10 +54,7 @@ func FuzzBinaryDecode(f *testing.F) {
 		}); err != nil {
 			return
 		}
-		// Re-encode in the payload's own version: an accepted v2 payload
-		// whose records all happen to be untraced must come back as v2,
-		// not collapse to the minimal version.
-		re, err := EncodePayloadV(p, data[0], envs...)
+		re, err := EncodePayload(p, envs...)
 		if err != nil {
 			t.Fatalf("accepted payload failed to re-encode: %v", err)
 		}

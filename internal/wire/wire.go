@@ -28,12 +28,13 @@
 // Payload layout (the frame header is the transport's concern; see
 // tcptransport/frame.go):
 //
-//	byte    version (currently 1)
+//	byte    version (1)
 //	byte    count   (1..MaxBatch envelopes)
 //	count × record:
 //	    uvarint bodyLen
 //	    body:
-//	        byte kind (msg.Type)
+//	        byte kind (msg.Type, with traced set on a traced record)
+//	        if traced: 16-byte trace ID, 8-byte span ID
 //	        ref  From, ref To
 //	        per-kind fields (see appendBody)
 //
@@ -52,7 +53,9 @@
 //
 // All scalars are little-endian; all lengths are unsigned varints. A
 // version bump changes the leading byte, so old decoders reject new
-// payloads loudly instead of misparsing them.
+// payloads loudly instead of misparsing them. An untraced record is the
+// same bytes whether or not its sender traces; a traced record is an
+// unknown kind to a decoder that predates the traced bit.
 package wire
 
 import (
@@ -68,17 +71,8 @@ import (
 )
 
 const (
-	// Version is the baseline payload format version; the first payload
-	// byte.
+	// Version is the payload format version; the first payload byte.
 	Version = 1
-	// VersionTraced is the v2 payload format: byte-identical to v1
-	// except that every record carries a trace trailer after its body —
-	// a flags byte (0 = untraced, 1 = traced) followed, when traced, by
-	// the 16-byte trace ID and 8-byte span ID. The trailer sits outside
-	// the length-prefixed body, so stripping it (and rewriting the
-	// version byte) yields a valid v1 payload carrying the same
-	// envelopes — the downgrade a v1-only hop effectively performs.
-	VersionTraced = 2
 	// MaxBatch is the largest envelope count one payload may carry. It
 	// fits one byte, so the count field never needs a varint.
 	MaxBatch = 127
@@ -87,7 +81,10 @@ const (
 	MaxAddr = 256
 	// headerLen is the payload header: version byte plus count byte.
 	headerLen = 2
-	// traceIDLen/spanIDLen/traceCtxLen size the traced trailer form.
+	// traced is the kind byte's top bit: the record carries a sampled
+	// trace context, traceIDLen + spanIDLen bytes right after the kind.
+	// Message types stay below it (msg.NumTypes < 0x80).
+	traced      = 0x80
 	traceIDLen  = 16
 	spanIDLen   = 8
 	traceCtxLen = traceIDLen + spanIDLen
@@ -108,26 +105,9 @@ func badf(format string, args ...any) error {
 
 // AppendHeader appends the payload header (version + count placeholder)
 // to dst. The caller appends 1..MaxBatch envelopes with AppendEnvelope
-// (passing the same version) and then fixes the count with SetCount.
-// Pick the version with PayloadVersion so untraced payloads stay
-// byte-identical to what a v1-only encoder produces.
-func AppendHeader(dst []byte, version byte) []byte {
-	if version != Version && version != VersionTraced {
-		panic(fmt.Sprintf("wire: unknown payload version %d", version))
-	}
-	return append(dst, version, 0)
-}
-
-// PayloadVersion returns the minimal payload version able to carry the
-// given envelopes: VersionTraced when at least one carries a sampled
-// trace context, Version otherwise.
-func PayloadVersion(envs []msg.Envelope) byte {
-	for _, env := range envs {
-		if env.Trace.Sampled() {
-			return VersionTraced
-		}
-	}
-	return Version
+// and then fixes the count with SetCount.
+func AppendHeader(dst []byte) []byte {
+	return append(dst, Version, 0)
 }
 
 // SetCount patches the envelope count into a payload started with
@@ -140,17 +120,13 @@ func SetCount(payload []byte, n int) {
 }
 
 // AppendEnvelope appends one envelope record (uvarint body length +
-// body, plus the trace trailer under VersionTraced) to dst and returns
-// the extended slice. It allocates nothing beyond growing dst.
-// Envelopes the protocol can never produce (IDs of the wrong length,
-// oversized addresses, negative levels, unknown message types) return
-// an error, as does a traced envelope under version 1 — the caller
-// chose too small a version (see PayloadVersion); the input slice is
-// returned unchanged so a failed append can simply be skipped.
-func AppendEnvelope(dst []byte, p id.Params, env msg.Envelope, version byte) ([]byte, error) {
-	if version != VersionTraced && env.Trace.Sampled() {
-		return dst, fmt.Errorf("wire: traced envelope needs payload version %d, got %d", VersionTraced, version)
-	}
+// body) to dst and returns the extended slice. It allocates nothing
+// beyond growing dst. Envelopes the protocol can never produce (IDs of
+// the wrong length, oversized addresses, negative levels, unknown
+// message types, a trace context with a zero span ID) return an error;
+// the input slice is returned unchanged so a failed append can simply
+// be skipped.
+func AppendEnvelope(dst []byte, p id.Params, env msg.Envelope) ([]byte, error) {
 	mark := len(dst)
 	out, err := appendBody(dst, p, env)
 	if err != nil {
@@ -163,18 +139,6 @@ func AppendEnvelope(dst []byte, p id.Params, env msg.Envelope, version byte) ([]
 	out = append(out, lenBuf[:n]...)
 	copy(out[mark+n:], out[mark:mark+bodyLen])
 	copy(out[mark:], lenBuf[:n])
-	if version == VersionTraced {
-		if c := env.Trace; c.Sampled() {
-			if c.Span.IsZero() {
-				return dst, fmt.Errorf("wire: trace context with zero span ID")
-			}
-			out = append(out, 1)
-			out = append(out, c.Trace[:]...)
-			out = append(out, c.Span[:]...)
-		} else {
-			out = append(out, 0)
-		}
-	}
 	return out, nil
 }
 
@@ -182,21 +146,13 @@ func AppendEnvelope(dst []byte, p id.Params, env msg.Envelope, version byte) ([]
 // the convenience form used by tests and tools; the transport's hot path
 // assembles payloads incrementally with AppendHeader/AppendEnvelope.
 func EncodePayload(p id.Params, envs ...msg.Envelope) ([]byte, error) {
-	return EncodePayloadV(p, PayloadVersion(envs), envs...)
-}
-
-// EncodePayloadV builds a payload in an explicit format version —
-// VersionTraced carries a trace trailer per record even when every
-// record is untraced (flags 0), which is what a traced node's batch
-// that happens to hold only untraced envelopes looks like on the wire.
-func EncodePayloadV(p id.Params, version byte, envs ...msg.Envelope) ([]byte, error) {
 	if len(envs) == 0 || len(envs) > MaxBatch {
 		return nil, fmt.Errorf("wire: %d envelopes per payload, want 1..%d", len(envs), MaxBatch)
 	}
-	out := AppendHeader(nil, version)
+	out := AppendHeader(nil)
 	var err error
 	for _, env := range envs {
-		if out, err = AppendEnvelope(out, p, env, version); err != nil {
+		if out, err = AppendEnvelope(out, p, env); err != nil {
 			return nil, err
 		}
 	}
@@ -212,9 +168,8 @@ func DecodePayload(p id.Params, payload []byte, fn func(msg.Envelope) error) err
 	if len(payload) < headerLen {
 		return badf("%d bytes, want at least %d", len(payload), headerLen)
 	}
-	version := payload[0]
-	if version != Version && version != VersionTraced {
-		return badf("version %d, want %d or %d", version, Version, VersionTraced)
+	if payload[0] != Version {
+		return badf("version %d, want %d", payload[0], Version)
 	}
 	count := int(payload[1])
 	if count < 1 || count > MaxBatch {
@@ -233,11 +188,6 @@ func DecodePayload(p id.Params, payload []byte, fn func(msg.Envelope) error) err
 		env, err := decodeBody(p, body)
 		if err != nil {
 			return err
-		}
-		if version == VersionTraced {
-			if env.Trace, err = r.traceContext(); err != nil {
-				return err
-			}
 		}
 		if err := fn(env); err != nil {
 			return err
@@ -272,7 +222,16 @@ func DecodeOne(p id.Params, payload []byte) (msg.Envelope, error) {
 // ---------------------------------------------------------------------
 
 func appendBody(dst []byte, p id.Params, env msg.Envelope) ([]byte, error) {
-	dst = append(dst, byte(env.Msg.Type()))
+	if c := env.Trace; c.Sampled() {
+		if c.Span.IsZero() {
+			return nil, fmt.Errorf("wire: trace context with zero span ID")
+		}
+		dst = append(dst, byte(env.Msg.Type())|traced)
+		dst = append(dst, c.Trace[:]...)
+		dst = append(dst, c.Span[:]...)
+	} else {
+		dst = append(dst, byte(env.Msg.Type()))
+	}
 	var err error
 	if dst, err = appendRef(dst, p, env.From); err != nil {
 		return nil, err
@@ -590,34 +549,21 @@ func (r *reader) bool() (bool, error) {
 	}
 }
 
-// traceContext reads one v2 record trailer: a flags byte (0 =
-// untraced, 1 = traced), then the 16-byte trace ID and 8-byte span ID
-// when traced. Canonical form: flags above 1 and zero IDs under flags
-// 1 are malformed (an untraced record has exactly one encoding — the
-// lone 0 byte).
+// traceContext reads a traced record's context: the 16-byte trace ID
+// and 8-byte span ID, neither of them zero (an untraced record clears
+// the traced bit instead, so each context has one encoding).
 func (r *reader) traceContext() (trace.Context, error) {
-	flags, err := r.u8()
+	raw, err := r.take(traceCtxLen)
 	if err != nil {
 		return trace.Context{}, err
 	}
-	switch flags {
-	case 0:
-		return trace.Context{}, nil
-	case 1:
-		raw, err := r.take(traceCtxLen)
-		if err != nil {
-			return trace.Context{}, err
-		}
-		var c trace.Context
-		copy(c.Trace[:], raw[:traceIDLen])
-		copy(c.Span[:], raw[traceIDLen:])
-		if c.Trace.IsZero() || c.Span.IsZero() {
-			return trace.Context{}, badf("traced record with zero trace or span ID")
-		}
-		return c, nil
-	default:
-		return trace.Context{}, badf("trace flags byte %d, want 0 or 1", flags)
+	var c trace.Context
+	copy(c.Trace[:], raw[:traceIDLen])
+	copy(c.Span[:], raw[traceIDLen:])
+	if c.Trace.IsZero() || c.Span.IsZero() {
+		return trace.Context{}, badf("traced record with zero trace or span ID")
 	}
+	return c, nil
 }
 
 // internCap bounds interned: at most internCap names of at most MaxAddr
@@ -874,10 +820,17 @@ func decodeBody(p id.Params, body []byte) (msg.Envelope, error) {
 	if err != nil {
 		return msg.Envelope{}, err
 	}
+	isTraced := kind&traced != 0
+	kind &^= traced
 	if kind == 0 || int(kind) > msg.NumTypes {
 		return msg.Envelope{}, badf("unknown message kind %d", kind)
 	}
 	env := msg.Envelope{}
+	if isTraced {
+		if env.Trace, err = r.traceContext(); err != nil {
+			return msg.Envelope{}, err
+		}
+	}
 	if env.From, err = r.ref(p); err != nil {
 		return msg.Envelope{}, err
 	}

@@ -18,7 +18,7 @@ import (
 	"hypercube/internal/table"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current encoder")
+var update = flag.Bool("update", false, "rewrite the golden vectors in testdata from the current encoder")
 
 var tp = id.Params{B: 8, D: 5}
 
@@ -64,7 +64,7 @@ func sampleFill(t *testing.T) table.BitVector {
 	return v
 }
 
-// sampleEnvelopes is every input the round-trip, trailer and fuzz-seed
+// sampleEnvelopes is every input the round-trip, trace and fuzz-seed
 // tests run over: the frozen golden set plus shapes added since.
 func sampleEnvelopes(t *testing.T) []msg.Envelope {
 	t.Helper()
@@ -241,7 +241,7 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	// Truncated fill bitmap: encode a SyncReq, then chop one word off the
 	// vector by hand-editing the payload length fields is fiddly — build
 	// the hostile payload directly instead.
-	hostileFill := AppendHeader(nil, Version)
+	hostileFill := AppendHeader(nil)
 	body := []byte{byte(msg.TSyncReq)}
 	body = appendRawRef(body, from)
 	body = appendRawRef(body, to)
@@ -254,7 +254,7 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	}
 
 	// Padding bits beyond the declared length must be rejected.
-	padded := AppendHeader(nil, Version)
+	padded := AppendHeader(nil)
 	body = []byte{byte(msg.TSyncReq)}
 	body = appendRawRef(body, from)
 	body = appendRawRef(body, to)
@@ -270,7 +270,7 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 
 	// One word more than the declared length needs is trailing garbage in
 	// the record body.
-	overFill := AppendHeader(nil, Version)
+	overFill := AppendHeader(nil)
 	body = []byte{byte(msg.TSyncReq)}
 	body = appendRawRef(body, from)
 	body = appendRawRef(body, to)
@@ -283,7 +283,7 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	}
 
 	// FindRly Found with an invalid state byte.
-	foundBad := AppendHeader(nil, Version)
+	foundBad := AppendHeader(nil)
 	body = []byte{byte(msg.TFindRly)}
 	body = appendRawRef(body, from)
 	body = appendRawRef(body, to)
@@ -300,7 +300,7 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	}
 
 	// Oversized Found address.
-	foundAddr := AppendHeader(nil, Version)
+	foundAddr := AppendHeader(nil)
 	body = []byte{byte(msg.TFindRly)}
 	body = appendRawRef(body, from)
 	body = appendRawRef(body, to)
@@ -322,7 +322,7 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	badOwner = append(badOwner, 1)             // table present
 	badOwner = append(badOwner, 9, 9, 9, 9, 9) // owner digits
 	badOwner = append(badOwner, 0, 0, 0)       // empty level range, no entries
-	ownerPayload := appendRecord(AppendHeader(nil, Version), badOwner)
+	ownerPayload := appendRecord(AppendHeader(nil), badOwner)
 	SetCount(ownerPayload, 1)
 	if _, err := DecodeOne(tp, ownerPayload); err == nil {
 		t.Error("table owner outside the ID space accepted")
@@ -345,7 +345,7 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	}
 	snapBody = append(snapBody, entry(2, 0)...)
 	snapBody = append(snapBody, entry(1, 0)...) // descending: hostile
-	outOfOrder := appendRecord(AppendHeader(nil, Version), snapBody)
+	outOfOrder := appendRecord(AppendHeader(nil), snapBody)
 	SetCount(outOfOrder, 1)
 	if _, err := DecodeOne(tp, outOfOrder); err == nil {
 		t.Error("out-of-order table entries accepted")
@@ -361,14 +361,14 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	dupBody = append(dupBody, 2)
 	dupBody = append(dupBody, entry(1, 0)...)
 	dupBody = append(dupBody, entry(1, 0)...)
-	dup := appendRecord(AppendHeader(nil, Version), dupBody)
+	dup := appendRecord(AppendHeader(nil), dupBody)
 	SetCount(dup, 1)
 	if _, err := DecodeOne(tp, dup); err == nil {
 		t.Error("duplicate table entries accepted")
 	}
 
 	// Non-minimal varints re-encode shorter, so they must be rejected.
-	nonMinimal := AppendHeader(nil, Version)
+	nonMinimal := AppendHeader(nil)
 	body = []byte{byte(msg.TPong)}
 	body = appendRawRef(body, from)
 	body = appendRawRef(body, to)
@@ -410,7 +410,7 @@ func TestAppendEnvelopeRejectsUnencodable(t *testing.T) {
 	}
 	for i, env := range cases {
 		dst := []byte{0xaa}
-		out, err := AppendEnvelope(dst, tp, env, Version)
+		out, err := AppendEnvelope(dst, tp, env)
 		if err == nil {
 			t.Errorf("case %d: unencodable envelope accepted", i)
 		}
@@ -425,17 +425,33 @@ func TestAppendEnvelopeRejectsUnencodable(t *testing.T) {
 //	go test ./internal/wire -run TestGoldenVectors -update
 func TestGoldenVectors(t *testing.T) {
 	envs := goldenEnvelopes(t)
-	path := filepath.Join("testdata", "golden.txt")
+	checkGolden(t, "golden.txt", "Golden wire vectors", "TestGoldenVectors", envs, func(i int, back msg.Envelope) {
+		if back.Trace.Sampled() {
+			t.Fatalf("untraced golden %v decoded with a context", envs[i].Msg.Type())
+		}
+		assertEnvelopeEqual(t, envs[i], back)
+	})
+}
+
+// checkGolden compares the encoding of each envelope with its vector in
+// testdata/<file>, one "<kind> <hex payload>" line each, in order, or
+// rewrites the file under -update. check sees each golden decoded again.
+func checkGolden(t *testing.T, file, title, test string, envs []msg.Envelope, check func(i int, back msg.Envelope)) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	payloads := make([][]byte, len(envs))
+	for i, env := range envs {
+		var err error
+		if payloads[i], err = EncodePayload(tp, env); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if *update {
 		var sb strings.Builder
-		sb.WriteString("# Golden wire vectors: <kind> <hex payload>, one per sample envelope.\n")
-		sb.WriteString("# Regenerate with: go test ./internal/wire -run TestGoldenVectors -update\n")
-		for _, env := range envs {
-			payload, err := EncodePayload(tp, env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&sb, "%s %s\n", env.Msg.Type(), hex.EncodeToString(payload))
+		fmt.Fprintf(&sb, "# %s: <kind> <hex payload>, one per sample envelope.\n", title)
+		fmt.Fprintf(&sb, "# Regenerate with: go test ./internal/wire -run %s -update\n", test)
+		for i, env := range envs {
+			fmt.Fprintf(&sb, "%s %s\n", env.Msg.Type(), hex.EncodeToString(payloads[i]))
 		}
 		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -460,34 +476,29 @@ func TestGoldenVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(lines) != len(envs) {
-		t.Fatalf("golden file has %d vectors, samples have %d (regenerate with -update)", len(lines), len(envs))
+		t.Fatalf("%s has %d vectors, samples have %d (regenerate with -update)", file, len(lines), len(envs))
 	}
 	for i, env := range envs {
-		payload, err := EncodePayload(tp, env)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fields := strings.Fields(lines[i])
 		if len(fields) != 2 {
-			t.Fatalf("golden line %d malformed: %q", i, lines[i])
+			t.Fatalf("%s line %d malformed: %q", file, i, lines[i])
 		}
 		want, err := hex.DecodeString(fields[1])
 		if err != nil {
-			t.Fatalf("golden line %d: %v", i, err)
+			t.Fatalf("%s line %d: %v", file, i, err)
 		}
 		if fields[0] != env.Msg.Type().String() {
-			t.Fatalf("golden line %d is %s, sample is %v (regenerate with -update)", i, fields[0], env.Msg.Type())
+			t.Fatalf("%s line %d is %s, sample is %v (regenerate with -update)", file, i, fields[0], env.Msg.Type())
 		}
-		if !bytes.Equal(payload, want) {
+		if !bytes.Equal(payloads[i], want) {
 			t.Fatalf("wire layout changed for %v\n got %x\nwant %x\nif deliberate, bump Version and regenerate with -update",
-				env.Msg.Type(), payload, want)
+				env.Msg.Type(), payloads[i], want)
 		}
-		// Goldens must also still decode.
 		back, err := DecodeOne(tp, want)
 		if err != nil {
 			t.Fatalf("golden %v no longer decodes: %v", env.Msg.Type(), err)
 		}
-		assertEnvelopeEqual(t, env, back)
+		check(i, back)
 	}
 }
 
@@ -501,8 +512,8 @@ func TestAppendEnvelopeZeroAlloc(t *testing.T) {
 	}
 	buf := make([]byte, 0, 256)
 	allocs := testing.AllocsPerRun(200, func() {
-		out := AppendHeader(buf[:0], Version)
-		out, err := AppendEnvelope(out, tp, env, Version)
+		out := AppendHeader(buf[:0])
+		out, err := AppendEnvelope(out, tp, env)
 		if err != nil {
 			t.Fatal(err)
 		}
