@@ -40,15 +40,20 @@ knobs:
 			f && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) {s=substr($$0, 1, RLENGTH); n += gsub(/,/, "", s) + 1} \
 			END {print n + 0}'
 
-# allocs is the tracked steady-state cost of keeping a network: the
-# allocations per node per 50 ms pump tick of a converged, fault-free
-# 128-node simulated network, on the package defaults and on
-# node.Shipped, as TestSteadyTickAllocBudget measures and bounds them.
-# One definition, so "allocs" in CHANGES.md always means these two
-# numbers (1.93 and 3.86 before every part returned a buffer it owns).
+# allocs is the tracked allocation cost of keeping and growing a
+# network: the allocations per node per 50 ms pump tick of a converged,
+# fault-free 128-node simulated network, on the package defaults and on
+# node.Shipped, as TestSteadyTickAllocBudget measures and bounds them;
+# and the allocations and KiB per join of 64 concurrent joins into 256
+# nodes on the bare protocol, as TestJoinWaveAllocBudget does. One
+# definition, so "allocs" in CHANGES.md always means these four numbers
+# (1.93 and 3.86 per node-tick before every part returned a buffer it
+# owns; 75.6 KiB per join before snapshots held only their filled
+# entries).
 allocs:
-	@bash -o pipefail -c '$(GO) test -count=1 -run "^TestSteadyTickAllocBudget$$" -v ./internal/overlay | \
-		sed -n "s/.*: \([a-z]*\): \([0-9.]*\) allocations per node-tick$$/\1 \2/p"'
+	@bash -o pipefail -c '$(GO) test -count=1 -run "^(TestSteadyTickAllocBudget|TestJoinWaveAllocBudget)$$" -v ./internal/overlay | \
+		sed -n -e "s/.*: \([a-z]*\): \([0-9.]*\) allocations per node-tick$$/\1 \2/p" \
+			-e "s/.*: \([0-9.]*\) allocations and \([0-9.]*\) KiB per join$$/join-allocs \1\njoin-kib \2/p"'
 
 # bench runs the repository benchmark (./bench, BENCHMARK.json) at its
 # own run length, one workload after another; each prints its metrics as

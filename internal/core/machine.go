@@ -678,17 +678,21 @@ func (m *Machine) onCpRly(from table.Ref, pm msg.CpRly) {
 			m.finishCopying(from)
 			return
 		}
-		// Copy level-i neighbors of g into our table.
-		for j := 0; j < m.params.B; j++ {
-			n := snap.Get(i, j)
-			if n.IsZero() || n.ID == m.self.ID || m.knownBad(n.ID) {
-				continue
+		// Copy level-i neighbors of g into our table, in one walk of the
+		// level that also picks out g's (i, self[i])-entry.
+		var next table.Neighbor
+		own := m.self.ID.Digit(i)
+		snap.ForEachInLevel(i, func(j int, n table.Neighbor) {
+			if j == own {
+				next = n
+			}
+			if n.ID == m.self.ID || m.knownBad(n.ID) {
+				return
 			}
 			if m.tbl.Get(i, j).IsZero() {
 				m.setNeighbor(i, j, n, false)
 			}
-		}
-		next := snap.Get(i, m.self.ID.Digit(i))
+		})
 		i++
 		switch {
 		case next.IsZero() || next.ID == m.self.ID:

@@ -22,12 +22,6 @@ import (
 	"hypercube/internal/table"
 )
 
-// maxAddrLen bounds the transport address carried in any ref. Addresses
-// are opaque strings; without a bound a hostile peer could ship
-// megabytes per ref and the receiver would faithfully store them in its
-// table and reverse sets.
-const maxAddrLen = 256
-
 // Check validates one delivered envelope against the invariants the
 // protocol handlers assume, for the receiver self in space p. A nil
 // return means every field is safe to hand to internal/core; an error
@@ -221,8 +215,8 @@ func checkRef(p id.Params, r table.Ref, allowZero bool) error {
 			return fmt.Errorf("id digit %d out of base %d", d, p.B)
 		}
 	}
-	if len(r.Addr) > maxAddrLen {
-		return fmt.Errorf("address of %d bytes exceeds %d", len(r.Addr), maxAddrLen)
+	if len(r.Addr) > table.MaxAddr {
+		return fmt.Errorf("address of %d bytes exceeds %d", len(r.Addr), table.MaxAddr)
 	}
 	return nil
 }
@@ -262,7 +256,8 @@ func checkState(s table.State) error {
 // checkTable validates an attached table snapshot: the owner must be the
 // sender (every protocol message attaches the sender's own table), and
 // every entry must satisfy the §2.1 suffix invariant with a valid state
-// (Snapshot.Validate). The zero snapshot — no table attached — is legal;
+// and an address of at most table.MaxAddr bytes (Snapshot.Validate, one
+// walk). The zero snapshot — no table attached — is legal;
 // handlers treat it as a withheld table.
 func checkTable(p id.Params, from id.ID, snap table.Snapshot) error {
 	if snap.IsZero() {
@@ -278,12 +273,5 @@ func checkTable(p id.Params, from id.ID, snap table.Snapshot) error {
 	if err := snap.Validate(); err != nil {
 		return fmt.Errorf("bad table: %w", err)
 	}
-	var bad error
-	snap.ForEach(func(level, digit int, n table.Neighbor) {
-		if bad == nil && len(n.Addr) > maxAddrLen {
-			bad = fmt.Errorf("table entry (%d,%d) address of %d bytes exceeds %d",
-				level, digit, len(n.Addr), maxAddrLen)
-		}
-	})
-	return bad
+	return nil
 }

@@ -168,6 +168,9 @@ func TestCheckRejectsMalformed(t *testing.T) {
 	// A snapshot with an out-of-range state.
 	badState := table.New(tp, from.ID)
 	badState.Set(0, from.ID.Digit(0), table.Neighbor{ID: from.ID, State: table.State(9)})
+	// A snapshot whose honest entry carries an address over the bound.
+	longAddr := table.New(tp, from.ID)
+	longAddr.Set(0, from.ID.Digit(0), table.Neighbor{ID: from.ID, Addr: strings.Repeat("a", table.MaxAddr+1), State: table.StateS})
 
 	longWant := id.MustParseSuffix(tp, "0321").Extend(1) // 5 digits > d
 
@@ -189,6 +192,7 @@ func TestCheckRejectsMalformed(t *testing.T) {
 		{"table wrong owner", msg.Envelope{From: from, To: self, Msg: msg.CpRly{Table: snapOf(t, other)}}, "owned by"},
 		{"table wrong suffix", msg.Envelope{From: from, To: self, Msg: msg.CpRly{Table: badTbl.Snapshot()}}, "suffix"},
 		{"table bad state", msg.Envelope{From: from, To: self, Msg: msg.Leave{Table: badState.Snapshot()}}, "state"},
+		{"table oversized addr", msg.Envelope{From: from, To: self, Msg: msg.SyncPush{Table: longAddr.Snapshot()}}, "address of 257 bytes exceeds 256"},
 		{"JoinWaitRly bad result", msg.Envelope{From: from, To: self, Msg: msg.JoinWaitRly{R: 9, U: self, Table: snap}}, "result"},
 		{"JoinWaitRly zero U", msg.Envelope{From: from, To: self, Msg: msg.JoinWaitRly{R: msg.Positive, Table: snap}}, "null ref"},
 		{"JoinWaitRly self redirect", msg.Envelope{From: from, To: self, Msg: msg.JoinWaitRly{R: msg.Negative, U: self, Table: snap}}, "redirects to self"},

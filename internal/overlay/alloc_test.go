@@ -52,13 +52,16 @@ func TestTransmissionDoesNotAllocate(t *testing.T) {
 // protocol (64 concurrent joins into 256 nodes, b=16, d=8), so that a
 // per-message allocation coming back into the path post → queue →
 // deliver → guard → handlers → send fails here rather than in the 20 s
-// benchmark. Measured: 107 per join, all protocol payload (boxed
+// benchmark. Measured: 90 per join, all protocol payload (boxed
 // messages, table snapshots, the machines' output copies); 1,255 when
 // each message also paid for a latency key, a trace line, a suffix per
 // validated entry, a closure and a boxed event. The budget is ~1.5x the
-// former.
+// 107 it was set against. It also bounds the bytes: 39.0 KiB per join
+// with snapshots that hold only their filled entries, 75.6 KiB when each
+// copied all d·b cells; the budget of 50 KiB fails the latter. `make
+// allocs` prints both readings.
 func TestJoinWaveAllocBudget(t *testing.T) {
-	const n, m, budget = 256, 64, 160
+	const n, m, budget, kibBudget = 256, 64, 160, 50
 	p := id.Params{B: 16, D: 8}
 	rng := rand.New(rand.NewSource(5))
 	taken := make(map[id.ID]bool, n+m)
@@ -83,9 +86,13 @@ func TestJoinWaveAllocBudget(t *testing.T) {
 		t.Fatalf("%d joins did not complete", net.PendingJoins())
 	}
 	perJoin := float64(after.Mallocs-before.Mallocs) / m
-	t.Logf("%.0f allocations per join", perJoin)
+	kibPerJoin := float64(after.TotalAlloc-before.TotalAlloc) / m / 1024
+	t.Logf("%.0f allocations and %.1f KiB per join", perJoin, kibPerJoin)
 	if perJoin > budget {
 		t.Errorf("%.0f allocations per join, budget %d", perJoin, budget)
+	}
+	if kibPerJoin > kibBudget {
+		t.Errorf("%.1f KiB allocated per join, budget %d", kibPerJoin, kibBudget)
 	}
 }
 

@@ -6,15 +6,27 @@
 // As in the paper's join-protocol analysis, each entry stores a single
 // primary neighbor together with a state bit (T = still joining,
 // S = in system). Tables attached to protocol messages travel as
-// immutable Snapshots.
+// immutable Snapshots, which hold only the filled entries, in ascending
+// (level,digit) order — the order of the wire's table record. Past
+// level log_b n a table is nearly empty, so at the paper's scale a
+// snapshot holds about two fifths of the d·b cells.
 package table
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"hypercube/internal/id"
 )
+
+// MaxAddr bounds a transport address: addresses are host:port strings,
+// so anything longer is hostile, and a peer must not be able to make a
+// receiver store megabytes per entry. The wire decoder, the guard's ref
+// check and Snapshot.Validate hold every address to it.
+const MaxAddr = 256
 
 // State records what the table owner believes about a neighbor's status.
 type State uint8
@@ -70,6 +82,7 @@ type Table struct {
 	params  id.Params
 	owner   id.ID
 	entries []Neighbor // d*b entries, row-major by level
+	filled  int        // non-empty entries, kept by Set
 	version uint64     // bumped on every mutation
 
 	// Snapshot cache: protocol nodes snapshot their table far more often
@@ -127,8 +140,15 @@ func (t *Table) Get(level, digit int) Neighbor {
 // can be installed.
 func (t *Table) Set(level, digit int, n Neighbor) {
 	i := t.index(level, digit)
-	if t.entries[i] == n {
+	old := t.entries[i]
+	if old == n {
 		return
+	}
+	switch {
+	case old.IsZero() && !n.IsZero():
+		t.filled++
+	case !old.IsZero() && n.IsZero():
+		t.filled--
 	}
 	t.entries[i] = n
 	t.version++
@@ -177,15 +197,7 @@ func Qualifies(owner id.ID, level, digit int, x id.ID) bool {
 }
 
 // FilledCount returns the number of non-empty entries.
-func (t *Table) FilledCount() int {
-	c := 0
-	for _, e := range t.entries {
-		if !e.IsZero() {
-			c++
-		}
-	}
-	return c
-}
+func (t *Table) FilledCount() int { return t.filled }
 
 // ForEach calls fn for every non-empty entry in (level, digit) order.
 func (t *Table) ForEach(fn func(level, digit int, n Neighbor)) {
@@ -203,9 +215,7 @@ func (t *Table) Snapshot() Snapshot {
 	if t.snapValid && t.snapVersion == t.version {
 		return t.snapCache
 	}
-	entries := make([]Neighbor, len(t.entries))
-	copy(entries, t.entries)
-	t.snapCache = Snapshot{params: t.params, owner: t.owner, lo: 0, hi: t.params.D - 1, entries: entries}
+	t.snapCache = t.pack(0, t.params.D-1, t.filled)
 	t.snapVersion = t.version
 	t.snapValid = true
 	return t.snapCache
@@ -224,10 +234,30 @@ func (t *Table) SnapshotLevels(lo, hi int) Snapshot {
 	if lo > hi {
 		return Snapshot{params: t.params, owner: t.owner, lo: 0, hi: -1}
 	}
-	n := (hi - lo + 1) * t.params.B
-	entries := make([]Neighbor, n)
-	copy(entries, t.entries[lo*t.params.B:(hi+1)*t.params.B])
-	return Snapshot{params: t.params, owner: t.owner, lo: lo, hi: hi, entries: entries}
+	count := 0
+	for _, e := range t.entries[lo*t.params.B : (hi+1)*t.params.B] {
+		if !e.IsZero() {
+			count++
+		}
+	}
+	return t.pack(lo, hi, count)
+}
+
+// pack copies the count filled entries of levels lo..hi into a snapshot,
+// in one allocation of exactly count cells.
+func (t *Table) pack(lo, hi, count int) Snapshot {
+	s := Snapshot{params: t.params, owner: t.owner, lo: lo, hi: hi}
+	if count == 0 {
+		return s
+	}
+	s.cells = make([]cell, 0, count)
+	base := lo * t.params.B
+	for i, e := range t.entries[base : (hi+1)*t.params.B] {
+		if !e.IsZero() {
+			s.cells = append(s.cells, cell{ID: e.ID, Addr: e.Addr, State: e.State, idx: uint32(base + i)})
+		}
+	}
+	return s
 }
 
 // FillVector returns the bit vector of §6.2: bit (level*b+digit) is set
@@ -273,50 +303,50 @@ func (t *Table) String() string {
 // Snapshot is an immutable copy of a table (possibly restricted to a level
 // range). It is safe to share across goroutines.
 type Snapshot struct {
-	params  id.Params
-	owner   id.ID
-	lo, hi  int        // inclusive level range; hi < lo means empty
-	entries []Neighbor // (hi-lo+1)*b cells, or none when all are empty
+	params id.Params
+	owner  id.ID
+	lo, hi int    // inclusive level range; hi < lo means empty
+	cells  []cell // the filled entries in ascending index order; nil when none
 }
 
-// NewSnapshot assembles a snapshot from explicit parts — the inverse of a
-// wire decoding. entries lists the non-empty entries with their
-// coordinates; levels outside [lo,hi] are rejected. The input map is
-// copied.
+// cell is one filled entry of a snapshot: the Neighbor's fields and the
+// entry's index level·b+digit, which sits in what would be the
+// Neighbor's padding, so a cell is no larger than a Neighbor.
+type cell struct {
+	ID    id.ID
+	Addr  string
+	State State
+	idx   uint32
+}
+
+func (c cell) neighbor() Neighbor { return Neighbor{ID: c.ID, Addr: c.Addr, State: c.State} }
+
+// NewSnapshot assembles a snapshot from explicit parts. entries maps
+// coordinates to occupants; empty occupants are dropped and levels
+// outside [lo,hi] are rejected. The input map is copied.
 func NewSnapshot(p id.Params, owner id.ID, lo, hi int, entries map[[2]int]Neighbor) (Snapshot, error) {
-	s, err := snapshotShell(p, owner, lo, hi)
-	if err != nil || hi < lo {
-		return s, err
-	}
-	s.entries = make([]Neighbor, (hi-lo+1)*p.B)
+	coords := make([][2]int, 0, len(entries))
 	for pos, n := range entries {
-		level, digit := pos[0], pos[1]
-		if level < lo || level > hi || digit < 0 || digit >= p.B {
-			return Snapshot{}, fmt.Errorf("table: snapshot entry (%d,%d) outside range", level, digit)
+		if !n.IsZero() {
+			coords = append(coords, pos)
 		}
-		s.entries[(level-lo)*p.B+digit] = n
 	}
-	return s, nil
+	slices.SortFunc(coords, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	k := 0
+	return SnapshotFrom(p, owner, lo, hi, len(coords), func() (int, int, Neighbor, error) {
+		pos := coords[k]
+		k++
+		return pos[0], pos[1], entries[pos], nil
+	})
 }
 
-// SnapshotOfCells is NewSnapshot for a caller that already holds the
-// dense form: cells[(level-lo)·b+digit] for every cell of levels lo..hi,
-// empty ones zero. The slice is adopted, not copied; the caller gives it
-// up.
-func SnapshotOfCells(p id.Params, owner id.ID, lo, hi int, cells []Neighbor) (Snapshot, error) {
-	s, err := snapshotShell(p, owner, lo, hi)
-	if err != nil || hi < lo {
-		return s, err
-	}
-	if len(cells) != (hi-lo+1)*p.B {
-		return Snapshot{}, fmt.Errorf("table: %d cells for levels [%d,%d], want %d", len(cells), lo, hi, (hi-lo+1)*p.B)
-	}
-	s.entries = cells
-	return s, nil
-}
-
-// snapshotShell checks a snapshot's header and returns it without cells.
-func snapshotShell(p id.Params, owner id.ID, lo, hi int) (Snapshot, error) {
+// SnapshotFrom assembles a snapshot of levels lo..hi from count filled
+// entries that next yields in strictly ascending (level,digit) order, the
+// order of the wire's table record, into one allocation of exactly count
+// cells. It returns next's first error as is.
+func SnapshotFrom(p id.Params, owner id.ID, lo, hi, count int, next func() (level, digit int, n Neighbor, err error)) (Snapshot, error) {
 	if err := p.Validate(); err != nil {
 		return Snapshot{}, err
 	}
@@ -324,41 +354,64 @@ func snapshotShell(p id.Params, owner id.ID, lo, hi int) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("table: snapshot owner %v has %d digits, want %d", owner, owner.Len(), p.D)
 	}
 	if hi < lo {
-		return Snapshot{params: p, owner: owner, lo: 0, hi: -1}, nil
-	}
-	if lo < 0 || hi >= p.D {
+		lo, hi = 0, -1
+	} else if lo < 0 || hi >= p.D {
 		return Snapshot{}, fmt.Errorf("table: snapshot level range [%d,%d] out of bounds", lo, hi)
 	}
-	return Snapshot{params: p, owner: owner, lo: lo, hi: hi}, nil
+	s := Snapshot{params: p, owner: owner, lo: lo, hi: hi}
+	if count < 0 || count > (hi-lo+1)*p.B {
+		return Snapshot{}, fmt.Errorf("table: %d snapshot entries for levels [%d,%d]", count, lo, hi)
+	}
+	if count == 0 {
+		return s, nil
+	}
+	s.cells = make([]cell, count)
+	last := -1
+	for k := range s.cells {
+		level, digit, n, err := next()
+		if err != nil {
+			return Snapshot{}, err
+		}
+		idx := level*p.B + digit
+		switch {
+		case level < lo || level > hi || digit < 0 || digit >= p.B:
+			return Snapshot{}, fmt.Errorf("table: snapshot entry (%d,%d) outside range", level, digit)
+		case idx <= last:
+			return Snapshot{}, fmt.Errorf("table: snapshot entry (%d,%d) out of order", level, digit)
+		case n.IsZero():
+			return Snapshot{}, fmt.Errorf("table: snapshot entry (%d,%d) is empty", level, digit)
+		}
+		last = idx
+		s.cells[k] = cell{ID: n.ID, Addr: n.Addr, State: n.State, idx: uint32(idx)}
+	}
+	return s, nil
 }
 
 // Validate checks the invariants a snapshot received from an untrusted
 // peer must satisfy before any entry of it is harvested: every occupant's
-// state is T or S, its ID has exactly d digits, and it carries the
-// entry's desired suffix — digit · owner[level-1..0] (§2.1). NewSnapshot
-// already enforces coordinate ranges; Validate covers the semantic rest.
-// The zero snapshot (no table attached) is valid.
+// state is T or S, its ID has exactly d digits, it carries the entry's
+// desired suffix — digit · owner[level-1..0] (§2.1) — and its address
+// is at most MaxAddr bytes. The constructors already enforce coordinate
+// ranges; Validate covers the semantic rest. The zero snapshot (no table
+// attached) is valid.
 func (s Snapshot) Validate() error {
-	if s.IsZero() {
-		return nil
-	}
-	var bad error
-	s.ForEach(func(level, digit int, n Neighbor) {
-		if bad != nil {
-			return
-		}
+	for _, c := range s.cells {
+		level, digit := int(c.idx)/s.params.B, int(c.idx)%s.params.B
 		switch {
-		case n.State != StateT && n.State != StateS:
-			bad = fmt.Errorf("table: entry (%d,%d) has invalid state %d", level, digit, n.State)
-		case n.ID.Len() != s.params.D:
-			bad = fmt.Errorf("table: entry (%d,%d) occupant %v has %d digits, want %d",
-				level, digit, n.ID, n.ID.Len(), s.params.D)
-		case !Qualifies(s.owner, level, digit, n.ID):
-			bad = fmt.Errorf("table: entry (%d,%d) occupant %v lacks suffix %v",
-				level, digit, n.ID, s.owner.Suffix(level).Extend(digit))
+		case c.State != StateT && c.State != StateS:
+			return fmt.Errorf("table: entry (%d,%d) has invalid state %d", level, digit, c.State)
+		case c.ID.Len() != s.params.D:
+			return fmt.Errorf("table: entry (%d,%d) occupant %v has %d digits, want %d",
+				level, digit, c.ID, c.ID.Len(), s.params.D)
+		case !Qualifies(s.owner, level, digit, c.ID):
+			return fmt.Errorf("table: entry (%d,%d) occupant %v lacks suffix %v",
+				level, digit, c.ID, s.owner.Suffix(level).Extend(digit))
+		case len(c.Addr) > MaxAddr:
+			return fmt.Errorf("table: entry (%d,%d) address of %d bytes exceeds %d",
+				level, digit, len(c.Addr), MaxAddr)
 		}
-	})
-	return bad
+	}
+	return nil
 }
 
 // Params returns the ID-space parameters of the snapshot.
@@ -375,43 +428,58 @@ func (s Snapshot) LevelRange() (lo, hi int) { return s.lo, s.hi }
 // value), as opposed to a snapshot of an empty table.
 func (s Snapshot) IsZero() bool { return s.owner.IsNull() }
 
+// search returns the position of the first cell whose index is at least
+// idx.
+func (s Snapshot) search(idx int) int {
+	return sort.Search(len(s.cells), func(k int) bool { return int(s.cells[k].idx) >= idx })
+}
+
 // Get returns the (level,digit)-entry, or the zero Neighbor if the entry
 // is empty or outside the captured level range.
 func (s Snapshot) Get(level, digit int) Neighbor {
-	if level < s.lo || level > s.hi || digit < 0 || digit >= s.params.B || len(s.entries) == 0 {
+	if level < s.lo || level > s.hi || digit < 0 || digit >= s.params.B {
 		return Neighbor{}
 	}
-	return s.entries[(level-s.lo)*s.params.B+digit]
+	idx := level*s.params.B + digit
+	if k := s.search(idx); k < len(s.cells) && int(s.cells[k].idx) == idx {
+		return s.cells[k].neighbor()
+	}
+	return Neighbor{}
 }
 
 // ForEach calls fn for every non-empty captured entry in (level, digit)
 // order.
 func (s Snapshot) ForEach(fn func(level, digit int, n Neighbor)) {
-	for i, e := range s.entries {
-		if !e.IsZero() {
-			fn(s.lo+i/s.params.B, i%s.params.B, e)
+	for _, c := range s.cells {
+		level, digit := int(c.idx)/s.params.B, int(c.idx)%s.params.B
+		fn(level, digit, c.neighbor())
+	}
+}
+
+// ForEachInLevel calls fn for every non-empty captured entry of one
+// level in digit order, finding the level's first entry by binary search.
+func (s Snapshot) ForEachInLevel(level int, fn func(digit int, n Neighbor)) {
+	if level < s.lo || level > s.hi {
+		return
+	}
+	base := level * s.params.B
+	for _, c := range s.cells[s.search(base):] {
+		if int(c.idx) >= base+s.params.B {
+			return
 		}
+		fn(int(c.idx)-base, c.neighbor())
 	}
 }
 
 // FilledCount returns the number of non-empty entries captured.
-func (s Snapshot) FilledCount() int {
-	c := 0
-	for _, e := range s.entries {
-		if !e.IsZero() {
-			c++
-		}
-	}
-	return c
-}
+func (s Snapshot) FilledCount() int { return len(s.cells) }
 
 // WireSize estimates the encoded size of the snapshot in bytes, used by
 // the cost accounting of §5.2. Each filled entry costs the ID digits plus
 // a 6-byte address and a state byte; empty entries cost one presence bit.
 func (s Snapshot) WireSize() int {
 	bits := (s.hi - s.lo + 1) * s.params.B
-	filled := s.FilledCount()
-	return (bits+7)/8 + filled*(s.params.D+6+1)
+	return (bits+7)/8 + len(s.cells)*(s.params.D+6+1)
 }
 
 // Filtered returns a copy of the snapshot containing only entries whose
@@ -419,18 +487,9 @@ func (s Snapshot) WireSize() int {
 // Levels at or above keepFrom are always included, matching §6.2 ("as well
 // as all level-i' neighbors, noti_level <= i' <= d-1").
 func (s Snapshot) Filtered(mask BitVector, keepFrom int) Snapshot {
-	out := make([]Neighbor, len(s.entries))
-	for i, e := range s.entries {
-		if e.IsZero() {
-			continue
-		}
-		level := s.lo + i/s.params.B
-		digit := i % s.params.B
-		if level >= keepFrom || !mask.Get(level*s.params.B+digit) {
-			out[i] = e
-		}
-	}
-	return Snapshot{params: s.params, owner: s.owner, lo: s.lo, hi: s.hi, entries: out}
+	return s.filter(func(c cell) bool {
+		return int(c.idx) >= keepFrom*s.params.B || !mask.Get(int(c.idx))
+	})
 }
 
 // MissingIn returns a copy of the snapshot containing only the occupants
@@ -441,23 +500,34 @@ func (s Snapshot) Filtered(mask BitVector, keepFrom int) Snapshot {
 // converged tables it is empty, and after a partition heals it shrinks to
 // nothing as the anti-entropy rounds progress.
 func (s Snapshot) MissingIn(peer id.ID, fill BitVector) Snapshot {
-	var out []Neighbor // allocated at the first missing occupant
-	for i, e := range s.entries {
-		if e.IsZero() || e.ID == peer {
-			continue
-		}
-		k := peer.CommonSuffixLen(e.ID)
-		if k >= s.params.D {
-			continue // e is peer itself under a different address
-		}
-		if !fill.Get(k*s.params.B + e.ID.Digit(k)) {
-			if out == nil {
-				out = make([]Neighbor, len(s.entries))
-			}
-			out[i] = e
+	return s.filter(func(c cell) bool {
+		k := peer.CommonSuffixLen(c.ID)
+		// k = d: the occupant is peer itself, never shipped to itself.
+		return k < s.params.D && !fill.Get(k*s.params.B+c.ID.Digit(k))
+	})
+}
+
+// filter returns a copy of the snapshot holding the cells keep accepts.
+// It counts them first, so the copy is one exact-size allocation, and
+// none at all when keep accepts nothing.
+func (s Snapshot) filter(keep func(c cell) bool) Snapshot {
+	n := 0
+	for _, c := range s.cells {
+		if keep(c) {
+			n++
 		}
 	}
-	return Snapshot{params: s.params, owner: s.owner, lo: s.lo, hi: s.hi, entries: out}
+	out := Snapshot{params: s.params, owner: s.owner, lo: s.lo, hi: s.hi}
+	if n == 0 {
+		return out
+	}
+	out.cells = make([]cell, 0, n)
+	for _, c := range s.cells {
+		if keep(c) {
+			out.cells = append(out.cells, c)
+		}
+	}
+	return out
 }
 
 // BitVector is a fixed-size bit set indexed by entry number

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -527,12 +528,16 @@ func TestNewSnapshotRoundTrip(t *testing.T) {
 	if lo, hi := part.LevelRange(); lo != 2 || hi != 3 {
 		t.Errorf("range [%d,%d]", lo, hi)
 	}
-	// The dense form builds the same snapshot and adopts its argument.
-	cells := make([]Neighbor, 2*p45.B)
-	cells[1*p45.B+0] = nb(t, "10233", StateS)
-	dense, err := SnapshotOfCells(p45, owner, 2, 3, cells)
-	if err != nil || !reflect.DeepEqual(dense, part) || &dense.entries[0] != &cells[0] {
-		t.Errorf("SnapshotOfCells: %v, %v, want %v built on the caller's slice", err, dense, part)
+	// The streamed form builds the same snapshot.
+	streamed, err := SnapshotFrom(p45, owner, 2, 3, 1, func() (int, int, Neighbor, error) {
+		return 3, 0, nb(t, "10233", StateS), nil
+	})
+	if err != nil || !reflect.DeepEqual(streamed, part) {
+		t.Errorf("SnapshotFrom: %v, %v, want %v", err, streamed, part)
+	}
+	// Empty occupants are not entries.
+	if s, err := NewSnapshot(p45, owner, 0, 4, map[[2]int]Neighbor{{1, 1}: {}}); err != nil || s.FilledCount() != 0 {
+		t.Errorf("NewSnapshot kept an empty occupant: %v, %d entries", err, s.FilledCount())
 	}
 	// Inverted range yields an empty snapshot.
 	inv, err := NewSnapshot(p45, owner, 3, 1, nil)
@@ -558,11 +563,40 @@ func TestNewSnapshotErrors(t *testing.T) {
 	if _, err := NewSnapshot(p45, owner, 0, 4, map[[2]int]Neighbor{{0, 9}: nb(t, "10233", StateS)}); err == nil {
 		t.Error("out-of-range digit accepted")
 	}
-	if _, err := SnapshotOfCells(p45, owner, 0, 5, make([]Neighbor, 6*p45.B)); err == nil {
-		t.Error("dense form: out-of-range hi accepted")
+	// The streamed form: each entry in turn, at (level, digit) = pos[k].
+	stream := func(pos ...[2]int) func() (int, int, Neighbor, error) {
+		k := 0
+		return func() (int, int, Neighbor, error) {
+			k++
+			return pos[k-1][0], pos[k-1][1], nb(t, "10233", StateS), nil
+		}
 	}
-	if _, err := SnapshotOfCells(p45, owner, 0, 4, make([]Neighbor, 4*p45.B)); err == nil {
-		t.Error("dense form: a level's worth of cells missing, accepted")
+	if _, err := SnapshotFrom(p45, owner, 0, 5, 1, stream([2]int{0, 0})); err == nil {
+		t.Error("streamed form: out-of-range hi accepted")
+	}
+	if _, err := SnapshotFrom(p45, owner, 2, 2, p45.B+1, stream()); err == nil {
+		t.Error("streamed form: more entries than the level holds accepted")
+	}
+	if _, err := SnapshotFrom(p45, owner, 0, -1, 1, stream()); err == nil {
+		t.Error("streamed form: an entry in the empty range accepted")
+	}
+	if _, err := SnapshotFrom(p45, owner, 1, 2, 1, stream([2]int{0, 3})); err == nil {
+		t.Error("streamed form: entry below lo accepted")
+	}
+	if _, err := SnapshotFrom(p45, owner, 0, 4, 2, stream([2]int{1, 2}, [2]int{1, 1})); err == nil {
+		t.Error("streamed form: descending entries accepted")
+	}
+	if _, err := SnapshotFrom(p45, owner, 0, 4, 2, stream([2]int{1, 2}, [2]int{1, 2})); err == nil {
+		t.Error("streamed form: duplicate entry accepted")
+	}
+	empty := func() (int, int, Neighbor, error) { return 0, 0, Neighbor{}, nil }
+	if _, err := SnapshotFrom(p45, owner, 0, 4, 1, empty); err == nil {
+		t.Error("streamed form: empty occupant accepted")
+	}
+	cause := errors.New("truncated")
+	failing := func() (int, int, Neighbor, error) { return 0, 0, Neighbor{}, cause }
+	if _, err := SnapshotFrom(p45, owner, 0, 4, 1, failing); err != cause {
+		t.Errorf("streamed form: next's error came back as %v, want it as is", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hypercube/internal/id"
@@ -30,6 +31,9 @@ func validateOracle(s Snapshot) error {
 		case !n.ID.HasSuffix(s.owner.Suffix(level).Extend(digit)):
 			bad = fmt.Errorf("table: entry (%d,%d) occupant %v lacks suffix %v",
 				level, digit, n.ID, s.owner.Suffix(level).Extend(digit))
+		case len(n.Addr) > MaxAddr:
+			bad = fmt.Errorf("table: entry (%d,%d) address of %d bytes exceeds %d",
+				level, digit, len(n.Addr), MaxAddr)
 		}
 	})
 	return bad
@@ -93,6 +97,15 @@ func TestValidateMatchesOracle(t *testing.T) {
 		{"short ID with the right digits", 0, 4, map[[2]int]Neighbor{{3, 1}: {ID: short, State: StateS}}, false},
 		{"long ID with the right digits", 0, 4, map[[2]int]Neighbor{{4, 2}: {ID: long, State: StateS}}, false},
 		{"invalid state wins over wrong length", 0, 4, map[[2]int]Neighbor{{3, 1}: {ID: short, State: 9}}, false},
+		{"address at the bound", 0, 4, map[[2]int]Neighbor{
+			{0, 1}: {ID: id.MustParse(p45, "33121"), Addr: strings.Repeat("a", MaxAddr), State: StateS},
+		}, true},
+		{"address over the bound", 0, 4, map[[2]int]Neighbor{
+			{0, 1}: {ID: id.MustParse(p45, "33121"), Addr: strings.Repeat("a", MaxAddr+1), State: StateS},
+		}, false},
+		{"wrong suffix wins over long address", 0, 4, map[[2]int]Neighbor{
+			{0, 1}: {ID: id.MustParse(p45, "33122"), Addr: strings.Repeat("a", MaxAddr+1), State: StateS},
+		}, false},
 		{"first bad entry is reported", 0, 4, map[[2]int]Neighbor{
 			{1, 0}: nb(t, "33121", StateS), {2, 3}: nb(t, "33121", 0),
 		}, false},
@@ -123,7 +136,8 @@ func TestValidateMatchesOracle(t *testing.T) {
 // snapshotFromBytes decodes fuzz input into a snapshot whose occupants
 // are mostly near-honest, so both the accept path and every reject path
 // are reached: per entry a level, a digit, a state, and a mode that
-// keeps the honest ID, corrupts one digit, or changes the ID's length.
+// keeps the honest ID, corrupts one digit, changes the ID's length, or
+// gives the honest ID an address one byte over MaxAddr.
 func snapshotFromBytes(data []byte) (Snapshot, bool) {
 	next := func() int {
 		if len(data) == 0 {
@@ -173,7 +187,11 @@ func snapshotFromBytes(data []byte) (Snapshot, bool) {
 		if err != nil {
 			return Snapshot{}, false
 		}
-		entries[[2]int{level, digit}] = Neighbor{ID: x, State: state}
+		var addr string
+		if mode == 4 {
+			addr = strings.Repeat("a", MaxAddr+1)
+		}
+		entries[[2]int{level, digit}] = Neighbor{ID: x, Addr: addr, State: state}
 	}
 	snap, err := NewSnapshot(p, owner, 0, p.D-1, entries)
 	return snap, err == nil

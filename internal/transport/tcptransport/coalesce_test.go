@@ -123,7 +123,7 @@ func TestCoalescerRespectsMaxFrameBytes(t *testing.T) {
 	tbl := table.New(p163, n.Ref().ID)
 	for level := 0; level < p163.D; level++ {
 		for digit := 0; digit < p163.B; digit++ {
-			addr := fmt.Sprintf("%0*d", wire.MaxAddr, level*p163.B+digit)
+			addr := fmt.Sprintf("%0*d", table.MaxAddr, level*p163.B+digit)
 			tbl.Set(level, digit, table.Neighbor{ID: id.MustParse(p163, "111"), Addr: addr, State: table.StateS})
 		}
 	}

@@ -76,9 +76,6 @@ const (
 	// MaxBatch is the largest envelope count one payload may carry. It
 	// fits one byte, so the count field never needs a varint.
 	MaxBatch = 127
-	// MaxAddr bounds any transport address accepted off the wire;
-	// addresses are host:port strings, so anything longer is hostile.
-	MaxAddr = 256
 	// headerLen is the payload header: version byte plus count byte.
 	headerLen = 2
 	// traced is the kind byte's top bit: the record carries a sampled
@@ -371,8 +368,8 @@ func appendRef(dst []byte, p id.Params, r table.Ref) ([]byte, error) {
 	if r.ID.Len() != p.D {
 		return nil, fmt.Errorf("wire: ref ID %v has %d digits, want %d", r.ID, r.ID.Len(), p.D)
 	}
-	if len(r.Addr) > MaxAddr {
-		return nil, fmt.Errorf("wire: ref address of %d bytes exceeds %d", len(r.Addr), MaxAddr)
+	if len(r.Addr) > table.MaxAddr {
+		return nil, fmt.Errorf("wire: ref address of %d bytes exceeds %d", len(r.Addr), table.MaxAddr)
 	}
 	dst = append(dst, 1)
 	dst = r.ID.AppendRawDigits(dst)
@@ -405,8 +402,8 @@ func appendNeighbor(dst []byte, p id.Params, n table.Neighbor) ([]byte, error) {
 	if n.ID.Len() != p.D {
 		return nil, fmt.Errorf("wire: neighbor ID %v has %d digits, want %d", n.ID, n.ID.Len(), p.D)
 	}
-	if len(n.Addr) > MaxAddr {
-		return nil, fmt.Errorf("wire: neighbor address of %d bytes exceeds %d", len(n.Addr), MaxAddr)
+	if len(n.Addr) > table.MaxAddr {
+		return nil, fmt.Errorf("wire: neighbor address of %d bytes exceeds %d", len(n.Addr), table.MaxAddr)
 	}
 	if n.State != table.StateT && n.State != table.StateS {
 		return nil, fmt.Errorf("wire: neighbor state %d invalid", n.State)
@@ -443,8 +440,8 @@ func appendSnapshot(dst []byte, p id.Params, s table.Snapshot) ([]byte, error) {
 		if err != nil {
 			return
 		}
-		if len(n.Addr) > MaxAddr {
-			err = fmt.Errorf("wire: table entry (%d,%d) address of %d bytes exceeds %d", level, digit, len(n.Addr), MaxAddr)
+		if len(n.Addr) > table.MaxAddr {
+			err = fmt.Errorf("wire: table entry (%d,%d) address of %d bytes exceeds %d", level, digit, len(n.Addr), table.MaxAddr)
 			return
 		}
 		if n.ID.Len() != p.D {
@@ -566,8 +563,8 @@ func (r *reader) traceContext() (trace.Context, error) {
 	return c, nil
 }
 
-// internCap bounds interned: at most internCap names of at most MaxAddr
-// bytes (≈ 1 MiB) stay pinned, whatever peers send.
+// internCap bounds interned: at most internCap names of at most
+// table.MaxAddr bytes (≈ 1 MiB) stay pinned, whatever peers send.
 const internCap = 4096
 
 // interned is the process-wide table of decoded names (raw ID digits and
@@ -614,8 +611,8 @@ func (r *reader) addr() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > MaxAddr {
-		return "", badf("address of %d bytes exceeds %d", n, MaxAddr)
+	if n > table.MaxAddr {
+		return "", badf("address of %d bytes exceeds %d", n, table.MaxAddr)
 	}
 	raw, err := r.take(n)
 	if err != nil {
@@ -694,6 +691,12 @@ func (r *reader) neighbor(p id.Params) (table.Neighbor, error) {
 	if err != nil || !present {
 		return table.Neighbor{}, err
 	}
+	return r.occupant(p)
+}
+
+// occupant reads a neighbor's ID, address and state: the body of a
+// present neighbor and of each table entry.
+func (r *reader) occupant(p id.Params) (table.Neighbor, error) {
 	x, err := r.id(p)
 	if err != nil {
 		return table.Neighbor{}, err
@@ -730,59 +733,33 @@ func (r *reader) snapshot(p id.Params) (table.Snapshot, error) {
 	if err != nil {
 		return table.Snapshot{}, err
 	}
+	// hi+1 = 0 is the empty range, which SnapshotFrom reads as [0,-1]
+	// and allows no entries in.
 	lo, hi := int(loByte), int(hiPlus1)-1
-	if hiPlus1 == 0 {
-		if loByte != 0 || count != 0 {
-			return table.Snapshot{}, badf("empty table range with lo=%d count=%d", loByte, count)
-		}
-		return table.NewSnapshot(p, owner, 0, -1, nil)
+	if hiPlus1 == 0 && loByte != 0 {
+		return table.Snapshot{}, badf("empty table range with lo=%d", loByte)
 	}
-	if lo >= p.D || hi >= p.D || lo > hi {
+	if hiPlus1 != 0 && (hi >= p.D || lo > hi) {
 		return table.Snapshot{}, badf("table level range [%d,%d] out of bounds", lo, hi)
 	}
-	if count > (hi-lo+1)*p.B {
-		return table.Snapshot{}, badf("table with %d entries exceeds %d", count, (hi-lo+1)*p.B)
-	}
-	cells := make([]table.Neighbor, (hi-lo+1)*p.B)
-	lastIdx := -1
-	for i := 0; i < count; i++ {
+	snap, err := table.SnapshotFrom(p, owner, lo, hi, count, func() (int, int, table.Neighbor, error) {
 		level, err := r.u8()
 		if err != nil {
-			return table.Snapshot{}, err
+			return 0, 0, table.Neighbor{}, err
 		}
 		digit, err := r.u8()
 		if err != nil {
-			return table.Snapshot{}, err
+			return 0, 0, table.Neighbor{}, err
 		}
-		if int(level) < lo || int(level) > hi || int(digit) >= p.B {
-			return table.Snapshot{}, badf("table entry (%d,%d) out of range", level, digit)
-		}
-		// Canonical order: strictly ascending by (level,digit). This also
-		// rules out duplicate coordinates.
-		idx := int(level)*p.B + int(digit)
-		if idx <= lastIdx {
-			return table.Snapshot{}, badf("table entry (%d,%d) out of order", level, digit)
-		}
-		lastIdx = idx
-		x, err := r.id(p)
-		if err != nil {
-			return table.Snapshot{}, err
-		}
-		addr, err := r.addr()
-		if err != nil {
-			return table.Snapshot{}, err
-		}
-		s, err := r.state()
-		if err != nil {
-			return table.Snapshot{}, err
-		}
-		cells[idx-lo*p.B] = table.Neighbor{ID: x, Addr: addr, State: s}
+		n, err := r.occupant(p)
+		return int(level), int(digit), n, err
+	})
+	if err != nil && !IsMalformed(err) {
+		// SnapshotFrom's own verdict: too many entries, or one outside
+		// the range or out of the canonical order (so no duplicates).
+		err = badf("%v", err)
 	}
-	snap, err := table.SnapshotOfCells(p, owner, lo, hi, cells)
-	if err != nil {
-		return table.Snapshot{}, badf("%v", err)
-	}
-	return snap, nil
+	return snap, err
 }
 
 func (r *reader) bitVector(p id.Params) (table.BitVector, error) {

@@ -306,7 +306,7 @@ func TestDecodeRejectsCodecBoundaryClasses(t *testing.T) {
 	body = appendRawRef(body, to)
 	body = append(body, 0, 0, 1)
 	body = append(body, 1, 2, 3, 4, 5)
-	body = append(body, 0x82, 0x04) // addrLen 514 > MaxAddr
+	body = append(body, 0x82, 0x04) // addrLen 514 > table.MaxAddr
 	body = append(body, make([]byte, 514)...)
 	body = append(body, byte(table.StateS))
 	foundAddr = appendRecord(foundAddr, body)
@@ -400,7 +400,7 @@ func appendRecord(dst, body []byte) []byte {
 func TestAppendEnvelopeRejectsUnencodable(t *testing.T) {
 	from := tref(t, "21233", "a")
 	to := tref(t, "33121", "b")
-	long := strings.Repeat("x", MaxAddr+1)
+	long := strings.Repeat("x", table.MaxAddr+1)
 	cases := []msg.Envelope{
 		{From: table.Ref{ID: id.MustParse(id.Params{B: 8, D: 3}, "123"), Addr: "a"}, To: to, Msg: msg.JoinWait{}},
 		{From: from, To: table.Ref{ID: to.ID, Addr: long}, Msg: msg.JoinWait{}},
