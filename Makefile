@@ -45,15 +45,19 @@ knobs:
 # fault-free 128-node simulated network, on the package defaults and on
 # node.Shipped, as TestSteadyTickAllocBudget measures and bounds them;
 # and the allocations and KiB per join of 64 concurrent joins into 256
-# nodes on the bare protocol, as TestJoinWaveAllocBudget does. One
-# definition, so "allocs" in CHANGES.md always means these four numbers
+# nodes on the bare protocol, as TestJoinWaveAllocBudget does; and the
+# allocations per member of building a 512-node b=16 network with
+# global knowledge, as TestBuildDirectAllocs measures them. One
+# definition, so "allocs" in CHANGES.md always means these five numbers
 # (1.93 and 3.86 per node-tick before every part returned a buffer it
 # owns; 75.6 KiB per join before snapshots held only their filled
-# entries).
+# entries; 90 per join and 18.2 per member built before control
+# messages were boxed once and each reverse set became a sorted slice).
 allocs:
-	@bash -o pipefail -c '$(GO) test -count=1 -run "^(TestSteadyTickAllocBudget|TestJoinWaveAllocBudget)$$" -v ./internal/overlay | \
+	@bash -o pipefail -c '$(GO) test -count=1 -run "^(TestSteadyTickAllocBudget|TestJoinWaveAllocBudget|TestBuildDirectAllocs)$$" -v ./internal/overlay | \
 		sed -n -e "s/.*: \([a-z]*\): \([0-9.]*\) allocations per node-tick$$/\1 \2/p" \
-			-e "s/.*: \([0-9.]*\) allocations and \([0-9.]*\) KiB per join$$/join-allocs \1\njoin-kib \2/p"'
+			-e "s/.*: \([0-9.]*\) allocations and \([0-9.]*\) KiB per join$$/join-allocs \1\njoin-kib \2/p" \
+			-e "s/.*: b=16: \([0-9.]*\) allocations per member to build, .*/build-allocs \1/p"'
 
 # bench runs the repository benchmark (./bench, BENCHMARK.json) at its
 # own run length, one workload after another; each prints its metrics as

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -183,5 +186,66 @@ func TestReverseNeighborBudget(t *testing.T) {
 	}
 	if gs := seed.GuardStats(); gs.BusyDeferred != 2 {
 		t.Errorf("BusyDeferred = %d, want 2", gs.BusyDeferred)
+	}
+}
+
+// TestReverseSetMatchesAMap drives a random history of registrations,
+// re-addressings, drops, LeaveMsgs and failure drops against a map of
+// the reverse set: after every step the machine's set must be the map's
+// refs ascending by ID with the latest address, hold no more than
+// MaxReverse, and ReverseGen must have moved exactly when the map
+// changed — and on every LeaveMsg and DropFailed, which bump it whatever
+// they find.
+func TestReverseSetMatchesAMap(t *testing.T) {
+	const maxReverse = 40
+	p := id.Params{B: 4, D: 5}
+	rng := rand.New(rand.NewSource(9))
+	self := ref(p, "32100")
+	m := core.NewSeed(p, self, core.Options{Budgets: core.Budgets{MaxReverse: maxReverse}})
+	pool := make([]id.ID, 0, 64)
+	for len(pool) < cap(pool) {
+		if x := id.Random(p, rng); x != self.ID && !slices.Contains(pool, x) {
+			pool = append(pool, x)
+		}
+	}
+	want := make(map[id.ID]table.Ref)
+	gen := m.ReverseGen()
+	for step := 0; step < 5000; step++ {
+		x := pool[rng.Intn(len(pool))]
+		switch op := rng.Intn(5); op {
+		case 0, 1: // register, often re-addressing a known node
+			r := table.Ref{ID: x, Addr: fmt.Sprintf("sim://%v/%d", x, rng.Intn(3))}
+			m.AddReverseNeighbor(r)
+			if old, ok := want[x]; ok && old != r || !ok && len(want) < maxReverse {
+				want[x] = r
+				gen++
+			}
+		case 2:
+			m.DropReverseNeighbor(x)
+			if _, ok := want[x]; ok {
+				delete(want, x)
+				gen++
+			}
+		case 3:
+			m.Deliver(msg.Envelope{From: table.Ref{ID: x, Addr: "sim://" + x.String()}, To: self, Msg: msg.Leave{}})
+			delete(want, x)
+			gen++
+		case 4:
+			m.DropFailed(x)
+			delete(want, x)
+			gen++
+		}
+		got := m.ReverseNeighbors()
+		refs := make([]table.Ref, 0, len(want))
+		for _, r := range want {
+			refs = append(refs, r)
+		}
+		slices.SortFunc(refs, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
+		if !slices.Equal(got, refs) {
+			t.Fatalf("step %d: reverse set %v, want %v", step, got, refs)
+		}
+		if m.ReverseGen() != gen {
+			t.Fatalf("step %d: ReverseGen %d, want %d", step, m.ReverseGen(), gen)
+		}
 	}
 }

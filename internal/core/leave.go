@@ -60,18 +60,10 @@ func (m *Machine) StartLeave() ([]msg.Envelope, error) {
 	// Announce to everyone who stores us (reverse set) and everyone we
 	// store (they must forget us as a reverse neighbor). One message per
 	// distinct node.
-	targets := make(map[id.ID]table.Ref, len(m.reverse))
-	for x, ref := range m.reverse {
-		targets[x] = ref
-	}
-	m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
-		if n.ID != m.self.ID {
-			targets[n.ID] = n.Ref()
-		}
-	})
+	targets := m.neighborhood()
 	snap := m.tbl.Snapshot()
 	m.leaveAcks = make(map[id.ID]struct{}, len(targets))
-	for _, ref := range sortedRefs(targets) {
+	for _, ref := range targets {
 		m.leaveAcks[ref.ID] = struct{}{}
 		m.send(ref, msg.Leave{Table: snap})
 	}
@@ -97,7 +89,7 @@ func (m *Machine) LeaveAcksPending() []id.ID {
 // it into peers' reverse sets after they already processed its departure,
 // leaving its own departure waiting for acks from long-gone nodes.
 func (m *Machine) onLeave(from table.Ref, pm msg.Leave) {
-	delete(m.reverse, from.ID)
+	m.dropReverse(from.ID)
 	m.reverseGen++
 	if m.departed == nil {
 		m.departed = make(map[id.ID]struct{})
@@ -275,7 +267,7 @@ func (m *Machine) onRepairCpRly(from table.Ref, donor table.Snapshot) {
 // Find resolves them). Unrepaired entries are also registered as repair
 // jobs, which Tick drives.
 func (m *Machine) DropFailed(gone id.ID) (unrepaired [][2]int) {
-	delete(m.reverse, gone)
+	m.dropReverse(gone)
 	m.reverseGen++
 	delete(m.gateways, gone)
 	var held [][2]int

@@ -140,11 +140,15 @@ type Machine struct {
 	status Status
 	tbl    *table.Table
 	opts   Options
+	// boxes is the ID space's shared CpRst and RvNghNoti/RvNghNotiRly
+	// values; send takes them from here instead of boxing each anew.
+	boxes *msg.Boxes
 
 	// reverse is the set of nodes known to store this node in their
-	// tables (the paper's R sets, keyed by node instead of entry: the
-	// only consumer, InSysNoti fan-out, needs the node set).
-	reverse map[id.ID]table.Ref
+	// tables (the paper's R sets, kept by node instead of entry: the
+	// InSysNoti fan-out and the leave and failure gossip need the node
+	// set), ascending by ID, one ref per node.
+	reverse []table.Ref
 	// reverseGen counts changes to reverse: a member added, re-addressed
 	// or removed. syncCands caches the sorted table ∪ reverse union that
 	// SyncPeers filters, built at syncCandsAt = {table version + 1, reverseGen},
@@ -319,8 +323,8 @@ func newMachine(p id.Params, self table.Ref, status Status, tbl *table.Table, op
 		status:  status,
 		tbl:     tbl,
 		opts:    opts,
+		boxes:   msg.BoxesFor(p),
 		budgets: opts.Budgets.withDefaults(),
-		reverse: make(map[id.ID]table.Ref),
 		qr:      make(map[id.ID]struct{}),
 		qn:      make(map[id.ID]struct{}),
 		qj:      make(map[id.ID]table.Ref),
@@ -416,20 +420,14 @@ func (m *Machine) AddReverseNeighbor(w table.Ref) {
 // harness's table optimizer uses it when it moves w's entries off this
 // node without a message exchange.
 func (m *Machine) DropReverseNeighbor(w id.ID) {
-	if _, ok := m.reverse[w]; ok {
-		delete(m.reverse, w)
+	if m.dropReverse(w) {
 		m.reverseGen++
 	}
 }
 
-// ReverseNeighbors returns a copy of the reverse-neighbor set.
-func (m *Machine) ReverseNeighbors() []table.Ref {
-	out := make([]table.Ref, 0, len(m.reverse))
-	for _, r := range m.reverse {
-		out = append(out, r)
-	}
-	return out
-}
+// ReverseNeighbors returns the reverse-neighbor set ascending by ID: the
+// machine's own slice, valid until the next call into the machine.
+func (m *Machine) ReverseNeighbors() []table.Ref { return m.reverse }
 
 // ReverseGen moves whenever the reverse-neighbor set changes, as
 // table.Table.Version does for the table.
@@ -469,7 +467,7 @@ func (m *Machine) send(to table.Ref, pm msg.Message) {
 func (m *Machine) setNeighbor(level, digit int, n table.Neighbor, inBand bool) {
 	m.tbl.Set(level, digit, n)
 	if n.ID != m.self.ID && !inBand {
-		m.send(table.Ref{ID: n.ID, Addr: n.Addr}, msg.RvNghNoti{Level: level, Digit: digit, State: n.State})
+		m.send(table.Ref{ID: n.ID, Addr: n.Addr}, m.boxes.RvNghNoti(level, digit, n.State))
 	}
 }
 
@@ -636,18 +634,43 @@ func (m *Machine) busy(what string, from table.Ref) {
 
 // addReverse records a reverse neighbor, holding the set to its budget.
 // Beyond MaxReverse the registration is shed: the peer still stores us in
-// its table; we only lose one InSysNoti/leave-ack fan-out edge to it.
+// its table; we only lose one InSysNoti/leave-ack fan-out edge to it. A
+// node that sorts after every member is appended (BuildDirect registers
+// holders in ID order); any other is found or inserted by binary search.
 func (m *Machine) addReverse(r table.Ref) {
-	old, ok := m.reverse[r.ID]
-	if ok && old == r {
-		return
+	n := len(m.reverse)
+	i, ok := n, false
+	if n > 0 && m.reverse[n-1].ID.Compare(r.ID) >= 0 {
+		i, ok = m.reverseIndex(r.ID)
 	}
-	if !ok && len(m.reverse) >= m.budgets.MaxReverse {
+	switch {
+	case ok && m.reverse[i] == r:
+		return
+	case ok:
+		m.reverse[i] = r
+	case n >= m.budgets.MaxReverse:
 		m.busy("reverse neighbors", r)
 		return
+	default:
+		m.reverse = slices.Insert(m.reverse, i, r)
 	}
-	m.reverse[r.ID] = r
 	m.reverseGen++
+}
+
+// reverseIndex finds x in the reverse set: its position, or where it
+// would be inserted.
+func (m *Machine) reverseIndex(x id.ID) (int, bool) {
+	return slices.BinarySearchFunc(m.reverse, x, func(r table.Ref, x id.ID) int { return r.ID.Compare(x) })
+}
+
+// dropReverse removes x from the reverse set and reports whether it was
+// there.
+func (m *Machine) dropReverse(x id.ID) bool {
+	i, ok := m.reverseIndex(x)
+	if ok {
+		m.reverse = slices.Delete(m.reverse, i, i+1)
+	}
+	return ok
 }
 
 // take returns what the current entry point queued: the machine's own
@@ -709,7 +732,7 @@ func (m *Machine) onCpRly(from table.Ref, pm msg.CpRly) {
 		default:
 			m.copyLevel = i
 			m.copyFrom = next.Ref()
-			m.send(next.Ref(), msg.CpRst{Level: i})
+			m.send(next.Ref(), m.boxes.CpRst(i))
 			return
 		}
 	}
@@ -900,7 +923,7 @@ func (m *Machine) maybeSwitch() {
 	// Deterministic iteration (sorted by ID): the order in which deferred
 	// waiters are answered decides which one is stored when two compete
 	// for the same entry, and simulations must replay identically.
-	for _, v := range sortedRefs(m.reverse) {
+	for _, v := range m.reverse {
 		m.send(v, msg.InSysNoti{})
 	}
 	for _, u := range sortedRefs(m.qj) {
@@ -917,6 +940,32 @@ func (m *Machine) maybeSwitch() {
 		}
 	}
 	m.qj = make(map[id.ID]table.Ref)
+}
+
+// neighborhood returns every node of the reverse set and of the table
+// but self, one ref per node ascending by ID; where both hold a node,
+// the table's ref wins.
+func (m *Machine) neighborhood() []table.Ref {
+	out := slices.Clone(m.reverse)
+	m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
+		if n.ID != m.self.ID {
+			out = append(out, n.Ref())
+		}
+	})
+	return lastPerID(out)
+}
+
+// lastPerID sorts refs by ID in place, keeping the order of refs to one
+// node, and keeps each node's last ref.
+func lastPerID(refs []table.Ref) []table.Ref {
+	slices.SortStableFunc(refs, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
+	uniq := refs[:0]
+	for i, r := range refs {
+		if i+1 == len(refs) || refs[i+1].ID != r.ID {
+			uniq = append(uniq, r)
+		}
+	}
+	return uniq
 }
 
 // sortedRefs returns the map's refs ordered by ID for deterministic
@@ -955,9 +1004,9 @@ func (m *Machine) onRvNghNoti(from table.Ref, pm msg.RvNghNoti) {
 	m.addReverse(from)
 	switch {
 	case pm.State == table.StateT && m.status == StatusInSystem:
-		m.send(from, msg.RvNghNotiRly{Level: pm.Level, Digit: pm.Digit, State: table.StateS})
+		m.send(from, m.boxes.RvNghNotiRly(pm.Level, pm.Digit, table.StateS))
 	case pm.State == table.StateS && m.status != StatusInSystem:
-		m.send(from, msg.RvNghNotiRly{Level: pm.Level, Digit: pm.Digit, State: table.StateT})
+		m.send(from, m.boxes.RvNghNotiRly(pm.Level, pm.Digit, table.StateT))
 	}
 }
 

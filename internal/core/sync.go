@@ -21,8 +21,6 @@
 package core
 
 import (
-	"slices"
-
 	"hypercube/internal/msg"
 	"hypercube/internal/table"
 	"hypercube/internal/trace"
@@ -71,16 +69,9 @@ func (m *Machine) SyncPeers() []table.Ref {
 				m.syncCands = append(m.syncCands, r)
 			}
 		}
-		// One ref per node, the last wins: table entries in table order,
-		// then the reverse set's.
-		slices.SortStableFunc(m.syncCands, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
-		uniq := m.syncCands[:0]
-		for i, r := range m.syncCands {
-			if i+1 == len(m.syncCands) || m.syncCands[i+1].ID != r.ID {
-				uniq = append(uniq, r)
-			}
-		}
-		m.syncCands = uniq
+		// One ref per node: where the table and the reverse set both
+		// hold one, the reverse set's wins.
+		m.syncCands = lastPerID(m.syncCands)
 	}
 	out := m.syncPeers[:0]
 	for _, r := range m.syncCands {

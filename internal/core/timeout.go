@@ -498,20 +498,11 @@ func (m *Machine) noteFailed(gone table.Ref, declared bool) {
 	// (reverse set) — the nodes whose detectors were probing it. Each
 	// tells its own table ∪ reverse set: O(neighbours × degree) messages,
 	// not O(edges). A neighbour the gossip misses declares it itself.
-	if _, stored := m.reverse[gone.ID]; declared || held || stored {
-		targets := make(map[id.ID]table.Ref, len(m.reverse))
-		for x, r := range m.reverse {
-			targets[x] = r
-		}
-		m.tbl.ForEach(func(_, _ int, n table.Neighbor) { targets[n.ID] = n.Ref() })
-		delete(targets, m.self.ID)
-		for x := range targets {
-			if m.knownBad(x) {
-				delete(targets, x)
+	if _, stored := m.reverseIndex(gone.ID); declared || held || stored {
+		for _, ref := range m.neighborhood() {
+			if ref.ID != m.self.ID && !m.knownBad(ref.ID) {
+				m.send(ref, msg.FailedNoti{Failed: gone})
 			}
-		}
-		for _, ref := range sortedRefs(targets) {
-			m.send(ref, msg.FailedNoti{Failed: gone})
 		}
 	}
 

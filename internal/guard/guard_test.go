@@ -2,6 +2,8 @@ package guard
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -302,6 +304,33 @@ func TestScorerEviction(t *testing.T) {
 	}
 	if s.Stats().Evictions == 0 {
 		t.Fatal("no evictions recorded")
+	}
+}
+
+// TestScorerEvictionTieBreak: when every tracked peer holds the same
+// score, the evicted one is the lowest ID, whatever order the peers
+// arrived in.
+func TestScorerEvictionTieBreak(t *testing.T) {
+	peers := make([]id.ID, maxPeers)
+	for i := range peers {
+		peers[i] = id.FromName(wide, fmt.Sprintf("peer-%d", i))
+	}
+	lowest := slices.MinFunc(peers, id.ID.Compare)
+	newcomer := id.FromName(wide, "newcomer")
+	for seed := int64(0); seed < 8; seed++ {
+		order := slices.Clone(peers)
+		rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		s := NewScorer()
+		for _, x := range order {
+			s.Charge(x, 1, 0)
+		}
+		s.Charge(newcomer, 1, 0)
+		if s.Stats().Evictions != 1 {
+			t.Fatalf("seed %d: %d evictions, want 1", seed, s.Stats().Evictions)
+		}
+		if _, kept := s.peers[lowest]; kept {
+			t.Fatalf("seed %d: the lowest ID %v was not the one evicted", seed, lowest)
+		}
 	}
 }
 

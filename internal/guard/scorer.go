@@ -131,10 +131,13 @@ func (s *Scorer) decayed(ps *peerScore, now time.Duration) float64 {
 
 // evict removes the lowest-scored non-quarantined tracked peer (or the
 // quarantined peer with the earliest release if all are quarantined).
+// A quarantined peer's score counts its release time, so among equal
+// scores none releases earlier than another; ties go to the lowest ID,
+// so the victim does not depend on the map's iteration order.
 func (s *Scorer) evict() {
 	var victim id.ID
-	best := -1.0
-	found := false
+	var best *peerScore
+	bestScore := 0.0
 	for x, ps := range s.peers {
 		score := ps.score
 		if ps.until > 0 {
@@ -142,17 +145,18 @@ func (s *Scorer) evict() {
 			// ones: forgetting a quarantine would lift it early.
 			score = threshold + float64(ps.until)
 		}
-		if !found || score < best {
-			victim, best, found = x, score, true
+		if best == nil || score < bestScore || score == bestScore && x.Less(victim) {
+			victim, best, bestScore = x, ps, score
 		}
 	}
-	if found {
-		if s.peers[victim].until > 0 {
-			s.stats.Quarantined--
-		}
-		delete(s.peers, victim)
-		s.stats.Evictions++
+	if best == nil {
+		return
 	}
+	if best.until > 0 {
+		s.stats.Quarantined--
+	}
+	delete(s.peers, victim)
+	s.stats.Evictions++
 }
 
 // Stats returns a copy of the scorer's counters.

@@ -291,7 +291,7 @@ func (n *Node) Tick(now time.Duration) []msg.Envelope {
 }
 
 // probeTargets collects the monitoring set: every table entry plus
-// every reverse neighbor.
+// every reverse neighbor, copied out of the machine's own slice.
 func (n *Node) probeTargets() []table.Ref {
 	self := n.m.Self().ID
 	targets := n.targets[:0]

@@ -52,16 +52,17 @@ func TestTransmissionDoesNotAllocate(t *testing.T) {
 // protocol (64 concurrent joins into 256 nodes, b=16, d=8), so that a
 // per-message allocation coming back into the path post → queue →
 // deliver → guard → handlers → send fails here rather than in the 20 s
-// benchmark. Measured: 90 per join, all protocol payload (boxed
-// messages, table snapshots, the machines' output copies); 1,255 when
-// each message also paid for a latency key, a trace line, a suffix per
-// validated entry, a closure and a boxed event. The budget is ~1.5x the
-// 107 it was set against. It also bounds the bytes: 39.0 KiB per join
-// with snapshots that hold only their filled entries, 75.6 KiB when each
-// copied all d·b cells; the budget of 50 KiB fails the latter. `make
-// allocs` prints both readings.
+// benchmark. Measured: 59 per join, all protocol payload (table-carrying
+// and other boxed messages, table snapshots, the machines' output
+// copies); 90 when each RvNghNoti was boxed anew and each reverse set
+// was a map, 1,255 when each message also paid for a latency key, a
+// trace line, a suffix per validated entry, a closure and a boxed event.
+// The budget of 77 is ~1.3x the reading and fails the 90. It also bounds
+// the bytes: 36.4 KiB per join with snapshots that hold only their
+// filled entries, 75.6 KiB when each copied all d·b cells; the budget of
+// 50 KiB fails the latter. `make allocs` prints both readings.
 func TestJoinWaveAllocBudget(t *testing.T) {
-	const n, m, budget, kibBudget = 256, 64, 160, 50
+	const n, m, budget, kibBudget = 256, 64, 77, 50
 	p := id.Params{B: 16, D: 8}
 	rng := rand.New(rand.NewSource(5))
 	taken := make(map[id.ID]bool, n+m)
@@ -100,9 +101,11 @@ func TestJoinWaveAllocBudget(t *testing.T) {
 // network with global knowledge, and of checking it against Definition
 // 3.8, per member (n=512, d=8). The builder reads a suffix index and
 // the checker a digit mask per suffix, so neither pays per table entry:
-// b=16 must cost about what b=4 does. Measured: 18.2 and 15.6 per
-// member to build, 155.2 and 55.3 when each entry built its suffix;
-// under 0.1 per member to check, d·b when it did.
+// b=16 must cost about what b=4 does. Measured: 16.3 and 15.2 per
+// member to build (18.2 and 15.6 when each reverse set was a map),
+// 155.2 and 55.3 when each entry built its suffix; under 0.1 per member
+// to check, d·b when it did. `make allocs` prints the b=16 build
+// reading.
 func TestBuildDirectAllocs(t *testing.T) {
 	const n = 512
 	perMember := func(b int) (build, check float64) {

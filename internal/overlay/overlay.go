@@ -359,8 +359,8 @@ func (n *Network) BuildDirect(members []table.Ref, rng *rand.Rand) {
 	})
 	// Register reverse neighbors with global knowledge: these tables never
 	// exchanged RvNghNotiMsg, but the leave protocol requires every node
-	// to know its holders. Holders are grouped per stored node first, so
-	// each reverse set is filled in one go.
+	// to know its holders. Holders are grouped per stored node first, in
+	// ID order, so each reverse set is filled in one go by appends.
 	start := make([]int32, len(members)+1) // u's holders are holders[start[u]:start[u+1]]
 	for _, u := range held {
 		start[u+1]++
@@ -368,10 +368,15 @@ func (n *Network) BuildDirect(members []table.Ref, rng *rand.Rand) {
 	for u := range members {
 		start[u+1] += start[u]
 	}
+	byID := make([]int32, len(members))
+	for x := range byID {
+		byID[x] = int32(x)
+	}
+	slices.SortFunc(byID, func(x, y int32) int { return members[x].ID.Compare(members[y].ID) })
 	holders, next := make([]int32, len(held)), slices.Clone(start)
-	for x := range members {
+	for _, x := range byID {
 		for _, u := range held[heldAt[x]:heldAt[x+1]] {
-			holders[next[u]] = int32(x)
+			holders[next[u]] = x
 			next[u]++
 		}
 	}

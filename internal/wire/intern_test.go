@@ -64,6 +64,38 @@ func TestDecodeAllocsIndependentOfTableSize(t *testing.T) {
 	}
 }
 
+// TestDecodeControlAllocsLikeInSysNoti: an in-range CpRst, RvNghNoti or
+// RvNghNotiRly decodes into the space's shared box, so its record costs
+// no more allocations than a payload-free InSysNoti between the same
+// refs.
+func TestDecodeControlAllocsLikeInSysNoti(t *testing.T) {
+	from, to := tref(t, "21233", "127.0.0.1:7001"), tref(t, "33121", "127.0.0.1:7002")
+	decodeAllocs := func(m msg.Message) float64 {
+		payload, err := EncodePayload(tp, msg.Envelope{From: from, To: to, Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() {
+			back, err := DecodeOne(tp, payload)
+			if err != nil || back.Msg != m {
+				t.Fatalf("%v decoded as %#v, %v", m.Type(), back.Msg, err)
+			}
+		}
+		decode() // the first decode interns the names
+		return testing.AllocsPerRun(100, decode)
+	}
+	base := decodeAllocs(msg.InSysNoti{})
+	for _, m := range []msg.Message{
+		msg.CpRst{Level: tp.D - 1},
+		msg.RvNghNoti{Level: 2, Digit: tp.B - 1, State: table.StateT},
+		msg.RvNghNotiRly{Level: 0, Digit: 3, State: table.StateS},
+	} {
+		if got := decodeAllocs(m); got > base {
+			t.Errorf("decoding %v allocates %v times, InSysNoti %v", m.Type(), got, base)
+		}
+	}
+}
+
 // failedNoti is a decodable envelope naming one address of its own.
 func failedNoti(t *testing.T, i int) msg.Envelope {
 	return msg.Envelope{

@@ -816,11 +816,11 @@ func decodeBody(p id.Params, body []byte) (msg.Envelope, error) {
 	}
 	switch msg.Type(kind) {
 	case msg.TCpRst:
-		m := msg.CpRst{}
-		if m.Level, err = r.level(p); err != nil {
+		level, err := r.level(p)
+		if err != nil {
 			return msg.Envelope{}, err
 		}
-		env.Msg = m
+		env.Msg = msg.BoxesFor(p).CpRst(level)
 	case msg.TCpRly:
 		m := msg.CpRly{}
 		if m.Table, err = r.snapshot(p); err != nil {
@@ -886,17 +886,17 @@ func decodeBody(p id.Params, body []byte) (msg.Envelope, error) {
 		}
 		env.Msg = m
 	case msg.TRvNghNoti:
-		m := msg.RvNghNoti{}
-		if m.Level, m.Digit, m.State, err = decodeCoords(&r, p); err != nil {
+		level, digit, s, err := decodeCoords(&r, p)
+		if err != nil {
 			return msg.Envelope{}, err
 		}
-		env.Msg = m
+		env.Msg = msg.BoxesFor(p).RvNghNoti(level, digit, s)
 	case msg.TRvNghNotiRly:
-		m := msg.RvNghNotiRly{}
-		if m.Level, m.Digit, m.State, err = decodeCoords(&r, p); err != nil {
+		level, digit, s, err := decodeCoords(&r, p)
+		if err != nil {
 			return msg.Envelope{}, err
 		}
-		env.Msg = m
+		env.Msg = msg.BoxesFor(p).RvNghNotiRly(level, digit, s)
 	case msg.TLeave:
 		m := msg.Leave{}
 		if m.Table, err = r.snapshot(p); err != nil {
