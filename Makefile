@@ -161,7 +161,11 @@ fleettrace-smoke:
 # quiescence point. On any violation the driver delta-debugs the schedule to a
 # minimal repro-<seed>.json under /tmp/hypercube-nemesis (uploaded as a
 # CI artifact) and exits non-zero; `go run ./cmd/nemesis -replay <file>`
-# re-executes it bit-identically.
+# re-executes it bit-identically. The sweep runs verbose, and its stdout,
+# which is bit-reproducible, is also kept in /tmp/hypercube-nemesis/sweep.txt
+# (uploaded on every CI run), so a claim that a change leaves the sweep
+# byte-identical can be checked against the parent's run.
 nemesis-smoke:
-	$(GO) run ./cmd/nemesis -seeds 0..299 -n 32 -b 16 -d 4 -steps 8 \
-		-out /tmp/hypercube-nemesis
+	mkdir -p /tmp/hypercube-nemesis
+	bash -o pipefail -c '$(GO) run ./cmd/nemesis -seeds 0..299 -n 32 -b 16 -d 4 -steps 8 -v \
+		-out /tmp/hypercube-nemesis | tee /tmp/hypercube-nemesis/sweep.txt'

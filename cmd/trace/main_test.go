@@ -5,6 +5,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"hypercube/internal/nemesis"
+	"hypercube/internal/obs"
 )
 
 // pipelines are the pinned `trace wave -n N -m M -out - | trace report -`
@@ -58,6 +61,36 @@ func TestWaveReportGolden(t *testing.T) {
 		}
 		golden(t, p.report, out.String())
 	}
+}
+
+// TestReportE19 regenerates the report EXPERIMENTS.md E19 quotes, of
+// `paper flashcrowd -small -seed 1 -trace`: the committed schedule
+// cmd/paper/testdata/flashcrowd-small.json run at seed 1 by the nemesis
+// executor, its trace read by `report -require-joins 0.95 -`. Refresh the
+// golden after an intended change of output with
+//
+//	go run ./cmd/paper flashcrowd -small -seed 1 -trace fleet.jsonl
+//	go run ./cmd/trace report fleet.jsonl >cmd/trace/testdata/report-e19.golden
+func TestReportE19(t *testing.T) {
+	r, err := nemesis.LoadRepro("../paper/testdata/flashcrowd-small.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.Schedule
+	s.Seed = 1
+	var trace bytes.Buffer
+	sink := obs.NewJSONL(&trace)
+	if _, _, err := nemesis.Execute(s, nemesis.Options{Trace: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"report", "-require-joins", "0.95", "-"}, &trace, &out, &errb); code != 0 {
+		t.Fatalf("trace report: exit %d\n%s", code, errb.String())
+	}
+	golden(t, "report-e19.golden", out.String())
 }
 
 func TestUsageAndErrors(t *testing.T) {

@@ -194,8 +194,8 @@ func TestReverseNeighborBudget(t *testing.T) {
 // the reverse set: after every step the machine's set must be the map's
 // refs ascending by ID with the latest address, hold no more than
 // MaxReverse, and ReverseGen must have moved exactly when the map
-// changed — and on every LeaveMsg and DropFailed, which bump it whatever
-// they find.
+// changed — and on every LeaveMsg and DropUnreachable, which bump it
+// whatever they find.
 func TestReverseSetMatchesAMap(t *testing.T) {
 	const maxReverse = 40
 	p := id.Params{B: 4, D: 5}
@@ -231,7 +231,7 @@ func TestReverseSetMatchesAMap(t *testing.T) {
 			delete(want, x)
 			gen++
 		case 4:
-			m.DropFailed(x)
+			m.DropUnreachable(table.Ref{ID: x, Addr: "sim://" + x.String()})
 			delete(want, x)
 			gen++
 		}

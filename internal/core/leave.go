@@ -21,15 +21,29 @@
 // holder u first tries a local scan; failing that it sends a FindMsg
 // toward the wanted suffix through a helper. Queries that would route
 // through the dead node report Blocked and are retried after other
-// holders repair their own entries: each unrepaired entry becomes a
-// repair job that Tick reissues through rotating helpers until it
-// resolves or maxRepairAttempts concludes the suffix died with x.
+// holders repair their own entries.
+//
+// One record per entry. A repair the machine cannot finish at once is one
+// record in Machine.repairs, keyed by the table entry (level, digit); a
+// reply for the wanted suffix ω finds it at entry (|ω|-1, ω's leading
+// digit). Two things open a record: a crash whose entry no local table can
+// refill (a job that Tick drives with routed Find queries through rotating
+// helpers), and a leave whose only remaining carriers of the suffix have
+// departed too (a chase of their tables). While a record is open and its
+// entry empty, a Find crossing the entry answers Blocked: the emptiness is
+// no proof yet that the suffix is gone. A Find reply that refills the
+// entry or proves the suffix absent answers the record, and the next Tick
+// retires it; a chase closes when it finds a live carrier or runs out of
+// departed ones; a refill from any other source retires a job at the next
+// Tick; and a job whose queries came back blocked or lost
+// maxRepairAttempts times is abandoned — the suffix died with x.
 package core
 
 import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
@@ -181,23 +195,23 @@ func (m *Machine) repairViaDonor(level, digit int, gone id.ID, donor table.Snaps
 	if len(departedCands) == 0 {
 		return // suffix provably uninhabited among remaining members
 	}
-	if m.pendingFinds == nil {
-		m.pendingFinds = make(map[id.Suffix]findState)
+	m.chase(m.openRepair([2]int{level, digit}), departedCands)
+}
+
+// chase requests the table of every departed carrier the record has not
+// visited yet.
+func (m *Machine) chase(r *repair, departed []table.Neighbor) {
+	if r.visited == nil {
+		r.visited = make(map[id.ID]bool)
 	}
-	st := m.pendingFinds[want]
-	st.entries = appendEntryOnce(st.entries, [2]int{level, digit})
-	if st.visited == nil {
-		st.visited = make(map[id.ID]bool)
-	}
-	for _, c := range departedCands {
-		if st.visited[c.ID] {
+	for _, c := range departed {
+		if r.visited[c.ID] {
 			continue
 		}
-		st.visited[c.ID] = true
-		st.outstanding++
+		r.visited[c.ID] = true
+		r.outstanding++
 		m.send(c.Ref(), msg.CpRst{})
 	}
-	m.pendingFinds[want] = st
 }
 
 // onRepairCpRly consumes a table copy requested while chasing departed
@@ -205,144 +219,105 @@ func (m *Machine) repairViaDonor(level, digit int, gone id.ID, donor table.Snaps
 // expand the search to newly discovered departed carriers.
 func (m *Machine) onRepairCpRly(from table.Ref, donor table.Snapshot) {
 	if m.status == StatusLeaving || m.status == StatusLeft {
-		// Our table is being abandoned; drop the chase.
-		m.pendingFinds = nil
+		// Our table is being abandoned: drop every chase and every awaited
+		// reply; the next Tick abandons the crash jobs.
+		for e, r := range m.repairs {
+			r.outstanding, r.visited = 0, nil
+			if r.avoid.IsNull() {
+				delete(m.repairs, e)
+			}
+		}
 		return
 	}
-	// Visit the searches in the order of their printed suffixes, each
-	// rendered once.
+	// Visit the chases that asked from in the order of their printed
+	// suffixes, each rendered once.
 	type keyed struct {
 		key  string
 		want id.Suffix
+		e    [2]int
+		r    *repair
 	}
-	wants := make([]keyed, 0, len(m.pendingFinds))
-	for want := range m.pendingFinds {
-		wants = append(wants, keyed{want.String(), want})
+	var chases []keyed
+	for e, r := range m.repairs {
+		if r.visited[from.ID] && r.outstanding > 0 {
+			want := m.tbl.DesiredSuffix(e[0], e[1])
+			chases = append(chases, keyed{want.String(), want, e, r})
+		}
 	}
-	slices.SortFunc(wants, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	for _, w := range wants {
-		want := w.want
-		st := m.pendingFinds[want]
-		if !st.visited[from.ID] || st.outstanding == 0 {
+	slices.SortFunc(chases, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for _, c := range chases {
+		c.r.outstanding--
+		live, departedCands := m.scanCandidates(c.want, from.ID, donor)
+		if !live.IsZero() {
+			if m.tbl.Get(c.e[0], c.e[1]).IsZero() {
+				m.setNeighbor(c.e[0], c.e[1], live, false)
+			}
+			m.endChase(c.e, c.r)
 			continue
 		}
-		st.outstanding--
-		live, departedCands := m.scanCandidates(want, from.ID, donor)
-		switch {
-		case !live.IsZero():
-			for _, e := range st.entries {
-				if m.tbl.Get(e[0], e[1]).IsZero() {
-					m.setNeighbor(e[0], e[1], live, false)
-				}
-				delete(m.inRepair, e)
-			}
-			delete(m.pendingFinds, want)
-			continue
-		default:
-			for _, c := range departedCands {
-				if st.visited[c.ID] {
-					continue
-				}
-				st.visited[c.ID] = true
-				st.outstanding++
-				m.send(c.Ref(), msg.CpRst{})
-			}
-			if st.outstanding == 0 {
-				// Search exhausted: every carrier departed; entries
-				// correctly stay empty.
-				for _, e := range st.entries {
-					delete(m.inRepair, e)
-				}
-				delete(m.pendingFinds, want)
-				continue
-			}
+		m.chase(c.r, departedCands)
+		if c.r.outstanding == 0 {
+			// Search exhausted: every carrier departed; the entry
+			// correctly stays empty.
+			m.endChase(c.e, c.r)
 		}
-		m.pendingFinds[want] = st
 	}
 }
 
-// DropFailed removes a crashed node from every entry and from the reverse
-// set, attempting local-only repair, and returns the entries that remain
-// unrepaired (their desired suffix may still be inhabited — a routed
-// Find resolves them). Unrepaired entries are also registered as repair
-// jobs, which Tick drives.
-func (m *Machine) DropFailed(gone id.ID) (unrepaired [][2]int) {
-	m.dropReverse(gone)
-	m.reverseGen++
-	delete(m.gateways, gone)
-	var held [][2]int
-	m.tbl.ForEach(func(level, digit int, n table.Neighbor) {
-		if n.ID == gone {
-			held = append(held, [2]int{level, digit})
-		}
-	})
-	for _, e := range held {
-		if !m.repairOrQueue(e, gone) {
-			unrepaired = append(unrepaired, e)
-		}
+// endChase closes a finished chase. The record goes with it, unless a
+// crash job shares it; the next Tick settles that.
+func (m *Machine) endChase(e [2]int, r *repair) {
+	if r.avoid.IsNull() {
+		delete(m.repairs, e)
+		return
 	}
-	return unrepaired
+	r.answered, r.outstanding, r.visited = true, 0, nil
 }
 
-// repairEntry launches a routed Find for the desired suffix of the given
-// (empty) entry through the helper node, avoiding the failed node. The
-// result arrives as a FindRly handled by the machine; ResolveRepair
-// reports the outcome. Appends to m.out.
-func (m *Machine) repairEntry(level, digit int, helper table.Ref, avoid id.ID) {
-	want := m.tbl.DesiredSuffix(level, digit)
-	if m.pendingFinds == nil {
-		m.pendingFinds = make(map[id.Suffix]findState)
-	}
-	st := m.pendingFinds[want]
-	st.entries = appendEntryOnce(st.entries, [2]int{level, digit})
-	st.outstanding++
-	m.pendingFinds[want] = st
-	m.send(helper, msg.Find{Want: want, Origin: m.self, Avoid: avoid})
+// repair is the open repair of one table entry (see the package comment).
+// A crash fills in the job's fields and a leave the chase's; one record
+// can carry both, and then they share outstanding.
+type repair struct {
+	// The crash job Tick drives: the crashed node its queries route
+	// around (null for a chase alone, which Tick leaves be), the queries
+	// spent, when the next is due, and whether one was sent and not yet
+	// settled.
+	avoid    id.ID
+	attempts int
+	due      time.Duration
+	active   bool
+	// blocked: the last Find reply was Blocked or named a known-bad node.
+	blocked bool
+	// answered: a reply refilled the entry or proved its suffix absent,
+	// so an empty entry is evidence of absence again.
+	answered bool
+	// The Find replies and chased table copies still awaited, and the
+	// departed carriers whose tables the chase requested.
+	outstanding int
+	visited     map[id.ID]bool
 }
 
-func appendEntryOnce(entries [][2]int, e [2]int) [][2]int {
-	for _, have := range entries {
-		if have == e {
-			return entries
+// openRepair returns entry e's repair record, opening one if there is
+// none. Either way the entry's emptiness stops being evidence until a
+// reply answers it.
+func (m *Machine) openRepair(e [2]int) *repair {
+	r := m.repairs[e]
+	if r == nil {
+		if m.repairs == nil {
+			m.repairs = make(map[[2]int]*repair)
 		}
+		r = &repair{}
+		m.repairs[e] = r
 	}
-	return append(entries, e)
+	r.answered = false
+	return r
 }
 
-// RepairOutcome describes the result of a repair query.
-type RepairOutcome uint8
-
-const (
-	// RepairPending: no reply yet.
-	RepairPending RepairOutcome = iota + 1
-	// RepairFilled: a replacement was installed.
-	RepairFilled
-	// RepairEmpty: provably no member carries the suffix; entry stays empty.
-	RepairEmpty
-	// RepairBlocked: the route ran through the failed node; retry later.
-	RepairBlocked
-)
-
-// ResolveRepair reports and clears the outcome for an entry whose repair
-// query was launched.
-func (m *Machine) ResolveRepair(level, digit int) RepairOutcome {
-	want := m.tbl.DesiredSuffix(level, digit)
-	st, ok := m.pendingFinds[want]
-	if !ok {
-		return RepairPending
-	}
-	if st.outstanding > 0 {
-		return RepairPending
-	}
-	defer delete(m.pendingFinds, want)
-	switch {
-	case st.blocked:
-		return RepairBlocked
-	case !m.tbl.Get(level, digit).IsZero():
-		return RepairFilled
-	default:
-		return RepairEmpty
-	}
+// repairOpen reports whether entry e is mid-repair: its emptiness proves
+// nothing yet.
+func (m *Machine) repairOpen(e [2]int) bool {
+	r := m.repairs[e]
+	return r != nil && !r.answered
 }
 
 // StartRejoin re-runs the join protocol for an established node, keeping
@@ -364,14 +339,14 @@ func (m *Machine) StartRejoin(g0 table.Ref) ([]msg.Envelope, error) {
 	return m.take(), nil
 }
 
-// DeepestNeighborIs reports whether who shares at least as many rightmost
+// deepestNeighborIs reports whether who shares at least as many rightmost
 // digits with this node as every other node in its table — the orphan
 // heuristic: if a deepest-known neighbor crashed, it may have been the
 // only node storing us, so we should re-join. Ties count as deepest: a
 // same-depth neighbor does not necessarily store us (it may itself have
 // joined through the crashed node), and a spurious re-join is cheap and
 // harmless while a missed one leaves us unreachable.
-func (m *Machine) DeepestNeighborIs(who id.ID) bool {
+func (m *Machine) deepestNeighborIs(who id.ID) bool {
 	kWho := m.self.ID.CommonSuffixLen(who)
 	deepest := true
 	m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
@@ -383,27 +358,6 @@ func (m *Machine) DeepestNeighborIs(who id.ID) bool {
 		}
 	})
 	return deepest
-}
-
-// AbandonRepair resolves a pending repair as "suffix no longer
-// inhabited": the entry stays empty and stops blocking Find queries. Tick
-// calls it once an entry's queries have come back blocked or lost
-// maxRepairAttempts times — which happens when the dead node was the sole
-// carrier of the suffix, so every potential certifier is itself waiting.
-func (m *Machine) AbandonRepair(level, digit int) {
-	want := m.tbl.DesiredSuffix(level, digit)
-	delete(m.pendingFinds, want)
-	delete(m.inRepair, [2]int{level, digit})
-	delete(m.repairs, [2]int{level, digit})
-}
-
-// findState tracks one outstanding suffix search (crash-repair Find
-// queries and leave-repair table chases share it).
-type findState struct {
-	entries     [][2]int
-	outstanding int
-	visited     map[id.ID]bool
-	blocked     bool
 }
 
 // onFind routes a suffix query one hop (or answers it).
@@ -424,11 +378,12 @@ func (m *Machine) onFind(pm msg.Find) {
 		m.send(pm.Origin, msg.FindRly{Want: pm.Want, Blocked: true})
 		return
 	}
-	next := m.tbl.Get(k, pm.Want.Digit(k))
+	e := [2]int{k, pm.Want.Digit(k)}
+	next := m.tbl.Get(e[0], e[1])
 	switch {
-	case next.IsZero() && m.inRepair[[2]int{k, pm.Want.Digit(k)}]:
-		// The entry was emptied by a crash and is awaiting repair: its
-		// emptiness proves nothing yet. Tell the origin to retry.
+	case next.IsZero() && m.repairOpen(e):
+		// The entry is mid-repair: its emptiness proves nothing yet.
+		// Tell the origin to retry.
 		m.send(pm.Origin, msg.FindRly{Want: pm.Want, Blocked: true})
 	case next.IsZero():
 		// No member carries even the shorter suffix Want[k..0], hence
@@ -446,29 +401,30 @@ func (m *Machine) onFind(pm msg.Find) {
 	}
 }
 
-// onFindRly applies a query result to the entries waiting on it.
+// onFindRly applies a query result to the entry waiting on it: the one
+// whose desired suffix is Want.
 func (m *Machine) onFindRly(pm msg.FindRly) {
-	st, ok := m.pendingFinds[pm.Want]
-	if !ok || st.outstanding == 0 {
+	if pm.Want.Len() == 0 || m.self.ID.SuffixMatch(pm.Want) < pm.Want.Len()-1 {
+		return // no entry of ours desires Want
+	}
+	e := [2]int{pm.Want.Len() - 1, pm.Want.Leading()}
+	r := m.repairs[e]
+	if r == nil || r.outstanding == 0 {
 		return
 	}
-	st.outstanding--
-	st.blocked = pm.Blocked
-	m.pendingFinds[pm.Want] = st
+	r.outstanding--
+	r.blocked = pm.Blocked
 	if pm.Blocked {
 		return
 	}
 	if !pm.Found.IsZero() && m.knownBad(pm.Found.ID) {
 		// A stale table answered with a node we know crashed or left:
 		// treat as blocked so the repair retries elsewhere.
-		st.blocked = true
-		m.pendingFinds[pm.Want] = st
+		r.blocked = true
 		return
 	}
-	for _, e := range st.entries {
-		delete(m.inRepair, e) // resolved: filled or provably empty
-		if !pm.Found.IsZero() && m.tbl.Get(e[0], e[1]).IsZero() {
-			m.setNeighbor(e[0], e[1], pm.Found, false)
-		}
+	r.answered = true // filled or provably empty
+	if !pm.Found.IsZero() && m.tbl.Get(e[0], e[1]).IsZero() {
+		m.setNeighbor(e[0], e[1], pm.Found, false)
 	}
 }

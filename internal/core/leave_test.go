@@ -1,13 +1,18 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
 	"hypercube/internal/netcheck"
+	"hypercube/internal/obs"
 	"hypercube/internal/table"
 )
 
@@ -95,37 +100,53 @@ func TestDropFailedLocalRepair(t *testing.T) {
 	// alternates for every suffix.
 	p := id.Params{B: 2, D: 4} // 16 IDs
 	pp, members := buildSmallNetwork(t, p, 12, 3)
-	dead := members[4].ID
+	dead := members[4]
 	for _, ref := range members {
-		if ref.ID == dead {
+		if ref.ID == dead.ID {
 			continue
 		}
 		m := pp.machines[ref.ID]
-		before := 0
+		m.DropUnreachable(dead)
 		m.Table().ForEach(func(_, _ int, nb table.Neighbor) {
-			if nb.ID == dead {
-				before++
+			if nb.ID == dead.ID {
+				t.Fatalf("node %v still holds dead node after the drop", ref.ID)
 			}
 		})
-		unrepaired := m.DropFailed(dead)
-		after := 0
-		m.Table().ForEach(func(_, _ int, nb table.Neighbor) {
-			if nb.ID == dead {
-				after++
-			}
-		})
-		if after != 0 {
-			t.Fatalf("node %v still holds dead node after DropFailed", ref.ID)
-		}
 		// In a b=2 network of 12 nodes every 1-digit suffix has many
-		// members, so level-0 entries always repair locally.
-		for _, e := range unrepaired {
+		// members, so level-0 entries always repair locally: none is
+		// left to a repair job.
+		for _, e := range m.RepairsPending() {
 			if e[0] == 0 {
 				t.Errorf("node %v could not locally repair level-0 entry %v", ref.ID, e)
 			}
 		}
-		_ = before
 	}
+}
+
+// ghost returns an ID that no member has: a repair job's avoid that no
+// query meets.
+func ghost(p id.Params, members []table.Ref, rng *rand.Rand) id.ID {
+	for {
+		x := id.Random(p, rng)
+		if !slices.ContainsFunc(members, func(r table.Ref) bool { return r.ID == x }) {
+			return x
+		}
+	}
+}
+
+// settle runs one Tick of m and returns the outcome of entry
+// (level, digit)'s repair_done event, or "" when the record stays open.
+func settle(m *core.Machine, level, digit int) string {
+	ring := obs.NewRing(64)
+	m.SetSink(ring)
+	defer m.SetSink(nil)
+	m.Tick(0)
+	for _, ev := range ring.Drain() {
+		if after, ok := strings.CutPrefix(ev.Detail, fmt.Sprintf("(%d,%d) ", level, digit)); ok && ev.Kind == obs.KindRepairDone {
+			return after
+		}
+	}
+	return ""
 }
 
 func TestFindRoutesToCarrier(t *testing.T) {
@@ -139,12 +160,11 @@ func TestFindRoutesToCarrier(t *testing.T) {
 	k := origin.Self().ID.CommonSuffixLen(target)
 	want := target.Suffix(k + 1)
 	origin.Table().Set(k, target.Digit(k), table.Neighbor{})
-	envs := origin.RepairEntry(k, target.Digit(k), members[5], id.Null)
-	pp.enqueue(envs)
+	avoid := ghost(p, members, rand.New(rand.NewSource(4)))
+	pp.enqueue(origin.RepairEntry(k, target.Digit(k), members[5], avoid))
 	pp.run()
-	outcome := origin.ResolveRepair(k, target.Digit(k))
-	if outcome != core.RepairFilled {
-		t.Fatalf("outcome = %v, want filled (want suffix %v)", outcome, want)
+	if outcome := settle(origin, k, target.Digit(k)); outcome != "filled" {
+		t.Fatalf("outcome = %q, want filled (want suffix %v)", outcome, want)
 	}
 	got := origin.Table().Get(k, target.Digit(k))
 	if !got.ID.HasSuffix(want) {
@@ -176,15 +196,19 @@ search:
 	level, digit := want.Len()-1, want.Leading()
 	// The origin's entry for that suffix must be empty already (consistent
 	// network, uninhabited suffix) unless origin doesn't match the parent;
-	// route the query regardless and expect a not-found -> RepairEmpty.
+	// route the query regardless and expect a not-found: the job settles
+	// empty.
 	if origin.Self().ID.SuffixMatch(want) != want.Len()-1 {
 		t.Skip("origin does not border the wanted suffix; pick is entry-dependent")
 	}
-	envs := origin.RepairEntry(level, digit, members[3], id.Null)
-	pp.enqueue(envs)
+	avoid := ghost(p, members, rand.New(rand.NewSource(5)))
+	pp.enqueue(origin.RepairEntry(level, digit, members[3], avoid))
 	pp.run()
-	if outcome := origin.ResolveRepair(level, digit); outcome != core.RepairEmpty {
-		t.Fatalf("outcome = %v, want empty", outcome)
+	if outcome := settle(origin, level, digit); outcome != "empty" {
+		t.Fatalf("outcome = %q, want empty", outcome)
+	}
+	if !origin.Table().Get(level, digit).IsZero() || len(origin.RepairsPending()) != 0 {
+		t.Fatalf("entry %v after an empty answer, jobs %v", origin.Table().Get(level, digit).ID, origin.RepairsPending())
 	}
 }
 
@@ -226,15 +250,17 @@ func TestRejoinRestoresAnnouncement(t *testing.T) {
 	y := pp.machines[members[7].ID]
 	// Emulate the orphan condition: every other node treats y as crashed
 	// (drops it and repairs locally where alternates exist). Entries whose
-	// only carrier was y stay empty — exactly the state after a bridge
-	// failure erases the network's knowledge of y.
+	// only carrier was y stay empty with a repair job — exactly the state
+	// after a bridge failure erases the network's knowledge of y.
 	unrepaired := make(map[id.ID][][2]int)
 	for _, ref := range members {
 		if ref.ID == y.Self().ID {
 			continue
 		}
-		if un := pp.machines[ref.ID].DropFailed(y.Self().ID); len(un) > 0 {
-			unrepaired[ref.ID] = un
+		m := pp.machines[ref.ID]
+		m.DropUnreachable(y.Self())
+		if un := m.RepairsPending(); len(un) > 0 {
+			unrepaired[ref.ID] = slices.Clone(un)
 		}
 	}
 	// y re-joins through any live node; the notifying phase must restore
@@ -283,22 +309,93 @@ func TestStartRejoinErrors(t *testing.T) {
 	}
 }
 
+// TestAbandonRepairClearsState drives a repair job whose every query is
+// lost: Tick reissues it maxRepairAttempts times, then abandons it — the
+// record goes, the entry stays empty, and repair_done reports abandoned.
 func TestAbandonRepairClearsState(t *testing.T) {
 	p := id.Params{B: 4, D: 4}
-	pp, members := buildSmallNetwork(t, p, 8, 7)
-	m := pp.machines[members[2].ID]
-	level, digit := 2, 1
-	m.Table().Set(level, digit, table.Neighbor{})
-	envs := m.RepairEntry(level, digit, members[4], id.Null)
-	_ = envs // never delivered: simulate a lost query
-	if outcome := m.ResolveRepair(level, digit); outcome != core.RepairPending {
-		t.Fatalf("outcome before reply = %v, want pending", outcome)
+	m := core.NewSeed(p, ref(p, "0000"), core.Options{})
+	gone, helper := ref(p, "0001"), ref(p, "0002")
+	m.Table().Set(0, 1, table.Neighbor{ID: gone.ID, Addr: gone.Addr, State: table.StateS})
+	m.Table().Set(0, 2, table.Neighbor{ID: helper.ID, Addr: helper.Addr, State: table.StateS})
+	ring := obs.NewRing(256)
+	m.SetSink(ring)
+	m.DropUnreachable(gone) // no other carrier of suffix "1": a job opens
+	if got := m.RepairsPending(); !slices.Equal(got, [][2]int{{0, 1}}) {
+		t.Fatalf("jobs after the drop = %v, want [(0,1)]", got)
 	}
-	m.AbandonRepair(level, digit)
-	if outcome := m.ResolveRepair(level, digit); outcome != core.RepairPending {
-		// After abandonment the state is gone; ResolveRepair reports
-		// pending (no record), and the entry stays as-is.
-		t.Fatalf("outcome after abandon = %v", outcome)
+	finds := 0
+	for tick := 1; tick <= 2*core.MaxRepairAttempts && len(m.RepairsPending()) > 0; tick++ {
+		for _, env := range m.Tick(time.Duration(tick) * time.Minute) { // every reply lost
+			if env.Msg.Type() == msg.TFind {
+				finds++
+			}
+		}
+	}
+	if finds != core.MaxRepairAttempts {
+		t.Errorf("%d queries sent, want %d", finds, core.MaxRepairAttempts)
+	}
+	if len(m.RepairsPending()) != 0 || m.RepairOpen(0, 1) {
+		t.Fatalf("record still open after %d lost queries", finds)
+	}
+	if !m.Table().Get(0, 1).IsZero() {
+		t.Fatalf("abandoned entry holds %v", m.Table().Get(0, 1).ID)
+	}
+	var done []string
+	for _, ev := range ring.Drain() {
+		if ev.Kind == obs.KindRepairDone {
+			done = append(done, ev.Detail)
+		}
+	}
+	if !slices.Equal(done, []string{"(0,1) abandoned"}) {
+		t.Fatalf("repair_done events %q, want one \"(0,1) abandoned\"", done)
+	}
+}
+
+// TestLeaveChaseBlocksCrossingFind checks that an entry a leave emptied
+// while its chase of departed tables runs is no proof of absence: a Find
+// crossing it is answered Blocked, and once the chase runs out of departed
+// carriers the empty entry proves absence again.
+func TestLeaveChaseBlocksCrossingFind(t *testing.T) {
+	p := id.Params{B: 4, D: 4}
+	u, z1, z2 := ref(p, "1111"), ref(p, "1132"), ref(p, "3302")
+	origin := ref(p, "3333") // repairing its own (0,2) entry, suffix "2"
+	tbl := table.New(p, u.ID)
+	tbl.Set(0, 2, table.Neighbor{ID: z1.ID, Addr: z1.Addr, State: table.StateS})
+	m := core.NewEstablished(p, u, tbl, core.Options{})
+	deliver := func(from table.Ref, pm msg.Message) []msg.Envelope {
+		return m.Deliver(msg.Envelope{From: from, To: u, Msg: pm})
+	}
+	find := func() msg.FindRly {
+		t.Helper()
+		out := deliver(origin, msg.Find{Want: id.MustParseSuffix(p, "2"), Origin: origin})
+		if len(out) != 1 || out[0].To.ID != origin.ID {
+			t.Fatalf("Find answered with %v", out)
+		}
+		return out[0].Msg.(msg.FindRly)
+	}
+
+	// z2 leaves first; then z1, whose table names z2 as the only other
+	// carrier of "2". u empties (0,2) and chases z2's table.
+	deliver(z2, msg.Leave{Table: table.New(p, z2.ID).Snapshot()})
+	z1tbl := table.New(p, z1.ID)
+	z1tbl.Set(1, 0, table.Neighbor{ID: z2.ID, Addr: z2.Addr, State: table.StateS})
+	out := deliver(z1, msg.Leave{Table: z1tbl.Snapshot()})
+	if !slices.ContainsFunc(out, func(env msg.Envelope) bool { return env.To.ID == z2.ID && env.Msg.Type() == msg.TCpRst }) {
+		t.Fatalf("no chase of z2's table in %v", out)
+	}
+	if got := m.Table().Get(0, 2); !got.IsZero() {
+		t.Fatalf("(0,2) = %v during the chase, want empty", got.ID)
+	}
+	if rly := find(); !rly.Blocked {
+		t.Fatalf("Find across the chased entry answered %+v, want Blocked", rly)
+	}
+
+	// z2's table holds no other carrier: the chase is exhausted, the
+	// suffix left with z1 and z2, and the empty entry proves it.
+	deliver(z2, msg.CpRly{Table: table.New(p, z2.ID).Snapshot()})
+	if rly := find(); rly.Blocked || !rly.Found.IsZero() {
+		t.Fatalf("Find after the exhausted chase answered %+v, want absent", rly)
 	}
 }
 

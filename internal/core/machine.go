@@ -170,28 +170,26 @@ type Machine struct {
 	copyFrom  table.Ref
 
 	// §7-extension state (leave protocol and failure recovery).
-	leaveAcks    map[id.ID]struct{}
-	pendingFinds map[id.Suffix]findState
+	leaveAcks map[id.ID]struct{}
 	// departed remembers nodes whose LeaveMsg we processed, so repairs
 	// never reinstall them (concurrent leavers can appear in each
 	// other's donor tables).
 	departed map[id.ID]struct{}
-	// inRepair marks entries emptied by a crash and not yet resolved;
-	// while marked, the entry is not evidence of suffix absence and
-	// Find queries crossing it answer Blocked instead of not-found.
-	inRepair map[[2]int]bool
+	// repairs holds one record per entry that a crash or a leave emptied
+	// and that is not repaired yet: Tick's crash job, a leave's chase of
+	// departed tables, or both (leave.go).
+	repairs map[[2]int]*repair
 
 	// Clock-driven failure-detection state (timeout.go): the machine's
 	// notion of now (advanced by Tick), outstanding request/reply
-	// exchanges, fallback bootstrap nodes for join restarts, nodes
-	// declared crashed, and autonomous repair jobs.
+	// exchanges, fallback bootstrap nodes for join restarts, and nodes
+	// declared crashed.
 	now         time.Duration
 	exchanges   map[xchgKey]*exchange
 	gateways    map[id.ID]table.Ref
 	restarts    int
 	failed      map[id.ID]struct{}
 	needsRejoin bool
-	repairs     map[[2]int]*repairJob
 
 	// Anti-entropy accounting (sync.go): entries installed from peers'
 	// sync replies/pushes and entries purged by table audits.

@@ -100,16 +100,6 @@ type exchange struct {
 	sentAt   time.Duration
 }
 
-// repairJob tracks one crash-emptied entry the machine repairs on its
-// own: which node to route around, how many queries were spent, and when
-// the next one is due.
-type repairJob struct {
-	avoid    id.ID
-	attempts int
-	due      time.Duration
-	active   bool // a Find is outstanding
-}
-
 // trackExchange registers a just-sent request for timeout-driven resend.
 // Only the request/reply pairs whose loss wedges the protocol are
 // tracked; replies and one-way notifications are not. The envelope is
@@ -122,8 +112,8 @@ func (m *Machine) trackExchange(env msg.Envelope) {
 	var key xchgKey
 	switch x := pm.(type) {
 	case msg.CpRst:
-		// Only the copying-phase cursor is tracked; repair-time table
-		// chases (repairViaDonor) resolve through pendingFinds instead.
+		// Only the copying-phase cursor is tracked; a leave chase's table
+		// requests (repairViaDonor) are awaited by its repair record.
 		if m.status != StatusCopying || to.ID != m.copyFrom.ID {
 			return
 		}
@@ -463,7 +453,7 @@ func (m *Machine) DropUnreachable(gone table.Ref) []msg.Envelope {
 		return nil
 	}
 	m.out = m.out[:0]
-	m.DropFailed(gone.ID)
+	m.dropFailed(gone.ID)
 	return m.take()
 }
 
@@ -509,13 +499,13 @@ func (m *Machine) noteFailed(gone table.Ref, declared bool) {
 	// Orphan check before the entries are dropped: if our deepest-known
 	// neighbor crashed it may have been the only node storing us, making
 	// us unfindable; re-announce via a rejoin at the next Tick.
-	if held && m.status == StatusInSystem && m.DeepestNeighborIs(gone.ID) {
+	if held && m.status == StatusInSystem && m.deepestNeighborIs(gone.ID) {
 		m.needsRejoin = true
 	}
 
-	// Drop the dead node everywhere; DropFailed repairs locally and seeds
+	// Drop the dead node everywhere; dropFailed repairs locally and opens
 	// repair jobs for the rest (driven by kickRepairs).
-	m.DropFailed(gone.ID)
+	m.dropFailed(gone.ID)
 
 	// Any exchange waiting on the dead peer is settled immediately.
 	if len(m.exchanges) > 0 {
@@ -528,37 +518,48 @@ func (m *Machine) noteFailed(gone table.Ref, declared bool) {
 	}
 }
 
+// dropFailed removes a crashed or unreachable node from every entry and
+// from the reverse set, and repairs or queues each entry it held.
+func (m *Machine) dropFailed(gone id.ID) {
+	m.dropReverse(gone)
+	m.reverseGen++
+	delete(m.gateways, gone)
+	var held [][2]int
+	m.tbl.ForEach(func(level, digit int, n table.Neighbor) {
+		if n.ID == gone {
+			held = append(held, [2]int{level, digit})
+		}
+	})
+	for _, e := range held {
+		m.repairOrQueue(e, gone)
+	}
+}
+
 // repairOrQueue refills entry e, just emptied of gone, from the local
-// tables, or else marks it in repair and registers a job for Tick's
-// routed repair (once: a job already pending for e is kept). It
-// reports whether the local repair filled the entry.
-func (m *Machine) repairOrQueue(e [2]int, gone id.ID) (repaired bool) {
+// table, or else opens its repair record with a job routing around gone
+// (a job already open for e is kept).
+func (m *Machine) repairOrQueue(e [2]int, gone id.ID) {
 	if m.repairFromTables(e[0], e[1], gone, table.Snapshot{}) {
-		return true
+		return
 	}
-	if m.inRepair == nil {
-		m.inRepair = make(map[[2]int]bool)
+	r := m.openRepair(e)
+	if !r.avoid.IsNull() {
+		return
 	}
-	m.inRepair[e] = true
-	if m.repairs == nil {
-		m.repairs = make(map[[2]int]*repairJob)
-	}
-	if _, dup := m.repairs[e]; dup {
-		return false
-	}
-	m.repairs[e] = &repairJob{avoid: gone, due: m.now}
+	r.avoid, r.due = gone, m.now
 	if m.sink != nil {
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindRepairStart, Peer: gone.String(), Detail: entryName(e[0], e[1])})
 	}
-	return false
 }
 
-// repairsPending returns the entries with unresolved repair jobs,
-// sorted, in a buffer the next call reuses.
+// repairsPending returns the entries with a repair job (a leave chase
+// alone has none), sorted, in a buffer the next call reuses.
 func (m *Machine) repairsPending() [][2]int {
 	out := m.pending[:0]
-	for e := range m.repairs {
-		out = append(out, e)
+	for e, r := range m.repairs {
+		if !r.avoid.IsNull() {
+			out = append(out, e)
+		}
 	}
 	slices.SortFunc(out, func(a, b [2]int) int {
 		if c := cmp.Compare(a[0], b[0]); c != 0 {
@@ -570,80 +571,69 @@ func (m *Machine) repairsPending() [][2]int {
 	return out
 }
 
-// settleRepairs resolves repair jobs whose outcome is already known —
-// entry refilled (by a query reply, rejoin notification, or harvested
-// table), or proven empty — without issuing new queries. Blocked jobs
-// are marked for reissue by the next kick.
-func (m *Machine) settleRepairs() {
-	for _, e := range m.repairsPending() {
-		job := m.repairs[e]
-		if !m.tbl.Get(e[0], e[1]).IsZero() {
-			m.AbandonRepair(e[0], e[1])
-			m.emitRepairDone(e, "filled")
-			continue
-		}
-		if !job.active {
-			continue
-		}
-		switch m.ResolveRepair(e[0], e[1]) {
-		case RepairFilled:
-			delete(m.repairs, e)
-			m.emitRepairDone(e, "filled")
-		case RepairEmpty:
-			delete(m.repairs, e)
-			m.emitRepairDone(e, "empty")
-		case RepairBlocked:
-			job.active = false // reissue on the next kick
-		case RepairPending:
-			// Reply still in flight (or lost); the next kick decides.
-		}
-	}
-}
-
-func (m *Machine) emitRepairDone(e [2]int, outcome string) {
+// retireRepair closes entry e's repair record with the given outcome.
+func (m *Machine) retireRepair(e [2]int, outcome string) {
+	delete(m.repairs, e)
 	if m.sink != nil {
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindRepairDone, Detail: entryName(e[0], e[1]) + " " + outcome})
 	}
 }
 
-// kickRepairs drives the repair jobs once from Tick: it settles what
-// is known and issues the queries that are due. Appends to m.out.
+// kickRepairs drives the repair jobs once from Tick. It first settles
+// what is known — an entry refilled (by a query reply, a rejoin
+// notification, a harvested table), or a query answered — and then
+// issues the queries that are due. Appends to m.out.
 func (m *Machine) kickRepairs(now time.Duration) {
 	if len(m.repairs) == 0 {
 		return
 	}
-	if m.status == StatusLeaving || m.status == StatusLeft {
-		for _, e := range m.repairsPending() {
-			m.AbandonRepair(e[0], e[1])
-			m.emitRepairDone(e, "abandoned")
-		}
-		return
-	}
-	m.settleRepairs()
+	leaving := m.status == StatusLeaving || m.status == StatusLeft
 	for _, e := range m.repairsPending() {
-		job := m.repairs[e]
-		if job.active {
-			if now < job.due {
+		r := m.repairs[e]
+		switch {
+		case leaving:
+			m.retireRepair(e, "abandoned")
+		case !m.tbl.Get(e[0], e[1]).IsZero():
+			m.retireRepair(e, "filled")
+		case !r.active || r.outstanding > 0:
+			// Not asked yet, or the reply is still in flight (or lost);
+			// the loop below decides.
+		case r.blocked:
+			r.active, r.blocked = false, false // reissue below
+		default:
+			m.retireRepair(e, "empty")
+		}
+	}
+	for _, e := range m.repairsPending() {
+		r := m.repairs[e]
+		if r.active {
+			if now < r.due {
 				continue // still waiting for the reply
 			}
-			job.active = false // reply lost or blocked in flight; reissue
+			r.active = false // reply lost or blocked in flight; reissue
 		}
-		if job.attempts >= maxRepairAttempts {
+		if r.attempts >= maxRepairAttempts {
 			// Every helper rotation came back blocked or lost: conclude
 			// the suffix died with the crashed node.
-			m.AbandonRepair(e[0], e[1])
-			m.emitRepairDone(e, "abandoned")
+			m.retireRepair(e, "abandoned")
 			continue
 		}
-		helper := m.pickRepairHelper(job.avoid, job.attempts)
+		helper := m.pickRepairHelper(r.avoid, r.attempts)
 		if helper.IsZero() {
 			continue // isolated for now; retry after tables change
 		}
-		job.attempts++
-		job.active = true
-		job.due = now + m.opts.Timeouts.repairAfter()<<minInt(job.attempts-1, 4)
-		m.repairEntry(e[0], e[1], helper, job.avoid)
+		m.queryRepair(e, r, helper)
 	}
+}
+
+// queryRepair sends entry e's next Find query through helper, routing
+// around the job's crashed node.
+func (m *Machine) queryRepair(e [2]int, r *repair, helper table.Ref) {
+	r.attempts++
+	r.active = true
+	r.due = m.now + m.opts.Timeouts.repairAfter()<<min(r.attempts-1, 4)
+	r.outstanding++
+	m.send(helper, msg.Find{Want: m.tbl.DesiredSuffix(e[0], e[1]), Origin: m.self, Avoid: r.avoid})
 }
 
 // pickRepairHelper rotates deterministically through the live table
@@ -661,11 +651,4 @@ func (m *Machine) pickRepairHelper(avoid id.ID, attempt int) table.Ref {
 		return table.Ref{}
 	}
 	return list[attempt%len(list)]
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
