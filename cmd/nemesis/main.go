@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed  = fs.Uint64("seed", 1, "single seed to run")
 
 		replay   = fs.String("replay", "", "re-execute a recorded repro.json and compare findings; exit 0 only on an exact match")
-		out      = fs.String("out", ".", "directory for repro files of shrunk failures")
+		out      = fs.String("out", ".", "directory that gets repro-<seed>.json for each shrunk failure (.gitignore covers them in the repository root)")
 		noShrink = fs.Bool("no-shrink", false, "emit the full failing schedule instead of delta-debugging it")
 		maxExec  = fs.Int("max-shrink-exec", 200, "execution budget per shrink")
 		verbose  = fs.Bool("v", false, "log every schedule step")

@@ -39,7 +39,7 @@ func TestPairHashGolden(t *testing.T) {
 	for _, g := range golden {
 		p := id.Params{B: g.b, D: g.d}
 		from, to := id.MustParse(p, g.from), id.MustParse(p, g.to)
-		latency := HashedUniformLatency(5*time.Millisecond, 120*time.Millisecond, g.seed)
+		latency := HashedUniformLatency(5*time.Millisecond, 120*time.Millisecond, g.seed).Between
 		if got := latency(table.Ref{ID: from}, table.Ref{ID: to}); got != g.latency {
 			t.Errorf("seed %d %s->%s: latency %d, want %d", g.seed, g.from, g.to, got, g.latency)
 		}

@@ -76,7 +76,7 @@ func (n *Network) OptimizeTables(rounds int) OptimizeStats {
 					}
 					st.Considered++
 					best := cur
-					bestLat := n.cfg.Latency(self, cur.Ref())
+					bestLat := n.cfg.Latency.Between(self, cur.Ref())
 					for _, cand := range candidates {
 						if cand.ID == cur.ID || !table.Qualifies(x, level, digit, cand.ID) {
 							continue
@@ -84,7 +84,7 @@ func (n *Network) OptimizeTables(rounds int) OptimizeStats {
 						if _, live := n.nodes[cand.ID]; !live {
 							continue
 						}
-						if l := n.cfg.Latency(self, cand.Ref()); l < bestLat {
+						if l := n.cfg.Latency.Between(self, cand.Ref()); l < bestLat {
 							best, bestLat = cand, l
 						}
 					}
@@ -149,7 +149,7 @@ func (n *Network) MeasureStretch(pairs int, rng *rand.Rand) StretchStats {
 		if src.ID == dst.ID {
 			continue
 		}
-		direct := n.cfg.Latency(src, dst)
+		direct := n.cfg.Latency.Between(src, dst)
 		if direct <= 0 {
 			continue
 		}
@@ -159,7 +159,7 @@ func (n *Network) MeasureStretch(pairs int, rng *rand.Rand) StretchStats {
 		}
 		var routed time.Duration
 		for h := 1; h < len(path); h++ {
-			routed += n.cfg.Latency(n.nodes[path[h-1]].Machine().Self(), n.nodes[path[h]].Machine().Self())
+			routed += n.cfg.Latency.Between(n.nodes[path[h-1]].Machine().Self(), n.nodes[path[h]].Machine().Self())
 		}
 		ratios = append(ratios, float64(routed)/float64(direct))
 		totalHops += len(path) - 1

@@ -7,10 +7,13 @@
 // an initial consistent network of n nodes, m nodes joining concurrently
 // at t=0, end-host latencies drawn from a transit-stub topology, and
 // per-join message statistics.
+// Run delivers a lookahead window of arrivals at a time on every core,
+// and the run stays the single-event one (window.go).
 package overlay
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -32,29 +35,33 @@ import (
 	"hypercube/internal/trace"
 )
 
-// LatencyFunc returns the one-way delivery latency between two nodes.
-type LatencyFunc func(from, to table.Ref) time.Duration
+// LatencyFunc is a one-way delivery latency model: the delay between two
+// nodes, and its floor (0 if unknown), the width of Run's windows.
+type LatencyFunc struct {
+	Between func(from, to table.Ref) time.Duration
+	floor   time.Duration
+}
 
-// ConstantLatency returns a LatencyFunc with a fixed delay.
+// ConstantLatency returns a LatencyFunc with a fixed delay, its floor.
 func ConstantLatency(d time.Duration) LatencyFunc {
-	return func(_, _ table.Ref) time.Duration { return d }
+	return LatencyFunc{Between: func(_, _ table.Ref) time.Duration { return d }, floor: d}
 }
 
 // HashedUniformLatency returns a deterministic, symmetric LatencyFunc
 // drawing each pair's latency uniformly from [min,max) by hashing the
-// pair (plus seed). Useful when no router topology is wanted.
+// pair (plus seed), with floor min. Useful without a router topology.
 func HashedUniformLatency(min, max time.Duration, seed int64) LatencyFunc {
 	if max < min {
 		panic(fmt.Sprintf("overlay: latency range [%v,%v) inverted", min, max))
 	}
 	span := int64(max - min)
-	return func(from, to table.Ref) time.Duration {
+	return LatencyFunc{floor: min, Between: func(from, to table.Ref) time.Duration {
 		if span == 0 {
 			return min
 		}
 		sum, _ := pairHash(seed, from.ID, to.ID)
 		return min + time.Duration(int64(sum%uint64(span)))
-	}
+	}}
 }
 
 // pairHash hashes the unordered pair {from,to} with seed: FNV-1a-64 over
@@ -99,16 +106,17 @@ func NewTopologyLatency(topo *topology.Topology) *TopologyLatency {
 // Bind assigns node x to host h.
 func (tl *TopologyLatency) Bind(x id.ID, host int) { tl.hosts[x] = host }
 
-// Func returns the LatencyFunc backed by the topology.
+// Func returns the LatencyFunc backed by the topology, with floor 0:
+// two nodes may share a host.
 func (tl *TopologyLatency) Func() LatencyFunc {
-	return func(from, to table.Ref) time.Duration {
+	return LatencyFunc{Between: func(from, to table.Ref) time.Duration {
 		ha, okA := tl.hosts[from.ID]
 		hb, okB := tl.hosts[to.ID]
 		if !okA || !okB {
 			panic(fmt.Sprintf("overlay: unbound node in latency query (%v->%v)", from.ID, to.ID))
 		}
 		return tl.Topo.Latency(ha, hb)
-	}
+	}}
 }
 
 // Loss injects message loss with sender retransmission into the
@@ -144,7 +152,7 @@ const (
 type Config struct {
 	Params id.Params
 	Opts   core.Options
-	// Latency models message delivery delay; nil means 10ms constant.
+	// Latency models message delivery delay; zero means 10ms constant.
 	Latency LatencyFunc
 	// Loss optionally subjects deliveries to message loss with
 	// retransmission; nil means the reliable network of the paper.
@@ -261,6 +269,7 @@ type Network struct {
 	tickPending   bool
 	// sink is Config.Sink wrapped with the virtual clock (nil when off).
 	sink obs.Sink
+	win  windows // the delivery window being prepared (window.go)
 }
 
 // New creates an empty network.
@@ -268,7 +277,7 @@ func New(cfg Config) *Network {
 	if err := cfg.Params.Validate(); err != nil {
 		panic(fmt.Sprintf("overlay: invalid params: %v", err))
 	}
-	if cfg.Latency == nil {
+	if cfg.Latency.Between == nil {
 		cfg.Latency = ConstantLatency(10 * time.Millisecond)
 	}
 	n := &Network{
@@ -450,8 +459,8 @@ func (n *Network) transmit(envs []msg.Envelope) {
 // MaxAttempts transmissions. Probes (Ping/Pong) are never retransmitted:
 // detecting their loss is the failure detector's whole job, and a
 // reliable probe channel would mask exactly the signal it measures.
-func (n *Network) post(env msg.Envelope, attempt int) {
-	delay := n.cfg.Latency(env.From, env.To)
+func (n *Network) post(env msg.Envelope, attempt int32) {
+	delay := n.cfg.Latency.Between(env.From, env.To)
 	if attempt > 1 {
 		delay += lossRetryDelay << (attempt - 2)
 	}
@@ -476,22 +485,23 @@ func (n *Network) post(env msg.Envelope, attempt int) {
 }
 
 // transmission is one attempt to carry env, parked in Network.inFlight
-// while its arrival event is queued.
+// while its arrival is queued; ahead is its window position+1, if any.
 type transmission struct {
-	env     msg.Envelope
-	attempt int
+	env            msg.Envelope
+	attempt, ahead int32
 }
 
-// arrivals is the Network as the sim.Handler of its in-flight
-// transmissions; the separate type keeps Handle out of Network's API.
+// arrivals is the Network as the sim.Windowed handler of its transmissions.
 type arrivals Network
 
-func (a *arrivals) Handle(slot int) { (*Network)(a).arrive(slot) }
+func (a *arrivals) Handle(slot int)            { (*Network)(a).arrive(slot) }
+func (a *arrivals) Width() time.Duration       { return (*Network)(a).width() }
+func (a *arrivals) Prepare(window []sim.Event) { (*Network)(a).prepare(window) }
 
 // arrive ends the transmission parked in slot: the message is cut by a
 // partition, lost (and retransmitted or dead-lettered), or delivered.
 func (n *Network) arrive(slot int) {
-	env, attempt := n.inFlight[slot].env, n.inFlight[slot].attempt
+	env, attempt, ahead := n.inFlight[slot].env, n.inFlight[slot].attempt, n.inFlight[slot].ahead
 	n.inFlight[slot] = transmission{} // let the message be collected
 	n.freeSlots = append(n.freeSlots, slot)
 	// Partition cut: checked at delivery time so a Heal() scheduled
@@ -512,7 +522,7 @@ func (n *Network) arrive(slot int) {
 		n.post(env, attempt+1)
 		return
 	}
-	n.deliver(env)
+	n.deliver(env, ahead)
 }
 
 // Partition splits the network into disconnected groups: every message
@@ -581,7 +591,8 @@ func (n *Network) lossyDirection(from, to id.ID) bool {
 	return lowToHigh == fromLow
 }
 
-func (n *Network) deliver(env msg.Envelope) {
+// deliver runs env's node-local half, unless a window did (ahead > 0), then the network half.
+func (n *Network) deliver(env msg.Envelope, ahead int32) {
 	nd, ok := n.nodes[env.To.ID]
 	if !ok {
 		if n.removed[env.To.ID] {
@@ -594,36 +605,33 @@ func (n *Network) deliver(env msg.Envelope) {
 		// Clock-pause fault: the recipient is stalled, so the message
 		// waits in its (virtual) socket buffer and bursts at resume.
 		n.pauseDeferred++
-		n.engine.ScheduleAt(n.paused[env.To.ID], func() { n.deliver(env) })
+		n.engine.ScheduleAt(n.paused[env.To.ID], func() { n.deliver(env, 0) })
 		return
 	}
 	n.delivered++
-	out := nd.Deliver(env, n.engine.Now())
-	if started, joining := n.joinersInFlight[env.To.ID]; joining && nd.Machine().IsSNode() {
-		m := nd.Machine()
-		c := m.Counters()
-		n.joins = append(n.joins, JoinRecord{
-			Ref:          m.Self(),
-			Started:      started,
-			Ended:        n.engine.Now(),
-			JoinNotiSent: c.SentOf(msg.TJoinNoti),
-			CpRstSent:    c.SentOf(msg.TCpRst),
-			JoinWaitSent: c.SentOf(msg.TJoinWait),
-			SpeNotiSent:  c.SentOf(msg.TSpeNoti),
-			BytesSent:    c.BytesSent,
-		})
-		delete(n.joinersInFlight, env.To.ID)
+	var h handover
+	if ahead > 0 {
+		h = n.win.ahead[ahead-1]
+	} else {
+		h = n.handOver(nd, env, n.engine.Now())
 	}
-	n.transmit(out)
+	if h.joined {
+		if _, joining := n.joinersInFlight[env.To.ID]; joining { // else a window told it twice
+			n.joins = append(n.joins, h.rec)
+			delete(n.joinersInFlight, env.To.ID)
+		}
+	}
+	n.transmit(h.out)
 }
 
 // maxEvents bounds the event count per Run: a run that reaches it has
 // livelocked, and the engine panics.
 const maxEvents = 500_000_000
 
-// Run drains the event queue and returns the number of events processed.
+// Run drains the event queue and returns the number of events processed,
+// delivering arrivals a window at a time (window.go).
 func (n *Network) Run() uint64 {
-	return n.engine.Run(maxEvents)
+	return n.engine.RunWindowed((*arrivals)(n), math.MaxInt64, maxEvents)
 }
 
 func (n *Network) tickInterval() time.Duration {
@@ -645,7 +653,7 @@ func (n *Network) RunFor(d time.Duration) uint64 {
 	}
 	n.scheduleTick()
 	ev := n.engine.RunUntil(deadline)
-	return ev + n.engine.Run(maxEvents)
+	return ev + n.Run()
 }
 
 // scheduleTick arms the recurring clock pump. It reschedules itself only

@@ -17,9 +17,9 @@ import (
 var p164 = id.Params{B: 16, D: 4}
 
 func TestConstantLatency(t *testing.T) {
-	f := ConstantLatency(7 * time.Millisecond)
-	if got := f(table.Ref{}, table.Ref{}); got != 7*time.Millisecond {
-		t.Errorf("latency = %v", got)
+	l := ConstantLatency(7 * time.Millisecond)
+	if got := l.Between(table.Ref{}, table.Ref{}); got != 7*time.Millisecond || l.floor != got {
+		t.Errorf("latency = %v, floor %v", got, l.floor)
 	}
 }
 
@@ -27,7 +27,11 @@ func TestHashedUniformLatency(t *testing.T) {
 	p := id.Params{B: 16, D: 8}
 	rng := rand.New(rand.NewSource(1))
 	refs := RandomRefs(p, 20, rng, nil)
-	f := HashedUniformLatency(5*time.Millisecond, 50*time.Millisecond, 9)
+	l := HashedUniformLatency(5*time.Millisecond, 50*time.Millisecond, 9)
+	if l.floor != 5*time.Millisecond {
+		t.Errorf("floor = %v, want the range's minimum", l.floor)
+	}
+	f := l.Between
 	for i := 0; i < len(refs); i++ {
 		for j := 0; j < len(refs); j++ {
 			l := f(refs[i], refs[j])
@@ -43,7 +47,7 @@ func TestHashedUniformLatency(t *testing.T) {
 		}
 	}
 	// Degenerate range.
-	g := HashedUniformLatency(5*time.Millisecond, 5*time.Millisecond, 9)
+	g := HashedUniformLatency(5*time.Millisecond, 5*time.Millisecond, 9).Between
 	if got := g(refs[0], refs[1]); got != 5*time.Millisecond {
 		t.Errorf("degenerate range latency = %v", got)
 	}
@@ -277,7 +281,7 @@ func TestTopologyLatencyUnboundPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := NewTopologyLatency(topo)
-	f := tl.Func()
+	f := tl.Func().Between
 	defer func() {
 		if recover() == nil {
 			t.Error("unbound latency query did not panic")

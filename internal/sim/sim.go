@@ -2,10 +2,15 @@
 // a virtual clock and an event queue ordered by (time, sequence number).
 // Given the same seed and schedule, a simulation replays identically,
 // which the protocol experiments rely on for reproducibility.
+//
+// RunWindowed adds conservative lookahead: it hands a handler its events
+// a window [t, t+width) at a time to prepare together, then runs them as
+// Run would.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -92,6 +97,20 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// Event is one queued handler event as a window hands it over.
+type Event struct {
+	At  time.Duration
+	Arg int
+}
+
+// Windowed is a Handler with lookahead: handling an event at t schedules
+// nothing before t+Width(). Prepare gets each window of 2+ events first.
+type Windowed interface {
+	Handler
+	Width() time.Duration
+	Prepare(window []Event)
+}
+
 // Engine is a discrete-event scheduler. The zero value is not usable;
 // construct with NewEngine. Engines are not safe for concurrent use: the
 // whole point is a single deterministic timeline.
@@ -100,6 +119,7 @@ type Engine struct {
 	seq       uint64
 	queue     eventQueue
 	processed uint64
+	window    []Event // RunWindowed's buffer, reused
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -166,27 +186,47 @@ func (e *Engine) Step() bool {
 // the bound is hit because a non-quiescing protocol run is a bug the
 // caller must see, never silently truncate. maxEvents <= 0 means no bound.
 func (e *Engine) Run(maxEvents uint64) uint64 {
-	var n uint64
-	for e.Step() {
-		n++
-		if maxEvents > 0 && n > maxEvents {
-			panic(fmt.Sprintf("sim: exceeded %d events without quiescing", maxEvents))
-		}
-	}
-	return n
+	return e.RunWindowed(nil, math.MaxInt64, maxEvents)
 }
 
 // RunUntil executes events with timestamps <= deadline and returns the
 // number processed. Events beyond the deadline stay queued; the clock
 // does not advance past the deadline.
 func (e *Engine) RunUntil(deadline time.Duration) uint64 {
+	n := e.RunWindowed(nil, deadline, 0)
+	e.now = max(e.now, deadline)
+	return n
+}
+
+// RunWindowed is Run for the events due by deadline, with lookahead for
+// w: when w's event is next, it pops w's events due before its time plus
+// w.Width(), up to another handler's (a barrier). Nothing they schedule
+// falls among them, so w prepares them; each is then handled as Run would.
+func (e *Engine) RunWindowed(w Windowed, deadline time.Duration, maxEvents uint64) uint64 {
 	var n uint64
 	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-		n++
-	}
-	if e.now < deadline {
-		e.now = deadline
+		if w == nil || e.queue[0].h != Handler(w) {
+			e.Step()
+			n++
+		} else {
+			end, win := min(e.queue[0].at+w.Width(), deadline), e.window[:0]
+			for len(win) == 0 || len(e.queue) > 0 && e.queue[0].h == Handler(w) && e.queue[0].at < end {
+				ev := e.queue.pop()
+				win = append(win, Event{At: ev.at, Arg: ev.arg})
+			}
+			if e.window = win; len(win) > 1 {
+				w.Prepare(win)
+			}
+			for _, ev := range win {
+				e.now = ev.At
+				e.processed++
+				w.Handle(ev.Arg)
+			}
+			n += uint64(len(win))
+		}
+		if maxEvents > 0 && n > maxEvents {
+			panic(fmt.Sprintf("sim: exceeded %d events without quiescing", maxEvents))
+		}
 	}
 	return n
 }

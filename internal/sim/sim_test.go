@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -306,5 +309,76 @@ func BenchmarkScheduleRun(b *testing.B) {
 			e.Schedule(time.Duration(j%97)*time.Millisecond, func() {})
 		}
 		e.Run(0)
+	}
+}
+
+// lagged is a Windowed handler whose every event schedules up to two
+// more at least width later, and records the windows it is handed and
+// the order it handles events in.
+type lagged struct {
+	e       *Engine
+	rng     *rand.Rand
+	width   time.Duration
+	handled []int
+	windows [][]Event
+	next    int
+}
+
+func (l *lagged) Width() time.Duration { return l.width }
+
+func (l *lagged) Prepare(w []Event) { l.windows = append(l.windows, append([]Event(nil), w...)) }
+
+func (l *lagged) Handle(arg int) {
+	l.handled = append(l.handled, arg)
+	for range l.rng.Intn(3) {
+		if l.next < 2000 {
+			l.next++
+			l.e.ScheduleHandler(l.width+time.Duration(l.rng.Intn(40))*time.Millisecond, l, l.next)
+		}
+	}
+}
+
+// TestRunWindowedMatchesRun drives the same seeded schedule of handler
+// events and closure barriers through Run and RunWindowed: the handled
+// order and the clock must agree, and every window RunWindowed handed
+// over must lie within the width and hold no barrier.
+func TestRunWindowedMatchesRun(t *testing.T) {
+	run := func(windowed bool) (*lagged, []string) {
+		e := NewEngine()
+		l := &lagged{e: e, rng: rand.New(rand.NewSource(3)), width: 5 * time.Millisecond}
+		var order []string
+		for i := range 50 {
+			l.next++
+			e.ScheduleHandler(time.Duration(i%7)*time.Millisecond, l, l.next)
+		}
+		for i := range 40 {
+			at := time.Duration(i) * 9 * time.Millisecond
+			e.ScheduleAt(at, func() { order = append(order, fmt.Sprintf("barrier %v after %d", at, len(l.handled))) })
+		}
+		if windowed {
+			e.RunWindowed(l, math.MaxInt64, 0)
+		} else {
+			e.Run(0)
+		}
+		order = append(order, fmt.Sprintf("end %v, %d processed", e.Now(), e.Processed()))
+		return l, order
+	}
+	seq, seqOrder := run(false)
+	win, winOrder := run(true)
+	if !slices.Equal(seq.handled, win.handled) || !slices.Equal(seqOrder, winOrder) {
+		t.Fatalf("windowed run differs:\n%v\n%v", seqOrder, winOrder)
+	}
+	if len(seq.windows) != 0 || len(win.windows) == 0 {
+		t.Fatalf("windows: %d under Run, %d under RunWindowed", len(seq.windows), len(win.windows))
+	}
+	for _, w := range win.windows {
+		if span := w[len(w)-1].At - w[0].At; span >= win.width {
+			t.Errorf("window spans %v, width %v", span, win.width)
+		}
+		for b := time.Duration(0); b < 40*9*time.Millisecond; b += 9 * time.Millisecond {
+			if w[0].At < b && b <= w[len(w)-1].At {
+				t.Errorf("window %v..%v holds the barrier at %v", w[0].At, w[len(w)-1].At, b)
+			}
+		}
 	}
 }
