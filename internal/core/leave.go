@@ -222,7 +222,7 @@ func (m *Machine) onRepairCpRly(from table.Ref, donor table.Snapshot) {
 		// Our table is being abandoned: drop every chase and every awaited
 		// reply; the next Tick abandons the crash jobs.
 		for e, r := range m.repairs {
-			r.outstanding, r.visited = 0, nil
+			r.outstanding, r.awaiting, r.visited = 0, false, nil
 			if r.avoid.IsNull() {
 				delete(m.repairs, e)
 			}
@@ -271,28 +271,28 @@ func (m *Machine) endChase(e [2]int, r *repair) {
 		delete(m.repairs, e)
 		return
 	}
-	r.answered, r.outstanding, r.visited = true, 0, nil
+	r.answered, r.outstanding, r.awaiting, r.visited = true, 0, false, nil
 }
 
 // repair is the open repair of one table entry (see the package comment).
 // A crash fills in the job's fields and a leave the chase's; one record
-// can carry both, and then they share outstanding.
+// can carry both, each with its own count of replies awaited.
 type repair struct {
 	// The crash job Tick drives: the crashed node its queries route
 	// around (null for a chase alone, which Tick leaves be), the queries
-	// spent, when the next is due, and whether one was sent and not yet
-	// settled.
-	avoid    id.ID
-	attempts int
-	due      time.Duration
-	active   bool
+	// spent, when the next is due, whether one was sent and not yet
+	// settled, and whether its reply is awaited: not yet come, nor due.
+	avoid            id.ID
+	attempts         int
+	due              time.Duration
+	active, awaiting bool
 	// blocked: the last Find reply was Blocked or named a known-bad node.
 	blocked bool
 	// answered: a reply refilled the entry or proved its suffix absent,
 	// so an empty entry is evidence of absence again.
 	answered bool
-	// The Find replies and chased table copies still awaited, and the
-	// departed carriers whose tables the chase requested.
+	// The chased table copies still awaited, and the departed carriers
+	// whose tables the chase requested.
 	outstanding int
 	visited     map[id.ID]bool
 }
@@ -409,10 +409,10 @@ func (m *Machine) onFindRly(pm msg.FindRly) {
 	}
 	e := [2]int{pm.Want.Len() - 1, pm.Want.Leading()}
 	r := m.repairs[e]
-	if r == nil || r.outstanding == 0 {
+	if r == nil || !r.awaiting {
 		return
 	}
-	r.outstanding--
+	r.awaiting = false
 	r.blocked = pm.Blocked
 	if pm.Blocked {
 		return

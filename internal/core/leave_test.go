@@ -352,6 +352,50 @@ func TestAbandonRepairClearsState(t *testing.T) {
 	}
 }
 
+// TestLostRepairQueryIsNotAwaited drives a repair job whose first query
+// is lost and whose second comes back "absent": once past its due, the
+// lost query is no longer awaited, so the answer settles the job, which
+// ends empty after two queries instead of spending all of them and
+// ending abandoned. A late answer to the lost query changes nothing.
+func TestLostRepairQueryIsNotAwaited(t *testing.T) {
+	p := id.Params{B: 4, D: 4}
+	m := core.NewSeed(p, ref(p, "0000"), core.Options{})
+	gone, helper := ref(p, "0001"), ref(p, "0002")
+	m.Table().Set(0, 1, table.Neighbor{ID: gone.ID, Addr: gone.Addr, State: table.StateS})
+	m.Table().Set(0, 2, table.Neighbor{ID: helper.ID, Addr: helper.Addr, State: table.StateS})
+	ring := obs.NewRing(256)
+	m.SetSink(ring)
+	m.DropUnreachable(gone) // no other carrier of suffix "1": a job opens
+	absent := msg.Envelope{From: helper, To: m.Self(), Msg: msg.FindRly{Want: m.Table().DesiredSuffix(0, 1)}}
+	finds := 0
+	for tick := 1; tick <= 2*core.MaxRepairAttempts && len(m.RepairsPending()) > 0; tick++ {
+		for _, env := range m.Tick(time.Duration(tick) * time.Minute) {
+			if env.Msg.Type() == msg.TFind {
+				finds++
+				if finds > 1 { // the first query is lost, the rest answered
+					m.Deliver(absent)
+				}
+			}
+		}
+	}
+	m.Deliver(absent) // the lost query's answer, late
+	if finds != 2 {
+		t.Errorf("%d queries sent, want 2", finds)
+	}
+	if len(m.RepairsPending()) != 0 || m.RepairOpen(0, 1) {
+		t.Fatalf("record still open after %d queries", finds)
+	}
+	var done []string
+	for _, ev := range ring.Drain() {
+		if ev.Kind == obs.KindRepairDone {
+			done = append(done, ev.Detail)
+		}
+	}
+	if !slices.Equal(done, []string{"(0,1) empty"}) {
+		t.Fatalf("repair_done events %q, want one \"(0,1) empty\"", done)
+	}
+}
+
 // TestLeaveChaseBlocksCrossingFind checks that an entry a leave emptied
 // while its chase of departed tables runs is no proof of absence: a Find
 // crossing it is answered Blocked, and once the chase runs out of departed
@@ -396,6 +440,32 @@ func TestLeaveChaseBlocksCrossingFind(t *testing.T) {
 	deliver(z2, msg.CpRly{Table: table.New(p, z2.ID).Snapshot()})
 	if rly := find(); rly.Blocked || !rly.Found.IsZero() {
 		t.Fatalf("Find after the exhausted chase answered %+v, want absent", rly)
+	}
+}
+
+// TestLostRepairQueryKeepsTheChaseCount shares one record between a leave
+// chase and a crash job whose query is lost: once the query is past its
+// due, the chase's own reply still closes the chase, and the empty entry
+// proves absence again.
+func TestLostRepairQueryKeepsTheChaseCount(t *testing.T) {
+	p := id.Params{B: 4, D: 4}
+	u, z1, z2, origin := ref(p, "1111"), ref(p, "1132"), ref(p, "3302"), ref(p, "3333")
+	tbl := table.New(p, u.ID)
+	tbl.Set(0, 2, table.Neighbor{ID: z1.ID, Addr: z1.Addr, State: table.StateS})
+	m := core.NewEstablished(p, u, tbl, core.Options{})
+	deliver := func(from table.Ref, pm msg.Message) []msg.Envelope {
+		return m.Deliver(msg.Envelope{From: from, To: u, Msg: pm})
+	}
+	deliver(z2, msg.Leave{Table: table.New(p, z2.ID).Snapshot()})
+	z1tbl := table.New(p, z1.ID)
+	z1tbl.Set(1, 0, table.Neighbor{ID: z2.ID, Addr: z2.Addr, State: table.StateS})
+	deliver(z1, msg.Leave{Table: z1tbl.Snapshot()}) // (0,2) empties; z2's table is chased
+	m.RepairEntry(0, 2, origin, z1.ID)              // a job on the same entry; its query is lost
+	m.Tick(time.Minute)                             // past the query's due
+	deliver(z2, msg.CpRly{Table: table.New(p, z2.ID).Snapshot()})
+	out := deliver(origin, msg.Find{Want: id.MustParseSuffix(p, "2"), Origin: origin})
+	if len(out) != 1 || out[0].Msg.(msg.FindRly).Blocked {
+		t.Fatalf("Find after the exhausted chase answered %v, want absent", out)
 	}
 }
 

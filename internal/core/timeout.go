@@ -595,7 +595,7 @@ func (m *Machine) kickRepairs(now time.Duration) {
 			m.retireRepair(e, "abandoned")
 		case !m.tbl.Get(e[0], e[1]).IsZero():
 			m.retireRepair(e, "filled")
-		case !r.active || r.outstanding > 0:
+		case !r.active || r.awaiting || r.outstanding > 0:
 			// Not asked yet, or the reply is still in flight (or lost);
 			// the loop below decides.
 		case r.blocked:
@@ -610,7 +610,7 @@ func (m *Machine) kickRepairs(now time.Duration) {
 			if now < r.due {
 				continue // still waiting for the reply
 			}
-			r.active = false // reply lost or blocked in flight; reissue
+			r.active, r.awaiting = false, false // reply lost or blocked in flight; reissue
 		}
 		if r.attempts >= maxRepairAttempts {
 			// Every helper rotation came back blocked or lost: conclude
@@ -632,7 +632,7 @@ func (m *Machine) queryRepair(e [2]int, r *repair, helper table.Ref) {
 	r.attempts++
 	r.active = true
 	r.due = m.now + m.opts.Timeouts.repairAfter()<<min(r.attempts-1, 4)
-	r.outstanding++
+	r.awaiting = true
 	m.send(helper, msg.Find{Want: m.tbl.DesiredSuffix(e[0], e[1]), Origin: m.self, Avoid: r.avoid})
 }
 
