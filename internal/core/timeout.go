@@ -89,8 +89,8 @@ type xchgKey struct {
 // exchange is one outstanding request awaiting its reply. base is the
 // backoff seed: the fixed Timeouts.RetryAfter, or the peer's measured
 // RTO when an estimator is attached (it doubles per resend either
-// way). sentAt stamps the initial transmission so an un-resent reply
-// yields an RTT sample (Karn's rule: a resent exchange is ambiguous —
+// way), counted from the send, not from the last Tick. sentAt stamps
+// the initial transmission so an un-resent reply yields an RTT sample (Karn's rule: a resent exchange is ambiguous —
 // the reply may answer any transmission — so it is never sampled).
 type exchange struct {
 	env      msg.Envelope
@@ -152,7 +152,7 @@ func (m *Machine) trackExchange(env msg.Envelope) {
 		env:      env,
 		attempts: 1,
 		base:     base,
-		due:      m.now + base,
+		due:      now + base,
 		sentAt:   now,
 	}
 }

@@ -58,6 +58,33 @@ func TestExchangeResendOnTimeout(t *testing.T) {
 	}
 }
 
+// TestResendDueCountsFromSend: an exchange's first resend is due
+// RetryAfter after the request left, not after the Tick before it. A
+// CpRst sent at 90 ms with RetryAfter 100 ms is not resent by the Tick
+// at 100 ms, 10 ms after it left, but by the first Tick at or past 190 ms.
+func TestResendDueCountsFromSend(t *testing.T) {
+	p := id.Params{B: 4, D: 4}
+	opts := core.Options{Timeouts: core.Timeouts{RetryAfter: 100 * time.Millisecond, MaxAttempts: 4}}
+	seed := core.NewSeed(p, ref(p, "3210"), opts)
+	j := core.NewJoiner(p, ref(p, "0123"), opts)
+	var now time.Duration
+	j.SetClock(func() time.Duration { return now })
+	j.Tick(0)
+
+	now = 90 * time.Millisecond
+	must(j.StartJoin(seed.Self())) // lost
+	for _, at := range []time.Duration{100, 150, 180} {
+		now = at * time.Millisecond
+		if out := j.Tick(now); len(out) != 0 {
+			t.Fatalf("Tick at %v resent %v; the CpRst left at 90ms", now, out)
+		}
+	}
+	now = 190 * time.Millisecond
+	if out := j.Tick(now); len(out) != 1 || out[0].Msg.Type() != msg.TCpRst {
+		t.Fatalf("Tick at 190ms sent %v, want the CpRst resent", out)
+	}
+}
+
 func TestJoinRestartRotatesGateway(t *testing.T) {
 	p := id.Params{B: 4, D: 4}
 	opts := timeoutOpts()
