@@ -24,8 +24,8 @@
 // error.
 //
 // The protocol stack is fixed: node.Shipped — the guard's misbehavior
-// scorer, the failure detector with its RTT estimator, anti-entropy,
-// peer sampling and the exchange timeouts — the profile the nemesis
+// scorer, the failure detector with its RTT estimator, anti-entropy and
+// the exchange timeouts, with no peer sampler — the profile the nemesis
 // sweep and the E13–E18 scenarios check. Only deployment and
 // observability are flags; any other flag, or a positional argument, is
 // a usage error (exit 2).
@@ -155,7 +155,7 @@ func serve(f flags, stderr io.Writer) error {
 		sinks = append(sinks, obs.NewSlogSink(log))
 	}
 
-	opts, parts := node.Shipped(0)
+	opts, parts := node.Shipped()
 	parts.Sink = obs.Tee(sinks...)
 	if f.traceSample > 0 {
 		// crypto/rand span IDs: real deployments need them collision-free
@@ -200,7 +200,6 @@ func serve(f flags, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		n.SeedSamplingPeers(boot)
 		if err := n.Join(boot); err != nil {
 			return err
 		}
@@ -233,10 +232,7 @@ func serve(f flags, stderr io.Writer) error {
 		}
 	}
 	if f.dump != "" {
-		// Persist the sampler's long-term sample alongside the table: on
-		// restart it is the rejoin bootstrap of last resort when every
-		// table neighbor has moved on.
-		if err := persist.SaveFileState(f.dump, n.Snapshot(), n.SampledPeers(32)); err != nil {
+		if err := persist.SaveFileState(f.dump, n.Snapshot()); err != nil {
 			return err
 		}
 		log.Info("table written", "path", f.dump)

@@ -46,10 +46,13 @@ func TestDaemonSeedAndJoiner(t *testing.T) {
 		if json.NewDecoder(resp.Body).Decode(&sections) != nil {
 			return false
 		}
-		for _, part := range []string{"liveness", "rtt", "antiEntropy", "sampling"} {
+		for _, part := range []string{"liveness", "rtt", "antiEntropy"} {
 			if sections[part] == nil {
 				t.Fatalf("/status has no %s section", part)
 			}
+		}
+		if sections["sampling"] != nil {
+			t.Fatal("/status has a sampling section, but the shipped stack runs no sampler")
 		}
 		return true
 	})
@@ -71,7 +74,7 @@ func TestDaemonSeedAndJoiner(t *testing.T) {
 			t.Errorf("%s after SIGINT: %v; log:\n%s", d.name, err, d.log)
 		}
 	}
-	snap, _, err := persist.LoadFileState(dump, id.Params{B: 16, D: 8})
+	snap, err := persist.LoadFileState(dump, id.Params{B: 16, D: 8})
 	if err != nil {
 		t.Fatalf("-dump does not load: %v", err)
 	}

@@ -75,7 +75,7 @@ var experiments = []experiment{
 	{"byzantine", "-seed -trace", "E15: joins among hostile members under 10% loss", func(x *env) error { return x.committed("byzantine") }},
 	{"flashcrowd", "-seed -small -with-byzantine -trace", "E17: simultaneous joins through three gateways", func(x *env) error { return x.committed("flashcrowd") }},
 	{"massfail", "-seed -with-byzantine -trace", "E17: correlated crash of whole stub domains", func(x *env) error { return x.committed("massfail") }},
-	{"restart", "-seed -with-byzantine -trace", "E17: every member restarted from its persisted table and sampled peers", func(x *env) error { return x.committed("restart") }},
+	{"restart", "-seed -with-byzantine -trace", "E17: every member restarted from its persisted table", func(x *env) error { return x.committed("restart") }},
 	{"gray", "-seed -small -with-byzantine -trace", "E18: gray degradation, adaptive against fixed timeouts", (*env).gray},
 }
 

@@ -479,9 +479,7 @@ func (x *env) scenario(name string, s nemesis.Schedule) error {
 	if res.Crashed > 0 {
 		fmt.Fprintf(x.out, "; %d/%d crashed members declared, mean detection %v", watch.Detected(), res.Crashed, ms(watch.MeanDetection()))
 	}
-	ss := net.SamplingStats()
-	fmt.Fprintf(x.out, "\nsampling: %d rounds, %d pushes received, %d pulls answered, %d flood rounds absorbed, %d peers ejected\n",
-		ss.Rounds, ss.PushesReceived, ss.PullsAnswered, ss.FloodsDetected, ss.Ejected)
+	fmt.Fprintln(x.out)
 	ls, bz := net.LivenessStats(), net.ByzantineStats()
 	if has(s, nemesis.OpPartition) {
 		fmt.Fprintf(x.out, "partition: %d messages cut, %d declarations held, partition mode entered %d / exited %d\n",

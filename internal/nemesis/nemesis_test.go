@@ -61,7 +61,7 @@ func TestGeneratedPartitionsHealLongEnough(t *testing.T) {
 // a retuned profile that leaves them outside fails here, not as a
 // sweep finding.
 func TestEnvelopeInsideShippedProfile(t *testing.T) {
-	_, parts := node.Shipped(0)
+	_, parts := node.Shipped()
 	lc := parts.Liveness.WithDefaults()
 	window := time.Duration(lc.SuspectAfter-1+lc.ConfirmRounds) * lc.ProbeTimeout
 	if genMaxPauseDur >= window {

@@ -154,7 +154,7 @@ func (e *executor) build() error {
 	e.p = id.Params{B: e.s.B, D: e.s.D}
 	e.watch = oracle.NewDeclWatch()
 	seed := int64(e.s.Seed)
-	opts, parts := node.Shipped(seed)
+	opts, parts := node.Shipped()
 	e.round = parts.AntiEntropy.Interval
 	cfg := overlay.Config{
 		Params:       e.p,
@@ -163,7 +163,6 @@ func (e *executor) build() error {
 		Liveness:     parts.Liveness,
 		RTT:          parts.RTT,
 		AntiEntropy:  parts.AntiEntropy,
-		Sampling:     parts.Sampling,
 		Byzantine:    &overlay.Byzantine{Seed: seed},
 		Loss:         &overlay.Loss{Rate: 0, Seed: seed},
 		TickInterval: 100 * time.Millisecond,
@@ -564,7 +563,7 @@ func (e *executor) restart(i int, a Action, r *rng) {
 			e.fail(oracle.CheckStuckJoin, i, "no live helper for restarting %v", m.ID)
 			continue
 		}
-		mach, restored, err := e.net.Restart(m, path, func([]table.Ref) table.Ref { return helper })
+		mach, restored, err := e.net.Restart(m, path, helper)
 		if err != nil {
 			e.fail(oracle.CheckPersist, i, "restart of %v: %v", m.ID, err)
 			continue

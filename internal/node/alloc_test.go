@@ -9,15 +9,17 @@ import (
 	"hypercube/internal/table"
 )
 
-// warmShipped returns a node on the shipped profile with peers X, Y and
-// Z in its table and its sampler's view, after one call of every path
-// the allocation guards below measure, so each has built its buffers
-// and caches.
+// warmShipped returns a node on the shipped profile, plus the peer
+// sampler that the benchmark's crash workload still attaches, with peers
+// X, Y and Z in its table and its sampler's view, after one call of
+// every path the allocation guards below measure, so each has built its
+// buffers and caches.
 func warmShipped(t *testing.T) *Node {
 	t.Helper()
-	opts, parts := Shipped(1)
+	opts, parts := Shipped()
+	parts.Sampling = &sampling.Config{Seed: 1}
 	n := New(established(opts), parts)
-	n.Sampler().SeedPeers(peerX, peerY, peerZ)
+	n.sampler.SeedPeers(peerX, peerY, peerZ)
 	n.Tick(0)
 	for _, m := range []msg.Message{msg.SamplePullReq{}, msg.Ping{Seq: 1}, converged()} {
 		if out := n.Deliver(to(peerY, m), 0); len(out) != 1 {
@@ -75,7 +77,7 @@ func TestResultValidUntilNextCall(t *testing.T) {
 		"machine": msg.CpRst{},
 	} {
 		n := New(established(core.Options{}), Config{Liveness: fastLiveness(), Sampling: &sampling.Config{}})
-		n.Sampler().SeedPeers(peerZ)
+		n.sampler.SeedPeers(peerZ)
 		first := n.Deliver(to(peerX, part), 0)
 		if len(first) != 1 || first[0].To.ID != peerX.ID {
 			t.Fatalf("%s: first reply %v, want one to %v", name, first, peerX.ID)

@@ -86,19 +86,18 @@ func (c Config) TickEvery(t core.Timeouts) time.Duration {
 
 // Shipped returns the one stack profile: the machine options and the
 // parts that cmd/hypercubed deploys and the nemesis executor checks, on
-// every generated schedule and on cmd/paper's E13–E18. seed seeds the
-// peer sampler; each node also mixes its own ID into its stream, so a
-// deployment may pass 0. The caller adds only what belongs to its
-// runtime (a sink, a tracer) and may drop the RTT estimator to run the
-// fixed-timeout detector.
+// every generated schedule and on cmd/paper's E13–E18. The caller adds
+// only what belongs to its runtime (a sink, a tracer) and may drop the
+// RTT estimator to run the fixed-timeout detector.
 //
 // The detector waits SuspectAfter 4 misses and ConfirmRounds 4 rounds
 // rather than the package's 3 and 2, so stacked topology latencies and
 // gray peers do not read as crashes, and PartitionThreshold is lowered
 // to 0.3 so that both sides of a 40–50% partition freeze declarations.
-// Anti-entropy and sampling run a round every 500 ms.
-func Shipped(seed int64) (core.Options, Config) {
-	const round = 500 * time.Millisecond
+// Anti-entropy runs a round every 500 ms. There is no peer sampler: the
+// table's rows already spread peers over the whole ID space, and no
+// scenario's verdict needs one (DESIGN.md, "Peer sampling").
+func Shipped() (core.Options, Config) {
 	opts := core.Options{
 		Guard: &guard.Policy{},
 		Timeouts: core.Timeouts{
@@ -110,8 +109,7 @@ func Shipped(seed int64) (core.Options, Config) {
 	return opts, Config{
 		Liveness:    &liveness.Config{SuspectAfter: 4, ConfirmRounds: 4, PartitionThreshold: 0.3},
 		RTT:         &rtt.Config{},
-		AntiEntropy: &antientropy.Config{Interval: round},
-		Sampling:    &sampling.Config{Interval: round, Seed: seed},
+		AntiEntropy: &antientropy.Config{Interval: 500 * time.Millisecond},
 	}
 }
 
@@ -203,9 +201,6 @@ func (n *Node) Table() *table.Table { return n.tbl }
 
 // Prober returns the failure detector, nil without Config.Liveness.
 func (n *Node) Prober() *liveness.Prober { return n.prober }
-
-// Sampler returns the peer sampler, nil without Config.Sampling.
-func (n *Node) Sampler() *sampling.Engine { return n.sampler }
 
 // Advance moves the node's clock to now without running any timer.
 // Deliver and Tick do it themselves; a driver calls it before invoking

@@ -154,7 +154,7 @@ func TestDeclarationGossipsInSameTick(t *testing.T) {
 func TestHostileSampleRepliesNeverReachSampler(t *testing.T) {
 	ring := obs.NewRing(64)
 	n := New(established(core.Options{}), Config{Sampling: &sampling.Config{}, Sink: ring})
-	n.Sampler().SeedPeers(peerY)
+	n.sampler.SeedPeers(peerY)
 	n.Tick(0) // the first tick only staggers the round phase
 	solicited := false
 	for _, env := range n.Tick(time.Hour) {
@@ -168,7 +168,7 @@ func TestHostileSampleRepliesNeverReachSampler(t *testing.T) {
 	ring.Drain()
 	before := n.Stats().Sampling
 	sampled := func(x id.ID) bool {
-		for _, r := range n.Sampler().Sample(64) {
+		for _, r := range n.sampler.Sample(64) {
 			if r.ID == x {
 				return true
 			}

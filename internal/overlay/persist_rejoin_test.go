@@ -10,7 +10,6 @@ import (
 	"hypercube/internal/core"
 	"hypercube/internal/id"
 	"hypercube/internal/liveness"
-	"hypercube/internal/sampling"
 	"hypercube/internal/table"
 )
 
@@ -22,23 +21,14 @@ import (
 // restart is immediate), so their tables still point at the victim;
 // after the re-announce drains, the whole network must pass netcheck. A
 // dump damaged on disk must demote the restart to a fresh join instead
-// of failing it. With sampling on, the dump carries the victim's sampled
-// peers and the rejoin bootstraps through the first of them — the
-// sampling layer's rejoin-bootstrap role.
+// of failing it.
 func TestPersistRestartRejoin(t *testing.T) {
-	for _, c := range []struct{ corrupt, sampled bool }{{false, false}, {true, false}, {false, true}} {
+	for _, corrupt := range []bool{false, true} {
 		p := id.Params{B: 4, D: 4}
 		rng := rand.New(rand.NewSource(11))
-		cfg := Config{Params: p}
-		if c.sampled {
-			cfg.Sampling = &sampling.Config{Seed: 11}
-		}
-		net := New(cfg)
+		net := New(Config{Params: p})
 		refs := RandomRefs(p, 16, rng, nil)
 		net.BuildDirect(refs, rng)
-		if c.sampled {
-			net.RunFor(5 * time.Second) // views fill before the dump
-		}
 		requireConsistent(t, net)
 
 		victim := refs[3]
@@ -48,7 +38,7 @@ func TestPersistRestartRejoin(t *testing.T) {
 		if err := net.Persist(victim.ID, path); err != nil {
 			t.Fatal(err)
 		}
-		if c.corrupt {
+		if corrupt {
 			if err := os.Truncate(path, 40); err != nil {
 				t.Fatal(err)
 			}
@@ -56,25 +46,16 @@ func TestPersistRestartRejoin(t *testing.T) {
 		if err := net.InjectFailure(victim.ID); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := net.Restart(victim, path, func([]table.Ref) table.Ref { return victim }); err == nil {
+		if _, _, err := net.Restart(victim, path, victim); err == nil {
 			t.Fatal("Restart accepted the restarting node as its own helper")
 		}
 
-		helper := func([]table.Ref) table.Ref { return refs[0] }
-		if c.sampled {
-			helper = func(sampled []table.Ref) table.Ref {
-				if len(sampled) == 0 {
-					t.Fatal("the dump persisted no sampled peers")
-				}
-				return sampled[0]
-			}
-		}
-		m, restored, err := net.Restart(victim, path, helper)
+		m, restored, err := net.Restart(victim, path, refs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if restored == c.corrupt {
-			t.Fatalf("%+v: Restart reports restored=%v", c, restored)
+		if restored == corrupt {
+			t.Fatalf("corrupt=%v: Restart reports restored=%v", corrupt, restored)
 		}
 		if restored {
 			if got, _ := net.TableOf(victim.ID); got.FilledCount() != filled {
@@ -84,7 +65,7 @@ func TestPersistRestartRejoin(t *testing.T) {
 			net.Run() // the fresh join is the caller's to drain
 		}
 		if !m.IsSNode() {
-			t.Fatalf("%+v: restarted node stuck in %v", c, m.Status())
+			t.Fatalf("corrupt=%v: restarted node stuck in %v", corrupt, m.Status())
 		}
 		requireConsistent(t, net)
 	}
@@ -92,8 +73,8 @@ func TestPersistRestartRejoin(t *testing.T) {
 
 // TestRestartWave is the concurrent-outage shape of a rolling restart:
 // a wave of members persists and crashes at one instant, then each
-// rejoins through a live persisted sampled peer while the rest of its
-// wave is still down. The restarts take no virtual time, so any
+// rejoins through a live member while the rest of its wave is still
+// down. The restarts take no virtual time, so any
 // declaration afterwards names a live node, and every member must end
 // an S-node in a consistent network.
 func TestRestartWave(t *testing.T) {
@@ -113,12 +94,11 @@ func TestRestartWave(t *testing.T) {
 			SuspectAfter:  3,
 			ConfirmRounds: 3,
 		},
-		Sampling:     &sampling.Config{Seed: 13},
 		TickInterval: 50 * time.Millisecond,
 	})
 	refs := RandomRefs(p, 32, rng, nil)
 	net.BuildDirect(refs, rng)
-	net.RunFor(5 * time.Second) // views fill before the dumps
+	net.RunFor(5 * time.Second) // probers acquire their targets before the dumps
 
 	dir := t.TempDir()
 	dump := func(r table.Ref) string { return filepath.Join(dir, r.ID.String()+".json") }
@@ -132,16 +112,8 @@ func TestRestartWave(t *testing.T) {
 		}
 	}
 	var ms []*core.Machine
-	for _, r := range wave {
-		m, restored, err := net.Restart(r, dump(r), func(sampled []table.Ref) table.Ref {
-			for _, s := range sampled {
-				if _, live := net.Machine(s.ID); live {
-					return s
-				}
-			}
-			t.Fatalf("%v persisted no live sampled peer among %v", r.ID, sampled)
-			return table.Ref{}
-		})
+	for i, r := range wave {
+		m, restored, err := net.Restart(r, dump(r), refs[len(wave)+i])
 		if err != nil {
 			t.Fatal(err)
 		}

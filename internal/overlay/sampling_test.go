@@ -7,6 +7,7 @@ import (
 
 	"hypercube/internal/core"
 	"hypercube/internal/id"
+	"hypercube/internal/msg"
 	"hypercube/internal/sampling"
 )
 
@@ -38,14 +39,11 @@ func TestSamplingViewsConverge(t *testing.T) {
 	net.RunFor(10 * time.Second)
 
 	for _, ref := range refs {
-		s, ok := net.Sampler(ref.ID)
-		if !ok {
-			t.Fatalf("node %v has no sampling engine", ref.ID)
-		}
-		if len(s.View()) == 0 {
+		st := net.nodes[ref.ID].Stats().Sampling
+		if st.ViewSize == 0 {
 			t.Errorf("node %v: empty view after 10s of rounds", ref.ID)
 		}
-		if len(s.Sample(4)) == 0 {
+		if st.SamplerFill == 0 {
 			t.Errorf("node %v: samplers empty after 10s of rounds", ref.ID)
 		}
 	}
@@ -69,11 +67,10 @@ func TestSamplingFeedsGatewayRestart(t *testing.T) {
 	deadGw := refs[0]
 	joiner := RandomRefs(cfg.Params, 1, rng, taken)[0]
 	jm := net.ScheduleJoin(joiner, deadGw, time.Second) // no static fallbacks
-	s, ok := net.Sampler(joiner.ID)
-	if !ok {
-		t.Fatal("joiner has no sampling engine")
+	// Three members' pushes reach the joiner's samplers before its join.
+	for _, r := range refs[1:4] {
+		net.nodes[joiner.ID].Deliver(msg.Envelope{From: r, To: joiner, Msg: msg.SamplePush{}}, 0)
 	}
-	s.SeedPeers(refs[1], refs[2], refs[3])
 
 	net.Engine().ScheduleAt(500*time.Millisecond, func() {
 		if err := net.InjectFailure(deadGw.ID); err != nil {

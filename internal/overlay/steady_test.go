@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -61,17 +62,16 @@ func steadyNetworkWith(t *testing.T, sink obs.Sink) *Network {
 	})
 }
 
-// steadyShipped is steadyNetwork on node.Shipped(1)'s stack: the
-// profile cmd/hypercubed deploys and the nemesis executor checks.
+// steadyShipped is steadyNetwork on node.Shipped's stack: the profile
+// cmd/hypercubed deploys and the nemesis executor checks.
 func steadyShipped(t *testing.T) *Network {
 	t.Helper()
-	opts, parts := node.Shipped(1)
+	opts, parts := node.Shipped()
 	return steadyNetworkOf(t, Config{
 		Opts:        opts,
 		Liveness:    parts.Liveness,
 		RTT:         parts.RTT,
 		AntiEntropy: parts.AntiEntropy,
-		Sampling:    parts.Sampling,
 		Sink:        declaredSink{},
 	})
 }
@@ -195,7 +195,8 @@ func TestSteadyTrafficMatchesCadences(t *testing.T) {
 // TestSteadyCrashRepairPinned is the one-second determinism gate of the
 // maintenance plane: crash one fixed member, run 40 virtual seconds of
 // detection and repair, and compare what the network sent, what every
-// layer counted and whom every sampler holds against values recorded
+// layer counted, every member's table and each one's sampler occupancy
+// against values recorded
 // when FailedNoti gossip became confined to the victim's neighbourhood,
 // and re-recorded when a repair job stopped awaiting a Find query past
 // its due (10 fewer messages sent, one more pong received).
@@ -206,12 +207,12 @@ func TestSteadyTrafficMatchesCadences(t *testing.T) {
 func TestSteadyCrashRepairPinned(t *testing.T) {
 	type pin struct {
 		sent, bytes, violations int
-		samples                 uint64
+		state                   uint64
 		sampling                sampling.Stats
 		liveness                liveness.Stats
 	}
 	want := pin{
-		sent: 8007, bytes: 1938927, violations: 0, samples: 0x448a6f9ee6617252,
+		sent: 8007, bytes: 1938927, violations: 0, state: 0x9bb68f0d34fcb2e2,
 		sampling: sampling.Stats{Rounds: 6344, PushesSent: 44408, PushesReceived: 44259, PullsSent: 44408,
 			PullsAnswered: 44239, FloodsDetected: 2518, ViewSize: 1839, SamplerFill: 4064},
 		liveness: liveness.Stats{ProbesSent: 25605, IndirectSent: 75, PongsReceived: 24855, Suspects: 18, Declared: 2, Retargets: 308},
@@ -226,11 +227,12 @@ func TestSteadyCrashRepairPinned(t *testing.T) {
 	traffic := net.AggregateTraffic()
 	h := fnv.New64a()
 	for _, m := range net.Members() {
-		s, _ := net.Sampler(m.ID)
-		for _, r := range s.Sample(8) {
-			h.Write([]byte(r.ID.String() + "@" + r.Addr + ","))
-		}
-		h.Write([]byte{';'})
+		nd := net.nodes[m.ID]
+		nd.Table().ForEach(func(level, digit int, nb table.Neighbor) {
+			fmt.Fprintf(h, "%d,%d:%v@%s/%v,", level, digit, nb.ID, nb.Addr, nb.State)
+		})
+		st := nd.Stats().Sampling
+		fmt.Fprintf(h, "view %d, fill %d;", st.ViewSize, st.SamplerFill)
 	}
 	got := pin{traffic.TotalSent(), traffic.BytesSent, len(net.CheckConsistency()), h.Sum64(),
 		net.SamplingStats(), net.LivenessStats()}

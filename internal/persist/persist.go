@@ -53,7 +53,7 @@ type fileEntry struct {
 	State string `json:"state"`
 }
 
-// filePeer is one sampled bootstrap peer on disk.
+// filePeer is one peer of a dump's sampled list.
 type filePeer struct {
 	ID   string `json:"id"`
 	Addr string `json:"addr,omitempty"`
@@ -75,15 +75,15 @@ type fileSnapshot struct {
 	Lo       int         `json:"lo"`
 	Hi       int         `json:"hi"`
 	Entries  []fileEntry `json:"entries"`
-	// Sampled carries the peer-sampling layer's long-term sample at dump
-	// time: bootstrap candidates for the restart-rejoin that remain valid
-	// even when every table neighbor died with the outage that forced the
-	// restart. Absent in dumps from before the sampling layer.
+	// Sampled is the peer sampler's long-term sample, which daemons that
+	// ran one wrote beside the table. Nothing writes or reads it any more,
+	// but the checksum covers it: decoding it keeps such a dump's
+	// canonical bytes, and so the dump, intact.
 	Sampled []filePeer `json:"sampled,omitempty"`
 }
 
-// SaveState writes the snapshot plus sampled bootstrap peers to w.
-func SaveState(w io.Writer, snap table.Snapshot, sampled []table.Ref) error {
+// SaveState writes the snapshot to w.
+func SaveState(w io.Writer, snap table.Snapshot) error {
 	if snap.IsZero() {
 		return fmt.Errorf("persist: cannot save a zero snapshot")
 	}
@@ -103,12 +103,6 @@ func SaveState(w io.Writer, snap table.Snapshot, sampled []table.Ref) error {
 			ID: n.ID.String(), Addr: n.Addr, State: n.State.String(),
 		})
 	})
-	for _, r := range sampled {
-		if r.IsZero() {
-			continue
-		}
-		out.Sampled = append(out.Sampled, filePeer{ID: r.ID.String(), Addr: r.Addr})
-	}
 	body, err := canonical(&out)
 	if err != nil {
 		return fmt.Errorf("persist: encode: %w", err)
@@ -137,46 +131,45 @@ func canonical(s *fileSnapshot) ([]byte, error) {
 	return b, err
 }
 
-// LoadState reads a snapshot plus any sampled bootstrap peers from r.
-// Dumps written before the sampling layer load with nil peers.
-func LoadState(r io.Reader, p id.Params) (table.Snapshot, []table.Ref, error) {
+// LoadState reads a snapshot from r.
+func LoadState(r io.Reader, p id.Params) (table.Snapshot, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
-		return table.Snapshot{}, nil, fmt.Errorf("persist: read: %w", err)
+		return table.Snapshot{}, fmt.Errorf("persist: read: %w", err)
 	}
 	var in fileSnapshot
 	if err := json.Unmarshal(raw, &in); err != nil {
 		// Truncated or syntactically mangled bytes: the dump is damaged,
 		// not from a different version of us.
-		return table.Snapshot{}, nil, corruptf("decode: %v", err)
+		return table.Snapshot{}, corruptf("decode: %v", err)
 	}
 	if in.Checksum == "" {
 		// SaveState always writes one, so it was lost to damage: a
 		// flip in the field's key leaves the sum unread.
-		return table.Snapshot{}, nil, corruptf("no crc32 checksum")
+		return table.Snapshot{}, corruptf("no crc32 checksum")
 	}
 	body, err := canonical(&in)
 	if err != nil {
-		return table.Snapshot{}, nil, fmt.Errorf("persist: encode: %w", err)
+		return table.Snapshot{}, fmt.Errorf("persist: encode: %w", err)
 	}
 	if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)); got != in.Checksum {
-		return table.Snapshot{}, nil, corruptf("checksum %s, dump says %s", got, in.Checksum)
+		return table.Snapshot{}, corruptf("checksum %s, dump says %s", got, in.Checksum)
 	}
 	if in.Version != formatVersion {
-		return table.Snapshot{}, nil, fmt.Errorf("persist: format version %d, want %d", in.Version, formatVersion)
+		return table.Snapshot{}, fmt.Errorf("persist: format version %d, want %d", in.Version, formatVersion)
 	}
 	if in.B != p.B || in.D != p.D {
-		return table.Snapshot{}, nil, fmt.Errorf("persist: dump is for b=%d d=%d, want b=%d d=%d", in.B, in.D, p.B, p.D)
+		return table.Snapshot{}, fmt.Errorf("persist: dump is for b=%d d=%d, want b=%d d=%d", in.B, in.D, p.B, p.D)
 	}
 	owner, err := id.Parse(p, in.Owner)
 	if err != nil {
-		return table.Snapshot{}, nil, corruptf("owner: %v", err)
+		return table.Snapshot{}, corruptf("owner: %v", err)
 	}
 	entries := make(map[[2]int]table.Neighbor, len(in.Entries))
 	for _, e := range in.Entries {
 		x, err := id.Parse(p, e.ID)
 		if err != nil {
-			return table.Snapshot{}, nil, corruptf("entry (%d,%d): %v", e.Level, e.Digit, err)
+			return table.Snapshot{}, corruptf("entry (%d,%d): %v", e.Level, e.Digit, err)
 		}
 		var st table.State
 		switch e.State {
@@ -185,23 +178,15 @@ func LoadState(r io.Reader, p id.Params) (table.Snapshot, []table.Ref, error) {
 		case "S":
 			st = table.StateS
 		default:
-			return table.Snapshot{}, nil, corruptf("entry (%d,%d): unknown state %q", e.Level, e.Digit, e.State)
+			return table.Snapshot{}, corruptf("entry (%d,%d): unknown state %q", e.Level, e.Digit, e.State)
 		}
 		entries[[2]int{e.Level, e.Digit}] = table.Neighbor{ID: x, Addr: e.Addr, State: st}
 	}
 	snap, err := table.NewSnapshot(p, owner, in.Lo, in.Hi, entries)
 	if err != nil {
-		return table.Snapshot{}, nil, corruptf("%v", err)
+		return table.Snapshot{}, corruptf("%v", err)
 	}
-	var sampled []table.Ref
-	for i, fp := range in.Sampled {
-		x, err := id.Parse(p, fp.ID)
-		if err != nil {
-			return table.Snapshot{}, nil, corruptf("sampled peer %d: %v", i, err)
-		}
-		sampled = append(sampled, table.Ref{ID: x, Addr: fp.Addr})
-	}
-	return snap, sampled, nil
+	return snap, nil
 }
 
 // saveHook, when non-nil, runs after the snapshot bytes are written to
@@ -209,19 +194,18 @@ func LoadState(r io.Reader, p id.Params) (table.Snapshot, []table.Ref, error) {
 // use it to kill a save midway and prove the previous dump survives.
 var saveHook func(tmp *os.File) error
 
-// SaveFileState writes the snapshot plus sampled bootstrap peers
-// atomically: the bytes go to a temp file in the same directory, are
+// SaveFileState writes the snapshot atomically: the bytes go to a temp file in the same directory, are
 // fsynced, and only then renamed over path. A crash at any point leaves
 // either the old dump or the new one, never a torn file — the rename is
 // the commit point, and the fsync ensures the data is durable before the
 // name flips to it.
-func SaveFileState(path string, snap table.Snapshot, sampled []table.Ref) error {
+func SaveFileState(path string, snap table.Snapshot) error {
 	tmp, err := os.CreateTemp(dirOf(path), ".table-*.json")
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := SaveState(tmp, snap, sampled); err != nil {
+	if err := SaveState(tmp, snap); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -257,12 +241,11 @@ func syncDir(dir string) {
 	_ = d.Sync()
 }
 
-// LoadFileState reads a snapshot plus sampled bootstrap peers previously
-// written by SaveFileState.
-func LoadFileState(path string, p id.Params) (table.Snapshot, []table.Ref, error) {
+// LoadFileState reads a snapshot previously written by SaveFileState.
+func LoadFileState(path string, p id.Params) (table.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return table.Snapshot{}, nil, fmt.Errorf("persist: %w", err)
+		return table.Snapshot{}, fmt.Errorf("persist: %w", err)
 	}
 	defer f.Close()
 	return LoadState(f, p)

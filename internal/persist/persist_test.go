@@ -40,10 +40,10 @@ func sampleTable(t *testing.T) *table.Table {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tbl := sampleTable(t)
 	var buf bytes.Buffer
-	if err := SaveState(&buf, tbl.Snapshot(), nil); err != nil {
+	if err := SaveState(&buf, tbl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := LoadState(&buf, p164)
+	back, err := LoadState(&buf, p164)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveZeroSnapshotFails(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveState(&buf, table.Snapshot{}, nil); err == nil {
+	if err := SaveState(&buf, table.Snapshot{}); err == nil {
 		t.Fatal("zero snapshot saved")
 	}
 }
@@ -82,7 +82,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := LoadState(strings.NewReader(in), p164); err == nil {
+			if _, err := LoadState(strings.NewReader(in), p164); err == nil {
 				t.Fatalf("accepted %q", in)
 			}
 		})
@@ -92,17 +92,17 @@ func TestLoadRejectsBadInput(t *testing.T) {
 func TestSaveFileLoadFile(t *testing.T) {
 	tbl := sampleTable(t)
 	path := filepath.Join(t.TempDir(), "table.json")
-	if err := SaveFileState(path, tbl.Snapshot(), nil); err != nil {
+	if err := SaveFileState(path, tbl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := LoadFileState(path, p164)
+	back, err := LoadFileState(path, p164)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.FilledCount() != tbl.FilledCount() {
 		t.Fatalf("FilledCount %d, want %d", back.FilledCount(), tbl.FilledCount())
 	}
-	if _, _, err := LoadFileState(filepath.Join(t.TempDir(), "missing.json"), p164); err == nil {
+	if _, err := LoadFileState(filepath.Join(t.TempDir(), "missing.json"), p164); err == nil {
 		t.Fatal("missing file loaded")
 	}
 }
@@ -116,7 +116,7 @@ func TestKilledSaveKeepsPreviousDump(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "table.json")
 	tbl := sampleTable(t)
-	if err := SaveFileState(path, tbl.Snapshot(), nil); err != nil {
+	if err := SaveFileState(path, tbl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,11 +131,11 @@ func TestKilledSaveKeepsPreviousDump(t *testing.T) {
 		return errors.New("killed mid-write")
 	}
 	defer func() { saveHook = nil }()
-	if err := SaveFileState(path, tbl.Snapshot(), nil); err == nil {
+	if err := SaveFileState(path, tbl.Snapshot()); err == nil {
 		t.Fatal("killed save reported success")
 	}
 
-	back, _, err := LoadFileState(path, p164)
+	back, err := LoadFileState(path, p164)
 	if err != nil {
 		t.Fatalf("previous dump lost: %v", err)
 	}
@@ -161,10 +161,10 @@ func TestRestartRejoinFlow(t *testing.T) {
 	// established machine with the restored table, and re-announce.
 	tbl := sampleTable(t)
 	path := filepath.Join(t.TempDir(), "node.json")
-	if err := SaveFileState(path, tbl.Snapshot(), nil); err != nil {
+	if err := SaveFileState(path, tbl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := LoadFileState(path, p164)
+	snap, err := LoadFileState(path, p164)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +179,33 @@ func TestRestartRejoinFlow(t *testing.T) {
 	}
 }
 
+// sampledDump is a dump in today's format that also carries a sampled
+// list, as daemons that ran a peer sampler wrote: sampleTable's table
+// plus two sampled peers, written by SaveFileState before the list was
+// dropped from the write path.
+const sampledDump = "testdata/sampled.json"
+
+// TestSampledDumpLoadsIntact: a dump with a sampled list still loads as
+// intact, with its table, although nothing reads the list any more — the
+// checksum covers the list, so the decoder must keep the field.
+func TestSampledDumpLoadsIntact(t *testing.T) {
+	snap, err := LoadFileState(sampledDump, p164)
+	if err != nil {
+		t.Fatalf("dump with a sampled list: %v", err)
+	}
+	tbl := sampleTable(t)
+	if snap.Owner() != tbl.Owner() || snap.FilledCount() != tbl.FilledCount() {
+		t.Fatalf("loaded owner %v with %d entries, want %v with %d", snap.Owner(), snap.FilledCount(), tbl.Owner(), tbl.FilledCount())
+	}
+	for i := 0; i < p164.D; i++ {
+		for j := 0; j < p164.B; j++ {
+			if snap.Get(i, j) != tbl.Get(i, j) {
+				t.Fatalf("entry (%d,%d) differs: %+v vs %+v", i, j, snap.Get(i, j), tbl.Get(i, j))
+			}
+		}
+	}
+}
+
 func TestBitFlipCorruptionDetected(t *testing.T) {
 	// The corruption-injection test: flip every bit of a valid dump in
 	// turn and load each damaged copy. Every load must either detect
@@ -186,19 +213,26 @@ func TestBitFlipCorruptionDetected(t *testing.T) {
 	// while returning a snapshot that differs from the original. A flip
 	// may legally go unnoticed only when it does not change the decoded
 	// values (whitespace damage), in which case the load must return the
-	// exact original state.
-	tbl := sampleTable(t)
-	sampled := []table.Ref{{ID: tbl.Owner(), Addr: "10.0.0.7:1"}}
+	// exact original state. The dump with a sampled list must catch flips
+	// inside the list too.
 	var buf bytes.Buffer
-	if err := SaveState(&buf, tbl.Snapshot(), sampled); err != nil {
+	if err := SaveState(&buf, sampleTable(t).Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-	want, _, err := LoadState(bytes.NewReader(good), p164)
+	withSampled, err := os.ReadFile(sampledDump)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for name, good := range map[string][]byte{"today's": buf.Bytes(), "with a sampled list": withSampled} {
+		t.Run(name, func(t *testing.T) { flipEveryBit(t, good) })
+	}
+}
 
+func flipEveryBit(t *testing.T, good []byte) {
+	want, err := LoadState(bytes.NewReader(good), p164)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := CorruptionsDetected()
 	detected, harmless := 0, 0
 	// Step by a prime so the sweep covers bytes all over the file
@@ -207,7 +241,7 @@ func TestBitFlipCorruptionDetected(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			bad := append([]byte(nil), good...)
 			bad[off] ^= 1 << bit
-			snap, _, err := LoadState(bytes.NewReader(bad), p164)
+			snap, err := LoadState(bytes.NewReader(bad), p164)
 			if err != nil {
 				if !IsCorrupt(err) {
 					t.Fatalf("flip at %d.%d: error is not ErrCorrupt: %v", off, bit, err)
@@ -233,12 +267,12 @@ func TestBitFlipCorruptionDetected(t *testing.T) {
 func TestTruncatedDumpCorrupt(t *testing.T) {
 	tbl := sampleTable(t)
 	var buf bytes.Buffer
-	if err := SaveState(&buf, tbl.Snapshot(), nil); err != nil {
+	if err := SaveState(&buf, tbl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	for _, frac := range []int{0, 1, 2, 3} {
 		cut := buf.Len() * frac / 4
-		_, _, err := LoadState(bytes.NewReader(buf.Bytes()[:cut]), p164)
+		_, err := LoadState(bytes.NewReader(buf.Bytes()[:cut]), p164)
 		if err == nil {
 			t.Fatalf("dump truncated to %d/%d bytes loaded", cut, buf.Len())
 		}
@@ -253,15 +287,15 @@ func TestChecksumlessDumpIsCorrupt(t *testing.T) {
 	// it is damaged (a flip in the key leaves the sum unread) and a
 	// restart must fall back to a fresh join, not trust the entries.
 	in := `{"version":1,"b":16,"d":4,"owner":"0123","lo":0,"hi":3,"entries":[{"level":0,"digit":0,"id":"0123","state":"S"}]}`
-	if _, _, err := LoadState(strings.NewReader(in), p164); !IsCorrupt(err) {
+	if _, err := LoadState(strings.NewReader(in), p164); !IsCorrupt(err) {
 		t.Fatalf("LoadState of a checksumless dump: err = %v, want corrupt", err)
 	}
 	var buf bytes.Buffer
-	if err := SaveState(&buf, sampleTable(t).Snapshot(), nil); err != nil {
+	if err := SaveState(&buf, sampleTable(t).Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	renamed := strings.Replace(buf.String(), `"crc32"`, `"crc31"`, 1)
-	if _, _, err := LoadState(strings.NewReader(renamed), p164); !IsCorrupt(err) {
+	if _, err := LoadState(strings.NewReader(renamed), p164); !IsCorrupt(err) {
 		t.Fatalf("LoadState of a dump whose crc32 key was hit: err = %v, want corrupt", err)
 	}
 }

@@ -85,7 +85,7 @@ func (p *replyPeer) record(env msg.Envelope) error {
 	switch m := env.Msg.(type) {
 	case msg.Pong:
 		p.got[replyKey{msg.TPong, m.Seq}]++
-	case msg.SamplePullRly, msg.SyncRly:
+	case msg.SamplePullRly, msg.SyncRly, msg.CpRly:
 		p.got[replyKey{m.Type(), 0}]++
 	}
 	return nil
@@ -119,9 +119,11 @@ func TestRepliesReachAddresseeOnce(t *testing.T) {
 	ps := make([]*replyPeer, peers)
 	for i := range ps {
 		ps[i] = newReplyPeer(t, id.MustParse(p163, fmt.Sprintf("%x%x%x", i+1, i+1, i+1)))
-		// In the node's view and samplers, so its tick loop sends to
-		// every peer while the peers' requests arrive.
-		n.SeedSamplingPeers(ps[i].ref)
+		// A reverse neighbour is a probe target, so the tick loop sends
+		// to every peer while the peers' requests arrive.
+		n.mu.Lock()
+		n.node.Machine().AddReverseNeighbor(ps[i].ref)
+		n.mu.Unlock()
 	}
 
 	digest := table.NewBitVector(p163.D * p163.B)

@@ -7,9 +7,59 @@ import (
 
 	"hypercube/internal/core"
 	"hypercube/internal/id"
+	"hypercube/internal/msg"
 	"hypercube/internal/node"
 	"hypercube/internal/trace"
 )
+
+// TestShippedNodeIgnoresSamplingPeer: a node on node.Shipped runs no
+// peer sampler, while a daemon from before it still gossips samples.
+// That peer's SamplePush and SamplePullReq reach the machine, which
+// answers none, counts each in UnknownDropped and charges its sender no
+// misbehaviour score; the connection stays open, so the peer's next
+// protocol request is answered on it.
+func TestShippedNodeIgnoresSamplingPeer(t *testing.T) {
+	const each = 20
+	opts, parts := node.Shipped()
+	n, err := StartSeed(p163, opts, id.MustParse(p163, "a1d"), "127.0.0.1:0", WithConfig(Config{Config: parts}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	old := newReplyPeer(t, id.MustParse(p163, "b2e"))
+	var envs []msg.Envelope
+	for range each {
+		envs = append(envs,
+			msg.Envelope{From: old.ref, To: n.Ref(), Msg: msg.SamplePush{}},
+			msg.Envelope{From: old.ref, To: n.Ref(), Msg: msg.SamplePullReq{}})
+	}
+	conn := dialNode(t, n)
+	if _, err := conn.Write(binaryFrame(t, envs...)); err != nil {
+		t.Fatal(err)
+	}
+	awaitInt64(t, "sampling messages dropped as unknown", func() int64 { return int64(n.Stats().Guard.UnknownDropped) }, 2*each)
+
+	// The same connection still carries a protocol request, and its
+	// reply is the only thing the node sends the peer.
+	if _, err := conn.Write(binaryFrame(t, msg.Envelope{From: old.ref, To: n.Ref(), Msg: msg.CpRst{Level: 0}})); err != nil {
+		t.Fatal(err)
+	}
+	awaitInt64(t, "CpRly to the sampling peer", func() int64 { return int64(old.count(replyKey{msg.TCpRly, 0})) }, 1)
+	if got := old.count(replyKey{msg.TSamplePullRly, 0}); got != 0 {
+		t.Errorf("the node answered %d pull requests without a sampler", got)
+	}
+	st := n.Stats()
+	if st.Guard.Rejected != 0 || st.Guard.Scorer.Charges != 0 {
+		t.Errorf("sampling messages cost their sender: %d rejected, %d charges", st.Guard.Rejected, st.Guard.Scorer.Charges)
+	}
+	if st.Inbound.Disconnects != 0 || st.Inbound.DecodeErrors != 0 {
+		t.Errorf("the peer was cut off: %d disconnects, %d decode errors", st.Inbound.Disconnects, st.Inbound.DecodeErrors)
+	}
+	if st.Sampling != nil {
+		t.Errorf("/status reports a sampler on the shipped stack: %+v", st.Sampling)
+	}
+}
 
 // TestOpaqueHopInterop: a cluster of traced nodes carries a trace
 // context in every sampled record while one tracerless node joins and

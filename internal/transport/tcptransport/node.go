@@ -241,30 +241,6 @@ func (n *Node) tickLoop(every time.Duration) {
 	}
 }
 
-// SampledPeers returns up to k references from the sampling layer's
-// min-wise samplers — the byzantine-resistant long-term sample, the
-// right thing to persist alongside the table so a restart can rejoin
-// even when every table neighbor is gone. Nil when sampling is off.
-func (n *Node) SampledPeers(k int) []table.Ref {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s := n.node.Sampler(); s != nil {
-		return s.Sample(k)
-	}
-	return nil
-}
-
-// SeedSamplingPeers primes the sampling layer with initial contacts —
-// e.g. the bootstrap ref before a join, or peers restored from a
-// persisted snapshot before a rejoin. A no-op when sampling is off.
-func (n *Node) SeedSamplingPeers(refs ...table.Ref) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s := n.node.Sampler(); s != nil {
-		s.SeedPeers(refs...)
-	}
-}
-
 // acceptBackoffMin and acceptBackoffMax bound the pause after a failed
 // Accept, as in net/http.Server: 5ms doubling to 1s, reset by the next
 // accepted connection.
