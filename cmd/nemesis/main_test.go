@@ -42,7 +42,13 @@ func TestSweepGolden(t *testing.T) {
 // recorded with no findings replays to no findings, and a recording
 // that claims a finding the run does not produce is reported diverged.
 // E17's small flash crowd, a committed cmd/paper scenario, replays as
-// is.
+// is. Two shrunk sweep failures replay as recorded:
+//   - seed 966 at n = 32, whose leaver was rejoining when its leave
+//     came due, ended in stuck-leave while the leave was dropped; it now
+//     replays clean;
+//   - seed 797 at n = 32, a crash between two partitions, still fails
+//     convergence, and a fix must flip its recorded findings
+//     (ROADMAP item 1).
 func TestReplay(t *testing.T) {
 	sched := nemesis.Generate(60, id.Params{B: 16, D: 4}, 32, 8)
 	dir := t.TempDir()
@@ -56,6 +62,8 @@ func TestReplay(t *testing.T) {
 		{"clean", "", nil, 0, "replay matches the recording exactly (0 findings)"},
 		{"claimed", "", make([]oracle.Finding, 1), 1, "replay DIVERGED"},
 		{"flashcrowd-small", "../paper/testdata/flashcrowd-small.json", nil, 0, "replay matches the recording exactly (0 findings)"},
+		{"rejoin-leave-966", "testdata/rejoin-leave-966.json", nil, 0, "replay matches the recording exactly (0 findings)"},
+		{"partition-crash-797", "testdata/partition-crash-797.json", nil, 0, "replay matches the recording exactly (16 findings)"},
 	} {
 		path := c.file
 		if path == "" {

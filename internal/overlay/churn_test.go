@@ -183,6 +183,41 @@ func TestLeaveLastMemberOfSuffix(t *testing.T) {
 	requireConsistent(t, net)
 }
 
+// TestLeaveWhileRejoining: a leave scheduled while its member is
+// rejoining is carried out once the member is back in system, at the
+// first clock-pump round after; a drain without the pump leaves it
+// pending.
+func TestLeaveWhileRejoining(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	net := New(Config{Params: p164, Opts: core.Options{Timeouts: core.Timeouts{RetryAfter: 500 * time.Millisecond}}})
+	refs := RandomRefs(p164, 30, rng, nil)
+	net.BuildDirect(refs, rng)
+
+	leaver := refs[10]
+	m, _ := net.Machine(leaver.ID)
+	net.nodes[leaver.ID].Advance(net.Engine().Now())
+	out, err := m.StartRejoin(refs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.transmit(out)
+	if err := net.ScheduleLeave(leaver.ID, net.Engine().Now()); err != nil {
+		t.Fatal(err)
+	}
+	net.Run()
+	if st := m.Status(); st != core.StatusInSystem {
+		t.Fatalf("rejoin ended in %v", st)
+	}
+	if gone := net.FinalizeLeaves(); len(gone) != 0 {
+		t.Fatalf("FinalizeLeaves = %v before any pump round", gone)
+	}
+	net.RunFor(time.Second)
+	if gone := net.FinalizeLeaves(); len(gone) != 1 || gone[0] != leaver.ID {
+		t.Fatalf("FinalizeLeaves = %v, want the rejoined leaver %v", gone, leaver.ID)
+	}
+	requireConsistent(t, net)
+}
+
 func TestLeaveUnknownNode(t *testing.T) {
 	net := New(Config{Params: p164})
 	if err := net.ScheduleLeave(id.MustParse(p164, "dead"), 0); err == nil {
