@@ -32,7 +32,7 @@ loc:
 # before the fields no command set became constants).
 KNOB_TYPES = transport/tcptransport:Config overlay:Config overlay:Loss \
 	overlay:Byzantine overlay:WaveConfig node:Config core:Options \
-	core:Timeouts core:Budgets liveness:Config antientropy:Config \
+	core:Timeouts liveness:Config antientropy:Config \
 	sampling:Config rtt:Config guard:Policy
 knobs:
 	@for t in $(KNOB_TYPES); do $(GO) doc -all ./internal/$${t%%:*} $${t##*:} || exit 1; done | \

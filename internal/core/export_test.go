@@ -10,6 +10,12 @@ import (
 // Tick abandons it.
 const MaxRepairAttempts = maxRepairAttempts
 
+// The budgets a machine sheds requests beyond.
+const (
+	MaxDeferredJoins = maxDeferredJoins
+	MaxReverse       = maxReverse
+)
+
 // RepairEntry opens a repair job for entry (level, digit) routing around
 // avoid, as a crash does when no local table refills the entry, and sends
 // its first query through helper, as Tick does; it returns what it sends.

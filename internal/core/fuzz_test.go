@@ -226,7 +226,6 @@ func FuzzMachineDeliver(f *testing.F) {
 			ReduceLevels: true,
 			BitVector:    true,
 			Guard:        &guard.Policy{},
-			Budgets:      core.Budgets{MaxDeferredJoins: 8, MaxSpeNoti: 8, MaxReverse: 8},
 		})
 		var now time.Duration
 		m.SetClock(func() time.Duration { return now })

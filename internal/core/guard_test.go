@@ -152,23 +152,37 @@ func TestMachineQuarantineLifecycle(t *testing.T) {
 	}
 }
 
+// distinctRefs returns n distinct refs of p, none of them self.
+func distinctRefs(p id.Params, self id.ID, n int, rng *rand.Rand) []table.Ref {
+	seen := map[id.ID]bool{self: true}
+	refs := make([]table.Ref, 0, n)
+	for len(refs) < n {
+		if x := id.Random(p, rng); !seen[x] {
+			seen[x] = true
+			refs = append(refs, table.Ref{ID: x, Addr: "sim://" + x.String()})
+		}
+	}
+	return refs
+}
+
 // TestDeferredJoinBudget: a T-node parks at most MaxDeferredJoins waiters;
 // excess JoinWaits are shed and counted.
 func TestDeferredJoinBudget(t *testing.T) {
-	p := id.Params{B: 4, D: 4}
-	j := core.NewJoiner(p, ref(p, "3210"), core.Options{Budgets: core.Budgets{MaxDeferredJoins: 2}})
-	for _, s := range []string{"0123", "1111", "2222"} {
-		j.Deliver(msg.Envelope{From: ref(p, s), To: j.Self(), Msg: msg.JoinWait{}})
+	p := id.Params{B: 16, D: 4}
+	j := core.NewJoiner(p, ref(p, "3210"), core.Options{})
+	waiters := distinctRefs(p, j.Self().ID, core.MaxDeferredJoins+1, rand.New(rand.NewSource(3)))
+	for _, w := range waiters {
+		j.Deliver(msg.Envelope{From: w, To: j.Self(), Msg: msg.JoinWait{}})
 	}
 	gs := j.GuardStats()
 	if gs.BusyDeferred != 1 {
 		t.Errorf("BusyDeferred = %d, want 1", gs.BusyDeferred)
 	}
-	if got := j.JoinStateSize(); got != 2 {
-		t.Errorf("JoinStateSize = %d, want 2 parked joins", got)
+	if got := j.JoinStateSize(); got != core.MaxDeferredJoins {
+		t.Errorf("JoinStateSize = %d, want %d parked joins", got, core.MaxDeferredJoins)
 	}
 	// A repeat from an already-parked waiter is not shed.
-	j.Deliver(msg.Envelope{From: ref(p, "0123"), To: j.Self(), Msg: msg.JoinWait{}})
+	j.Deliver(msg.Envelope{From: waiters[0], To: j.Self(), Msg: msg.JoinWait{}})
 	if gs = j.GuardStats(); gs.BusyDeferred != 1 {
 		t.Errorf("repeat JoinWait shed: BusyDeferred = %d, want 1", gs.BusyDeferred)
 	}
@@ -176,13 +190,13 @@ func TestDeferredJoinBudget(t *testing.T) {
 
 // TestReverseNeighborBudget: the reverse set stops growing at MaxReverse.
 func TestReverseNeighborBudget(t *testing.T) {
-	p := id.Params{B: 4, D: 4}
-	seed := core.NewSeed(p, ref(p, "3210"), core.Options{Budgets: core.Budgets{MaxReverse: 2}})
-	for _, s := range []string{"0123", "1111", "2222", "0001"} {
-		seed.AddReverseNeighbor(ref(p, s))
+	p := id.Params{B: 16, D: 4}
+	seed := core.NewSeed(p, ref(p, "3210"), core.Options{})
+	for _, r := range distinctRefs(p, seed.Self().ID, core.MaxReverse+2, rand.New(rand.NewSource(4))) {
+		seed.AddReverseNeighbor(r)
 	}
-	if got := len(seed.ReverseNeighbors()); got != 2 {
-		t.Errorf("reverse set size = %d, want 2", got)
+	if got := len(seed.ReverseNeighbors()); got != core.MaxReverse {
+		t.Errorf("reverse set size = %d, want %d", got, core.MaxReverse)
 	}
 	if gs := seed.GuardStats(); gs.BusyDeferred != 2 {
 		t.Errorf("BusyDeferred = %d, want 2", gs.BusyDeferred)
@@ -190,62 +204,74 @@ func TestReverseNeighborBudget(t *testing.T) {
 }
 
 // TestReverseSetMatchesAMap drives a random history of registrations,
-// re-addressings, drops, LeaveMsgs and failure drops against a map of
-// the reverse set: after every step the machine's set must be the map's
-// refs ascending by ID with the latest address, hold no more than
-// MaxReverse, and ReverseGen must have moved exactly when the map
-// changed — and on every LeaveMsg and DropUnreachable, which bump it
-// whatever they find.
+// re-addressings, drops, LeaveMsgs and failure drops against a model of
+// the reverse set: after every step the machine's set must be the
+// model's refs ascending by ID with the latest address, hold no more
+// than MaxReverse, and ReverseGen must have moved exactly when the
+// model changed — and on every LeaveMsg and DropUnreachable, which bump
+// it whatever they find. The history starts from a full set and draws
+// from twice as many nodes, registering more often than it removes, so
+// the set hovers at its budget.
 func TestReverseSetMatchesAMap(t *testing.T) {
-	const maxReverse = 40
-	p := id.Params{B: 4, D: 5}
+	p := id.Params{B: 16, D: 4}
 	rng := rand.New(rand.NewSource(9))
-	self := ref(p, "32100")
-	m := core.NewSeed(p, self, core.Options{Budgets: core.Budgets{MaxReverse: maxReverse}})
-	pool := make([]id.ID, 0, 64)
-	for len(pool) < cap(pool) {
-		if x := id.Random(p, rng); x != self.ID && !slices.Contains(pool, x) {
-			pool = append(pool, x)
+	self := ref(p, "3210")
+	m := core.NewSeed(p, self, core.Options{})
+	pool := distinctRefs(p, self.ID, 2*core.MaxReverse, rng)
+	// want is the model, ascending by ID.
+	var want []table.Ref
+	find := func(x id.ID) (int, bool) {
+		return slices.BinarySearchFunc(want, x, func(r table.Ref, x id.ID) int { return r.ID.Compare(x) })
+	}
+	gen := m.ReverseGen()
+	register := func(r table.Ref) {
+		m.AddReverseNeighbor(r)
+		switch i, ok := find(r.ID); {
+		case ok && want[i] != r:
+			want[i] = r
+			gen++
+		case !ok && len(want) < core.MaxReverse:
+			want = slices.Insert(want, i, r)
+			gen++
 		}
 	}
-	want := make(map[id.ID]table.Ref)
-	gen := m.ReverseGen()
+	forget := func(x id.ID) bool {
+		i, ok := find(x)
+		if ok {
+			want = slices.Delete(want, i, i+1)
+		}
+		return ok
+	}
+	for _, r := range pool[:core.MaxReverse] {
+		register(r)
+	}
 	for step := 0; step < 5000; step++ {
-		x := pool[rng.Intn(len(pool))]
-		switch op := rng.Intn(5); op {
-		case 0, 1: // register, often re-addressing a known node
-			r := table.Ref{ID: x, Addr: fmt.Sprintf("sim://%v/%d", x, rng.Intn(3))}
-			m.AddReverseNeighbor(r)
-			if old, ok := want[x]; ok && old != r || !ok && len(want) < maxReverse {
-				want[x] = r
-				gen++
-			}
-		case 2:
+		x := pool[rng.Intn(len(pool))].ID
+		switch op := rng.Intn(8); op {
+		case 0, 1, 2, 3, 4: // register, often re-addressing a known node
+			register(table.Ref{ID: x, Addr: fmt.Sprintf("sim://%v/%d", x, rng.Intn(3))})
+		case 5:
 			m.DropReverseNeighbor(x)
-			if _, ok := want[x]; ok {
-				delete(want, x)
+			if forget(x) {
 				gen++
 			}
-		case 3:
+		case 6:
 			m.Deliver(msg.Envelope{From: table.Ref{ID: x, Addr: "sim://" + x.String()}, To: self, Msg: msg.Leave{}})
-			delete(want, x)
+			forget(x)
 			gen++
-		case 4:
+		case 7:
 			m.DropUnreachable(table.Ref{ID: x, Addr: "sim://" + x.String()})
-			delete(want, x)
+			forget(x)
 			gen++
 		}
-		got := m.ReverseNeighbors()
-		refs := make([]table.Ref, 0, len(want))
-		for _, r := range want {
-			refs = append(refs, r)
-		}
-		slices.SortFunc(refs, func(a, b table.Ref) int { return a.ID.Compare(b.ID) })
-		if !slices.Equal(got, refs) {
-			t.Fatalf("step %d: reverse set %v, want %v", step, got, refs)
+		if got := m.ReverseNeighbors(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: reverse set of %d differs from the model's %d", step, len(got), len(want))
 		}
 		if m.ReverseGen() != gen {
 			t.Fatalf("step %d: ReverseGen %d, want %d", step, m.ReverseGen(), gen)
 		}
+	}
+	if gs := m.GuardStats(); gs.BusyDeferred == 0 {
+		t.Error("the history never reached the budget")
 	}
 }
