@@ -27,13 +27,11 @@
 // every scenario to its verdict (no false declaration, no stuck joiner,
 // reconvergence, a fault model that engaged), so a zero exit status is
 // itself a result. This file is dispatch, flags and exit codes;
-// experiments.go holds E1-E10 and scenarios.go E11-E18, each experiment
-// with its grid, sizes and seeds as data beside it. E11's two
-// subcommands drive one applier of four operations with two scripts,
-// and every crash victim must be declared by a survivor. E13-E18 are data
-// outright: committed schedules, testdata/<sub>[-small].json, that the
-// nemesis executor runs on its stack and judges with its oracle; a run
-// with findings exits 1 and leaves a repro for `nemesis -replay`.
+// experiments.go holds E1-E10, each with its grid, sizes and seeds as
+// data beside it, and scenarios.go E11-E18, which are data outright:
+// committed schedules, testdata/<sub>[-small].json, that the nemesis
+// executor runs on its stack and judges with its oracle; a run with
+// findings exits 1 and leaves a repro for `nemesis -replay`.
 // Output is deterministic given -seed (wall time goes to stderr) and is
 // pinned byte for byte by testdata/*.golden; refresh one with
 // `go run ./cmd/paper <sub> > cmd/paper/testdata/<sub>.golden`.
@@ -69,8 +67,8 @@ var experiments = []experiment{
 	{"msgsize", "-seed -wire", "E9, §6.2: message-size reductions", (*env).msgsize},
 	{"netinit", "-seed", "E10, §6.1: a network initialized from one node by concurrent joins", (*env).netinit},
 	{"topo", "-seed -small", "transit-stub topology under E2/E3", (*env).topo},
-	{"workload", "-seed", "E11, random churn with Definition 3.8 checked after every operation", (*env).workload},
-	{"churn", "-seed -small -trace", "E11, §7: concurrent leaves, crashes repaired by the survivors, table optimization", (*env).churn},
+	{"workload", "-seed", "E11, random churn with Definition 3.8 checked after every operation", func(x *env) error { return x.lifecycle("workload") }},
+	{"churn", "-seed -small -trace", "E11, §7: concurrent leaves, crashes repaired by the survivors, table optimization", func(x *env) error { return x.lifecycle("churn") }},
 	{"partition", "-seed -trace", "E13: partition, heal and time to reconvergence", func(x *env) error { return x.committed("partition") }},
 	{"byzantine", "-seed -trace", "E15: joins among hostile members under 10% loss", func(x *env) error { return x.committed("byzantine") }},
 	{"flashcrowd", "-seed -small -with-byzantine -trace", "E17: simultaneous joins through three gateways", func(x *env) error { return x.committed("flashcrowd") }},
@@ -109,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	x := &env{out: stdout, log: stderr}
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.Int64Var(&x.seed, "seed", 1, "simulation seed; unless given, the E13-E18 schedules run at the seed each records")
+	fs.Int64Var(&x.seed, "seed", 1, "simulation seed; unless given, the E11-E18 schedules run at the seed each records")
 	fs.BoolVar(&x.small, "small", false, "fig15b, table, topo: 1/16 of the paper's n and m on the 248-router topology; churn, flashcrowd, gray: the CI size")
 	fs.IntVar(&x.b, "b", 8, "cset: digit base")
 	fs.IntVar(&x.d, "d", 5, "cset: digits per ID")

@@ -113,6 +113,7 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"slow","count":1,"dur":-1}]}`,
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"partition","count":-1,"frac":0.5,"dur":1}]}`,
 		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"loss","count":-2,"rate":0.1,"dur":1}]}`,
+		`{"seed":1,"b":16,"d":4,"nodes":16,"steps":[{"op":"optimize"}]}`,
 	} {
 		path := filepath.Join(dir, fmt.Sprintf("bad%d.json", i))
 		if err := os.WriteFile(path, []byte(`{"schedule":`+bad+`}`), 0o644); err != nil {
@@ -146,6 +147,33 @@ func TestExecuteDeterministic(t *testing.T) {
 		if s.Latency == LatencyTransitStub && a.Crashed == 0 {
 			t.Errorf("crash-stubs crashed no member: %+v", a)
 		}
+	}
+}
+
+// TestOptimizeStep: an optimize step over transit-stub latencies
+// switches entries to nearer members, lowers the route stretch it
+// measures around itself, and leaves nothing for the oracle to find.
+func TestOptimizeStep(t *testing.T) {
+	s := Schedule{Seed: 1, B: 16, D: 4, Nodes: 32, Latency: LatencyTransitStub, Steps: []Action{
+		{Op: OpOptimize, Count: 2},
+		{Op: OpQuiesce},
+	}}
+	res, fin, err := Execute(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() {
+		t.Errorf("findings: %v", res.Findings)
+	}
+	if len(fin.Steps) != len(s.Steps) {
+		t.Fatalf("%d step records for %d steps", len(fin.Steps), len(s.Steps))
+	}
+	st := fin.Steps[0]
+	if st.Optimize.Rounds != 2 || st.Optimize.Improved == 0 {
+		t.Errorf("optimize step: %+v, want 2 rounds and some entry improved", st.Optimize)
+	}
+	if was, now := st.Stretch[0].Mean, st.Stretch[1].Mean; !(now < was) {
+		t.Errorf("stretch %.2f -> %.2f, want it lower", was, now)
 	}
 }
 

@@ -28,7 +28,8 @@ type DeclWatch struct {
 
 	// Detection latency, populated only through MarkDeadAt: virtual
 	// crash time per peer and the virtual time of the first declaration
-	// that names it.
+	// that names it. A peer marked by MarkDead alone — a leaver — never
+	// enters declAt.
 	crashedAt map[string]time.Duration
 	declAt    map[string]time.Duration
 }
@@ -50,7 +51,8 @@ func (w *DeclWatch) Emit(e obs.Event) {
 	}
 	if w.dead[e.Peer] {
 		w.genuine++
-		if _, seen := w.declAt[e.Peer]; !seen {
+		_, crashed := w.crashedAt[e.Peer]
+		if _, seen := w.declAt[e.Peer]; crashed && !seen {
 			w.declAt[e.Peer] = e.T
 		}
 		return
@@ -98,17 +100,11 @@ func (w *DeclWatch) Detected() int { return len(w.declAt) }
 // none were.
 func (w *DeclWatch) MeanDetection() time.Duration {
 	var sum time.Duration
-	n := 0
 	for peer, at := range w.declAt {
-		crashed, ok := w.crashedAt[peer]
-		if !ok {
-			continue
-		}
-		sum += at - crashed
-		n++
+		sum += at - w.crashedAt[peer]
 	}
-	if n == 0 {
+	if len(w.declAt) == 0 {
 		return 0
 	}
-	return sum / time.Duration(n)
+	return sum / time.Duration(len(w.declAt))
 }

@@ -221,6 +221,27 @@ func TestDeclWatchClassification(t *testing.T) {
 	}
 }
 
+// TestDetectedCountsCrashesOnly: a declared leaver, marked by MarkDead
+// alone, is genuine but no detected crash, so it cannot stand in for a
+// crash victim nobody declared.
+func TestDetectedCountsCrashesOnly(t *testing.T) {
+	w := NewDeclWatch()
+	p := id.Params{B: 4, D: 4}
+	leaver, victim := id.MustParse(p, "0123"), id.MustParse(p, "3210")
+	w.MarkDead(leaver)
+	w.MarkDeadAt(time.Second, victim)
+	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: leaver.String(), T: 4 * time.Second})
+	if w.Genuine() != 1 || w.FalsePositives() != 0 {
+		t.Fatalf("genuine=%d false=%d, want 1/0", w.Genuine(), w.FalsePositives())
+	}
+	if got := w.Detected(); got != 0 {
+		t.Fatalf("Detected = %d with the one crash undeclared, want 0", got)
+	}
+	if got := w.MeanDetection(); got != 0 {
+		t.Fatalf("MeanDetection = %v with no crash declared, want 0", got)
+	}
+}
+
 func TestAuditDeclarationsQuietWatcher(t *testing.T) {
 	w := NewDeclWatch()
 	p := id.Params{B: 4, D: 4}

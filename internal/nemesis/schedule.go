@@ -63,6 +63,10 @@ const (
 	// OpCrashStubs kills, at one instant, every member hosted in Count
 	// stub domains of the transit-stub topology: a correlated outage.
 	OpCrashStubs Op = "crash-stubs"
+	// OpOptimize runs Count rounds of neighbor table optimization (§7)
+	// and measures route stretch before and after. The generator never
+	// draws it.
+	OpOptimize Op = "optimize"
 )
 
 // LatencyTransitStub names the latency model of a Schedule whose members
@@ -139,7 +143,7 @@ func (s Schedule) Validate() error {
 	}
 	for i, a := range s.Steps {
 		switch a.Op {
-		case OpJoinWave, OpLeave, OpCrash, OpSlow, OpPause, OpRestart, OpCrashStubs:
+		case OpJoinWave, OpLeave, OpCrash, OpSlow, OpPause, OpRestart, OpCrashStubs, OpOptimize:
 			if a.Count < 1 {
 				return fmt.Errorf("nemesis: step %d (%s): count %d", i, a.Op, a.Count)
 			}

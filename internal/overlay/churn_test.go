@@ -43,8 +43,8 @@ func requireForgotten(t *testing.T, net *Network, gone ...id.ID) {
 const healWindow = 30 * time.Second
 
 // newHealing builds members into a network on p whose survivors detect
-// crashes and repair their own tables — a failure detector on every
-// node and clock-driven repair, at the settings E11 runs (cmd/paper) —
+// crashes and repair their own tables — a failure detector at the
+// liveness package defaults on every node and clock-driven repair —
 // with declared as its event sink. It then runs the clock for
 // healWindow, in which every detector hears from each of its peers: a
 // peer never heard from is dropped on a crash as unreachable, not

@@ -234,7 +234,8 @@ type Network struct {
 	// its leave.
 	leaveOnReturn map[id.ID]bool
 	joins         []JoinRecord
-	delivered     uint64
+	// delivered counts the messages delivered so far, by type.
+	delivered [msg.NumTypes + 1]uint64
 	// inFlight is the slab of transmissions between post and arrive, and
 	// freeSlots its free list: an arrival event carries only a slot index,
 	// so a transmission costs no closure (see arrivals).
@@ -613,7 +614,7 @@ func (n *Network) deliver(env msg.Envelope, ahead int32) {
 		n.engine.ScheduleAt(n.paused[env.To.ID], func() { n.deliver(env, 0) })
 		return
 	}
-	n.delivered++
+	n.delivered[env.Msg.Type()]++
 	var h handover
 	if ahead > 0 {
 		h = n.win.ahead[ahead-1]
@@ -759,7 +760,18 @@ func (n *Network) AddEstablished(ref table.Ref, tbl *table.Table) *core.Machine 
 }
 
 // Delivered returns the total number of messages delivered so far.
-func (n *Network) Delivered() uint64 { return n.delivered }
+func (n *Network) Delivered() uint64 {
+	var sum uint64
+	for _, c := range n.delivered {
+		sum += c
+	}
+	return sum
+}
+
+// DeliveredByType returns the number of messages delivered so far,
+// indexed by msg.Type. It counts receipts, so a departed member's
+// traffic stays in it.
+func (n *Network) DeliveredByType() [msg.NumTypes + 1]uint64 { return n.delivered }
 
 // Dropped returns the number of messages dropped because their recipient
 // had left or failed.
