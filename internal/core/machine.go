@@ -265,6 +265,12 @@ func (m *Machine) setStatus(s Status) {
 	}
 	if s == StatusInSystem {
 		m.joinCtx = trace.Context{}
+		// The bootstrap nodes served the join that just ended. Nothing
+		// tells a member when one of them departs or crashes unless it
+		// also holds it in its table, so a later rejoin picks its
+		// gateway from the table, which leave notices and the detector
+		// keep current.
+		m.gateways = nil
 	}
 }
 

@@ -442,3 +442,40 @@ func TestTickIssuesRepairQueries(t *testing.T) {
 		t.Fatalf("Tick sent no Find for %d pending repairs", len(withJobs.RepairsPending()))
 	}
 }
+
+// TestRejoinForgetsBootstrapGateways: the gateways a node joined
+// through serve that join only. A member learns of a bootstrap's
+// departure only if it also holds it in its table, so a rejoin started
+// long after the join must pick its gateway from the table, never from
+// a stale bootstrap list. The fallback below sorts before the member's
+// one live neighbor, so the rotation would pick it first.
+func TestRejoinForgetsBootstrapGateways(t *testing.T) {
+	p := id.Params{B: 4, D: 4}
+	pp := newPump(t, p, nil)
+	seed := core.NewSeed(p, ref(p, "3210"), core.Options{})
+	pp.add(seed)
+	b := core.NewJoiner(p, ref(p, "2101"), core.Options{})
+	pp.add(b)
+	pp.enqueue(must(b.StartJoin(seed.Self())))
+	pp.run()
+	departed := ref(p, "1032") // a bootstrap that has since left, silently to j
+	j := core.NewJoiner(p, ref(p, "0123"), core.Options{})
+	j.AddGateways(departed)
+	pp.add(j)
+	pp.enqueue(must(j.StartJoin(seed.Self())))
+	pp.run()
+	if !j.IsSNode() || !b.IsSNode() {
+		t.Fatalf("setup: joiners in %v and %v", b.Status(), j.Status())
+	}
+
+	// The seed, j's deepest neighbor, crashes: j is orphaned and
+	// re-announces itself at its next tick.
+	j.DeclareFailed(seed.Self())
+	out := slices.DeleteFunc(j.Tick(time.Second), func(env msg.Envelope) bool { return env.Msg.Type() != msg.TCpRst })
+	if len(out) != 1 {
+		t.Fatalf("orphaned member sent %d CpRsts, want one", len(out))
+	}
+	if out[0].To.ID != b.Self().ID {
+		t.Fatalf("rejoin went to %v, want the live neighbor %v", out[0].To.ID, b.Self().ID)
+	}
+}

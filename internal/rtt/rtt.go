@@ -32,7 +32,7 @@
 package rtt
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -110,6 +110,9 @@ type Estimator struct {
 	mu    sync.Mutex
 	cfg   Config
 	peers map[id.ID]*peerEstimate
+	// srtts holds the srtt of every sampled peer, sorted, so the
+	// cross-peer median is an index.
+	srtts []time.Duration
 
 	degraded int // current flag count
 	samples  int
@@ -143,6 +146,7 @@ func (e *Estimator) Observe(x id.ID, sample time.Duration) Update {
 			pe.srtt = sample
 			pe.rttvar = sample / 2
 		} else {
+			e.dropSRTT(pe.srtt)
 			// srtt += err/8; rttvar += (|err| - rttvar)/4.
 			err := sample - pe.srtt
 			pe.srtt += err / 8
@@ -151,6 +155,8 @@ func (e *Estimator) Observe(x id.ID, sample time.Duration) Update {
 			}
 			pe.rttvar += (err - pe.rttvar) / 4
 		}
+		i, _ := slices.BinarySearch(e.srtts, pe.srtt)
+		e.srtts = slices.Insert(e.srtts, i, pe.srtt)
 		pe.samples++
 		e.samples++
 	}
@@ -199,22 +205,19 @@ func (e *Estimator) reassess(pe *peerEstimate) bool {
 	return false
 }
 
-// medianSRTT computes the median smoothed RTT over all sampled peers;
+// medianSRTT returns the median smoothed RTT over all sampled peers;
 // zero when fewer than degradedMinPeers are tracked. Callers hold e.mu.
-// O(peers log peers) per call, but observations arrive at probe rate
-// (a few per second per node), so this stays negligible.
 func (e *Estimator) medianSRTT() time.Duration {
-	srtts := make([]time.Duration, 0, len(e.peers))
-	for _, pe := range e.peers {
-		if pe.samples > 0 {
-			srtts = append(srtts, pe.srtt)
-		}
-	}
-	if len(srtts) < degradedMinPeers {
+	if len(e.srtts) < degradedMinPeers {
 		return 0
 	}
-	sort.Slice(srtts, func(i, j int) bool { return srtts[i] < srtts[j] })
-	return srtts[len(srtts)/2]
+	return e.srtts[len(e.srtts)/2]
+}
+
+// dropSRTT removes one copy of d from srtts. Callers hold e.mu.
+func (e *Estimator) dropSRTT(d time.Duration) {
+	i, _ := slices.BinarySearch(e.srtts, d)
+	e.srtts = slices.Delete(e.srtts, i, i+1)
 }
 
 // RTO returns the retry timeout derived for peer x, and whether any
@@ -258,6 +261,9 @@ func (e *Estimator) Forget(x id.ID) {
 		if pe.degraded {
 			e.degraded--
 		}
+		if pe.samples > 0 {
+			e.dropSRTT(pe.srtt)
+		}
 		delete(e.peers, x)
 	}
 }
@@ -266,14 +272,8 @@ func (e *Estimator) Forget(x id.ID) {
 func (e *Estimator) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tracked := 0
-	for _, pe := range e.peers {
-		if pe.samples > 0 {
-			tracked++
-		}
-	}
 	return Stats{
-		Tracked:  tracked,
+		Tracked:  len(e.srtts),
 		Degraded: e.degraded,
 		Samples:  e.samples,
 		Marked:   e.marked,

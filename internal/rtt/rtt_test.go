@@ -1,6 +1,8 @@
 package rtt
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,5 +179,42 @@ func TestDeterministicReplay(t *testing.T) {
 	r2, s2, st2 := run()
 	if r1 != r2 || s1 != s2 || st1 != st2 {
 		t.Fatalf("replay diverged: %v/%v/%+v vs %v/%v/%+v", r1, s1, st1, r2, s2, st2)
+	}
+}
+
+// TestMedianTracksSampledPeers holds the kept sorted slice to the median
+// of every sampled peer's srtt, recomputed from scratch, through random
+// observations, ignored samples and forgets.
+func TestMedianTracksSampledPeers(t *testing.T) {
+	e := New(Config{})
+	rng := rand.New(rand.NewSource(1))
+	var pool []id.ID
+	for _, s := range []string{"0000", "0001", "0012", "0123", "1230", "2301", "3012", "3333", "2222", "1111", "0202", "1313"} {
+		pool = append(pool, mkID(t, s))
+	}
+	for i := range 5000 {
+		x := pool[rng.Intn(len(pool))]
+		switch r := rng.Intn(10); {
+		case r == 0:
+			e.Forget(x)
+		case r == 1:
+			e.Observe(x, 0)
+		default:
+			e.Observe(x, time.Duration(1+rng.Intn(500))*time.Millisecond)
+		}
+		var srtts []time.Duration
+		for _, pe := range e.peers {
+			if pe.samples > 0 {
+				srtts = append(srtts, pe.srtt)
+			}
+		}
+		slices.Sort(srtts)
+		want := time.Duration(0)
+		if len(srtts) >= degradedMinPeers {
+			want = srtts[len(srtts)/2]
+		}
+		if got := e.medianSRTT(); got != want || e.Stats().Tracked != len(srtts) {
+			t.Fatalf("op %d: median %v over %d tracked, want %v over %d", i, got, e.Stats().Tracked, want, len(srtts))
+		}
 	}
 }
