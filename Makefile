@@ -47,17 +47,21 @@ knobs:
 # and the allocations and KiB per join of 64 concurrent joins into 256
 # nodes on the bare protocol, as TestJoinWaveAllocBudget does; and the
 # allocations per member of building a 512-node b=16 network with
-# global knowledge, as TestBuildDirectAllocs measures them. One
-# definition, so "allocs" in CHANGES.md always means these five numbers
+# global knowledge, and the KiB per member that network keeps live at
+# d=8 and at d=40, as TestBuildDirectAllocs measures them. One
+# definition, so "allocs" in CHANGES.md always means these seven numbers
 # (1.93 and 3.86 per node-tick before every part returned a buffer it
 # owns; 75.6 KiB per join before snapshots held only their filled
 # entries; 90 per join and 18.2 per member built before control
-# messages were boxed once and each reverse set became a sorted slice).
+# messages were boxed once and each reverse set became a sorted slice;
+# 9.0 and 30.6 KiB live per member before tables held only their filled
+# entries).
 allocs:
 	@bash -o pipefail -c '$(GO) test -count=1 -run "^(TestSteadyTickAllocBudget|TestJoinWaveAllocBudget|TestBuildDirectAllocs)$$" -v ./internal/overlay | \
 		sed -n -e "s/.*: \([a-z]*\): \([0-9.]*\) allocations per node-tick$$/\1 \2/p" \
 			-e "s/.*: \([0-9.]*\) allocations and \([0-9.]*\) KiB per join$$/join-allocs \1\njoin-kib \2/p" \
-			-e "s/.*: b=16: \([0-9.]*\) allocations per member to build, .*/build-allocs \1/p"'
+			-e "s/.*: b=16: \([0-9.]*\) allocations per member to build, .*/build-allocs \1/p" \
+			-e "s/.*: b=16 d=\([0-9]*\): \([0-9.]*\) KiB live per member built$$/build-kib-d\1 \2/p"'
 
 # bench runs the repository benchmark (./bench, BENCHMARK.json) at its
 # own run length, one workload after another; each prints its metrics as

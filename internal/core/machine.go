@@ -135,12 +135,13 @@ type Machine struct {
 	// set), ascending by ID, one ref per node.
 	reverse []table.Ref
 	// reverseGen counts changes to reverse: a member added, re-addressed
-	// or removed. syncCands caches the sorted table ∪ reverse union that
-	// SyncPeers filters, built at syncCandsAt = {table version + 1, reverseGen},
-	// into syncPeers.
+	// or removed. syncCands caches the sorted table ∪ reverse union,
+	// crashed and departed nodes left out, built at syncCandsAt = {table
+	// version + 1, reverseGen, |failed|, |departed|}; SyncPeers filters
+	// it for quarantines into syncPeers.
 	reverseGen  uint64
 	syncCands   []table.Ref
-	syncCandsAt [2]uint64
+	syncCandsAt [4]uint64
 	syncPeers   []table.Ref
 
 	notiLevel int

@@ -54,18 +54,21 @@ func (m *Machine) StartSyncTraced(peer table.Ref, ctx trace.Context) []msg.Envel
 // node the far side just installed learns of its holder through the
 // holder's RvNghNoti, and syncing back with that holder is the fastest
 // route to everything else the far side knows. The result is the
-// machine's own buffer, valid until the next SyncPeers.
+// machine's own buffer, valid until the next SyncPeers. Crashed and
+// departed nodes, sets that only grow, are left out when the candidates
+// are built; a quarantine ends by the clock, so it is checked per call.
 func (m *Machine) SyncPeers() []table.Ref {
-	if at := [2]uint64{m.tbl.Version() + 1, m.reverseGen}; m.syncCandsAt != at {
+	at := [4]uint64{m.tbl.Version() + 1, m.reverseGen, uint64(len(m.failed)), uint64(len(m.departed))}
+	if m.syncCandsAt != at {
 		m.syncCandsAt = at
 		m.syncCands = m.syncCands[:0]
 		m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
-			if n.ID != m.self.ID {
+			if n.ID != m.self.ID && !m.gone(n.ID) {
 				m.syncCands = append(m.syncCands, n.Ref())
 			}
 		})
 		for _, r := range m.reverse {
-			if r.ID != m.self.ID {
+			if r.ID != m.self.ID && !m.gone(r.ID) {
 				m.syncCands = append(m.syncCands, r)
 			}
 		}
@@ -75,7 +78,7 @@ func (m *Machine) SyncPeers() []table.Ref {
 	}
 	out := m.syncPeers[:0]
 	for _, r := range m.syncCands {
-		if !m.knownBad(r.ID) {
+		if !m.quarantined(r.ID) {
 			out = append(out, r)
 		}
 	}

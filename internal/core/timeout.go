@@ -412,17 +412,23 @@ func (m *Machine) KnowsFailed(x id.ID) bool {
 }
 
 // knownBad reports whether x must never be (re-)installed in the table:
-// it crashed or announced departure.
-func (m *Machine) knownBad(x id.ID) bool {
+// it crashed, announced departure, or is quarantined.
+func (m *Machine) knownBad(x id.ID) bool { return m.gone(x) || m.quarantined(x) }
+
+// gone reports whether x crashed or announced departure.
+func (m *Machine) gone(x id.ID) bool {
 	if _, f := m.failed[x]; f {
 		return true
 	}
-	if _, d := m.departed[x]; d {
-		return true
-	}
-	// A quarantined peer is bad for the quarantine's duration: it is not
-	// installed from harvested tables, not accepted from Find replies,
-	// and not gossiped about in FailedNoti fan-outs.
+	_, d := m.departed[x]
+	return d
+}
+
+// quarantined reports whether the guard scorer quarantines x now. A
+// quarantined peer is bad for the quarantine's duration: it is not
+// installed from harvested tables, not accepted from Find replies, and
+// not gossiped about in FailedNoti fan-outs.
+func (m *Machine) quarantined(x id.ID) bool {
 	return m.scorer != nil && m.scorer.Quarantined(x, m.clockNow())
 }
 

@@ -64,7 +64,10 @@ func TestTransmissionDoesNotAllocate(t *testing.T) {
 // runs on at least two goroutines, so the budgets also bound what its
 // delivery windows add (window.go): their buffers, reused from window to
 // window, and the helper goroutines — 1 allocation and 1.5 KiB per join
-// here (60 and 37.9 KiB), most of it the per-bucket arenas growing.
+// here (60 and 37.9 KiB), most of it the per-bucket arenas growing. With
+// tables that hold only their filled entries it reads 60 and 34.5 KiB:
+// a joiner's table grows in two or three steps instead of being
+// allocated whole.
 func TestJoinWaveAllocBudget(t *testing.T) {
 	const n, m, budget, kibBudget = 256, 64, 77, 50
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
@@ -109,11 +112,18 @@ func TestJoinWaveAllocBudget(t *testing.T) {
 // network with global knowledge, and of checking it against Definition
 // 3.8, per member (n=512, d=8). The builder reads a suffix index and
 // the checker a digit mask per suffix, so neither pays per table entry:
-// b=16 must cost about what b=4 does. Measured: 16.3 and 15.2 per
-// member to build (18.2 and 15.6 when each reverse set was a map),
-// 155.2 and 55.3 when each entry built its suffix; under 0.1 per member
-// to check, d·b when it did. `make allocs` prints the b=16 build
-// reading.
+// b=16 must cost about what b=4 does. Measured: 16.4 and 17.0 per
+// member to build (16.3 and 15.2 when a table allocated all d·b entries
+// at once, 18.2 and 15.6 when each reverse set was a map), 155.2 and
+// 55.3 when each entry built its suffix; under 0.1 per member to check,
+// d·b when it did.
+//
+// It also bounds what a built network keeps: the live heap per member
+// after a collection, at b=16 with d=8 and with d=40. A table holds only
+// its filled entries, about b·log_b n of the d·b, so the longer IDs cost
+// little: measured 5.6 and 7.4 KiB, 9.0 and 30.6 when each table held
+// all d·b entries; the budgets of 7.5 and 10 KiB fail the latter. `make
+// allocs` prints the b=16 build reading and both live readings.
 func TestBuildDirectAllocs(t *testing.T) {
 	const n = 512
 	perMember := func(b int) (build, check float64) {
@@ -143,5 +153,26 @@ func TestBuildDirectAllocs(t *testing.T) {
 	}
 	if check16 > 1 {
 		t.Errorf("CheckConsistency: %.2f allocations per member, budget 1", check16)
+	}
+
+	for _, c := range []struct {
+		d      int
+		budget float64
+	}{{8, 7.5}, {40, 10}} {
+		p := id.Params{B: 16, D: c.d}
+		members := RandomRefs(p, n, rand.New(rand.NewSource(3)), nil)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		net := New(Config{Params: p})
+		net.BuildDirect(members, rand.New(rand.NewSource(4)))
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(net)
+		kib := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n / 1024
+		t.Logf("b=16 d=%d: %.1f KiB live per member built", c.d, kib)
+		if kib > c.budget {
+			t.Errorf("BuildDirect at d=%d: %.1f KiB live per member, budget %.1f", c.d, kib, c.budget)
+		}
 	}
 }

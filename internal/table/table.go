@@ -5,16 +5,20 @@
 //
 // As in the paper's join-protocol analysis, each entry stores a single
 // primary neighbor together with a state bit (T = still joining,
-// S = in system). Tables attached to protocol messages travel as
-// immutable Snapshots, which hold only the filled entries, in ascending
-// (level,digit) order — the order of the wire's table record. Past
-// level log_b n a table is nearly empty, so at the paper's scale a
-// snapshot holds about two fifths of the d·b cells.
+// S = in system). A Table, and the immutable Snapshots that carry it in
+// protocol messages, hold only the filled entries, in ascending
+// (level,digit) order — the order of the wire's table record. A row
+// needs a node sharing one more digit, so only about b·log_b n of the
+// d·b entries of an n-node network can fill: past level log_b n a table
+// is nearly empty, and at the paper's scale it holds about two fifths of
+// its cells. A Table adds one word per level, the level's fill bitmap
+// and the count of cells below it, so reading an entry stays O(1).
 package table
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -80,10 +84,11 @@ func (n Neighbor) Ref() Ref { return Ref{ID: n.ID, Addr: n.Addr} }
 // (or under a lock) and shares tables across nodes only via Snapshot.
 type Table struct {
 	params  id.Params
+	cells   []cell   // the filled entries in ascending index order, as in a Snapshot
+	levels  []uint64 // per level: fill bitmap | cells of lower levels << rankShift
+	inline  [8]uint64
 	owner   id.ID
-	entries []Neighbor // d*b entries, row-major by level
-	filled  int        // non-empty entries, kept by Set
-	version uint64     // bumped on every mutation
+	version uint64 // bumped on every mutation
 
 	// Snapshot cache: protocol nodes snapshot their table far more often
 	// than they mutate it (every reply carries a copy), so Snapshot
@@ -100,7 +105,13 @@ type Table struct {
 	fillValid   bool
 }
 
-// New returns an empty table for the given owner in space p.
+// rankShift is where a level word's count of lower cells starts: the
+// fill bitmap takes the low id.MaxBase bits, the count the 28 above.
+const rankShift = id.MaxBase
+
+// New returns an empty table for the given owner in space p. Its level
+// words live in the table's own allocation when d ≤ 8, sparing a Get
+// the cache line of a separate slice.
 func New(p id.Params, owner id.ID) *Table {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("table: invalid params: %v", err))
@@ -108,11 +119,16 @@ func New(p id.Params, owner id.ID) *Table {
 	if owner.Len() != p.D {
 		panic(fmt.Sprintf("table: owner %v has %d digits, want %d", owner, owner.Len(), p.D))
 	}
-	return &Table{
-		params:  p,
-		owner:   owner,
-		entries: make([]Neighbor, p.D*p.B),
+	if p.D*p.B >= 1<<(64-rankShift) {
+		panic(fmt.Sprintf("table: %d entries exceed the level words' count", p.D*p.B))
 	}
+	t := &Table{params: p, owner: owner}
+	if p.D <= len(t.inline) {
+		t.levels = t.inline[:p.D]
+	} else {
+		t.levels = make([]uint64, p.D)
+	}
+	return t
 }
 
 // Params returns the ID-space parameters of the table.
@@ -121,48 +137,86 @@ func (t *Table) Params() id.Params { return t.params }
 // Owner returns the ID of the node owning this table.
 func (t *Table) Owner() id.ID { return t.owner }
 
-func (t *Table) index(level, digit int) int {
+// slot returns the (level,digit)-entry's level word and bit; the entry
+// is filled iff w&bit != 0, and its cell is (or would be) at rank(w, bit).
+func (t *Table) slot(level, digit int) (w, bit uint64) {
 	if level < 0 || level >= t.params.D || digit < 0 || digit >= t.params.B {
 		panic(fmt.Sprintf("table: entry (%d,%d) out of range for b=%d d=%d",
 			level, digit, t.params.B, t.params.D))
 	}
-	return level*t.params.B + digit
+	return t.levels[level], 1 << digit
+}
+
+// rank returns the position in cells of the entry whose bit in level
+// word w is bit: the cells of the lower levels plus the filled entries
+// of lower digits.
+func rank(w, bit uint64) int {
+	return int(w>>rankShift) + bits.OnesCount64(w&(bit-1))
 }
 
 // Get returns the (level,digit)-entry; the zero Neighbor if empty.
 func (t *Table) Get(level, digit int) Neighbor {
-	return t.entries[t.index(level, digit)]
+	w, bit := t.slot(level, digit)
+	if w&bit == 0 {
+		return Neighbor{}
+	}
+	return t.cells[rank(w, bit)].neighbor()
 }
 
-// Set stores n in the (level,digit)-entry, overwriting any previous value.
-// Callers are responsible for the protocol rule of only filling empty
-// entries; Set itself is unconditional so that the diagonal self-entries
-// can be installed.
+// Set stores n in the (level,digit)-entry, overwriting any previous value;
+// a zero n empties the entry. Callers are responsible for the protocol
+// rule of only filling empty entries; Set itself is unconditional so that
+// the diagonal self-entries can be installed.
 func (t *Table) Set(level, digit int, n Neighbor) {
-	i := t.index(level, digit)
-	old := t.entries[i]
-	if old == n {
-		return
-	}
+	w, bit := t.slot(level, digit)
+	k := rank(w, bit)
+	var step uint64 // added to the level words above
 	switch {
-	case old.IsZero() && !n.IsZero():
-		t.filled++
-	case !old.IsZero() && n.IsZero():
-		t.filled--
+	case w&bit == 0 && n.IsZero():
+		return
+	case w&bit == 0:
+		if len(t.cells) == cap(t.cells) {
+			t.grow()
+		}
+		t.cells = slices.Insert(t.cells, k, cell{ID: n.ID, Addr: n.Addr, State: n.State, idx: uint32(level*t.params.B + digit)})
+		t.levels[level] |= bit
+		step = 1 << rankShift
+	case n.IsZero():
+		t.cells = slices.Delete(t.cells, k, k+1)
+		t.levels[level] &^= bit
+		step = 1<<64 - 1<<rankShift // minus one cell, modulo 2^64
+	case t.cells[k].neighbor() == n:
+		return
+	default:
+		t.cells[k].ID, t.cells[k].Addr, t.cells[k].State = n.ID, n.Addr, n.State
 	}
-	t.entries[i] = n
+	for l := level + 1; step != 0 && l < len(t.levels); l++ {
+		t.levels[l] += step
+	}
 	t.version++
 }
 
+// grow makes room for more cells. The first allocation holds the d
+// diagonal entries and two full levels, which a network of b² members
+// mostly fills; each later one adds a level's worth, b cells, rather
+// than doubling.
+func (t *Table) grow() {
+	p := t.params
+	c := make([]cell, len(t.cells), min(p.D*p.B, max(len(t.cells)+p.B, p.D+2*p.B)))
+	copy(c, t.cells)
+	t.cells = c
+}
+
 // SetState updates the state bit of the (level,digit)-entry if it
-// currently holds node x; it reports whether an update happened.
+// currently holds node x; it reports whether an update happened. An
+// empty entry holds no node and has no state.
 func (t *Table) SetState(level, digit int, x id.ID, s State) bool {
-	i := t.index(level, digit)
-	if t.entries[i].ID != x {
+	w, bit := t.slot(level, digit)
+	if w&bit == 0 || t.cells[rank(w, bit)].ID != x {
 		return false
 	}
-	if t.entries[i].State != s {
-		t.entries[i].State = s
+	if c := &t.cells[rank(w, bit)]; c.State != s {
+		c.State = s
 		t.version++
 	}
 	return true
@@ -183,7 +237,7 @@ func (t *Table) DesiredSuffix(level, digit int) id.Suffix {
 // Qualifies reports whether node x may legally occupy the (level,digit)-
 // entry, i.e. x has the entry's desired suffix.
 func (t *Table) Qualifies(level, digit int, x id.ID) bool {
-	t.index(level, digit) // panics out of range, like DesiredSuffix
+	t.slot(level, digit) // panics out of range, like DesiredSuffix
 	return Qualifies(t.owner, level, digit, x)
 }
 
@@ -197,13 +251,17 @@ func Qualifies(owner id.ID, level, digit int, x id.ID) bool {
 }
 
 // FilledCount returns the number of non-empty entries.
-func (t *Table) FilledCount() int { return t.filled }
+func (t *Table) FilledCount() int { return len(t.cells) }
 
-// ForEach calls fn for every non-empty entry in (level, digit) order.
+// ForEach calls fn for every non-empty entry in (level, digit) order. fn
+// may change the table: the walk goes on from the first entry past the
+// one just visited, as it stands then.
 func (t *Table) ForEach(fn func(level, digit int, n Neighbor)) {
-	for i, e := range t.entries {
-		if !e.IsZero() {
-			fn(i/t.params.B, i%t.params.B, e)
+	for k := 0; k < len(t.cells); k++ {
+		c, v := t.cells[k], t.version
+		fn(int(c.idx)/t.params.B, int(c.idx)%t.params.B, c.neighbor())
+		if t.version != v {
+			k = sort.Search(len(t.cells), func(j int) bool { return t.cells[j].idx > c.idx }) - 1
 		}
 	}
 }
@@ -215,7 +273,7 @@ func (t *Table) Snapshot() Snapshot {
 	if t.snapValid && t.snapVersion == t.version {
 		return t.snapCache
 	}
-	t.snapCache = t.pack(0, t.params.D-1, t.filled)
+	t.snapCache = t.pack(0, t.params.D-1)
 	t.snapVersion = t.version
 	t.snapValid = true
 	return t.snapCache
@@ -225,37 +283,23 @@ func (t *Table) Snapshot() Snapshot {
 // implementing the paper's §6.2 message-size reduction (only the levels a
 // receiver can use are shipped). Entries outside the range read as empty.
 func (t *Table) SnapshotLevels(lo, hi int) Snapshot {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= t.params.D {
-		hi = t.params.D - 1
-	}
+	lo, hi = max(lo, 0), min(hi, t.params.D-1)
 	if lo > hi {
 		return Snapshot{params: t.params, owner: t.owner, lo: 0, hi: -1}
 	}
-	count := 0
-	for _, e := range t.entries[lo*t.params.B : (hi+1)*t.params.B] {
-		if !e.IsZero() {
-			count++
-		}
-	}
-	return t.pack(lo, hi, count)
+	return t.pack(lo, hi)
 }
 
-// pack copies the count filled entries of levels lo..hi into a snapshot,
-// in one allocation of exactly count cells.
-func (t *Table) pack(lo, hi, count int) Snapshot {
+// pack copies the cells of levels lo..hi, one contiguous run, into a
+// snapshot, in one allocation of exactly their number.
+func (t *Table) pack(lo, hi int) Snapshot {
 	s := Snapshot{params: t.params, owner: t.owner, lo: lo, hi: hi}
-	if count == 0 {
-		return s
+	from, to := int(t.levels[lo]>>rankShift), len(t.cells)
+	if hi+1 < t.params.D {
+		to = int(t.levels[hi+1] >> rankShift)
 	}
-	s.cells = make([]cell, 0, count)
-	base := lo * t.params.B
-	for i, e := range t.entries[base : (hi+1)*t.params.B] {
-		if !e.IsZero() {
-			s.cells = append(s.cells, cell{ID: e.ID, Addr: e.Addr, State: e.State, idx: uint32(base + i)})
-		}
+	if to > from {
+		s.cells = slices.Clone(t.cells[from:to])
 	}
 	return s
 }
@@ -270,10 +314,8 @@ func (t *Table) FillVector() BitVector {
 		return t.fillCache
 	}
 	v := NewBitVector(t.params.D * t.params.B)
-	for i, e := range t.entries {
-		if !e.IsZero() {
-			v.Set(i)
-		}
+	for _, c := range t.cells {
+		v.Set(int(c.idx))
 	}
 	t.fillCache, t.fillVersion, t.fillValid = v, t.version, true
 	return v
@@ -301,7 +343,8 @@ func (t *Table) String() string {
 }
 
 // Snapshot is an immutable copy of a table (possibly restricted to a level
-// range). It is safe to share across goroutines.
+// range). It is safe to share across goroutines, and shares no memory
+// with the table it copies.
 type Snapshot struct {
 	params id.Params
 	owner  id.ID
@@ -309,7 +352,7 @@ type Snapshot struct {
 	cells  []cell // the filled entries in ascending index order; nil when none
 }
 
-// cell is one filled entry of a snapshot: the Neighbor's fields and the
+// cell is one filled entry of a table or snapshot: the Neighbor's fields and the
 // entry's index level·b+digit, which sits in what would be the
 // Neighbor's padding, so a cell is no larger than a Neighbor.
 type cell struct {

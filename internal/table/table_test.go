@@ -111,6 +111,23 @@ func TestSetState(t *testing.T) {
 	}
 }
 
+// TestSetStateOnEmptyEntry: an empty entry holds no node, so it has no
+// state to set, even for the null ID that an empty entry's zero value
+// carries; the call changes nothing and reports false.
+func TestSetStateOnEmptyEntry(t *testing.T) {
+	tbl := New(p45, id.MustParse(p45, "21233"))
+	v := tbl.Version()
+	if tbl.SetState(3, 0, id.Null, StateS) {
+		t.Error("SetState on an empty entry returned true")
+	}
+	if got := tbl.Get(3, 0); got != (Neighbor{}) {
+		t.Errorf("empty entry reads %+v after SetState, want the zero Neighbor", got)
+	}
+	if tbl.Version() != v {
+		t.Errorf("SetState on an empty entry moved the version %d -> %d", v, tbl.Version())
+	}
+}
+
 func TestDesiredSuffixMatchesPaperFigure1(t *testing.T) {
 	// Figure 1: node 21233, b=4, d=5. The desired suffix of the (3,0)-entry
 	// is 0233, of the (1,3)-entry is 33, of the (0,2)-entry is 2.
