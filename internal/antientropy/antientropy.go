@@ -222,5 +222,5 @@ func (e *Engine) round(out []msg.Envelope) []msg.Envelope {
 	if e.sink != nil {
 		e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSyncRound, Peer: peer.ID.String()}.Stamped(ctx, trace.SpanID{}))
 	}
-	return append(out, e.m.StartSyncTraced(peer, ctx)...)
+	return append(out, e.m.StartSync(peer, ctx)...)
 }

@@ -28,15 +28,11 @@ import (
 
 // StartSync opens one anti-entropy round with peer and returns the
 // SyncReqMsg to transmit. Only S-nodes sync; other statuses return nil.
-func (m *Machine) StartSync(peer table.Ref) []msg.Envelope {
-	return m.StartSyncTraced(peer, trace.Context{})
-}
-
-// StartSyncTraced is StartSync under an externally-allocated trace
-// context: the anti-entropy engine owns the round's root span (its
+// ctx is the round's externally-allocated trace context (zero when
+// untraced): the anti-entropy engine owns the round's root span (its
 // sync_round event carries it), and the round's SyncReq — and, on the
 // initiator, the follow-up SyncPush — descend from it.
-func (m *Machine) StartSyncTraced(peer table.Ref, ctx trace.Context) []msg.Envelope {
+func (m *Machine) StartSync(peer table.Ref, ctx trace.Context) []msg.Envelope {
 	if m.status != StatusInSystem || peer.IsZero() || peer.ID == m.self.ID {
 		return nil
 	}

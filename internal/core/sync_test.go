@@ -7,6 +7,7 @@ import (
 	"hypercube/internal/id"
 	"hypercube/internal/msg"
 	"hypercube/internal/table"
+	"hypercube/internal/trace"
 )
 
 // syncNet builds a consistent 6-node network for sync/audit tests.
@@ -66,7 +67,7 @@ func TestSyncRoundRepairsDivergence(t *testing.T) {
 	b.Table().Set(coordB[0], coordB[1], table.Neighbor{})
 
 	// One push-pull round initiated by A repairs both sides.
-	pp.enqueue(a.StartSync(b.Self()))
+	pp.enqueue(a.StartSync(b.Self(), trace.Context{}))
 	pp.run()
 	if got := a.Table().Get(coordA[0], coordA[1]).ID; got != lostA {
 		t.Fatalf("A entry %v = %v after sync, want %v", coordA, got, lostA)
@@ -88,7 +89,7 @@ func TestSyncGatedToSNodes(t *testing.T) {
 	joiner := core.NewJoiner(p, ref(p, "1111"), core.Options{})
 	pp.add(joiner)
 	// A node that has not joined yet neither initiates nor answers syncs.
-	if out := joiner.StartSync(seed.Self()); out != nil {
+	if out := joiner.StartSync(seed.Self(), trace.Context{}); out != nil {
 		t.Fatalf("joiner initiated a sync: %v", out)
 	}
 	fill := seed.Table().FillVector()
@@ -97,10 +98,10 @@ func TestSyncGatedToSNodes(t *testing.T) {
 		t.Fatalf("joiner answered a sync request: %v", out)
 	}
 	// Self- and zero-peer syncs are no-ops.
-	if out := seed.StartSync(seed.Self()); out != nil {
+	if out := seed.StartSync(seed.Self(), trace.Context{}); out != nil {
 		t.Fatalf("self-sync produced traffic: %v", out)
 	}
-	if out := seed.StartSync(table.Ref{}); out != nil {
+	if out := seed.StartSync(table.Ref{}, trace.Context{}); out != nil {
 		t.Fatalf("zero-peer sync produced traffic: %v", out)
 	}
 }

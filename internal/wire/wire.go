@@ -15,6 +15,11 @@
 //     bit and digit read off the wire is range-checked before it sizes an
 //     allocation or reaches the protocol machine (guard.Check stays as
 //     the second, semantic ring).
+//   - One error check per record on the decode path: the reader keeps
+//     its first fault and reads zero values after it, so each message
+//     decodes as one composite literal whose reads run left to right, in
+//     wire order. The encoder returns at its first error instead, since
+//     a writer that kept its fault encoded slower.
 //   - Canonical encoding: for any payload the decoder accepts,
 //     re-encoding the decoded envelopes reproduces the payload byte for
 //     byte. Table entries must arrive in ascending (level,digit) order,
@@ -174,13 +179,9 @@ func DecodePayload(p id.Params, payload []byte, fn func(msg.Envelope) error) err
 	}
 	r := reader{buf: payload, pos: headerLen}
 	for i := 0; i < count; i++ {
-		bodyLen, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		body, err := r.take(bodyLen)
-		if err != nil {
-			return err
+		body := r.take(r.uvarint())
+		if r.err != nil {
+			return r.err
 		}
 		env, err := decodeBody(p, body)
 		if err != nil {
@@ -476,91 +477,107 @@ func appendBitVector(dst []byte, v table.BitVector) []byte {
 // Decoding
 // ---------------------------------------------------------------------
 
-// reader is a bounds-checked cursor over a payload slice. All methods
-// return errors instead of panicking, whatever the input.
+// reader is a bounds-checked cursor over a payload slice that keeps its
+// first fault. Once err is set, every read returns a zero value without
+// touching buf, so a decoder reads a whole record as one expression and
+// checks err once at its end; no input makes a method panic.
 type reader struct {
 	buf []byte
 	pos int
+	p   id.Params
+	err error // the first fault, from badf, so IsMalformed holds
+}
+
+// fail records a malformed-input fault unless an earlier one is kept.
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = badf(format, args...)
+	}
 }
 
 func (r *reader) remaining() int { return len(r.buf) - r.pos }
 
-func (r *reader) u8() (byte, error) {
+func (r *reader) u8() byte {
+	if r.err != nil {
+		return 0
+	}
 	if r.pos >= len(r.buf) {
-		return 0, badf("truncated at byte %d", r.pos)
+		r.fail("truncated at byte %d", r.pos)
+		return 0
 	}
 	b := r.buf[r.pos]
 	r.pos++
-	return b, nil
+	return b
 }
 
 // uvarint reads an unsigned varint, bounded to fit an int (lengths and
 // counts are always compared against small limits by the caller).
-func (r *reader) uvarint() (int, error) {
-	v, err := r.uvarint64()
-	if err != nil {
-		return 0, err
-	}
+func (r *reader) uvarint() int {
+	v := r.uvarint64()
 	if v > 1<<31 {
-		return 0, badf("varint %d exceeds sane bounds", v)
+		r.fail("varint %d exceeds sane bounds", v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (r *reader) uvarint64() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, badf("bad varint at byte %d", r.pos)
+func (r *reader) uvarint64() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	// Canonical form only: a multi-byte varint whose final 7-bit group is
-	// zero re-encodes shorter, which would break byte-identical round
-	// trips (and gives hostile peers an encoding oracle).
-	if n > 1 && r.buf[r.pos+n-1] == 0 {
-		return 0, badf("non-minimal varint at byte %d", r.pos)
+	v, n := binary.Uvarint(r.buf[r.pos:])
+	switch {
+	case n <= 0:
+		r.fail("bad varint at byte %d", r.pos)
+		return 0
+	case n > 1 && r.buf[r.pos+n-1] == 0:
+		// Canonical form only: a multi-byte varint whose final 7-bit group
+		// is zero re-encodes shorter, which would break byte-identical
+		// round trips (and gives hostile peers an encoding oracle).
+		r.fail("non-minimal varint at byte %d", r.pos)
+		return 0
 	}
 	r.pos += n
-	return v, nil
+	return v
 }
 
-func (r *reader) take(n int) ([]byte, error) {
+func (r *reader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
 	if n < 0 || n > r.remaining() {
-		return nil, badf("%d bytes requested, %d remain", n, r.remaining())
+		r.fail("%d bytes requested, %d remain", n, r.remaining())
+		return nil
 	}
 	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
-	return b, nil
+	return b
 }
 
-func (r *reader) bool() (bool, error) {
-	b, err := r.u8()
-	if err != nil {
-		return false, err
+func (r *reader) bool() bool {
+	b := r.u8()
+	if b > 1 {
+		r.fail("flag byte %d, want 0 or 1", b)
 	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, badf("flag byte %d, want 0 or 1", b)
-	}
+	return b == 1
 }
 
 // traceContext reads a traced record's context: the 16-byte trace ID
 // and 8-byte span ID, neither of them zero (an untraced record clears
 // the traced bit instead, so each context has one encoding).
-func (r *reader) traceContext() (trace.Context, error) {
-	raw, err := r.take(traceCtxLen)
-	if err != nil {
-		return trace.Context{}, err
+func (r *reader) traceContext() trace.Context {
+	raw := r.take(traceCtxLen)
+	if r.err != nil {
+		return trace.Context{}
 	}
 	var c trace.Context
 	copy(c.Trace[:], raw[:traceIDLen])
 	copy(c.Span[:], raw[traceIDLen:])
 	if c.Trace.IsZero() || c.Span.IsZero() {
-		return trace.Context{}, badf("traced record with zero trace or span ID")
+		r.fail("traced record with zero trace or span ID")
+		return trace.Context{}
 	}
-	return c, nil
+	return c
 }
 
 // internCap bounds interned: at most internCap names of at most
@@ -594,448 +611,260 @@ func intern(raw []byte) string {
 	return s
 }
 
-func (r *reader) id(p id.Params) (id.ID, error) {
-	raw, err := r.take(p.D)
-	if err != nil {
-		return id.Null, err
+func (r *reader) id() id.ID {
+	raw := r.take(r.p.D)
+	if r.err != nil {
+		return id.Null
 	}
-	x, err := id.FromRawDigits(p, intern(raw))
+	x, err := id.FromRawDigits(r.p, intern(raw))
 	if err != nil {
-		return id.Null, badf("%v", err)
+		r.fail("%v", err)
 	}
-	return x, nil
+	return x
 }
 
-func (r *reader) addr() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
+func (r *reader) addr() string {
+	n := r.uvarint()
 	if n > table.MaxAddr {
-		return "", badf("address of %d bytes exceeds %d", n, table.MaxAddr)
+		r.fail("address of %d bytes exceeds %d", n, table.MaxAddr)
 	}
-	raw, err := r.take(n)
-	if err != nil {
-		return "", err
+	raw := r.take(n)
+	if r.err != nil {
+		return ""
 	}
-	return intern(raw), nil
+	return intern(raw)
 }
 
-func (r *reader) ref(p id.Params) (table.Ref, error) {
-	present, err := r.bool()
-	if err != nil || !present {
-		return table.Ref{}, err
+func (r *reader) ref() table.Ref {
+	if !r.bool() {
+		return table.Ref{}
 	}
-	x, err := r.id(p)
-	if err != nil {
-		return table.Ref{}, err
-	}
-	addr, err := r.addr()
-	if err != nil {
-		return table.Ref{}, err
-	}
-	return table.Ref{ID: x, Addr: addr}, nil
+	return table.Ref{ID: r.id(), Addr: r.addr()}
 }
 
-func (r *reader) optID(p id.Params) (id.ID, error) {
-	present, err := r.bool()
-	if err != nil || !present {
-		return id.Null, err
+func (r *reader) optID() id.ID {
+	if !r.bool() {
+		return id.Null
 	}
-	return r.id(p)
+	return r.id()
 }
 
-func (r *reader) suffix(p id.Params) (id.Suffix, error) {
-	n, err := r.uvarint()
+func (r *reader) suffix() id.Suffix {
+	n := r.uvarint()
+	if n > r.p.D {
+		r.fail("suffix of %d digits exceeds %d", n, r.p.D)
+	}
+	raw := r.take(n)
+	if r.err != nil {
+		return id.EmptySuffix
+	}
+	s, err := id.SuffixFromRawDigits(r.p, raw)
 	if err != nil {
-		return id.EmptySuffix, err
+		r.fail("%v", err)
 	}
-	if n > p.D {
-		return id.EmptySuffix, badf("suffix of %d digits exceeds %d", n, p.D)
-	}
-	raw, err := r.take(n)
-	if err != nil {
-		return id.EmptySuffix, err
-	}
-	s, err := id.SuffixFromRawDigits(p, raw)
-	if err != nil {
-		return id.EmptySuffix, badf("%v", err)
-	}
-	return s, nil
+	return s
 }
 
-func (r *reader) state() (table.State, error) {
-	b, err := r.u8()
-	if err != nil {
-		return 0, err
-	}
+func (r *reader) state() table.State {
+	b := r.u8()
 	if s := table.State(b); s == table.StateT || s == table.StateS {
-		return s, nil
+		return s
 	}
-	return 0, badf("state byte %d, want T or S", b)
+	r.fail("state byte %d, want T or S", b)
+	return 0
 }
 
-func (r *reader) level(p id.Params) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
+func (r *reader) level() int {
+	n := r.uvarint()
+	if n >= r.p.D {
+		r.fail("level %d out of [0,%d)", n, r.p.D)
+		return 0
 	}
-	if n >= p.D {
-		return 0, badf("level %d out of [0,%d)", n, p.D)
-	}
-	return n, nil
+	return n
 }
 
-func (r *reader) neighbor(p id.Params) (table.Neighbor, error) {
-	present, err := r.bool()
-	if err != nil || !present {
-		return table.Neighbor{}, err
+func (r *reader) result() msg.Result {
+	b := r.u8()
+	if v := msg.Result(b); v == msg.Negative || v == msg.Positive {
+		return v
 	}
-	return r.occupant(p)
+	r.fail("result byte %d, want negative or positive", b)
+	return 0
+}
+
+func (r *reader) coords() (level, digit int, s table.State) {
+	lb, db := r.u8(), r.u8()
+	if int(lb) >= r.p.D || int(db) >= r.p.B {
+		r.fail("coords (%d,%d) out of range for b=%d d=%d", lb, db, r.p.B, r.p.D)
+		return 0, 0, 0
+	}
+	return int(lb), int(db), r.state()
+}
+
+func (r *reader) neighbor() table.Neighbor {
+	if !r.bool() {
+		return table.Neighbor{}
+	}
+	return r.occupant()
 }
 
 // occupant reads a neighbor's ID, address and state: the body of a
 // present neighbor and of each table entry.
-func (r *reader) occupant(p id.Params) (table.Neighbor, error) {
-	x, err := r.id(p)
-	if err != nil {
-		return table.Neighbor{}, err
-	}
-	addr, err := r.addr()
-	if err != nil {
-		return table.Neighbor{}, err
-	}
-	s, err := r.state()
-	if err != nil {
-		return table.Neighbor{}, err
-	}
-	return table.Neighbor{ID: x, Addr: addr, State: s}, nil
+func (r *reader) occupant() table.Neighbor {
+	return table.Neighbor{ID: r.id(), Addr: r.addr(), State: r.state()}
 }
 
-func (r *reader) snapshot(p id.Params) (table.Snapshot, error) {
-	present, err := r.bool()
-	if err != nil || !present {
-		return table.Snapshot{}, err
+func (r *reader) snapshot() table.Snapshot {
+	if !r.bool() {
+		return table.Snapshot{}
 	}
-	owner, err := r.id(p)
-	if err != nil {
-		return table.Snapshot{}, err
-	}
-	loByte, err := r.u8()
-	if err != nil {
-		return table.Snapshot{}, err
-	}
-	hiPlus1, err := r.u8()
-	if err != nil {
-		return table.Snapshot{}, err
-	}
-	count, err := r.uvarint()
-	if err != nil {
-		return table.Snapshot{}, err
-	}
+	owner, loByte, hiPlus1, count := r.id(), r.u8(), r.u8(), r.uvarint()
 	// hi+1 = 0 is the empty range, which SnapshotFrom reads as [0,-1]
 	// and allows no entries in.
 	lo, hi := int(loByte), int(hiPlus1)-1
 	if hiPlus1 == 0 && loByte != 0 {
-		return table.Snapshot{}, badf("empty table range with lo=%d", loByte)
+		r.fail("empty table range with lo=%d", loByte)
 	}
-	if hiPlus1 != 0 && (hi >= p.D || lo > hi) {
-		return table.Snapshot{}, badf("table level range [%d,%d] out of bounds", lo, hi)
+	if hiPlus1 != 0 && (hi >= r.p.D || lo > hi) {
+		r.fail("table level range [%d,%d] out of bounds", lo, hi)
 	}
-	snap, err := table.SnapshotFrom(p, owner, lo, hi, count, func() (int, int, table.Neighbor, error) {
-		level, err := r.u8()
-		if err != nil {
-			return 0, 0, table.Neighbor{}, err
-		}
-		digit, err := r.u8()
-		if err != nil {
-			return 0, 0, table.Neighbor{}, err
-		}
-		n, err := r.occupant(p)
-		return int(level), int(digit), n, err
+	if r.err != nil {
+		return table.Snapshot{}
+	}
+	snap, err := table.SnapshotFrom(r.p, owner, lo, hi, count, func() (int, int, table.Neighbor, error) {
+		level, digit, n := r.u8(), r.u8(), r.occupant()
+		return int(level), int(digit), n, r.err
 	})
 	if err != nil && !IsMalformed(err) {
 		// SnapshotFrom's own verdict: too many entries, or one outside
 		// the range or out of the canonical order (so no duplicates).
-		err = badf("%v", err)
+		r.fail("%v", err)
 	}
-	return snap, err
+	return snap
 }
 
-func (r *reader) bitVector(p id.Params) (table.BitVector, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return table.BitVector{}, err
-	}
+func (r *reader) bitVector() table.BitVector {
+	n := r.uvarint()
 	if n == 0 {
-		return table.BitVector{}, nil
+		return table.BitVector{}
 	}
-	if n > p.D*p.B {
-		return table.BitVector{}, badf("fill vector of %d bits exceeds %d", n, p.D*p.B)
+	if n > r.p.D*r.p.B {
+		r.fail("fill vector of %d bits exceeds %d", n, r.p.D*r.p.B)
+		return table.BitVector{}
 	}
 	words := (n + 63) / 64
 	v := table.NewBitVector(n)
 	for i := 0; i < words; i++ {
-		raw, err := r.take(8)
-		if err != nil {
-			return table.BitVector{}, err
+		raw := r.take(8)
+		if r.err != nil {
+			return table.BitVector{}
 		}
 		w := binary.LittleEndian.Uint64(raw)
 		// Canonical padding: bits beyond n in the final word must be zero,
 		// or re-encoding would not reproduce the input.
 		if i == words-1 && n%64 != 0 && w>>(n%64) != 0 {
-			return table.BitVector{}, badf("fill vector carries bits beyond length %d", n)
+			r.fail("fill vector carries bits beyond length %d", n)
+			return table.BitVector{}
 		}
 		v.SetWord(i, w)
 	}
-	return v, nil
+	return v
 }
 
-func decodeBody(p id.Params, body []byte) (msg.Envelope, error) {
-	r := reader{buf: body}
-	kind, err := r.u8()
-	if err != nil {
-		return msg.Envelope{}, err
+func (r *reader) sampleRefs() []table.Ref {
+	count := int(r.u8())
+	if count > msg.MaxSampleRefs {
+		r.fail("sample reply with %d refs exceeds %d", count, msg.MaxSampleRefs)
 	}
+	var refs []table.Ref
+	for i := 0; i < count && r.err == nil; i++ {
+		ref := r.ref()
+		switch {
+		case r.err != nil:
+		case ref.IsZero():
+			r.fail("sample reply ref %d is zero", i)
+		case i > 0 && !refs[i-1].ID.Less(ref.ID):
+			// Canonical form: strictly ascending IDs, so every reference
+			// list has exactly one encoding and duplicates cannot hide.
+			r.fail("sample reply refs not strictly ascending at %d", i)
+		default:
+			refs = append(refs, ref)
+		}
+	}
+	return refs
+}
+
+// decodeBody decodes one record's body. Each message is one composite
+// literal whose reads run in field order, left to right, which is the
+// wire order; the first fault of any of them is the record's error.
+func decodeBody(p id.Params, body []byte) (msg.Envelope, error) {
+	r := reader{buf: body, p: p}
+	kind := r.u8()
 	isTraced := kind&traced != 0
 	kind &^= traced
 	if kind == 0 || int(kind) > msg.NumTypes {
-		return msg.Envelope{}, badf("unknown message kind %d", kind)
+		r.fail("unknown message kind %d", kind)
 	}
 	env := msg.Envelope{}
 	if isTraced {
-		if env.Trace, err = r.traceContext(); err != nil {
-			return msg.Envelope{}, err
-		}
+		env.Trace = r.traceContext()
 	}
-	if env.From, err = r.ref(p); err != nil {
-		return msg.Envelope{}, err
-	}
-	if env.To, err = r.ref(p); err != nil {
-		return msg.Envelope{}, err
-	}
+	env.From, env.To = r.ref(), r.ref()
 	switch msg.Type(kind) {
 	case msg.TCpRst:
-		level, err := r.level(p)
-		if err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = msg.BoxesFor(p).CpRst(level)
+		env.Msg = msg.BoxesFor(p).CpRst(r.level())
 	case msg.TCpRly:
-		m := msg.CpRly{}
-		if m.Table, err = r.snapshot(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.CpRly{Table: r.snapshot()}
 	case msg.TJoinWait:
 		env.Msg = msg.JoinWait{}
 	case msg.TJoinWaitRly:
-		m := msg.JoinWaitRly{}
-		if m.R, err = decodeResult(&r); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.U, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Table, err = r.snapshot(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.JoinWaitRly{R: r.result(), U: r.ref(), Table: r.snapshot()}
 	case msg.TJoinNoti:
-		m := msg.JoinNoti{}
-		if m.Table, err = r.snapshot(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.FillVector, err = r.bitVector(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.NotiLevel, err = r.level(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.JoinNoti{Table: r.snapshot(), FillVector: r.bitVector(), NotiLevel: r.level()}
 	case msg.TJoinNotiRly:
-		m := msg.JoinNotiRly{}
-		if m.R, err = decodeResult(&r); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.F, err = r.bool(); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Table, err = r.snapshot(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.JoinNotiRly{R: r.result(), F: r.bool(), Table: r.snapshot()}
 	case msg.TInSysNoti:
 		env.Msg = msg.InSysNoti{}
 	case msg.TSpeNoti:
-		m := msg.SpeNoti{}
-		if m.X, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Y, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.SpeNoti{X: r.ref(), Y: r.ref()}
 	case msg.TSpeNotiRly:
-		m := msg.SpeNotiRly{}
-		if m.X, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Y, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.SpeNotiRly{X: r.ref(), Y: r.ref()}
 	case msg.TRvNghNoti:
-		level, digit, s, err := decodeCoords(&r, p)
-		if err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = msg.BoxesFor(p).RvNghNoti(level, digit, s)
+		env.Msg = msg.BoxesFor(p).RvNghNoti(r.coords())
 	case msg.TRvNghNotiRly:
-		level, digit, s, err := decodeCoords(&r, p)
-		if err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = msg.BoxesFor(p).RvNghNotiRly(level, digit, s)
+		env.Msg = msg.BoxesFor(p).RvNghNotiRly(r.coords())
 	case msg.TLeave:
-		m := msg.Leave{}
-		if m.Table, err = r.snapshot(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.Leave{Table: r.snapshot()}
 	case msg.TLeaveRly:
 		env.Msg = msg.LeaveRly{}
 	case msg.TFind:
-		m := msg.Find{}
-		if m.Want, err = r.suffix(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Origin, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Avoid, err = r.optID(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.Find{Want: r.suffix(), Origin: r.ref(), Avoid: r.optID()}
 	case msg.TFindRly:
-		m := msg.FindRly{}
-		if m.Want, err = r.suffix(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Blocked, err = r.bool(); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Found, err = r.neighbor(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.FindRly{Want: r.suffix(), Blocked: r.bool(), Found: r.neighbor()}
 	case msg.TPing:
-		m := msg.Ping{}
-		if m.Seq, err = r.uvarint64(); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Origin, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Target, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.Ping{Seq: r.uvarint64(), Origin: r.ref(), Target: r.ref()}
 	case msg.TPong:
-		m := msg.Pong{}
-		if m.Seq, err = r.uvarint64(); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.Pong{Seq: r.uvarint64()}
 	case msg.TFailedNoti:
-		m := msg.FailedNoti{}
-		if m.Failed, err = r.ref(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.FailedNoti{Failed: r.ref()}
 	case msg.TSyncReq:
-		m := msg.SyncReq{}
-		if m.Fill, err = r.bitVector(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.SyncReq{Fill: r.bitVector()}
 	case msg.TSyncRly:
-		m := msg.SyncRly{}
-		if m.Table, err = r.snapshot(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		if m.Fill, err = r.bitVector(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.SyncRly{Table: r.snapshot(), Fill: r.bitVector()}
 	case msg.TSyncPush:
-		m := msg.SyncPush{}
-		if m.Table, err = r.snapshot(p); err != nil {
-			return msg.Envelope{}, err
-		}
-		env.Msg = m
+		env.Msg = msg.SyncPush{Table: r.snapshot()}
 	case msg.TSamplePush:
 		env.Msg = msg.SamplePush{}
 	case msg.TSamplePullReq:
 		env.Msg = msg.SamplePullReq{}
 	case msg.TSamplePullRly:
-		m := msg.SamplePullRly{}
-		count, err := r.u8()
-		if err != nil {
-			return msg.Envelope{}, err
-		}
-		if int(count) > msg.MaxSampleRefs {
-			return msg.Envelope{}, badf("sample reply with %d refs exceeds %d", count, msg.MaxSampleRefs)
-		}
-		for i := 0; i < int(count); i++ {
-			ref, err := r.ref(p)
-			if err != nil {
-				return msg.Envelope{}, err
-			}
-			if ref.IsZero() {
-				return msg.Envelope{}, badf("sample reply ref %d is zero", i)
-			}
-			// Canonical form: strictly ascending IDs, so every reference
-			// list has exactly one encoding and duplicates cannot hide.
-			if i > 0 && !m.Refs[i-1].ID.Less(ref.ID) {
-				return msg.Envelope{}, badf("sample reply refs not strictly ascending at %d", i)
-			}
-			m.Refs = append(m.Refs, ref)
-		}
-		env.Msg = m
+		env.Msg = msg.SamplePullRly{Refs: r.sampleRefs()}
 	}
 	if r.remaining() != 0 {
-		return msg.Envelope{}, badf("%d trailing bytes in %v body", r.remaining(), msg.Type(kind))
+		r.fail("%d trailing bytes in %v body", r.remaining(), msg.Type(kind))
+	}
+	if r.err != nil {
+		return msg.Envelope{}, r.err
 	}
 	return env, nil
-}
-
-func decodeResult(r *reader) (msg.Result, error) {
-	b, err := r.u8()
-	if err != nil {
-		return 0, err
-	}
-	if v := msg.Result(b); v == msg.Negative || v == msg.Positive {
-		return v, nil
-	}
-	return 0, badf("result byte %d, want negative or positive", b)
-}
-
-func decodeCoords(r *reader, p id.Params) (level, digit int, s table.State, err error) {
-	lb, err := r.u8()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	db, err := r.u8()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if int(lb) >= p.D || int(db) >= p.B {
-		return 0, 0, 0, badf("coords (%d,%d) out of range for b=%d d=%d", lb, db, p.B, p.D)
-	}
-	s, err = r.state()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return int(lb), int(db), s, nil
 }

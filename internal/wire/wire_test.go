@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -220,6 +221,30 @@ func TestDecodeRejectsHostile(t *testing.T) {
 		"kind zero":       mut(func(b []byte) []byte { b[3] = 0; return b }),
 		"bad presence":    mut(func(b []byte) []byte { b[4] = 7; return b }),
 		"digit over base": mut(func(b []byte) []byte { b[5] = 9; return b }),
+	}
+	// Every proper prefix of every golden payload is a truncation, and so
+	// is every proper prefix of its record's body under a length prefix
+	// that agrees: the decoder must stop at its first short read wherever
+	// that read falls, outside the record or inside it.
+	for _, file := range []string{"golden.txt", "golden_traced.txt"} {
+		for _, line := range goldenLines(t, file) {
+			fields := strings.Fields(line)
+			payload, err := hex.DecodeString(fields[len(fields)-1])
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			for n := range payload {
+				cases[fmt.Sprintf("%s %s[:%d]", file, fields[0], n)] = payload[:n]
+			}
+			bodyLen, w := binary.Uvarint(payload[headerLen:])
+			body := payload[headerLen+w:]
+			for n := 0; n < int(bodyLen); n++ {
+				cut := AppendHeader(nil)
+				SetCount(cut, 1)
+				cut = append(binary.AppendUvarint(cut, uint64(n)), body[:n]...)
+				cases[fmt.Sprintf("%s %s body[:%d]", file, fields[0], n)] = cut
+			}
+		}
 	}
 	for name, data := range cases {
 		if _, err := DecodeOne(tp, data); err == nil {
@@ -457,24 +482,7 @@ func checkGolden(t *testing.T, file, title, test string, envs []msg.Envelope, ch
 			t.Fatal(err)
 		}
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update): %v", err)
-	}
-	defer f.Close()
-	var lines []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		lines = append(lines, line)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	lines := goldenLines(t, file)
 	if len(lines) != len(envs) {
 		t.Fatalf("%s has %d vectors, samples have %d (regenerate with -update)", file, len(lines), len(envs))
 	}
@@ -500,6 +508,31 @@ func checkGolden(t *testing.T, file, title, test string, envs []msg.Envelope, ch
 		}
 		check(i, back)
 	}
+}
+
+// goldenLines returns the vector lines of testdata/<file>, comments and
+// blank lines dropped.
+func goldenLines(t *testing.T, file string) []string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update): %v", err)
+	}
+	defer f.Close()
+	var lines []string
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		lines = append(lines, line)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
 }
 
 // The steady-state encode path must not allocate once the destination
