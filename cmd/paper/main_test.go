@@ -534,7 +534,7 @@ func TestTraceE19(t *testing.T) {
 	}
 	rep := a.Report()
 	got := []int{rep.Events, rep.Traces, rep.JoinTrees.Attempted, rep.JoinTrees.Reconstructed}
-	if want := []int{23246, 4088, 64, 64}; !slices.Equal(got, want) {
+	if want := []int{20534, 3538, 64, 64}; !slices.Equal(got, want) {
 		t.Errorf("events/span trees/joins attempted/reconstructed = %v, want %v", got, want)
 	}
 }

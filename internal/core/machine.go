@@ -136,13 +136,15 @@ type Machine struct {
 	reverse []table.Ref
 	// reverseGen counts changes to reverse: a member added, re-addressed
 	// or removed. syncCands caches the sorted table ∪ reverse union,
-	// crashed and departed nodes left out, built at syncCandsAt = {table
-	// version + 1, reverseGen, |failed|, |departed|}; SyncPeers filters
-	// it for quarantines into syncPeers.
+	// crashed and departed nodes left out, built at syncCandsAt (see
+	// syncKey); SyncPeers filters it for quarantines into syncPeers.
+	// auditedAt is the syncKey at which AuditTable last found nothing
+	// to purge.
 	reverseGen  uint64
 	syncCands   []table.Ref
-	syncCandsAt [4]uint64
+	syncCandsAt syncKey
 	syncPeers   []table.Ref
+	auditedAt   syncKey
 
 	notiLevel int
 	qr        map[id.ID]struct{} // nodes we await JoinWait/JoinNoti replies from
@@ -176,10 +178,15 @@ type Machine struct {
 	restarts    int
 	failed      map[id.ID]struct{}
 	needsRejoin bool
+	// unheard holds the nodes DropUnreachable dropped, until each is
+	// heard from again (Deliver).
+	unheard map[id.ID]struct{}
 
 	// Anti-entropy accounting (sync.go): entries installed from peers'
-	// sync replies/pushes and entries purged by table audits.
+	// sync replies/pushes, sync replies and pushes that shipped at least
+	// one entry, and entries purged by table audits.
 	syncPulled  int
+	syncShipped int
 	auditPurged int
 
 	// Hostile-input defenses: the optional misbehavior scorer, its
@@ -514,6 +521,9 @@ func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 	if err := guard.Check(m.params, m.self.ID, env); err != nil {
 		m.reject(env, err, now)
 		return nil
+	}
+	if len(m.unheard) > 0 {
+		delete(m.unheard, env.From.ID)
 	}
 	m.counters.CountReceived(env.Msg)
 	// Install the inbound context for the duration of this delivery:

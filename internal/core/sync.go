@@ -54,8 +54,7 @@ func (m *Machine) StartSync(peer table.Ref, ctx trace.Context) []msg.Envelope {
 // departed nodes, sets that only grow, are left out when the candidates
 // are built; a quarantine ends by the clock, so it is checked per call.
 func (m *Machine) SyncPeers() []table.Ref {
-	at := [4]uint64{m.tbl.Version() + 1, m.reverseGen, uint64(len(m.failed)), uint64(len(m.departed))}
-	if m.syncCandsAt != at {
+	if at := m.syncKey(); m.syncCandsAt != at {
 		m.syncCandsAt = at
 		m.syncCands = m.syncCands[:0]
 		m.tbl.ForEach(func(_, _ int, n table.Neighbor) {
@@ -82,6 +81,29 @@ func (m *Machine) SyncPeers() []table.Ref {
 	return out
 }
 
+// syncKey is what the machine's anti-entropy caches are built from:
+// table version + 1 (so the zero key is never current), reverse-set
+// generation, |failed|, |departed| and the scorer's quarantine count.
+// Each part only grows, and each moves whenever its input changes in a
+// way that can add a sync candidate or a bad table entry; a quarantine
+// that ends removes one, so ends need not move the key.
+type syncKey [5]uint64
+
+func (m *Machine) syncKey() syncKey {
+	var quarantines int
+	if m.scorer != nil {
+		quarantines = m.scorer.Stats().Quarantines
+	}
+	return syncKey{m.tbl.Version() + 1, m.reverseGen, uint64(len(m.failed)), uint64(len(m.departed)), uint64(quarantines)}
+}
+
+// News returns a generation that moves whenever what this node would
+// exchange in a sync changes: a table write (pulled entries included)
+// or a sync reply or push that shipped an entry, so a peer was missing
+// it. A crash or departure recorded elsewhere changes nothing a sync
+// carries unless it also changes the table, so it is not news.
+func (m *Machine) News() uint64 { return m.tbl.Version() + uint64(m.syncShipped) }
+
 // SyncPulled returns how many table entries were installed from peers'
 // sync replies and pushes.
 func (m *Machine) SyncPulled() int { return m.syncPulled }
@@ -94,9 +116,11 @@ func (m *Machine) AuditPurged() int { return m.auditPurged }
 // lacks the entry's desired suffix), purges them, and repairs each from
 // the local table where possible — unrepaired entries become repair jobs
 // for the clock-driven Find machinery. It returns the number of entries
-// purged and the repair traffic to transmit.
+// purged and the repair traffic to transmit. An audit that found
+// nothing is not repeated until its inputs (syncKey) move.
 func (m *Machine) AuditTable() (purged int, out []msg.Envelope) {
-	if m.status != StatusInSystem {
+	at := m.syncKey()
+	if m.status != StatusInSystem || m.auditedAt == at {
 		return 0, nil
 	}
 	m.out = m.out[:0]
@@ -105,7 +129,9 @@ func (m *Machine) AuditTable() (purged int, out []msg.Envelope) {
 		if n.ID == m.self.ID {
 			return
 		}
-		if m.knownBad(n.ID) || !m.tbl.Qualifies(level, digit, n.ID) {
+		// An occupant dropped unreachable is kept out, not purged: it
+		// may be alive and merely unheard from here.
+		if m.gone(n.ID) || m.quarantined(n.ID) || !m.tbl.Qualifies(level, digit, n.ID) {
 			bad = append(bad, [2]int{level, digit})
 		}
 	})
@@ -114,6 +140,9 @@ func (m *Machine) AuditTable() (purged int, out []msg.Envelope) {
 		purged++
 		m.auditPurged++
 		m.repairOrQueue(e, gone)
+	}
+	if purged == 0 {
+		m.auditedAt = at
 	}
 	return purged, m.take()
 }
@@ -125,10 +154,11 @@ func (m *Machine) onSyncReq(from table.Ref, pm msg.SyncReq) {
 	if m.status != StatusInSystem {
 		return // joining or departing tables are not sync authorities
 	}
-	m.send(from, msg.SyncRly{
-		Table: m.tbl.Snapshot().MissingIn(from.ID, pm.Fill),
-		Fill:  m.tbl.FillVector(),
-	})
+	missing := m.tbl.MissingIn(from.ID, pm.Fill)
+	if missing.FilledCount() > 0 {
+		m.syncShipped++
+	}
+	m.send(from, msg.SyncRly{Table: missing, Fill: m.tbl.FillVector()})
 }
 
 // onSyncRly merges the pulled entries, then pushes back whatever the
@@ -138,8 +168,9 @@ func (m *Machine) onSyncRly(from table.Ref, pm msg.SyncRly) {
 		return
 	}
 	m.harvestSync(pm.Table)
-	push := m.tbl.Snapshot().MissingIn(from.ID, pm.Fill)
+	push := m.tbl.MissingIn(from.ID, pm.Fill)
 	if push.FilledCount() > 0 {
+		m.syncShipped++
 		m.send(from, msg.SyncPush{Table: push})
 	}
 }

@@ -153,3 +153,38 @@ func TestAuditPurgesGhostAndWrongSuffix(t *testing.T) {
 		t.Fatalf("second audit purged %d entries from a clean table", again)
 	}
 }
+
+// TestUnreachableDropStaysDropped: a node this machine dropped as
+// unreachable is not handed back by a sync until it is heard from; a
+// message from it lifts the tombstone and the next sync re-installs it.
+func TestUnreachableDropStaysDropped(t *testing.T) {
+	pp, p := syncNet(t)
+	a := pp.machines[id.MustParse(p, "1111")]
+	b := pp.machines[id.MustParse(p, "2222")]
+	var gone table.Ref
+	var at [2]int
+	a.Table().ForEach(func(level, digit int, n table.Neighbor) {
+		if gone.IsZero() && n.ID != a.Self().ID && n.ID != b.Self().ID && occupants(b)[n.ID] {
+			gone, at = n.Ref(), [2]int{level, digit}
+		}
+	})
+	if gone.IsZero() {
+		t.Fatal("no occupant of 1111 that 2222 also holds")
+	}
+	pp.enqueue(a.DropUnreachable(gone))
+	pp.run()
+	pp.enqueue(a.StartSync(b.Self(), trace.Context{}))
+	pp.run()
+	if got := a.Table().Get(at[0], at[1]).ID; got == gone.ID {
+		t.Fatalf("entry %v re-adopted %v from a sync after its unreachable drop", at, gone.ID)
+	}
+
+	// Heard from: any delivered message lifts the tombstone.
+	pp.enqueue(pp.machines[gone.ID].StartSync(a.Self(), trace.Context{}))
+	pp.run()
+	pp.enqueue(a.StartSync(b.Self(), trace.Context{}))
+	pp.run()
+	if got := a.Table().Get(at[0], at[1]).ID; got != gone.ID {
+		t.Fatalf("entry %v = %v after %v was heard from and a sync ran, want it back", at, got, gone.ID)
+	}
+}

@@ -293,6 +293,7 @@ type Prober struct {
 	recentQ []uint64
 
 	partitioned bool
+	onRecover   func(id.ID)
 
 	// Observability (nil when tracing is off; see SetSink). tracer,
 	// when non-nil, roots one span per probe round trip (see SetTracer).
@@ -531,11 +532,18 @@ func (p *Prober) Observe(from id.ID) {
 	}
 }
 
+// SetOnRecover installs f, called with each suspect that answers
+// again; nil (the default) calls nothing.
+func (p *Prober) SetOnRecover(f func(id.ID)) { p.onRecover = f }
+
 func (p *Prober) markAlive(t *target) {
 	if t.state == stateSuspect {
 		p.stats.Recovered++
 		if p.sink != nil {
 			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindRecovered, Peer: t.peer()})
+		}
+		if p.onRecover != nil {
+			p.onRecover(t.ref.ID)
 		}
 	}
 	if t.distressed() {

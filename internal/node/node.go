@@ -23,7 +23,6 @@ import (
 	"hypercube/internal/antientropy"
 	"hypercube/internal/core"
 	"hypercube/internal/guard"
-	"hypercube/internal/id"
 	"hypercube/internal/liveness"
 	"hypercube/internal/msg"
 	"hypercube/internal/obs"
@@ -169,8 +168,20 @@ func New(m *core.Machine, cfg Config) *Node {
 		n.engine = antientropy.New(*cfg.AntiEntropy, m)
 		n.engine.SetSink(cfg.Sink)
 		n.engine.SetTracer(cfg.Tracer)
-		if est := n.est; est != nil {
-			n.engine.SetHealth(func(x id.ID) bool { return !est.Degraded(x) })
+		if n.est != nil {
+			n.engine.SetHealth(n.est)
+		}
+		// News the machine does not see: an exit from partition mode, a
+		// rejected envelope. A suspect that answers again is synced with.
+		n.engine.SetNews(func() uint64 {
+			g := m.GuardStats().Rejected
+			if n.prober != nil {
+				g += n.prober.Stats().PartitionsExited
+			}
+			return uint64(g)
+		})
+		if n.prober != nil {
+			n.prober.SetOnRecover(n.engine.Returned)
 		}
 	}
 	if cfg.Sampling != nil {

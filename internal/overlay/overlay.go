@@ -36,15 +36,28 @@ import (
 )
 
 // LatencyFunc is a one-way delivery latency model: the delay between two
-// nodes, and its floor (0 if unknown), the width of Run's windows.
+// nodes, and its floor (nil reads 0, unknown), the width of Run's
+// windows. The floor is a function because a topology's moves as nodes
+// are bound to hosts.
 type LatencyFunc struct {
 	Between func(from, to table.Ref) time.Duration
-	floor   time.Duration
+	floor   func() time.Duration
 }
+
+// lowest returns the floor now.
+func (l LatencyFunc) lowest() time.Duration {
+	if l.floor == nil {
+		return 0
+	}
+	return l.floor()
+}
+
+// fixed returns a floor that is always d.
+func fixed(d time.Duration) func() time.Duration { return func() time.Duration { return d } }
 
 // ConstantLatency returns a LatencyFunc with a fixed delay, its floor.
 func ConstantLatency(d time.Duration) LatencyFunc {
-	return LatencyFunc{Between: func(_, _ table.Ref) time.Duration { return d }, floor: d}
+	return LatencyFunc{Between: func(_, _ table.Ref) time.Duration { return d }, floor: fixed(d)}
 }
 
 // HashedUniformLatency returns a deterministic, symmetric LatencyFunc
@@ -55,7 +68,7 @@ func HashedUniformLatency(min, max time.Duration, seed int64) LatencyFunc {
 		panic(fmt.Sprintf("overlay: latency range [%v,%v) inverted", min, max))
 	}
 	span := int64(max - min)
-	return LatencyFunc{floor: min, Between: func(from, to table.Ref) time.Duration {
+	return LatencyFunc{floor: fixed(min), Between: func(from, to table.Ref) time.Duration {
 		if span == 0 {
 			return min
 		}
@@ -92,22 +105,39 @@ func pairHash(seed int64, from, to id.ID) (sum uint64, fromLow bool) {
 }
 
 // TopologyLatency maps node IDs to attached hosts of a transit-stub
-// topology. Nodes must be registered with HostOf before use.
+// topology. Nodes must be bound with Bind before use.
 type TopologyLatency struct {
 	Topo  *topology.Topology
 	hosts map[id.ID]int
+	// owner is the first ID bound to each host. floor is a lower bound
+	// on the latency between any two bound IDs: twice the smallest
+	// access latency bound so far, as a path between two hosts crosses
+	// both their access links, or 0 for good once two IDs share a host.
+	owner map[int]id.ID
+	floor time.Duration
 }
 
 // NewTopologyLatency creates an empty mapping over topo.
 func NewTopologyLatency(topo *topology.Topology) *TopologyLatency {
-	return &TopologyLatency{Topo: topo, hosts: make(map[id.ID]int)}
+	return &TopologyLatency{Topo: topo, hosts: make(map[id.ID]int), owner: make(map[int]id.ID), floor: -1}
 }
 
 // Bind assigns node x to host h.
-func (tl *TopologyLatency) Bind(x id.ID, host int) { tl.hosts[x] = host }
+func (tl *TopologyLatency) Bind(x id.ID, host int) {
+	tl.hosts[x] = host
+	if o, ok := tl.owner[host]; ok && o != x {
+		tl.floor = 0
+	} else if !ok {
+		tl.owner[host] = x
+	}
+	if a := 2 * tl.Topo.AccessLatency(host); tl.floor < 0 || a < tl.floor {
+		tl.floor = a
+	}
+}
 
-// Func returns the LatencyFunc backed by the topology, with floor 0:
-// two nodes may share a host.
+// Func returns the LatencyFunc backed by the topology. Its floor is the
+// one Bind keeps, read at each use, so it stays exact as nodes are
+// bound after the network is built.
 func (tl *TopologyLatency) Func() LatencyFunc {
 	return LatencyFunc{Between: func(from, to table.Ref) time.Duration {
 		ha, okA := tl.hosts[from.ID]
@@ -116,7 +146,7 @@ func (tl *TopologyLatency) Func() LatencyFunc {
 			panic(fmt.Sprintf("overlay: unbound node in latency query (%v->%v)", from.ID, to.ID))
 		}
 		return tl.Topo.Latency(ha, hb)
-	}}
+	}, floor: func() time.Duration { return max(tl.floor, 0) }}
 }
 
 // Loss injects message loss with sender retransmission into the
@@ -658,7 +688,7 @@ func (n *Network) RunFor(d time.Duration) uint64 {
 		n.livenessUntil = deadline
 	}
 	n.scheduleTick()
-	ev := n.engine.RunUntil(deadline)
+	ev := n.engine.RunUntil((*arrivals)(n), deadline)
 	return ev + n.Run()
 }
 

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -18,8 +19,8 @@ var p164 = id.Params{B: 16, D: 4}
 
 func TestConstantLatency(t *testing.T) {
 	l := ConstantLatency(7 * time.Millisecond)
-	if got := l.Between(table.Ref{}, table.Ref{}); got != 7*time.Millisecond || l.floor != got {
-		t.Errorf("latency = %v, floor %v", got, l.floor)
+	if got := l.Between(table.Ref{}, table.Ref{}); got != 7*time.Millisecond || l.lowest() != got {
+		t.Errorf("latency = %v, floor %v", got, l.lowest())
 	}
 }
 
@@ -28,8 +29,8 @@ func TestHashedUniformLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	refs := RandomRefs(p, 20, rng, nil)
 	l := HashedUniformLatency(5*time.Millisecond, 50*time.Millisecond, 9)
-	if l.floor != 5*time.Millisecond {
-		t.Errorf("floor = %v, want the range's minimum", l.floor)
+	if l.lowest() != 5*time.Millisecond {
+		t.Errorf("floor = %v, want the range's minimum", l.lowest())
 	}
 	f := l.Between
 	for i := 0; i < len(refs); i++ {
@@ -289,6 +290,45 @@ func TestTopologyLatencyUnboundPanics(t *testing.T) {
 	}()
 	p := id.Params{B: 4, D: 3}
 	f(table.Ref{ID: id.MustParse(p, "000")}, table.Ref{ID: id.MustParse(p, "111")})
+}
+
+// TestTopologyLatencyFloor: the floor Bind keeps is twice the least
+// access latency bound so far, no bound pair is faster, it follows
+// binds made after Func, and two IDs on one host take it to 0.
+func TestTopologyLatencyFloor(t *testing.T) {
+	topo, err := topology.Generate(topology.Small(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	p := id.Params{B: 16, D: 8}
+	refs := RandomRefs(p, 41, rng, nil)
+	tl := NewTopologyLatency(topo)
+	l := tl.Func()
+	hosts := topo.AttachHosts(40, rng)
+	least := time.Duration(math.MaxInt64)
+	for i, h := range hosts {
+		tl.Bind(refs[i].ID, h)
+		least = min(least, 2*topo.AccessLatency(h))
+		if l.lowest() != least {
+			t.Fatalf("after %d binds: floor %v, want %v", i+1, l.lowest(), least)
+		}
+	}
+	for _, a := range refs[:40] {
+		for _, b := range refs[:40] {
+			if a != b && l.Between(a, b) < l.lowest() {
+				t.Fatalf("%v→%v: latency %v below the floor %v", a.ID, b.ID, l.Between(a, b), l.lowest())
+			}
+		}
+	}
+	tl.Bind(refs[0].ID, hosts[0]) // the same ID again: no change
+	if l.lowest() != least {
+		t.Fatalf("rebinding an ID to its own host moved the floor to %v", l.lowest())
+	}
+	tl.Bind(refs[40].ID, hosts[0])
+	if l.lowest() != 0 {
+		t.Fatalf("two IDs share a host, floor %v, want 0", l.lowest())
+	}
 }
 
 // TestMediumScaleWaves runs several parameter combinations closer to the

@@ -49,7 +49,7 @@ func (n *Network) width() time.Duration {
 		len(n.slow) > 0 || n.sink != nil || n.cfg.TraceSample > 0 {
 		return 0
 	}
-	return n.cfg.Latency.floor
+	return n.cfg.Latency.lowest()
 }
 
 // prepare runs a window's node-local halves on up to GOMAXPROCS goroutines.

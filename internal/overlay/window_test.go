@@ -21,14 +21,14 @@ func TestWindowedRunMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name     string
 		procs    int
-		topology bool // floor 0: every window is one event
+		topology bool // transit-stub latencies, floor twice the least access link
 		constant bool // arrivals tie on time, so only seq orders them
 		crash    bool // a member fails mid-wave; its arrivals drop inside windows
 		parallel bool // windows must run on helper goroutines
 	}{
 		{name: "procs2", procs: 2, parallel: true},
 		{name: "procs1", procs: 1},
-		{name: "topology", procs: 2, topology: true},
+		{name: "topology", procs: 2, topology: true, parallel: true},
 		{name: "constant", procs: 2, constant: true, parallel: true},
 		{name: "crash", procs: 2, crash: true, parallel: true},
 	}

@@ -252,6 +252,13 @@ func (e *Estimator) Degraded(x id.ID) bool {
 	return pe != nil && pe.degraded
 }
 
+// DegradedCount returns how many peers are flagged degraded now.
+func (e *Estimator) DegradedCount() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.degraded
+}
+
 // Forget drops all state for peer x (declared failed, departed, or no
 // longer monitored).
 func (e *Estimator) Forget(x id.ID) {

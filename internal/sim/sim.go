@@ -189,11 +189,11 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 	return e.RunWindowed(nil, math.MaxInt64, maxEvents)
 }
 
-// RunUntil executes events with timestamps <= deadline and returns the
-// number processed. Events beyond the deadline stay queued; the clock
-// does not advance past the deadline.
-func (e *Engine) RunUntil(deadline time.Duration) uint64 {
-	n := e.RunWindowed(nil, deadline, 0)
+// RunUntil is RunWindowed for the events with timestamps <= deadline,
+// unbounded, after which the clock stands at the deadline. Events beyond
+// the deadline stay queued. w may be nil: one event at a time.
+func (e *Engine) RunUntil(w Windowed, deadline time.Duration) uint64 {
+	n := e.RunWindowed(w, deadline, 0)
 	e.now = max(e.now, deadline)
 	return n
 }

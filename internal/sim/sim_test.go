@@ -150,7 +150,7 @@ func TestRunUntil(t *testing.T) {
 		d := d * time.Millisecond
 		e.Schedule(d, func() { fired = append(fired, d) })
 	}
-	n := e.RunUntil(20 * time.Millisecond)
+	n := e.RunUntil(nil, 20*time.Millisecond)
 	if n != 2 || len(fired) != 2 {
 		t.Fatalf("RunUntil processed %d, fired %v", n, fired)
 	}
@@ -253,7 +253,7 @@ func TestHeapMatchesStableSort(t *testing.T) {
 
 	deadline := e.Now() + 20*time.Millisecond
 	before := len(fired)
-	n := e.RunUntil(deadline)
+	n := e.RunUntil(nil, deadline)
 	for i := 0; i < int(n); i++ {
 		want := popModel()
 		if want.at > deadline || fired[before+i] != want.id {

@@ -250,11 +250,11 @@ func TestSparseSnapshotMatchesDense(t *testing.T) {
 			for _, peer := range peers {
 				for _, fv := range []table.BitVector{table.NewBitVector(p.D * p.B), mask, all} {
 					what := fmt.Sprintf("%s MissingIn(%v, %d bits)", name, peer, fv.Count())
-					got := full.MissingIn(peer, fv)
+					got := tbl.MissingIn(peer, fv)
 					requireMatches(t, what, got, denseOf(tbl, 0, p.D-1).missingIn(peer, fv))
 					requireRoundTrip(t, what, got)
 				}
-				if n := testing.AllocsPerRun(10, func() { full.MissingIn(peer, all) }); n != 0 {
+				if n := testing.AllocsPerRun(10, func() { tbl.MissingIn(peer, all) }); n != 0 {
 					t.Errorf("%s: MissingIn with nothing missing made %v allocations, want 0", name, n)
 				}
 			}

@@ -530,42 +530,44 @@ func (s Snapshot) WireSize() int {
 // Levels at or above keepFrom are always included, matching §6.2 ("as well
 // as all level-i' neighbors, noti_level <= i' <= d-1").
 func (s Snapshot) Filtered(mask BitVector, keepFrom int) Snapshot {
-	return s.filter(func(c cell) bool {
+	return filter(s, s.cells, func(c cell) bool {
 		return int(c.idx) >= keepFrom*s.params.B || !mask.Get(int(c.idx))
 	})
 }
 
-// MissingIn returns a copy of the snapshot containing only the occupants
-// whose canonical entry in peer's table is empty according to peer's fill
-// vector. An occupant u of any entry belongs, in peer's table, at
-// (k, u[k]) with k = |csuf(peer, u)| — computable from the two IDs alone —
-// so the result carries exactly the nodes peer is missing: between two
-// converged tables it is empty, and after a partition heals it shrinks to
-// nothing as the anti-entropy rounds progress.
-func (s Snapshot) MissingIn(peer id.ID, fill BitVector) Snapshot {
-	return s.filter(func(c cell) bool {
+// MissingIn returns a snapshot of the whole table holding only the
+// occupants whose canonical entry in peer's table is empty according to
+// peer's fill vector. An occupant u of any entry belongs, in peer's
+// table, at (k, u[k]) with k = |csuf(peer, u)| — computable from the two
+// IDs alone — so the result carries exactly the nodes peer is missing:
+// between two converged tables it is empty, and after a partition heals
+// it shrinks to nothing as the anti-entropy rounds progress. It reads
+// the table's cells in place, so only the entries shipped are copied.
+func (t *Table) MissingIn(peer id.ID, fill BitVector) Snapshot {
+	b, d := t.params.B, t.params.D
+	return filter(Snapshot{params: t.params, owner: t.owner, lo: 0, hi: d - 1}, t.cells, func(c cell) bool {
 		k := peer.CommonSuffixLen(c.ID)
 		// k = d: the occupant is peer itself, never shipped to itself.
-		return k < s.params.D && !fill.Get(k*s.params.B+c.ID.Digit(k))
+		return k < d && !fill.Get(k*b+c.ID.Digit(k))
 	})
 }
 
-// filter returns a copy of the snapshot holding the cells keep accepts.
+// filter returns out holding only the cells of from that keep accepts.
 // It counts them first, so the copy is one exact-size allocation, and
 // none at all when keep accepts nothing.
-func (s Snapshot) filter(keep func(c cell) bool) Snapshot {
+func filter(out Snapshot, from []cell, keep func(c cell) bool) Snapshot {
+	out.cells = nil
 	n := 0
-	for _, c := range s.cells {
+	for _, c := range from {
 		if keep(c) {
 			n++
 		}
 	}
-	out := Snapshot{params: s.params, owner: s.owner, lo: s.lo, hi: s.hi}
 	if n == 0 {
 		return out
 	}
 	out.cells = make([]cell, 0, n)
-	for _, c := range s.cells {
+	for _, c := range from {
 		if keep(c) {
 			out.cells = append(out.cells, c)
 		}

@@ -654,7 +654,7 @@ func TestSnapshotMissingIn(t *testing.T) {
 
 	// An empty digest pulls everything except the peer itself.
 	empty := NewBitVector(p45.D * p45.B)
-	got := tbl.Snapshot().MissingIn(peer, empty)
+	got := tbl.MissingIn(peer, empty)
 	if got.FilledCount() != 3 {
 		t.Fatalf("FilledCount = %d with empty digest, want 3", got.FilledCount())
 	}
@@ -675,7 +675,7 @@ func TestSnapshotMissingIn(t *testing.T) {
 		k := peer.CommonSuffixLen(x)
 		fill.Set(k*p45.B + x.Digit(k))
 	}
-	got = tbl.Snapshot().MissingIn(peer, fill)
+	got = tbl.MissingIn(peer, fill)
 	if got.FilledCount() != 1 {
 		t.Fatalf("FilledCount = %d with partial digest, want 1", got.FilledCount())
 	}
@@ -688,7 +688,7 @@ func TestSnapshotMissingIn(t *testing.T) {
 	x := id.MustParse(p45, "01233")
 	k := peer.CommonSuffixLen(x)
 	fill.Set(k*p45.B + x.Digit(k))
-	if n := tbl.Snapshot().MissingIn(peer, fill).FilledCount(); n != 0 {
+	if n := tbl.MissingIn(peer, fill).FilledCount(); n != 0 {
 		t.Fatalf("converged digest still shipped %d entries", n)
 	}
 }

@@ -331,6 +331,9 @@ func (t *Topology) AttachHosts(n int, rng *rand.Rand) []int {
 	return out
 }
 
+// AccessLatency returns the latency of host h's access link.
+func (t *Topology) AccessLatency(h int) time.Duration { return t.accessLat[h] }
+
 // HostRouter returns the router host h is attached to.
 func (t *Topology) HostRouter(h int) int { return t.hostRouter[h] }
 

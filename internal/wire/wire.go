@@ -92,13 +92,16 @@ const (
 	traceCtxLen = traceIDLen + spanIDLen
 )
 
-// errMalformed is the sentinel wrapped by every decode failure, so the
-// transport can tell codec rejections apart from handler errors returned
-// by a DecodePayload callback.
+// errMalformed is the sentinel wrapped by every decode failure. The
+// decoder's snapshot check is what needs the split: the entry callback
+// it hands table.SnapshotFrom returns the reader's own fault, already
+// malformed, while SnapshotFrom's verdicts (count, range, order) are
+// table errors that the reader must wrap. The transport drops a bad
+// payload whatever its error says.
 var errMalformed = errors.New("wire: malformed payload")
 
-// IsMalformed reports whether err is a codec rejection (as opposed to an
-// error returned by a DecodePayload callback).
+// IsMalformed reports whether err is a codec rejection rather than an
+// error of some other origin, such as a DecodePayload callback's.
 func IsMalformed(err error) bool { return errors.Is(err, errMalformed) }
 
 func badf(format string, args ...any) error {
@@ -242,8 +245,6 @@ func appendBody(dst []byte, p id.Params, env msg.Envelope) ([]byte, error) {
 		return appendLevel(dst, m.Level)
 	case msg.CpRly:
 		return appendSnapshot(dst, p, m.Table)
-	case msg.JoinWait:
-		return dst, nil
 	case msg.JoinWaitRly:
 		dst = append(dst, byte(m.R))
 		if dst, err = appendRef(dst, p, m.U); err != nil {
@@ -259,8 +260,6 @@ func appendBody(dst []byte, p id.Params, env msg.Envelope) ([]byte, error) {
 	case msg.JoinNotiRly:
 		dst = append(dst, byte(m.R), boolByte(m.F))
 		return appendSnapshot(dst, p, m.Table)
-	case msg.InSysNoti:
-		return dst, nil
 	case msg.SpeNoti:
 		if dst, err = appendRef(dst, p, m.X); err != nil {
 			return nil, err
@@ -277,8 +276,6 @@ func appendBody(dst []byte, p id.Params, env msg.Envelope) ([]byte, error) {
 		return appendCoords(dst, p, m.Level, m.Digit, m.State)
 	case msg.Leave:
 		return appendSnapshot(dst, p, m.Table)
-	case msg.LeaveRly:
-		return dst, nil
 	case msg.Find:
 		if dst, err = appendSuffix(dst, p, m.Want); err != nil {
 			return nil, err
@@ -312,9 +309,7 @@ func appendBody(dst []byte, p id.Params, env msg.Envelope) ([]byte, error) {
 		return appendBitVector(dst, m.Fill), nil
 	case msg.SyncPush:
 		return appendSnapshot(dst, p, m.Table)
-	case msg.SamplePush:
-		return dst, nil
-	case msg.SamplePullReq:
+	case msg.JoinWait, msg.InSysNoti, msg.LeaveRly, msg.SamplePush, msg.SamplePullReq:
 		return dst, nil
 	case msg.SamplePullRly:
 		if len(m.Refs) > msg.MaxSampleRefs {
@@ -400,16 +395,25 @@ func appendNeighbor(dst []byte, p id.Params, n table.Neighbor) ([]byte, error) {
 	if n.IsZero() {
 		return append(dst, 0), nil
 	}
+	dst, err := appendOccupant(append(dst, 1), p, n)
+	if err != nil {
+		return nil, fmt.Errorf("wire: neighbor %w", err)
+	}
+	return dst, nil
+}
+
+// appendOccupant appends a neighbor's ID, address and state: the body
+// of a present neighbor and of each table entry (reader.occupant).
+func appendOccupant(dst []byte, p id.Params, n table.Neighbor) ([]byte, error) {
 	if n.ID.Len() != p.D {
-		return nil, fmt.Errorf("wire: neighbor ID %v has %d digits, want %d", n.ID, n.ID.Len(), p.D)
+		return nil, fmt.Errorf("ID %v has %d digits, want %d", n.ID, n.ID.Len(), p.D)
 	}
 	if len(n.Addr) > table.MaxAddr {
-		return nil, fmt.Errorf("wire: neighbor address of %d bytes exceeds %d", len(n.Addr), table.MaxAddr)
+		return nil, fmt.Errorf("address of %d bytes exceeds %d", len(n.Addr), table.MaxAddr)
 	}
 	if n.State != table.StateT && n.State != table.StateS {
-		return nil, fmt.Errorf("wire: neighbor state %d invalid", n.State)
+		return nil, fmt.Errorf("state %d invalid", n.State)
 	}
-	dst = append(dst, 1)
 	dst = n.ID.AppendRawDigits(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(n.Addr)))
 	dst = append(dst, n.Addr...)
@@ -438,26 +442,11 @@ func appendSnapshot(dst []byte, p id.Params, s table.Snapshot) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(s.FilledCount()))
 	var err error
 	s.ForEach(func(level, digit int, n table.Neighbor) {
-		if err != nil {
-			return
+		if err == nil {
+			if dst, err = appendOccupant(append(dst, byte(level), byte(digit)), p, n); err != nil {
+				err = fmt.Errorf("wire: table entry (%d,%d) %w", level, digit, err)
+			}
 		}
-		if len(n.Addr) > table.MaxAddr {
-			err = fmt.Errorf("wire: table entry (%d,%d) address of %d bytes exceeds %d", level, digit, len(n.Addr), table.MaxAddr)
-			return
-		}
-		if n.ID.Len() != p.D {
-			err = fmt.Errorf("wire: table entry (%d,%d) ID %v has %d digits, want %d", level, digit, n.ID, n.ID.Len(), p.D)
-			return
-		}
-		if n.State != table.StateT && n.State != table.StateS {
-			err = fmt.Errorf("wire: table entry (%d,%d) state %d invalid", level, digit, n.State)
-			return
-		}
-		dst = append(dst, byte(level), byte(digit))
-		dst = n.ID.AppendRawDigits(dst)
-		dst = binary.AppendUvarint(dst, uint64(len(n.Addr)))
-		dst = append(dst, n.Addr...)
-		dst = append(dst, byte(n.State))
 	})
 	if err != nil {
 		return nil, err
