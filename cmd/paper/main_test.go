@@ -263,7 +263,7 @@ func TestVerdicts(t *testing.T) {
 		fin := &nemesis.Final{Watch: oracle.NewDeclWatch()}
 		for i, v := range []string{"0123", "3210"} {
 			fin.Watch.MarkDeadAt(time.Duration(i)*time.Minute, id.MustParse(p, v))
-			fin.Watch.Emit(obs.Event{Kind: obs.KindDeclared, Peer: v, T: time.Duration(i)*time.Minute + 8*time.Second})
+			fin.Watch.Emit(obs.Event{Kind: obs.KindDeclared, Peer: id.MustParse(p, v), T: time.Duration(i)*time.Minute + 8*time.Second})
 		}
 		return &nemesis.Result{Crashed: 2}, fin, nil
 	}

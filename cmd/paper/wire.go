@@ -36,7 +36,7 @@ func wireReport(out io.Writer, p id.Params) error {
 		msg.LeaveRly{},
 		msg.Find{Want: from.ID.Suffix(p.D - 1), Origin: from},
 		msg.FindRly{Want: from.ID.Suffix(p.D - 1), Found: table.Neighbor{ID: refB.ID, Addr: refB.Addr, State: table.StateS}},
-		msg.Ping{Seq: 1, Origin: from, Target: refB},
+		&msg.Ping{Seq: 1, Origin: from, Target: refB},
 		msg.Pong{Seq: 1},
 		msg.FailedNoti{Failed: refB},
 		msg.SyncReq{Fill: fill},

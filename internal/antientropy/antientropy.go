@@ -276,7 +276,7 @@ func (e *Engine) round(out []msg.Envelope) []msg.Envelope {
 		ctx = e.tracer.Root()
 	}
 	if e.sink != nil {
-		e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSyncRound, Peer: peer.ID.String()}.Stamped(ctx, trace.SpanID{}))
+		e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSyncRound, Peer: peer.ID}.Stamped(ctx, trace.SpanID{}))
 	}
 	return append(out, e.m.StartSync(peer, ctx)...)
 }

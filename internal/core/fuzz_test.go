@@ -181,7 +181,7 @@ func (fp *fuzzPools) decodeEnv(r *byteReader) msg.Envelope {
 	case 14:
 		pm = msg.FindRly{Want: pick(r, fp.suffixe), Found: pick(r, fp.founds), Blocked: r.next()%2 == 1}
 	case 15:
-		pm = msg.Ping{Seq: uint64(r.next()), Origin: pick(r, fp.refs), Target: pick(r, fp.refs)}
+		pm = &msg.Ping{Seq: uint64(r.next()), Origin: pick(r, fp.refs), Target: pick(r, fp.refs)}
 	case 16:
 		pm = msg.Pong{Seq: uint64(r.next())}
 	case 17:

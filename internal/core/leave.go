@@ -73,13 +73,13 @@ func (m *Machine) StartLeave() ([]msg.Envelope, error) {
 
 	// Announce to everyone who stores us (reverse set) and everyone we
 	// store (they must forget us as a reverse neighbor). One message per
-	// distinct node.
+	// distinct node, all sharing one boxed Leave.
 	targets := m.neighborhood()
-	snap := m.tbl.Snapshot()
+	var leave msg.Message = msg.Leave{Table: m.tbl.Snapshot()}
 	m.leaveAcks = make(map[id.ID]struct{}, len(targets))
 	for _, ref := range targets {
 		m.leaveAcks[ref.ID] = struct{}{}
-		m.send(ref, msg.Leave{Table: snap})
+		m.send(ref, leave)
 	}
 	if len(m.leaveAcks) == 0 {
 		m.setStatus(StatusLeft)

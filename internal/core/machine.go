@@ -451,7 +451,7 @@ func (m *Machine) send(to table.Ref, pm msg.Message) {
 	}
 	m.out = append(m.out, env)
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindSend, Peer: to.ID.String(), Msg: pm.Type().String()}.Stamped(env.Trace, m.cur.Span))
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindSend, Peer: to.ID, Msg: pm.Type().String()}.Stamped(env.Trace, m.cur.Span))
 	}
 	m.trackExchange(env)
 }
@@ -485,7 +485,7 @@ func (m *Machine) StartJoin(g0 table.Ref) ([]msg.Envelope, error) {
 	}
 	m.joinCtx = m.cur
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindJoinStart, Peer: g0.ID.String(), N: m.restarts}.Stamped(m.cur, trace.SpanID{}))
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindJoinStart, Peer: g0.ID, N: m.restarts}.Stamped(m.cur, trace.SpanID{}))
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindStatus, Detail: m.status.String()}.Stamped(m.cur, trace.SpanID{}))
 	}
 	m.copyLevel = 0
@@ -508,12 +508,12 @@ func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 		before := m.scorer.Stats().Releases
 		q := m.scorer.Quarantined(env.From.ID, now)
 		if m.scorer.Stats().Releases > before && m.sink != nil {
-			m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindQuarantineRelease, Peer: env.From.ID.String()})
+			m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindQuarantineRelease, Peer: env.From.ID})
 		}
 		if q {
 			m.gstats.IngressDropped++
 			if m.sink != nil {
-				m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGuardDrop, Peer: env.From.ID.String(), Detail: "quarantined"})
+				m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGuardDrop, Peer: env.From.ID, Detail: "quarantined"})
 			}
 			return nil
 		}
@@ -534,7 +534,7 @@ func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 		m.cur = env.Trace
 	}
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindRecv, Peer: env.From.ID.String(), Msg: env.Msg.Type().String()}.Stamped(m.cur, trace.SpanID{}))
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindRecv, Peer: env.From.ID, Msg: env.Msg.Type().String()}.Stamped(m.cur, trace.SpanID{}))
 	}
 	from := env.From
 	m.clearExchange(from, env.Msg)
@@ -569,7 +569,7 @@ func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 		m.onFind(pm)
 	case msg.FindRly:
 		m.onFindRly(pm)
-	case msg.Ping, msg.Pong:
+	case *msg.Ping, msg.Pong:
 		// Absorbed: runtimes with a failure detector intercept probes
 		// before the machine; without one nothing answers or matches
 		// them.
@@ -590,7 +590,7 @@ func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 		m.gstats.UnknownDropped++
 		m.counters.CountRejected(env.Msg.Type())
 		if m.sink != nil {
-			m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGuardDrop, Peer: from.ID.String(), Detail: fmt.Sprintf("unknown message type %T", env.Msg)})
+			m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGuardDrop, Peer: from.ID, Detail: fmt.Sprintf("unknown message type %T", env.Msg)})
 		}
 	}
 	m.cur = trace.Context{}
@@ -606,17 +606,13 @@ func (m *Machine) reject(env msg.Envelope, err error, now time.Duration) {
 	}
 	m.counters.CountRejected(t)
 	m.gstats.Rejected++
-	peer := ""
-	if !env.From.IsZero() {
-		peer = env.From.ID.String()
-	}
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGuardReject, Peer: peer, Msg: t.String(), Detail: err.Error()})
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGuardReject, Peer: env.From.ID, Msg: t.String(), Detail: err.Error()})
 	}
 	if m.scorer != nil && !env.From.IsZero() && env.From.ID != m.self.ID {
 		if m.scorer.Charge(env.From.ID, 1, now) {
 			if m.sink != nil {
-				m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindQuarantine, Peer: peer})
+				m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindQuarantine, Peer: env.From.ID})
 			}
 		}
 	}
@@ -628,7 +624,7 @@ func (m *Machine) reject(env msg.Envelope, err error, now time.Duration) {
 func (m *Machine) busy(what string, from table.Ref) {
 	m.gstats.BusyDeferred++
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindBusy, Peer: from.ID.String(), Detail: what})
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindBusy, Peer: from.ID, Detail: what})
 	}
 }
 

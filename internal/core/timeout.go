@@ -236,7 +236,7 @@ func (m *Machine) tickExchanges(now time.Duration) {
 		}
 		if ex.attempts >= m.opts.Timeouts.maxAttempts() {
 			if m.sink != nil {
-				m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGiveUp, Peer: k.peer.String(), Msg: ex.env.Msg.Type().String(), N: ex.attempts})
+				m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGiveUp, Peer: k.peer, Msg: ex.env.Msg.Type().String(), N: ex.attempts})
 			}
 			m.giveUp(k)
 			continue
@@ -248,7 +248,7 @@ func (m *Machine) tickExchanges(now time.Duration) {
 		m.counters.CountSent(ex.env.Msg)
 		m.out = append(m.out, ex.env)
 		if m.sink != nil {
-			m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindResend, Peer: k.peer.String(), Msg: ex.env.Msg.Type().String(), N: ex.attempts}.Stamped(ex.env.Trace, trace.SpanID{}))
+			m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindResend, Peer: k.peer, Msg: ex.env.Msg.Type().String(), N: ex.attempts}.Stamped(ex.env.Trace, trace.SpanID{}))
 		}
 	}
 }
@@ -333,7 +333,7 @@ func (m *Machine) startRejoin(g table.Ref) {
 	m.joinCtx = m.cur
 	m.setStatus(StatusCopying)
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindJoinStart, Peer: g.ID.String(), N: m.restarts}.Stamped(m.cur, trace.SpanID{}))
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindJoinStart, Peer: g.ID, N: m.restarts}.Stamped(m.cur, trace.SpanID{}))
 	}
 	m.qn = make(map[id.ID]struct{})
 	m.qr = make(map[id.ID]struct{})
@@ -492,7 +492,7 @@ func (m *Machine) noteFailed(gone table.Ref, declared bool) {
 		return
 	}
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindFailureNoted, Peer: gone.ID.String()})
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindFailureNoted, Peer: gone.ID})
 	}
 
 	held := false
@@ -504,10 +504,12 @@ func (m *Machine) noteFailed(gone table.Ref, declared bool) {
 	// (reverse set) — the nodes whose detectors were probing it. Each
 	// tells its own table ∪ reverse set: O(neighbours × degree) messages,
 	// not O(edges). A neighbour the gossip misses declares it itself.
+	// The notice is boxed once and shared by every recipient.
 	if _, stored := m.reverseIndex(gone.ID); declared || held || stored {
+		var noti msg.Message = msg.FailedNoti{Failed: gone}
 		for _, ref := range m.neighborhood() {
 			if ref.ID != m.self.ID && !m.knownBad(ref.ID) {
-				m.send(ref, msg.FailedNoti{Failed: gone})
+				m.send(ref, noti)
 			}
 		}
 	}
@@ -564,7 +566,7 @@ func (m *Machine) repairOrQueue(e [2]int, gone id.ID) {
 	}
 	r.avoid, r.due = gone, m.now
 	if m.sink != nil {
-		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindRepairStart, Peer: gone.String(), Detail: entryName(e[0], e[1])})
+		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindRepairStart, Peer: gone, Detail: entryName(e[0], e[1])})
 	}
 }
 

@@ -152,7 +152,7 @@ func Check(p id.Params, self id.ID, env msg.Envelope) error {
 				return fmt.Errorf("FindRly found %v lacks wanted suffix %v", m.Found.ID, m.Want)
 			}
 		}
-	case msg.Ping:
+	case *msg.Ping:
 		if err := checkRef(p, m.Origin, true); err != nil {
 			return fmt.Errorf("Ping origin: %w", err)
 		}

@@ -56,7 +56,7 @@ func TestCheckValidMessages(t *testing.T) {
 		msg.LeaveRly{},
 		msg.Find{Want: id.MustParseSuffix(tp, "21"), Origin: from},
 		msg.FindRly{Want: id.MustParseSuffix(tp, "21"), Found: table.Neighbor{ID: id.MustParse(tp, "3021"), State: table.StateS}},
-		msg.Ping{Seq: 7, Origin: from, Target: ref(t, "2211")},
+		&msg.Ping{Seq: 7, Origin: from, Target: ref(t, "2211")},
 		msg.Pong{Seq: 7},
 		msg.FailedNoti{Failed: ref(t, "2211")},
 		msg.SyncReq{Fill: fill},
@@ -84,7 +84,8 @@ func TestCheckValidMessages(t *testing.T) {
 
 // TestCheckHonestMessagesDoNotAllocate guards the per-message cost of
 // admission: the largest honest message — a CpRly carrying a table with
-// every entry filled — must pass without a single allocation.
+// every entry filled — and the most frequent ones must pass without a
+// single allocation.
 func TestCheckHonestMessagesDoNotAllocate(t *testing.T) {
 	self, from := ref(t, "0321"), ref(t, "1201")
 	tbl := table.New(tp, from.ID)
@@ -106,6 +107,11 @@ func TestCheckHonestMessagesDoNotAllocate(t *testing.T) {
 	env.Msg = msg.RvNghNoti{Level: 1, Digit: 2, State: table.StateS}
 	if got := testing.AllocsPerRun(100, func() { err = Check(tp, self.ID, env) }); got != 0 || err != nil {
 		t.Errorf("Check on an honest RvNghNoti: %v allocations, err %v; want 0, nil", got, err)
+	}
+	// A probe is checked through its pointer, never copied into a value.
+	env.Msg = &msg.Ping{Seq: 1 << 20, Origin: from, Target: ref(t, "2211")}
+	if got := testing.AllocsPerRun(100, func() { err = Check(tp, self.ID, env) }); got != 0 || err != nil {
+		t.Errorf("Check on an honest Ping: %v allocations, err %v; want 0, nil", got, err)
 	}
 }
 

@@ -25,6 +25,9 @@ func FuzzParse(f *testing.F) {
 		if err != nil || back != x {
 			t.Fatalf("round trip failed for %q: %v", s, err)
 		}
+		if back, err := ParsePrinted(x.String()); err != nil || back != x {
+			t.Fatalf("ParsePrinted round trip failed for %q: %v", s, err)
+		}
 	})
 }
 

@@ -277,6 +277,26 @@ func Parse(p Params, s string) (ID, error) {
 	return ID{digits: string(digits)}, nil
 }
 
+// ParsePrinted is the inverse of String for a reader that knows no ID
+// space, such as a trace, which records none: s may have any non-zero
+// length and each digit is 0-9 or a-z. For an ID x of any space,
+// ParsePrinted(x.String()) equals x.
+func ParsePrinted(s string) (ID, error) {
+	if s == "" {
+		return Null, fmt.Errorf("%w: empty ID", errParse)
+	}
+	digits := make([]byte, len(s))
+	for i := range digits {
+		c := s[len(s)-1-i]
+		v := strings.IndexByte(digitChars, c)
+		if v < 0 {
+			return Null, fmt.Errorf("%w: %q has invalid digit %q", errParse, s, c)
+		}
+		digits[i] = byte(v)
+	}
+	return ID{digits: string(digits)}, nil
+}
+
 // MustParse is Parse that panics on error; for tests and fixed fixtures.
 func MustParse(p Params, s string) ID {
 	x, err := Parse(p, s)

@@ -101,6 +101,25 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParsePrinted: a printed ID of any space reads back without the
+// space, and what is no printed ID is refused.
+func TestParsePrinted(t *testing.T) {
+	for _, tc := range []struct {
+		p Params
+		s string
+	}{{Params{B: 4, D: 5}, "21233"}, {Params{B: 16, D: 8}, "0123abcd"}, {Params{B: 36, D: 1}, "z"}} {
+		x := MustParse(tc.p, tc.s)
+		if got, err := ParsePrinted(tc.s); err != nil || got != x {
+			t.Errorf("ParsePrinted(%q) = %v, %v; want %v", tc.s, got, err, x)
+		}
+	}
+	for _, s := range []string{"", "<null>", "12A4", "12 4", "ε"} {
+		if x, err := ParsePrinted(s); err == nil {
+			t.Errorf("ParsePrinted(%q) = %v, want an error", s, x)
+		}
+	}
+}
+
 func TestDigitIndexing(t *testing.T) {
 	// The 0th digit is the rightmost digit (paper notation).
 	x := MustParse(p45, "21233")

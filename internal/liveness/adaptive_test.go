@@ -119,7 +119,7 @@ func TestAdaptiveSlowPeerNotDeclared(t *testing.T) {
 	p.SetTargets([]table.Ref{slow})
 
 	declared, _ := runDelayed(p, 10*time.Second, func(_ time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
-		if pm, ok := env.Msg.(msg.Ping); ok && env.To.ID == slow.ID {
+		if pm, ok := env.Msg.(*msg.Ping); ok && env.To.ID == slow.ID {
 			return RespondPing(nil, slow, env.From, pm), 600 * time.Millisecond
 		}
 		return nil, -1
@@ -156,7 +156,7 @@ func TestFixedBaselineDeclaresSlowPeer(t *testing.T) {
 
 	// Fast for 2s (so it is seen alive — a declarable target), then 600ms.
 	declared, _ := runDelayed(p, 15*time.Second, func(now time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
-		if pm, ok := env.Msg.(msg.Ping); ok && env.To.ID == gray.ID {
+		if pm, ok := env.Msg.(*msg.Ping); ok && env.To.ID == gray.ID {
 			d := 50 * time.Millisecond
 			if now >= 2*time.Second {
 				d = 600 * time.Millisecond
@@ -191,7 +191,7 @@ func TestAdaptiveRampRescuedByConfirmFloor(t *testing.T) {
 	p.SetTargets([]table.Ref{gray})
 
 	declared, _ := runDelayed(p, 10*time.Second, func(now time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
-		if pm, ok := env.Msg.(msg.Ping); ok && env.To.ID == gray.ID {
+		if pm, ok := env.Msg.(*msg.Ping); ok && env.To.ID == gray.ID {
 			d := 50 * time.Millisecond
 			if now >= 2*time.Second {
 				d = 600 * time.Millisecond
@@ -234,7 +234,7 @@ func TestAdaptiveDeclaresDeadFasterOnFastLink(t *testing.T) {
 		}
 		p.SetTargets([]table.Ref{dead})
 		declared, at := runDelayed(p, 15*time.Second, func(now time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
-			if pm, ok := env.Msg.(msg.Ping); ok && env.To.ID == dead.ID && now < 2*time.Second {
+			if pm, ok := env.Msg.(*msg.Ping); ok && env.To.ID == dead.ID && now < 2*time.Second {
 				return RespondPing(nil, dead, env.From, pm), 50 * time.Millisecond
 			}
 			return nil, -1

@@ -41,7 +41,7 @@ func benchDetection(b *testing.B, adaptive bool) time.Duration {
 	dead := benchRef("1111")
 	p.SetTargets([]table.Ref{dead})
 	declared, at := runDelayed(p, 15*time.Second, func(now time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
-		if pm, ok := env.Msg.(msg.Ping); ok && env.To.ID == dead.ID && now < diesAt {
+		if pm, ok := env.Msg.(*msg.Ping); ok && env.To.ID == dead.ID && now < diesAt {
 			return RespondPing(nil, dead, env.From, pm), 50 * time.Millisecond
 		}
 		return nil, -1
@@ -108,7 +108,7 @@ func BenchmarkProbeTick(b *testing.B) {
 				// Answer every ping immediately: the pong path (estimator
 				// sampling under -adaptive) is part of the measured cost.
 				for _, env := range out {
-					if pm, ok := env.Msg.(msg.Ping); ok {
+					if pm, ok := env.Msg.(*msg.Ping); ok {
 						for _, r := range RespondPing(nil, table.Ref{ID: env.To.ID, Addr: env.To.Addr}, env.From, pm) {
 							p.HandleMessage(r)
 						}

@@ -113,7 +113,7 @@ func TestBookkeepingMatchesAWalk(t *testing.T) {
 					pongs := delayed
 					delayed = nil
 					for _, env := range out {
-						pm := env.Msg.(msg.Ping)
+						pm := env.Msg.(*msg.Ping)
 						target := env.To
 						if !pm.Target.IsZero() {
 							target = pm.Target

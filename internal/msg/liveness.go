@@ -13,6 +13,11 @@ import "hypercube/internal/table"
 // neighbor to rule out one-way loss on the direct path) carries the
 // suspect in Target; the receiver relays the ping unchanged, and the
 // suspect answers Origin directly.
+//
+// *Ping, not Ping, is the Message: a probe is the most frequent message
+// a live network sends, and a pointer goes into an interface without
+// boxing, so a prober can hand out Pings it allocated in batches. A Ping
+// is never changed once sent; a relay forwards the pointer it received.
 type Ping struct {
 	Seq    uint64
 	Origin table.Ref
@@ -20,13 +25,13 @@ type Ping struct {
 }
 
 // Type implements Message.
-func (Ping) Type() Type { return TPing }
+func (*Ping) Type() Type { return TPing }
 
 // Big implements Message.
-func (Ping) Big() bool { return false }
+func (*Ping) Big() bool { return false }
 
 // WireSize implements Message.
-func (m Ping) WireSize() int { return smallHeader + 8 + refSize(m.Origin) + refSize(m.Target) }
+func (m *Ping) WireSize() int { return smallHeader + 8 + refSize(m.Origin) + refSize(m.Target) }
 
 // Pong answers a Ping back to its Origin, echoing the sequence number.
 type Pong struct {

@@ -137,7 +137,7 @@ func Zero() []Message {
 	return []Message{
 		CpRst{}, CpRly{}, JoinWait{}, JoinWaitRly{}, JoinNoti{}, JoinNotiRly{},
 		InSysNoti{}, SpeNoti{}, SpeNotiRly{}, RvNghNoti{}, RvNghNotiRly{},
-		Leave{}, LeaveRly{}, Find{}, FindRly{}, Ping{}, Pong{}, FailedNoti{},
+		Leave{}, LeaveRly{}, Find{}, FindRly{}, &Ping{}, Pong{}, FailedNoti{},
 		SyncReq{}, SyncRly{}, SyncPush{},
 		SamplePush{}, SamplePullReq{}, SamplePullRly{},
 	}

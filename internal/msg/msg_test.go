@@ -91,7 +91,7 @@ func TestBigClassification(t *testing.T) {
 		CpRst{}, JoinWait{}, InSysNoti{},
 		SpeNoti{}, SpeNotiRly{}, RvNghNoti{}, RvNghNotiRly{},
 		LeaveRly{}, Find{}, FindRly{},
-		Ping{}, Pong{}, FailedNoti{}, SyncReq{},
+		&Ping{}, Pong{}, FailedNoti{}, SyncReq{},
 		SamplePush{}, SamplePullReq{}, SamplePullRly{},
 	}
 	for _, m := range big {
@@ -290,7 +290,7 @@ func TestAllMessagesTypeAndSize(t *testing.T) {
 		{LeaveRly{}, TLeaveRly},
 		{Find{Want: suffix, Origin: ref, Avoid: snap.Owner()}, TFind},
 		{FindRly{Want: suffix, Found: nb}, TFindRly},
-		{Ping{Seq: 7, Origin: ref, Target: ref}, TPing},
+		{&Ping{Seq: 7, Origin: ref, Target: ref}, TPing},
 		{Pong{Seq: 7}, TPong},
 		{FailedNoti{Failed: ref}, TFailedNoti},
 		{SyncReq{Fill: table.NewBitVector(p168.B * p168.D)}, TSyncReq},

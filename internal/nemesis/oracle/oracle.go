@@ -21,25 +21,25 @@ import (
 // Scenario drivers tee it into the network's event sink; the simulator
 // emits from a single goroutine, so no lock is needed.
 type DeclWatch struct {
-	dead     map[string]bool
+	dead     map[id.ID]bool
 	genuine  int
 	falsePos int
-	examples []string
+	examples []id.ID
 
 	// Detection latency, populated only through MarkDeadAt: virtual
 	// crash time per peer and the virtual time of the first declaration
 	// that names it. A peer marked by MarkDead alone — a leaver — never
 	// enters declAt.
-	crashedAt map[string]time.Duration
-	declAt    map[string]time.Duration
+	crashedAt map[id.ID]time.Duration
+	declAt    map[id.ID]time.Duration
 }
 
 // NewDeclWatch returns an empty watcher.
 func NewDeclWatch() *DeclWatch {
 	return &DeclWatch{
-		dead:      make(map[string]bool),
-		crashedAt: make(map[string]time.Duration),
-		declAt:    make(map[string]time.Duration),
+		dead:      make(map[id.ID]bool),
+		crashedAt: make(map[id.ID]time.Duration),
+		declAt:    make(map[id.ID]time.Duration),
 	}
 }
 
@@ -67,7 +67,7 @@ func (w *DeclWatch) Emit(e obs.Event) {
 // declarations naming them count as genuine.
 func (w *DeclWatch) MarkDead(ids ...id.ID) {
 	for _, x := range ids {
-		w.dead[x.String()] = true
+		w.dead[x] = true
 	}
 }
 
@@ -76,7 +76,7 @@ func (w *DeclWatch) MarkDead(ids ...id.ID) {
 func (w *DeclWatch) MarkDeadAt(now time.Duration, ids ...id.ID) {
 	w.MarkDead(ids...)
 	for _, x := range ids {
-		w.crashedAt[x.String()] = now
+		w.crashedAt[x] = now
 	}
 }
 
@@ -89,7 +89,7 @@ func (w *DeclWatch) FalsePositives() int { return w.falsePos }
 
 // Examples returns up to five falsely declared peers, in declaration
 // order.
-func (w *DeclWatch) Examples() []string { return w.examples }
+func (w *DeclWatch) Examples() []id.ID { return w.examples }
 
 // Detected returns how many distinct MarkDeadAt-tracked peers have been
 // declared at least once.

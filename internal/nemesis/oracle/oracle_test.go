@@ -193,10 +193,10 @@ func TestDeclWatchClassification(t *testing.T) {
 	live := id.MustParse(p, "3210")
 	w.MarkDeadAt(2*time.Second, dead)
 
-	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: dead.String(), T: 5 * time.Second})
-	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: dead.String(), T: 6 * time.Second})
-	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: live.String(), T: 7 * time.Second})
-	w.Emit(obs.Event{Kind: obs.KindSuspect, Peer: live.String(), T: 7 * time.Second}) // ignored
+	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: dead, T: 5 * time.Second})
+	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: dead, T: 6 * time.Second})
+	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: live, T: 7 * time.Second})
+	w.Emit(obs.Event{Kind: obs.KindSuspect, Peer: live, T: 7 * time.Second}) // ignored
 
 	if w.Genuine() != 2 || w.FalsePositives() != 1 {
 		t.Fatalf("genuine=%d false=%d, want 2/1", w.Genuine(), w.FalsePositives())
@@ -208,7 +208,7 @@ func TestDeclWatchClassification(t *testing.T) {
 	if got := w.MeanDetection(); got != 3*time.Second {
 		t.Fatalf("MeanDetection = %v, want 3s", got)
 	}
-	if ex := w.Examples(); len(ex) != 1 || ex[0] != live.String() {
+	if ex := w.Examples(); len(ex) != 1 || ex[0] != live {
 		t.Fatalf("Examples = %v", ex)
 	}
 
@@ -230,7 +230,7 @@ func TestDetectedCountsCrashesOnly(t *testing.T) {
 	leaver, victim := id.MustParse(p, "0123"), id.MustParse(p, "3210")
 	w.MarkDead(leaver)
 	w.MarkDeadAt(time.Second, victim)
-	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: leaver.String(), T: 4 * time.Second})
+	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: leaver, T: 4 * time.Second})
 	if w.Genuine() != 1 || w.FalsePositives() != 0 {
 		t.Fatalf("genuine=%d false=%d, want 1/0", w.Genuine(), w.FalsePositives())
 	}
@@ -247,7 +247,7 @@ func TestAuditDeclarationsQuietWatcher(t *testing.T) {
 	p := id.Params{B: 4, D: 4}
 	dead := id.MustParse(p, "2222")
 	w.MarkDead(dead)
-	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: dead.String()})
+	w.Emit(obs.Event{Kind: obs.KindDeclared, Peer: dead})
 	if f := AuditDeclarations(w, 0); f != nil {
 		t.Fatalf("genuine-only watcher produced findings: %v", f)
 	}

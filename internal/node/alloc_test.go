@@ -21,7 +21,7 @@ func warmShipped(t *testing.T) *Node {
 	n := New(established(opts), parts)
 	n.sampler.SeedPeers(peerX, peerY, peerZ)
 	n.Tick(0)
-	for _, m := range []msg.Message{msg.SamplePullReq{}, msg.Ping{Seq: 1}, converged()} {
+	for _, m := range []msg.Message{msg.SamplePullReq{}, &msg.Ping{Seq: 1}, converged()} {
 		if out := n.Deliver(to(peerY, m), 0); len(out) != 1 {
 			t.Fatalf("%v answered with %v, want one reply", m.Type(), out)
 		}
@@ -45,7 +45,8 @@ func converged() msg.SyncReq {
 // it sends, and a call that sends nothing allocates nothing.
 func TestWarmNodeAllocatesOnlyWhatItSends(t *testing.T) {
 	n := warmShipped(t)
-	pull, ping, digest := to(peerY, msg.SamplePullReq{}), to(peerY, msg.Ping{Seq: 1 << 20}), to(peerY, converged())
+	pull, ping, digest := to(peerY, msg.SamplePullReq{}), to(peerY, &msg.Ping{Seq: 1 << 20}), to(peerY, converged())
+	relay := to(peerY, &msg.Ping{Seq: 1 << 20, Origin: peerY, Target: peerZ})
 	cases := []struct {
 		name string
 		run  func()
@@ -56,6 +57,8 @@ func TestWarmNodeAllocatesOnlyWhatItSends(t *testing.T) {
 		{"Deliver(SamplePullReq)", func() { n.Deliver(pull, 0) }, 0},
 		// A sequence number past 255 boxes its Pong, as a live prober's do.
 		{"Deliver(Ping)", func() { n.Deliver(ping, 0) }, 1},
+		// An indirect probe goes on as the pointer it arrived as.
+		{"Deliver(Ping), relayed", func() { n.Deliver(relay, 0) }, 0},
 		{"Deliver(SyncReq)", func() { n.Deliver(digest, 0) }, 1},
 		{"SyncPeers", func() { n.Machine().SyncPeers() }, 0},
 		{"Tick, nothing due", func() { n.Tick(0) }, 0},
@@ -72,7 +75,7 @@ func TestWarmNodeAllocatesOnlyWhatItSends(t *testing.T) {
 // that keeps a result past its next call must copy it.
 func TestResultValidUntilNextCall(t *testing.T) {
 	for name, part := range map[string]msg.Message{
-		"prober":  msg.Ping{Seq: 1},
+		"prober":  &msg.Ping{Seq: 1},
 		"sampler": msg.SamplePullReq{},
 		"machine": msg.CpRst{},
 	} {

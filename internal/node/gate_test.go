@@ -145,7 +145,7 @@ func driveGated(t *testing.T, seed int64, steps int) {
 		// Live peers answer direct probes, and indirect ones relayed by a
 		// live helper.
 		for _, env := range pings {
-			pm, ok := env.Msg.(msg.Ping)
+			pm, ok := env.Msg.(*msg.Ping)
 			target := env.To
 			if ok && !pm.Target.IsZero() {
 				target = pm.Target

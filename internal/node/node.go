@@ -255,7 +255,7 @@ func (n *Node) Deliver(env msg.Envelope, now time.Duration) []msg.Envelope {
 // reject reports a sampling message that failed validation.
 func (n *Node) reject(env msg.Envelope, err error) {
 	if n.sink != nil {
-		n.sink.Emit(obs.Event{Node: n.selfName, Kind: obs.KindGuardReject, Peer: env.From.ID.String(), Msg: env.Msg.Type().String(), Detail: err.Error()})
+		n.sink.Emit(obs.Event{Node: n.selfName, Kind: obs.KindGuardReject, Peer: env.From.ID, Msg: env.Msg.Type().String(), Detail: err.Error()})
 	}
 }
 

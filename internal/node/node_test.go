@@ -67,9 +67,9 @@ func TestDispatch(t *testing.T) {
 		wantMachine bool     // the machine counts the message as received
 		wantReply   msg.Type // type of the single reply, 0 for none
 	}{
-		{"ping, prober attached", full, msg.Ping{Seq: 7}, false, msg.TPong},
+		{"ping, prober attached", full, &msg.Ping{Seq: 7}, false, msg.TPong},
 		{"pong, prober attached", full, msg.Pong{Seq: 7}, false, 0},
-		{"ping, bare", Config{}, msg.Ping{Seq: 7}, true, 0},
+		{"ping, bare", Config{}, &msg.Ping{Seq: 7}, true, 0},
 		{"sample pull request, sampler attached", full, msg.SamplePullReq{}, false, msg.TSamplePullRly},
 		{"sample push, bare", Config{}, msg.SamplePush{}, true, 0},
 		{"protocol traffic, all parts", full, msg.CpRst{}, true, msg.TCpRly},
@@ -106,7 +106,7 @@ func silence(t *testing.T, n *Node, from time.Duration, dead id.ID, stop func([]
 			return out, now
 		}
 		for _, env := range out {
-			if pm, ok := env.Msg.(msg.Ping); ok && pm.Target.IsZero() && env.To.ID != dead {
+			if pm, ok := env.Msg.(*msg.Ping); ok && pm.Target.IsZero() && env.To.ID != dead {
 				n.Deliver(to(env.To, msg.Pong{Seq: pm.Seq}), now)
 			}
 		}
@@ -189,7 +189,7 @@ func TestHostileSampleRepliesNeverReachSampler(t *testing.T) {
 			t.Errorf("hostile reply answered with %v", out)
 		}
 		events := ring.Drain()
-		if len(events) != 1 || events[0].Kind != obs.KindGuardReject || events[0].Peer != peerY.ID.String() {
+		if len(events) != 1 || events[0].Kind != obs.KindGuardReject || events[0].Peer != peerY.ID {
 			t.Errorf("events = %+v, want one guard_reject naming %v", events, peerY.ID)
 		}
 	}

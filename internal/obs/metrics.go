@@ -134,7 +134,7 @@ func (r *Registry) Collect(fn func(io.Writer)) {
 // the field.
 func WriteStruct(w io.Writer, prefix string, v any) {
 	rv := reflect.Indirect(reflect.ValueOf(v))
-	eachField(prefix, func(prefix string, f reflect.StructField, fv, _ reflect.Value) {
+	eachField(prefix, func(prefix string, f reflect.StructField, fv reflect.Value) {
 		kind, val := "counter", 0.0
 		switch {
 		case fv.CanInt():
@@ -159,7 +159,7 @@ func WriteStruct(w io.Writer, prefix string, v any) {
 			name += "_total"
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", name, kind, name, formatFloat(val))
-	}, rv, rv)
+	}, rv)
 }
 
 // AddStruct adds every exported numeric field of the struct src (or of
@@ -168,41 +168,54 @@ func WriteStruct(w io.Writer, prefix string, v any) {
 // a pointer nil in either is left out, and bools, strings, maps, slices
 // and arrays keep dst's value. It panics unless both are the same
 // struct type. So a counter added to a stats struct is summed into
-// fleet totals by adding the field.
+// fleet totals by adding the field. It names no field and allocates
+// nothing: a status page sums every node's stats on each call.
 func AddStruct(dst, src any) {
 	d, s := reflect.ValueOf(dst).Elem(), reflect.Indirect(reflect.ValueOf(src))
 	if d.Type() != s.Type() {
 		panic(fmt.Sprintf("obs: AddStruct of %v into %v", s.Type(), d.Type()))
 	}
-	eachField("", func(_ string, _ reflect.StructField, d, s reflect.Value) {
-		switch {
-		case d.CanInt():
-			d.SetInt(d.Int() + s.Int())
-		case d.CanUint():
-			d.SetUint(d.Uint() + s.Uint())
-		case d.CanFloat():
-			d.SetFloat(d.Float() + s.Float())
-		}
-	}, d, s)
+	addFields(d, s)
 }
 
-// eachField walks the exported fields of two structs of the same type
-// in step (WriteStruct passes one struct twice), depth first, and calls
-// fn with each leaf field's prefix (see seriesName), its type field,
-// and its value in either struct. A pointer nil in either struct is
-// left out.
-func eachField(prefix string, fn func(prefix string, f reflect.StructField, a, b reflect.Value), a, b reflect.Value) {
-	for i := 0; i < a.NumField(); i++ {
-		f := a.Type().Field(i)
-		fa, fb := reflect.Indirect(a.Field(i)), reflect.Indirect(b.Field(i))
-		if !f.IsExported() || !fa.IsValid() || !fb.IsValid() {
+// addFields adds the leaves of struct s into those of the addressable
+// struct d on eachField's walk. It asks the field values, not the
+// type, whether a field is exported (settable): reflect.Type.Field
+// allocates.
+func addFields(d, s reflect.Value) {
+	for i := 0; i < d.NumField(); i++ {
+		fd, fs := reflect.Indirect(d.Field(i)), reflect.Indirect(s.Field(i))
+		if !d.Field(i).CanSet() || !fd.IsValid() || !fs.IsValid() {
 			continue
 		}
-		if fa.Kind() == reflect.Struct {
-			eachField(seriesName(prefix, f), fn, fa, fb)
+		switch {
+		case fd.Kind() == reflect.Struct:
+			addFields(fd, fs)
+		case fd.CanInt():
+			fd.SetInt(fd.Int() + fs.Int())
+		case fd.CanUint():
+			fd.SetUint(fd.Uint() + fs.Uint())
+		case fd.CanFloat():
+			fd.SetFloat(fd.Float() + fs.Float())
+		}
+	}
+}
+
+// eachField walks the exported fields of struct v depth first and calls
+// fn with each leaf field's prefix (see seriesName), its type field and
+// its value. A nil pointer is left out.
+func eachField(prefix string, fn func(prefix string, f reflect.StructField, v reflect.Value), v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		fv := reflect.Indirect(v.Field(i))
+		if !f.IsExported() || !fv.IsValid() {
 			continue
 		}
-		fn(prefix, f, fa, fb)
+		if fv.Kind() == reflect.Struct {
+			eachField(seriesName(prefix, f), fn, fv)
+			continue
+		}
+		fn(prefix, f, fv)
 	}
 }
 

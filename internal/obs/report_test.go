@@ -32,10 +32,10 @@ func (n *traceIDs) next() string { *n++; return fmt.Sprintf("%016x", int(*n)) }
 func (n *traceIDs) probeTrip(at time.Duration, prober, target string, offP, offT time.Duration) []Event {
 	tr, span := n.next(), n.next()
 	return []Event{
-		{T: at + offP, Node: prober, Kind: KindProbe, Peer: target, Trace: tr, Span: span},
+		{T: at + offP, Node: prober, Kind: KindProbe, Peer: pid(strings.ToLower(target)), Trace: tr, Span: span},
 		{T: at + ms(10) + offT, Node: target, Kind: KindRecv, Msg: "PingMsg", Trace: tr, Span: span},
 		{T: at + ms(10) + offT, Node: target, Kind: KindSend, Msg: "PongMsg", Trace: tr, Span: span},
-		{T: at + ms(20) + offP, Node: prober, Kind: KindProbeAck, Peer: target, Trace: tr, Span: span},
+		{T: at + ms(20) + offP, Node: prober, Kind: KindProbeAck, Peer: pid(strings.ToLower(target)), Trace: tr, Span: span},
 	}
 }
 
@@ -51,8 +51,8 @@ func (n *traceIDs) joinTree(at time.Duration, joiner string, restart int, done b
 	for _, via := range vias {
 		hop := n.next()
 		evs = append(evs,
-			Event{T: at + off[joiner], Node: joiner, Kind: KindSend, Peer: via, Msg: "CpRstMsg", Trace: tr, Span: hop, Parent: root},
-			Event{T: at + ms(30) + off[via], Node: via, Kind: KindRecv, Peer: joiner, Msg: "CpRstMsg", Trace: tr, Span: hop},
+			Event{T: at + off[joiner], Node: joiner, Kind: KindSend, Peer: pid(strings.ToLower(via)), Msg: "CpRstMsg", Trace: tr, Span: hop, Parent: root},
+			Event{T: at + ms(30) + off[via], Node: via, Kind: KindRecv, Peer: pid(strings.ToLower(joiner)), Msg: "CpRstMsg", Trace: tr, Span: hop},
 		)
 	}
 	if done {
@@ -217,7 +217,7 @@ func TestNodesCountsEmitters(t *testing.T) {
 
 func TestConvergence(t *testing.T) {
 	st := func(node, status string) Event { return Event{Node: node, Kind: KindStatus, Detail: status} }
-	on := func(node string, k Kind, peer string) Event { return Event{Node: node, Kind: k, Peer: peer} }
+	on := func(node string, k Kind, peer string) Event { return Event{Node: node, Kind: k, Peer: pid(peer)} }
 	rep := Analyze([]Event{
 		st("a", "in_system"), st("b", "copying"), st("b", "in_system"), st("c", "waiting"),
 		st("d", "in_system"), st("d", "leaving"),
@@ -252,9 +252,9 @@ func fleetEvents() []Event {
 	events = append(events, ids.probeTrip(ms(320), "n2", "g", off["n2"], off["g"])...)
 	events = append(events,
 		Event{T: ms(400), Node: "g", Kind: KindStatus, Detail: "in_system"},
-		Event{T: ms(410), Node: "g", Kind: KindSuspect, Peer: "n2"},
-		Event{T: ms(420), Node: "n1", Kind: KindSuspect, Peer: "n2"},
-		Event{T: ms(430), Node: "n1", Kind: KindRecovered, Peer: "n2"},
+		Event{T: ms(410), Node: "g", Kind: KindSuspect, Peer: pid("n2")},
+		Event{T: ms(420), Node: "n1", Kind: KindSuspect, Peer: pid("n2")},
+		Event{T: ms(430), Node: "n1", Kind: KindRecovered, Peer: pid("n2")},
 		Event{T: ms(440), Node: "g", Kind: KindProbe, Seq: 9},
 		Event{T: ms(470), Node: "g", Kind: KindProbeAck, Seq: 9},
 		Event{T: ms(480), Node: "n2", Kind: KindSend, Msg: "SyncRlyMsg"},

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"hypercube/internal/id"
 	"hypercube/internal/msg"
 )
 
@@ -93,10 +94,15 @@ type nodeState struct {
 // flag (suspected, degraded, quarantined). Keying by the pair, not the
 // peer alone, makes the result independent of how per-node streams are
 // interleaved: a flag is only ever lowered by the node that raised it.
-type flagSet map[[2]string]struct{}
+type flagSet map[flagKey]struct{}
+
+type flagKey struct {
+	node string
+	peer id.ID
+}
 
 func (s flagSet) set(e Event, on bool) {
-	if k := [2]string{e.Node, e.Peer}; on {
+	if k := (flagKey{e.Node, e.Peer}); on {
 		s[k] = struct{}{}
 	} else {
 		delete(s, k)
@@ -105,9 +111,9 @@ func (s flagSet) set(e Event, on bool) {
 
 // peers counts the distinct peers flagged by at least one observer.
 func (s flagSet) peers() int {
-	seen := make(map[string]struct{}, len(s))
+	seen := make(map[id.ID]struct{}, len(s))
 	for k := range s {
-		seen[k[1]] = struct{}{}
+		seen[k.peer] = struct{}{}
 	}
 	return len(seen)
 }

@@ -268,7 +268,7 @@ func TestFailureRecoverySingle(t *testing.T) {
 		t.Fatal("nobody stored the dead node — setup broken")
 	}
 	requireConsistent(t, net)
-	if !declared[dead.String()] {
+	if !declared[dead] {
 		t.Error("the crash was never declared")
 	}
 }

@@ -129,7 +129,7 @@ func TestCrashesSimultaneous(t *testing.T) {
 	}
 	net.RunFor(healWindow)
 	for _, d := range dead {
-		if !declared[d.String()] {
+		if !declared[d] {
 			t.Errorf("crashed %v was never declared", d)
 		}
 	}

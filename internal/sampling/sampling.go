@@ -304,8 +304,8 @@ func (e *Engine) Deliver(env msg.Envelope) []msg.Envelope {
 		if e.tracer != nil && env.Trace.Sampled() {
 			rly.Trace = e.tracer.Child(env.Trace)
 			if e.sink != nil {
-				e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindRecv, Peer: env.From.ID.String(), Msg: env.Msg.Type().String()}.Stamped(env.Trace, trace.SpanID{}))
-				e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSend, Peer: env.From.ID.String(), Msg: rly.Msg.Type().String()}.Stamped(rly.Trace, env.Trace.Span))
+				e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindRecv, Peer: env.From.ID, Msg: env.Msg.Type().String()}.Stamped(env.Trace, trace.SpanID{}))
+				e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSend, Peer: env.From.ID, Msg: rly.Msg.Type().String()}.Stamped(rly.Trace, env.Trace.Span))
 			}
 		}
 		e.out = append(e.out[:0], rly)
@@ -421,7 +421,7 @@ func (e *Engine) traced(env msg.Envelope, ctx trace.Context) msg.Envelope {
 	}
 	env.Trace = e.tracer.Child(ctx)
 	if e.sink != nil {
-		e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSend, Peer: env.To.ID.String(), Msg: env.Msg.Type().String()}.Stamped(env.Trace, ctx.Span))
+		e.sink.Emit(obs.Event{Node: e.selfName, Kind: obs.KindSend, Peer: env.To.ID, Msg: env.Msg.Type().String()}.Stamped(env.Trace, ctx.Span))
 	}
 	return env
 }

@@ -132,7 +132,7 @@ func TestRepliesReachAddresseeOnce(t *testing.T) {
 		frames := make([][]byte, rounds)
 		for r := range frames {
 			frames[r] = binaryFrame(t,
-				msg.Envelope{From: p.ref, To: n.Ref(), Msg: msg.Ping{Seq: uint64(i*rounds + r + 1)}},
+				msg.Envelope{From: p.ref, To: n.Ref(), Msg: &msg.Ping{Seq: uint64(i*rounds + r + 1)}},
 				msg.Envelope{From: p.ref, To: n.Ref(), Msg: msg.SamplePullReq{}},
 				msg.Envelope{From: p.ref, To: n.Ref(), Msg: msg.SyncReq{Fill: digest}})
 		}

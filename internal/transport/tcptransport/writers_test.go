@@ -113,7 +113,7 @@ func TestWriterHandoffKeepsOrder(t *testing.T) {
 					}
 					mu.Lock()
 					err = wire.DecodePayload(p163, payload, func(env msg.Envelope) error {
-						seqs = append(seqs, env.Msg.(msg.Ping).Seq)
+						seqs = append(seqs, env.Msg.(*msg.Ping).Seq)
 						return nil
 					})
 					mu.Unlock()
@@ -146,7 +146,7 @@ func TestWriterHandoffKeepsOrder(t *testing.T) {
 						time.Sleep(100 * time.Microsecond)
 					}
 				}
-				env := msg.Envelope{From: n.Ref(), To: to, Msg: msg.Ping{Seq: uint64(s)<<32 | uint64(i), Origin: n.Ref()}}
+				env := msg.Envelope{From: n.Ref(), To: to, Msg: &msg.Ping{Seq: uint64(s)<<32 | uint64(i), Origin: n.Ref()}}
 				if err := n.sendAll([]msg.Envelope{env}); err != nil {
 					t.Error(err)
 					return

@@ -290,7 +290,7 @@ func appendBody(dst []byte, p id.Params, env msg.Envelope) ([]byte, error) {
 		}
 		dst = append(dst, boolByte(m.Blocked))
 		return appendNeighbor(dst, p, m.Found)
-	case msg.Ping:
+	case *msg.Ping:
 		dst = binary.AppendUvarint(dst, m.Seq)
 		if dst, err = appendRef(dst, p, m.Origin); err != nil {
 			return nil, err
@@ -831,7 +831,7 @@ func decodeBody(p id.Params, body []byte) (msg.Envelope, error) {
 	case msg.TFindRly:
 		env.Msg = msg.FindRly{Want: r.suffix(), Blocked: r.bool(), Found: r.neighbor()}
 	case msg.TPing:
-		env.Msg = msg.Ping{Seq: r.uvarint64(), Origin: r.ref(), Target: r.ref()}
+		env.Msg = &msg.Ping{Seq: r.uvarint64(), Origin: r.ref(), Target: r.ref()}
 	case msg.TPong:
 		env.Msg = msg.Pong{Seq: r.uvarint64()}
 	case msg.TFailedNoti:

@@ -73,7 +73,7 @@ func sampleEnvelopes(t *testing.T) []msg.Envelope {
 	from, to := envs[0].From, envs[0].To
 	return append(envs,
 		// A direct probe: Origin set, Target the zero ref.
-		msg.Envelope{From: from, To: to, Msg: msg.Ping{Seq: 42, Origin: from}},
+		msg.Envelope{From: from, To: to, Msg: &msg.Ping{Seq: 42, Origin: from}},
 	)
 }
 
@@ -107,7 +107,7 @@ func goldenEnvelopes(t *testing.T) []msg.Envelope {
 		{From: from, To: to, Msg: msg.Find{Want: id.MustParseSuffix(tp, "3"), Origin: u}},
 		{From: from, To: to, Msg: msg.FindRly{Want: id.MustParseSuffix(tp, "233"), Found: found}},
 		{From: from, To: to, Msg: msg.FindRly{Want: id.MustParseSuffix(tp, "233"), Blocked: true}},
-		{From: from, To: to, Msg: msg.Ping{Seq: 123456, Origin: from, Target: to}},
+		{From: from, To: to, Msg: &msg.Ping{Seq: 123456, Origin: from, Target: to}},
 		{From: from, To: to, Msg: msg.Pong{Seq: 123456}},
 		{From: from, To: to, Msg: msg.FailedNoti{Failed: u}},
 		{From: from, To: to, Msg: msg.SyncReq{Fill: fill}},
