@@ -18,7 +18,7 @@ import (
 // seedEstimate returns an estimator that has learned peer x at the
 // given round-trip (one sample: srtt = s, RTO = 3s clamped).
 func seedEstimate(x id.ID, sample time.Duration) *rtt.Estimator {
-	est := rtt.New(rtt.Config{MinRTO: 50 * time.Millisecond, MaxRTO: 10 * time.Second})
+	est := rtt.New()
 	est.Observe(x, sample)
 	return est
 }
@@ -97,17 +97,15 @@ func TestExchangeReplySampledIntoEstimator(t *testing.T) {
 	opts := core.Options{Timeouts: core.Timeouts{RetryAfter: time.Second, MaxAttempts: 4}}
 	seed := core.NewSeed(p, ref(p, "3210"), opts)
 	j := core.NewJoiner(p, ref(p, "0123"), opts)
-	est := rtt.New(rtt.Config{})
+	est := rtt.New()
 	j.SetRTT(est)
-	now := time.Duration(0)
-	j.SetClock(func() time.Duration { return now })
 
 	out := must(j.StartJoin(seed.Self())) // CpRst sent at clock 0
-	now = 80 * time.Millisecond           // the reply arrives 80ms later
 	replies := seed.Deliver(out[0])
 	if len(replies) == 0 {
 		t.Fatalf("seed ignored CpRst")
 	}
+	j.Advance(80 * time.Millisecond) // the reply arrives 80ms later
 	j.Deliver(replies[0])
 	srtt, ok := est.SRTT(seed.Self().ID)
 	if !ok || srtt != 80*time.Millisecond {
@@ -122,22 +120,19 @@ func TestResentExchangeNotSampled(t *testing.T) {
 	opts := core.Options{Timeouts: core.Timeouts{RetryAfter: 100 * time.Millisecond, MaxAttempts: 4}}
 	seed := core.NewSeed(p, ref(p, "3210"), opts)
 	j := core.NewJoiner(p, ref(p, "0123"), opts)
-	est := rtt.New(rtt.Config{})
+	est := rtt.New()
 	j.SetRTT(est)
-	now := time.Duration(0)
-	j.SetClock(func() time.Duration { return now })
 
 	must(j.StartJoin(seed.Self())) // lost
-	now = 150 * time.Millisecond
-	resent := j.Tick(now)
+	resent := j.Tick(150 * time.Millisecond)
 	if len(resent) != 1 {
 		t.Fatalf("expected one resend, got %v", resent)
 	}
-	now = 300 * time.Millisecond
 	replies := seed.Deliver(resent[0])
 	if len(replies) == 0 {
 		t.Fatalf("seed ignored resent CpRst")
 	}
+	j.Advance(300 * time.Millisecond)
 	j.Deliver(replies[0])
 	if st := est.Stats(); st.Samples != 0 {
 		t.Fatalf("resent exchange was sampled: %+v", st)

@@ -228,7 +228,6 @@ func FuzzMachineDeliver(f *testing.F) {
 			Guard:        &guard.Policy{},
 		})
 		var now time.Duration
-		m.SetClock(func() time.Duration { return now })
 		fp := newFuzzPools(p, self)
 		if len(data) > 4096 {
 			data = data[:4096] // bound per-input work; 4 KiB is ~500 envelopes
@@ -250,6 +249,7 @@ func FuzzMachineDeliver(f *testing.F) {
 				}
 			}
 			now += 50 * time.Millisecond
+			m.Advance(now)
 		}
 		// Whatever arrived, the table must still be well-formed: every
 		// occupant carries its entry's desired suffix with a legal state.

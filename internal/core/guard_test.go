@@ -104,7 +104,6 @@ func TestMachineQuarantineLifecycle(t *testing.T) {
 	attacker := ref(p, "0123")
 	seed := core.NewSeed(p, self, core.Options{Guard: &guard.Policy{}})
 	var now time.Duration
-	seed.SetClock(func() time.Duration { return now })
 
 	bad := msg.Envelope{From: attacker, To: self, Msg: msg.CpRst{Level: 99}}
 	charges := quarantine(t, seed, bad)
@@ -139,6 +138,7 @@ func TestMachineQuarantineLifecycle(t *testing.T) {
 		if now += time.Second; now > time.Hour {
 			t.Fatal("quarantine never expired")
 		}
+		seed.Advance(now)
 	}
 	out := seed.Deliver(good)
 	if len(out) != 1 {

@@ -168,8 +168,8 @@ type Machine struct {
 	// departed tables, or both (leave.go).
 	repairs map[[2]int]*repair
 
-	// Clock-driven failure-detection state (timeout.go): the machine's
-	// notion of now (advanced by Tick), outstanding request/reply
+	// Clock-driven failure-detection state (timeout.go): the time the
+	// runtime last handed in (Advance, Tick), outstanding request/reply
 	// exchanges, fallback bootstrap nodes for join restarts, and nodes
 	// declared crashed.
 	now         time.Duration
@@ -189,12 +189,10 @@ type Machine struct {
 	syncShipped int
 	auditPurged int
 
-	// Hostile-input defenses: the optional misbehavior scorer, its
-	// counters, and an optional runtime clock for quarantine timing
-	// (clockNow falls back to the Tick-advanced m.now).
+	// Hostile-input defenses: the optional misbehavior scorer and its
+	// counters.
 	scorer *guard.Scorer
 	gstats GuardStats
-	clock  func() time.Duration
 
 	// sampled, when non-nil, supplies byzantine-resistant random peers
 	// from the sampling layer; pickGateway falls back to it when every
@@ -332,11 +330,11 @@ func newMachine(p id.Params, self table.Ref, status Status, tbl *table.Table, op
 	return m
 }
 
-// SetClock supplies the driving runtime's monotonic clock (duration since
-// the run started) for quarantine timing. Without one the machine falls
-// back to its Tick-advanced notion of now, so quarantines only age while
-// the runtime ticks.
-func (m *Machine) SetClock(f func() time.Duration) { m.clock = f }
+// Advance moves the machine's clock to now (duration since the run
+// started) without running any timer. Tick does it itself; a runtime
+// calls it before Deliver or an entry point that sends, so quarantines
+// age and each exchange it opens is stamped with its real send time.
+func (m *Machine) Advance(now time.Duration) { m.now = now }
 
 // SetPeerSampler installs a source of sampled peers (the gossip
 // peer-sampling layer). Gateway selection falls back to it when the
@@ -347,22 +345,15 @@ func (m *Machine) SetPeerSampler(f func(int) []table.Ref) { m.sampled = f }
 // seed their first resend deadline from the peer's measured RTO
 // (falling back to Timeouts.RetryAfter until samples exist) and feed
 // their round-trips back. Pass the same estimator the liveness prober
-// uses so probe and exchange samples pool. Attach a runtime clock with
-// SetClock too — without one, round-trips are measured at Tick
-// granularity.
+// uses so probe and exchange samples pool. Round-trips are measured on
+// the clock Advance and Tick move, so a runtime that only ticks measures
+// them at Tick granularity.
 func (m *Machine) SetRTT(est *rtt.Estimator) { m.est = est }
 
 // PeerQuarantined reports whether the guard scorer currently quarantines
 // x. False when no scorer is configured.
 func (m *Machine) PeerQuarantined(x id.ID) bool {
-	return m.scorer != nil && m.scorer.Quarantined(x, m.clockNow())
-}
-
-func (m *Machine) clockNow() time.Duration {
-	if m.clock != nil {
-		return m.clock()
-	}
-	return m.now
+	return m.scorer != nil && m.scorer.Quarantined(x, m.now)
 }
 
 // GuardStats returns the machine's hostile-input counters, including the
@@ -503,10 +494,9 @@ func (m *Machine) StartJoin(g0 table.Ref) ([]msg.Envelope, error) {
 // dropped at ingress.
 func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 	m.out = m.out[:0]
-	now := m.clockNow()
 	if m.scorer != nil && !env.From.IsZero() {
 		before := m.scorer.Stats().Releases
-		q := m.scorer.Quarantined(env.From.ID, now)
+		q := m.scorer.Quarantined(env.From.ID, m.now)
 		if m.scorer.Stats().Releases > before && m.sink != nil {
 			m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindQuarantineRelease, Peer: env.From.ID})
 		}
@@ -519,7 +509,7 @@ func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 		}
 	}
 	if err := guard.Check(m.params, m.self.ID, env); err != nil {
-		m.reject(env, err, now)
+		m.reject(env, err)
 		return nil
 	}
 	if len(m.unheard) > 0 {
@@ -599,7 +589,7 @@ func (m *Machine) Deliver(env msg.Envelope) []msg.Envelope {
 
 // reject counts and reports an envelope that failed semantic validation,
 // charging the sender's misbehavior score when scoring is enabled.
-func (m *Machine) reject(env msg.Envelope, err error, now time.Duration) {
+func (m *Machine) reject(env msg.Envelope, err error) {
 	var t msg.Type
 	if env.Msg != nil {
 		t = env.Msg.Type()
@@ -610,7 +600,7 @@ func (m *Machine) reject(env msg.Envelope, err error, now time.Duration) {
 		m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindGuardReject, Peer: env.From.ID, Msg: t.String(), Detail: err.Error()})
 	}
 	if m.scorer != nil && !env.From.IsZero() && env.From.ID != m.self.ID {
-		if m.scorer.Charge(env.From.ID, 1, now) {
+		if m.scorer.Charge(env.From.ID, 1, m.now) {
 			if m.sink != nil {
 				m.sink.Emit(obs.Event{Node: m.selfName, Kind: obs.KindQuarantine, Peer: env.From.ID})
 			}

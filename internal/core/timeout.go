@@ -147,13 +147,12 @@ func (m *Machine) trackExchange(env msg.Envelope) {
 			base = rto
 		}
 	}
-	now := m.clockNow()
 	m.exchanges[key] = &exchange{
 		env:      env,
 		attempts: 1,
 		base:     base,
-		due:      now + base,
-		sentAt:   now,
+		due:      m.now + base,
+		sentAt:   m.now,
 	}
 }
 
@@ -186,7 +185,7 @@ func (m *Machine) clearExchange(from table.Ref, pm msg.Message) {
 	// round-trip sample. The envelope's To (not the key's peer — xSpe
 	// keys by subject Y, not transport target) is who we measured.
 	if m.est != nil && ex.attempts == 1 {
-		m.est.Observe(ex.env.To.ID, m.clockNow()-ex.sentAt)
+		m.est.Observe(ex.env.To.ID, m.now-ex.sentAt)
 	}
 }
 
@@ -396,9 +395,8 @@ func (m *Machine) pruneGatewayCands(cands map[id.ID]table.Ref) {
 		delete(cands, x)
 	}
 	if m.scorer != nil {
-		now := m.clockNow()
 		for x := range cands {
-			if m.scorer.Quarantined(x, now) {
+			if m.scorer.Quarantined(x, m.now) {
 				delete(cands, x)
 			}
 		}
@@ -433,7 +431,7 @@ func (m *Machine) gone(x id.ID) bool {
 // installed from harvested tables, not accepted from Find replies, and
 // not gossiped about in FailedNoti fan-outs.
 func (m *Machine) quarantined(x id.ID) bool {
-	return m.scorer != nil && m.scorer.Quarantined(x, m.clockNow())
+	return m.scorer != nil && m.scorer.Quarantined(x, m.now)
 }
 
 // DeclareFailed records that the failure detector declared gone crashed,

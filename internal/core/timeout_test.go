@@ -67,20 +67,17 @@ func TestResendDueCountsFromSend(t *testing.T) {
 	opts := core.Options{Timeouts: core.Timeouts{RetryAfter: 100 * time.Millisecond, MaxAttempts: 4}}
 	seed := core.NewSeed(p, ref(p, "3210"), opts)
 	j := core.NewJoiner(p, ref(p, "0123"), opts)
-	var now time.Duration
-	j.SetClock(func() time.Duration { return now })
 	j.Tick(0)
 
-	now = 90 * time.Millisecond
+	j.Advance(90 * time.Millisecond)
 	must(j.StartJoin(seed.Self())) // lost
 	for _, at := range []time.Duration{100, 150, 180} {
-		now = at * time.Millisecond
+		now := at * time.Millisecond
 		if out := j.Tick(now); len(out) != 0 {
 			t.Fatalf("Tick at %v resent %v; the CpRst left at 90ms", now, out)
 		}
 	}
-	now = 190 * time.Millisecond
-	if out := j.Tick(now); len(out) != 1 || out[0].Msg.Type() != msg.TCpRst {
+	if out := j.Tick(190 * time.Millisecond); len(out) != 1 || out[0].Msg.Type() != msg.TCpRst {
 		t.Fatalf("Tick at 190ms sent %v, want the CpRst resent", out)
 	}
 }

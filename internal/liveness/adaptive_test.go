@@ -17,8 +17,8 @@ import (
 // runDelayed drives one prober under a virtual clock, delivering each
 // probe's replies after a caller-chosen delay. respond sees every
 // envelope the prober emits and returns the replies plus the delay
-// before they arrive (negative delay = blackhole). The prober's clock
-// is wired to the loop's virtual time, so RTT samples are exact.
+// before they arrive (negative delay = blackhole). Replies are handed
+// in at the loop's virtual time, so RTT samples are exact.
 func runDelayed(p *Prober, until time.Duration, respond func(now time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration)) (declared []table.Ref, declaredAt []time.Duration) {
 	type timed struct {
 		at  time.Duration
@@ -26,13 +26,12 @@ func runDelayed(p *Prober, until time.Duration, respond func(now time.Duration, 
 	}
 	var queue []timed
 	now := time.Duration(0)
-	p.SetClock(func() time.Duration { return now })
 	const step = 25 * time.Millisecond
 	for ; now <= until; now += step {
 		keep := queue[:0]
 		for _, q := range queue {
 			if q.at <= now {
-				p.HandleMessage(q.env)
+				p.HandleMessage(q.env, now)
 			} else {
 				keep = append(keep, q)
 			}
@@ -115,7 +114,7 @@ func TestAdaptiveSlowPeerNotDeclared(t *testing.T) {
 	self := mkRef(t, "0000")
 	slow := mkRef(t, "1111")
 	p := NewProber(cfg, self)
-	p.SetRTT(rtt.New(rtt.Config{MinRTO: 100 * time.Millisecond, MaxRTO: 5 * time.Second}))
+	p.SetRTT(rtt.New())
 	p.SetTargets([]table.Ref{slow})
 
 	declared, _ := runDelayed(p, 10*time.Second, func(_ time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
@@ -187,7 +186,7 @@ func TestAdaptiveRampRescuedByConfirmFloor(t *testing.T) {
 	self := mkRef(t, "0000")
 	gray := mkRef(t, "1111")
 	p := NewProber(cfg, self)
-	p.SetRTT(rtt.New(rtt.Config{MinRTO: 100 * time.Millisecond, MaxRTO: 5 * time.Second}))
+	p.SetRTT(rtt.New())
 	p.SetTargets([]table.Ref{gray})
 
 	declared, _ := runDelayed(p, 10*time.Second, func(now time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
@@ -230,7 +229,7 @@ func TestAdaptiveDeclaresDeadFasterOnFastLink(t *testing.T) {
 		dead := mkRef(t, "1111")
 		p := NewProber(cfg, self)
 		if adaptive {
-			p.SetRTT(rtt.New(rtt.Config{MinRTO: 100 * time.Millisecond, MaxRTO: 5 * time.Second}))
+			p.SetRTT(rtt.New())
 		}
 		p.SetTargets([]table.Ref{dead})
 		declared, at := runDelayed(p, 15*time.Second, func(now time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
@@ -261,7 +260,7 @@ func TestAdaptiveDeclaresDeadFasterOnFastLink(t *testing.T) {
 func TestAdaptiveNeverShrinksWindow(t *testing.T) {
 	self := mkRef(t, "0000")
 	dead := mkRef(t, "1111")
-	est := rtt.New(rtt.Config{MinRTO: 100 * time.Millisecond, MaxRTO: 5 * time.Second})
+	est := rtt.New()
 	for range 8 {
 		est.Observe(dead.ID, 10*time.Millisecond)
 	}
@@ -300,7 +299,7 @@ func TestRecentBufferBounded(t *testing.T) {
 	self := mkRef(t, "0000")
 	a := mkRef(t, "1111")
 	p := NewProber(cfg, self)
-	p.SetRTT(rtt.New(rtt.Config{}))
+	p.SetRTT(rtt.New())
 	p.SetTargets([]table.Ref{a})
 	runDelayed(p, 2*time.Minute, func(_ time.Duration, env msg.Envelope) ([]msg.Envelope, time.Duration) {
 		return nil, -1

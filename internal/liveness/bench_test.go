@@ -36,7 +36,7 @@ func benchDetection(b *testing.B, adaptive bool) time.Duration {
 	const diesAt = 2 * time.Second
 	p := NewProber(cfg, benchRef("0000"))
 	if adaptive {
-		p.SetRTT(rtt.New(rtt.Config{MinRTO: 100 * time.Millisecond, MaxRTO: 5 * time.Second}))
+		p.SetRTT(rtt.New())
 	}
 	dead := benchRef("1111")
 	p.SetTargets([]table.Ref{dead})
@@ -90,8 +90,7 @@ func BenchmarkProbeTick(b *testing.B) {
 			p := NewProber(cfg, benchRef("0000"))
 			now := time.Duration(0)
 			if adaptive {
-				p.SetRTT(rtt.New(rtt.Config{MinRTO: 5 * time.Millisecond, MaxRTO: time.Second}))
-				p.SetClock(func() time.Duration { return now })
+				p.SetRTT(rtt.New())
 			}
 			// p44 is base 4 × 4 digits: encode 1..64 in base 4, zero-padded,
 			// skipping self at "0000".
@@ -110,7 +109,7 @@ func BenchmarkProbeTick(b *testing.B) {
 				for _, env := range out {
 					if pm, ok := env.Msg.(*msg.Ping); ok {
 						for _, r := range RespondPing(nil, table.Ref{ID: env.To.ID, Addr: env.To.Addr}, env.From, pm) {
-							p.HandleMessage(r)
+							p.HandleMessage(r, now)
 						}
 					}
 				}

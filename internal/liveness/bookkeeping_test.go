@@ -74,9 +74,8 @@ func TestBookkeepingMatchesAWalk(t *testing.T) {
 			}
 			p := NewProber(Config{ProbeInterval: 10 * time.Millisecond, ProbeTimeout: 40 * time.Millisecond, SuspectAfter: 2}, self)
 			now := time.Duration(0)
-			p.SetClock(func() time.Duration { return now })
 			if adaptive {
-				p.SetRTT(rtt.New(rtt.Config{}))
+				p.SetRTT(rtt.New())
 			}
 			silent := map[id.ID]bool{}
 			var delayed []msg.Envelope
@@ -129,7 +128,7 @@ func TestBookkeepingMatchesAWalk(t *testing.T) {
 						}
 					}
 					for _, pong := range pongs {
-						p.HandleMessage(pong)
+						p.HandleMessage(pong, now)
 						checkBookkeeping(t, p, "Pong")
 					}
 				}

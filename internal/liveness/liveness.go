@@ -38,7 +38,7 @@
 // FailedNoti gossip about the side it has never met.
 //
 // Adaptive timeouts (gray failures): with a per-peer RTT estimator
-// attached (SetRTT + SetClock), each target's probe deadline derives
+// attached (SetRTT), each target's probe deadline derives
 // from its own measured round-trips instead of the fixed ProbeTimeout,
 // misses accrue as a confidence-weighted suspicion score instead of a
 // flat count (a miss against a known-slow peer weighs less than one),
@@ -277,7 +277,6 @@ type Prober struct {
 	// expired probes for a grace window so a late pong can still feed
 	// the estimator and clear suspicion; recentQ bounds it FIFO.
 	est     *rtt.Estimator
-	clock   func() time.Duration
 	recent  map[uint64]probe
 	recentQ []uint64
 
@@ -328,20 +327,13 @@ func (p *Prober) SetTracer(t *trace.Tracer) { p.tracer = t }
 // ProbeTimeout until samples exist), direct-probe pongs feed samples
 // back, and misses accrue as confidence-weighted suspicion. The
 // estimator is typically shared with core.Machine so exchange
-// round-trips and probe RTTs pool into one estimate per peer. Callers
-// must also SetClock, or pongs cannot be timed.
+// round-trips and probe RTTs pool into one estimate per peer.
 func (p *Prober) SetRTT(est *rtt.Estimator) {
 	p.est = est
 	if est != nil && p.recent == nil {
 		p.recent = make(map[uint64]probe)
 	}
 }
-
-// SetClock supplies the driving runtime's monotonic clock (duration
-// since an arbitrary start): virtual time in the overlay simulator,
-// wall time since start in tcptransport. Pong arrivals are stamped
-// with it to measure probe round-trips.
-func (p *Prober) SetClock(f func() time.Duration) { p.clock = f }
 
 // RTT returns the attached estimator (nil without SetRTT), for admin
 // endpoints and scenario reports.
@@ -557,11 +549,13 @@ func (p *Prober) markAlive(t *target) {
 	p.orphan(t)
 }
 
-// HandleMessage consumes a Ping or Pong addressed to this node and
-// returns any messages to transmit in response (a Pong, or the relayed
-// Ping of an indirect probe) in the prober's own buffer, valid until its
-// next HandleMessage or Tick. Messages of other types are ignored.
-func (p *Prober) HandleMessage(env msg.Envelope) []msg.Envelope {
+// HandleMessage consumes a Ping or Pong addressed to this node, arrived
+// at time now (on the clock Tick reads), and returns any messages to
+// transmit in response (a Pong, or the relayed Ping of an indirect
+// probe) in the prober's own buffer, valid until its next HandleMessage
+// or Tick. A Pong's arrival time measures its probe's round trip.
+// Messages of other types are ignored.
+func (p *Prober) HandleMessage(env msg.Envelope, now time.Duration) []msg.Envelope {
 	p.out = p.out[:0]
 	switch pm := env.Msg.(type) {
 	case *msg.Ping:
@@ -601,9 +595,9 @@ func (p *Prober) HandleMessage(env msg.Envelope) []msg.Envelope {
 			}
 			delete(p.recent, pm.Seq)
 			p.stats.LatePongs++
-			p.sampleRTT(pr)
+			took := p.sampleRTT(pr, now)
 			if p.sink != nil {
-				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeAck, Peer: pr.target, Seq: pm.Seq, Detail: "late"}.Stamped(pr.ctx, trace.SpanID{}))
+				p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeAck, Peer: pr.target, Seq: pm.Seq, Detail: "late", RTT: took}.Stamped(pr.ctx, trace.SpanID{}))
 			}
 			if t, ok := p.targets[pr.target]; ok {
 				p.markAlive(t)
@@ -612,9 +606,9 @@ func (p *Prober) HandleMessage(env msg.Envelope) []msg.Envelope {
 		}
 		p.drop(pm.Seq, pr)
 		p.stats.PongsReceived++
-		p.sampleRTT(pr)
+		took := p.sampleRTT(pr, now)
 		if p.sink != nil {
-			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeAck, Peer: pr.target, Seq: pm.Seq}.Stamped(pr.ctx, trace.SpanID{}))
+			p.sink.Emit(obs.Event{Node: p.selfName, Kind: obs.KindProbeAck, Peer: pr.target, Seq: pm.Seq, RTT: took}.Stamped(pr.ctx, trace.SpanID{}))
 		}
 		if t, ok := p.targets[pr.target]; ok {
 			p.markAlive(t)
@@ -778,16 +772,16 @@ func (p *Prober) Tick(now time.Duration) (out []msg.Envelope, declared, unreacha
 		}
 	}
 
-	// Age out parked expired probes whose late-pong grace has lapsed.
+	// Age out parked expired probes whose late-pong grace, the largest
+	// RTO past their deadline, has lapsed.
 	if p.est != nil && len(p.recentQ) > 0 {
-		grace := p.est.Config().MaxRTO
 		keep := p.recentQ[:0]
 		for _, seq := range p.recentQ {
 			pr, ok := p.recent[seq]
 			if !ok {
 				continue // already consumed by a late pong
 			}
-			if pr.deadline+grace <= now {
+			if pr.deadline+rtt.MaxRTO <= now {
 				delete(p.recent, seq)
 				continue
 			}
@@ -905,28 +899,33 @@ func (p *Prober) missCharge(t *target) float64 {
 	return min(max(float64(p.cfg.ProbeTimeout)/float64(rto), 0.5), 1)
 }
 
-// sampleRTT feeds one answered probe's round-trip into the estimator
-// and emits degraded-flag transition events. Karn's rule, adapted:
-// indirect probes are never sampled — their round-trip measures the
-// relay's path as much as the target's.
-func (p *Prober) sampleRTT(pr probe) {
-	if p.est == nil || p.clock == nil || pr.indirect {
-		return
+// sampleRTT returns the round trip of one probe answered at now, feeds
+// it into the estimator, if any, and emits degraded-flag transition
+// events. This is the one place a probe's round trip is measured: the
+// probe_ack event carries it, and traces and metrics read it from there.
+// Karn's rule, adapted: an indirect probe is never measured (0), as its
+// round trip is the relay's path as much as the target's.
+func (p *Prober) sampleRTT(pr probe, now time.Duration) time.Duration {
+	if pr.indirect {
+		return 0
 	}
-	u := p.est.Observe(pr.target, p.clock()-pr.sentAt)
-	if !u.Changed {
-		return
+	took := now - pr.sentAt
+	if p.est == nil {
+		return took
 	}
-	kind := obs.KindDegraded
-	if u.Degraded {
-		p.stats.DegradedMarked++
-	} else {
-		p.stats.DegradedCleared++
-		kind = obs.KindDegradedClear
+	if u := p.est.Observe(pr.target, took); u.Changed {
+		kind := obs.KindDegraded
+		if u.Degraded {
+			p.stats.DegradedMarked++
+		} else {
+			p.stats.DegradedCleared++
+			kind = obs.KindDegradedClear
+		}
+		if p.sink != nil {
+			p.sink.Emit(obs.Event{Node: p.selfName, Kind: kind, Peer: pr.target})
+		}
 	}
-	if p.sink != nil {
-		p.sink.Emit(obs.Event{Node: p.selfName, Kind: kind, Peer: pr.target})
-	}
+	return took
 }
 
 // remember parks an expired direct probe so a late pong can still feed

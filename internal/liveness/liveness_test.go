@@ -30,9 +30,9 @@ func cfgFast() Config {
 }
 
 // drive ticks the prober in small steps up to deadline, feeding every
-// probe through respond (nil = blackhole) and collecting declarations
-// and unreachable drops.
-func drive(p *Prober, deadline time.Duration, respond func(env msg.Envelope) []msg.Envelope) (declared, unreachable []table.Ref) {
+// probe through respond at the tick's time (nil = blackhole) and
+// collecting declarations and unreachable drops.
+func drive(p *Prober, deadline time.Duration, respond func(now time.Duration, env msg.Envelope) []msg.Envelope) (declared, unreachable []table.Ref) {
 	for now := time.Duration(0); now <= deadline; now += 25 * time.Millisecond {
 		out, dec, unr := p.Tick(now)
 		declared = append(declared, dec...)
@@ -43,7 +43,7 @@ func drive(p *Prober, deadline time.Duration, respond func(env msg.Envelope) []m
 				if respond == nil {
 					continue
 				}
-				next = append(next, respond(env)...)
+				next = append(next, respond(now, env)...)
 			}
 			out = next
 		}
@@ -59,12 +59,12 @@ func TestRoutineProbeAnswered(t *testing.T) {
 
 	// A responsive target is never suspected, let alone declared.
 	peer := NewProber(cfgFast(), a)
-	declared, _ := drive(p, 3*time.Second, func(env msg.Envelope) []msg.Envelope {
+	declared, _ := drive(p, 3*time.Second, func(now time.Duration, env msg.Envelope) []msg.Envelope {
 		if env.To.ID == a.ID {
-			return peer.HandleMessage(env)
+			return peer.HandleMessage(env, now)
 		}
 		if env.To.ID == self.ID {
-			return p.HandleMessage(env)
+			return p.HandleMessage(env, now)
 		}
 		return nil
 	})
@@ -93,7 +93,7 @@ func TestSilentTargetDeclared(t *testing.T) {
 	// and nothing after that.
 	relayed := 0
 	deadAnswers := 1
-	declared, _ := drive(p, 10*time.Second, func(env msg.Envelope) []msg.Envelope {
+	declared, _ := drive(p, 10*time.Second, func(now time.Duration, env msg.Envelope) []msg.Envelope {
 		switch env.To.ID {
 		case helper.ID:
 			out := RespondPing(nil, helper, env.From, env.Msg.(*msg.Ping))
@@ -111,7 +111,7 @@ func TestSilentTargetDeclared(t *testing.T) {
 			}
 			return keep
 		case self.ID:
-			return p.HandleMessage(env)
+			return p.HandleMessage(env, now)
 		case dead.ID:
 			if pm, ok := env.Msg.(*msg.Ping); ok && deadAnswers > 0 {
 				deadAnswers--
@@ -155,10 +155,10 @@ func TestNeverAnsweredDroppedUnreachable(t *testing.T) {
 	p.SetTargets([]table.Ref{ghost, helper})
 
 	peer := NewProber(cfgFast(), helper)
-	declared, unreachable := drive(p, 10*time.Second, func(env msg.Envelope) []msg.Envelope {
+	declared, unreachable := drive(p, 10*time.Second, func(now time.Duration, env msg.Envelope) []msg.Envelope {
 		switch env.To.ID {
 		case helper.ID:
-			out := peer.HandleMessage(env)
+			out := peer.HandleMessage(env, now)
 			var keep []msg.Envelope
 			for _, e := range out {
 				if e.To.ID != ghost.ID {
@@ -167,7 +167,7 @@ func TestNeverAnsweredDroppedUnreachable(t *testing.T) {
 			}
 			return keep
 		case self.ID:
-			return p.HandleMessage(env)
+			return p.HandleMessage(env, now)
 		}
 		return nil
 	})
@@ -240,10 +240,10 @@ func TestIndirectProbesOnByDefault(t *testing.T) {
 	p := NewProber(Config{}, self)
 	p.SetTargets(append([]table.Ref{x}, helpers...))
 	p.Observe(x.ID) // alive once, so its silence would be declarable
-	declared, _ := drive(p, 30*time.Second, func(env msg.Envelope) []msg.Envelope {
+	declared, _ := drive(p, 30*time.Second, func(now time.Duration, env msg.Envelope) []msg.Envelope {
 		switch pm, _ := env.Msg.(*msg.Ping); {
 		case env.To.ID == self.ID:
-			return p.HandleMessage(env)
+			return p.HandleMessage(env, now)
 		case env.To.ID == x.ID && pm.Target.IsZero():
 			return nil // the direct path to x loses everything
 		default:
@@ -334,7 +334,7 @@ func TestLatePongIgnored(t *testing.T) {
 	seq := out[0].Msg.(*msg.Ping).Seq
 	// Let the probe expire, then answer it.
 	p.Tick(time.Second)
-	p.HandleMessage(msg.Envelope{From: a, To: self, Msg: msg.Pong{Seq: seq}})
+	p.HandleMessage(msg.Envelope{From: a, To: self, Msg: msg.Pong{Seq: seq}}, time.Second)
 	if p.Stats().PongsReceived != 0 {
 		t.Fatal("expired probe's pong still counted")
 	}
@@ -407,7 +407,7 @@ func TestProbeCostsABatchSlot(t *testing.T) {
 			out, _, _ := p.Tick(now)
 			for _, env := range out {
 				probes++
-				p.HandleMessage(msg.Envelope{From: env.To, To: self, Msg: pongs[env.Msg.(*msg.Ping).Seq]})
+				p.HandleMessage(msg.Envelope{From: env.To, To: self, Msg: pongs[env.Msg.(*msg.Ping).Seq]}, now)
 			}
 		}
 	}
@@ -478,15 +478,15 @@ func TestPartitionHoldsDeclarationsThenRecovers(t *testing.T) {
 	for _, tgt := range live {
 		responders[tgt.ID] = NewProber(cfgFast(), tgt)
 	}
-	declared, _ = drive(p, 25*time.Second, func(env msg.Envelope) []msg.Envelope {
+	declared, _ = drive(p, 25*time.Second, func(now time.Duration, env msg.Envelope) []msg.Envelope {
 		if env.To.ID == self.ID {
-			return p.HandleMessage(env)
+			return p.HandleMessage(env, now)
 		}
 		if env.To.ID == dead.ID {
 			return nil
 		}
 		if r, ok := responders[env.To.ID]; ok {
-			out := r.HandleMessage(env)
+			out := r.HandleMessage(env, now)
 			var keep []msg.Envelope
 			for _, e := range out {
 				if e.To.ID != dead.ID {
@@ -545,12 +545,12 @@ func TestDeadSuspectDeclaredAfterPartitionExit(t *testing.T) {
 			for _, env := range out {
 				switch {
 				case env.To.ID == self.ID:
-					next = append(next, p.HandleMessage(env)...)
+					next = append(next, p.HandleMessage(env, now)...)
 				case env.To.ID == dead.ID:
 					// crashed for real: blackhole
 				default:
 					if r, ok := responders[env.To.ID]; ok {
-						for _, e := range r.HandleMessage(env) {
+						for _, e := range r.HandleMessage(env, now) {
 							if e.To.ID != dead.ID {
 								next = append(next, e)
 							}
@@ -613,12 +613,12 @@ func TestPartitionThresholdConfigurable(t *testing.T) {
 	for _, tgt := range live {
 		responders[tgt.ID] = NewProber(cfgFast(), tgt)
 	}
-	declared, _ := drive(p, 15*time.Second, func(env msg.Envelope) []msg.Envelope {
+	declared, _ := drive(p, 15*time.Second, func(now time.Duration, env msg.Envelope) []msg.Envelope {
 		if env.To.ID == self.ID {
-			return p.HandleMessage(env)
+			return p.HandleMessage(env, now)
 		}
 		if r, ok := responders[env.To.ID]; ok {
-			out := r.HandleMessage(env)
+			out := r.HandleMessage(env, now)
 			var keep []msg.Envelope
 			for _, e := range out {
 				if e.To.ID != dead.ID {

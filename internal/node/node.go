@@ -6,8 +6,9 @@
 // A Node does no I/O and takes no lock. A driver hands it inbound
 // envelopes (Deliver) and the passage of time (Tick) and transmits
 // whatever comes back; overlay drives it from the discrete-event clock,
-// tcptransport from sockets and one ticker under one mutex. Every part
-// reads the time last handed in, so a Node needs no clock of its own.
+// tcptransport from sockets and one ticker under one mutex. The time
+// comes in with each call and goes to the machine before any part runs;
+// neither the node nor any part keeps a clock of its own.
 //
 // What Deliver, Tick and the machine's entry points return is a buffer
 // the node owns, valid until the next call into the node: every part
@@ -128,9 +129,6 @@ type Node struct {
 	sink     obs.Sink
 	selfName string
 
-	// now is the time last passed to Deliver, Tick or Advance; it is the
-	// clock the machine and the prober read.
-	now time.Duration
 	// targets and out are reused between Ticks; out is what Tick returns.
 	targets []table.Ref
 	out     []msg.Envelope
@@ -147,19 +145,16 @@ func New(m *core.Machine, cfg Config) *Node {
 		n.sink = cfg.Sink
 		n.selfName = m.Self().ID.String()
 	}
-	clock := func() time.Duration { return n.now }
 	m.SetSink(cfg.Sink)
-	m.SetClock(clock)
 	m.SetTracer(cfg.Tracer)
 	if cfg.RTT != nil {
-		n.est = rtt.New(*cfg.RTT)
+		n.est = rtt.New()
 		m.SetRTT(n.est)
 	}
 	if cfg.Liveness != nil {
 		n.prober = liveness.NewProber(*cfg.Liveness, m.Self())
 		n.prober.SetSink(cfg.Sink)
 		n.prober.SetTracer(cfg.Tracer)
-		n.prober.SetClock(clock)
 		if n.est != nil {
 			n.prober.SetRTT(n.est)
 		}
@@ -213,11 +208,12 @@ func (n *Node) Table() *table.Table { return n.tbl }
 // Prober returns the failure detector, nil without Config.Liveness.
 func (n *Node) Prober() *liveness.Prober { return n.prober }
 
-// Advance moves the node's clock to now without running any timer.
-// Deliver and Tick do it themselves; a driver calls it before invoking
-// a machine entry point directly, so the exchange that call opens is
-// stamped with its real send time.
-func (n *Node) Advance(now time.Duration) { n.now = now }
+// Advance hands the node the time now without running any timer. The
+// node keeps no clock of its own: the machine holds the time, and
+// Deliver and Tick hand it over themselves before any part runs. A
+// driver calls Advance before invoking a machine entry point directly,
+// so the exchange that call opens is stamped with its real send time.
+func (n *Node) Advance(now time.Duration) { n.m.Advance(now) }
 
 // Deliver hands the node one inbound envelope at time now and returns
 // the envelopes to transmit in response, valid until the next call into
@@ -228,14 +224,14 @@ func (n *Node) Advance(now time.Duration) { n.now = now }
 // is not attached, goes to the machine, which counts probes and
 // sampling messages it has no owner for and answers none of them.
 func (n *Node) Deliver(env msg.Envelope, now time.Duration) []msg.Envelope {
-	n.now = now
+	n.m.Advance(now)
 	var t msg.Type
 	if env.Msg != nil {
 		t = env.Msg.Type()
 	}
 	if n.prober != nil {
 		if t == msg.TPing || t == msg.TPong {
-			return n.prober.HandleMessage(env)
+			return n.prober.HandleMessage(env, now)
 		}
 		n.prober.Observe(env.From.ID)
 	}
@@ -266,10 +262,10 @@ func (n *Node) reject(env msg.Envelope, err error) {
 // timers, anti-entropy, sampler. The result is valid until the next
 // call into the node.
 func (n *Node) Tick(now time.Duration) []msg.Envelope {
-	n.now = now
 	if n.prober == nil && n.engine == nil && n.sampler == nil {
 		return n.m.Tick(now)
 	}
+	n.m.Advance(now)
 	out := n.out[:0]
 	if n.prober != nil {
 		if at := [3]uint64{n.tbl.Version() + 1, n.m.ReverseGen(), n.prober.TargetGen()}; at != n.monitored {

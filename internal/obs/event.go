@@ -58,9 +58,11 @@ const (
 	// exhausting its attempts.
 	KindResend Kind = "resend"
 	KindGiveUp Kind = "give_up"
-	// Failure-detector events. Probes carry Seq so an analyzer can pair
-	// KindProbe with KindProbeAck (RTT) or KindProbeMiss; Detail is
-	// "indirect" for relayed probes.
+	// Failure-detector events. Seq names a probe in its KindProbe,
+	// KindProbeAck and KindProbeMiss; Detail is "indirect" on a relayed
+	// probe and "late" on an ack that came after the probe's miss. The
+	// ack of a direct probe carries the round trip the prober measured
+	// in RTT; a relayed probe's never does.
 	KindProbe       Kind = "probe"
 	KindProbeAck    Kind = "probe_ack"
 	KindProbeMiss   Kind = "probe_miss"
@@ -133,6 +135,7 @@ type Event struct {
 	Detail string
 	Seq    uint64
 	N      int
+	RTT    time.Duration
 	// Causal trace context (hex, empty when the event belongs to no
 	// sampled operation — the overwhelmingly common case). Trace is the
 	// 16-byte operation ID, Span the 8-byte span this event belongs to,
@@ -155,6 +158,7 @@ type eventJSON struct {
 	Detail string        `json:"detail,omitempty"`
 	Seq    uint64        `json:"seq,omitempty"`
 	N      int           `json:"n,omitempty"`
+	RTT    time.Duration `json:"rtt,omitempty"`
 	Trace  string        `json:"trace,omitempty"`
 	Span   string        `json:"span,omitempty"`
 	Parent string        `json:"parent,omitempty"`
@@ -163,7 +167,7 @@ type eventJSON struct {
 // schema is e's JSON form, its peer printed unless null.
 func (e Event) schema() eventJSON {
 	j := eventJSON{T: e.T, Node: e.Node, Kind: e.Kind, Msg: e.Msg, Detail: e.Detail,
-		Seq: e.Seq, N: e.N, Trace: e.Trace, Span: e.Span, Parent: e.Parent}
+		Seq: e.Seq, N: e.N, RTT: e.RTT, Trace: e.Trace, Span: e.Span, Parent: e.Parent}
 	if !e.Peer.IsNull() {
 		j.Peer = e.Peer.String()
 	}
@@ -196,7 +200,7 @@ func (j *eventJSON) event() (Event, error) {
 		}
 	}
 	return Event{T: j.T, Node: j.Node, Kind: j.Kind, Peer: peer, Msg: j.Msg, Detail: j.Detail,
-		Seq: j.Seq, N: j.N, Trace: j.Trace, Span: j.Span, Parent: j.Parent}, nil
+		Seq: j.Seq, N: j.N, RTT: j.RTT, Trace: j.Trace, Span: j.Span, Parent: j.Parent}, nil
 }
 
 // Stamped returns a copy of e carrying span context c: c.Span is the

@@ -107,6 +107,27 @@ func TestJSONLEncodingPinned(t *testing.T) {
 	if want := (Event{Node: "0325f07c", Kind: KindGuardReject, Msg: "PingMsg"}); len(got) != 1 || got[0] != want {
 		t.Fatalf("read back %+v, want %+v", got, want)
 	}
+
+	// A probe_ack carries its probe's round trip as rtt, in nanoseconds,
+	// and reads back to it.
+	ack := Event{T: 4 * time.Second, Node: "0325f07c", Kind: KindProbeAck, Peer: pid("08e13867"), Seq: 1, RTT: 2500 * time.Microsecond}
+	line := `{"t":4000000000,"node":"0325f07c","kind":"probe_ack","peer":"08e13867","seq":1,"rtt":2500000}`
+	buf.Reset()
+	s = NewJSONL(&buf)
+	s.Emit(ack)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != line+"\n" {
+		t.Fatalf("probe_ack written as %s, want %s", buf.Bytes(), line)
+	}
+	got = nil
+	if err := ScanJSONL(strings.NewReader(line), func(e Event) { got = append(got, e) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != ack {
+		t.Fatalf("read back %+v, want %+v", got, ack)
+	}
 }
 
 func TestReadJSONLBadLine(t *testing.T) {

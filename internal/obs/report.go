@@ -23,8 +23,9 @@ type Report struct {
 	// BigSent/SmallSent split Summary.Sent by BigMsg.
 	BigSent   int `json:"bigSent"`
 	SmallSent int `json:"smallSent"`
-	// ProbeRTT is the round trip of each answered direct probe, paired
-	// with its probe_ack by node and sequence number.
+	// ProbeRTT is the round trip of each answered direct probe, late
+	// ones included, as its probe_ack carries it (a trace written before
+	// probe_ack carried rtt has none).
 	ProbeRTT Stats `json:"probeRTT"`
 
 	Traces       int                `json:"traces"`               // span trees

@@ -201,7 +201,7 @@ func (s *SlogSink) Emit(e Event) {
 	if !s.log.Enabled(context.Background(), slog.LevelDebug) {
 		return
 	}
-	attrs := make([]any, 0, 12)
+	attrs := make([]any, 0, 16)
 	attrs = append(attrs, "t", e.T, "node", e.Node)
 	if !e.Peer.IsNull() {
 		attrs = append(attrs, "peer", e.Peer.String())
@@ -217,6 +217,9 @@ func (s *SlogSink) Emit(e Event) {
 	}
 	if e.N != 0 {
 		attrs = append(attrs, "n", e.N)
+	}
+	if e.RTT != 0 {
+		attrs = append(attrs, "rtt", e.RTT)
 	}
 	s.log.Debug(string(e.Kind), attrs...)
 }

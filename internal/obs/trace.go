@@ -2,7 +2,6 @@ package obs
 
 import (
 	"slices"
-	"strconv"
 	"time"
 
 	"hypercube/internal/id"
@@ -133,23 +132,15 @@ type Analyzer struct {
 
 	suspected, degraded, quarantined flagSet
 
-	// probeAt holds the send time of each not-yet-answered direct probe,
-	// keyed by node+"|"+seq, for RTT pairing. Misses evict their entry;
-	// the map is additionally capped so a trace with pathological loss
-	// cannot grow it without bound. probeRTTs collects the measured round
-	// trip of each answered one, capped at probeRTTCap samples, for
-	// Report.ProbeRTT.
-	probeAt   map[string]time.Duration
+	// probeRTTs collects the round trip each probe_ack carries, capped at
+	// probeRTTCap samples, for Report.ProbeRTT.
 	probeRTTs []time.Duration
 }
 
-// probePendingCap bounds the in-flight probe-pairing map; probeRTTCap
-// bounds the collected RTT samples (enough for percentile stability on
-// soak-length traces without holding every sample of a long run).
-const (
-	probePendingCap = 1 << 16
-	probeRTTCap     = 1 << 18
-)
+// probeRTTCap bounds the collected RTT samples: enough for percentile
+// stability on soak-length traces without holding every sample of a
+// long run.
+const probeRTTCap = 1 << 18
 
 // NewAnalyzer creates an empty analyzer. A non-empty node restricts the
 // whole analysis to events that node emitted (one node's view of a
@@ -158,7 +149,6 @@ func NewAnalyzer(node string) *Analyzer {
 	return &Analyzer{
 		only:        node,
 		nodes:       make(map[string]*nodeState),
-		probeAt:     make(map[string]time.Duration),
 		suspected:   make(flagSet),
 		degraded:    make(flagSet),
 		quarantined: make(flagSet),
@@ -167,12 +157,6 @@ func NewAnalyzer(node string) *Analyzer {
 			Received: make(map[string]int),
 		},
 	}
-}
-
-// probeKey identifies one probe across its probe/probe_ack pair: the
-// prober's node name plus the probe sequence number (per-node unique).
-func probeKey(e Event) string {
-	return e.Node + "|" + strconv.FormatUint(e.Seq, 10)
 }
 
 // Feed processes one event.
@@ -237,24 +221,12 @@ func (a *Analyzer) Feed(e Event) {
 		a.sum.GiveUps++
 	case KindProbe:
 		a.sum.Probes++
-		// Track direct probes for RTT pairing. Indirect probes measure
-		// the relay's path too, so they are excluded — same rule the
-		// estimator applies. Entries persist past a probe_miss because
-		// the ack may still arrive late; the cap bounds the leak from
-		// probes that never get answered at all.
-		if e.Detail != "indirect" && len(a.probeAt) < probePendingCap {
-			a.probeAt[probeKey(e)] = e.T
-		}
 	case KindProbeAck:
 		if e.Detail == "late" {
 			a.sum.LatePongs++
 		}
-		key := probeKey(e)
-		if at, ok := a.probeAt[key]; ok {
-			delete(a.probeAt, key)
-			if rtt := e.T - at; rtt > 0 && len(a.probeRTTs) < probeRTTCap {
-				a.probeRTTs = append(a.probeRTTs, rtt)
-			}
+		if e.RTT > 0 && len(a.probeRTTs) < probeRTTCap {
+			a.probeRTTs = append(a.probeRTTs, e.RTT)
 		}
 	case KindProbeMiss:
 		a.sum.ProbeMiss++

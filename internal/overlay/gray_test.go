@@ -34,7 +34,7 @@ func TestGraySlowNodeAdaptiveVsFixed(t *testing.T) {
 	run := func(adaptive bool) (declared int, marked int) {
 		cfg := grayConfig()
 		if adaptive {
-			cfg.RTT = &rtt.Config{MinRTO: 50 * time.Millisecond, MaxRTO: 5 * time.Second}
+			cfg.RTT = &rtt.Config{}
 		}
 		rng := rand.New(rand.NewSource(7))
 		net := New(cfg)

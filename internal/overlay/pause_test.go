@@ -29,7 +29,7 @@ func TestClockPauseNotDeclared(t *testing.T) {
 		},
 		// The adaptive estimator must ride the pause out too: the burst
 		// of late pongs feeds it without triggering a declaration.
-		RTT:          &rtt.Config{MinRTO: 50 * time.Millisecond, MaxRTO: 3 * time.Second},
+		RTT:          &rtt.Config{},
 		TickInterval: 50 * time.Millisecond,
 	}
 	rng := rand.New(rand.NewSource(7))

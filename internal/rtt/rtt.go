@@ -17,10 +17,12 @@
 // time.Duration values — and its arithmetic is pure integer EWMA, so
 // the overlay simulator replays bit-identically under virtual time
 // while tcptransport feeds it wall-clock samples. One Estimator serves
-// one node and tracks all of that node's peers; it carries its own lock
-// because two subsystems share it (the liveness prober feeds probe
-// RTTs, core.Machine feeds request/reply round-trips) and in the TCP
-// runtime those run under different locks.
+// one node and tracks all of that node's peers. Two parts share it (the
+// liveness prober feeds probe RTTs, core.Machine feeds request/reply
+// round-trips); a composed node runs both, and every other reader,
+// under the one lock its runtime serialises the node with. The
+// estimator keeps an uncontended lock of its own all the same, so it
+// stays safe for concurrent use without relying on that discipline.
 //
 // On top of the per-peer RTO the estimator derives a "degraded" health
 // flag: a peer whose smoothed RTT stays persistently inflated relative
@@ -39,31 +41,19 @@ import (
 	"hypercube/internal/id"
 )
 
-// Config tunes an Estimator. The zero value is usable: every field
-// falls back to the default documented on it.
-type Config struct {
-	// MinRTO floors the derived retry timeout: below it, scheduler
-	// granularity and queueing jitter dominate the measurement and a
-	// timeout would misfire on noise. Default 100ms.
-	MinRTO time.Duration
-	// MaxRTO caps the derived retry timeout so a peer with a wildly
-	// inflated history cannot push detection latency unboundedly.
-	// Default 5s.
-	MaxRTO time.Duration
-}
+// Config selects an Estimator for a node; it has no fields, and a
+// non-nil *Config is the switch that attaches one.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.MinRTO <= 0 {
-		c.MinRTO = 100 * time.Millisecond
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 5 * time.Second
-	}
-	if c.MaxRTO < c.MinRTO {
-		c.MaxRTO = c.MinRTO
-	}
-	return c
-}
+// The derived retry timeout is clamped to [MinRTO, MaxRTO]. Below
+// MinRTO, scheduler granularity and queueing jitter dominate the
+// measurement and a timeout would misfire on noise; MaxRTO keeps a peer
+// with a wildly inflated history from pushing detection latency up
+// without bound.
+const (
+	MinRTO = 100 * time.Millisecond
+	MaxRTO = 5 * time.Second
+)
 
 // A peer is marked degraded when its smoothed RTT exceeds
 // degradedFactor times the cross-peer median, and cleared (hysteresis)
@@ -108,7 +98,6 @@ type peerEstimate struct {
 // is safe for concurrent use.
 type Estimator struct {
 	mu    sync.Mutex
-	cfg   Config
 	peers map[id.ID]*peerEstimate
 	// srtts holds the srtt of every sampled peer, sorted, so the
 	// cross-peer median is an index.
@@ -121,12 +110,9 @@ type Estimator struct {
 }
 
 // New creates an estimator with no samples.
-func New(cfg Config) *Estimator {
-	return &Estimator{cfg: cfg.withDefaults(), peers: make(map[id.ID]*peerEstimate)}
+func New() *Estimator {
+	return &Estimator{peers: make(map[id.ID]*peerEstimate)}
 }
-
-// Config returns the estimator's effective (defaulted) configuration.
-func (e *Estimator) Config() Config { return e.cfg }
 
 // Observe feeds one measured round-trip for peer x and returns the
 // updated estimate. Non-positive samples are ignored (a clock glitch
@@ -167,14 +153,7 @@ func (e *Estimator) Observe(x id.ID, sample time.Duration) Update {
 // rto derives the clamped retry timeout from one peer's estimate.
 // Callers hold e.mu.
 func (e *Estimator) rto(pe *peerEstimate) time.Duration {
-	rto := pe.srtt + 4*pe.rttvar
-	if rto < e.cfg.MinRTO {
-		rto = e.cfg.MinRTO
-	}
-	if rto > e.cfg.MaxRTO {
-		rto = e.cfg.MaxRTO
-	}
-	return rto
+	return min(max(pe.srtt+4*pe.rttvar, MinRTO), MaxRTO)
 }
 
 // reassess re-evaluates one peer's degraded flag against the cross-peer

@@ -17,7 +17,7 @@ func mkID(t *testing.T, s string) id.ID {
 }
 
 func TestFirstSampleSeedsEstimate(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	x := mkID(t, "1111")
 	if _, ok := e.RTO(x); ok {
 		t.Fatalf("RTO reported before any sample")
@@ -36,7 +36,7 @@ func TestFirstSampleSeedsEstimate(t *testing.T) {
 }
 
 func TestEWMAConvergesAndVarShrinks(t *testing.T) {
-	e := New(Config{MinRTO: time.Millisecond})
+	e := New()
 	x := mkID(t, "1111")
 	var u Update
 	for i := 0; i < 64; i++ {
@@ -53,25 +53,25 @@ func TestEWMAConvergesAndVarShrinks(t *testing.T) {
 }
 
 func TestRTOClamped(t *testing.T) {
-	e := New(Config{MinRTO: 100 * time.Millisecond, MaxRTO: time.Second})
+	e := New()
 	fast, slow := mkID(t, "1111"), mkID(t, "2222")
 	var u Update
 	for i := 0; i < 32; i++ {
 		u = e.Observe(fast, time.Millisecond)
 	}
-	if u.RTO != 100*time.Millisecond {
-		t.Fatalf("fast peer RTO = %v, want MinRTO clamp 100ms", u.RTO)
+	if u.RTO != MinRTO {
+		t.Fatalf("fast peer RTO = %v, want MinRTO clamp %v", u.RTO, MinRTO)
 	}
 	for i := 0; i < 32; i++ {
 		u = e.Observe(slow, 10*time.Second)
 	}
-	if u.RTO != time.Second {
-		t.Fatalf("slow peer RTO = %v, want MaxRTO clamp 1s", u.RTO)
+	if u.RTO != MaxRTO {
+		t.Fatalf("slow peer RTO = %v, want MaxRTO clamp %v", u.RTO, MaxRTO)
 	}
 }
 
 func TestNonPositiveSampleIgnored(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	x := mkID(t, "1111")
 	e.Observe(x, 100*time.Millisecond)
 	before, _ := e.SRTT(x)
@@ -90,7 +90,7 @@ func TestNonPositiveSampleIgnored(t *testing.T) {
 // state and returns the estimator plus the slow peer's ID.
 func degradeSetup(t *testing.T, slowRTT time.Duration) (*Estimator, id.ID) {
 	t.Helper()
-	e := New(Config{MinRTO: time.Millisecond})
+	e := New()
 	fast := []id.ID{mkID(t, "1111"), mkID(t, "2222"), mkID(t, "3333")}
 	slow := mkID(t, "1230")
 	for i := 0; i < 8; i++ {
@@ -141,7 +141,7 @@ func TestDegradedTransitionReportedOnce(t *testing.T) {
 func TestDegradedNeedsQuorum(t *testing.T) {
 	// With fewer than degradedMinPeers tracked there is no meaningful
 	// median: nobody is flagged no matter how slow.
-	e := New(Config{})
+	e := New()
 	a, b := mkID(t, "1111"), mkID(t, "2222")
 	for i := 0; i < 16; i++ {
 		e.Observe(a, 10*time.Millisecond)
@@ -186,7 +186,7 @@ func TestDeterministicReplay(t *testing.T) {
 // of every sampled peer's srtt, recomputed from scratch, through random
 // observations, ignored samples and forgets.
 func TestMedianTracksSampledPeers(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	rng := rand.New(rand.NewSource(1))
 	var pool []id.ID
 	for _, s := range []string{"0000", "0001", "0012", "0123", "1230", "2301", "3012", "3333", "2222", "1111", "0202", "1313"} {

@@ -22,12 +22,11 @@ func TestTCPAdaptiveRTTSampling(t *testing.T) {
 		SuspectAfter:  3,
 		ConfirmRounds: 2,
 	}
-	rc := rtt.Config{MinRTO: 20 * time.Millisecond, MaxRTO: 2 * time.Second}
 	opts := core.Options{Timeouts: core.Timeouts{
 		RetryAfter:  250 * time.Millisecond,
 		MaxAttempts: 4,
 	}}
-	options := []Option{WithConfig(Config{Config: node.Config{Liveness: &lc, RTT: &rc}})}
+	options := []Option{WithConfig(Config{Config: node.Config{Liveness: &lc, RTT: &rtt.Config{}}})}
 
 	seed, err := StartSeed(p163, opts, id.MustParse(p163, "abc"), "127.0.0.1:0", options...)
 	if err != nil {

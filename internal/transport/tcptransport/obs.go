@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"hypercube/internal/antientropy"
@@ -27,10 +26,10 @@ import (
 // /status and /metrics is a rendering of Stats.
 //
 // Emitters call it from different goroutines, some under the protocol
-// lock n.mu and some (writer goroutines) under none, so its own mutex
-// must stay a leaf: Emit takes it briefly and calls nothing that locks
-// elsewhere.
-// Registry instruments are atomic and need no lock at all.
+// lock n.mu and some (writer goroutines) under none. It needs no lock
+// of its own: registry instruments are atomic, and the join and status
+// state is written only by the machine's events, which are all emitted
+// under n.mu, so it is read under n.mu too.
 type nodeObs struct {
 	reg     *obs.Registry
 	forward obs.Sink // user sink and/or trace ring; nil when none
@@ -40,30 +39,22 @@ type nodeObs struct {
 	probeRTT *obs.Histogram
 	syncDur  *obs.Histogram
 
-	mu             sync.Mutex
+	// Guarded by n.mu.
 	joinStartAt    time.Duration
 	joinInFlight   bool
-	probeSentAt    map[uint64]time.Duration
 	lastTransition time.Time
 	lastStatus     string
 }
 
-// probeMapLimit bounds probeSentAt against a pathological stream of
-// probes whose acks and misses never arrive (both prune normally).
-const probeMapLimit = 4096
-
 func newNodeObs() *nodeObs {
 	reg := obs.NewRegistry()
-	o := &nodeObs{
-		reg:         reg,
-		probeSentAt: make(map[uint64]time.Duration),
-	}
+	o := &nodeObs{reg: reg}
 	o.events = reg.CounterVec("hypercube_events_total",
 		"Protocol events emitted, by event kind.", "kind")
 	o.joinDur = reg.Histogram("hypercube_join_duration_seconds",
 		"Join latency from join start to the in_system transition.", obs.LatencyBuckets())
 	o.probeRTT = reg.Histogram("hypercube_probe_rtt_seconds",
-		"Liveness probe round-trip time (send to pong).", obs.ExpBuckets(0.0005, 2, 14))
+		"Liveness round-trip time of direct probes, late ones included (send to pong).", obs.ExpBuckets(0.0005, 2, 14))
 	o.syncDur = reg.Histogram("hypercube_antientropy_round_seconds",
 		"Real time spent executing anti-entropy engine ticks.", obs.ExpBuckets(0.0001, 4, 10))
 	return o
@@ -74,50 +65,25 @@ func (o *nodeObs) Emit(e obs.Event) {
 	o.events.With(string(e.Kind)).Inc()
 	switch e.Kind {
 	case obs.KindJoinStart:
-		o.mu.Lock()
 		if !o.joinInFlight {
 			o.joinInFlight = true
 			o.joinStartAt = e.T
 		}
-		o.mu.Unlock()
 	case obs.KindStatus:
-		o.mu.Lock()
 		o.lastTransition = time.Now()
 		o.lastStatus = e.Detail
 		if e.Detail == "in_system" && o.joinInFlight {
 			o.joinInFlight = false
 			o.joinDur.Observe((e.T - o.joinStartAt).Seconds())
 		}
-		o.mu.Unlock()
-	case obs.KindProbe:
-		o.mu.Lock()
-		if len(o.probeSentAt) < probeMapLimit {
-			o.probeSentAt[e.Seq] = e.T
-		}
-		o.mu.Unlock()
 	case obs.KindProbeAck:
-		o.mu.Lock()
-		if at, ok := o.probeSentAt[e.Seq]; ok {
-			delete(o.probeSentAt, e.Seq)
-			o.probeRTT.Observe((e.T - at).Seconds())
+		if e.RTT > 0 {
+			o.probeRTT.Observe(e.RTT.Seconds())
 		}
-		o.mu.Unlock()
-	case obs.KindProbeMiss:
-		o.mu.Lock()
-		delete(o.probeSentAt, e.Seq)
-		o.mu.Unlock()
 	}
 	if o.forward != nil {
 		o.forward.Emit(e)
 	}
-}
-
-// last returns the wall time and name of the most recent status
-// transition; zero time if none happened since start.
-func (o *nodeObs) last() (time.Time, string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.lastTransition, o.lastStatus
 }
 
 // emitTransport reports a delivery-layer event (retry, drop) through
@@ -258,10 +224,10 @@ func (n *Node) Stats() Stats {
 	for _, depth := range s.Queues {
 		s.OutboundQueueDepth += depth
 	}
-	if at, status := n.tobs.last(); !at.IsZero() {
-		s.LastTransition = fmt.Sprintf("%s (-> %s)", at.UTC().Format(time.RFC3339Nano), status)
-	}
 	n.mu.Lock()
+	if at := n.tobs.lastTransition; !at.IsZero() {
+		s.LastTransition = fmt.Sprintf("%s (-> %s)", at.UTC().Format(time.RFC3339Nano), n.tobs.lastStatus)
+	}
 	m := n.node.Machine()
 	s.Status = m.Status().String()
 	s.FilledEntries = n.node.Table().FilledCount()
